@@ -8,8 +8,8 @@
 //!    requests in flight (closed-loop: the population of outstanding
 //!    requests is constant, a reply releases the next request). Run twice,
 //!    parameterized over the wire protocol: once against the JSON listener
-//!    (thread-per-connection) and once against the binary listener (CRC
-//!    frames + epoll event loop). Reports aggregate req/s, the server-side
+//!    (newline framer) and once against the binary listener (CRC frames),
+//!    both on the one epoll event loop. Reports aggregate req/s, the server-side
 //!    `serve.request_ns` latency distribution, and the per-stage
 //!    decode/queue/handle/reply breakdown (`serve.stage.*`) for each, and
 //!    writes it all to `BENCH_serve.json` at the repo root.
@@ -241,8 +241,8 @@ fn section_loadgen(requests_per_conn: usize, window: usize) -> (f64, Json, Json)
 }
 
 /// The same closed loop against the binary listener: identical shard
-/// work, identical request mix — only the wire format and the I/O model
-/// (epoll event loop instead of thread-per-connection) differ. Returns
+/// work, identical request mix, the same event loop — only the wire
+/// format differs. Returns
 /// (aggregate predict req/s, server-side request latency summary, the
 /// per-stage breakdown).
 fn section_loadgen_binary(requests_per_conn: usize, window: usize) -> (f64, Json, Json) {

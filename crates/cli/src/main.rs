@@ -149,6 +149,11 @@ fn print_usage() {
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--connect ADDR[,ADDR...]] [--confidence C]\n\
          \x20 qdelay promote [--connect ADDR]\n\
          \x20 qdelay catalog\n\n\
+         Serving (Linux only): one I/O thread serves every connection.\n\
+         --listen takes JSON lines, --listen-binary the CRC-framed binary\n\
+         codec; both carry every method. observe/predict/admit go to the\n\
+         owning shard; stats, snapshot, metrics, trace, promote and shutdown\n\
+         run on the I/O thread itself, so keep them rare.\n\n\
          Replication: --listen-repl (with --journal-path) ships the WAL to\n\
          replicas; --replicate-from runs a read-only warm standby that a\n\
          SIGHUP or 'qdelay promote' turns into a primary. --connect takes a\n\

@@ -32,7 +32,7 @@
 
 mod reader;
 
-pub use reader::{ReadError, Reader, ValueMeta, DEFAULT_MAX_LINE};
+pub use reader::{parse_line, ReadError, Reader, DEFAULT_MAX_LINE};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -142,32 +142,6 @@ impl<R: Read> Reader<R> {
         }
     }
 
-    /// Like [`read_value`](Self::read_value), but also reports how long the
-    /// parse itself took (socket wait excluded) and how many bytes the line
-    /// held. This is the hook the serve layer's stage tracing uses to
-    /// separate decode cost from read-blocking; `read_value` stays on the
-    /// untimed path.
-    pub fn read_value_meta(&mut self) -> Result<Option<(Json, ValueMeta)>, ReadError> {
-        loop {
-            match self.next_line_span()? {
-                None => return Ok(None),
-                Some((s, e)) => {
-                    let t = std::time::Instant::now();
-                    match parse_line(&self.buf[s..e])? {
-                        Some(v) => {
-                            let meta = ValueMeta {
-                                parse_ns: t.elapsed().as_nanos() as u64,
-                                line_bytes: e - s,
-                            };
-                            return Ok(Some((v, meta)));
-                        }
-                        None => continue, // blank line
-                    }
-                }
-            }
-        }
-    }
-
     /// Buffers up to the next line terminator and returns the line's span in
     /// `self.buf`, consuming it. The span stays valid until the next call
     /// (refills compact the buffer). `None` is clean end of stream.
@@ -211,18 +185,14 @@ impl<R: Read> Reader<R> {
     }
 }
 
-/// Per-value decode measurements reported by [`Reader::read_value_meta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ValueMeta {
-    /// Nanoseconds spent parsing the line (UTF-8 check + `Json::parse`),
-    /// excluding any time blocked on the underlying stream.
-    pub parse_ns: u64,
-    /// Bytes in the line as received, excluding the terminating `\n`.
-    pub line_bytes: usize,
-}
-
-/// Parses one line: exactly one value, or `None` if the line is blank.
-fn parse_line(line: &[u8]) -> Result<Option<Json>, ReadError> {
+/// Parses one line (its `\n` already cut off): exactly one value, or
+/// `None` if the line is blank. This is the whole per-line rule of the wire
+/// protocol — [`Reader`] applies it to the lines it assembles, and the
+/// serve event loop applies it to the lines its own framer cuts — so blank
+/// lines, CRLF, trailing garbage and invalid UTF-8 mean the same thing on
+/// both ends of a connection. Fails only with [`ReadError::Parse`] or
+/// [`ReadError::InvalidUtf8`].
+pub fn parse_line(line: &[u8]) -> Result<Option<Json>, ReadError> {
     // Tolerate CRLF peers.
     let line = match line.split_last() {
         Some((b'\r', rest)) => rest,
@@ -384,27 +354,6 @@ mod tests {
     fn whitespace_only_stream_is_clean_eof() {
         let mut r = Reader::new(b"\n \n\t\n".as_slice());
         assert_eq!(r.read_value().unwrap(), None);
-    }
-
-    #[test]
-    fn read_value_meta_reports_line_bytes_and_matches_read_value() {
-        let mut r = Reader::new(WIRE);
-        let want = expected();
-        for (i, want_v) in want.iter().enumerate() {
-            let (v, meta) = r.read_value_meta().unwrap().unwrap_or_else(|| {
-                panic!("value {i} missing");
-            });
-            assert_eq!(&v, want_v, "value {i}");
-            // line_bytes counts the raw line, newline excluded: the compact
-            // rendering is never longer than what came over the wire.
-            assert!(meta.line_bytes >= v.to_string_compact().len() - 2);
-        }
-        assert_eq!(r.read_value_meta().unwrap(), None);
-        // Blank/whitespace lines are skipped, same as read_value.
-        let mut r = Reader::new(b"\n  \n41\n".as_slice());
-        let (v, meta) = r.read_value_meta().unwrap().unwrap();
-        assert_eq!(v, Json::Num(41.0));
-        assert_eq!(meta.line_bytes, 2);
     }
 
     #[test]

@@ -904,6 +904,17 @@ impl BinClient {
         })
     }
 
+    /// Promotes a replica to primary; see [`Client::promote`] (same typed
+    /// errors, and likewise never retried).
+    pub fn promote(&mut self) -> Result<u64, ClientError> {
+        let id = self.fresh_id();
+        proto::encode_promote_req(&mut self.wbuf, id);
+        match self.finish_call(id)? {
+            BinResponse::Promote { applied } => Ok(applied),
+            other => Err(ClientError::Protocol(format!("unexpected promote reply: {other:?}"))),
+        }
+    }
+
     /// Requests graceful shutdown. The acknowledgement is best-effort (the
     /// server may close the socket first), so EOF counts as success.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {

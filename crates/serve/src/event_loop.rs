@@ -1,74 +1,74 @@
-//! The binary listener: epoll-driven I/O workers for the framed protocol.
-//!
-//! The JSON listener spends two threads and two blocking sockets per
-//! connection; this module serves the binary protocol with a fixed pool
-//! of **I/O workers**, each running one epoll loop over many nonblocking
-//! connections:
+//! The transport: one epoll-driven I/O thread serving every connection of
+//! both listeners.
 //!
 //! ```text
-//!  binary acceptor ──round-robin──► worker 0..W epoll loops
-//!                                        │  decode frames, route ops
-//!                                        ▼
-//!                                 shard 0..N event loops (unchanged)
-//!                                        │  encode reply frames into
-//!                                        ▼  the connection's out buffer
-//!                                 worker wakes (eventfd), vectored write
+//!  JSON listener ──┐ accept (until WouldBlock)
+//!  binary listener ┴──────► I/O loop: one epoll set over both listeners,
+//!                               its eventfd and every connection
+//!                                 │  cut requests (lines | frames),
+//!                                 │  decode, dispatch
+//!                                 ▼
+//!                          shard 0..N event loops
+//!                                 │  render the reply into the
+//!                                 ▼  connection's out buffer
+//!                          I/O loop wakes (eventfd), vectored write
 //! ```
 //!
-//! The shard threads — the only code that mutates predictor state — are
-//! untouched: both listeners feed the same `ShardMsg` channels, which is
-//! what makes the differential test's bit-identity claim structural
-//! rather than aspirational.
+//! A connection's **framer** is fixed by the listener it arrived on —
+//! newline-delimited JSON ([`crate::protocol`]) or CRC frames
+//! ([`crate::proto`]); nothing is sniffed. Everything after the framer is
+//! shared: one [`dispatch`], one reply budget, one half-close rule, one
+//! partial-write resume, one reply-stage trace.
 //!
 //! ## Wakeup protocol
 //!
-//! A shard finishing a request must wake the owning worker without
-//! costing a syscall per reply at 10⁶ req/s. Each worker owns a
-//! [`Waker`]: an eventfd plus `pending`/`sleeping` flags. Senders set
-//! `pending` and only write the eventfd when the worker has declared
-//! itself `sleeping`; the worker declares `sleeping`, then re-checks
-//! `pending` before committing to `epoll_wait`. The SeqCst total order
-//! over those two flags means a wakeup can never be lost, and a busy
-//! worker absorbs any number of reply bursts with zero eventfd writes.
-//! A 500 ms `epoll_wait` timeout backstops the protocol (and bounds
-//! shutdown latency when no one signals).
+//! A shard finishing a request must wake the loop without costing a
+//! syscall per reply at 10⁶ req/s. The loop owns a [`Waker`]: an eventfd
+//! plus `pending`/`sleeping` flags. Senders set `pending` and only write
+//! the eventfd when the loop has declared itself `sleeping`; the loop
+//! declares `sleeping`, then re-checks `pending` before committing to
+//! `epoll_wait`. The SeqCst total order over those two flags means a
+//! wakeup can never be lost, and a busy loop absorbs any number of reply
+//! bursts with zero eventfd writes. A 500 ms `epoll_wait` timeout
+//! backstops the protocol.
 //!
-//! ## Error discipline (mirrors the JSON listener)
+//! ## Error discipline
 //!
-//! * Damaged *frame* (checksum mismatch, length out of range): one typed
-//!   error frame, then the connection closes — stream sync is gone.
-//! * Intact frame, bad *payload*: typed `parse`/`bad_request` error
-//!   frame; the connection survives (framing kept the stream in sync).
-//! * Slow consumer: a connection whose unflushed reply bytes exceed its
-//!   budget is poisoned and disconnected (`serve.slow_disconnects`),
-//!   never allowed to wedge a shard or a co-resident connection.
+//! * The stream can no longer be trusted (frame checksum mismatch or
+//!   length out of range; a line past `max_line`, or one that is not
+//!   UTF-8): one typed error, flushed, then the connection closes.
+//! * The stream is still in sync but the request is bad (intact frame or
+//!   complete line that does not decode or validate): typed
+//!   `parse`/`bad_request` error; the connection survives.
+//! * Slow consumer: a connection whose unflushed reply bytes are already
+//!   over its budget when the next reply arrives is poisoned and
+//!   disconnected (`serve.slow_disconnects`), never allowed to wedge a
+//!   shard or a co-resident connection.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::proto::{self, BinRequest};
+use crate::dispatch::{dispatch, Failure, Id, Responder};
+use crate::proto;
+use crate::protocol::{self, Request, ERR_BAD_REQUEST, ERR_LINE_TOO_LONG, ERR_PARSE};
+use crate::server::{ShardHandle, Shared};
+use crate::sys::{
+    Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 use crate::tracing::{self, PendingTrace, ReqTrace};
-use crate::protocol::{
-    ERR_IO, ERR_LINE_TOO_LONG, ERR_PARSE, ERR_READ_ONLY, ERR_SNAPSHOT_TOO_LARGE,
-};
-use crate::server::{
-    collect_partitions, gather_stats, route_op, stats_payload, write_snapshot, Op, Responder,
-    ShardHandle, Shared,
-};
-use crate::snapshot;
-use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::{BIN_CONNECTIONS, CONNECTIONS, ERRORS, REQUESTS, SLOW_DISCONNECTS, SNAPSHOTS};
+use crate::{BIN_CONNECTIONS, CONNECTIONS, ERRORS, REQUESTS, SLOW_DISCONNECTS};
 use qdelay_journal::frame::{self, Check};
-use qdelay_json::Json;
+use qdelay_json::ReadError;
 
-/// Epoll token of the worker's own eventfd.
+/// Epoll tokens of the loop's own descriptors; connections count up from 0.
 const WAKER_TOKEN: u64 = u64::MAX;
+const JSON_LISTENER_TOKEN: u64 = u64::MAX - 1;
+const BIN_LISTENER_TOKEN: u64 = u64::MAX - 2;
 
 /// Read chunk size; also the per-wakeup read budget unit.
 const READ_CHUNK: usize = 64 * 1024;
@@ -79,8 +79,8 @@ const READS_PER_WAKEUP: usize = 4;
 /// IoSlices per vectored write.
 const MAX_IOVECS: usize = 8;
 
-/// Cross-thread wakeup for one worker: flags first, eventfd only when the
-/// worker is committed to sleeping.
+/// Cross-thread wakeup for the loop: flags first, eventfd only when the
+/// loop is committed to sleeping.
 pub(crate) struct Waker {
     efd: EventFd,
     pending: AtomicBool,
@@ -88,7 +88,8 @@ pub(crate) struct Waker {
 }
 
 impl Waker {
-    fn new() -> io::Result<Arc<Waker>> {
+    /// Fails with `Unsupported` where there is no eventfd (non-Linux).
+    pub(crate) fn new() -> io::Result<Arc<Waker>> {
         Ok(Arc::new(Waker {
             efd: EventFd::new()?,
             pending: AtomicBool::new(false),
@@ -96,7 +97,7 @@ impl Waker {
         }))
     }
 
-    /// Marks work pending and kicks the eventfd iff the worker may be
+    /// Marks work pending and kicks the eventfd iff the loop may be
     /// blocked in `epoll_wait`.
     pub(crate) fn wake(&self) {
         self.pending.store(true, Ordering::SeqCst);
@@ -106,15 +107,16 @@ impl Waker {
     }
 }
 
-/// The half of a binary connection shared with shard threads: the reply
-/// byte queue, its budget accounting, and the poison flag.
-pub(crate) struct BinConn {
-    /// Reply frames waiting for the worker to take them.
+/// The half of a connection shared with shard threads: the reply byte
+/// queue, its budget accounting, and the poison flag.
+pub(crate) struct Conn {
+    /// Rendered replies waiting for the loop to take them.
     out: Mutex<Vec<u8>>,
-    /// Unflushed reply bytes: `out` plus whatever the worker holds
+    /// Unflushed reply bytes: `out` plus whatever the loop holds
     /// mid-write. The slow-consumer budget is enforced against this.
     queued: AtomicUsize,
-    /// Budget in bytes; exceeding it poisons the connection.
+    /// Budget in bytes; a reply arriving on a backlog past it poisons the
+    /// connection.
     cap: usize,
     /// Requests accepted but not yet answered. A half-closed connection
     /// (client EOF) stays open until this drains to zero, so pipelined
@@ -124,77 +126,60 @@ pub(crate) struct BinConn {
     waker: Arc<Waker>,
     /// Bytes ever admitted into `out` (monotonic; only grows under the
     /// `out` lock). Reply traces are tagged with this watermark so the
-    /// worker can tell which replies a flush actually put on the wire.
+    /// loop can tell which replies a flush actually put on the wire.
     enqueued_total: AtomicU64,
     /// Traces for enqueued replies, ordered by watermark; drained once the
     /// connection's `written_total` passes them.
     pending_traces: Mutex<Vec<(u64, PendingTrace)>>,
 }
 
-impl BinConn {
-    /// Encodes a reply directly into the out buffer (no intermediate
-    /// copy), enforcing the slow-consumer budget, and wakes the worker.
-    pub(crate) fn send_with(&self, encode: impl FnOnce(&mut Vec<u8>)) {
-        self.send_with_traced(None, encode);
-    }
-
-    /// [`BinConn::send_with`] carrying the request's trace: on admission
-    /// the trace is stamped sent and parked under the byte watermark the
-    /// reply ends at; a rejected (over-budget) reply drops it.
-    pub(crate) fn send_with_traced(
-        &self,
-        trace: Option<PendingTrace>,
-        encode: impl FnOnce(&mut Vec<u8>),
-    ) {
-        if self.poisoned.load(Ordering::Relaxed) {
-            self.inflight.fetch_sub(1, Ordering::Release);
-            return;
-        }
-        {
-            let mut out = self.out.lock().expect("bin out lock");
-            let before = out.len();
-            encode(&mut out);
-            let added = out.len() - before;
-            let total = self.queued.fetch_add(added, Ordering::Relaxed) + added;
-            if total > self.cap {
-                out.truncate(before);
-                self.queued.fetch_sub(added, Ordering::Relaxed);
+impl Conn {
+    /// Queues one rendered reply, balancing the [`Conn::begin_reply`] of
+    /// the request it answers, and wakes the loop. On admission the trace
+    /// is stamped sent and parked under the byte watermark the reply ends
+    /// at; a reply refused by the budget drops it.
+    pub(crate) fn send(&self, reply: &[u8], trace: Option<PendingTrace>) {
+        if !self.poisoned.load(Ordering::Relaxed) {
+            let mut out = self.out.lock().expect("conn out lock");
+            // The budget judges the backlog this reply found, not the
+            // reply: each protocol already caps one reply's size, so a
+            // connection at or under budget always admits one more, and a
+            // single large reply to a client that is reading is never
+            // mistaken for a slow consumer.
+            if self.queued.load(Ordering::Relaxed) > self.cap {
                 self.poison();
             } else {
+                out.extend_from_slice(reply);
+                self.queued.fetch_add(reply.len(), Ordering::Relaxed);
                 // Still under the out lock, so watermarks park in order.
-                let mark =
-                    self.enqueued_total.fetch_add(added as u64, Ordering::Relaxed) + added as u64;
+                let added = reply.len() as u64;
+                let mark = self.enqueued_total.fetch_add(added, Ordering::Relaxed) + added;
                 if let Some(mut t) = trace {
                     t.mark_sent();
-                    self.pending_traces.lock().expect("bin trace lock").push((mark, t));
+                    self.pending_traces.lock().expect("conn trace lock").push((mark, t));
                 }
             }
         }
-        // The decrement is released *after* the bytes land, so a worker
+        // The decrement is released *after* the bytes land, so a loop
         // seeing `inflight == 0` (acquire) also sees the enqueued reply.
         self.inflight.fetch_sub(1, Ordering::Release);
         self.waker.wake();
     }
 
-    /// Accounts one accepted request; its reply (any [`BinConn::send_with`]
-    /// call) balances the counter.
+    /// Accounts one accepted request; its reply (one [`Conn::send`])
+    /// balances the counter.
     fn begin_reply(&self) {
         self.inflight.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Appends pre-rendered frame bytes (the staged-ack path).
-    pub(crate) fn send_bytes_traced(&self, bytes: &[u8], trace: Option<PendingTrace>) {
-        self.send_with_traced(trace, |out| out.extend_from_slice(bytes));
-    }
-
     fn take_out(&self) -> Vec<u8> {
-        std::mem::take(&mut *self.out.lock().expect("bin out lock"))
+        std::mem::take(&mut *self.out.lock().expect("conn out lock"))
     }
 
     /// Drains the traces whose reply bytes are fully written (`watermark
     /// <= upto`); the pending list is watermark-sorted by construction.
     fn take_completed(&self, upto: u64) -> Vec<PendingTrace> {
-        let mut pending = self.pending_traces.lock().expect("bin trace lock");
+        let mut pending = self.pending_traces.lock().expect("conn trace lock");
         let split = pending.partition_point(|(mark, _)| *mark <= upto);
         pending.drain(..split).map(|(_, t)| t).collect()
     }
@@ -204,15 +189,33 @@ impl BinConn {
             SLOW_DISCONNECTS.incr();
         }
     }
+
+    /// Marks the connection dead for late shard replies without counting a
+    /// slow-consumer disconnect (used when the loop closes it for other
+    /// reasons: EOF, stream damage, shutdown).
+    fn poison_quietly(&self) {
+        self.poisoned.store(true, Ordering::Relaxed);
+    }
 }
 
-/// Worker-private per-connection state.
+/// How a connection's inbound bytes are cut into requests. Fixed at accept
+/// by the listener the connection arrived on.
+#[derive(Clone, Copy)]
+enum Framer {
+    /// Newline-delimited JSON, one request per line.
+    Lines,
+    /// CRC frames ([`qdelay_journal::frame`]), one request per payload.
+    Frames,
+}
+
+/// Loop-private per-connection state.
 struct ConnState {
     stream: TcpStream,
     fd: RawFd,
     token: u64,
-    conn: Arc<BinConn>,
-    /// Inbound bytes not yet consumed as frames.
+    framer: Framer,
+    conn: Arc<Conn>,
+    /// Inbound bytes not yet consumed as requests.
     rbuf: Vec<u8>,
     /// Outbound chunks taken from `conn.out`, written vectored; `front_pos`
     /// is how far into the front chunk a partial write got.
@@ -223,9 +226,11 @@ struct ConnState {
     written_total: u64,
     /// Current epoll interest bits.
     interest: u32,
-    /// A frame-level error was sent: stop reading, flush, then close.
+    /// No more requests will be read (peer EOF, or a stream-level error
+    /// was sent): answer what was accepted, flush, then close.
     closing: bool,
-    /// Unrecoverable (EOF, I/O error, poisoned): reap this pass.
+    /// Unrecoverable (I/O error, poisoned, or closing and drained): reap
+    /// this pass.
     dead: bool,
 }
 
@@ -234,7 +239,7 @@ impl ConnState {
         !self.wq.is_empty() || self.conn.queued.load(Ordering::Relaxed) > 0
     }
 
-    /// Writes queued output with `write_vectored`, resuming mid-frame
+    /// Writes queued output with `write_vectored`, resuming mid-reply
     /// (and mid-chunk) after partial writes. Returns whether everything
     /// queued so far is on the wire.
     fn flush(&mut self) -> io::Result<bool> {
@@ -276,138 +281,95 @@ impl ConnState {
     }
 }
 
-/// Handles to the binary listener's threads, held by the server for
-/// shutdown.
-pub(crate) struct BinaryParts {
-    pub(crate) acceptor: JoinHandle<()>,
-    pub(crate) workers: Vec<JoinHandle<()>>,
-    pub(crate) wakers: Vec<Arc<Waker>>,
-}
-
-/// Spawns the binary acceptor and `workers` epoll workers over `listener`.
-pub(crate) fn spawn_binary(
-    listener: TcpListener,
+/// Registers both listeners and the shared waker in a fresh epoll set and
+/// spawns the I/O thread over them. The thread runs until
+/// [`Shared::request_shutdown`], then flushes and closes every connection.
+pub(crate) fn spawn(
+    json_listener: TcpListener,
+    bin_listener: Option<TcpListener>,
     shared: Arc<Shared>,
     shards: Vec<ShardHandle>,
-    workers: usize,
-) -> io::Result<BinaryParts> {
-    assert!(workers > 0, "binary_workers must be positive");
-    let mut joins = Vec::with_capacity(workers);
-    let mut wakers = Vec::with_capacity(workers);
-    let mut inboxes = Vec::with_capacity(workers);
-    for index in 0..workers {
-        let waker = Waker::new()?;
-        let inbox: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut worker = Worker::new(index, Arc::clone(&waker), Arc::clone(&inbox),
-            Arc::clone(&shared), shards.clone())?;
-        joins.push(std::thread::spawn(move || worker.run()));
-        wakers.push(waker);
-        inboxes.push(inbox);
+) -> io::Result<JoinHandle<()>> {
+    let epoll = Epoll::new()?;
+    epoll.add(shared.waker.efd.raw(), EPOLLIN, WAKER_TOKEN)?;
+    json_listener.set_nonblocking(true)?;
+    epoll.add(json_listener.as_raw_fd(), EPOLLIN, JSON_LISTENER_TOKEN)?;
+    if let Some(listener) = &bin_listener {
+        listener.set_nonblocking(true)?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, BIN_LISTENER_TOKEN)?;
     }
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        let wakers = wakers.clone();
-        std::thread::spawn(move || bin_accept_loop(listener, shared, inboxes, wakers))
+    let mut io_loop = IoLoop {
+        epoll,
+        json_listener,
+        bin_listener,
+        shared,
+        shards,
+        conns: HashMap::new(),
+        next_token: 0,
+        scratch: vec![0u8; READ_CHUNK],
     };
-    Ok(BinaryParts { acceptor, workers: joins, wakers })
+    std::thread::Builder::new().name("qdelay-io".into()).spawn(move || io_loop.run())
 }
 
-/// Accepts binary connections and deals them to workers round-robin.
-fn bin_accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    inboxes: Vec<Arc<Mutex<Vec<TcpStream>>>>,
-    wakers: Vec<Arc<Waker>>,
-) {
-    let mut next = 0usize;
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let w = next % inboxes.len();
-        next = next.wrapping_add(1);
-        inboxes[w].lock().expect("bin inbox lock").push(stream);
-        wakers[w].wake();
-    }
-}
-
-struct Worker {
-    index: usize,
+struct IoLoop {
     epoll: Epoll,
-    waker: Arc<Waker>,
-    inbox: Arc<Mutex<Vec<TcpStream>>>,
+    json_listener: TcpListener,
+    bin_listener: Option<TcpListener>,
     shared: Arc<Shared>,
     shards: Vec<ShardHandle>,
     conns: HashMap<u64, ConnState>,
     next_token: u64,
+    /// The one read buffer: reads are sequential on this thread, and every
+    /// byte read is copied into its connection's `rbuf` before the next.
+    scratch: Vec<u8>,
 }
 
-impl Worker {
-    fn new(
-        index: usize,
-        waker: Arc<Waker>,
-        inbox: Arc<Mutex<Vec<TcpStream>>>,
-        shared: Arc<Shared>,
-        shards: Vec<ShardHandle>,
-    ) -> io::Result<Worker> {
-        let epoll = Epoll::new()?;
-        epoll.add(waker.efd.raw(), EPOLLIN, WAKER_TOKEN)?;
-        Ok(Worker {
-            index,
-            epoll,
-            waker,
-            inbox,
-            shared,
-            shards,
-            conns: HashMap::new(),
-            next_token: 0,
-        })
-    }
-
+impl IoLoop {
     fn run(&mut self) {
+        let waker = Arc::clone(&self.shared.waker);
         let mut events = vec![EpollEvent::zeroed(); 128];
         loop {
             // Commit to sleeping, then re-check for work raced in between:
             // the other half of the Waker protocol.
-            self.waker.sleeping.store(true, Ordering::SeqCst);
-            let n = if self.waker.pending.swap(false, Ordering::SeqCst) {
-                self.waker.sleeping.store(false, Ordering::SeqCst);
+            waker.sleeping.store(true, Ordering::SeqCst);
+            let n = if waker.pending.swap(false, Ordering::SeqCst) {
+                waker.sleeping.store(false, Ordering::SeqCst);
                 self.epoll.wait(&mut events, 0)
             } else {
                 let n = self.epoll.wait(&mut events, 500);
-                self.waker.sleeping.store(false, Ordering::SeqCst);
-                self.waker.pending.store(false, Ordering::SeqCst);
+                waker.sleeping.store(false, Ordering::SeqCst);
+                waker.pending.store(false, Ordering::SeqCst);
                 n
             };
             let n = match n {
                 Ok(n) => n,
                 Err(e) => {
-                    eprintln!("qdelay-serve: binary worker {} epoll failed: {e}", self.index);
+                    eprintln!("qdelay-serve: I/O loop epoll failed: {e}");
                     break;
                 }
             };
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            self.adopt_incoming();
-            let mut touched: Vec<u64> = Vec::with_capacity(n);
             for ev in &events[..n] {
                 // Copy out of the (possibly packed) event struct before
                 // taking references to the fields.
                 let ev = *ev;
                 let (token, bits) = (ev.data, ev.events);
-                if token == WAKER_TOKEN {
-                    self.waker.efd.drain();
-                    continue;
-                }
-                touched.push(token);
-                if bits & (EPOLLIN | EPOLLRDHUP) != 0 {
-                    if let Some(state) = self.conns.get_mut(&token) {
-                        if !state.closing && !state.dead {
-                            read_and_dispatch(state, &self.shared, &self.shards);
+                match token {
+                    WAKER_TOKEN => waker.efd.drain(),
+                    JSON_LISTENER_TOKEN => self.accept_all(Framer::Lines),
+                    BIN_LISTENER_TOKEN => self.accept_all(Framer::Frames),
+                    _ if bits & (EPOLLIN | EPOLLRDHUP) != 0 => self.read_and_dispatch(token),
+                    // Error or hangup with no input asked for: only a
+                    // closing connection stops asking, and its peer is now
+                    // gone in both directions, so nobody is left to answer.
+                    _ if bits & (EPOLLERR | EPOLLHUP) != 0 => {
+                        if let Some(state) = self.conns.get_mut(&token) {
+                            state.dead = true;
                         }
                     }
+                    _ => {}
                 }
             }
             self.flush_all();
@@ -416,53 +378,104 @@ impl Worker {
         self.teardown();
     }
 
-    /// Registers handed-off connections from the acceptor.
-    fn adopt_incoming(&mut self) {
-        let incoming: Vec<TcpStream> =
-            self.inbox.lock().expect("bin inbox lock").drain(..).collect();
-        for stream in incoming {
-            CONNECTIONS.incr();
-            BIN_CONNECTIONS.incr();
-            if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                continue;
+    /// Accepts from one listener until it would block.
+    fn accept_all(&mut self, framer: Framer) {
+        loop {
+            let listener = match framer {
+                Framer::Lines => &self.json_listener,
+                Framer::Frames => {
+                    self.bin_listener.as_ref().expect("its token fired, so it is registered")
+                }
+            };
+            match listener.accept() {
+                Ok((stream, _)) => self.adopt(stream, framer),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // WouldBlock: drained. Anything else (the peer already
+                // reset, descriptors exhausted) must not stop the loop;
+                // the listener stays registered and reports again.
+                Err(_) => break,
             }
-            let fd = stream.as_raw_fd();
-            let token = self.next_token;
-            self.next_token += 1;
-            let conn = Arc::new(BinConn {
-                out: Mutex::new(Vec::new()),
-                queued: AtomicUsize::new(0),
-                // The JSON writer queue bounds *replies*; this bounds
-                // bytes. 256 bytes/reply makes the budgets comparable.
-                cap: self.shared.config.writer_capacity.saturating_mul(256),
-                inflight: AtomicUsize::new(0),
-                poisoned: AtomicBool::new(false),
-                waker: Arc::clone(&self.waker),
-                enqueued_total: AtomicU64::new(0),
-                pending_traces: Mutex::new(Vec::new()),
-            });
-            let interest = EPOLLIN | EPOLLRDHUP;
-            if self.epoll.add(fd, interest, token).is_err() {
-                continue;
-            }
-            self.conns.insert(token, ConnState {
-                stream,
-                fd,
-                token,
-                conn,
-                rbuf: Vec::new(),
-                wq: VecDeque::new(),
-                front_pos: 0,
-                written_total: 0,
-                interest,
-                closing: false,
-                dead: false,
-            });
         }
     }
 
-    /// Flushes every connection with queued output and keeps each epoll
-    /// registration's EPOLLOUT bit in sync with whether output remains.
+    /// Registers one accepted connection. A setup failure drops it.
+    fn adopt(&mut self, stream: TcpStream, framer: Framer) {
+        CONNECTIONS.incr();
+        if matches!(framer, Framer::Frames) {
+            BIN_CONNECTIONS.incr();
+        }
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            return;
+        }
+        let fd = stream.as_raw_fd();
+        let token = self.next_token;
+        self.next_token += 1;
+        let interest = EPOLLIN | EPOLLRDHUP;
+        if self.epoll.add(fd, interest, token).is_err() {
+            return;
+        }
+        let conn = Arc::new(Conn {
+            out: Mutex::new(Vec::new()),
+            queued: AtomicUsize::new(0),
+            cap: self.shared.config.writer_capacity.saturating_mul(256),
+            inflight: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            waker: Arc::clone(&self.shared.waker),
+            enqueued_total: AtomicU64::new(0),
+            pending_traces: Mutex::new(Vec::new()),
+        });
+        self.conns.insert(token, ConnState {
+            stream,
+            fd,
+            token,
+            framer,
+            conn,
+            rbuf: Vec::new(),
+            wq: VecDeque::new(),
+            front_pos: 0,
+            written_total: 0,
+            interest,
+            closing: false,
+            dead: false,
+        });
+    }
+
+    /// Reads up to the wakeup budget and dispatches every complete request.
+    fn read_and_dispatch(&mut self, token: u64) {
+        let Some(state) = self.conns.get_mut(&token) else { return };
+        if state.closing || state.dead {
+            return;
+        }
+        for _ in 0..READS_PER_WAKEUP {
+            match (&state.stream).read(&mut self.scratch) {
+                Ok(0) => {
+                    // EOF. The peer may have half-closed after a pipelined
+                    // burst: stop reading, but keep the connection until
+                    // every accepted request has been answered and flushed.
+                    decode(state, true, &self.shared, &self.shards);
+                    state.closing = true;
+                    break;
+                }
+                Ok(n) => {
+                    state.rbuf.extend_from_slice(&self.scratch[..n]);
+                    decode(state, false, &self.shared, &self.shards);
+                    if state.closing || n < self.scratch.len() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    state.dead = true;
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Flushes every connection with queued output, closes the ones that
+    /// are done, and keeps each epoll registration in step with its state:
+    /// read until closing, write while output remains.
     fn flush_all(&mut self) {
         for state in self.conns.values_mut() {
             if state.dead {
@@ -474,41 +487,39 @@ impl Worker {
             }
             // Sampled before the output check: a stale `false` only delays
             // the close one wakeup, while the acquire load pairs with the
-            // release decrement in `send_with` so `true` means every reply
-            // is already visible in the out buffer.
+            // release decrement in `send` so `true` means every reply is
+            // already visible in the out buffer.
             let replies_done = state.conn.inflight.load(Ordering::Acquire) == 0;
-            if !state.has_output() {
-                if state.closing && replies_done {
-                    state.dead = true;
+            let drained = if state.has_output() {
+                let flushed = state.flush();
+                // One clock read completes every reply the write just drained.
+                let mut done = state.conn.take_completed(state.written_total);
+                self.shared.recorder.complete_all(&mut done);
+                match flushed {
+                    Ok(drained) => drained,
+                    Err(_) => {
+                        state.dead = true;
+                        continue;
+                    }
                 }
+            } else {
+                true
+            };
+            if state.closing && replies_done && drained {
+                state.dead = true;
                 continue;
             }
-            let flushed = state.flush();
-            // One clock read completes every reply the write just drained.
-            let mut done = state.conn.take_completed(state.written_total);
-            self.shared.recorder.complete_all(&mut done);
-            match flushed {
-                Ok(true) => {
-                    if state.closing && replies_done {
-                        state.dead = true;
-                    } else if !state.closing && state.interest & EPOLLOUT != 0 {
-                        let interest = EPOLLIN | EPOLLRDHUP;
-                        // Losing the MOD leaves a spurious wakeup, not a bug.
-                        let _ = self.epoll.modify(state.fd, interest, token_of(state));
-                        state.interest = interest;
-                    }
-                }
-                Ok(false) => {
-                    if state.interest & EPOLLOUT == 0 {
-                        let mut interest = state.interest | EPOLLOUT;
-                        if state.closing {
-                            interest &= !EPOLLIN;
-                        }
-                        let _ = self.epoll.modify(state.fd, interest, token_of(state));
-                        state.interest = interest;
-                    }
-                }
-                Err(_) => state.dead = true,
+            let mut interest = 0;
+            if !state.closing {
+                interest |= EPOLLIN | EPOLLRDHUP;
+            }
+            if !drained {
+                interest |= EPOLLOUT;
+            }
+            if interest != state.interest {
+                // Losing the MOD leaves a spurious wakeup, not a bug.
+                let _ = self.epoll.modify(state.fd, interest, state.token);
+                state.interest = interest;
             }
         }
     }
@@ -543,228 +554,143 @@ impl Worker {
     }
 }
 
-impl BinConn {
-    /// Marks the connection dead for late shard replies without counting a
-    /// slow-consumer disconnect (used when the worker closes it for other
-    /// reasons: EOF, frame damage, shutdown).
-    fn poison_quietly(&self) {
-        self.poisoned.store(true, Ordering::Relaxed);
-    }
+/// Consumes every complete request from the front of `rbuf`. `eof` says no
+/// more bytes will ever follow what is buffered.
+fn decode(state: &mut ConnState, eof: bool, shared: &Shared, shards: &[ShardHandle]) {
+    let consumed = match state.framer {
+        Framer::Lines => decode_lines(state, eof, shared, shards),
+        // A partial frame left at EOF has nothing to answer.
+        Framer::Frames => decode_frames(state, shared, shards),
+    };
+    state.rbuf.drain(..consumed);
 }
 
-fn token_of(state: &ConnState) -> u64 {
-    state.token
-}
-
-/// Reads up to the wakeup budget and dispatches every complete frame.
-fn read_and_dispatch(state: &mut ConnState, shared: &Arc<Shared>, shards: &[ShardHandle]) {
-    let mut chunk = vec![0u8; READ_CHUNK];
-    for _ in 0..READS_PER_WAKEUP {
-        match (&state.stream).read(&mut chunk) {
-            Ok(0) => {
-                // EOF. The peer may have half-closed after a pipelined
-                // burst: stop reading, but keep the connection until every
-                // accepted request has been answered and flushed. A
-                // partial frame left in rbuf has nothing to answer.
-                state.closing = true;
-                break;
-            }
-            Ok(n) => {
-                state.rbuf.extend_from_slice(&chunk[..n]);
-                decode_frames(state, shared, shards);
-                if state.closing || n < chunk.len() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                state.dead = true;
-                break;
-            }
+/// Accounts and answers one decoded request — or the typed error its
+/// decode ended in. Exactly one reply per call.
+fn answer(
+    conn: &Arc<Conn>,
+    id: Id,
+    request: Result<(Request, ReqTrace), Failure>,
+    shared: &Shared,
+    shards: &[ShardHandle],
+) {
+    conn.begin_reply();
+    let resp = Responder { conn: Arc::clone(conn), id };
+    match request {
+        Ok((request, trace)) => {
+            REQUESTS.incr();
+            dispatch(request, resp, trace, shared, shards);
+        }
+        Err((code, message)) => {
+            ERRORS.incr();
+            resp.send_error(code, &message);
         }
     }
 }
 
-/// Consumes complete frames from the front of `rbuf`.
-fn decode_frames(state: &mut ConnState, shared: &Arc<Shared>, shards: &[ShardHandle]) {
+/// The frame framer. Returns the bytes consumed.
+fn decode_frames(state: &mut ConnState, shared: &Shared, shards: &[ShardHandle]) -> usize {
     let mut pos = 0usize;
     loop {
         match frame::check(&state.rbuf[pos..], proto::MAX_REQ_PAYLOAD) {
             Check::Complete { start, end, next } => {
                 let mut trace = ReqTrace::begin(tracing::PROTO_BIN);
-                let payload = &state.rbuf[pos + start..pos + end];
-                let (id, request) = proto::decode_request(payload);
-                match request {
-                    Ok(req) => {
+                let (id, request) = proto::decode_request(&state.rbuf[pos + start..pos + end]);
+                // Intact frame, bad payload: the stream is still in sync,
+                // so the connection survives the error reply.
+                let request = match request {
+                    Ok(request) => {
                         trace.decoded(end - start);
-                        REQUESTS.incr();
-                        state.conn.begin_reply();
-                        dispatch_bin(req, id, trace, shared, shards, &state.conn);
+                        Ok((request, trace))
                     }
-                    Err(e) => {
-                        // Intact frame, bad payload: the stream is still
-                        // in sync, so the connection survives.
-                        ERRORS.incr();
-                        state.conn.begin_reply();
-                        state.conn.send_with(|out| {
-                            proto::encode_error_resp(out, id, e.code(), e.message())
-                        });
-                    }
-                }
+                    Err(e) => Err((e.code(), e.message().to_string())),
+                };
+                answer(&state.conn, Id::Frame(id), request, shared, shards);
                 pos += next;
             }
-            Check::Incomplete => break,
+            Check::Incomplete => return pos,
             Check::Damaged(reason) => {
                 // Frame-level damage: sync is unrecoverable. One typed
                 // error, then close (after the flush drains it).
-                ERRORS.incr();
                 let code = if reason == "frame length out of range" {
                     ERR_LINE_TOO_LONG
                 } else {
                     ERR_PARSE
                 };
-                state.conn.begin_reply();
-                state.conn.send_with(|out| {
-                    proto::encode_error_resp(
-                        out,
-                        proto::UNATTRIBUTED_ID,
-                        code,
-                        &format!("{reason}; closing connection"),
-                    )
-                });
+                let failure = (code, format!("{reason}; closing connection"));
+                let id = Id::Frame(proto::UNATTRIBUTED_ID);
+                answer(&state.conn, id, Err(failure), shared, shards);
                 state.closing = true;
-                break;
+                return state.rbuf.len();
             }
         }
-    }
-    if pos > 0 {
-        state.rbuf.drain(..pos);
     }
 }
 
-/// The binary twin of the JSON `dispatch`: same routing, same control-op
-/// semantics, replies rendered as frames.
-fn dispatch_bin(
-    request: BinRequest,
-    id: u64,
-    trace: ReqTrace,
-    shared: &Arc<Shared>,
+/// The newline framer: the loop-side twin of `qdelay_json::Reader`'s line
+/// assembly, over the same per-line rule ([`qdelay_json::parse_line`]).
+/// Returns the bytes consumed.
+fn decode_lines(
+    state: &mut ConnState,
+    eof: bool,
+    shared: &Shared,
     shards: &[ShardHandle],
-    conn: &Arc<BinConn>,
-) {
-    match request {
-        BinRequest::Observe { site, queue, procs, wait, predicted_bmbp, predicted_lognormal } => {
-            if shared.read_only.load(Ordering::SeqCst) {
-                ERRORS.incr();
-                conn.send_with(|out| {
-                    proto::encode_error_resp(
-                        out,
-                        id,
-                        ERR_READ_ONLY,
-                        "replica is read-only; observe on the primary (or promote)",
-                    )
-                });
-                return;
+) -> usize {
+    let max_line = shared.config.max_line;
+    let mut pos = 0usize;
+    loop {
+        let rest = &state.rbuf[pos..];
+        let (end, next) = match rest.iter().position(|&b| b == b'\n') {
+            Some(newline) => (newline, newline + 1),
+            // Without its newline a tail is a line only when nothing can
+            // follow it (a final unterminated line is still a request), or
+            // when it is already longer than any line may be.
+            None if (eof && !rest.is_empty()) || rest.len() > max_line => {
+                (rest.len(), rest.len())
             }
-            route_op(
-                shards,
-                crate::registry::PartitionKey::for_request(&site, &queue, procs),
-                Op::Observe { wait, predicted_bmbp, predicted_lognormal },
-                Responder::Bin { conn: Arc::clone(conn), id },
-                trace,
-            );
+            None => return pos,
+        };
+        let in_sync = if end > max_line {
+            let message = format!("line exceeds {max_line} bytes; closing connection");
+            let failure = (ERR_LINE_TOO_LONG, message);
+            answer(&state.conn, Id::Line(None), Err(failure), shared, shards);
+            false
+        } else {
+            dispatch_line(&rest[..end], &state.conn, shared, shards)
+        };
+        if !in_sync {
+            // Nothing after this point in the stream can be trusted: one
+            // typed error went out, the rest is dropped unread.
+            state.closing = true;
+            return state.rbuf.len();
         }
-        BinRequest::Predict { site, queue, procs } => {
-            route_op(
-                shards,
-                crate::registry::PartitionKey::for_request(&site, &queue, procs),
-                Op::Predict,
-                Responder::Bin { conn: Arc::clone(conn), id },
-                trace,
-            );
-        }
-        BinRequest::Admit { site, queue, procs, budget, confidence: _ } => {
-            route_op(
-                shards,
-                crate::registry::PartitionKey::for_request(&site, &queue, procs),
-                Op::Admit { budget },
-                Responder::Bin { conn: Arc::clone(conn), id },
-                trace,
-            );
-        }
-        BinRequest::Snapshot { path } => {
-            let explicit = path.map(PathBuf::from);
-            let target = explicit.or_else(|| shared.config.snapshot_path.clone());
-            match target {
-                Some(path) => match write_snapshot(shards, &path) {
-                    Ok(count) => conn.send_with(|out| {
-                        proto::encode_snapshot_file_resp(
-                            out,
-                            id,
-                            &path.display().to_string(),
-                            count as u64,
-                        )
-                    }),
-                    Err(e) => {
-                        ERRORS.incr();
-                        let msg = e.to_string();
-                        conn.send_with(|out| proto::encode_error_resp(out, id, ERR_IO, &msg));
-                    }
-                },
-                None => match collect_partitions(shards) {
-                    Ok((parts, dead)) => {
-                        let json = snapshot::encode(parts, dead).to_string_compact();
-                        // A payload past the frame cap could not even be
-                        // encoded; answer with a typed size instead and
-                        // point at the file escape hatch.
-                        if json.len() > proto::MAX_RESP_PAYLOAD as usize {
-                            ERRORS.incr();
-                            let msg = format!(
-                                "inline snapshot is {} bytes (frame cap {}); \
-                                 request a file snapshot with an explicit path",
-                                json.len(),
-                                proto::MAX_RESP_PAYLOAD,
-                            );
-                            conn.send_with(|out| {
-                                proto::encode_error_resp(out, id, ERR_SNAPSHOT_TOO_LARGE, &msg)
-                            });
-                        } else {
-                            SNAPSHOTS.incr();
-                            conn.send_with(|out| {
-                                proto::encode_snapshot_inline_resp(out, id, &json)
-                            });
-                        }
-                    }
-                    Err(e) => {
-                        ERRORS.incr();
-                        let msg = e.to_string();
-                        conn.send_with(|out| proto::encode_error_resp(out, id, ERR_IO, &msg));
-                    }
-                },
-            }
-        }
-        BinRequest::Stats => {
-            let stats = gather_stats(shards, false);
-            let mut fields = stats_payload(&stats, shards);
-            fields.push(("uptime_ms".into(), Json::Num(shared.metrics.uptime_ms() as f64)));
-            fields.push(("telemetry".into(), qdelay_telemetry::snapshot().to_json()));
-            let json = Json::Obj(fields).to_string_compact();
-            conn.send_with(|out| proto::encode_stats_resp(out, id, &json));
-        }
-        BinRequest::Metrics => {
-            let json = Json::Obj(shared.metrics.report()).to_string_compact();
-            conn.send_with(|out| proto::encode_metrics_resp(out, id, &json));
-        }
-        BinRequest::Trace => {
-            let json = Json::Obj(tracing::trace_fields(&shared.recorder)).to_string_compact();
-            conn.send_with(|out| proto::encode_trace_resp(out, id, &json));
-        }
-        BinRequest::Shutdown => {
-            // Best-effort ack, as in JSON: teardown may close the socket
-            // before the worker flushes it.
-            conn.send_with(|out| proto::encode_shutdown_resp(out, id));
-            shared.request_shutdown();
-        }
+        pos += next;
     }
+}
+
+/// Parses and answers one line. Returns whether the stream is still in
+/// sync; a line that is not UTF-8 says the peer is not speaking this
+/// protocol, so the connection closes behind its error.
+fn dispatch_line(line: &[u8], conn: &Arc<Conn>, shared: &Shared, shards: &[ShardHandle]) -> bool {
+    let mut trace = ReqTrace::begin(tracing::PROTO_JSON);
+    let value = match qdelay_json::parse_line(line) {
+        Ok(Some(value)) => value,
+        Ok(None) => return true, // blank line: nothing to answer
+        Err(e) => {
+            let (message, in_sync) = match e {
+                ReadError::Parse(e) => (e.to_string(), true),
+                _ => ("invalid UTF-8".to_string(), false),
+            };
+            answer(conn, Id::Line(None), Err((ERR_PARSE, message)), shared, shards);
+            return in_sync;
+        }
+    };
+    trace.decoded(line.len());
+    let (id, request) = protocol::parse_request(&value);
+    let request = match request {
+        Ok(request) => Ok((request, trace)),
+        Err(message) => Err((ERR_BAD_REQUEST, message)),
+    };
+    answer(conn, Id::Line(id), request, shared, shards);
+    true
 }

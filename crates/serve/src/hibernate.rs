@@ -554,6 +554,15 @@ impl Drop for PartitionStore {
 mod tests {
     use super::*;
 
+    /// `HIBERNATE_RESTORES` is process-wide and the harness runs tests on
+    /// parallel threads; two tests below assert the counter stands still
+    /// across a call, so every test here that can restore runs under this
+    /// lock.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn fresh_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("qdelay-hibernate-unit");
         std::fs::create_dir_all(&dir).unwrap();
@@ -583,6 +592,7 @@ mod tests {
 
     #[test]
     fn capped_store_serves_bit_identical_bounds() {
+        let _serial = serial();
         let mut capped =
             PartitionStore::new(Some(2), Some(fresh_path("bit-identical.qds"))).unwrap();
         let mut uncapped = PartitionStore::new(None, None).unwrap();
@@ -606,6 +616,7 @@ mod tests {
 
     #[test]
     fn collect_is_identical_and_reads_hibernated_without_restoring() {
+        let _serial = serial();
         let mut capped = PartitionStore::new(Some(1), Some(fresh_path("collect.qds"))).unwrap();
         let mut uncapped = PartitionStore::new(None, None).unwrap();
         for s in [&mut capped, &mut uncapped] {
@@ -628,6 +639,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_partition() {
+        let _serial = serial();
         let mut store = PartitionStore::new(Some(2), Some(fresh_path("lru.qds"))).unwrap();
         grown(&mut store, 3, 5); // touch order 0,1,2 → 0 evicted
         assert!(store.hibernated.contains_key(&key(0)));
@@ -640,6 +652,7 @@ mod tests {
 
     #[test]
     fn cap_zero_hibernates_everything_after_each_op() {
+        let _serial = serial();
         let mut store = PartitionStore::new(Some(0), Some(fresh_path("cap0.qds"))).unwrap();
         grown(&mut store, 3, 40);
         assert_eq!(store.resident_count(), 0);
@@ -650,6 +663,7 @@ mod tests {
 
     #[test]
     fn torn_and_bit_flipped_spill_records_are_typed_errors() {
+        let _serial = serial();
         let path = fresh_path("damage.qds");
         let mut store = PartitionStore::new(Some(0), Some(path.clone())).unwrap();
         grown(&mut store, 1, 50);
@@ -679,6 +693,7 @@ mod tests {
 
     #[test]
     fn sweeper_compacts_garbage_and_preserves_live_slots() {
+        let _serial = serial();
         let path = fresh_path("compact.qds");
         let mut store = PartitionStore::new(Some(1), Some(path.clone())).unwrap();
         store.set_compact_min_bytes(1);
@@ -707,6 +722,7 @@ mod tests {
 
     #[test]
     fn tombstone_frees_hibernated_slots_and_keeps_the_cursor() {
+        let _serial = serial();
         let mut store = PartitionStore::new(Some(0), Some(fresh_path("tomb.qds"))).unwrap();
         grown(&mut store, 1, 10);
         assert_eq!(store.hibernated_count(), 1);
@@ -722,6 +738,7 @@ mod tests {
 
     #[test]
     fn install_snapshots_lands_cold_partitions_directly_hibernated() {
+        let _serial = serial();
         let mut grower = PartitionStore::new(None, None).unwrap();
         grown(&mut grower, 6, 80);
         let (snaps, _) = grower.collect().unwrap();

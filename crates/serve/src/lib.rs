@@ -5,8 +5,10 @@
 //! meta-scheduler can query live ("will my job start within an hour, with
 //! 95% confidence?").
 //!
-//! Entirely first-party: plain `std::net` TCP carrying newline-delimited
-//! JSON ([`protocol`]), a registry of `(site, queue, proc-range)`
+//! Entirely first-party: `std::net` TCP carrying one request model in two
+//! codecs — newline-delimited JSON ([`protocol`]) and CRC-framed binary
+//! ([`proto`]) — served by one epoll I/O loop ([`event_loop`], Linux only)
+//! with one [`dispatch`]; a registry of `(site, queue, proc-range)`
 //! partitions sharded across lock-free single-owner event loops
 //! ([`registry`], [`server`]), bounded queues with typed backpressure
 //! rejections, and versioned warm-restart snapshots ([`snapshot`]) built on
@@ -50,6 +52,7 @@
 //! without the `tracing` feature.
 
 pub mod client;
+pub mod dispatch;
 pub mod durability;
 pub mod event_loop;
 pub mod hibernate;
@@ -84,7 +87,7 @@ pub(crate) static CONNECTIONS: Counter = Counter::new("serve.connections");
 /// Binary-listener connections accepted (also counted in
 /// `serve.connections`).
 pub(crate) static BIN_CONNECTIONS: Counter = Counter::new("serve.bin_connections");
-/// Connections force-closed because their reply queue stayed full.
+/// Connections force-closed because their unflushed replies stayed over budget.
 pub(crate) static SLOW_DISCONNECTS: Counter = Counter::new("serve.slow_disconnects");
 /// Snapshots taken (inline, to file, or at shutdown).
 pub(crate) static SNAPSHOTS: Counter = Counter::new("serve.snapshots");

@@ -1,4 +1,6 @@
-//! The binary wire protocol: CRC-framed fixed-layout messages.
+//! The binary codec: CRC-framed fixed-layout messages over the request
+//! model of [`crate::protocol`] ([`Request`] in, [`Reply`] and the typed
+//! data-plane replies out).
 //!
 //! Carried over the same frame codec the journal writes to disk
 //! ([`qdelay_journal::frame`]): `u32 payload_len | u32 frame_crc |
@@ -24,6 +26,7 @@
 //! | 6 metrics  | — |
 //! | 7 trace    | — |
 //! | 8 admit    | `u16 site_len \| site \| u16 queue_len \| queue \| u32 procs \| u64 budget_bits \| u8 flags \| [u64 confidence_bits]` |
+//! | 9 promote  | — (the reply body is `u64 applied`) |
 //!
 //! `flags` bit 0 marks `predicted_bmbp` present, bit 1
 //! `predicted_lognormal` — the journal record's optional-feedback idiom.
@@ -58,8 +61,9 @@
 //! ([`DecodeError::Invalid`] → `bad_request`) costs one error response
 //! and the connection survives: framing kept the stream in sync.
 
-use crate::protocol::MAX_NAME_LEN;
+use crate::protocol::{Reply, Request, MAX_NAME_LEN};
 use qdelay_journal::frame;
+use qdelay_json::Json;
 use qdelay_predict::admission::Decision;
 
 /// Largest admitted request payload (matches the journal's frame cap).
@@ -80,6 +84,7 @@ pub const OP_SHUTDOWN: u8 = 5;
 pub const OP_METRICS: u8 = 6;
 pub const OP_TRACE: u8 = 7;
 pub const OP_ADMIT: u8 = 8;
+pub const OP_PROMOTE: u8 = 9;
 
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
@@ -93,34 +98,6 @@ const FLAG_CONFIDENCE: u8 = 1;
 const DECISION_ADMIT: u8 = 0;
 const DECISION_REJECT: u8 = 1;
 const DECISION_DEFER: u8 = 2;
-
-/// A decoded, validated binary request. Field meanings match
-/// [`crate::protocol::Request`] exactly — both protocols feed the same
-/// shard code.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BinRequest {
-    Observe {
-        site: String,
-        queue: String,
-        procs: u32,
-        wait: f64,
-        predicted_bmbp: Option<f64>,
-        predicted_lognormal: Option<f64>,
-    },
-    Predict { site: String, queue: String, procs: u32 },
-    Admit {
-        site: String,
-        queue: String,
-        procs: u32,
-        budget: f64,
-        confidence: Option<f64>,
-    },
-    Snapshot { path: Option<String> },
-    Stats,
-    Metrics,
-    Trace,
-    Shutdown,
-}
 
 /// Why a frame's payload was rejected. The split decides the error code:
 /// `Malformed` → `parse` (the bytes are not a request), `Invalid` →
@@ -171,6 +148,7 @@ pub enum BinResponse {
     Stats { json: String },
     Metrics { json: String },
     Trace { json: String },
+    Promote { applied: u64 },
     Shutdown,
     Error { code: String, message: String },
 }
@@ -213,12 +191,22 @@ impl<'a> Cur<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
     }
 
-    /// A `u16 len | bytes` string field, checked for UTF-8.
-    fn str(&mut self, what: &str) -> Result<String, DecodeError> {
-        let len = self.u16(what)? as usize;
+    fn utf8(&mut self, len: usize, what: &str) -> Result<String, DecodeError> {
         let bytes = self.take(len, what)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| DecodeError::Malformed(format!("{what} is not UTF-8")))
+    }
+
+    /// A `u16 len | bytes` string field, checked for UTF-8.
+    fn str(&mut self, what: &str) -> Result<String, DecodeError> {
+        let len = self.u16(what)? as usize;
+        self.utf8(len, what)
+    }
+
+    /// A `u32 len | bytes` document field, checked for UTF-8.
+    fn text(&mut self, what: &str) -> Result<String, DecodeError> {
+        let len = self.u32(what)? as usize;
+        self.utf8(len, what)
     }
 
     fn done(&self, what: &str) -> Result<(), DecodeError> {
@@ -256,7 +244,7 @@ fn finite(bits: u64, what: &str) -> Result<f64, DecodeError> {
 /// The id comes back even when the body fails — error replies must still
 /// be matchable — and is [`UNATTRIBUTED_ID`] only when the payload is too
 /// short to carry one.
-pub fn decode_request(payload: &[u8]) -> (u64, Result<BinRequest, DecodeError>) {
+pub fn decode_request(payload: &[u8]) -> (u64, Result<Request, DecodeError>) {
     let mut cur = Cur::new(payload);
     let opcode = match cur.u8("opcode") {
         Ok(o) => o,
@@ -269,7 +257,7 @@ pub fn decode_request(payload: &[u8]) -> (u64, Result<BinRequest, DecodeError>) 
     (id, decode_request_body(opcode, &mut cur))
 }
 
-fn decode_request_body(opcode: u8, cur: &mut Cur<'_>) -> Result<BinRequest, DecodeError> {
+fn decode_request_body(opcode: u8, cur: &mut Cur<'_>) -> Result<Request, DecodeError> {
     let req = match opcode {
         OP_OBSERVE => {
             let site = name_field(cur, "site")?;
@@ -294,9 +282,9 @@ fn decode_request_body(opcode: u8, cur: &mut Cur<'_>) -> Result<BinRequest, Deco
             if wait < 0.0 {
                 return Err(DecodeError::Invalid("'wait' must be non-negative".into()));
             }
-            BinRequest::Observe { site, queue, procs, wait, predicted_bmbp, predicted_lognormal }
+            Request::Observe { site, queue, procs, wait, predicted_bmbp, predicted_lognormal }
         }
-        OP_PREDICT => BinRequest::Predict {
+        OP_PREDICT => Request::Predict {
             site: name_field(cur, "site")?,
             queue: name_field(cur, "queue")?,
             procs: cur.u32("procs")?,
@@ -323,7 +311,7 @@ fn decode_request_body(opcode: u8, cur: &mut Cur<'_>) -> Result<BinRequest, Deco
             if budget < 0.0 {
                 return Err(DecodeError::Invalid("'budget' must be non-negative".into()));
             }
-            BinRequest::Admit { site, queue, procs, budget, confidence }
+            Request::Admit { site, queue, procs, budget, confidence }
         }
         OP_SNAPSHOT => {
             let has_path = cur.u8("has_path")?;
@@ -334,12 +322,13 @@ fn decode_request_body(opcode: u8, cur: &mut Cur<'_>) -> Result<BinRequest, Deco
                     return Err(DecodeError::Malformed(format!("bad has_path byte {other}")))
                 }
             };
-            BinRequest::Snapshot { path }
+            Request::Snapshot { path }
         }
-        OP_STATS => BinRequest::Stats,
-        OP_METRICS => BinRequest::Metrics,
-        OP_TRACE => BinRequest::Trace,
-        OP_SHUTDOWN => BinRequest::Shutdown,
+        OP_STATS => Request::Stats,
+        OP_METRICS => Request::Metrics,
+        OP_TRACE => Request::Trace,
+        OP_PROMOTE => Request::Promote,
+        OP_SHUTDOWN => Request::Shutdown,
         other => return Err(DecodeError::Invalid(format!("unknown opcode {other}"))),
     };
     cur.done("request")?;
@@ -461,6 +450,12 @@ pub fn encode_trace_req(out: &mut Vec<u8>, id: u64) {
     frame::finish(out, start);
 }
 
+/// Appends one framed `promote` request.
+pub fn encode_promote_req(out: &mut Vec<u8>, id: u64) {
+    let start = req_head(out, OP_PROMOTE, id);
+    frame::finish(out, start);
+}
+
 /// Appends one framed `shutdown` request.
 pub fn encode_shutdown_req(out: &mut Vec<u8>, id: u64) {
     let start = req_head(out, OP_SHUTDOWN, id);
@@ -570,27 +565,34 @@ pub fn encode_snapshot_file_resp(out: &mut Vec<u8>, id: u64, path: &str, partiti
     frame::finish(out, start);
 }
 
-/// Appends one framed `stats` reply carrying the stats document text.
-pub fn encode_stats_resp(out: &mut Vec<u8>, id: u64, json: &str) {
-    let start = resp_head(out, STATUS_OK, id, Some(OP_STATS));
+/// Appends one framed reply whose body is a `u32`-length JSON document —
+/// the shape `stats`, `metrics` and `trace` share.
+fn encode_doc_resp(out: &mut Vec<u8>, kind: u8, id: u64, json: &str) {
+    let start = resp_head(out, STATUS_OK, id, Some(kind));
     out.extend_from_slice(&(json.len() as u32).to_le_bytes());
     out.extend_from_slice(json.as_bytes());
     frame::finish(out, start);
+}
+
+/// Appends one framed `stats` reply carrying the stats document text.
+pub fn encode_stats_resp(out: &mut Vec<u8>, id: u64, json: &str) {
+    encode_doc_resp(out, OP_STATS, id, json);
 }
 
 /// Appends one framed `metrics` reply carrying the metrics document text.
 pub fn encode_metrics_resp(out: &mut Vec<u8>, id: u64, json: &str) {
-    let start = resp_head(out, STATUS_OK, id, Some(OP_METRICS));
-    out.extend_from_slice(&(json.len() as u32).to_le_bytes());
-    out.extend_from_slice(json.as_bytes());
-    frame::finish(out, start);
+    encode_doc_resp(out, OP_METRICS, id, json);
 }
 
 /// Appends one framed `trace` reply carrying the flight-recorder dump text.
 pub fn encode_trace_resp(out: &mut Vec<u8>, id: u64, json: &str) {
-    let start = resp_head(out, STATUS_OK, id, Some(OP_TRACE));
-    out.extend_from_slice(&(json.len() as u32).to_le_bytes());
-    out.extend_from_slice(json.as_bytes());
+    encode_doc_resp(out, OP_TRACE, id, json);
+}
+
+/// Appends one framed `promote` reply: the replicated records applied.
+pub fn encode_promote_resp(out: &mut Vec<u8>, id: u64, applied: u64) {
+    let start = resp_head(out, STATUS_OK, id, Some(OP_PROMOTE));
+    out.extend_from_slice(&applied.to_le_bytes());
     frame::finish(out, start);
 }
 
@@ -598,6 +600,24 @@ pub fn encode_trace_resp(out: &mut Vec<u8>, id: u64, json: &str) {
 pub fn encode_shutdown_resp(out: &mut Vec<u8>, id: u64) {
     let start = resp_head(out, STATUS_OK, id, Some(OP_SHUTDOWN));
     frame::finish(out, start);
+}
+
+/// Appends one framed control-method reply.
+pub fn encode_reply(out: &mut Vec<u8>, id: u64, reply: Reply) {
+    let text = |members| Json::Obj(members).to_string_compact();
+    match reply {
+        Reply::SnapshotFile { path, partitions } => {
+            encode_snapshot_file_resp(out, id, &path, partitions as u64)
+        }
+        Reply::SnapshotInline { doc, .. } => {
+            encode_snapshot_inline_resp(out, id, &doc.to_string_compact())
+        }
+        Reply::Stats(members) => encode_stats_resp(out, id, &text(members)),
+        Reply::Metrics(members) => encode_metrics_resp(out, id, &text(members)),
+        Reply::Trace(members) => encode_trace_resp(out, id, &text(members)),
+        Reply::Promoted { applied } => encode_promote_resp(out, id, applied),
+        Reply::Shutdown => encode_shutdown_resp(out, id),
+    }
 }
 
 /// Appends one framed error reply with a typed code.
@@ -679,14 +699,11 @@ fn decode_response_inner(payload: &[u8]) -> Result<(u64, BinResponse), DecodeErr
                     BinResponse::Admit { partition, n, seq, decision }
                 }
                 OP_SNAPSHOT => match cur.u8("snapshot mode")? {
-                    0 => {
-                        let len = cur.u32("snapshot json")? as usize;
-                        let bytes = cur.take(len, "snapshot json")?;
-                        let json = String::from_utf8(bytes.to_vec()).map_err(|_| {
-                            DecodeError::Malformed("snapshot json is not UTF-8".into())
-                        })?;
-                        BinResponse::Snapshot { json: Some(json), path: None, partitions: 0 }
-                    }
+                    0 => BinResponse::Snapshot {
+                        json: Some(cur.text("snapshot json")?),
+                        path: None,
+                        partitions: 0,
+                    },
                     1 => {
                         let path = cur.str("snapshot path")?;
                         let partitions = cur.u64("partitions")?;
@@ -698,27 +715,10 @@ fn decode_response_inner(payload: &[u8]) -> Result<(u64, BinResponse), DecodeErr
                         )))
                     }
                 },
-                OP_STATS => {
-                    let len = cur.u32("stats json")? as usize;
-                    let bytes = cur.take(len, "stats json")?;
-                    let json = String::from_utf8(bytes.to_vec())
-                        .map_err(|_| DecodeError::Malformed("stats json is not UTF-8".into()))?;
-                    BinResponse::Stats { json }
-                }
-                OP_METRICS => {
-                    let len = cur.u32("metrics json")? as usize;
-                    let bytes = cur.take(len, "metrics json")?;
-                    let json = String::from_utf8(bytes.to_vec())
-                        .map_err(|_| DecodeError::Malformed("metrics json is not UTF-8".into()))?;
-                    BinResponse::Metrics { json }
-                }
-                OP_TRACE => {
-                    let len = cur.u32("trace json")? as usize;
-                    let bytes = cur.take(len, "trace json")?;
-                    let json = String::from_utf8(bytes.to_vec())
-                        .map_err(|_| DecodeError::Malformed("trace json is not UTF-8".into()))?;
-                    BinResponse::Trace { json }
-                }
+                OP_STATS => BinResponse::Stats { json: cur.text("stats json")? },
+                OP_METRICS => BinResponse::Metrics { json: cur.text("metrics json")? },
+                OP_TRACE => BinResponse::Trace { json: cur.text("trace json")? },
+                OP_PROMOTE => BinResponse::Promote { applied: cur.u64("applied")? },
                 OP_SHUTDOWN => BinResponse::Shutdown,
                 other => {
                     return Err(DecodeError::Malformed(format!("unknown response kind {other}")))
@@ -760,7 +760,7 @@ mod tests {
             let (id, req) = decode_request(&payload);
             assert_eq!(id, 40 + i as u64);
             match req.unwrap() {
-                BinRequest::Observe { site, queue, procs, wait, predicted_bmbp, predicted_lognormal } => {
+                Request::Observe { site, queue, procs, wait, predicted_bmbp, predicted_lognormal } => {
                     assert_eq!(site, "datastar");
                     assert_eq!(queue, "normal");
                     assert_eq!(procs, 4);
@@ -779,34 +779,37 @@ mod tests {
         encode_predict_req(&mut buf, 1, "s", "q", 65);
         assert_eq!(
             decode_request(&unframe(&buf)),
-            (1, Ok(BinRequest::Predict { site: "s".into(), queue: "q".into(), procs: 65 }))
+            (1, Ok(Request::Predict { site: "s".into(), queue: "q".into(), procs: 65 }))
         );
         buf.clear();
         encode_snapshot_req(&mut buf, 2, Some("/tmp/s.json"));
         assert_eq!(
             decode_request(&unframe(&buf)),
-            (2, Ok(BinRequest::Snapshot { path: Some("/tmp/s.json".into()) }))
+            (2, Ok(Request::Snapshot { path: Some("/tmp/s.json".into()) }))
         );
         buf.clear();
         encode_snapshot_req(&mut buf, 3, None);
-        assert_eq!(decode_request(&unframe(&buf)), (3, Ok(BinRequest::Snapshot { path: None })));
+        assert_eq!(decode_request(&unframe(&buf)), (3, Ok(Request::Snapshot { path: None })));
         buf.clear();
         encode_stats_req(&mut buf, 4);
-        assert_eq!(decode_request(&unframe(&buf)), (4, Ok(BinRequest::Stats)));
+        assert_eq!(decode_request(&unframe(&buf)), (4, Ok(Request::Stats)));
         buf.clear();
         encode_metrics_req(&mut buf, 6);
-        assert_eq!(decode_request(&unframe(&buf)), (6, Ok(BinRequest::Metrics)));
+        assert_eq!(decode_request(&unframe(&buf)), (6, Ok(Request::Metrics)));
         buf.clear();
         encode_trace_req(&mut buf, 7);
-        assert_eq!(decode_request(&unframe(&buf)), (7, Ok(BinRequest::Trace)));
+        assert_eq!(decode_request(&unframe(&buf)), (7, Ok(Request::Trace)));
         buf.clear();
         encode_shutdown_req(&mut buf, 5);
-        assert_eq!(decode_request(&unframe(&buf)), (5, Ok(BinRequest::Shutdown)));
+        assert_eq!(decode_request(&unframe(&buf)), (5, Ok(Request::Shutdown)));
+        buf.clear();
+        encode_promote_req(&mut buf, 10);
+        assert_eq!(decode_request(&unframe(&buf)), (10, Ok(Request::Promote)));
         buf.clear();
         encode_admit_req(&mut buf, 8, "s", "q", 65, 3600.5, None);
         assert_eq!(
             decode_request(&unframe(&buf)),
-            (8, Ok(BinRequest::Admit {
+            (8, Ok(Request::Admit {
                 site: "s".into(),
                 queue: "q".into(),
                 procs: 65,
@@ -818,7 +821,7 @@ mod tests {
         encode_admit_req(&mut buf, 9, "s", "q", 1, 0.0, Some(0.95));
         assert_eq!(
             decode_request(&unframe(&buf)),
-            (9, Ok(BinRequest::Admit {
+            (9, Ok(Request::Admit {
                 site: "s".into(),
                 queue: "q".into(),
                 procs: 1,
@@ -896,11 +899,42 @@ mod tests {
         encode_shutdown_resp(&mut buf, 14);
         assert_eq!(decode_response(&unframe(&buf)).unwrap(), (14, BinResponse::Shutdown));
         buf.clear();
+        encode_promote_resp(&mut buf, 18, 50);
+        assert_eq!(
+            decode_response(&unframe(&buf)).unwrap(),
+            (18, BinResponse::Promote { applied: 50 })
+        );
+        buf.clear();
         encode_error_resp(&mut buf, 15, "backpressure", "queue full");
         assert_eq!(
             decode_response(&unframe(&buf)).unwrap(),
             (15, BinResponse::Error { code: "backpressure".into(), message: "queue full".into() })
         );
+    }
+
+    #[test]
+    fn control_replies_encode_through_the_shared_model() {
+        let members = vec![("n".to_string(), Json::Num(1.0))];
+        let doc = Json::Obj(members.clone());
+        for (reply, want) in [
+            (
+                Reply::SnapshotFile { path: "/tmp/out.json".into(), partitions: 7 },
+                BinResponse::Snapshot { json: None, path: Some("/tmp/out.json".into()), partitions: 7 },
+            ),
+            (
+                Reply::SnapshotInline { partitions: 1, doc: doc.clone() },
+                BinResponse::Snapshot { json: Some("{\"n\":1}".into()), path: None, partitions: 0 },
+            ),
+            (Reply::Stats(members.clone()), BinResponse::Stats { json: "{\"n\":1}".into() }),
+            (Reply::Metrics(members.clone()), BinResponse::Metrics { json: "{\"n\":1}".into() }),
+            (Reply::Trace(members.clone()), BinResponse::Trace { json: "{\"n\":1}".into() }),
+            (Reply::Promoted { applied: 9 }, BinResponse::Promote { applied: 9 }),
+            (Reply::Shutdown, BinResponse::Shutdown),
+        ] {
+            let mut buf = Vec::new();
+            encode_reply(&mut buf, 31, reply.clone());
+            assert_eq!(decode_response(&unframe(&buf)).unwrap(), (31, want), "{reply:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,10 @@
-//! The wire protocol: newline-delimited JSON requests and responses.
+//! The request model, and its JSON codec: newline-delimited requests and
+//! responses.
+//!
+//! [`Request`] and [`Reply`] are the one typed model of what a client can
+//! ask and what a control method answers; this module parses and renders
+//! them as JSON lines and [`crate::proto`] as binary frames. A new method
+//! is one `Request` arm, one parse arm here and one opcode there.
 //!
 //! Each line is one strict RFC-8259 value (`qdelay-json` rejects trailing
 //! garbage, so `{"method":"stats"} {"method":"stats"}` on one line is a
@@ -23,7 +29,8 @@
 //! `{"ok":false,"error":<code>,"message":...}` with `error` drawn from the
 //! typed codes below. Errors never close the connection except
 //! [`ERR_LINE_TOO_LONG`] (the stream position is unrecoverable past an
-//! oversized line).
+//! oversized line) and the [`ERR_PARSE`] for a line that is not UTF-8
+//! (the peer is not speaking this protocol).
 
 use qdelay_json::Json;
 use qdelay_predict::admission::Decision;
@@ -100,6 +107,28 @@ pub enum Request {
     /// then start accepting observes. An error on a non-replica.
     Promote,
     /// Begin graceful shutdown (final snapshot, then exit).
+    Shutdown,
+}
+
+/// A control method's typed answer, before a codec renders it
+/// ([`reply_line`] here, [`crate::proto::encode_reply`] for frames). The
+/// data-plane replies (`observe`/`predict`/`admit`) are rendered on the
+/// shard threads straight from predictor state and have no variant here.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply {
+    /// `snapshot` to a server-side file.
+    SnapshotFile { path: String, partitions: usize },
+    /// `snapshot` carried in the reply itself.
+    SnapshotInline { partitions: usize, doc: Json },
+    /// The `stats` document's members.
+    Stats(Vec<(String, Json)>),
+    /// The `metrics` document's members.
+    Metrics(Vec<(String, Json)>),
+    /// The `trace` document's members.
+    Trace(Vec<(String, Json)>),
+    /// `promote` succeeded; `applied` replicated records are in.
+    Promoted { applied: u64 },
+    /// `shutdown` acknowledged.
     Shutdown,
 }
 
@@ -311,6 +340,27 @@ pub fn ok_line(id: Option<&Json>, extra: Vec<(String, Json)>) -> String {
     with_id(id, members).to_string_compact()
 }
 
+/// Builds a control method's reply line.
+pub fn reply_line(id: Option<&Json>, reply: Reply) -> String {
+    let members = match reply {
+        Reply::SnapshotFile { path, partitions } => vec![
+            ("partitions".into(), Json::Num(partitions as f64)),
+            ("path".into(), Json::Str(path)),
+        ],
+        Reply::SnapshotInline { partitions, doc } => vec![
+            ("partitions".into(), Json::Num(partitions as f64)),
+            ("snapshot".into(), doc),
+        ],
+        Reply::Stats(members) | Reply::Metrics(members) | Reply::Trace(members) => members,
+        Reply::Promoted { applied } => vec![
+            ("promoted".into(), Json::Bool(true)),
+            ("applied".into(), Json::Num(applied as f64)),
+        ],
+        Reply::Shutdown => vec![],
+    };
+    ok_line(id, members)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,6 +515,29 @@ mod tests {
         let v = Json::parse(&predict_line(None, "p", 2, 1, None, Some(1.0))).unwrap();
         assert_eq!(v.get("bmbp"), Some(&Json::Null));
         assert_eq!(v.get("lognormal").and_then(Json::as_f64), Some(1.0));
+    }
+
+    #[test]
+    fn control_reply_lines_keep_their_field_names() {
+        let id = Json::Num(4.0);
+        let members = vec![("partitions".to_string(), Json::Num(2.0))];
+        for (reply, keys) in [
+            (Reply::SnapshotFile { path: "/p".into(), partitions: 2 }, &["partitions", "path"][..]),
+            (
+                Reply::SnapshotInline { partitions: 2, doc: Json::Obj(vec![]) },
+                &["partitions", "snapshot"][..],
+            ),
+            (Reply::Stats(members.clone()), &["partitions"][..]),
+            (Reply::Promoted { applied: 50 }, &["promoted", "applied"][..]),
+            (Reply::Shutdown, &[][..]),
+        ] {
+            let v = Json::parse(&reply_line(Some(&id), reply)).unwrap();
+            assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+            assert_eq!(v.get("id"), Some(&id));
+            for key in keys {
+                assert!(v.get(key).is_some(), "missing '{key}'");
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! The multi-threaded TCP server.
+//! The server: boot, the shard event loops, teardown.
 //!
-//! Thread architecture (all `std`, no external runtime):
+//! Thread architecture (all `std`, no external runtime; Linux only — the
+//! transport is an epoll loop, and [`Server::start`] returns `Unsupported`
+//! where there is no epoll):
 //!
 //! ```text
-//!  acceptor ──► per-connection reader ──try_send──► shard 0..N event loops
-//!                      │    ▲                            │
-//!                      │    └── control replies          │ batched, lock-free
-//!                      ▼                                 ▼
-//!               per-connection writer ◄──try_send── replies
+//!  both listeners ──► one I/O loop ──try_send──► shard 0..N event loops
+//!  (JSON lines,        (accept, frame,               │  batched, lock-free
+//!   binary frames)      decode, dispatch)            ▼
+//!                      I/O loop ◄── out buffer ◄── rendered replies
 //! ```
 //!
+//! * **Transport** — [`crate::event_loop`]: one thread, one epoll set over
+//!   both listeners and every connection. Data-plane requests are routed
+//!   to a shard; control methods are answered inline on that thread
+//!   ([`crate::dispatch`]).
 //! * **Sharding** — each shard thread owns a disjoint set of partitions
 //!   (assigned by key hash, [`crate::registry::PartitionKey::shard_index`]),
 //!   so predictor state is mutated single-threaded with no locks.
@@ -20,10 +25,10 @@
 //! * **Backpressure** — shard queues are bounded; a full queue rejects the
 //!   request immediately with a typed [`crate::protocol::ERR_BACKPRESSURE`]
 //!   error instead of stalling the connection.
-//! * **Slow consumers** — per-connection writer queues are bounded too; a
-//!   client that stops reading long enough to fill its queue is
-//!   disconnected (counted in `serve.slow_disconnects`) rather than allowed
-//!   to wedge a shard.
+//! * **Slow consumers** — each connection's unflushed reply bytes are
+//!   bounded too; a client that stops reading while its backlog is past
+//!   the budget is disconnected (counted in `serve.slow_disconnects`)
+//!   rather than allowed to wedge a shard.
 //! * **Warm restart** — on boot, `snapshot_path` (if it exists) is loaded
 //!   and partitions are re-dealt across however many shards this run has;
 //!   on graceful shutdown the final registry state is written back.
@@ -50,31 +55,30 @@
 //!   [`Server::promote`], or SIGHUP via the CLI).
 
 use std::collections::HashMap;
-use std::io::{self, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::durability::{self, JournalConfig};
-use crate::event_loop::{self, BinConn, Waker};
+use crate::dispatch::Responder;
+use crate::event_loop::{self, Waker};
 use crate::hibernate::PartitionStore;
-use crate::proto;
-use crate::protocol::{self, Request};
+use crate::protocol;
 use crate::registry::{Partition, PartitionKey};
 use crate::snapshot::{self, DeadPartition, PartitionSnapshot};
-use crate::tracing::{self, FlightRecorder, MetricsHub, PendingTrace, ReqTrace};
+use crate::tracing::{FlightRecorder, MetricsHub, PendingTrace, ReqTrace};
 use crate::{
-    ADMIT_ADMITTED, ADMIT_DEFERRED, ADMIT_MARGIN, ADMIT_REJECTED, BATCH_SIZE, CONNECTIONS,
-    ERRORS, OBSERVE_NS, PREDICT_NS, QUEUE_DEPTH, REJECTS, REQUESTS, REQUEST_NS,
-    SLOW_DISCONNECTS, SNAPSHOTS,
+    ADMIT_ADMITTED, ADMIT_DEFERRED, ADMIT_MARGIN, ADMIT_REJECTED, BATCH_SIZE, ERRORS,
+    OBSERVE_NS, PREDICT_NS, QUEUE_DEPTH, REJECTS, REQUEST_NS, SNAPSHOTS,
 };
 use qdelay_predict::admission::{self, Decision};
 use qdelay_journal::{self as journal, JournalWriter, Record, SealedSegment};
-use qdelay_json::{Json, ReadError, Reader};
+use qdelay_json::Json;
 use qdelay_repl::{
     Cursor, Msg, PrimaryConfig, ReplClient, ReplError, ReplHub, ReplListener, TailEvent,
 };
@@ -87,10 +91,12 @@ pub struct ServerConfig {
     /// Bound on each shard's request queue; a full queue rejects with
     /// `backpressure`.
     pub queue_capacity: usize,
-    /// Bound on each connection's outgoing reply queue; a full queue
-    /// disconnects the slow consumer.
+    /// Slow-consumer budget of each connection, in units of 256 bytes of
+    /// unflushed replies; a reply arriving on a backlog past it disconnects
+    /// the connection.
     pub writer_capacity: usize,
-    /// Longest accepted request line in bytes.
+    /// Longest accepted request line in bytes (also the cap on one inline
+    /// JSON reply).
     pub max_line: usize,
     /// Snapshot file: loaded at boot if present, rewritten at graceful
     /// shutdown and on `snapshot` requests without an explicit path.
@@ -100,11 +106,9 @@ pub struct ServerConfig {
     /// `snapshot_path` only serves explicit `snapshot` requests.
     pub journal: Option<JournalConfig>,
     /// Second listener speaking the CRC-framed binary protocol
-    /// ([`crate::proto`]), served by epoll I/O workers instead of
-    /// thread-per-connection. `None` disables it. Linux only.
+    /// ([`crate::proto`]), served by the same I/O loop as the JSON
+    /// listener. `None` disables it.
     pub binary_addr: Option<String>,
-    /// Epoll worker threads for the binary listener.
-    pub binary_workers: usize,
     /// Requests whose traced stages sum past this budget are promoted to
     /// the flight recorder's slow ring. `0` disables promotion.
     pub slow_request_us: u64,
@@ -146,7 +150,6 @@ impl Default for ServerConfig {
             snapshot_path: None,
             journal: None,
             binary_addr: None,
-            binary_workers: 1,
             slow_request_us: 10_000,
             flight_recorder_depth: 256,
             metrics_interval: Duration::from_secs(1),
@@ -220,121 +223,6 @@ pub(crate) enum Op {
     Admit { budget: f64 },
 }
 
-/// Where a shard's reply goes: back to a JSON connection's writer queue,
-/// or encoded as a frame into a binary connection's out buffer. Both
-/// protocols share one shard-side code path — the `Responder` is the only
-/// protocol-aware seam — which is what makes JSON/binary bit-identity a
-/// structural property rather than a test-enforced aspiration.
-pub(crate) enum Responder {
-    Json { reply: ReplyHandle, id: Option<Json> },
-    Bin { conn: Arc<BinConn>, id: u64 },
-}
-
-/// A reply rendered at processing time (so journal staging can withhold
-/// it without re-deriving state later).
-pub(crate) enum Rendered {
-    Line(String),
-    Frame(Vec<u8>),
-}
-
-impl Rendered {
-    /// Bytes this reply occupies on the wire (line plus newline, or the
-    /// full frame) — reported as `resp_bytes` in trace records.
-    fn wire_len(&self) -> usize {
-        match self {
-            Rendered::Line(line) => line.len() + 1,
-            Rendered::Frame(frame) => frame.len(),
-        }
-    }
-}
-
-impl Responder {
-    fn render_observe(&self, partition: &str, seq: u64) -> Rendered {
-        match self {
-            Responder::Json { id, .. } => {
-                Rendered::Line(protocol::observe_line(id.as_ref(), partition, seq))
-            }
-            Responder::Bin { id, .. } => {
-                let mut buf = Vec::with_capacity(64);
-                proto::encode_observe_resp(&mut buf, *id, partition, seq);
-                Rendered::Frame(buf)
-            }
-        }
-    }
-
-    fn render_predict(&self, partition: &str, p: &crate::registry::Prediction) -> Rendered {
-        match self {
-            Responder::Json { id, .. } => Rendered::Line(protocol::predict_line(
-                id.as_ref(),
-                partition,
-                p.n,
-                p.seq,
-                p.bmbp,
-                p.lognormal,
-            )),
-            Responder::Bin { id, .. } => {
-                let mut buf = Vec::with_capacity(96);
-                proto::encode_predict_resp(
-                    &mut buf,
-                    *id,
-                    partition,
-                    p.n as u64,
-                    p.seq,
-                    p.bmbp,
-                    p.lognormal,
-                );
-                Rendered::Frame(buf)
-            }
-        }
-    }
-
-    fn render_admit(
-        &self,
-        partition: &str,
-        p: &crate::registry::Prediction,
-        decision: &Decision,
-    ) -> Rendered {
-        match self {
-            Responder::Json { id, .. } => Rendered::Line(protocol::admit_line(
-                id.as_ref(),
-                partition,
-                p.n,
-                p.seq,
-                decision,
-            )),
-            Responder::Bin { id, .. } => {
-                let mut buf = Vec::with_capacity(96);
-                proto::encode_admit_resp(&mut buf, *id, partition, p.n as u64, p.seq, decision);
-                Rendered::Frame(buf)
-            }
-        }
-    }
-
-    fn send(&self, rendered: Rendered, trace: Option<PendingTrace>) {
-        match (self, rendered) {
-            (Responder::Json { reply, .. }, Rendered::Line(line)) => {
-                reply.send_traced(line, trace)
-            }
-            (Responder::Bin { conn, .. }, Rendered::Frame(frame)) => {
-                conn.send_bytes_traced(&frame, trace)
-            }
-            // A Responder only ever renders its own protocol's form.
-            _ => unreachable!("rendered reply does not match its responder"),
-        }
-    }
-
-    fn send_error(&self, code: &str, message: &str) {
-        match self {
-            Responder::Json { reply, id } => {
-                reply.send(protocol::error_line(id.as_ref(), code, message))
-            }
-            Responder::Bin { conn, id } => {
-                conn.send_with(|out| proto::encode_error_resp(out, *id, code, message))
-            }
-        }
-    }
-}
-
 /// A shard's ingress: bounded sender plus a depth counter for the
 /// `serve.queue_depth` high-water mark.
 #[derive(Clone)]
@@ -343,60 +231,17 @@ pub(crate) struct ShardHandle {
     depth: Arc<AtomicU64>,
 }
 
-/// One reply line queued to a connection's writer, with the optional
-/// trace record the writer completes once the line is flushed.
-struct Reply {
-    line: String,
-    trace: Option<PendingTrace>,
-}
-
-/// One connection's reply path. Cloned into every in-flight shard message;
-/// `try_send` keeps shards non-blocking, and a full queue poisons the
-/// connection (slow-consumer policy).
-#[derive(Clone)]
-pub(crate) struct ReplyHandle {
-    tx: SyncSender<Reply>,
-    poisoned: Arc<AtomicBool>,
-}
-
-impl ReplyHandle {
-    fn send(&self, line: String) {
-        self.send_traced(line, None);
-    }
-
-    fn send_traced(&self, line: String, mut trace: Option<PendingTrace>) {
-        if self.poisoned.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Some(t) = trace.as_mut() {
-            t.mark_sent();
-        }
-        match self.tx.try_send(Reply { line, trace }) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                SLOW_DISCONNECTS.incr();
-                self.poisoned.store(true, Ordering::Relaxed);
-            }
-            Err(TrySendError::Disconnected(_)) => {}
-        }
-    }
-}
-
-/// State shared by the acceptors, every connection thread, and the binary
-/// I/O workers.
+/// State shared by the I/O loop, the replica apply thread and the
+/// [`Server`] handle.
 pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     local_addr: SocketAddr,
     /// The binary listener's bound address, when configured.
     binary_addr: Option<SocketAddr>,
     pub(crate) config: ServerConfig,
-    /// Live connection streams, for forced close at shutdown, each paired
-    /// with a flag its reader sets on exit so finished entries can be swept.
-    conns: Mutex<Vec<(TcpStream, Arc<AtomicBool>)>>,
-    conn_joins: Mutex<Vec<JoinHandle<()>>>,
-    /// The binary workers' wakers, signalled at shutdown so no worker
-    /// sleeps through it.
-    bin_wakers: Mutex<Vec<Arc<Waker>>>,
+    /// The I/O loop's waker: every connection's replies signal it, and so
+    /// does shutdown, so the loop never sleeps through either.
+    pub(crate) waker: Arc<Waker>,
     /// The observability plane's flight recorder (ZST with tracing off).
     pub(crate) recorder: Arc<FlightRecorder>,
     /// Periodic telemetry snapshotter behind the `metrics` wire method.
@@ -442,15 +287,7 @@ impl Shared {
 
     pub(crate) fn request_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
-            // Wake each acceptor out of `accept` with a throwaway connect,
-            // and each binary worker out of `epoll_wait`.
-            let _ = TcpStream::connect(self.local_addr);
-            if let Some(addr) = self.binary_addr {
-                let _ = TcpStream::connect(addr);
-            }
-            for waker in self.bin_wakers.lock().expect("bin_wakers lock").iter() {
-                waker.wake();
-            }
+            self.waker.wake();
         }
     }
 }
@@ -462,9 +299,8 @@ pub struct Server {
     shared: Arc<Shared>,
     shards: Vec<ShardHandle>,
     shard_joins: Vec<JoinHandle<()>>,
-    acceptor: Option<JoinHandle<()>>,
-    bin_acceptor: Option<JoinHandle<()>>,
-    bin_workers: Vec<JoinHandle<()>>,
+    /// The transport thread ([`crate::event_loop`]).
+    io_loop: Option<JoinHandle<()>>,
     compactor: Option<JoinHandle<()>>,
     /// Keeping this sender alive keeps the metrics thread sampling;
     /// dropping it in `join` stops the thread at its next wakeup.
@@ -480,7 +316,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr`, restores the snapshot (if configured and present), and
-    /// spawns the shard and acceptor threads.
+    /// spawns the shard threads and the I/O loop. Linux only: where there
+    /// is no epoll this returns `ErrorKind::Unsupported`.
     pub fn start<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
         assert!(config.shards > 0, "shards must be positive");
         assert!(config.queue_capacity > 0, "queue_capacity must be positive");
@@ -497,6 +334,9 @@ impl Server {
                 "a replica keeps no journal of its own (its log is the primary's WAL)",
             ));
         }
+        // The transport's wakeup primitive, first: on a platform without
+        // eventfd/epoll this is where `start` says so, before any work.
+        let waker = Waker::new()?;
         // Hibernation needs somewhere to spill. Resolve the directory up
         // front: explicit `spill_dir`, else alongside the journal, else
         // alongside the snapshot file.
@@ -715,9 +555,7 @@ impl Server {
             local_addr,
             binary_addr,
             config,
-            conns: Mutex::new(Vec::new()),
-            conn_joins: Mutex::new(Vec::new()),
-            bin_wakers: Mutex::new(Vec::new()),
+            waker,
             recorder,
             metrics,
             read_only: AtomicBool::new(is_replica),
@@ -727,24 +565,8 @@ impl Server {
                 applied: AtomicU64::new(0),
             }),
         });
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let shards = shards.clone();
-            std::thread::spawn(move || accept_loop(listener, shared, shards))
-        };
-        let mut bin_acceptor = None;
-        let mut bin_workers = Vec::new();
-        if let Some(bin_listener) = bin_listener {
-            let parts = event_loop::spawn_binary(
-                bin_listener,
-                Arc::clone(&shared),
-                shards.clone(),
-                shared.config.binary_workers,
-            )?;
-            *shared.bin_wakers.lock().expect("bin_wakers lock") = parts.wakers;
-            bin_acceptor = Some(parts.acceptor);
-            bin_workers = parts.workers;
-        }
+        let io_loop =
+            event_loop::spawn(listener, bin_listener, Arc::clone(&shared), shards.clone())?;
 
         // Primary side: the replication listener streaming the WAL.
         let mut repl_listener = None;
@@ -779,9 +601,7 @@ impl Server {
             shared,
             shards,
             shard_joins,
-            acceptor: Some(acceptor),
-            bin_acceptor,
-            bin_workers,
+            io_loop: Some(io_loop),
             compactor,
             metrics_stop: Some(metrics_stop),
             metrics_join: Some(metrics_join),
@@ -830,34 +650,11 @@ impl Server {
     /// client `shutdown` request), then tears down connections, writes the
     /// final snapshot if a path is configured, and stops the shards.
     pub fn join(mut self) -> io::Result<()> {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Unblock and reap connection threads. The acceptor has exited, so
-        // no new connections can appear behind this drain.
-        for (stream, _) in self.shared.conns.lock().expect("conns lock").drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        let joins: Vec<_> = self
-            .shared
-            .conn_joins
-            .lock()
-            .expect("conn_joins lock")
-            .drain(..)
-            .collect();
-        for j in joins {
-            let _ = j.join();
-        }
-        // Binary side: the acceptor was unblocked by request_shutdown's
-        // throwaway connect, and every worker was signalled; workers flush
-        // best-effort and close their connections on the way out. Joining
-        // them here, before collecting, keeps the no-op-races-collect
-        // invariant for both listeners.
-        if let Some(acceptor) = self.bin_acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for j in self.bin_workers.drain(..) {
-            let _ = j.join();
+        // The I/O loop runs until shutdown is requested, then flushes and
+        // closes every connection on its way out. With it gone no request
+        // can reach a shard, so nothing races the collect below.
+        if let Some(io_loop) = self.io_loop.take() {
+            let _ = io_loop.join();
         }
         // Stop the metrics sampler (no connection can query it anymore).
         drop(self.metrics_stop.take());
@@ -876,7 +673,7 @@ impl Server {
             listener.stop();
         }
         // Collect the final registry state while the shards are still
-        // alive (the connection senders are gone, so no op can race this).
+        // alive (the I/O loop is gone, so no op can race this).
         // Hibernated partitions are decoded off the spill files without
         // being restored, so a capped shutdown costs reads, not refits.
         let wants_final = self.shared.config.snapshot_path.is_some()
@@ -1103,323 +900,8 @@ fn compactor_loop(
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, shards: Vec<ShardHandle>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        // Sweep finished connections so long-lived servers don't accumulate
-        // dead streams and join handles.
-        shared
-            .conns
-            .lock()
-            .expect("conns lock")
-            .retain(|(_, closed)| !closed.load(Ordering::Relaxed));
-        shared
-            .conn_joins
-            .lock()
-            .expect("conn_joins lock")
-            .retain(|j| !j.is_finished());
-        if let Err(e) = spawn_connection(stream, &shared, &shards) {
-            // Setup failure on one connection must not kill the acceptor.
-            let _ = e;
-        }
-    }
-}
-
-fn spawn_connection(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    shards: &[ShardHandle],
-) -> io::Result<()> {
-    CONNECTIONS.incr();
-    stream.set_nodelay(true)?;
-    let poisoned = Arc::new(AtomicBool::new(false));
-    let (reply_tx, reply_rx) = mpsc::sync_channel(shared.config.writer_capacity);
-    let reply = ReplyHandle { tx: reply_tx, poisoned: Arc::clone(&poisoned) };
-
-    let writer_stream = stream.try_clone()?;
-    let writer_shared = Arc::clone(shared);
-    let writer = std::thread::spawn(move || {
-        writer_loop(writer_stream, reply_rx, poisoned, writer_shared)
-    });
-
-    let closed = Arc::new(AtomicBool::new(false));
-    let reader_stream = stream.try_clone()?;
-    let reader_shared = Arc::clone(shared);
-    let reader_shards = shards.to_vec();
-    let reader_closed = Arc::clone(&closed);
-    let reader = std::thread::spawn(move || {
-        reader_loop(reader_stream, reader_shared, reader_shards, reply);
-        reader_closed.store(true, Ordering::Relaxed);
-    });
-
-    shared.conns.lock().expect("conns lock").push((stream, closed));
-    let mut joins = shared.conn_joins.lock().expect("conn_joins lock");
-    joins.push(writer);
-    joins.push(reader);
-    Ok(())
-}
-
-/// Drains the reply queue to the socket. Batches whatever is queued into
-/// one buffered write + flush, so a pipelining client costs one syscall
-/// per burst rather than one per reply.
-fn writer_loop(
-    stream: TcpStream,
-    rx: Receiver<Reply>,
-    poisoned: Arc<AtomicBool>,
-    shared: Arc<Shared>,
-) {
-    let mut out = BufWriter::new(&stream);
-    // Traces whose lines are in the buffer but not yet flushed; completed
-    // as one batch (one clock read) after each successful flush.
-    let mut done: Vec<PendingTrace> = Vec::new();
-    fn write_line(
-        out: &mut BufWriter<&TcpStream>,
-        reply: Reply,
-        done: &mut Vec<PendingTrace>,
-    ) -> bool {
-        let ok = out.write_all(reply.line.as_bytes()).is_ok() && out.write_all(b"\n").is_ok();
-        if ok {
-            done.extend(reply.trace);
-        }
-        ok
-    }
-    loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(reply) => {
-                let mut ok = write_line(&mut out, reply, &mut done);
-                while ok {
-                    match rx.try_recv() {
-                        Ok(more) => ok = write_line(&mut out, more, &mut done),
-                        Err(_) => break,
-                    }
-                }
-                if !ok || out.flush().is_err() {
-                    poisoned.store(true, Ordering::Relaxed);
-                    break;
-                }
-                shared.recorder.complete_all(&mut done);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if poisoned.load(Ordering::Relaxed)
-                    || shared.shutdown.load(Ordering::SeqCst)
-                {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    let _ = out.flush();
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-fn reader_loop(
-    stream: TcpStream,
-    shared: Arc<Shared>,
-    shards: Vec<ShardHandle>,
-    reply: ReplyHandle,
-) {
-    let mut reader = Reader::with_max_line(stream, shared.config.max_line);
-    loop {
-        if reply.poisoned.load(Ordering::Relaxed) {
-            break;
-        }
-        let (read, trace) = tracing::read_json_traced(&mut reader);
-        match read {
-            Ok(Some(value)) => dispatch(value, trace, &shared, &shards, &reply),
-            Ok(None) => break, // clean EOF
-            Err(ReadError::Parse(e)) => {
-                // The bad line was consumed; the stream is resynchronized.
-                ERRORS.incr();
-                reply.send(protocol::error_line(None, protocol::ERR_PARSE, &e.to_string()));
-            }
-            Err(ReadError::LineTooLong { limit }) => {
-                ERRORS.incr();
-                reply.send(protocol::error_line(
-                    None,
-                    protocol::ERR_LINE_TOO_LONG,
-                    &format!("line exceeds {limit} bytes; closing connection"),
-                ));
-                break;
-            }
-            Err(ReadError::InvalidUtf8) => {
-                ERRORS.incr();
-                reply.send(protocol::error_line(None, protocol::ERR_PARSE, "invalid UTF-8"));
-                break;
-            }
-            Err(ReadError::Io(_)) => break,
-        }
-    }
-}
-
-fn dispatch(
-    value: Json,
-    trace: ReqTrace,
-    shared: &Arc<Shared>,
-    shards: &[ShardHandle],
-    reply: &ReplyHandle,
-) {
-    let (id, request) = protocol::parse_request(&value);
-    let request = match request {
-        Ok(r) => r,
-        Err(message) => {
-            ERRORS.incr();
-            reply.send(protocol::error_line(
-                id.as_ref(),
-                protocol::ERR_BAD_REQUEST,
-                &message,
-            ));
-            return;
-        }
-    };
-    REQUESTS.incr();
-    match request {
-        Request::Observe { site, queue, procs, wait, predicted_bmbp, predicted_lognormal } => {
-            if shared.read_only.load(Ordering::SeqCst) {
-                ERRORS.incr();
-                reply.send(protocol::error_line(
-                    id.as_ref(),
-                    protocol::ERR_READ_ONLY,
-                    "replica is read-only; observe on the primary (or promote)",
-                ));
-                return;
-            }
-            route_op(
-                shards,
-                PartitionKey::for_request(&site, &queue, procs),
-                Op::Observe { wait, predicted_bmbp, predicted_lognormal },
-                Responder::Json { reply: reply.clone(), id },
-                trace,
-            );
-        }
-        Request::Predict { site, queue, procs } => {
-            route_op(
-                shards,
-                PartitionKey::for_request(&site, &queue, procs),
-                Op::Predict,
-                Responder::Json { reply: reply.clone(), id },
-                trace,
-            );
-        }
-        Request::Admit { site, queue, procs, budget, confidence: _ } => {
-            route_op(
-                shards,
-                PartitionKey::for_request(&site, &queue, procs),
-                Op::Admit { budget },
-                Responder::Json { reply: reply.clone(), id },
-                trace,
-            );
-        }
-        Request::Snapshot { path } => {
-            let explicit = path.map(PathBuf::from);
-            let target = explicit.or_else(|| shared.config.snapshot_path.clone());
-            match target {
-                Some(path) => match write_snapshot(shards, &path) {
-                    Ok(count) => reply.send(protocol::ok_line(
-                        id.as_ref(),
-                        vec![
-                            ("partitions".into(), Json::Num(count as f64)),
-                            ("path".into(), Json::Str(path.display().to_string())),
-                        ],
-                    )),
-                    Err(e) => {
-                        ERRORS.incr();
-                        reply.send(protocol::error_line(
-                            id.as_ref(),
-                            protocol::ERR_IO,
-                            &e.to_string(),
-                        ));
-                    }
-                },
-                None => match collect_partitions(shards) {
-                    Ok((parts, dead)) => {
-                        let count = parts.len();
-                        let line = protocol::ok_line(
-                            id.as_ref(),
-                            vec![
-                                ("partitions".into(), Json::Num(count as f64)),
-                                ("snapshot".into(), snapshot::encode(parts, dead)),
-                            ],
-                        );
-                        // An inline reply longer than the line cap would
-                        // fail as a silent client-side parse error; answer
-                        // with a typed size instead and point at the file
-                        // escape hatch.
-                        if line.len() + 1 > shared.config.max_line {
-                            ERRORS.incr();
-                            reply.send(protocol::error_line(
-                                id.as_ref(),
-                                protocol::ERR_SNAPSHOT_TOO_LARGE,
-                                &format!(
-                                    "inline snapshot is {} bytes (line cap {}); \
-                                     request a file snapshot with \
-                                     {{\"method\":\"snapshot\",\"path\":...}}",
-                                    line.len() + 1,
-                                    shared.config.max_line,
-                                ),
-                            ));
-                        } else {
-                            SNAPSHOTS.incr();
-                            reply.send(line);
-                        }
-                    }
-                    Err(e) => {
-                        ERRORS.incr();
-                        reply.send(protocol::error_line(
-                            id.as_ref(),
-                            protocol::ERR_IO,
-                            &e.to_string(),
-                        ));
-                    }
-                },
-            }
-        }
-        Request::Stats => {
-            let stats = gather_stats(shards, false);
-            let mut fields = stats_payload(&stats, shards);
-            fields.push(("uptime_ms".into(), Json::Num(shared.metrics.uptime_ms() as f64)));
-            fields.push(("telemetry".into(), qdelay_telemetry::snapshot().to_json()));
-            reply.send(protocol::ok_line(id.as_ref(), fields));
-        }
-        Request::Metrics => {
-            reply.send(protocol::ok_line(id.as_ref(), shared.metrics.report()));
-        }
-        Request::Trace => {
-            reply.send(protocol::ok_line(id.as_ref(), tracing::trace_fields(&shared.recorder)));
-        }
-        Request::Promote => match shared.promote() {
-            Ok(applied) => reply.send(protocol::ok_line(
-                id.as_ref(),
-                vec![
-                    ("promoted".into(), Json::Bool(true)),
-                    ("applied".into(), Json::Num(applied as f64)),
-                ],
-            )),
-            Err(msg) if msg == "not a replica" => {
-                ERRORS.incr();
-                reply.send(protocol::error_line(
-                    id.as_ref(),
-                    protocol::ERR_BAD_REQUEST,
-                    &msg,
-                ));
-            }
-            Err(msg) => {
-                ERRORS.incr();
-                reply.send(protocol::error_line(id.as_ref(), protocol::ERR_IO, &msg));
-            }
-        },
-        Request::Shutdown => {
-            // Best-effort acknowledgement: teardown may close the socket
-            // before the writer flushes it.
-            reply.send(protocol::ok_line(id.as_ref(), vec![]));
-            shared.request_shutdown();
-        }
-    }
-}
-
+/// Hands one data-plane op to the shard owning its partition, or answers
+/// it with the typed rejection when the shard cannot take it.
 pub(crate) fn route_op(
     shards: &[ShardHandle],
     key: PartitionKey,
@@ -1468,9 +950,9 @@ const MAX_BATCH: usize = 256;
 /// sees replies in request order.
 enum Staged {
     /// Observe ack: downgraded to a typed error if the commit fails.
-    Ack(Responder, Rendered, Option<PendingTrace>),
+    Ack(Responder, Vec<u8>, Option<PendingTrace>),
     /// Any other request's reply; held for ordering only.
-    Reply(Responder, Rendered, Option<PendingTrace>),
+    Reply(Responder, Vec<u8>, Option<PendingTrace>),
     /// Partition snapshots (plus dead cursors) answering a `Collect`.
     Collected(
         mpsc::Sender<Result<(Vec<PartitionSnapshot>, Vec<DeadPartition>), String>>,
@@ -1544,12 +1026,12 @@ fn shard_loop(
                                 partition.observe(wait, predicted_bmbp, predicted_lognormal);
                             let handle_ns = t.elapsed().as_nanos() as u64;
                             OBSERVE_NS.record(handle_ns);
-                            let rendered = resp.render_observe(&label, seq);
+                            let rendered = resp.observe(&label, seq);
                             let pending = Some(trace.finish(
                                 "observe",
                                 label,
                                 handle_ns,
-                                rendered.wire_len(),
+                                rendered.len(),
                             ));
                             match (&mut journal, journal_key) {
                                 (Some(writer), Some(jkey)) => {
@@ -1580,7 +1062,7 @@ fn shard_loop(
                                     // Ack withheld until this batch commits.
                                     staged.push(Staged::Ack(resp, rendered, pending));
                                 }
-                                _ => resp.send(rendered, pending),
+                                _ => resp.send(&rendered, pending),
                             }
                         }
                         Op::Predict => {
@@ -1597,17 +1079,17 @@ fn shard_loop(
                             let p = partition.predict();
                             let handle_ns = t.elapsed().as_nanos() as u64;
                             PREDICT_NS.record(handle_ns);
-                            let rendered = resp.render_predict(&label, &p);
+                            let rendered = resp.predict(&label, &p);
                             let pending = Some(trace.finish(
                                 "predict",
                                 label,
                                 handle_ns,
-                                rendered.wire_len(),
+                                rendered.len(),
                             ));
                             if journal.is_some() {
                                 staged.push(Staged::Reply(resp, rendered, pending));
                             } else {
-                                resp.send(rendered, pending);
+                                resp.send(&rendered, pending);
                             }
                         }
                         Op::Admit { budget } => {
@@ -1637,12 +1119,12 @@ fn shard_loop(
                                 }
                                 Decision::Defer { .. } => ADMIT_DEFERRED.incr(),
                             }
-                            let rendered = resp.render_admit(&label, &p, &decision);
+                            let rendered = resp.admit(&label, &p, &decision);
                             let pending = Some(trace.finish(
                                 "admit",
                                 label,
                                 handle_ns,
-                                rendered.wire_len(),
+                                rendered.len(),
                             ));
                             // Read-only like predict: staged for reply
                             // ordering under a journal, never for
@@ -1650,7 +1132,7 @@ fn shard_loop(
                             if journal.is_some() {
                                 staged.push(Staged::Reply(resp, rendered, pending));
                             } else {
-                                resp.send(rendered, pending);
+                                resp.send(&rendered, pending);
                             }
                         }
                     }
@@ -1742,7 +1224,7 @@ fn shard_loop(
         for entry in staged.drain(..) {
             match entry {
                 Staged::Ack(resp, rendered, pending) if committed => {
-                    resp.send(rendered, pending)
+                    resp.send(&rendered, pending)
                 }
                 Staged::Ack(resp, _, _) => {
                     ERRORS.incr();
@@ -1751,7 +1233,7 @@ fn shard_loop(
                         "journal commit failed; observation not durable",
                     );
                 }
-                Staged::Reply(resp, rendered, pending) => resp.send(rendered, pending),
+                Staged::Reply(resp, rendered, pending) => resp.send(&rendered, pending),
                 Staged::Collected(tx, result) => {
                     let _ = tx.send(result);
                 }

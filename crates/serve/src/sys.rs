@@ -13,8 +13,9 @@
 //! [`EpollEvent`] mirrors that with a conditional `repr`.
 //!
 //! On non-Linux targets the same API exists but every constructor
-//! returns `ErrorKind::Unsupported`, keeping the crate portable to
-//! compile while the binary listener stays a Linux feature.
+//! returns `ErrorKind::Unsupported`: the crate still compiles there (the
+//! clients and codecs are portable) and `Server::start` reports the error
+//! — serving is Linux-only.
 
 
 

@@ -24,9 +24,9 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Protocol tag for requests arriving over the JSON listener.
+/// Protocol tag for requests cut by the newline framer (JSON listener).
 pub(crate) const PROTO_JSON: &str = "json";
-/// Protocol tag for requests arriving over the binary listener.
+/// Protocol tag for requests cut by the frame framer (binary listener).
 pub(crate) const PROTO_BIN: &str = "binary";
 
 /// Most entries of each kind a `trace` wire reply will carry; the rings
@@ -58,7 +58,7 @@ pub struct TraceEntry {
     pub queue_ns: u64,
     /// Predictor work + render (+ journal append when durable).
     pub handle_ns: u64,
-    /// Reply-enqueue to write-complete (flush observed by the writer).
+    /// Reply-enqueue to write-complete (flush observed by the I/O loop).
     pub reply_ns: u64,
 }
 
@@ -134,7 +134,7 @@ mod imp {
 
     /// An in-flight request's stage stamps. Created at decode, carried
     /// through the shard channel, turned into a [`PendingTrace`] when the
-    /// reply is handed to the writer.
+    /// reply is queued on its connection.
     #[derive(Debug)]
     pub(crate) struct ReqTrace {
         protocol: &'static str,
@@ -147,8 +147,8 @@ mod imp {
     }
 
     impl ReqTrace {
-        /// Starts the decode clock (binary path: frame check + decode run
-        /// after this).
+        /// Starts the decode clock: the frame's payload decode, or the
+        /// line's UTF-8 check and JSON parse, runs after this.
         pub(crate) fn begin(protocol: &'static str) -> Self {
             let now = Instant::now();
             ReqTrace {
@@ -162,16 +162,7 @@ mod imp {
             }
         }
 
-        /// Constructs with an externally measured decode (JSON path: the
-        /// reader times the parse itself so socket wait is excluded).
-        pub(crate) fn parsed(protocol: &'static str, decode_ns: u64, req_bytes: usize) -> Self {
-            let mut t = Self::begin(protocol);
-            t.decode_ns = decode_ns;
-            t.req_bytes = clamp_u32(req_bytes);
-            t
-        }
-
-        /// Stamps decode completion (binary path).
+        /// Stamps decode completion.
         pub(crate) fn decoded(&mut self, req_bytes: usize) {
             self.decode_ns = self.started.elapsed().as_nanos() as u64;
             self.req_bytes = clamp_u32(req_bytes);
@@ -190,7 +181,7 @@ mod imp {
         }
 
         /// Closes the handle stage and seals the record; the reply stage
-        /// starts when the writer takes it ([`PendingTrace::mark_sent`]).
+        /// starts when the connection admits it ([`PendingTrace::mark_sent`]).
         pub(crate) fn finish(
             self,
             method: &'static str,
@@ -342,7 +333,7 @@ mod imp {
         }
 
         /// Completes a batch of pending traces against one clock read
-        /// (writers call this after a successful flush).
+        /// (the I/O loop calls this after each flush).
         pub(crate) fn complete_all(&self, batch: &mut Vec<PendingTrace>) {
             if batch.is_empty() {
                 return;
@@ -371,24 +362,6 @@ mod imp {
                 dropped,
                 slow_threshold_ns: self.slow_threshold_ns,
             }
-        }
-    }
-
-    /// JSON-path read wrapper: times the parse (socket wait excluded) and
-    /// returns the trace seeded with the decode stage.
-    pub(crate) fn read_json_traced<R: std::io::Read>(
-        reader: &mut qdelay_json::Reader<R>,
-    ) -> (
-        Result<Option<Json>, qdelay_json::ReadError>,
-        ReqTrace,
-    ) {
-        match reader.read_value_meta() {
-            Ok(Some((value, meta))) => (
-                Ok(Some(value)),
-                ReqTrace::parsed(PROTO_JSON, meta.parse_ns, meta.line_bytes),
-            ),
-            Ok(None) => (Ok(None), ReqTrace::begin(PROTO_JSON)),
-            Err(e) => (Err(e), ReqTrace::begin(PROTO_JSON)),
         }
     }
 }
@@ -452,18 +425,9 @@ mod imp {
             }
         }
     }
-
-    pub(crate) fn read_json_traced<R: std::io::Read>(
-        reader: &mut qdelay_json::Reader<R>,
-    ) -> (
-        Result<Option<Json>, qdelay_json::ReadError>,
-        ReqTrace,
-    ) {
-        (reader.read_value(), ReqTrace::begin(PROTO_JSON))
-    }
 }
 
-pub(crate) use imp::{read_json_traced, FlightRecorder, PendingTrace, ReqTrace};
+pub(crate) use imp::{FlightRecorder, PendingTrace, ReqTrace};
 
 /// Renders the `trace` wire reply's fields from a recorder dump. Both
 /// rings are capped at [`DUMP_CAP`] newest entries (totals reported

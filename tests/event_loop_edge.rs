@@ -1,15 +1,19 @@
-//! Edge cases of the binary listener's epoll event loop: partial writes
-//! under full socket buffers, frames split across reads, slow-client
-//! poisoning, backpressure accounting, and graceful shutdown with both
-//! listeners live.
+//! Edge cases of the epoll I/O loop, run over both of its framers (JSON
+//! lines and binary frames): partial writes under full socket buffers,
+//! requests split across reads, half-closed clients, slow-client
+//! poisoning, replies larger than the slow-consumer budget, backpressure
+//! accounting, the newline framer's stream-level errors, and graceful
+//! shutdown with both listeners live.
 
 use qdelay::serve::client::{BinClient, Client, ClientError};
 use qdelay::serve::proto::{self, BinResponse};
-use qdelay::serve::protocol::ERR_BACKPRESSURE;
+use qdelay::serve::protocol::{ERR_BACKPRESSURE, ERR_LINE_TOO_LONG};
 use qdelay::serve::server::{Server, ServerConfig};
 use qdelay_journal::frame::{self, Check};
+use qdelay_json::Json;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 fn binary_server(config: ServerConfig) -> Server {
@@ -17,124 +21,336 @@ fn binary_server(config: ServerConfig) -> Server {
     Server::start("127.0.0.1:0", config).unwrap()
 }
 
+/// `serve.slow_disconnects` is process-wide and the harness runs tests on
+/// parallel threads: the tests that poison a connection and the test that
+/// asserts the counter stands still run under this lock.
+static SLOW_DISCONNECTS: Mutex<()> = Mutex::new(());
+
+fn slow_disconnects(server: &Server) -> f64 {
+    let stats = Client::connect(server.local_addr()).unwrap().stats().unwrap();
+    stats
+        .get("telemetry")
+        .and_then(|t| t.get("counters"))
+        .and_then(|c| c.get("serve.slow_disconnects"))
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0)
+}
+
+/// Which listener (and so which framer) a raw connection exercises.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Wire {
+    Json,
+    Bin,
+}
+
+const WIRES: [Wire; 2] = [Wire::Bin, Wire::Json];
+
+/// A reply reduced to what these tests compare, whichever codec carried it.
+#[derive(Debug, PartialEq)]
+enum Reply {
+    Observe { seq: u64 },
+    Predict { n: u64, seq: u64 },
+    /// The snapshot document, compact.
+    Snapshot(String),
+    Error(String),
+}
+
+impl Wire {
+    fn observe(self, id: u64, site: &str, wait: f64) -> Vec<u8> {
+        match self {
+            Wire::Json => format!(
+                "{{\"id\":{id},\"method\":\"observe\",\"site\":\"{site}\",\"queue\":\"q\",\
+                 \"procs\":8,\"wait\":{wait}}}\n"
+            )
+            .into_bytes(),
+            Wire::Bin => {
+                let mut out = Vec::new();
+                proto::encode_observe_req(&mut out, id, site, "q", 8, wait, None, None);
+                out
+            }
+        }
+    }
+
+    fn predict(self, id: u64, site: &str) -> Vec<u8> {
+        match self {
+            Wire::Json => format!(
+                "{{\"id\":{id},\"method\":\"predict\",\"site\":\"{site}\",\"queue\":\"q\",\
+                 \"procs\":8}}\n"
+            )
+            .into_bytes(),
+            Wire::Bin => {
+                let mut out = Vec::new();
+                proto::encode_predict_req(&mut out, id, site, "q", 8);
+                out
+            }
+        }
+    }
+
+    fn snapshot(self, id: u64) -> Vec<u8> {
+        match self {
+            Wire::Json => format!("{{\"id\":{id},\"method\":\"snapshot\"}}\n").into_bytes(),
+            Wire::Bin => {
+                let mut out = Vec::new();
+                proto::encode_snapshot_req(&mut out, id, None);
+                out
+            }
+        }
+    }
+}
+
+/// A raw socket to one listener: the tests control every byte and every
+/// read, which the typed clients would hide.
+struct Raw {
+    stream: TcpStream,
+    wire: Wire,
+    buf: Vec<u8>,
+}
+
+impl Raw {
+    fn connect(server: &Server, wire: Wire) -> Raw {
+        let addr = match wire {
+            Wire::Json => server.local_addr(),
+            Wire::Bin => server.binary_addr().unwrap(),
+        };
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        Raw { stream, wire, buf: Vec::new() }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).unwrap();
+    }
+
+    /// Cuts one complete reply off the front of `buf`, if one is there.
+    fn cut(&mut self) -> Option<(u64, Reply)> {
+        match self.wire {
+            Wire::Bin => match frame::check(&self.buf, proto::MAX_RESP_PAYLOAD) {
+                Check::Complete { start, end, next } => {
+                    let (id, resp) = proto::decode_response(&self.buf[start..end]).unwrap();
+                    self.buf.drain(..next);
+                    let reply = match resp {
+                        BinResponse::Observe { seq, .. } => Reply::Observe { seq },
+                        BinResponse::Predict { n, seq, .. } => Reply::Predict { n, seq },
+                        BinResponse::Snapshot { json: Some(doc), .. } => Reply::Snapshot(doc),
+                        BinResponse::Error { code, .. } => Reply::Error(code),
+                        other => panic!("unexpected reply {other:?}"),
+                    };
+                    Some((id, reply))
+                }
+                Check::Damaged(reason) => panic!("damaged response frame: {reason}"),
+                Check::Incomplete => None,
+            },
+            Wire::Json => {
+                let newline = self.buf.iter().position(|&b| b == b'\n')?;
+                let line: Vec<u8> = self.buf.drain(..=newline).collect();
+                let v = Json::parse(std::str::from_utf8(&line).unwrap().trim_end()).unwrap();
+                let num = |k: &str| v.get(k).and_then(Json::as_f64).map(|x| x as u64);
+                let reply = if v.get("ok") == Some(&Json::Bool(false)) {
+                    Reply::Error(v.get("error").and_then(Json::as_str).unwrap().to_string())
+                } else if let Some(doc) = v.get("snapshot") {
+                    Reply::Snapshot(doc.to_string_compact())
+                } else if let Some(n) = num("n") {
+                    Reply::Predict { n, seq: num("seq").unwrap() }
+                } else {
+                    Reply::Observe { seq: num("seq").unwrap() }
+                };
+                Some((num("id").unwrap_or(0), reply))
+            }
+        }
+    }
+
+    /// The next reply in server order, or `None` once the server has
+    /// closed the connection.
+    fn recv(&mut self) -> Option<(u64, Reply)> {
+        loop {
+            if let Some(reply) = self.cut() {
+                return Some(reply);
+            }
+            let mut chunk = [0u8; 16 * 1024];
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return None,
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return None,
+                Err(e) => panic!("{:?}: no reply within the timeout: {e}", self.wire),
+            }
+        }
+    }
+}
+
 /// Large pipelined responses while the client is not reading: the kernel
 /// send buffer fills, the server's vectored write goes partial, and the
-/// EPOLLOUT resume path must deliver every frame intact and in order.
+/// EPOLLOUT resume path must deliver every reply intact and in order.
 #[test]
-fn partial_writes_resume_mid_frame() {
-    let server = binary_server(ServerConfig {
-        shards: 2,
-        // A large byte budget so deferred reading is not mistaken for a
-        // slow consumer: this test wants partial writes, not poisoning.
-        writer_capacity: 1 << 20,
-        ..ServerConfig::default()
-    });
-    let addr = server.binary_addr().unwrap();
-    let mut client = BinClient::connect(addr).unwrap();
+fn partial_writes_resume_mid_reply() {
+    for wire in WIRES {
+        let server = binary_server(ServerConfig {
+            shards: 2,
+            // A large byte budget so deferred reading is not mistaken for a
+            // slow consumer: this test wants partial writes, not poisoning.
+            writer_capacity: 1 << 20,
+            ..ServerConfig::default()
+        });
+        let mut seeder = BinClient::connect(server.binary_addr().unwrap()).unwrap();
 
-    // Build up state so each inline snapshot is a sizable document.
-    for i in 0..3000u32 {
-        let site = ["a", "b", "c", "d"][i as usize % 4];
-        client.observe(site, "q", 4, f64::from(i % 997) * 3.25, None, None).unwrap();
-    }
-    let reference = client.snapshot_inline().unwrap().to_string_compact();
-    assert!(reference.len() > 8 * 1024, "snapshot must be multi-packet sized");
-
-    // Queue enough snapshot requests in one burst (without reading a
-    // byte) that the responses total several megabytes — far more than
-    // any socket buffer pair, forcing the server through WouldBlock +
-    // EPOLLOUT resumes.
-    let requests = (6 * 1024 * 1024 / reference.len()).max(40);
-    let raw = {
-        let mut out = Vec::new();
-        for i in 0..requests as u64 {
-            proto::encode_snapshot_req(&mut out, 100 + i, None);
+        // Build up state so each inline snapshot is a sizable document.
+        for i in 0..3000u32 {
+            let site = ["a", "b", "c", "d"][i as usize % 4];
+            seeder.observe(site, "q", 4, f64::from(i % 997) * 3.25, None, None).unwrap();
         }
-        out
-    };
-    client.queue_raw(&raw);
-    client.flush().unwrap();
-    std::thread::sleep(Duration::from_millis(100)); // let buffers wedge
+        let reference = seeder.snapshot_inline().unwrap().to_string_compact();
+        assert!(reference.len() > 8 * 1024, "snapshot must be multi-packet sized");
 
-    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    for i in 0..requests as u64 {
-        let (id, resp) = client.read_response().unwrap();
-        assert_eq!(id, 100 + i, "responses arrive in request order");
-        match resp {
-            BinResponse::Snapshot { json: Some(doc), .. } => {
-                assert_eq!(doc, reference, "reassembled frame {i} is byte-identical")
+        // Queue enough snapshot requests in one burst (without reading a
+        // byte) that the responses total several megabytes — far more than
+        // any socket buffer pair, forcing the server through WouldBlock +
+        // EPOLLOUT resumes.
+        let requests = (6 * 1024 * 1024 / reference.len()).max(40) as u64;
+        let mut client = Raw::connect(&server, wire);
+        let burst: Vec<u8> = (0..requests).flat_map(|i| wire.snapshot(100 + i)).collect();
+        client.send(&burst);
+        std::thread::sleep(Duration::from_millis(100)); // let buffers wedge
+
+        for i in 0..requests {
+            let (id, reply) = client.recv().expect("server closed mid-burst");
+            assert_eq!(id, 100 + i, "{wire:?}: responses arrive in request order");
+            assert_eq!(
+                reply,
+                Reply::Snapshot(reference.clone()),
+                "{wire:?}: reassembled reply {i} is byte-identical"
+            );
+        }
+
+        seeder.shutdown().unwrap();
+        server.join().unwrap();
+    }
+}
+
+/// Requests dribbled in one byte at a time still parse: short reads may
+/// split a frame (or a line) at every possible boundary across wakeups.
+#[test]
+fn short_reads_split_requests_across_wakeups() {
+    for wire in WIRES {
+        let server = binary_server(ServerConfig { shards: 1, ..ServerConfig::default() });
+        let mut client = Raw::connect(&server, wire);
+
+        let first = wire.observe(1, "site", 123.456);
+        let mut rest = wire.observe(2, "site", 789.0125);
+        rest.extend(wire.predict(3, "site"));
+
+        // Dribble the first request byte-by-byte, then split the rest at an
+        // arbitrary mid-request point: every prefix length gets exercised.
+        for (i, byte) in first.iter().enumerate() {
+            client.send(&[*byte]);
+            if i % 7 == 0 {
+                std::thread::sleep(Duration::from_millis(1));
             }
-            other => panic!("expected snapshot, got {other:?}"),
         }
-    }
+        let cut = rest.len() / 2;
+        client.send(&rest[..cut]);
+        std::thread::sleep(Duration::from_millis(20));
+        client.send(&rest[cut..]);
 
-    client.shutdown().unwrap();
+        assert_eq!(client.recv(), Some((1, Reply::Observe { seq: 1 })), "{wire:?}");
+        assert_eq!(client.recv(), Some((2, Reply::Observe { seq: 2 })), "{wire:?}");
+        assert_eq!(client.recv(), Some((3, Reply::Predict { n: 2, seq: 2 })), "{wire:?}");
+
+        server.shutdown();
+        server.join().unwrap();
+    }
+}
+
+/// A client that pipelines a burst and then half-closes (EOF on its write
+/// side) still gets every reply before the server closes its side.
+#[test]
+fn half_closed_client_still_gets_every_reply() {
+    const BURST: u64 = 200;
+    for wire in WIRES {
+        let server = binary_server(ServerConfig { shards: 2, ..ServerConfig::default() });
+        let mut client = Raw::connect(&server, wire);
+        let mut burst = Vec::new();
+        for i in 0..BURST {
+            burst.extend(wire.observe(i + 1, ["x", "y", "z"][i as usize % 3], i as f64));
+        }
+        burst.extend(wire.predict(BURST + 1, "x"));
+        client.send(&burst);
+        client.stream.shutdown(Shutdown::Write).unwrap();
+
+        let mut ids = Vec::new();
+        while let Some((id, reply)) = client.recv() {
+            assert!(!matches!(reply, Reply::Error(_)), "{wire:?}: request {id} got {reply:?}");
+            ids.push(id);
+        }
+        ids.sort_unstable();
+        assert_eq!(
+            ids,
+            (1..=BURST + 1).collect::<Vec<u64>>(),
+            "{wire:?}: every request sent before the half-close is answered exactly once"
+        );
+
+        server.shutdown();
+        server.join().unwrap();
+    }
+}
+
+/// The newline framer's end-of-stream rule: a final line that arrives
+/// without its newline is still a request and is answered before the close.
+#[test]
+fn final_unterminated_line_is_answered() {
+    let server = binary_server(ServerConfig { shards: 1, ..ServerConfig::default() });
+    let mut client = Raw::connect(&server, Wire::Json);
+    let mut bytes = Wire::Json.observe(1, "s", 5.0);
+    bytes.extend(Wire::Json.predict(2, "s"));
+    assert_eq!(bytes.pop(), Some(b'\n'), "the last line goes out unterminated");
+    client.send(&bytes);
+    client.stream.shutdown(Shutdown::Write).unwrap();
+
+    assert_eq!(client.recv(), Some((1, Reply::Observe { seq: 1 })));
+    assert_eq!(client.recv(), Some((2, Reply::Predict { n: 1, seq: 1 })));
+    assert_eq!(client.recv(), None, "then the server closes its side");
+
+    server.shutdown();
     server.join().unwrap();
 }
 
-/// A request frame dribbled in one byte at a time still parses: short
-/// reads may split the frame at every possible boundary across wakeups.
+/// A line past `max_line` is unrecoverable (there is no resync inside an
+/// unbounded line): the request before it is answered, one typed
+/// `line_too_long` error is flushed, and only then does the server close —
+/// whether or not the oversized line ever gets its newline.
 #[test]
-fn short_reads_split_frames_across_wakeups() {
-    let server = binary_server(ServerConfig { shards: 1, ..ServerConfig::default() });
-    let addr = server.binary_addr().unwrap();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-
-    let mut frames = Vec::new();
-    proto::encode_observe_req(&mut frames, 1, "site", "q", 8, 123.456, None, None);
-    proto::encode_observe_req(&mut frames, 2, "site", "q", 8, 789.0125, None, None);
-    proto::encode_predict_req(&mut frames, 3, "site", "q", 8);
-
-    // Dribble the first frame byte-by-byte, then split the rest at an
-    // arbitrary mid-frame point: every prefix length gets exercised.
-    let first_len = {
-        let len = u32::from_le_bytes(frames[..4].try_into().unwrap()) as usize;
-        frame::PREFIX_LEN + len
-    };
-    for i in 0..first_len {
-        stream.write_all(&frames[i..=i]).unwrap();
-        if i % 7 == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+fn line_too_long_error_arrives_before_the_close() {
+    for terminated in [false, true] {
+        let server = binary_server(ServerConfig {
+            shards: 1,
+            max_line: 1024,
+            ..ServerConfig::default()
+        });
+        let mut client = Raw::connect(&server, Wire::Json);
+        let mut bytes = Wire::Json.observe(1, "s", 5.0);
+        bytes.extend(std::iter::repeat_n(b'x', 4096));
+        if terminated {
+            bytes.push(b'\n');
         }
-    }
-    let rest = &frames[first_len..];
-    let cut = first_len + rest.len() / 2;
-    stream.write_all(&frames[first_len..cut]).unwrap();
-    std::thread::sleep(Duration::from_millis(20));
-    stream.write_all(&frames[cut..]).unwrap();
+        // Never answered: it sits behind the point where sync was lost.
+        bytes.extend(Wire::Json.predict(3, "s"));
+        client.send(&bytes);
 
-    let mut buf = Vec::new();
-    let mut got = Vec::new();
-    while got.len() < 3 {
-        match frame::check(&buf, proto::MAX_RESP_PAYLOAD) {
-            Check::Complete { start, end, next } => {
-                got.push(proto::decode_response(&buf[start..end]).unwrap());
-                buf.drain(..next);
-                continue;
-            }
-            Check::Damaged(r) => panic!("damaged response: {r}"),
-            Check::Incomplete => {}
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk).unwrap();
-        assert_ne!(n, 0, "server closed early");
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    assert!(matches!(got[0], (1, BinResponse::Observe { seq: 1, .. })));
-    assert!(matches!(got[1], (2, BinResponse::Observe { seq: 2, .. })));
-    match &got[2] {
-        (3, BinResponse::Predict { n, seq, .. }) => {
-            assert_eq!(*n, 2);
-            assert_eq!(*seq, 2);
-        }
-        other => panic!("expected predict ack, got {other:?}"),
-    }
+        // The shard's ack and the loop's own error may arrive in either
+        // order; both arrive before the close, and nothing else does.
+        let mut replies: Vec<(u64, Reply)> = std::iter::from_fn(|| client.recv()).collect();
+        replies.sort_by_key(|(id, _)| *id);
+        assert_eq!(
+            replies,
+            vec![
+                (0, Reply::Error(ERR_LINE_TOO_LONG.to_string())),
+                (1, Reply::Observe { seq: 1 }),
+            ],
+            "terminated={terminated}"
+        );
 
-    let mut c = BinClient::connect(addr).unwrap();
-    c.shutdown().unwrap();
-    server.join().unwrap();
+        server.shutdown();
+        server.join().unwrap();
+    }
 }
 
 /// Every request gets exactly one reply even when shard queues overflow:
@@ -198,66 +414,117 @@ fn backpressure_accounting_ok_plus_rejected_equals_sent() {
 /// co-resident connection.
 #[test]
 fn slow_client_is_poisoned_not_the_server() {
-    let server = binary_server(ServerConfig {
-        shards: 1,
-        writer_capacity: 8, // 8 * 256 = 2 KiB byte budget: trivially blown
-        ..ServerConfig::default()
-    });
-    let addr = server.binary_addr().unwrap();
+    let _counter = SLOW_DISCONNECTS.lock().unwrap_or_else(|e| e.into_inner());
+    for wire in WIRES {
+        let server = binary_server(ServerConfig {
+            shards: 1,
+            writer_capacity: 8, // 8 * 256 = 2 KiB byte budget: trivially blown
+            ..ServerConfig::default()
+        });
+        let addr = server.binary_addr().unwrap();
 
-    // Give the registry some weight so snapshots are big.
-    let mut seeder = BinClient::connect(addr).unwrap();
-    for i in 0..500u32 {
-        seeder.observe("s", "q", 4, f64::from(i), None, None).unwrap();
-    }
+        // Give the registry some weight so snapshots are big.
+        let mut seeder = BinClient::connect(addr).unwrap();
+        for i in 0..500u32 {
+            seeder.observe("s", "q", 4, f64::from(i), None, None).unwrap();
+        }
+        let before = slow_disconnects(&server);
 
-    // The slow client: requests many snapshots, reads nothing.
-    let mut slow = TcpStream::connect(addr).unwrap();
-    slow.set_nodelay(true).unwrap();
-    let mut burst = Vec::new();
-    for i in 0..50u64 {
-        proto::encode_snapshot_req(&mut burst, i + 1, None);
-    }
-    slow.write_all(&burst).unwrap();
+        // The slow client: requests many snapshots, reads nothing.
+        let mut slow = Raw::connect(&server, wire);
+        let burst: Vec<u8> = (0..50).flat_map(|i| wire.snapshot(i + 1)).collect();
+        slow.send(&burst);
 
-    // The server must cut the connection: reads on it reach EOF/reset in
-    // bounded time even though we never drained the responses.
-    slow.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
-    let start = Instant::now();
-    let mut sink = vec![0u8; 64 * 1024];
-    let died = loop {
-        match slow.read(&mut sink) {
-            Ok(0) => break true,
-            Ok(_) => {
-                // Drain slowly enough to stay poisoned: stop reading again.
-                std::thread::sleep(Duration::from_millis(50));
-                if start.elapsed() > Duration::from_secs(10) {
-                    break false;
+        // The server must cut the connection: reads on it reach EOF/reset in
+        // bounded time even though we never drained the responses.
+        slow.stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+        let start = Instant::now();
+        let mut sink = vec![0u8; 64 * 1024];
+        let died = loop {
+            match slow.stream.read(&mut sink) {
+                Ok(0) => break true,
+                Ok(_) => {
+                    // Drain slowly enough to stay poisoned: stop reading again.
+                    std::thread::sleep(Duration::from_millis(50));
+                    if start.elapsed() > Duration::from_secs(10) {
+                        break false;
+                    }
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::BrokenPipe
+                    ) =>
+                {
+                    break true
+                }
+                Err(_) => {
+                    // timeout: keep waiting for the disconnect
+                    if start.elapsed() > Duration::from_secs(10) {
+                        break false;
+                    }
                 }
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::BrokenPipe
-                ) =>
-            {
-                break true
-            }
-            Err(_) => {
-                // timeout: keep waiting for the disconnect
-                if start.elapsed() > Duration::from_secs(10) {
-                    break false;
-                }
+        };
+        assert!(died, "{wire:?}: slow client must be disconnected");
+        assert_eq!(slow_disconnects(&server), before + 1.0, "{wire:?}: counted once");
+
+        // Co-resident connection unaffected: the seeder still works.
+        let seq = seeder.observe("s", "q", 4, 1.0, None, None).unwrap();
+        assert_eq!(seq, 501);
+        let p = seeder.predict("s", "q", 4).unwrap();
+        assert_eq!(p.n, 501);
+
+        seeder.shutdown().unwrap();
+        server.join().unwrap();
+    }
+}
+
+/// One reply larger than the whole slow-consumer budget, to a client that
+/// is reading: the budget judges the backlog a reply finds, not the reply,
+/// so the snapshot is served in full on both protocols, the connection
+/// lives on, and nobody is counted as a slow consumer.
+#[test]
+fn reply_larger_than_the_budget_reaches_a_reading_client() {
+    let _counter = SLOW_DISCONNECTS.lock().unwrap_or_else(|e| e.into_inner());
+    // The default budget: 1024 * 256 bytes = 256 KiB.
+    let server = binary_server(ServerConfig { shards: 4, ..ServerConfig::default() });
+    let budget = ServerConfig::default().writer_capacity * 256;
+
+    // 250 partitions x 100 observes: an inline snapshot of ~480 KB.
+    let mut seeder = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    seeder.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for round in 0..100u32 {
+        for p in 0..250u32 {
+            let wait = f64::from((round * 250 + p) % 9973) * 1.5;
+            seeder.queue_observe(&format!("site{p}"), "q", 8, wait, None, None);
+        }
+        seeder.flush().unwrap();
+        for _ in 0..250 {
+            match seeder.read_response().unwrap() {
+                (_, BinResponse::Observe { .. }) => {}
+                (_, other) => panic!("seeding observe failed: {other:?}"),
             }
         }
-    };
-    assert!(died, "slow client must be disconnected");
+    }
+    let before = slow_disconnects(&server);
 
-    // Co-resident connection unaffected: the seeder still works.
-    let seq = seeder.observe("s", "q", 4, 1.0, None, None).unwrap();
-    assert_eq!(seq, 501);
-    let p = seeder.predict("s", "q", 4).unwrap();
-    assert_eq!(p.n, 501);
+    for wire in WIRES {
+        let mut client = Raw::connect(&server, wire);
+        client.send(&wire.snapshot(1));
+        match client.recv() {
+            Some((1, Reply::Snapshot(doc))) => assert!(
+                doc.len() > 400_000 && doc.len() > budget,
+                "{wire:?}: the snapshot ({} bytes) must exceed the {budget}-byte budget",
+                doc.len()
+            ),
+            other => panic!("{wire:?}: a reading client lost its snapshot: {other:?}"),
+        }
+        // Same connection, still healthy.
+        client.send(&wire.predict(2, "site7"));
+        assert_eq!(client.recv(), Some((2, Reply::Predict { n: 100, seq: 100 })), "{wire:?}");
+    }
+    assert_eq!(slow_disconnects(&server), before, "no reading client is a slow consumer");
 
     seeder.shutdown().unwrap();
     server.join().unwrap();
@@ -307,7 +574,8 @@ fn graceful_shutdown_with_both_listeners_live() {
 }
 
 /// Shutdown requested *through the binary listener* also tears everything
-/// down (the acknowledgment races the close, so EOF counts as success).
+/// down (the acknowledgment races the close, so EOF counts as success),
+/// including the JSON connection idling on the same loop.
 #[test]
 fn shutdown_via_binary_listener() {
     let server = binary_server(ServerConfig { shards: 2, ..ServerConfig::default() });
@@ -318,4 +586,10 @@ fn shutdown_via_binary_listener() {
     bin.observe("x", "q", 1, 6.0, None, None).unwrap();
     bin.shutdown().unwrap();
     server.join().unwrap();
+
+    json.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    match json.predict("x", "q", 1) {
+        Err(ClientError::Io(_)) => {}
+        other => panic!("expected a transport error after shutdown, got {other:?}"),
+    }
 }

@@ -163,53 +163,71 @@ fn stats_reports_version_uptime_and_queue_depth() {
 /// The flight recorder's reason for existing: when a shard is busy, a
 /// request's trace must pin the latency on `queue_ns` (waiting for the
 /// shard), not `handle_ns` (the predictor itself). We stall the single
-/// shard with pipelined inline-snapshot requests (each serializes every
-/// partition inside the shard loop) and race a predict in behind them.
+/// shard with a pipelined burst of data-plane work from a second
+/// connection — observe→predict pairs over every partition, so each
+/// predict pays a dirty refit — and race a predict in behind it.
 #[test]
 fn stalled_shard_latency_is_attributed_to_queue_wait() {
+    const PARTITIONS: u32 = 64;
+    const SWEEPS: usize = 20;
     let server = Server::start(
         "127.0.0.1:0",
         ServerConfig {
             shards: 1,
-            flight_recorder_depth: 64,
+            flight_recorder_depth: 128,
+            // The whole burst must fit the shard queue (no backpressure
+            // rejections), and its unread replies the staller's budget.
+            queue_capacity: 1 << 16,
+            writer_capacity: 1 << 16,
             ..ServerConfig::default()
         },
     )
     .unwrap();
     let addr = server.local_addr();
 
-    // Enough partitions that one inline snapshot is real work for the
-    // shard: 64 partitions x 40 observations each.
+    // Enough history that every refit is real work for the shard: 80
+    // observations (past the 59 a 95/95 bound needs) in each partition,
+    // and in the victim's own, which the burst never touches.
     let mut seed = Client::connect(addr).unwrap();
-    for p in 0..64u32 {
-        let site = format!("site{p}");
-        for i in 0..40 {
+    for site in (0..PARTITIONS).map(|p| format!("site{p}")).chain(["victim".to_string()]) {
+        for i in 0..80 {
             seed.observe(&site, "normal", 8, f64::from(i * 7 % 100), None, None)
                 .unwrap();
         }
     }
+    let mut burst = String::new();
+    for sweep in 0..SWEEPS {
+        for p in 0..PARTITIONS {
+            burst.push_str(&format!(
+                "{{\"method\":\"observe\",\"site\":\"site{p}\",\"queue\":\"normal\",\
+                 \"procs\":8,\"wait\":{sweep}}}\n\
+                 {{\"method\":\"predict\",\"site\":\"site{p}\",\"queue\":\"normal\",\
+                 \"procs\":8}}\n"
+            ));
+        }
+    }
+    let burst_replies = SWEEPS * PARTITIONS as usize * 2;
 
     let mut attributed = false;
     'attempts: for _ in 0..10 {
-        // Raw writer so we can pipeline snapshots without waiting for the
-        // replies: all of them enter the shard queue back-to-back.
+        // Raw writer so we can pipeline the burst without waiting for the
+        // replies: all of it enters the shard queue back-to-back.
         let staller = std::net::TcpStream::connect(addr).unwrap();
         let mut staller_w = staller.try_clone().unwrap();
         let mut staller_r = BufReader::new(staller);
-        let mut burst = String::new();
-        for _ in 0..16 {
-            burst.push_str("{\"method\":\"snapshot\"}\n");
-        }
         staller_w.write_all(burst.as_bytes()).unwrap();
         staller_w.flush().unwrap();
 
-        // The victim predict queues behind whatever snapshots remain.
+        // The victim predict queues behind whatever of the burst remains
+        // (the pause lets the loop finish reading the burst first; the
+        // shard needs far longer than that to work through it).
         let mut victim = Client::connect(addr).unwrap();
-        victim.predict("site3", "normal", 8).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+        victim.predict("victim", "normal", 8).unwrap();
 
-        // Drain the staller so the server isn't wedged on its writer.
+        // Drain the staller so its replies do not pile up across attempts.
         let mut line = String::new();
-        for _ in 0..16 {
+        for _ in 0..burst_replies {
             line.clear();
             staller_r.read_line(&mut line).unwrap();
         }
@@ -223,7 +241,7 @@ fn stalled_shard_latency_is_attributed_to_queue_wait() {
             };
             let predict = recent.iter().rev().find(|e| {
                 e.get("method").and_then(Json::as_str) == Some("predict")
-                    && e.get("partition").and_then(Json::as_str) == Some("site3/normal/5-16")
+                    && e.get("partition").and_then(Json::as_str) == Some("victim/normal/5-16")
             });
             if let Some(entry) = predict {
                 let queue = entry.get("queue_ns").and_then(Json::as_f64).unwrap();
@@ -232,7 +250,7 @@ fn stalled_shard_latency_is_attributed_to_queue_wait() {
                     attributed = true;
                     break 'attempts;
                 }
-                // Lost the race (snapshots already drained); try again.
+                // Lost the race (the burst already drained); try again.
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));

@@ -16,6 +16,7 @@ use qdelay::serve::proto::{self, BinResponse};
 use qdelay::serve::protocol::{ERR_BAD_REQUEST, ERR_LINE_TOO_LONG, ERR_PARSE};
 use qdelay::serve::server::{Server, ServerConfig};
 use qdelay_journal::frame::{self, Check};
+use qdelay_json::Json;
 use qdelay_rng::{Rng, StdRng};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -232,6 +233,57 @@ fn intact_frames_with_bad_payloads_keep_the_connection() {
     );
 
     let mut c = BinClient::connect(addr).unwrap();
+    c.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// The wrong protocol on each port. A connection's framer is fixed by the
+/// listener it arrived on and nothing is sniffed, so a peer speaking the
+/// other protocol is just a damaged stream: it costs one typed error, then
+/// the server closes — it never hangs waiting for bytes that make sense,
+/// even though these clients keep their write side open.
+#[test]
+fn wrong_protocol_on_each_port_gets_one_typed_error_then_a_close() {
+    let config = ServerConfig {
+        shards: 2,
+        binary_addr: Some("127.0.0.1:0".to_string()),
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+
+    // A JSON line to the binary port: its first four bytes read as a frame
+    // length far out of range.
+    let mut stream = TcpStream::connect(server.binary_addr().unwrap()).unwrap();
+    stream.write_all(b"{\"id\":1,\"method\":\"stats\"}\n").unwrap();
+    let responses = drain_responses(&mut stream);
+    assert_eq!(responses.len(), 1, "one error frame, then EOF: {responses:?}");
+    match &responses[0] {
+        (proto::UNATTRIBUTED_ID, BinResponse::Error { code, .. }) => {
+            assert_eq!(code, ERR_LINE_TOO_LONG)
+        }
+        other => panic!("expected an unattributed typed error, got {other:?}"),
+    }
+
+    // A binary frame to the JSON port. The id's 0xFF bytes are not UTF-8 in
+    // any position, so the "line" is refused as text, not merely as JSON.
+    let mut request = Vec::new();
+    proto::encode_predict_req(&mut request, u64::MAX, "probe", "q", 1);
+    assert!(!request.contains(&b'\n'), "the frame must read as a single line");
+    request.push(b'\n');
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    stream.write_all(&request).unwrap();
+    let mut text = String::new();
+    stream.read_to_string(&mut text).expect("the server closes; the read must not time out");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1, "one error line, then EOF: {text:?}");
+    let reply = Json::parse(lines[0]).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(reply.get("error").and_then(Json::as_str), Some(ERR_PARSE));
+
+    // Neither confused peer disturbed the server.
+    let mut c = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    assert_eq!(c.observe("probe", "q", 1, 1.0, None, None).unwrap(), 1);
     c.shutdown().unwrap();
     server.join().unwrap();
 }

@@ -4,13 +4,17 @@
 //! predicted bounds at every probe point and a byte-identical final
 //! snapshot document — across shard counts 1, 4, and 16.
 //!
-//! Both protocols funnel into the same shard-side `Op` path (the
-//! `Responder` enum is the only protocol-aware seam), so this test is the
-//! executable proof that the binary listener changes the wire format and
-//! nothing else.
+//! Both protocols are codecs over one request model, one `dispatch` and
+//! one shard-side `Op` path (the `Responder` is the only codec-aware
+//! seam), so this test is the executable proof that the listener a request
+//! arrives on changes the wire format and nothing else — for the control
+//! methods the script sprinkles in (`stats`, inline `snapshot`, `promote`
+//! on a non-replica) as much as for observe and predict.
 
-use qdelay::serve::client::{BinClient, Client};
+use qdelay::serve::client::{BinClient, Client, ClientError, Prediction};
+use qdelay::serve::proto::BinResponse;
 use qdelay::serve::server::{Server, ServerConfig};
+use qdelay_json::Json;
 use qdelay_rng::{Rng, StdRng};
 
 /// One partition universe shared by every run: 2 sites x 2 queues x
@@ -27,11 +31,15 @@ const PARTITIONS: [(&str, &str, u32); 8] = [
 ];
 
 /// A deterministic request script: observes with occasional feedback of
-/// the last-seen bounds, and predict probes whose results are recorded.
+/// the last-seen bounds, predict probes whose results are recorded, and
+/// now and then a control method.
 #[derive(Debug, Clone, PartialEq)]
 enum Step {
     Observe { pi: usize, wait: f64, feed: bool },
     Predict { pi: usize },
+    Stats,
+    Snapshot,
+    Promote,
 }
 
 fn script(seed: u64, len: usize) -> Vec<Step> {
@@ -40,7 +48,9 @@ fn script(seed: u64, len: usize) -> Vec<Step> {
     for _ in 0..len {
         let r = rng.next_u64();
         let pi = (r % PARTITIONS.len() as u64) as usize;
-        if r % 5 == 4 {
+        if r % 31 == 30 {
+            steps.push([Step::Stats, Step::Snapshot, Step::Promote][(r / 31 % 3) as usize].clone());
+        } else if r % 5 == 4 {
             steps.push(Step::Predict { pi });
         } else {
             // Waits in [0, 86400) seconds with a fractional part so float
@@ -54,33 +64,92 @@ fn script(seed: u64, len: usize) -> Vec<Step> {
 }
 
 /// The observable outcomes of one run, everything bit-exact: each probe's
-/// (n, seq, bmbp bits, lognormal bits), every observe's assigned seq, and
-/// the final snapshot document text.
+/// (n, seq, bmbp bits, lognormal bits), every observe's assigned seq, every
+/// control method's answer, and the final snapshot document text.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     probes: Vec<(usize, u64, u64, Option<u64>, Option<u64>)>,
     seqs: Vec<u64>,
+    controls: Vec<String>,
     snapshot: String,
 }
 
-fn run_json(steps: &[Step], shards: usize) -> Outcome {
-    let config = ServerConfig { shards, ..ServerConfig::default() };
-    let server = Server::start("127.0.0.1:0", config).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+/// The call surface the two clients share, so one driver runs the script
+/// through either.
+trait Api {
+    fn observe(&mut self, p: (&str, &str, u32), wait: f64, fed: (Option<f64>, Option<f64>)) -> u64;
+    fn predict(&mut self, p: (&str, &str, u32)) -> Prediction;
+    fn stats(&mut self) -> Json;
+    fn snapshot_inline(&mut self) -> Json;
+    fn promote(&mut self) -> Result<u64, ClientError>;
+}
 
+macro_rules! impl_api {
+    ($client:ty) => {
+        impl Api for $client {
+            fn observe(
+                &mut self,
+                (site, queue, procs): (&str, &str, u32),
+                wait: f64,
+                (bmbp, lognormal): (Option<f64>, Option<f64>),
+            ) -> u64 {
+                <$client>::observe(self, site, queue, procs, wait, bmbp, lognormal).unwrap()
+            }
+            fn predict(&mut self, (site, queue, procs): (&str, &str, u32)) -> Prediction {
+                <$client>::predict(self, site, queue, procs).unwrap()
+            }
+            fn stats(&mut self) -> Json {
+                <$client>::stats(self).unwrap()
+            }
+            fn snapshot_inline(&mut self) -> Json {
+                <$client>::snapshot_inline(self).unwrap()
+            }
+            fn promote(&mut self) -> Result<u64, ClientError> {
+                <$client>::promote(self)
+            }
+        }
+    };
+}
+impl_api!(Client);
+impl_api!(BinClient);
+
+/// The registry half of a `stats` reply: the totals and each shard's
+/// share. Uptime, telemetry and queue depths describe the run, not the
+/// state, and are left out.
+fn registry_fields(stats: &Json) -> String {
+    let pick = |v: &Json, keys: &[&str]| {
+        Json::Obj(keys.iter().map(|k| (k.to_string(), v.get(k).cloned().unwrap())).collect())
+    };
+    let mut fields = pick(
+        stats,
+        &["version", "partitions", "observations", "resident", "hibernated", "shards"],
+    );
+    let per_shard = match stats.get("per_shard") {
+        Some(Json::Arr(shards)) => shards
+            .iter()
+            .map(|s| pick(s, &["shard", "partitions", "observations", "resident"]))
+            .collect(),
+        other => panic!("per_shard is an array, got {other:?}"),
+    };
+    if let Json::Obj(members) = &mut fields {
+        members.push(("per_shard".into(), Json::Arr(per_shard)));
+    }
+    fields.to_string_compact()
+}
+
+fn drive(client: &mut dyn Api, steps: &[Step]) -> Outcome {
     let mut last: Vec<(Option<f64>, Option<f64>)> = vec![(None, None); PARTITIONS.len()];
     let mut probes = Vec::new();
     let mut seqs = Vec::new();
+    let mut controls = Vec::new();
     for step in steps {
         match *step {
             Step::Observe { pi, wait, feed } => {
-                let (site, queue, procs) = PARTITIONS[pi];
-                let (pb, pl) = if feed { last[pi] } else { (None, None) };
-                seqs.push(client.observe(site, queue, procs, wait, pb, pl).unwrap());
+                let fed = if feed { last[pi] } else { (None, None) };
+                seqs.push(client.observe(PARTITIONS[pi], wait, fed));
             }
             Step::Predict { pi } => {
-                let (site, queue, procs) = PARTITIONS[pi];
-                let p = client.predict(site, queue, procs).unwrap();
+                let p = client.predict(PARTITIONS[pi]);
                 last[pi] = (p.bmbp, p.lognormal);
                 probes.push((
                     p.n,
@@ -90,12 +159,26 @@ fn run_json(steps: &[Step], shards: usize) -> Outcome {
                     p.lognormal.map(f64::to_bits),
                 ));
             }
+            Step::Stats => controls.push(registry_fields(&client.stats())),
+            Step::Snapshot => controls.push(client.snapshot_inline().to_string_compact()),
+            Step::Promote => match client.promote() {
+                Err(ClientError::Server(e)) => controls.push(format!("{}: {}", e.code, e.message)),
+                other => panic!("a primary must refuse promotion with a typed error: {other:?}"),
+            },
         }
     }
-    let snapshot = client.snapshot_inline().unwrap().to_string_compact();
+    let snapshot = client.snapshot_inline().to_string_compact();
+    Outcome { probes, seqs, controls, snapshot }
+}
+
+fn run_json(steps: &[Step], shards: usize) -> Outcome {
+    let config = ServerConfig { shards, ..ServerConfig::default() };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let outcome = drive(&mut client, steps);
     client.shutdown().unwrap();
     server.join().unwrap();
-    Outcome { probes, seqs, snapshot }
+    outcome
 }
 
 fn run_binary(steps: &[Step], shards: usize) -> Outcome {
@@ -107,38 +190,13 @@ fn run_binary(steps: &[Step], shards: usize) -> Outcome {
     let server = Server::start("127.0.0.1:0", config).unwrap();
     let bin_addr = server.binary_addr().expect("binary listener configured");
     let mut client = BinClient::connect(bin_addr).unwrap();
-
-    let mut last: Vec<(Option<f64>, Option<f64>)> = vec![(None, None); PARTITIONS.len()];
-    let mut probes = Vec::new();
-    let mut seqs = Vec::new();
-    for step in steps {
-        match *step {
-            Step::Observe { pi, wait, feed } => {
-                let (site, queue, procs) = PARTITIONS[pi];
-                let (pb, pl) = if feed { last[pi] } else { (None, None) };
-                seqs.push(client.observe(site, queue, procs, wait, pb, pl).unwrap());
-            }
-            Step::Predict { pi } => {
-                let (site, queue, procs) = PARTITIONS[pi];
-                let p = client.predict(site, queue, procs).unwrap();
-                last[pi] = (p.bmbp, p.lognormal);
-                probes.push((
-                    p.n,
-                    p.seq,
-                    pi as u64,
-                    p.bmbp.map(f64::to_bits),
-                    p.lognormal.map(f64::to_bits),
-                ));
-            }
-        }
-    }
-    let snapshot = client.snapshot_inline().unwrap().to_string_compact();
+    let outcome = drive(&mut client, steps);
     // Shut down through the JSON listener to also cover the mixed-protocol
     // shutdown path (the binary listener must drain alongside it).
     let mut json = Client::connect(server.local_addr()).unwrap();
     json.shutdown().unwrap();
     server.join().unwrap();
-    Outcome { probes, seqs, snapshot }
+    outcome
 }
 
 fn differential(seed: u64, len: usize, shards: usize) {
@@ -154,6 +212,17 @@ fn differential(seed: u64, len: usize, shards: usize) {
         assert_eq!(j, b, "probe {i} diverged (shards={shards})");
     }
     assert_eq!(json.seqs, binary.seqs, "observe seq streams diverged (shards={shards})");
+    assert!(
+        json.controls.iter().any(|c| c == "bad_request: not a replica")
+            && json.controls.iter().any(|c| c.contains("per_shard"))
+            && json.controls.iter().any(|c| c.contains("datastar")),
+        "the script must reach promote, stats and snapshot: {:?}",
+        json.controls
+    );
+    for (i, (j, b)) in json.controls.iter().zip(binary.controls.iter()).enumerate() {
+        assert_eq!(j, b, "control reply {i} diverged (shards={shards})");
+    }
+    assert_eq!(json.controls.len(), binary.controls.len());
     assert_eq!(
         json.snapshot, binary.snapshot,
         "final snapshot documents diverged (shards={shards})"
@@ -217,6 +286,46 @@ fn cross_protocol_visibility_on_one_server() {
     let pb = bin.predict("site", "q", 4).unwrap();
     assert_eq!(pj.n, pb.n);
     assert_eq!(pj.seq, pb.seq);
+    assert_eq!(pj.bmbp.map(f64::to_bits), pb.bmbp.map(f64::to_bits));
+    assert_eq!(pj.lognormal.map(f64::to_bits), pb.lognormal.map(f64::to_bits));
+
+    // Interleaved pipelined bursts on the one loop: both connections write
+    // a burst at the same partition before either reads a reply. Every
+    // observe gets its own seq (together a gapless run), and each
+    // connection reads its acks in the order it sent the requests.
+    const ROUNDS: u64 = 20;
+    const BURST: u64 = 8;
+    let mut json_seqs = Vec::new();
+    let mut bin_seqs = Vec::new();
+    for round in 0..ROUNDS {
+        for i in 0..BURST {
+            let wait = (round * BURST + i) as f64 * 1.25;
+            json.send_raw(&format!(
+                r#"{{"method":"observe","site":"site","queue":"q","procs":4,"wait":{wait}}}"#
+            ))
+            .unwrap();
+            bin.queue_observe("site", "q", 4, wait + 0.5, None, None);
+        }
+        bin.flush().unwrap();
+        for _ in 0..BURST {
+            let ack = json.read_reply().unwrap();
+            json_seqs.push(ack.get("seq").and_then(Json::as_f64).expect("observe ack") as u64);
+            match bin.read_response().unwrap() {
+                (_, BinResponse::Observe { seq, .. }) => bin_seqs.push(seq),
+                (_, other) => panic!("expected an observe ack, got {other:?}"),
+            }
+        }
+    }
+    assert!(json_seqs.windows(2).all(|w| w[0] < w[1]), "JSON acks out of order");
+    assert!(bin_seqs.windows(2).all(|w| w[0] < w[1]), "binary acks out of order");
+    let mut all: Vec<u64> = json_seqs.iter().chain(bin_seqs.iter()).copied().collect();
+    all.sort_unstable();
+    let last = 61 + 2 * ROUNDS * BURST;
+    assert_eq!(all, (62..=last).collect::<Vec<u64>>(), "seqs must be one gapless run");
+    let pj = json.predict("site", "q", 4).unwrap();
+    let pb = bin.predict("site", "q", 4).unwrap();
+    assert_eq!((pj.n as u64, pj.seq), (last, last));
+    assert_eq!((pj.n, pj.seq), (pb.n, pb.seq));
     assert_eq!(pj.bmbp.map(f64::to_bits), pb.bmbp.map(f64::to_bits));
     assert_eq!(pj.lognormal.map(f64::to_bits), pb.lognormal.map(f64::to_bits));
 

@@ -217,13 +217,16 @@ fn replica_refuses_observes_until_promoted() {
     }
     bc.predict("ds", "normal", 8).unwrap();
 
-    // A primary is not promotable; a replica is, idempotently.
+    // A primary is not promotable; a replica is, idempotently — here over
+    // the binary listener, then again through the in-process handle and
+    // the JSON listener.
     let err = primary.promote().unwrap_err();
     assert!(err.contains("not a replica"), "{err}");
-    let applied = replica.promote().unwrap();
+    let applied = bc.promote().unwrap();
     assert_eq!(applied, 50, "every replicated record was applied");
-    assert_eq!(replica.promote().unwrap(), 50, "promotion is idempotent");
     assert!(!replica.is_read_only());
+    assert_eq!(replica.promote().unwrap(), 50, "promotion is idempotent");
+    assert_eq!(rc.promote().unwrap(), 50, "on either protocol");
 
     // The promoted server accepts observes, continuing the seq space.
     assert_eq!(rc.observe("ds", "normal", 8, 2.0, None, None).unwrap(), 51);
