@@ -229,9 +229,9 @@ impl Bmbp {
     }
 
     /// Reconstructs a predictor from exported state. The history is
-    /// re-indexed, the bound-index cache rebuilt, and the served bound
-    /// refit, so the result continues bit-for-bit where the exporter
-    /// stopped.
+    /// bulk-loaded (one sort, [`HistoryBuffer::load`]), the bound-index
+    /// cache rebuilt, and the served bound refit, so the result continues
+    /// bit-for-bit where the exporter stopped.
     ///
     /// # Errors
     ///
@@ -264,9 +264,7 @@ impl Bmbp {
             threshold_override: state.threshold_override,
             max_history: state.max_history,
         });
-        for &w in &state.waits {
-            p.history.push(w);
-        }
+        p.history.load(&state.waits);
         p.detector = RareEventDetector::restore(
             state.detector.threshold,
             state.detector.consecutive_misses,

@@ -101,6 +101,32 @@ impl HistoryBuffer {
         evicted
     }
 
+    /// Replaces the contents with `waits` (arrival order, oldest first) in
+    /// bulk: the deque is filled and the sorted view built by one sort
+    /// ([`RankIndex::rebuild`]) instead of `waits.len()` single inserts.
+    /// Both views end up exactly as pushing each wait in turn would leave
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any wait is negative or not finite, or if `waits` is
+    /// longer than `max_len` admits.
+    pub fn load(&mut self, waits: &[f64]) {
+        assert!(
+            waits.iter().all(|w| w.is_finite() && *w >= 0.0),
+            "waits must be finite and non-negative"
+        );
+        assert!(
+            self.max_len.is_none_or(|cap| waits.len() <= cap),
+            "{} waits exceed max_len {:?}",
+            waits.len(),
+            self.max_len
+        );
+        self.arrival.clear();
+        self.arrival.extend(waits);
+        self.sorted.rebuild(waits.iter().copied());
+    }
+
     /// Discards all but the most recent `keep` observations.
     ///
     /// Keeping more than the current length is a no-op.
@@ -241,6 +267,32 @@ mod tests {
         // Trimming to more than len is a no-op.
         h.trim_to_recent(1000);
         assert_eq!(h.len(), 10);
+    }
+
+    #[test]
+    fn load_matches_pushing_each_wait() {
+        // Across the RankIndex block threshold, with ties whose bits differ.
+        let waits: Vec<f64> = (0..3000u64)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                3 => -0.0,
+                _ => (i.wrapping_mul(2_654_435_761) % 500) as f64,
+            })
+            .collect();
+        let pushed: HistoryBuffer = waits.iter().copied().collect();
+        let mut loaded = HistoryBuffer::with_max_len(3000);
+        loaded.push(9.0); // load replaces, it does not append
+        loaded.load(&waits);
+        loaded.rank_index().check_invariants();
+        let bits = |it: &mut dyn Iterator<Item = f64>| it.map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&mut loaded.iter()), bits(&mut pushed.iter()));
+        assert_eq!(bits(&mut loaded.sorted_iter()), bits(&mut pushed.sorted_iter()));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed max_len")]
+    fn load_respects_max_len() {
+        HistoryBuffer::with_max_len(2).load(&[1.0, 2.0, 3.0]);
     }
 
     #[test]

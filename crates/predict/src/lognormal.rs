@@ -13,14 +13,18 @@
 //! The `+ 1` shift admits the zero-second waits that are common in
 //! interactive queues (Table 1 shows queue medians of 1 second); the bound
 //! is shifted back by `- 1` on output.
+//!
+//! The fit reads only the running log-moments, never an order statistic,
+//! so the history is an arrival-order deque alone — kept for trimming,
+//! calibration and state export — with no sorted view to maintain.
 
 use crate::bound::{BoundOutcome, BoundSpec};
 use crate::changepoint::{calibrate_threshold, RareEventDetector, ThresholdTable};
-use crate::history::HistoryBuffer;
 use crate::state::{DetectorState, LogNormalState, MomentsState};
 use crate::{PredictError, QuantilePredictor};
 use qdelay_stats::tolerance::KFactorCache;
 use qdelay_telemetry::{time_scope, Counter, LatencyHistogram, Span};
+use std::collections::VecDeque;
 
 /// Wall-clock cost of log-normal refits (moments read + K lookup), sampled
 /// one refit in 64.
@@ -75,9 +79,9 @@ impl LogNormalConfig {
 /// Running Kahan-compensated sums of `ln(w + 1)` and its square, so the MLE
 /// refit is O(1) instead of an O(n) pass over the history.
 ///
-/// Removal (capacity eviction) is supported by subtracting; a rebuild
-/// counter forces a full rescan every [`LogMoments::REBUILD_EVERY`]
-/// removals so compensation error cannot accumulate without bound.
+/// Waits are only ever added: the history is uncapped, so a wait leaves it
+/// only through a change-point trim, which rebuilds the sums from the
+/// survivors.
 #[derive(Debug, Clone, Default)]
 struct LogMoments {
     n: usize,
@@ -85,14 +89,9 @@ struct LogMoments {
     sum_comp: f64,
     sum_sq: f64,
     sum_sq_comp: f64,
-    removals: usize,
 }
 
 impl LogMoments {
-    /// Removals tolerated before the next [`LogMoments::needs_rebuild`]
-    /// returns true.
-    const REBUILD_EVERY: usize = 4096;
-
     fn kahan_add(sum: &mut f64, comp: &mut f64, x: f64) {
         let y = x - *comp;
         let t = *sum + y;
@@ -108,23 +107,7 @@ impl LogMoments {
         self.n += 1;
     }
 
-    /// Accounts for an evicted wait observation.
-    fn remove_wait(&mut self, wait: f64) {
-        let l = (wait + 1.0).ln();
-        Self::kahan_add(&mut self.sum, &mut self.sum_comp, -l);
-        Self::kahan_add(&mut self.sum_sq, &mut self.sum_sq_comp, -(l * l));
-        self.n -= 1;
-        self.removals += 1;
-    }
-
-    /// Whether enough removals have accumulated that the caller should
-    /// [`LogMoments::rebuild`] from the authoritative history.
-    fn needs_rebuild(&self) -> bool {
-        self.removals >= Self::REBUILD_EVERY
-    }
-
-    /// Recomputes the sums from scratch (after a trim, or to shed
-    /// accumulated compensation error).
+    /// Recomputes the sums from scratch (after a trim).
     fn rebuild<I: IntoIterator<Item = f64>>(&mut self, waits: I) {
         *self = Self::default();
         for w in waits {
@@ -174,7 +157,8 @@ impl LogMoments {
 #[derive(Debug, Clone)]
 pub struct LogNormalPredictor {
     config: LogNormalConfig,
-    history: HistoryBuffer,
+    /// The retained waits in arrival order, oldest first.
+    history: VecDeque<f64>,
     detector: RareEventDetector,
     kcache: KFactorCache,
     /// Last `(n, k)` pair served: the spec `(q, C)` is fixed per predictor,
@@ -219,7 +203,7 @@ impl LogNormalPredictor {
             .expect("BoundSpec guarantees open-interval parameters");
         Self {
             config,
-            history: HistoryBuffer::new(),
+            history: VecDeque::new(),
             detector: RareEventDetector::new(threshold),
             kcache,
             klast: None,
@@ -261,9 +245,11 @@ impl LogNormalPredictor {
                 sum_comp: self.moments.sum_comp,
                 sum_sq: self.moments.sum_sq,
                 sum_sq_comp: self.moments.sum_sq_comp,
-                removals: self.moments.removals,
+                // Nothing is ever removed one at a time (see `LogMoments`);
+                // the field stays so existing documents decode.
+                removals: 0,
             },
-            waits: self.history.to_arrival_vec(),
+            waits: self.history.iter().copied().collect(),
         }
     }
 
@@ -302,16 +288,13 @@ impl LogNormalPredictor {
             trimming: state.trimming,
             threshold_override: state.threshold_override,
         });
-        for &w in &state.waits {
-            p.history.push(w);
-        }
+        p.history.extend(&state.waits);
         p.moments = LogMoments {
             n: state.waits.len(),
             sum: m.sum,
             sum_comp: m.sum_comp,
             sum_sq: m.sum_sq,
             sum_sq_comp: m.sum_sq_comp,
-            removals: m.removals,
         };
         p.detector = RareEventDetector::restore(
             state.detector.threshold,
@@ -385,16 +368,17 @@ impl QuantilePredictor for LogNormalPredictor {
         self.config.spec
     }
 
+    /// # Panics
+    ///
+    /// Panics if `wait` is negative or not finite — the contract of
+    /// [`crate::history::HistoryBuffer::push`], which BMBP's history keeps.
     fn observe(&mut self, wait: f64) {
-        let evicted = self.history.push(wait);
+        assert!(
+            wait.is_finite() && wait >= 0.0,
+            "wait must be finite and non-negative, got {wait}"
+        );
+        self.history.push_back(wait);
         self.moments.add_wait(wait);
-        if let Some(old) = evicted {
-            self.moments.remove_wait(old);
-            if self.moments.needs_rebuild() {
-                // Shed accumulated compensation error with a full rescan.
-                self.moments.rebuild(self.history.iter());
-            }
-        }
     }
 
     fn refit(&mut self) {
@@ -419,9 +403,10 @@ impl QuantilePredictor for LogNormalPredictor {
             // Use BMBP's minimum so the two trimmed methods see comparable
             // history lengths (this is what the paper's "same history
             // trimming scheme employed by BMBP" means).
-            self.history
-                .trim_to_recent(self.config.spec.min_history_upper());
-            self.moments.rebuild(self.history.iter());
+            let keep = self.config.spec.min_history_upper();
+            let excess = self.history.len().saturating_sub(keep);
+            self.history.drain(..excess);
+            self.moments.rebuild(self.history.iter().copied());
             self.trims += 1;
             LOGN_TRIMS.incr();
             self.recompute();
@@ -430,8 +415,8 @@ impl QuantilePredictor for LogNormalPredictor {
 
     fn finish_training(&mut self) {
         if self.config.trimming && self.config.threshold_override.is_none() {
-            let waits = self.history.to_arrival_vec();
-            let threshold = calibrate_threshold(&waits, ThresholdTable::default_table());
+            let waits = self.history.make_contiguous();
+            let threshold = calibrate_threshold(waits, ThresholdTable::default_table());
             self.detector.set_threshold(threshold);
         }
         self.recompute();
@@ -602,26 +587,6 @@ mod tests {
         }
         fresh.refit();
         assert_eq!(p.current_bound(), fresh.current_bound());
-    }
-
-    #[test]
-    fn eviction_updates_moments() {
-        // Direct accumulator check for the evict path (remove + re-add).
-        let mut m = LogMoments::default();
-        for w in [3.0, 8.0, 1.0, 12.0, 5.0] {
-            m.add_wait(w);
-        }
-        m.remove_wait(3.0);
-        m.remove_wait(12.0);
-        let logs: Vec<f64> = [8.0f64, 1.0, 5.0]
-            .iter()
-            .map(|w| (w + 1.0).ln())
-            .collect();
-        let mean = qdelay_stats::describe::mean(&logs).unwrap();
-        let std = qdelay_stats::describe::sample_std(&logs).unwrap();
-        assert_eq!(m.n, 3);
-        assert!((m.mean() - mean).abs() < 1e-12);
-        assert!((m.sample_std() - std).abs() < 1e-9);
     }
 
     #[test]

@@ -148,11 +148,18 @@ impl RankIndex {
         out
     }
 
-    /// Rebuilds the index from an arbitrary iterator of values — `O(n log n)`,
-    /// used after bulk trims where incremental removal would be slower.
+    /// Rebuilds the index from an arbitrary iterator of values — one
+    /// `O(n log n)` sort instead of `n` single inserts; used after bulk
+    /// trims and when a history is loaded from state.
+    ///
+    /// Equal values keep the order `n` calls to [`RankIndex::insert`] would
+    /// leave them in (each insert lands before its equals, so later inputs
+    /// come first): the only equal values with different bits are `0.0` and
+    /// `-0.0`, and a bulk load must serve the same bits as a replay.
     pub fn rebuild<I: IntoIterator<Item = f64>>(&mut self, values: I) {
         let mut all: Vec<f64> = values.into_iter().collect();
         debug_assert!(all.iter().all(|x| !x.is_nan()));
+        all.reverse();
         all.sort_by(|a, b| a.partial_cmp(b).expect("no NaN stored"));
         self.len = all.len();
         self.blocks.clear();
@@ -242,6 +249,21 @@ mod tests {
         idx.check_invariants();
         assert_eq!(idx.len(), 2000);
         assert_eq!(idx.select(1999), Some(1999.0));
+    }
+
+    #[test]
+    fn rebuild_orders_ties_as_single_inserts_do() {
+        // 0.0 and -0.0 compare equal but differ in bits; a bulk load must
+        // select the same bits at every rank as a replay of the inserts.
+        let values = [0.0, 3.0, -0.0, 0.0, 1.0, -0.0, -0.0, 3.0, 0.0];
+        let mut one_by_one = RankIndex::new();
+        for v in values {
+            one_by_one.insert(v);
+        }
+        let bulk: RankIndex = values.into_iter().collect();
+        bulk.check_invariants();
+        let bits = |idx: &RankIndex| idx.iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&bulk), bits(&one_by_one));
     }
 
     #[test]

@@ -85,8 +85,9 @@ pub struct MomentsState {
     pub sum_sq: f64,
     /// Kahan compensation for `sum_sq`.
     pub sum_sq_comp: f64,
-    /// Removals since the last full rebuild (drives the error-shedding
-    /// rescan cadence).
+    /// Single-wait removals since the last full rebuild. The log-normal
+    /// history is uncapped, so nothing is ever removed that way: exported
+    /// as 0 and ignored on load, kept so existing documents decode.
     pub removals: usize,
 }
 
@@ -237,7 +238,13 @@ impl DetectorState {
         Ok(state)
     }
 
-    pub(crate) fn validate(&self) -> Result<(), PredictError> {
+    /// Checks the invariants a live detector keeps: a positive threshold
+    /// and a run strictly below it. Every decoder of this state calls it.
+    ///
+    /// # Errors
+    ///
+    /// [`PredictError`] naming the broken invariant.
+    pub fn validate(&self) -> Result<(), PredictError> {
         if self.threshold == 0 {
             return Err(PredictError::invalid_config(
                 "detector threshold must be positive",

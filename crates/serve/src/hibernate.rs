@@ -13,18 +13,36 @@
 //! ## The state machine
 //!
 //! ```text
-//!             touch (restore: read + CRC + refit)
-//!        ┌────────────────────────────────────────┐
-//!        ▼                                        │
-//!   ┌──────────┐   cap exceeded (evict LRU)  ┌────┴───────┐
-//!   │ resident │ ───────────────────────────▶│ hibernated │
-//!   └──────────┘                             └────────────┘
-//!        │ tombstone                               │ tombstone
-//!        ▼                                         ▼
-//!   ┌──────────────────────────────────────────────────────┐
-//!   │ dead (cursor only — spill slot freed, bytes garbage) │
-//!   └──────────────────────────────────────────────────────┘
+//!                 touch (restore: read + CRC + decode + refit;
+//!                        the slot stays where it is)
+//!        ┌──────────────────────────────────────────────────┐
+//!        ▼                                                  │
+//!   ┌─────────────────┐  evict, seq unchanged:         ┌────┴───────┐
+//!   │ resident, clean │  index update, no write        │            │
+//!   │ — slot kept     │ ──────────────────────────────▶│            │
+//!   └─────────────────┘                                │ hibernated │
+//!        │ observe (seq moves on)                      │            │
+//!        ▼                                             │            │
+//!   ┌─────────────────┐  evict: encode + append; the   │            │
+//!   │ resident, dirty │  kept slot, if any, is garbage │            │
+//!   │ or never spilled│ ──────────────────────────────▶│            │
+//!   └─────────────────┘                                └────────────┘
+//!        │ tombstone                                        │ tombstone
+//!        ▼                                                  ▼
+//!   ┌─────────────────────────────────────────────────────────────┐
+//!   │ dead (cursor only — any slot freed, its bytes garbage)      │
+//!   └─────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! A restored partition remembers the slot it came from. Every mutation
+//! of a [`Partition`] goes through `observe`, which bumps `seq`, so "the
+//! partition's `seq` still equals the slot's" is an exact test that the
+//! slot's bytes are still the partition's state: evicting such a
+//! partition re-indexes the slot and touches neither the encoder nor the
+//! file. A cold *question* (predict, admit) therefore costs a warm one
+//! plus a read and a sort, and leaves no garbage behind. Only a dirty
+//! eviction, a tombstone, a wholesale install or a compaction turns a
+//! kept slot into garbage.
 //!
 //! ## Spill file format
 //!
@@ -33,32 +51,38 @@
 //! segments and the binary wire protocol):
 //!
 //! ```text
-//! ┌─────────────┬───────────┬──────────────────────────────────┐
-//! │ u32 len     │ u32 crc32 │ payload: one snapshot partition  │
-//! │ (LE)        │ (len+payload) │ object as compact JSON       │
-//! └─────────────┴───────────┴──────────────────────────────────┘
+//! ┌─────────────┬───────────────┬────────────────────────────────┐
+//! │ u32 len     │ u32 crc32     │ payload: one binary partition  │
+//! │ (LE)        │ (len+payload) │ record (snapshot::encode_record)│
+//! └─────────────┴───────────────┴────────────────────────────────┘
 //! ```
 //!
-//! The payload is exactly the partition's entry in the snapshot
-//! document ([`crate::snapshot::encode_partition`]), so a spill record
-//! and a snapshot entry are interchangeable bytes-wise and the restore
-//! path is the proven boot path ([`Partition::from_snapshot`] refits
-//! from state, bit-identically). An in-memory index maps each
-//! hibernated key to its `(offset, len)` slot; restores, re-evictions
-//! and tombstones leave the old bytes behind as garbage.
+//! The payload is the versioned binary partition record
+//! ([`crate::snapshot::encode_record`]): the fields of the partition's
+//! snapshot-document entry with every float as raw bits, so a restore
+//! parses no text. It decodes to the same [`PartitionSnapshot`] the
+//! document codec yields, and the restore path from there on is the
+//! proven boot path ([`Partition::from_snapshot`] refits from state,
+//! bit-identically). An in-memory index maps each hibernated key to its
+//! `(offset, len)` slot; `live` counts the bytes of every slot that is
+//! indexed or kept by a resident partition, and `end - live` is garbage.
 //!
 //! ## Compaction
 //!
 //! The sweeper (run by the shard loop between request batches) rewrites
 //! the spill file once garbage exceeds half the file and the file is
-//! big enough to care (64 KiB): live slots are re-read, CRC-checked and
-//! appended to a fresh file which replaces the old one via the same
-//! tmp + fsync + rename discipline as journal compaction
-//! ([`qdelay_journal::write_atomic`]). A crash mid-compaction leaves
-//! the old file intact.
+//! big enough to care (64 KiB): each hibernated slot is read once,
+//! CRC-checked, decoded and appended to a fresh file which replaces the
+//! old one via the same tmp + fsync + rename discipline as journal
+//! compaction ([`qdelay_journal::write_atomic`]). Slots kept by resident
+//! partitions are not copied; those partitions are simply written again
+//! when they are next evicted. A crash mid-compaction leaves the old
+//! file intact.
 //!
 //! Spill files are scratch, not durability: they are truncated at boot
-//! (state comes from the snapshot/journal) and never fsynced on append.
+//! (state comes from the snapshot/journal) and never fsynced on append —
+//! which is also why the binary record could replace the JSON payload
+//! with no reader for the old one.
 
 use crate::durability::{self, RecordSink};
 use crate::registry::{Partition, PartitionKey};
@@ -68,17 +92,17 @@ use crate::{
     HIBERNATE_RESIDENT, HIBERNATE_RESTORES, HIBERNATE_RESTORE_NS, HIBERNATE_SPILL_COMPACTIONS,
 };
 use qdelay_journal::frame::{self, Check};
-use qdelay_json::Json;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Largest spill-record payload accepted on read. Per-partition state is
-/// bounded (the history buffer is capped), so anything near this is
-/// damage, not data.
+/// Largest spill-record payload written or accepted on read: 4 M
+/// observations' worth. Anything near this on read is damage, not data.
 const MAX_SPILL_PAYLOAD: u32 = 1 << 26;
 
 /// Compaction trigger: garbage must exceed half the file...
@@ -86,10 +110,17 @@ const COMPACT_GARBAGE_NUM: u64 = 2;
 /// ...and the file must be at least this big (don't churn tiny files).
 const DEFAULT_COMPACT_MIN_BYTES: u64 = 64 * 1024;
 
-/// A resident partition plus its last-touch stamp (the key into `lru`).
+/// A resident partition, its last-touch stamp, and the slot it was
+/// restored from.
 struct Resident {
     partition: Partition,
+    /// The key into `lru` (capped stores only; an uncapped store keeps no
+    /// recency order and leaves this 0).
     touch: u64,
+    /// The spill slot this partition was restored from. While
+    /// `partition.seq()` equals the slot's `seq` the slot's bytes *are*
+    /// the partition's state and evicting it writes nothing.
+    kept: Option<SpillSlot>,
 }
 
 /// Where a hibernated partition's bytes live in the spill file.
@@ -109,21 +140,93 @@ struct Spill {
     file: File,
     /// Append offset == file length.
     end: u64,
-    /// Bytes of frames still referenced by the index; `end - live` is
-    /// garbage.
+    /// Bytes of frames still referenced — by the hibernated index or kept
+    /// by a resident partition; `end - live` is garbage.
     live: u64,
+}
+
+impl Spill {
+    /// Appends `snap` as one framed binary record and returns its slot.
+    /// Writes use explicit offsets ([`FileExt::write_all_at`]) so the
+    /// handle's cursor — reset when a compaction reopens the file —
+    /// never matters.
+    fn append(&mut self, snap: &PartitionSnapshot) -> io::Result<SpillSlot> {
+        let mut bytes = Vec::new();
+        let start = frame::begin(&mut bytes);
+        snapshot::encode_record(snap, &mut bytes);
+        if bytes.len() - frame::PREFIX_LEN > MAX_SPILL_PAYLOAD as usize {
+            // Refused here, while the partition is still in memory: a
+            // slot the reader would reject is lost history.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("partition record of {} bytes is too large to spill", bytes.len()),
+            ));
+        }
+        frame::finish(&mut bytes, start);
+        self.file.write_all_at(&bytes, self.end)?;
+        let len = bytes.len() as u64;
+        let slot = SpillSlot { offset: self.end, len: len as u32, seq: snap.seq };
+        self.end += len;
+        self.live += len;
+        HIBERNATE_DISK_BYTES.add(len);
+        Ok(slot)
+    }
+
+    /// Marks a slot's bytes as garbage for the sweeper.
+    fn release(&mut self, slot: SpillSlot) {
+        self.live -= u64::from(slot.len);
+    }
+
+    /// Reads one slot's frame onto the end of `out`, CRC-checks and
+    /// decodes it. A torn or bit-flipped record is a typed error.
+    fn read(
+        &self,
+        key: &PartitionKey,
+        slot: SpillSlot,
+        out: &mut Vec<u8>,
+    ) -> io::Result<PartitionSnapshot> {
+        let bad = |what: &str| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "hibernated partition {} unreadable at {} (+{}) in {}: {what}",
+                    key.label(),
+                    slot.offset,
+                    slot.len,
+                    self.path.display(),
+                ),
+            )
+        };
+        let at = out.len();
+        out.resize(at + slot.len as usize, 0);
+        let buf = &mut out[at..];
+        self.file
+            .read_exact_at(buf, slot.offset)
+            .map_err(|e| bad(&format!("read failed: {e}")))?;
+        let (start, end) = match frame::check(buf, MAX_SPILL_PAYLOAD) {
+            Check::Complete { start, end, next } if next == buf.len() => (start, end),
+            Check::Complete { .. } => return Err(bad("frame shorter than its slot")),
+            Check::Incomplete => return Err(bad("torn frame")),
+            Check::Damaged(why) => return Err(bad(why)),
+        };
+        snapshot::decode_record(&buf[start..end]).map_err(|e| bad(&e))
+    }
 }
 
 /// Capacity-managed per-shard partition storage: resident map + LRU +
 /// hibernated index + dead cursors. With `cap == None` it degenerates to
-/// the plain maps the server always had (no spill file is opened).
+/// the plain maps the server always had: no spill file is opened and no
+/// recency order is kept (nothing can ever be evicted).
 pub struct PartitionStore {
-    resident: HashMap<PartitionKey, Resident>,
+    /// Keys are shared with `lru` and `hibernated`, so moving a partition
+    /// between the three never clones its strings.
+    resident: HashMap<Arc<PartitionKey>, Resident>,
     /// Tombstoned partitions' cursors (see [`crate::snapshot::DeadPartition`]).
     dead: HashMap<PartitionKey, u64>,
-    hibernated: HashMap<PartitionKey, SpillSlot>,
+    hibernated: HashMap<Arc<PartitionKey>, SpillSlot>,
     /// Last-touch stamp → key; the first entry is the eviction victim.
-    lru: BTreeMap<u64, PartitionKey>,
+    /// Empty when uncapped.
+    lru: BTreeMap<u64, Arc<PartitionKey>>,
     clock: u64,
     cap: Option<usize>,
     spill: Option<Spill>,
@@ -187,10 +290,10 @@ impl PartitionStore {
         let keep = self.cap.unwrap_or(usize::MAX);
         for (i, (key, partition)) in parts.into_iter().enumerate() {
             if i < keep {
-                self.insert_resident(key, partition);
+                self.insert_resident(Arc::new(key), partition, None);
             } else {
                 let snap = partition.to_snapshot(&key);
-                self.spill_snapshot(&key, &snap)?;
+                self.spill_snapshot(Arc::new(key), &snap)?;
             }
         }
         Ok(())
@@ -210,24 +313,24 @@ impl PartitionStore {
         snaps.sort_by(|a, b| (&a.site, &a.queue, a.range).cmp(&(&b.site, &b.queue, b.range)));
         let keep = self.cap.unwrap_or(usize::MAX);
         for (i, snap) in snaps.into_iter().enumerate() {
-            let key = PartitionKey {
+            let key = Arc::new(PartitionKey {
                 site: snap.site.clone(),
                 queue: snap.queue.clone(),
                 range: snap.range,
-            };
+            });
             if i < keep {
                 let partition = Partition::from_snapshot(&snap)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                self.insert_resident(key, partition);
+                self.insert_resident(key, partition, None);
             } else {
-                self.spill_snapshot(&key, &snap)?;
+                self.spill_snapshot(key, &snap)?;
             }
         }
         Ok(())
     }
 
     /// Clears everything (updating the global gauges) and truncates the
-    /// spill file.
+    /// spill file; kept and indexed slots alike are gone with it.
     fn reset(&mut self, dead: Vec<(PartitionKey, u64)>) -> io::Result<()> {
         HIBERNATE_RESIDENT.sub(self.resident.len() as u64);
         HIBERNATE_HIBERNATED.sub(self.hibernated.len() as u64);
@@ -252,134 +355,136 @@ impl PartitionStore {
     /// whatever the touch displaced (never the partition an op is
     /// touching — eviction waits until the borrow ends).
     pub fn touch(&mut self, key: PartitionKey) -> io::Result<&mut Partition> {
-        if !self.resident.contains_key(&key) {
-            let partition = if self.hibernated.contains_key(&key) {
-                self.restore(&key)?
-            } else {
-                match self.dead.remove(&key) {
+        if self.resident.contains_key(&key) {
+            let entry = self.resident.get_mut(&key).expect("just checked");
+            if self.cap.is_some() {
+                // Move the recency entry to the most-recent end; the key
+                // it holds is shared, so nothing is cloned.
+                let shared = self.lru.remove(&entry.touch).expect("capped residents are in lru");
+                self.clock += 1;
+                entry.touch = self.clock;
+                self.lru.insert(entry.touch, shared);
+            }
+            return Ok(&mut entry.partition);
+        }
+        let (key, partition, kept) = match self.hibernated.get(&key).copied() {
+            Some(slot) => {
+                let partition = self.restore(&key, slot)?;
+                let (key, _) = self.hibernated.remove_entry(&key).expect("just read");
+                HIBERNATE_HIBERNATED.sub(1);
+                (key, partition, Some(slot))
+            }
+            None => {
+                let partition = match self.dead.remove(&key) {
                     Some(cursor) => Partition::with_seq(cursor),
                     None => Partition::new(),
-                }
-            };
-            self.insert_resident(key.clone(), partition);
-        } else {
-            self.bump(&key);
-        }
-        Ok(&mut self.resident.get_mut(&key).expect("just inserted").partition)
+                };
+                (Arc::new(key), partition, None)
+            }
+        };
+        Ok(&mut self.insert_resident(key, partition, kept).partition)
     }
 
     /// Inserts a resident partition with a fresh touch stamp.
-    fn insert_resident(&mut self, key: PartitionKey, partition: Partition) {
-        self.clock += 1;
-        let touch = self.clock;
-        self.lru.insert(touch, key.clone());
-        if self.resident.insert(key, Resident { partition, touch }).is_none() {
-            HIBERNATE_RESIDENT.add(1);
+    fn insert_resident(
+        &mut self,
+        key: Arc<PartitionKey>,
+        partition: Partition,
+        kept: Option<SpillSlot>,
+    ) -> &mut Resident {
+        let mut touch = 0;
+        if self.cap.is_some() {
+            self.clock += 1;
+            touch = self.clock;
+            self.lru.insert(touch, Arc::clone(&key));
+        }
+        let entry = Resident { partition, touch, kept };
+        match self.resident.entry(key) {
+            Entry::Vacant(vacant) => {
+                HIBERNATE_RESIDENT.add(1);
+                vacant.insert(entry)
+            }
+            // A snapshot document that lists a key twice: the last entry
+            // wins, and the first one's recency entry must not outlive it.
+            Entry::Occupied(mut occupied) => {
+                let old = occupied.insert(entry);
+                self.lru.remove(&old.touch);
+                occupied.into_mut()
+            }
         }
     }
 
-    /// Moves `key` to the most-recently-touched end of the LRU.
-    fn bump(&mut self, key: &PartitionKey) {
-        let Some(entry) = self.resident.get_mut(key) else { return };
-        self.lru.remove(&entry.touch);
-        self.clock += 1;
-        entry.touch = self.clock;
-        self.lru.insert(entry.touch, key.clone());
-    }
-
-    /// Reads `key`'s spill slot back into a partition, freeing the slot.
-    /// A torn or bit-flipped record is a typed error — the slot is kept
-    /// (so the failure is stable and diagnosable) and no history is ever
-    /// invented.
-    fn restore(&mut self, key: &PartitionKey) -> io::Result<Partition> {
+    /// Reads `key`'s spill slot back into a partition. The slot stays
+    /// where it is — the caller keeps it with the resident partition. A
+    /// torn or bit-flipped record is a typed error — the slot stays
+    /// indexed (so the failure is stable and diagnosable) and no history
+    /// is ever invented.
+    fn restore(&self, key: &PartitionKey, slot: SpillSlot) -> io::Result<Partition> {
         let t0 = Instant::now();
-        let slot = self.hibernated[key];
-        let snap = self.read_slot(key, slot)?;
+        let spill = self.spill.as_ref().expect("hibernated entries imply a spill file");
+        let snap = spill.read(key, slot, &mut Vec::new())?;
         let partition = Partition::from_snapshot(&snap).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("hibernated partition {} failed to refit: {e}", key.label()),
             )
         })?;
-        self.hibernated.remove(key);
-        HIBERNATE_HIBERNATED.sub(1);
-        if let Some(spill) = &mut self.spill {
-            spill.live -= u64::from(slot.len);
-        }
         HIBERNATE_RESTORES.incr();
         HIBERNATE_RESTORE_NS.record(t0.elapsed().as_nanos() as u64);
         Ok(partition)
     }
 
-    /// Reads and validates one spill slot without touching the index.
-    fn read_slot(&self, key: &PartitionKey, slot: SpillSlot) -> io::Result<PartitionSnapshot> {
-        let spill = self.spill.as_ref().expect("hibernated entries imply a spill file");
-        let bad = |what: &str| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "hibernated partition {} unreadable at {} (+{}) in {}: {what}",
-                    key.label(),
-                    slot.offset,
-                    slot.len,
-                    spill.path.display(),
-                ),
-            )
-        };
-        let mut buf = vec![0u8; slot.len as usize];
-        spill
-            .file
-            .read_exact_at(&mut buf, slot.offset)
-            .map_err(|e| bad(&format!("read failed: {e}")))?;
-        let (start, end) = match frame::check(&buf, MAX_SPILL_PAYLOAD) {
-            Check::Complete { start, end, next } if next == buf.len() => (start, end),
-            Check::Complete { .. } => return Err(bad("frame shorter than its slot")),
-            Check::Incomplete => return Err(bad("torn frame")),
-            Check::Damaged(why) => return Err(bad(why)),
-        };
-        let text = std::str::from_utf8(&buf[start..end]).map_err(|_| bad("payload not UTF-8"))?;
-        let doc = Json::parse(text).map_err(|e| bad(&format!("payload not JSON: {e}")))?;
-        snapshot::decode_partition(&doc).map_err(|e| bad(&e))
+    /// Appends `snap` to the spill file and indexes `key` as hibernated.
+    fn spill_snapshot(
+        &mut self,
+        key: Arc<PartitionKey>,
+        snap: &PartitionSnapshot,
+    ) -> io::Result<()> {
+        let spill = self.spill.as_mut().expect("capped stores have a spill file");
+        let slot = spill.append(snap)?;
+        self.index(key, slot);
+        Ok(())
     }
 
-    /// Appends `snap` to the spill file and indexes `key` as hibernated.
-    /// Writes use explicit offsets ([`FileExt::write_all_at`]) so the
-    /// handle's cursor — reset when a compaction reopens the file —
-    /// never matters.
-    fn spill_snapshot(&mut self, key: &PartitionKey, snap: &PartitionSnapshot) -> io::Result<()> {
-        let spill = self.spill.as_mut().expect("capped stores have a spill file");
-        let mut frame_bytes = Vec::new();
-        frame::encode(
-            snapshot::encode_partition(snap).to_string_compact().as_bytes(),
-            &mut frame_bytes,
-        );
-        spill.file.write_all_at(&frame_bytes, spill.end)?;
-        let len = frame_bytes.len() as u64;
-        let slot = SpillSlot { offset: spill.end, len: len as u32, seq: snap.seq };
-        spill.end += len;
-        spill.live += len;
-        HIBERNATE_DISK_BYTES.add(len);
-        if self.hibernated.insert(key.clone(), slot).is_none() {
-            HIBERNATE_HIBERNATED.add(1);
+    /// Indexes `key` as hibernated in `slot`. (A slot already indexed
+    /// under the key — a document that listed it twice — is released.)
+    fn index(&mut self, key: Arc<PartitionKey>, slot: SpillSlot) {
+        match (self.hibernated.insert(key, slot), &mut self.spill) {
+            (Some(old), Some(spill)) => spill.release(old),
+            _ => HIBERNATE_HIBERNATED.add(1),
         }
-        Ok(())
     }
 
     /// Evicts least-recently-touched partitions until the resident set
     /// fits the cap. Call after each op's borrow of the touched
     /// partition ends — with `cap == 0` even the just-touched partition
     /// hibernates again, which is degenerate but correct.
+    ///
+    /// A partition whose `seq` still equals its kept slot's is clean (see
+    /// the module docs): its eviction re-indexes the slot and writes
+    /// nothing. Anything else is encoded and appended, and the slot it
+    /// had kept becomes garbage. On a write error the partition stays
+    /// resident and nothing has changed.
     pub fn enforce_cap(&mut self) -> io::Result<()> {
         let Some(cap) = self.cap else { return Ok(()) };
         while self.resident.len() > cap {
-            let (&touch, key) = self.lru.iter().next().expect("resident set is non-empty");
-            let key = key.clone();
             let t0 = Instant::now();
-            let entry = self.resident.get(&key).expect("lru entries are resident");
-            let snap = entry.partition.to_snapshot(&key);
-            self.spill_snapshot(&key, &snap)?;
-            self.lru.remove(&touch);
+            let (&touch, key) = self.lru.first_key_value().expect("capped residents are in lru");
+            let entry = self.resident.get(key).expect("lru entries are resident");
+            let slot = match entry.kept {
+                Some(slot) if slot.seq == entry.partition.seq() => slot,
+                stale => {
+                    let spill = self.spill.as_mut().expect("capped stores have a spill file");
+                    let slot = spill.append(&entry.partition.to_snapshot(key))?;
+                    if let Some(old) = stale {
+                        spill.release(old);
+                    }
+                    slot
+                }
+            };
+            let key = self.lru.remove(&touch).expect("just read");
             self.resident.remove(&key);
+            self.index(key, slot);
             HIBERNATE_RESIDENT.sub(1);
             HIBERNATE_EVICTIONS.incr();
             HIBERNATE_EVICT_NS.record(t0.elapsed().as_nanos() as u64);
@@ -388,46 +493,44 @@ impl PartitionStore {
     }
 
     /// The sweeper: compacts the spill file when garbage exceeds half of
-    /// it (and the file is big enough to care). Live slots are re-read,
-    /// CRC-verified and written to a fresh file that atomically replaces
-    /// the old one (tmp + fsync + rename, the journal-compaction
-    /// discipline) — a crash at any point leaves a valid file. Returns
-    /// whether a compaction ran.
+    /// it (and the file is big enough to care). Each hibernated slot is
+    /// read once, CRC-verified, decoded and written to a fresh file that
+    /// atomically replaces the old one (tmp + fsync + rename, the
+    /// journal-compaction discipline) — a crash at any point leaves a
+    /// valid file. Slots kept by resident partitions are dropped, not
+    /// copied. Returns whether a compaction ran.
     pub fn sweep(&mut self) -> io::Result<bool> {
-        {
-            let Some(spill) = &self.spill else { return Ok(false) };
-            let garbage = spill.end - spill.live;
-            if spill.end < self.compact_min_bytes || garbage * COMPACT_GARBAGE_NUM <= spill.end {
-                return Ok(false);
-            }
+        let Some(spill) = &mut self.spill else { return Ok(false) };
+        let garbage = spill.end - spill.live;
+        if spill.end < self.compact_min_bytes || garbage * COMPACT_GARBAGE_NUM <= spill.end {
+            return Ok(false);
         }
         // Stable iteration order keeps the rewritten file deterministic.
-        let mut keys: Vec<PartitionKey> = self.hibernated.keys().cloned().collect();
-        keys.sort();
+        let mut slots: Vec<(&Arc<PartitionKey>, &mut SpillSlot)> =
+            self.hibernated.iter_mut().collect();
+        slots.sort_by(|a, b| a.0.cmp(b.0));
         let mut bytes = Vec::new();
-        let mut slots = Vec::with_capacity(keys.len());
-        for key in &keys {
-            let slot = self.hibernated[key];
-            // Re-validate while copying: compaction must not launder a
+        let mut offsets = Vec::with_capacity(slots.len());
+        for (key, slot) in &slots {
+            // Validated while copied: compaction must not launder a
             // corrupt record into a "fresh" file.
-            self.read_slot(key, slot)?;
-            let offset = bytes.len() as u64;
-            let spill = self.spill.as_ref().expect("sweep checked");
-            let mut frame_bytes = vec![0u8; slot.len as usize];
-            spill.file.read_exact_at(&mut frame_bytes, slot.offset)?;
-            bytes.extend_from_slice(&frame_bytes);
-            slots.push((key.clone(), SpillSlot { offset, len: slot.len, seq: slot.seq }));
+            offsets.push(bytes.len() as u64);
+            spill.read(key, **slot, &mut bytes)?;
         }
-        let spill = self.spill.as_mut().expect("sweep checked");
         qdelay_journal::write_atomic(&spill.path, &bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::Other, e.to_string()))?;
+            .map_err(|e| io::Error::other(e.to_string()))?;
         // The rename replaced the inode our handle points at; reopen.
+        // Until this succeeds the old handle and the old index still
+        // agree, so an error here leaves the store consistent.
         spill.file = OpenOptions::new().read(true).write(true).open(&spill.path)?;
         HIBERNATE_DISK_BYTES.sub(spill.end - bytes.len() as u64);
         spill.end = bytes.len() as u64;
         spill.live = spill.end;
-        for (key, slot) in slots {
-            self.hibernated.insert(key, slot);
+        for ((_, slot), offset) in slots.into_iter().zip(offsets) {
+            slot.offset = offset;
+        }
+        for entry in self.resident.values_mut() {
+            entry.kept = None;
         }
         HIBERNATE_SPILL_COMPACTIONS.incr();
         Ok(true)
@@ -443,8 +546,13 @@ impl PartitionStore {
         for (key, entry) in &self.resident {
             parts.push(entry.partition.to_snapshot(key));
         }
-        for (key, slot) in &self.hibernated {
-            parts.push(self.read_slot(key, *slot)?);
+        if !self.hibernated.is_empty() {
+            let spill = self.spill.as_ref().expect("hibernated entries imply a spill file");
+            let mut buf = Vec::new();
+            for (key, slot) in &self.hibernated {
+                buf.clear();
+                parts.push(spill.read(key, *slot, &mut buf)?);
+            }
         }
         let dead = self
             .dead
@@ -512,16 +620,19 @@ impl RecordSink for PartitionStore {
     }
 
     fn tombstone(&mut self, key: PartitionKey, seq: u64) {
-        if let Some(entry) = self.resident.remove(&key) {
+        // Whatever slot the partition had — kept while resident, or
+        // indexed while hibernated — becomes garbage for the sweeper.
+        let kept = self.resident.remove(&key).and_then(|entry| {
             self.lru.remove(&entry.touch);
             HIBERNATE_RESIDENT.sub(1);
-        }
-        if let Some(slot) = self.hibernated.remove(&key) {
-            // The slot's bytes become garbage for the sweeper.
-            if let Some(spill) = &mut self.spill {
-                spill.live -= u64::from(slot.len);
-            }
+            entry.kept
+        });
+        let indexed = self.hibernated.remove(&key);
+        if indexed.is_some() {
             HIBERNATE_HIBERNATED.sub(1);
+        }
+        if let Some(spill) = &mut self.spill {
+            kept.into_iter().chain(indexed).for_each(|slot| spill.release(slot));
         }
         self.dead.insert(key, seq);
     }
@@ -553,6 +664,9 @@ impl Drop for PartitionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qdelay_predict::admission;
+    use qdelay_rng::{Rng, StdRng};
+    use std::path::Path;
 
     /// `HIBERNATE_RESTORES` is process-wide and the harness runs tests on
     /// parallel threads; two tests below assert the counter stands still
@@ -588,6 +702,202 @@ mod tests {
                 store.enforce_cap().unwrap();
             }
         }
+    }
+
+    /// The books every operation must leave balanced: `live` is the summed
+    /// length of every slot the index or a resident partition refers to,
+    /// `end` is the file's length, and the recency order lists exactly the
+    /// resident partitions.
+    fn assert_accounting(store: &PartitionStore, path: &Path, when: &str) {
+        let spill = store.spill.as_ref().unwrap();
+        let kept = store.resident.values().filter_map(|r| r.kept.as_ref());
+        let referenced: u64 = store.hibernated.values().chain(kept).map(|s| u64::from(s.len)).sum();
+        assert_eq!(spill.live, referenced, "{when}: live bytes");
+        assert_eq!(spill.end, std::fs::metadata(path).unwrap().len(), "{when}: file length");
+        assert_eq!(store.lru.len(), store.resident.len(), "{when}: recency order");
+        assert!(store.resident.len() <= store.cap.unwrap(), "{when}: cap");
+    }
+
+    fn document(store: &PartitionStore) -> String {
+        let (parts, dead) = store.collect().unwrap();
+        snapshot::encode(parts, dead).to_string_pretty()
+    }
+
+    fn prediction_bits(p: &crate::registry::Prediction) -> (usize, u64, Option<u64>, Option<u64>) {
+        (p.n, p.seq, p.bmbp.map(f64::to_bits), p.lognormal.map(f64::to_bits))
+    }
+
+    /// A seeded schedule of everything a shard does to its store —
+    /// observe (with outcome feedback, so detectors run and trims fire),
+    /// predict, admit, replicated record batches, tombstones, collects
+    /// and the between-batch sweep — against an uncapped twin fed the
+    /// same operations. The cap must be invisible at every step and the
+    /// spill file's books must balance after every step.
+    #[test]
+    fn seeded_schedules_match_an_uncapped_twin_and_keep_the_books() {
+        let _serial = serial();
+        for (cap, parts, seed) in [(0usize, 6usize, 1u64), (1, 8, 2), (2, 12, 3), (75, 110, 4)] {
+            let path = fresh_path(&format!("schedule-{cap}.qds"));
+            let mut capped = PartitionStore::new(Some(cap), Some(path.clone())).unwrap();
+            capped.set_compact_min_bytes(1);
+            let mut twin = PartitionStore::new(None, None).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            // What each partition was last served, fed back with its next
+            // observation as a scheduler would.
+            let mut served: Vec<Option<crate::registry::Prediction>> = vec![None; parts];
+            let mut compactions = 0;
+            // Warm through `apply`, as a replica installs history.
+            for i in 0..parts {
+                let k = key(i);
+                let warm: Vec<_> = (1..=70)
+                    .map(|seq| durability::record_for(&k, seq, wait(seq + i as u64), None, None))
+                    .collect();
+                assert_eq!(capped.apply(warm.clone()), Ok(70));
+                assert_eq!(twin.apply(warm), Ok(70));
+                capped.enforce_cap().unwrap();
+            }
+            for step in 0..1500 {
+                let i = rng.gen_range(0..parts);
+                let k = key(i);
+                let when = format!("cap {cap} step {step}");
+                match rng.gen_range(0..100) {
+                    0..=34 => {
+                        // A regime shift now and then, so bounds are missed.
+                        let w = wait(step) * if rng.gen_bool(0.1) { 400.0 } else { 1.0 };
+                        let (b, l) = served[i].map_or((None, None), |p| (p.bmbp, p.lognormal));
+                        let got = capped.touch(k.clone()).unwrap().observe(w, b, l);
+                        let want = twin.touch(k).unwrap().observe(w, b, l);
+                        assert_eq!(got, want, "{when}: observe seq");
+                    }
+                    35..=69 => {
+                        let got = capped.touch(k.clone()).unwrap().predict();
+                        let want = twin.touch(k).unwrap().predict();
+                        assert_eq!(prediction_bits(&got), prediction_bits(&want), "{when}");
+                        served[i] = Some(want);
+                    }
+                    70..=79 => {
+                        let budget = wait(step);
+                        let decide = |p: crate::registry::Prediction| {
+                            admission::decide(p.bmbp, p.lognormal, p.n as u64, budget)
+                        };
+                        let got = decide(capped.touch(k.clone()).unwrap().predict());
+                        let want = decide(twin.touch(k).unwrap().predict());
+                        assert_eq!(got, want, "{when}: admit");
+                    }
+                    80..=84 => {
+                        let seq = twin.cursor(&k) + 1;
+                        let label = k.range.label();
+                        let tomb = qdelay_journal::Record::tombstone(&k.site, &k.queue, label, seq);
+                        assert_eq!(capped.apply([tomb.clone()]), Ok(1), "{when}");
+                        assert_eq!(twin.apply([tomb]), Ok(1));
+                        served[i] = None;
+                    }
+                    85..=91 => {
+                        // A replicated batch across a few partitions, the
+                        // first record a duplicate the cursor must skip.
+                        let mut batch = Vec::new();
+                        for j in 0..3 {
+                            let k = key((i + j) % parts);
+                            let cursor = twin.cursor(&k);
+                            for seq in cursor.max(1)..cursor + 3 {
+                                batch.push(durability::record_for(&k, seq, wait(seq), None, None));
+                            }
+                        }
+                        assert_eq!(capped.apply(batch.clone()), twin.apply(batch), "{when}");
+                    }
+                    92..=95 => assert_eq!(document(&capped), document(&twin), "{when}: collect"),
+                    _ => {}
+                }
+                capped.enforce_cap().unwrap();
+                // The shard loop sweeps between batches.
+                compactions += usize::from(capped.sweep().unwrap());
+                assert_accounting(&capped, &path, &when);
+                assert_eq!(capped.total_observations(), twin.total_observations(), "{when}");
+                assert_eq!(capped.partition_count(), twin.partition_count(), "{when}");
+            }
+            assert!(compactions > 0, "cap {cap}: the lowered floor must have tripped the sweeper");
+            assert_eq!(document(&capped), document(&twin), "cap {cap}: final collect");
+        }
+    }
+
+    #[test]
+    fn predict_only_traffic_writes_nothing_and_strands_nothing() {
+        let _serial = serial();
+        let path = fresh_path("predict-only.qds");
+        let mut store = PartitionStore::new(Some(4), Some(path.clone())).unwrap();
+        store.set_compact_min_bytes(1);
+        grown(&mut store, 40, 70);
+        // One pass of questions: whatever was resident and dirty gets its
+        // slot; from here on every partition has one that is current.
+        let mut first = Vec::new();
+        for i in 0..40 {
+            first.push(prediction_bits(&store.touch(key(i)).unwrap().predict()));
+            store.enforce_cap().unwrap();
+        }
+        store.sweep().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let compactions = HIBERNATE_SPILL_COMPACTIONS.value();
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..400 {
+            let i = rng.gen_range(0..40);
+            let hibernated = store.hibernated.contains_key(&key(i));
+            let got = prediction_bits(&store.touch(key(i)).unwrap().predict());
+            assert_eq!(got, first[i], "a cold answer is the warm answer");
+            if hibernated {
+                let entry = &store.resident[&key(i)];
+                assert_eq!(entry.kept.map(|s| s.seq), Some(entry.partition.seq()), "slot kept");
+            }
+            store.enforce_cap().unwrap();
+            assert!(!store.sweep().unwrap(), "no garbage, so nothing to compact");
+            assert_accounting(&store, &path, "predict-only");
+        }
+        assert_eq!(store.spill_disk_bytes(), bytes.len() as u64, "the file did not grow");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "not one byte was written");
+        assert_eq!(HIBERNATE_SPILL_COMPACTIONS.value(), compactions);
+        assert_eq!(store.hibernated_count(), 36);
+    }
+
+    #[test]
+    fn a_dirtied_partition_is_rewritten_never_served_from_its_stale_slot() {
+        let _serial = serial();
+        let path = fresh_path("stale.qds");
+        let mut store = PartitionStore::new(Some(0), Some(path.clone())).unwrap();
+        let mut twin = PartitionStore::new(None, None).unwrap();
+        for s in [&mut store, &mut twin] {
+            grown(s, 1, 70);
+        }
+        let stale = store.hibernated[&key(0)];
+        assert_eq!(stale.seq, 70);
+        // Restore (the slot is kept), observe (it goes stale), evict.
+        for s in [&mut store, &mut twin] {
+            assert_eq!(s.touch(key(0)).unwrap().observe(123_456.0, None, None), 71);
+            s.enforce_cap().unwrap();
+        }
+        let fresh = store.hibernated[&key(0)];
+        assert_eq!(fresh.seq, 71);
+        assert_eq!(fresh.offset, stale.offset + u64::from(stale.len), "appended, not overwritten");
+        assert_eq!(store.spill.as_ref().unwrap().live, u64::from(fresh.len), "old slot is garbage");
+        assert_accounting(&store, &path, "after the dirty eviction");
+        // The next restore reads the new slot.
+        let got = store.touch(key(0)).unwrap().predict();
+        let want = twin.touch(key(0)).unwrap().predict();
+        assert_eq!(prediction_bits(&got), prediction_bits(&want));
+        assert_eq!(got.seq, 71);
+        // And that one was a question: evicting it again writes nothing.
+        let end = store.spill_disk_bytes();
+        store.enforce_cap().unwrap();
+        assert_eq!(store.spill_disk_bytes(), end);
+        assert_eq!(store.hibernated[&key(0)].offset, fresh.offset);
+    }
+
+    #[test]
+    fn uncapped_stores_keep_no_recency_order() {
+        let mut store = PartitionStore::new(None, None).unwrap();
+        grown(&mut store, 5, 3);
+        store.touch(key(2)).unwrap();
+        assert!(store.lru.is_empty(), "nothing can be evicted, so nothing is ordered");
+        assert_eq!(store.clock, 0);
+        assert_eq!(store.resident_count(), 5);
     }
 
     #[test]

@@ -154,19 +154,20 @@ pub enum BinResponse {
 }
 
 // ---------------------------------------------------------------------------
-// Cursor: bounds-checked little-endian reads over one payload.
+// Cursor: bounds-checked little-endian reads over one payload. Shared with
+// the binary partition record's decoder (`crate::snapshot::decode_record`).
 
-struct Cur<'a> {
+pub(crate) struct Cur<'a> {
     b: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cur<'a> {
-    fn new(b: &'a [u8]) -> Self {
+    pub(crate) fn new(b: &'a [u8]) -> Self {
         Cur { b, pos: 0 }
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DecodeError> {
+    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DecodeError> {
         if self.b.len() - self.pos < n {
             return Err(DecodeError::Malformed(format!("truncated {what}")));
         }
@@ -175,7 +176,7 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, DecodeError> {
+    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, DecodeError> {
         Ok(self.take(1, what)?[0])
     }
 
@@ -183,11 +184,11 @@ impl<'a> Cur<'a> {
         Ok(u16::from_le_bytes(self.take(2, what)?.try_into().expect("2 bytes")))
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, DecodeError> {
+    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
     }
 
-    fn u64(&mut self, what: &str) -> Result<u64, DecodeError> {
+    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
     }
 
@@ -204,12 +205,12 @@ impl<'a> Cur<'a> {
     }
 
     /// A `u32 len | bytes` document field, checked for UTF-8.
-    fn text(&mut self, what: &str) -> Result<String, DecodeError> {
+    pub(crate) fn text(&mut self, what: &str) -> Result<String, DecodeError> {
         let len = self.u32(what)? as usize;
         self.utf8(len, what)
     }
 
-    fn done(&self, what: &str) -> Result<(), DecodeError> {
+    pub(crate) fn done(&self, what: &str) -> Result<(), DecodeError> {
         if self.pos != self.b.len() {
             return Err(DecodeError::Malformed(format!(
                 "{} trailing bytes after {what}",

@@ -369,15 +369,12 @@ impl Server {
             None
         };
 
-        // The change-point detector's Monte-Carlo threshold table is a
-        // process-wide lazy static costing ~seconds on first touch; pay it
-        // here, before the listener exists, rather than stalling a shard on
-        // the first partition a request ever creates. Same for the exact
-        // K-factor table the per-partition log-normal predictors share
-        // (~100 noncentral-t root-finds, paid once per process — not once
-        // per partition, which at registry scale would dwarf every other
-        // cost).
-        qdelay_predict::changepoint::ThresholdTable::default_table();
+        // The exact K-factor table the per-partition log-normal predictors
+        // share is a process-wide lazy static (~100 noncentral-t
+        // root-finds, ~150 ms): pay it here, before the listener exists,
+        // rather than stalling a shard on the first partition a request
+        // ever creates. (The change-point threshold table needs no such
+        // care: it is a committed constant.)
         qdelay_predict::lognormal::LogNormalPredictor::prewarm_k_factors(
             &qdelay_predict::lognormal::LogNormalConfig::trim(),
         );

@@ -20,9 +20,44 @@
 //! Consistency: shards serialize their partitions between batches, so every
 //! partition is internally consistent at some point during the snapshot
 //! request; the file is not a single global cut across shards.
+//!
+//! ## The binary partition record
+//!
+//! Beside the document codec ([`encode_partition`]/[`decode_partition`])
+//! this module owns the one versioned **binary** encoding of a
+//! [`PartitionSnapshot`] ([`encode_record`]/[`decode_record`]): the same
+//! fields in the same order, every `f64` as raw `to_bits` so no float is
+//! ever printed or parsed. It is a frame *payload* — callers carry it in
+//! the shared [`qdelay_journal::frame`], as journal, wire and repl
+//! payloads are — and today it is what a hibernation spill slot holds
+//! ([`crate::hibernate`]). All integers little-endian:
+//!
+//! ```text
+//! u8  version (1)        | u8 proc-range tag (index into ProcRange::ALL)
+//! u32 len | site bytes   | u32 len | queue bytes            (UTF-8)
+//! u64 seq
+//! bmbp:      f64 quantile | f64 confidence | u8 method (0 auto, 1 exact,
+//!            2 approx) | u8 trimming | opt threshold_override
+//!            | opt max_history | detector | u64 trims | u8 calibrated | waits
+//! lognormal: f64 quantile | f64 confidence | u8 trimming
+//!            | opt threshold_override | detector | u64 trims
+//!            | f64 sum | f64 sum_comp | f64 sum_sq | f64 sum_sq_comp
+//!            | u64 removals | waits
+//!
+//! opt      = u8 0, or u8 1 then u64
+//! detector = u64 threshold | u64 consecutive_misses | u64 times_fired
+//! waits    = u32 count | count × f64 bits
+//! ```
+//!
+//! [`decode_record`] keeps every check the document decoder makes — known
+//! version and tags, a valid detector, finite non-negative waits — and
+//! adds the binary ones: every length bounded by the bytes present, and
+//! no byte left over. Damage is a typed error, never a panic.
 
+use crate::proto::{Cur, DecodeError};
 use qdelay_json::Json;
-use qdelay_predict::state::{BmbpState, LogNormalState};
+use qdelay_predict::bound::BoundMethod;
+use qdelay_predict::state::{BmbpState, DetectorState, LogNormalState, MomentsState};
 use qdelay_trace::ProcRange;
 
 /// Snapshot document version this build writes. Version 1 (no `dead`
@@ -61,10 +96,7 @@ pub fn proc_range_from_label(label: &str) -> Option<ProcRange> {
     ProcRange::ALL.into_iter().find(|r| r.label() == label)
 }
 
-/// Encodes one partition as its snapshot-document object. This is also
-/// the spill-record payload of the hibernation subsystem
-/// ([`crate::hibernate`]): a hibernated partition's on-disk bytes are
-/// exactly its snapshot entry, CRC-framed.
+/// Encodes one partition as its snapshot-document object.
 pub fn encode_partition(p: &PartitionSnapshot) -> Json {
     Json::Obj(vec![
         ("site".into(), Json::Str(p.site.clone())),
@@ -97,6 +129,191 @@ pub fn decode_partition(p: &Json) -> Result<PartitionSnapshot, String> {
         )
         .map_err(|e| format!("lognormal state: {e}"))?,
     })
+}
+
+/// Version byte that opens every binary partition record.
+pub const RECORD_VERSION: u8 = 1;
+
+const METHOD_TAGS: [BoundMethod; 3] = [BoundMethod::Auto, BoundMethod::Exact, BoundMethod::Approx];
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_opt(out: &mut Vec<u8>, v: Option<usize>) {
+    out.push(u8::from(v.is_some()));
+    if let Some(x) = v {
+        put_u64(out, x as u64);
+    }
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    let len = u32::try_from(s.len()).expect("partition names are far below 4 GiB");
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_detector(out: &mut Vec<u8>, d: &DetectorState) {
+    put_u64(out, d.threshold as u64);
+    put_u64(out, d.consecutive_misses as u64);
+    put_u64(out, d.times_fired as u64);
+}
+
+fn put_waits(out: &mut Vec<u8>, waits: &[f64]) {
+    let count = u32::try_from(waits.len()).expect("a history holds far fewer than 2^32 waits");
+    out.extend_from_slice(&count.to_le_bytes());
+    out.reserve(waits.len() * 8);
+    for w in waits {
+        put_u64(out, w.to_bits());
+    }
+}
+
+/// Appends the binary record of one partition to `out` (layout in the
+/// module docs). The bytes are a frame payload: wrap them with
+/// [`qdelay_journal::frame::begin`]/[`qdelay_journal::frame::finish`].
+pub fn encode_record(p: &PartitionSnapshot, out: &mut Vec<u8>) {
+    out.push(RECORD_VERSION);
+    let range = ProcRange::ALL.iter().position(|r| *r == p.range);
+    out.push(range.expect("ALL lists every range") as u8);
+    put_str(out, &p.site);
+    put_str(out, &p.queue);
+    put_u64(out, p.seq);
+
+    let b = &p.bmbp;
+    put_u64(out, b.quantile.to_bits());
+    put_u64(out, b.confidence.to_bits());
+    let method = METHOD_TAGS.iter().position(|m| *m == b.method);
+    out.push(method.expect("METHOD_TAGS lists every method") as u8);
+    out.push(u8::from(b.trimming));
+    put_opt(out, b.threshold_override);
+    put_opt(out, b.max_history);
+    put_detector(out, &b.detector);
+    put_u64(out, b.trims as u64);
+    out.push(u8::from(b.calibrated));
+    put_waits(out, &b.waits);
+
+    let l = &p.lognormal;
+    put_u64(out, l.quantile.to_bits());
+    put_u64(out, l.confidence.to_bits());
+    out.push(u8::from(l.trimming));
+    put_opt(out, l.threshold_override);
+    put_detector(out, &l.detector);
+    put_u64(out, l.trims as u64);
+    let m = &l.moments;
+    for x in [m.sum, m.sum_comp, m.sum_sq, m.sum_sq_comp] {
+        put_u64(out, x.to_bits());
+    }
+    put_u64(out, m.removals as u64);
+    put_waits(out, &l.waits);
+}
+
+fn invalid(message: String) -> DecodeError {
+    DecodeError::Invalid(message)
+}
+
+fn usize_field(r: &mut Cur<'_>, what: &str) -> Result<usize, DecodeError> {
+    usize::try_from(r.u64(what)?).map_err(|_| invalid(format!("{what} out of range")))
+}
+
+fn f64_field(r: &mut Cur<'_>, what: &str) -> Result<f64, DecodeError> {
+    Ok(f64::from_bits(r.u64(what)?))
+}
+
+fn flag(r: &mut Cur<'_>, what: &str) -> Result<bool, DecodeError> {
+    match r.u8(what)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(invalid(format!("{what} must be 0 or 1, got {other}"))),
+    }
+}
+
+fn opt(r: &mut Cur<'_>, what: &str) -> Result<Option<usize>, DecodeError> {
+    Ok(if flag(r, what)? { Some(usize_field(r, what)?) } else { None })
+}
+
+/// One of a closed set of values, by its index in `all`.
+fn tagged<T: Copy>(r: &mut Cur<'_>, all: &[T], what: &str) -> Result<T, DecodeError> {
+    let tag = r.u8(what)?;
+    all.get(usize::from(tag))
+        .copied()
+        .ok_or_else(|| invalid(format!("unknown {what} tag {tag}")))
+}
+
+fn detector(r: &mut Cur<'_>, what: &str) -> Result<DetectorState, DecodeError> {
+    let d = DetectorState {
+        threshold: usize_field(r, what)?,
+        consecutive_misses: usize_field(r, what)?,
+        times_fired: usize_field(r, what)?,
+    };
+    d.validate().map_err(|e| invalid(format!("{what}: {e}")))?;
+    Ok(d)
+}
+
+/// The count is checked against the bytes present (by `take`) before
+/// anything is allocated for it.
+fn waits(r: &mut Cur<'_>, what: &str) -> Result<Vec<f64>, DecodeError> {
+    let count = r.u32(what)? as usize;
+    let bytes = r.take(count.saturating_mul(8), what)?;
+    let mut waits = Vec::with_capacity(count);
+    for c in bytes.chunks_exact(8) {
+        let w = f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes")));
+        if !(w.is_finite() && w >= 0.0) {
+            return Err(invalid(format!("{what} must be finite and non-negative, got {w}")));
+        }
+        waits.push(w);
+    }
+    Ok(waits)
+}
+
+fn read_record(r: &mut Cur<'_>) -> Result<PartitionSnapshot, DecodeError> {
+    let version = r.u8("version")?;
+    if version != RECORD_VERSION {
+        return Err(invalid(format!(
+            "record version {version} unsupported (this build reads {RECORD_VERSION})"
+        )));
+    }
+    let range = tagged(r, &ProcRange::ALL, "proc range")?;
+    let site = r.text("site")?;
+    let queue = r.text("queue")?;
+    let seq = r.u64("seq")?;
+    let bmbp = BmbpState {
+        quantile: f64_field(r, "bmbp quantile")?,
+        confidence: f64_field(r, "bmbp confidence")?,
+        method: tagged(r, &METHOD_TAGS, "bound method")?,
+        trimming: flag(r, "bmbp trimming")?,
+        threshold_override: opt(r, "bmbp threshold_override")?,
+        max_history: opt(r, "bmbp max_history")?,
+        detector: detector(r, "bmbp detector")?,
+        trims: usize_field(r, "bmbp trims")?,
+        calibrated: flag(r, "bmbp calibrated")?,
+        waits: waits(r, "bmbp waits")?,
+    };
+    let lognormal = LogNormalState {
+        quantile: f64_field(r, "lognormal quantile")?,
+        confidence: f64_field(r, "lognormal confidence")?,
+        trimming: flag(r, "lognormal trimming")?,
+        threshold_override: opt(r, "lognormal threshold_override")?,
+        detector: detector(r, "lognormal detector")?,
+        trims: usize_field(r, "lognormal trims")?,
+        moments: MomentsState {
+            sum: f64_field(r, "lognormal sum")?,
+            sum_comp: f64_field(r, "lognormal sum_comp")?,
+            sum_sq: f64_field(r, "lognormal sum_sq")?,
+            sum_sq_comp: f64_field(r, "lognormal sum_sq_comp")?,
+            removals: usize_field(r, "lognormal removals")?,
+        },
+        waits: waits(r, "lognormal waits")?,
+    };
+    r.done("record")?;
+    Ok(PartitionSnapshot { site, queue, range, seq, bmbp, lognormal })
+}
+
+/// Decodes one binary partition record (the inverse of [`encode_record`])
+/// from a whole frame payload, validating every field. The payload must be
+/// exactly one record: trailing bytes are an error. Reads go through the
+/// wire codec's bounds-checked cursor ([`crate::proto`]).
+pub fn decode_record(payload: &[u8]) -> Result<PartitionSnapshot, String> {
+    read_record(&mut Cur::new(payload)).map_err(|e| e.message().to_string())
 }
 
 /// Encodes partitions (and tombstoned cursors) into the snapshot
@@ -186,6 +403,7 @@ pub fn decode(v: &Json) -> Result<(Vec<PartitionSnapshot>, Vec<DeadPartition>), 
 mod tests {
     use super::*;
     use crate::registry::{Partition, PartitionKey};
+    use qdelay_rng::{Rng, StdRng};
 
     fn sample_partitions() -> Vec<PartitionSnapshot> {
         let mut out = Vec::new();
@@ -281,6 +499,216 @@ mod tests {
         members[0].1 = Json::Num(2.0);
         members.retain(|(k, _)| k != "dead");
         assert!(decode(&Json::Obj(members)).is_err());
+    }
+
+    /// A state no predictor would produce but every codec must carry:
+    /// each field drawn independently, the wait lists salted with the
+    /// extremes of the admitted range.
+    fn random_snapshot(rng: &mut StdRng, waits: usize) -> PartitionSnapshot {
+        const EDGES: [f64; 4] = [0.0, 5e-324, f64::MIN_POSITIVE, f64::MAX];
+        let unit = |rng: &mut StdRng| rng.gen_f64_open();
+        let count = |rng: &mut StdRng| rng.gen_range(0..1 << 40);
+        let opt = |rng: &mut StdRng| rng.gen_bool(0.5).then(|| rng.gen_range(1..1 << 40));
+        let wait_list = |rng: &mut StdRng| -> Vec<f64> {
+            (0..waits)
+                .map(|_| match rng.gen_range(0..16) {
+                    i @ 0..=3 => EDGES[i],
+                    // Sign bit clear: any non-negative bit pattern.
+                    _ => Some(f64::from_bits(rng.next_u64() >> 1))
+                        .filter(|w| w.is_finite())
+                        .unwrap_or(f64::MAX),
+                })
+                .collect()
+        };
+        let detector = |rng: &mut StdRng| {
+            let threshold = rng.gen_range(1..100);
+            DetectorState {
+                threshold,
+                consecutive_misses: rng.gen_range(0..threshold),
+                times_fired: count(rng),
+            }
+        };
+        let signed = |rng: &mut StdRng| (rng.gen_f64() - 0.5) * 1e9;
+        let name = |rng: &mut StdRng| -> String {
+            let alphabet: Vec<char> = "az09-_./ \u{e9}\u{4e16}\"\\".chars().collect();
+            (0..rng.gen_range(0..24))
+                .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                .collect()
+        };
+        PartitionSnapshot {
+            site: name(rng),
+            queue: name(rng),
+            range: ProcRange::ALL[rng.gen_range(0..4)],
+            seq: count(rng) as u64,
+            bmbp: BmbpState {
+                quantile: unit(rng),
+                confidence: unit(rng),
+                method: METHOD_TAGS[rng.gen_range(0..3)],
+                trimming: rng.gen_bool(0.5),
+                threshold_override: opt(rng),
+                max_history: opt(rng),
+                detector: detector(rng),
+                trims: count(rng),
+                calibrated: rng.gen_bool(0.5),
+                waits: wait_list(rng),
+            },
+            lognormal: LogNormalState {
+                quantile: unit(rng),
+                confidence: unit(rng),
+                trimming: rng.gen_bool(0.5),
+                threshold_override: opt(rng),
+                detector: detector(rng),
+                trims: count(rng),
+                moments: MomentsState {
+                    sum: signed(rng),
+                    sum_comp: signed(rng) * 1e-20,
+                    sum_sq: signed(rng),
+                    sum_sq_comp: signed(rng) * 1e-20,
+                    removals: count(rng),
+                },
+                waits: wait_list(rng),
+            },
+        }
+    }
+
+    fn record_of(snap: &PartitionSnapshot) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_record(snap, &mut payload);
+        payload
+    }
+
+    #[test]
+    fn binary_record_round_trips_and_agrees_with_the_document_codec() {
+        // Both codecs must carry every field: a field added to one and not
+        // the other shows up as a difference here.
+        let mut rng = StdRng::seed_from_u64(0x5EC0);
+        let mut methods = [false; 3];
+        for case in 0..60 {
+            let waits = match case % 6 {
+                0 => 0,
+                1 => 10_000,
+                _ => rng.gen_range(1..200),
+            };
+            let snap = random_snapshot(&mut rng, waits);
+            methods[METHOD_TAGS.iter().position(|m| *m == snap.bmbp.method).unwrap()] = true;
+            let binary = decode_record(&record_of(&snap)).expect("record decodes");
+            assert_eq!(binary, snap, "case {case}: binary round trip");
+            let text = encode_partition(&snap).to_string_compact();
+            let document = decode_partition(&Json::parse(&text).unwrap()).expect("entry decodes");
+            assert_eq!(binary, document, "case {case}: the two codecs disagree");
+            // Equality of f64s is not identity of bits; the record's is.
+            for (got, want) in [
+                (&binary.bmbp.waits, &snap.bmbp.waits),
+                (&binary.lognormal.waits, &snap.lognormal.waits),
+            ] {
+                assert!(got.iter().map(|w| w.to_bits()).eq(want.iter().map(|w| w.to_bits())));
+            }
+        }
+        assert_eq!(methods, [true; 3], "every bound method must have been drawn");
+    }
+
+    #[test]
+    fn damaged_framed_records_are_typed_never_a_panic_or_another_partition() {
+        use qdelay_journal::frame::{self, Check};
+        let snap = random_snapshot(&mut StdRng::seed_from_u64(7), 60);
+        let mut framed = Vec::new();
+        let start = frame::begin(&mut framed);
+        encode_record(&snap, &mut framed);
+        frame::finish(&mut framed, start);
+        // What a spill-slot reader does with the bytes it is handed.
+        let read = |bytes: &[u8]| -> Result<PartitionSnapshot, String> {
+            match frame::check(bytes, 1 << 26) {
+                Check::Complete { start, end, next } if next == bytes.len() => {
+                    decode_record(&bytes[start..end])
+                }
+                Check::Complete { .. } => Err("frame shorter than its slot".into()),
+                Check::Incomplete => Err("torn frame".into()),
+                Check::Damaged(why) => Err(why.into()),
+            }
+        };
+        assert_eq!(read(&framed), Ok(snap.clone()));
+        for cut in 0..framed.len() {
+            assert!(read(&framed[..cut]).is_err(), "truncation at {cut} must not decode");
+        }
+        for i in 0..framed.len() {
+            for bit in 0..8 {
+                let mut flipped = framed.clone();
+                flipped[i] ^= 1 << bit;
+                assert!(read(&flipped).is_err(), "flip at byte {i} bit {bit} decoded");
+            }
+        }
+        // Behind an intact CRC the decoder stands alone: a damaged payload
+        // may decode to *some* valid state, but it must never panic, and a
+        // short one is always an error (the length is exact).
+        let payload = &framed[frame::PREFIX_LEN..];
+        for cut in 0..payload.len() {
+            assert!(decode_record(&payload[..cut]).is_err(), "payload cut at {cut}");
+        }
+        for i in 0..payload.len() {
+            for bit in 0..8 {
+                let mut flipped = payload.to_vec();
+                flipped[i] ^= 1 << bit;
+                let _ = decode_record(&flipped);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_record_fields_are_rejected() {
+        const SENTINEL: f64 = 12_345.678;
+        let mut snap = random_snapshot(&mut StdRng::seed_from_u64(11), 8);
+        snap.site = "site".into();
+        snap.bmbp.waits[3] = SENTINEL;
+        snap.lognormal.waits[5] = SENTINEL;
+        let good = record_of(&snap);
+        assert!(decode_record(&good).is_ok());
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut p = good.clone();
+            p[at..at + bytes.len()].copy_from_slice(bytes);
+            decode_record(&p)
+        };
+
+        // Waits: both lists, every inadmissible class.
+        let sentinel = SENTINEL.to_bits().to_le_bytes();
+        let wait_offsets: Vec<usize> = (0..good.len() - 7)
+            .filter(|&i| good[i..i + 8] == sentinel)
+            .collect();
+        assert_eq!(wait_offsets.len(), 2, "one sentinel per wait list");
+        for at in wait_offsets {
+            for bad in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+                let err = patched(at, &bad.to_bits().to_le_bytes()).unwrap_err();
+                assert!(err.contains("finite and non-negative"), "{bad}: {err}");
+            }
+        }
+
+        // Version and the two enum tags.
+        assert!(patched(0, &[0]).unwrap_err().contains("version"));
+        assert!(patched(0, &[RECORD_VERSION + 1]).unwrap_err().contains("version"));
+        assert!(patched(1, &[4]).unwrap_err().contains("proc range tag"));
+        let method_at = 2 + 4 + snap.site.len() + 4 + snap.queue.len() + 8 + 16;
+        let method = METHOD_TAGS.iter().position(|m| *m == snap.bmbp.method).unwrap();
+        assert_eq!(usize::from(good[method_at]), method, "the layout in the module docs");
+        assert!(patched(method_at, &[3]).unwrap_err().contains("bound method tag"));
+        // The flag after it (trimming) admits only 0 and 1.
+        assert!(patched(method_at + 1, &[2]).unwrap_err().contains("0 or 1"));
+
+        // A name that is not UTF-8, a count larger than the bytes present,
+        // and bytes after the record.
+        assert!(patched(6, &[0xFF]).unwrap_err().contains("UTF-8"));
+        let mut long_count = good.clone();
+        let count_at = good.len() - 8 * snap.lognormal.waits.len() - 4;
+        long_count[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_record(&long_count).unwrap_err().contains("truncated"));
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(decode_record(&trailing).unwrap_err().contains("trailing"));
+        // A detector whose run has reached its threshold is not a state a
+        // live detector can be in; the document decoder rejects it too.
+        let mut stuck = snap.clone();
+        stuck.bmbp.detector.consecutive_misses = stuck.bmbp.detector.threshold;
+        assert!(decode_record(&record_of(&stuck)).unwrap_err().contains("detector"));
+        let stuck_doc = encode_partition(&stuck).to_string_compact();
+        assert!(decode_partition(&Json::parse(&stuck_doc).unwrap()).is_err());
     }
 
     #[test]
