@@ -9,7 +9,7 @@
 //!    requests is constant, a reply releases the next request). Run twice,
 //!    parameterized over the wire protocol: once against the JSON listener
 //!    (newline framer) and once against the binary listener (CRC frames),
-//!    both on the one epoll event loop. Reports aggregate req/s, the server-side
+//!    both on the same epoll event loops. Reports aggregate req/s, the server-side
 //!    `serve.request_ns` latency distribution, and the per-stage
 //!    decode/queue/handle/reply breakdown (`serve.stage.*`) for each, and
 //!    writes it all to `BENCH_serve.json` at the repo root.

@@ -149,11 +149,13 @@ fn print_usage() {
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--connect ADDR[,ADDR...]] [--confidence C]\n\
          \x20 qdelay promote [--connect ADDR]\n\
          \x20 qdelay catalog\n\n\
-         Serving (Linux only): one I/O thread serves every connection.\n\
-         --listen takes JSON lines, --listen-binary the CRC-framed binary\n\
-         codec; both carry every method. observe/predict/admit go to the\n\
-         owning shard; stats, snapshot, metrics, trace, promote and shutdown\n\
-         run on the I/O thread itself, so keep them rare.\n\n\
+         Serving (Linux only): --shards N means N shards and N I/O threads;\n\
+         a connection belongs to one thread, which executes its requests\n\
+         itself under the owning shard's lock. --listen takes JSON lines,\n\
+         --listen-binary the CRC-framed binary codec; both carry every\n\
+         method. stats, snapshot, metrics, trace, promote and shutdown pause\n\
+         the other connections of the thread they arrive on, so keep them\n\
+         rare.\n\n\
          Replication: --listen-repl (with --journal-path) ships the WAL to\n\
          replicas; --replicate-from runs a read-only warm standby that a\n\
          SIGHUP or 'qdelay promote' turns into a primary. --connect takes a\n\

@@ -1,11 +1,13 @@
 //! The per-shard appender: group commit, fsync policy, segment rotation.
 //!
-//! One [`JournalWriter`] is owned by one serve shard event loop (single
-//! writer, no locking). The shard stages every observation of a drain
-//! cycle with [`JournalWriter::append`] and then calls
-//! [`JournalWriter::commit`] once — the whole cycle lands as one buffered
-//! `write(2)`, and acks are released only after the commit returns. That
-//! is the WAL invariant: *acked ⊆ written*.
+//! One [`JournalWriter`] is owned by one serve shard and lives behind that
+//! shard's lock, so it has one writer at a time and does no locking of its
+//! own. Whichever I/O loop executes an observe stages it with
+//! [`JournalWriter::append`]; at the end of its wakeup a loop calls
+//! [`JournalWriter::commit`] once per shard it touched — everything staged
+//! since the last commit, by any loop, lands as one buffered `write(2)`,
+//! and acks are released only after a commit that covers them returns.
+//! That is the WAL invariant: *acked ⊆ written*.
 
 use crate::segment::{encode_frame, encode_header, SegmentId, HEADER_LEN};
 use crate::{FsyncPolicy, JournalError, Record};
@@ -94,7 +96,7 @@ impl JournalWriter {
     /// touches the file system. Returns the byte offset the current
     /// segment will end at once this record is committed — the record's
     /// replication cursor (rotation happens only *after* a full commit, so
-    /// every offset handed out during one drain cycle belongs to
+    /// every offset handed out between two commits belongs to
     /// [`JournalWriter::current_id`] as of the append).
     pub fn append(&mut self, record: &Record) -> u64 {
         encode_frame(record, &mut self.buf);
@@ -186,7 +188,7 @@ impl JournalWriter {
     }
 
     /// Commits anything staged and syncs the active segment to disk.
-    /// Called on clean shard shutdown.
+    /// Called on clean server shutdown.
     pub fn close(mut self) -> Result<(), JournalError> {
         self.commit()?;
         self.sync()

@@ -1,14 +1,14 @@
-//! The one place a [`Request`] is routed or answered.
+//! The one place a [`Request`] is executed and answered.
 //!
 //! Both framers in [`crate::event_loop`] hand their decoded requests to
-//! [`dispatch`]: the data-plane methods (`observe`/`predict`/`admit`) go to
-//! the shard that owns their partition, and the control methods (`stats`,
-//! `snapshot`, `metrics`, `trace`, `promote`, `shutdown`) are answered
-//! here, **inline on the I/O thread** — a control method that has to wait
-//! (a `snapshot` gathering every shard, a `promote` waiting for the apply
-//! thread) holds every connection's reads and writes until it returns.
-//! They are operator methods, rare and bounded, and keeping them inline
-//! keeps the transport to one thread.
+//! [`dispatch`], on the I/O loop that read them, and that thread does all
+//! of it: a data-plane method (`observe`/`predict`/`admit`) locks the shard
+//! that owns its partition, executes, unlocks and renders; a control
+//! method (`stats`, `snapshot`, `metrics`, `trace`, `promote`, `shutdown`)
+//! is answered in place too — one that has to wait (a `snapshot` walking
+//! every shard, a `promote` waiting for the apply thread) holds the reads
+//! and writes of **that loop's** connections until it returns, and nobody
+//! else's. They are operator methods, rare and bounded.
 //!
 //! The [`Responder`] is the only code that knows which codec a reply is
 //! rendered in, so JSON/binary bit-identity is structural: the shards and
@@ -18,22 +18,19 @@
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::time::Instant;
 
-use crate::event_loop::Conn;
+use crate::event_loop::{ConnState, Exec};
 use crate::proto;
 use crate::protocol::{self, Reply, Request};
-use crate::registry::{PartitionKey, Prediction};
-use crate::server::{
-    collect_partitions, gather_stats, route_op, stats_payload, write_snapshot, Op, ShardHandle,
-    Shared,
-};
+use crate::registry::PartitionKey;
+use crate::server::{collect_partitions, stats_payload, write_snapshot, Done, Op, Shared};
 use crate::snapshot;
-use crate::tracing::{self, PendingTrace, ReqTrace};
-use crate::{ERRORS, SNAPSHOTS};
+use crate::tracing::{self, ReqTrace};
+use crate::{ERRORS, REQUEST_NS, SNAPSHOTS};
 use qdelay_journal::frame;
 use qdelay_json::Json;
-use qdelay_predict::admission::Decision;
+use qdelay_trace::ProcRange;
 
 /// A request's id as its connection's framer decoded it. The kind of id is
 /// also the codec of every reply to it: a line's optional JSON `id` member
@@ -43,180 +40,233 @@ pub(crate) enum Id {
     Frame(u64),
 }
 
-/// A typed error reply: one of the `ERR_*` codes plus its message.
-pub(crate) type Failure = (&'static str, String);
-
-/// Where one request's reply goes: rendered in the codec its [`Id`] names,
-/// then queued on the connection it arrived on. Carried through the shard
-/// channel with every data-plane op.
-pub(crate) struct Responder {
-    pub(crate) conn: Arc<Conn>,
-    pub(crate) id: Id,
-}
-
-fn line(mut text: String) -> Vec<u8> {
-    text.push('\n');
-    text.into_bytes()
-}
-
-impl Responder {
-    /// The one codec switch: a JSON line for a line's id, a frame for a
-    /// frame's.
-    fn render(
-        &self,
-        as_line: impl FnOnce(Option<&Json>) -> String,
-        as_frame: impl FnOnce(&mut Vec<u8>, u64),
-    ) -> Vec<u8> {
-        match &self.id {
-            Id::Line(id) => line(as_line(id.as_ref())),
-            Id::Frame(id) => {
-                let mut buf = Vec::with_capacity(96);
-                as_frame(&mut buf, *id);
-                buf
-            }
-        }
+impl Id {
+    /// A renderer of replies to this id, appending to `out`.
+    pub(crate) fn responder<'a>(&'a self, out: &'a mut Vec<u8>) -> Responder<'a> {
+        Responder { out, id: self }
     }
 
-    pub(crate) fn observe(&self, partition: &str, seq: u64) -> Vec<u8> {
-        self.render(
-            |id| protocol::observe_line(id, partition, seq),
-            |out, id| proto::encode_observe_resp(out, id, partition, seq),
-        )
-    }
-
-    pub(crate) fn predict(&self, partition: &str, p: &Prediction) -> Vec<u8> {
-        self.render(
-            |id| protocol::predict_line(id, partition, p.n, p.seq, p.bmbp, p.lognormal),
-            |out, id| {
-                let n = p.n as u64;
-                proto::encode_predict_resp(out, id, partition, n, p.seq, p.bmbp, p.lognormal)
-            },
-        )
-    }
-
-    pub(crate) fn admit(&self, partition: &str, p: &Prediction, decision: &Decision) -> Vec<u8> {
-        self.render(
-            |id| protocol::admit_line(id, partition, p.n, p.seq, decision),
-            |out, id| proto::encode_admit_resp(out, id, partition, p.n as u64, p.seq, decision),
-        )
-    }
-
-    fn control(&self, reply: Reply) -> Vec<u8> {
-        match &self.id {
-            Id::Line(id) => line(protocol::reply_line(id.as_ref(), reply)),
-            Id::Frame(id) => {
-                let mut buf = Vec::new();
-                proto::encode_reply(&mut buf, *id, reply);
-                buf
-            }
-        }
-    }
-
-    /// Most bytes one reply may occupy on this connection's wire before the
-    /// peer's own framer would refuse it: the line cap, or the largest
-    /// response frame.
+    /// Most bytes one reply may occupy on this id's wire before the peer's
+    /// own framer would refuse it: the line cap, or the largest response
+    /// frame.
     fn reply_cap(&self, max_line: usize) -> usize {
-        match &self.id {
+        match self {
             Id::Line(_) => max_line,
             Id::Frame(_) => frame::PREFIX_LEN + proto::MAX_RESP_PAYLOAD as usize,
         }
     }
+}
 
-    /// Queues rendered reply bytes (a shard's staged reply, or a control
-    /// reply) on the connection.
-    pub(crate) fn send(&self, rendered: &[u8], trace: Option<PendingTrace>) {
-        self.conn.send(rendered, trace);
+/// A typed error reply: one of the `ERR_*` codes plus its message.
+pub(crate) type Failure = (&'static str, String);
+
+/// Renders replies to one request, in the codec its [`Id`] names, onto the
+/// end of a byte buffer — the connection's out buffer, or the loop's
+/// group-commit staging.
+pub(crate) struct Responder<'a> {
+    out: &'a mut Vec<u8>,
+    id: &'a Id,
+}
+
+impl Responder<'_> {
+    /// The one codec switch: a JSON line for a line's id, a frame for a
+    /// frame's. The frame encoders append in place; a line is built as
+    /// text first.
+    fn render(
+        &mut self,
+        as_line: impl FnOnce(Option<&Json>) -> String,
+        as_frame: impl FnOnce(&mut Vec<u8>, u64),
+    ) {
+        match self.id {
+            Id::Line(id) => {
+                self.out.extend_from_slice(as_line(id.as_ref()).as_bytes());
+                self.out.push(b'\n');
+            }
+            Id::Frame(id) => as_frame(self.out, *id),
+        }
     }
 
-    pub(crate) fn send_error(&self, code: &str, message: &str) {
-        let rendered = self.render(
+    /// A data-plane result, for the partition labelled `partition`.
+    fn done(&mut self, partition: &str, done: &Done) {
+        match done {
+            Done::Observed(seq) => self.render(
+                |id| protocol::observe_line(id, partition, *seq),
+                |out, id| proto::encode_observe_resp(out, id, partition, *seq),
+            ),
+            Done::Predicted(p) => self.render(
+                |id| protocol::predict_line(id, partition, p.n, p.seq, p.bmbp, p.lognormal),
+                |out, id| {
+                    let n = p.n as u64;
+                    proto::encode_predict_resp(out, id, partition, n, p.seq, p.bmbp, p.lognormal)
+                },
+            ),
+            Done::Admitted(p, decision) => self.render(
+                |id| protocol::admit_line(id, partition, p.n, p.seq, decision),
+                |out, id| proto::encode_admit_resp(out, id, partition, p.n as u64, p.seq, decision),
+            ),
+        }
+    }
+
+    fn control(&mut self, reply: Reply) {
+        match self.id {
+            Id::Line(id) => {
+                self.out.extend_from_slice(protocol::reply_line(id.as_ref(), reply).as_bytes());
+                self.out.push(b'\n');
+            }
+            Id::Frame(id) => proto::encode_reply(self.out, *id, reply),
+        }
+    }
+
+    pub(crate) fn error(&mut self, code: &str, message: &str) {
+        self.render(
             |id| protocol::error_line(id, code, message),
             |out, id| proto::encode_error_resp(out, id, code, message),
-        );
-        self.conn.send(&rendered, None);
+        )
     }
 }
 
-/// Routes a data-plane request to its shard, or answers a control request
-/// on the calling (I/O) thread. Exactly one reply is sent through `resp`.
+/// Sends one reply that carries no trace and awaits no commit verdict.
+fn send(conn: &mut ConnState, exec: &mut Exec, render: impl FnOnce(&mut Vec<u8>)) {
+    if let Some(len) = exec.render(conn, render) {
+        exec.sent(conn, len, None, None);
+    }
+}
+
+/// Answers `id` with a typed error.
+pub(crate) fn send_error(conn: &mut ConnState, exec: &mut Exec, id: Id, code: &str, message: &str) {
+    send(conn, exec, |out| id.responder(out).error(code, message));
+}
+
+/// Executes a data-plane request under its shard's lock, or answers a
+/// control request, on the calling (I/O) thread. Exactly one reply is
+/// rendered for `id`.
 pub(crate) fn dispatch(
     request: Request,
-    resp: Responder,
+    id: Id,
     trace: ReqTrace,
-    shared: &Shared,
-    shards: &[ShardHandle],
+    conn: &mut ConnState,
+    exec: &mut Exec,
 ) {
+    let shared = &*exec.shared;
     let stop = request == Request::Shutdown;
+    // Control replies are rendered apart and copied in: they are rare, and
+    // an inline snapshot must be measured before it may be sent.
+    let control = |reply: Reply| {
+        let mut rendered = Vec::new();
+        id.responder(&mut rendered).control(reply);
+        rendered
+    };
     let rendered: Result<Vec<u8>, Failure> = match request {
         Request::Observe { .. } if shared.read_only.load(Ordering::SeqCst) => Err((
             protocol::ERR_READ_ONLY,
             "replica is read-only; observe on the primary (or promote)".into(),
         )),
+        // The request's own strings become the key: nothing is copied.
         Request::Observe { site, queue, procs, wait, predicted_bmbp, predicted_lognormal } => {
-            let key = PartitionKey::for_request(&site, &queue, procs);
+            let key = PartitionKey { site, queue, range: ProcRange::for_procs(procs) };
             let op = Op::Observe { wait, predicted_bmbp, predicted_lognormal };
-            return route_op(shards, key, op, resp, trace);
+            return execute(key, op, id, trace, conn, exec);
         }
         Request::Predict { site, queue, procs } => {
-            let key = PartitionKey::for_request(&site, &queue, procs);
-            return route_op(shards, key, Op::Predict, resp, trace);
+            let key = PartitionKey { site, queue, range: ProcRange::for_procs(procs) };
+            return execute(key, Op::Predict, id, trace, conn, exec);
         }
         Request::Admit { site, queue, procs, budget, confidence: _ } => {
-            let key = PartitionKey::for_request(&site, &queue, procs);
-            return route_op(shards, key, Op::Admit { budget }, resp, trace);
+            let key = PartitionKey { site, queue, range: ProcRange::for_procs(procs) };
+            return execute(key, Op::Admit { budget }, id, trace, conn, exec);
         }
-        Request::Snapshot { path } => take_snapshot(path, &resp, shared, shards),
+        Request::Snapshot { path } => take_snapshot(path, &id, shared),
         Request::Stats => {
-            let mut fields = stats_payload(&gather_stats(shards, false), shards);
+            let mut fields = stats_payload(shared);
             fields.push(("uptime_ms".into(), Json::Num(shared.metrics.uptime_ms() as f64)));
             fields.push(("telemetry".into(), qdelay_telemetry::snapshot().to_json()));
-            Ok(resp.control(Reply::Stats(fields)))
+            Ok(control(Reply::Stats(fields)))
         }
-        Request::Metrics => Ok(resp.control(Reply::Metrics(shared.metrics.report()))),
-        Request::Trace => Ok(resp.control(Reply::Trace(tracing::trace_fields(&shared.recorder)))),
+        Request::Metrics => Ok(control(Reply::Metrics(shared.metrics.report()))),
+        Request::Trace => Ok(control(Reply::Trace(tracing::trace_fields(&shared.recorder)))),
         Request::Promote => match shared.promote() {
-            Ok(applied) => Ok(resp.control(Reply::Promoted { applied })),
+            Ok(applied) => Ok(control(Reply::Promoted { applied })),
             Err(msg) if msg == "not a replica" => Err((protocol::ERR_BAD_REQUEST, msg)),
             Err(msg) => Err((protocol::ERR_IO, msg)),
         },
-        // Queued before shutdown is requested, and the loop flushes every
-        // connection once more on its way out, so the ack normally lands.
-        Request::Shutdown => Ok(resp.control(Reply::Shutdown)),
+        // Rendered before shutdown is requested, and the loop finishes its
+        // wakeup (and flushes every connection once more on its way out),
+        // so the ack normally lands.
+        Request::Shutdown => Ok(control(Reply::Shutdown)),
     };
     match rendered {
-        Ok(bytes) => resp.send(&bytes, None),
+        Ok(bytes) => send(conn, exec, |out| out.extend_from_slice(&bytes)),
         Err((code, message)) => {
             ERRORS.incr();
-            resp.send_error(code, &message);
+            send_error(conn, exec, id, code, &message);
         }
     }
     if stop {
-        shared.request_shutdown();
+        exec.shared.request_shutdown();
     }
+}
+
+/// One data-plane op, start to rendered reply: lock the owning shard,
+/// execute, unlock, render. The lock is held for the store touch and the
+/// predictor call only.
+fn execute(
+    key: PartitionKey,
+    op: Op,
+    id: Id,
+    mut trace: ReqTrace,
+    conn: &mut ConnState,
+    exec: &mut Exec,
+) {
+    let index = key.shard_index(exec.shared.shards.len());
+    let label = key.label();
+    // One clock read serves both the request-latency baseline and the
+    // trace's queue-stage start.
+    let start = Instant::now();
+    trace.routed(index, start);
+    let (result, mark) = {
+        let mut shard = exec.shared.shard(index);
+        trace.locked();
+        let result = shard.execute(key, op);
+        (result, shard.appended())
+    };
+    exec.executed_on(index, mark);
+    match result {
+        Ok((done, handle_ns)) => {
+            if let Some(len) = exec.render(conn, |out| id.responder(out).done(&label, &done)) {
+                let pending = trace.finish(done.method(), label, handle_ns, len);
+                // Only an observe's ack waits on the commit's verdict; a
+                // read is held for ordering and released either way.
+                let ack = matches!(done, Done::Observed(_)).then_some((index, mark, id));
+                exec.sent(conn, len, ack, Some(pending));
+            }
+        }
+        Err((code, message)) => {
+            ERRORS.incr();
+            send_error(conn, exec, id, code, &message);
+        }
+    }
+    REQUEST_NS.record(start.elapsed().as_nanos() as u64);
 }
 
 /// The `snapshot` method: to `path` (or the configured snapshot file) when
 /// there is one, inline in the reply otherwise.
-fn take_snapshot(
-    path: Option<String>,
-    resp: &Responder,
-    shared: &Shared,
-    shards: &[ShardHandle],
-) -> Result<Vec<u8>, Failure> {
+fn take_snapshot(path: Option<String>, id: &Id, shared: &Shared) -> Result<Vec<u8>, Failure> {
     let io_failure = |e: io::Error| (protocol::ERR_IO, e.to_string());
+    let mut rendered = Vec::new();
     if let Some(path) = path.map(PathBuf::from).or_else(|| shared.config.snapshot_path.clone()) {
-        let partitions = write_snapshot(shards, &path).map_err(io_failure)?;
+        let partitions = write_snapshot(shared, &path).map_err(io_failure)?;
         let path = path.display().to_string();
-        return Ok(resp.control(Reply::SnapshotFile { path, partitions }));
+        id.responder(&mut rendered).control(Reply::SnapshotFile { path, partitions });
+        return Ok(rendered);
     }
-    let (parts, dead) = collect_partitions(shards).map_err(io_failure)?;
+    let (parts, dead) = collect_partitions(shared).map_err(io_failure)?;
     let partitions = parts.len();
     let doc = snapshot::encode(parts, dead);
-    let rendered = resp.control(Reply::SnapshotInline { partitions, doc });
+    id.responder(&mut rendered).control(Reply::SnapshotInline { partitions, doc });
     // A reply past the codec's cap would only fail in the client's framer
     // as an opaque parse error; answer with the size instead and point at
     // the file escape hatch.
-    let cap = resp.reply_cap(shared.config.max_line);
+    let cap = id.reply_cap(shared.config.max_line);
     if rendered.len() > cap {
         return Err((
             protocol::ERR_SNAPSHOT_TOO_LARGE,

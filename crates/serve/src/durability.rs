@@ -66,17 +66,18 @@ pub fn snapshot_file(dir: &Path) -> PathBuf {
     dir.join("snapshot.json")
 }
 
-/// Builds the journal record for an acknowledged observe.
+/// Builds the journal record for an acknowledged observe; the key's
+/// strings move into it.
 pub(crate) fn record_for(
-    key: &PartitionKey,
+    key: PartitionKey,
     seq: u64,
     wait: f64,
     predicted_bmbp: Option<f64>,
     predicted_lognormal: Option<f64>,
 ) -> Record {
     Record {
-        site: key.site.clone(),
-        queue: key.queue.clone(),
+        site: key.site,
+        queue: key.queue,
         range: key.range.label().to_string(),
         seq,
         wait,
@@ -389,7 +390,7 @@ mod tests {
         )
         .unwrap();
         for s in seqs {
-            w.append(&record_for(&key(), s, wait(s), None, None));
+            w.append(&record_for(key(), s, wait(s), None, None));
         }
         w.commit().unwrap();
         w.close().unwrap();
@@ -476,11 +477,11 @@ mod tests {
         )
         .unwrap();
         for s in 1..=80u64 {
-            w.append(&record_for(&k, s, wait(s), None, None));
+            w.append(&record_for(k.clone(), s, wait(s), None, None));
         }
         w.append(&Record::tombstone(&k.site, &k.queue, k.range.label(), 81));
         for s in 82..=120u64 {
-            w.append(&record_for(&k, s, wait(s), None, None));
+            w.append(&record_for(k.clone(), s, wait(s), None, None));
         }
         w.commit().unwrap();
         w.close().unwrap();
@@ -519,7 +520,7 @@ mod tests {
         )
         .unwrap();
         for s in 1..=30u64 {
-            w.append(&record_for(&k, s, wait(s), None, None));
+            w.append(&record_for(k.clone(), s, wait(s), None, None));
         }
         w.append(&Record::tombstone(&k.site, &k.queue, k.range.label(), 31));
         w.commit().unwrap();
@@ -550,7 +551,7 @@ mod tests {
         apply_records(
             &mut partitions,
             &mut dead,
-            [record_for(&k, 32, wait(32), None, None)],
+            [record_for(k.clone(), 32, wait(32), None, None)],
         )
         .unwrap();
         assert_eq!(partitions.get(&k).unwrap().seq(), 32);
@@ -561,7 +562,7 @@ mod tests {
         let err = apply_records(
             &mut partitions,
             &mut dead,
-            [record_for(&k, 33, wait(33), None, None)],
+            [record_for(k.clone(), 33, wait(33), None, None)],
         )
         .unwrap_err();
         assert!(err.contains("gap"), "got: {err}");
@@ -590,7 +591,7 @@ mod tests {
         let mut w =
             JournalWriter::open(&dir, 1, shard, 256, FsyncPolicy::Never, Some(tx)).unwrap();
         for s in 1..=120u64 {
-            w.append(&record_for(&key(), s, wait(s), None, None));
+            w.append(&record_for(key(), s, wait(s), None, None));
             w.commit().unwrap();
         }
         let active = w.current_id();

@@ -69,9 +69,9 @@
 //!
 //! ## Compaction
 //!
-//! The sweeper (run by the shard loop between request batches) rewrites
-//! the spill file once garbage exceeds half the file and the file is
-//! big enough to care (64 KiB): each hibernated slot is read once,
+//! The sweeper (run under the shard lock at the end of a loop wakeup)
+//! rewrites the spill file once garbage exceeds half the file and the file
+//! is big enough to care (64 KiB): each hibernated slot is read once,
 //! CRC-checked, decoded and appended to a fresh file which replaces the
 //! old one via the same tmp + fsync + rename discipline as journal
 //! compaction ([`qdelay_journal::write_atomic`]). Slots kept by resident
@@ -750,7 +750,7 @@ mod tests {
             for i in 0..parts {
                 let k = key(i);
                 let warm: Vec<_> = (1..=70)
-                    .map(|seq| durability::record_for(&k, seq, wait(seq + i as u64), None, None))
+                    .map(|seq| durability::record_for(k.clone(), seq, wait(seq + i as u64), None, None))
                     .collect();
                 assert_eq!(capped.apply(warm.clone()), Ok(70));
                 assert_eq!(twin.apply(warm), Ok(70));
@@ -800,7 +800,7 @@ mod tests {
                             let k = key((i + j) % parts);
                             let cursor = twin.cursor(&k);
                             for seq in cursor.max(1)..cursor + 3 {
-                                batch.push(durability::record_for(&k, seq, wait(seq), None, None));
+                                batch.push(durability::record_for(k.clone(), seq, wait(seq), None, None));
                             }
                         }
                         assert_eq!(capped.apply(batch.clone()), twin.apply(batch), "{when}");
@@ -809,7 +809,7 @@ mod tests {
                     _ => {}
                 }
                 capped.enforce_cap().unwrap();
-                // The shard loop sweeps between batches.
+                // The server sweeps at the end of each wakeup.
                 compactions += usize::from(capped.sweep().unwrap());
                 assert_accounting(&capped, &path, &when);
                 assert_eq!(capped.total_observations(), twin.total_observations(), "{when}");

@@ -7,17 +7,17 @@
 //!
 //! Entirely first-party: `std::net` TCP carrying one request model in two
 //! codecs — newline-delimited JSON ([`protocol`]) and CRC-framed binary
-//! ([`proto`]) — served by one epoll I/O loop ([`event_loop`], Linux only)
-//! with one [`dispatch`]; a registry of `(site, queue, proc-range)`
-//! partitions sharded across lock-free single-owner event loops
-//! ([`registry`], [`server`]), bounded queues with typed backpressure
-//! rejections, and versioned warm-restart snapshots ([`snapshot`]) built on
-//! [`qdelay_predict::state`] — a restarted server continues serving
-//! bit-identical bounds.
+//! ([`proto`]) — served by one epoll I/O loop per shard ([`event_loop`],
+//! Linux only) with one [`dispatch`] that executes a request on the thread
+//! that read it; a registry of `(site, queue, proc-range)` partitions
+//! sharded across mutex-held shards ([`registry`], [`server`]), a reply
+//! budget per connection, and versioned warm-restart snapshots
+//! ([`snapshot`]) built on [`qdelay_predict::state`] — a restarted server
+//! continues serving bit-identical bounds.
 //!
 //! With a [`durability::JournalConfig`], the server additionally keeps a
 //! `qdelay-journal` write-ahead log: every `observe` is journaled before it
-//! is acknowledged (group-committed per shard batch), segments rotate and a
+//! is acknowledged (group-committed per loop wakeup), segments rotate and a
 //! background compactor folds sealed ones into the snapshot, and boot
 //! recovery (`snapshot ⊕ journal`, torn tails truncated) reconstructs
 //! bit-identical predictor state even after `kill -9` at an arbitrary byte.
@@ -41,9 +41,9 @@
 //! ## Telemetry and observability
 //!
 //! The service publishes `serve.*` instruments through `qdelay-telemetry`:
-//! request/error/reject counters, the shard batch-size and queue-depth
+//! request/error counters, the requests-per-wakeup and loop-busy-time
 //! distributions, and per-request latency histograms (`serve.request_ns`
-//! measures enqueue-to-reply inside the server; `serve.predict_ns` /
+//! measures decoded-to-rendered inside the server; `serve.predict_ns` /
 //! `serve.observe_ns` isolate predictor work). On top of that sits a live
 //! observability plane ([`tracing`]): per-request stage tracing feeding
 //! `serve.stage.*` histograms per protocol, a flight recorder of
@@ -70,13 +70,14 @@ use qdelay_telemetry::{Counter, Gauge, LatencyHistogram};
 pub(crate) static REQUESTS: Counter = Counter::new("serve.requests");
 /// Error replies of any kind (parse, bad request, io).
 pub(crate) static ERRORS: Counter = Counter::new("serve.errors");
-/// Requests dropped because the target shard's queue was full.
-pub(crate) static REJECTS: Counter = Counter::new("serve.rejects");
-/// Messages processed per shard wakeup (batching effectiveness).
+/// Data-plane requests executed per loop wakeup (what one group commit
+/// covers on a journaling server).
 pub(crate) static BATCH_SIZE: LatencyHistogram = LatencyHistogram::new("serve.batch_size");
-/// High-water mark of any shard queue's depth.
-pub(crate) static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue_depth");
-/// Enqueue-to-reply latency of observe/predict requests.
+/// One loop wakeup, `epoll_wait` return to flush done: how long every
+/// other connection of that loop waited, fsyncs included.
+pub(crate) static LOOP_BUSY_NS: LatencyHistogram = LatencyHistogram::new("serve.loop.busy_ns");
+/// Decoded-to-rendered latency of observe/predict/admit requests (shard
+/// lock wait included, group-commit wait not).
 pub(crate) static REQUEST_NS: LatencyHistogram = LatencyHistogram::new("serve.request_ns");
 /// Predictor time inside `predict` (refit-if-dirty + bound reads).
 pub(crate) static PREDICT_NS: LatencyHistogram = LatencyHistogram::new("serve.predict_ns");

@@ -42,12 +42,15 @@ pub const ERR_LINE_TOO_LONG: &str = "line_too_long";
 /// Well-formed JSON that is not a valid request (unknown method, missing
 /// or mistyped field, non-finite number).
 pub const ERR_BAD_REQUEST: &str = "bad_request";
-/// The target shard's queue is full; retry later. The request was dropped,
-/// not queued.
+/// A shard's request queue was full and the request was dropped. No
+/// longer emitted — a request is executed by the thread that read it, so
+/// there is no queue — but kept decodable for clients that match on it.
 pub const ERR_BACKPRESSURE: &str = "backpressure";
-/// The server is shutting down and no longer accepts work.
+/// A request raced the shard threads' teardown. No longer emitted, for
+/// the same reason; kept decodable.
 pub const ERR_SHUTTING_DOWN: &str = "shutting_down";
-/// A server-side filesystem operation (snapshot write) failed.
+/// A server-side filesystem operation failed: a snapshot write, a spill
+/// read, or the journal commit an observe's ack was waiting for.
 pub const ERR_IO: &str = "io";
 /// This server is a replica: it serves reads (`predict`/`admit`/`stats`/
 /// `metrics`) but rejects state-changing requests until promoted.
@@ -112,8 +115,8 @@ pub enum Request {
 
 /// A control method's typed answer, before a codec renders it
 /// ([`reply_line`] here, [`crate::proto::encode_reply`] for frames). The
-/// data-plane replies (`observe`/`predict`/`admit`) are rendered on the
-/// shard threads straight from predictor state and have no variant here.
+/// data-plane replies (`observe`/`predict`/`admit`) are rendered straight
+/// from the typed result the shard returned and have no variant here.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     /// `snapshot` to a server-side file.

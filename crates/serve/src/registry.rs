@@ -4,8 +4,9 @@
 //! proc-range)` triple owning an independent [`Bmbp`] and
 //! [`LogNormalPredictor`] pair. Partitions are assigned to shards by a
 //! stable FNV-1a hash of the key, so the same key always lands on the same
-//! shard within a run — giving single-threaded ownership of every
-//! predictor with no locks — while the snapshot format stays flat and
+//! shard within a run — one shard lock ([`crate::server`]) covers every
+//! predictor a request can touch, and whoever holds it mutates them
+//! single-threaded — while the snapshot format stays flat and
 //! shard-count-independent (a restart may use a different `--shards`).
 
 use crate::snapshot::PartitionSnapshot;
@@ -36,7 +37,15 @@ impl PartitionKey {
     /// Human-readable label used in replies and snapshots:
     /// `site/queue/range`.
     pub fn label(&self) -> String {
-        format!("{}/{}/{}", self.site, self.queue, self.range.label())
+        let range = self.range.label();
+        let mut label =
+            String::with_capacity(self.site.len() + self.queue.len() + range.len() + 2);
+        label.push_str(&self.site);
+        label.push('/');
+        label.push_str(&self.queue);
+        label.push('/');
+        label.push_str(range);
+        label
     }
 
     /// The owning shard, by FNV-1a over the key's fields (NUL-separated, so
@@ -70,8 +79,8 @@ impl PartitionKey {
 /// Refits are **lazy**: `observe` only marks the partition dirty, and the
 /// next `predict` refits both predictors before serving. Served bounds are
 /// therefore a pure function of the observation sequence — independent of
-/// how the shard batched the requests — while back-to-back observes cost
-/// no refit at all.
+/// how requests were batched or which loop executed them — while
+/// back-to-back observes cost no refit at all.
 #[derive(Debug)]
 pub struct Partition {
     bmbp: Bmbp,

@@ -1,52 +1,62 @@
-//! The server: boot, the shard event loops, teardown.
+//! The server: boot, the shards, teardown.
 //!
 //! Thread architecture (all `std`, no external runtime; Linux only — the
-//! transport is an epoll loop, and [`Server::start`] returns `Unsupported`
-//! where there is no epoll):
+//! transport is epoll, and [`Server::start`] returns `Unsupported` where
+//! there is no epoll):
 //!
 //! ```text
-//!  both listeners ──► one I/O loop ──try_send──► shard 0..N event loops
-//!  (JSON lines,        (accept, frame,               │  batched, lock-free
-//!   binary frames)      decode, dispatch)            ▼
-//!                      I/O loop ◄── out buffer ◄── rendered replies
+//!  both listeners ──► loop 0 ──deals sockets round-robin──► loop 1..N-1
+//!  (JSON lines,
+//!   binary frames)    every loop: read, frame, decode, lock the owning
+//!                     shard, execute, render, group-commit, write
+//!                              │
+//!                              ▼
+//!                     shard 0..N-1: Mutex<Shard>
 //! ```
 //!
-//! * **Transport** — [`crate::event_loop`]: one thread, one epoll set over
-//!   both listeners and every connection. Data-plane requests are routed
-//!   to a shard; control methods are answered inline on that thread
-//!   ([`crate::dispatch`]).
-//! * **Sharding** — each shard thread owns a disjoint set of partitions
-//!   (assigned by key hash, [`crate::registry::PartitionKey::shard_index`]),
-//!   so predictor state is mutated single-threaded with no locks.
-//! * **Batching** — a shard blocks on `recv` for the first message, then
-//!   drains its queue non-blocking up to a batch cap before processing.
-//!   Combined with the partitions' lazy refits, a burst of observes costs
-//!   one refit at the next predict instead of one per observe.
-//! * **Backpressure** — shard queues are bounded; a full queue rejects the
-//!   request immediately with a typed [`crate::protocol::ERR_BACKPRESSURE`]
-//!   error instead of stalling the connection.
+//! * **Transport** — [`crate::event_loop`]: `shards` I/O threads, each
+//!   with its own epoll set and connection table. A request is decoded,
+//!   executed, rendered and written by the loop that read it
+//!   ([`crate::dispatch`]); nothing is handed to another thread.
+//! * **Sharding** — a shard is a lock, not a thread: each [`Shard`] owns a
+//!   disjoint set of partitions (assigned by key hash,
+//!   [`crate::registry::PartitionKey::shard_index`]) behind a mutex that a
+//!   loop holds for the 30 ns – 8 µs one operation takes. `--shards` is
+//!   the one knob and sets both the shard and the loop count.
+//! * **Batching** — a wakeup executes every request its readable
+//!   connections carried; on a journaling server the wakeup ends with one
+//!   group commit per touched shard. Combined with the partitions' lazy
+//!   refits, a burst of observes costs one refit at the next predict
+//!   instead of one per observe.
+//! * **Flow control** — there is no request queue to fill: a loop reads a
+//!   bounded amount per connection per wakeup and executes what it read,
+//!   so a client that outruns the server is held back by TCP.
+//!   [`crate::protocol::ERR_BACKPRESSURE`] stays a decodable wire code but
+//!   is no longer emitted.
 //! * **Slow consumers** — each connection's unflushed reply bytes are
-//!   bounded too; a client that stops reading while its backlog is past
-//!   the budget is disconnected (counted in `serve.slow_disconnects`)
-//!   rather than allowed to wedge a shard.
+//!   bounded; a client that stops reading while its backlog is past the
+//!   budget is disconnected (counted in `serve.slow_disconnects`) rather
+//!   than allowed to grow a buffer without limit.
 //! * **Warm restart** — on boot, `snapshot_path` (if it exists) is loaded
 //!   and partitions are re-dealt across however many shards this run has;
 //!   on graceful shutdown the final registry state is written back.
 //! * **Durability (optional)** — with a [`JournalConfig`], each shard owns
-//!   a `qdelay-journal` writer: the observes of one drain cycle are
-//!   appended and group-committed *before* their acks are released, so
-//!   every acknowledged observation is in the WAL. Boot recovery loads the
-//!   journal directory's snapshot and replays the segment tail
-//!   (truncating torn tails); a background compactor folds sealed
-//!   segments into the snapshot so disk and recovery time stay bounded.
-//!   If a group commit fails, the staged acks become `io` errors and the
-//!   shard **fences**: further observes are rejected (the in-memory state
-//!   may be ahead of the journal), while predicts keep serving.
+//!   a `qdelay-journal` writer: an observe is staged on it under the shard
+//!   lock, and every reply a wakeup produced is held until the shards it
+//!   touched are committed ([`Shard::settle`]), so every acknowledged
+//!   observation is in the WAL and no reply reflects unjournaled state.
+//!   Boot recovery loads the journal directory's snapshot and replays the
+//!   segment tail (truncating torn tails); a background compactor folds
+//!   sealed segments into the snapshot so disk and recovery time stay
+//!   bounded. If a group commit fails, the acks it covered become `io`
+//!   errors and the shard **fences**: further observes are rejected (the
+//!   in-memory state may be ahead of the journal), while predicts keep
+//!   serving.
 //! * **Replication (optional)** — with `repl_addr` set (requires a
 //!   journal), a `qdelay-repl` listener streams the WAL to replicas:
 //!   each shard publishes its committed batch to the replication hub
-//!   *after* the group commit succeeds, so replicas only ever see
-//!   records whose acks were (or will be) released. With
+//!   *after* the group commit succeeds, under the shard lock, so replicas
+//!   only ever see durable records, in cursor order. With
 //!   `replicate_from` set the server boots as a **replica**: no journal
 //!   of its own, an apply thread streaming the primary's WAL into the
 //!   shards (through the same ⊕ replay path recovery uses), and
@@ -59,22 +69,22 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::dispatch::Failure;
 use crate::durability::{self, JournalConfig};
-use crate::dispatch::Responder;
-use crate::event_loop::{self, Waker};
+use crate::event_loop::{self, LoopPort};
 use crate::hibernate::PartitionStore;
 use crate::protocol;
-use crate::registry::{Partition, PartitionKey};
+use crate::registry::{Partition, PartitionKey, Prediction};
 use crate::snapshot::{self, DeadPartition, PartitionSnapshot};
-use crate::tracing::{FlightRecorder, MetricsHub, PendingTrace, ReqTrace};
+use crate::tracing::{FlightRecorder, MetricsHub};
 use crate::{
-    ADMIT_ADMITTED, ADMIT_DEFERRED, ADMIT_MARGIN, ADMIT_REJECTED, BATCH_SIZE, ERRORS,
-    OBSERVE_NS, PREDICT_NS, QUEUE_DEPTH, REJECTS, REQUEST_NS, SNAPSHOTS,
+    ADMIT_ADMITTED, ADMIT_DEFERRED, ADMIT_MARGIN, ADMIT_REJECTED, OBSERVE_NS, PREDICT_NS,
+    SNAPSHOTS,
 };
 use qdelay_predict::admission::{self, Decision};
 use qdelay_journal::{self as journal, JournalWriter, Record, SealedSegment};
@@ -86,11 +96,9 @@ use qdelay_repl::{
 /// Server tuning knobs. The defaults suit the loadgen bench and tests.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Shard (predictor-owning event loop) count.
+    /// Shard count, and the I/O loop count: every shard comes with one
+    /// loop, though any loop executes on any shard.
     pub shards: usize,
-    /// Bound on each shard's request queue; a full queue rejects with
-    /// `backpressure`.
-    pub queue_capacity: usize,
     /// Slow-consumer budget of each connection, in units of 256 bytes of
     /// unflushed replies; a reply arriving on a backlog past it disconnects
     /// the connection.
@@ -106,7 +114,7 @@ pub struct ServerConfig {
     /// `snapshot_path` only serves explicit `snapshot` requests.
     pub journal: Option<JournalConfig>,
     /// Second listener speaking the CRC-framed binary protocol
-    /// ([`crate::proto`]), served by the same I/O loop as the JSON
+    /// ([`crate::proto`]), served by the same I/O loops as the JSON
     /// listener. `None` disables it.
     pub binary_addr: Option<String>,
     /// Requests whose traced stages sum past this budget are promoted to
@@ -144,7 +152,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            queue_capacity: 1024,
             writer_capacity: 1024,
             max_line: qdelay_json::DEFAULT_MAX_LINE,
             snapshot_path: None,
@@ -161,41 +168,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Messages a shard event loop consumes.
-enum ShardMsg {
-    Op {
-        key: PartitionKey,
-        op: Op,
-        resp: Responder,
-        enqueued: Instant,
-        trace: ReqTrace,
-    },
-    /// Serialize every partition this shard owns, plus its tombstoned
-    /// cursors (both are part of the snapshot document). Hibernated
-    /// partitions are decoded straight off the spill file, so a capped
-    /// shard answers without restoring them — which is also why the
-    /// reply is fallible (a spill read can fail).
-    Collect {
-        reply: mpsc::Sender<Result<(Vec<PartitionSnapshot>, Vec<DeadPartition>), String>>,
-    },
-    /// Report this shard's registry totals.
-    Stats { reply: mpsc::Sender<ShardStats> },
-    /// Replica apply: replay a batch of replicated journal records through
-    /// the same ⊕ path recovery uses. Replies with the count applied (or
-    /// the replay error) directly — no journal, no staging.
-    Apply { records: Vec<Record>, reply: mpsc::Sender<Result<u64, String>> },
-    /// Replica resync: replace this shard's registry wholesale with state
-    /// decoded from the primary's snapshot. Under a resident cap the
-    /// install spills partitions past the cap, which can fail.
-    Install {
-        partitions: Vec<(PartitionKey, Partition)>,
-        dead: Vec<(PartitionKey, u64)>,
-        reply: mpsc::Sender<Result<(), String>>,
-    },
-}
-
-/// One shard's registry totals, tagged with the shard's index so fan-out
-/// replies can be merged deterministically regardless of arrival order.
+/// One shard's registry totals, in shard order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShardStats {
     shard: usize,
@@ -223,15 +196,241 @@ pub(crate) enum Op {
     Admit { budget: f64 },
 }
 
-/// A shard's ingress: bounded sender plus a depth counter for the
-/// `serve.queue_depth` high-water mark.
-#[derive(Clone)]
-pub(crate) struct ShardHandle {
-    tx: SyncSender<ShardMsg>,
-    depth: Arc<AtomicU64>,
+/// What an [`Op`] computed, still typed: the codec is chosen where the
+/// reply is rendered ([`crate::dispatch`]).
+pub(crate) enum Done {
+    /// The sequence number the observation became.
+    Observed(u64),
+    Predicted(Prediction),
+    Admitted(Prediction, Decision),
 }
 
-/// State shared by the I/O loop, the replica apply thread and the
+impl Done {
+    /// The wire method this answers, for the request's trace.
+    pub(crate) fn method(&self) -> &'static str {
+        match self {
+            Done::Observed(_) => "observe",
+            Done::Predicted(_) => "predict",
+            Done::Admitted(..) => "admit",
+        }
+    }
+}
+
+/// One shard: a disjoint set of partitions, their journal stream, and the
+/// group-commit watermarks. Lives in a `Mutex` inside [`Shared`]; whoever
+/// holds the lock — an I/O loop executing a request, the replica apply
+/// thread, [`Server::join`] — is the shard's only writer for that long.
+pub(crate) struct Shard {
+    index: usize,
+    store: PartitionStore,
+    journal: Option<JournalWriter>,
+    /// Set after a failed group commit: the in-memory state may be ahead
+    /// of the journal, so further observes are rejected (predicts keep
+    /// serving) until the operator restarts the server.
+    fenced: bool,
+    hub: Option<Arc<ReplHub>>,
+    /// Staged-but-uncommitted tail events for the replication hub;
+    /// published as one batch after the group commit succeeds, so replicas
+    /// only ever see durable records.
+    pending_publish: Vec<TailEvent>,
+    /// Records ever staged on the journal. A reply computed now reflects
+    /// exactly these, which makes the count the reply's commit mark.
+    appended: u64,
+    /// How many of them a successful commit covers. Stops moving at a
+    /// fence, so marks past it stay undurable for good.
+    durable: u64,
+}
+
+impl Shard {
+    fn new(
+        index: usize,
+        store: PartitionStore,
+        journal: Option<JournalWriter>,
+        hub: Option<Arc<ReplHub>>,
+    ) -> Shard {
+        Shard {
+            index,
+            store,
+            journal,
+            fenced: false,
+            hub,
+            pending_publish: Vec::new(),
+            appended: 0,
+            durable: 0,
+        }
+    }
+
+    /// The commit mark of a reply computed under this lock hold.
+    pub(crate) fn appended(&self) -> u64 {
+        self.appended
+    }
+
+    /// Executes one data-plane op. Returns the typed result and the
+    /// nanoseconds the predictors took. On a journaling shard an observe
+    /// is staged on the writer, not committed: its ack must wait for a
+    /// [`Shard::settle`] that reaches the mark [`Shard::appended`] now
+    /// reports.
+    pub(crate) fn execute(&mut self, key: PartitionKey, op: Op) -> Result<(Done, u64), Failure> {
+        let io_failure = |e: io::Error| (protocol::ERR_IO, e.to_string());
+        let result = match op {
+            Op::Observe { wait, predicted_bmbp, predicted_lognormal } => {
+                if self.fenced {
+                    return Err((protocol::ERR_IO, "journal unavailable; observe rejected".into()));
+                }
+                // The touch consumes the key; the journal record is built
+                // from this copy by move.
+                let journal_key = self.journal.is_some().then(|| key.clone());
+                let partition = self.store.touch(key).map_err(io_failure)?;
+                let t = Instant::now();
+                let seq = partition.observe(wait, predicted_bmbp, predicted_lognormal);
+                let handle_ns = t.elapsed().as_nanos() as u64;
+                OBSERVE_NS.record(handle_ns);
+                if let (Some(writer), Some(jkey)) = (&mut self.journal, journal_key) {
+                    let record = durability::record_for(
+                        jkey,
+                        seq,
+                        wait,
+                        predicted_bmbp,
+                        predicted_lognormal,
+                    );
+                    let end = writer.append(&record);
+                    self.appended += 1;
+                    if self.hub.is_some() {
+                        // Cursor: just past this record's frame in the
+                        // writer's current segment (rotation happens at
+                        // commit, after the batch).
+                        let id = writer.current_id();
+                        self.pending_publish.push(TailEvent {
+                            cursor: Cursor {
+                                epoch: id.epoch,
+                                shard: id.shard,
+                                counter: id.counter,
+                                offset: end,
+                            },
+                            record,
+                        });
+                    }
+                }
+                (Done::Observed(seq), handle_ns)
+            }
+            Op::Predict => {
+                let partition = self.store.touch(key).map_err(io_failure)?;
+                let t = Instant::now();
+                let p = partition.predict();
+                let handle_ns = t.elapsed().as_nanos() as u64;
+                PREDICT_NS.record(handle_ns);
+                (Done::Predicted(p), handle_ns)
+            }
+            Op::Admit { budget } => {
+                let partition = self.store.touch(key).map_err(io_failure)?;
+                let t = Instant::now();
+                let p = partition.predict();
+                let decision = admission::decide(p.bmbp, p.lognormal, p.n as u64, budget);
+                let handle_ns = t.elapsed().as_nanos() as u64;
+                PREDICT_NS.record(handle_ns);
+                match &decision {
+                    Decision::Admit { margin, .. } => {
+                        ADMIT_ADMITTED.incr();
+                        ADMIT_MARGIN.record(*margin as u64);
+                    }
+                    Decision::Reject { margin, .. } => {
+                        ADMIT_REJECTED.incr();
+                        ADMIT_MARGIN.record(*margin as u64);
+                    }
+                    Decision::Defer { .. } => ADMIT_DEFERRED.incr(),
+                }
+                (Done::Admitted(p, decision), handle_ns)
+            }
+        };
+        // Evict whatever this touch displaced — after the borrow on the
+        // touched partition ends, so even cap = 0 never evicts the
+        // partition an op is using.
+        self.enforce_cap();
+        Ok(result)
+    }
+
+    fn enforce_cap(&mut self) {
+        if let Err(e) = self.store.enforce_cap() {
+            eprintln!(
+                "qdelay-serve: shard {} eviction failed (partition stays resident): {e}",
+                self.index
+            );
+        }
+    }
+
+    /// The group commit. If fewer than `need` staged records are durable,
+    /// one write (and at most one fsync) covers everything staged so far —
+    /// by any loop — and the batch is published to the replication hub; a
+    /// failed commit fences the shard instead. Returns the durable
+    /// watermark: an ack is good iff its mark is at or under it, and once
+    /// this has run with a reply's mark as `need`, that reply reflects
+    /// only journaled state or the shard is fenced. The caller holds the
+    /// shard lock through the fsync, so commits and publishes are totally
+    /// ordered per shard. Also runs the spill-file sweeper, which is a
+    /// no-op until the garbage ratio trips its threshold.
+    pub(crate) fn settle(&mut self, need: u64) -> u64 {
+        if self.durable < need {
+            if let Some(writer) = &mut self.journal {
+                match writer.commit() {
+                    Ok(()) => {
+                        self.durable = self.appended;
+                        if let Some(hub) = &self.hub {
+                            if !self.pending_publish.is_empty() {
+                                hub.publish(Arc::new(std::mem::take(&mut self.pending_publish)));
+                            }
+                        }
+                    }
+                    Err(e) => {
+                        eprintln!(
+                            "qdelay-serve: shard {} journal commit failed; fencing observes: {e}",
+                            self.index
+                        );
+                        // Some prefix of the staged bytes may be on disk
+                        // (a torn tail for recovery); drop the writer
+                        // rather than risk re-appending over a partial
+                        // write. Uncommitted records must never reach a
+                        // replica: their acks become errors.
+                        self.fenced = true;
+                        self.journal = None;
+                        self.pending_publish.clear();
+                    }
+                }
+            }
+        }
+        self.sweep();
+        self.durable
+    }
+
+    fn sweep(&mut self) {
+        if let Err(e) = self.store.sweep() {
+            eprintln!("qdelay-serve: shard {} spill compaction failed: {e}", self.index);
+        }
+    }
+
+    /// Replica apply: replays replicated journal records through the same
+    /// ⊕ path recovery uses. The store restores hibernated partitions
+    /// before applying to them and hibernates under the same cap a primary
+    /// would.
+    fn apply(&mut self, records: Vec<Record>) -> Result<u64, String> {
+        let result = self.store.apply(records);
+        self.enforce_cap();
+        self.sweep();
+        result
+    }
+
+    fn stats(&self) -> ShardStats {
+        ShardStats {
+            shard: self.index,
+            partitions: self.store.partition_count(),
+            observations: self.store.total_observations(),
+            resident: self.store.resident_count(),
+            hibernated: self.store.hibernated_count(),
+            spill_bytes: self.store.spill_disk_bytes(),
+        }
+    }
+}
+
+/// State shared by the I/O loops, the replica apply thread and the
 /// [`Server`] handle.
 pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
@@ -239,9 +438,11 @@ pub(crate) struct Shared {
     /// The binary listener's bound address, when configured.
     binary_addr: Option<SocketAddr>,
     pub(crate) config: ServerConfig,
-    /// The I/O loop's waker: every connection's replies signal it, and so
-    /// does shutdown, so the loop never sleeps through either.
-    pub(crate) waker: Arc<Waker>,
+    /// The shards, indexed by [`PartitionKey::shard_index`].
+    pub(crate) shards: Vec<Mutex<Shard>>,
+    /// One port per I/O loop: where loop 0 hands an accepted socket to its
+    /// owner, and how shutdown wakes a loop blocked in `epoll_wait`.
+    pub(crate) loops: Vec<LoopPort>,
     /// The observability plane's flight recorder (ZST with tracing off).
     pub(crate) recorder: Arc<FlightRecorder>,
     /// Periodic telemetry snapshotter behind the `metrics` wire method.
@@ -287,8 +488,25 @@ impl Shared {
 
     pub(crate) fn request_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
-            self.waker.wake();
+            for port in &self.loops {
+                port.wake();
+            }
         }
+    }
+
+    pub(crate) fn shard(&self, index: usize) -> MutexGuard<'_, Shard> {
+        self.shards[index].lock().expect("a thread panicked holding this shard")
+    }
+
+    /// Locks a shard for a reply that reports its state outside the
+    /// group-commit staging (`stats`, `snapshot`, the final collect):
+    /// everything staged on it is committed first, so the report never
+    /// holds what the journal does not.
+    fn settled_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
+        let mut shard = self.shard(index);
+        let need = shard.appended;
+        shard.settle(need);
+        shard
     }
 }
 
@@ -297,10 +515,8 @@ impl Shared {
 /// [`Server::join`].
 pub struct Server {
     shared: Arc<Shared>,
-    shards: Vec<ShardHandle>,
-    shard_joins: Vec<JoinHandle<()>>,
-    /// The transport thread ([`crate::event_loop`]).
-    io_loop: Option<JoinHandle<()>>,
+    /// The transport threads ([`crate::event_loop`]), one per shard.
+    io_loops: Vec<JoinHandle<()>>,
     compactor: Option<JoinHandle<()>>,
     /// Keeping this sender alive keeps the metrics thread sampling;
     /// dropping it in `join` stops the thread at its next wakeup.
@@ -316,11 +532,10 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr`, restores the snapshot (if configured and present), and
-    /// spawns the shard threads and the I/O loop. Linux only: where there
-    /// is no epoll this returns `ErrorKind::Unsupported`.
+    /// spawns the I/O loops. Linux only: where there is no epoll this
+    /// returns `ErrorKind::Unsupported`.
     pub fn start<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
         assert!(config.shards > 0, "shards must be positive");
-        assert!(config.queue_capacity > 0, "queue_capacity must be positive");
         assert!(config.writer_capacity > 0, "writer_capacity must be positive");
         if config.repl_addr.is_some() && config.journal.is_none() {
             return Err(io::Error::new(
@@ -334,9 +549,10 @@ impl Server {
                 "a replica keeps no journal of its own (its log is the primary's WAL)",
             ));
         }
-        // The transport's wakeup primitive, first: on a platform without
+        // The transport's wakeup primitives, first: on a platform without
         // eventfd/epoll this is where `start` says so, before any work.
-        let waker = Waker::new()?;
+        let loops =
+            (0..config.shards).map(|_| LoopPort::new()).collect::<io::Result<Vec<_>>>()?;
         // Hibernation needs somewhere to spill. Resolve the directory up
         // front: explicit `spill_dir`, else alongside the journal, else
         // alongside the snapshot file.
@@ -372,8 +588,8 @@ impl Server {
         // The exact K-factor table the per-partition log-normal predictors
         // share is a process-wide lazy static (~100 noncentral-t
         // root-finds, ~150 ms): pay it here, before the listener exists,
-        // rather than stalling a shard on the first partition a request
-        // ever creates. (The change-point threshold table needs no such
+        // rather than holding a shard lock through it on the first
+        // partition a request ever creates. (The change-point threshold table needs no such
         // care: it is a committed constant.)
         qdelay_predict::lognormal::LogNormalPredictor::prewarm_k_factors(
             &qdelay_predict::lognormal::LogNormalConfig::trim(),
@@ -494,7 +710,6 @@ impl Server {
         }
 
         let mut shards = Vec::with_capacity(config.shards);
-        let mut shard_joins = Vec::with_capacity(config.shards);
         for (index, ((initial, initial_snaps), initial_dead)) in per_shard
             .into_iter()
             .zip(per_shard_snaps)
@@ -525,17 +740,10 @@ impl Server {
             } else {
                 store.install_parts(initial, initial_dead)?;
             }
-            let (tx, rx) = mpsc::sync_channel(config.queue_capacity);
-            let depth = Arc::new(AtomicU64::new(0));
-            let handle_depth = Arc::clone(&depth);
-            let hub = repl_hub.clone();
-            shard_joins.push(std::thread::spawn(move || {
-                shard_loop(index, rx, depth, store, writer, hub)
-            }));
-            shards.push(ShardHandle { tx, depth: handle_depth });
+            shards.push(Mutex::new(Shard::new(index, store, writer, repl_hub.clone())));
         }
         // The shard writers now hold the only sealed-segment senders, so
-        // the compactor exits exactly when the last shard does.
+        // the compactor exits exactly when the last writer is closed.
         drop(sealed_tx);
 
         let recorder = Arc::new(FlightRecorder::new(
@@ -552,7 +760,8 @@ impl Server {
             local_addr,
             binary_addr,
             config,
-            waker,
+            shards,
+            loops,
             recorder,
             metrics,
             read_only: AtomicBool::new(is_replica),
@@ -562,8 +771,7 @@ impl Server {
                 applied: AtomicU64::new(0),
             }),
         });
-        let io_loop =
-            event_loop::spawn(listener, bin_listener, Arc::clone(&shared), shards.clone())?;
+        let io_loops = event_loop::spawn(listener, bin_listener, &shared)?;
 
         // Primary side: the replication listener streaming the WAL.
         let mut repl_listener = None;
@@ -586,19 +794,16 @@ impl Server {
         let mut repl_apply = None;
         if let Some(primary) = replicate_from {
             let loop_shared = Arc::clone(&shared);
-            let loop_shards = shards.clone();
             repl_apply = Some(
                 std::thread::Builder::new()
                     .name("repl-apply".into())
-                    .spawn(move || replica_loop(loop_shared, loop_shards, primary))?,
+                    .spawn(move || replica_loop(loop_shared, primary))?,
             );
         }
 
         Ok(Server {
             shared,
-            shards,
-            shard_joins,
-            io_loop: Some(io_loop),
+            io_loops,
             compactor,
             metrics_stop: Some(metrics_stop),
             metrics_join: Some(metrics_join),
@@ -645,12 +850,12 @@ impl Server {
 
     /// Blocks until shutdown is requested (by [`Server::shutdown`] or a
     /// client `shutdown` request), then tears down connections, writes the
-    /// final snapshot if a path is configured, and stops the shards.
+    /// final snapshot if a path is configured, and closes the journals.
     pub fn join(mut self) -> io::Result<()> {
-        // The I/O loop runs until shutdown is requested, then flushes and
-        // closes every connection on its way out. With it gone no request
-        // can reach a shard, so nothing races the collect below.
-        if let Some(io_loop) = self.io_loop.take() {
+        // The I/O loops run until shutdown is requested, then flush and
+        // close every connection on their way out. With them gone no
+        // request can reach a shard, so nothing races the collect below.
+        for io_loop in self.io_loops.drain(..) {
             let _ = io_loop.join();
         }
         // Stop the metrics sampler (no connection can query it anymore).
@@ -658,25 +863,23 @@ impl Server {
         if let Some(j) = self.metrics_join.take() {
             let _ = j.join();
         }
-        // Replication teardown. The apply thread holds shard senders, so
-        // it must exit before the shards can; it notices `shutdown` on its
-        // next tick. The listener's accept thread is joined here; its
-        // connection threads see the hub's shutdown flag within one tail
-        // tick.
+        // Replication teardown. The apply thread is the last writer the
+        // shards have; it notices `shutdown` on its next tick. The
+        // listener's accept thread is joined here; its connection threads
+        // see the hub's shutdown flag within one tail tick.
         if let Some(j) = self.repl_apply.take() {
             let _ = j.join();
         }
         if let Some(listener) = self.repl_listener.take() {
             listener.stop();
         }
-        // Collect the final registry state while the shards are still
-        // alive (the I/O loop is gone, so no op can race this).
-        // Hibernated partitions are decoded off the spill files without
-        // being restored, so a capped shutdown costs reads, not refits.
+        // Collect the final registry state. Hibernated partitions are
+        // decoded off the spill files without being restored, so a capped
+        // shutdown costs reads, not refits.
         let wants_final = self.shared.config.snapshot_path.is_some()
             || self.shared.config.journal.is_some();
         let mut result = Ok(());
-        let final_state = match wants_final.then(|| collect_partitions(&self.shards)) {
+        let final_state = match wants_final.then(|| collect_partitions(&self.shared)) {
             Some(Ok(state)) => Some(state),
             Some(Err(e)) => {
                 result = Err(e);
@@ -684,13 +887,17 @@ impl Server {
             }
             None => None,
         };
-        // Dropping the last senders stops the shard loops; each journaling
-        // shard commits and syncs its writer on the way out.
-        self.shards.clear();
-        for j in self.shard_joins.drain(..) {
-            let _ = j.join();
+        // Each journaling shard commits and syncs its writer on the way
+        // out.
+        for index in 0..self.shared.shards.len() {
+            let mut shard = self.shared.shard(index);
+            if let Some(writer) = shard.journal.take() {
+                if let Err(e) = writer.close() {
+                    eprintln!("qdelay-serve: shard {index} journal close failed: {e}");
+                }
+            }
         }
-        // The writers' sealed-segment senders died with the shards, so the
+        // The sealed-segment senders died with the writers, so the
         // compactor drains and exits; join it before touching the journal
         // directory so no compaction races the final snapshot.
         if let Some(compactor) = self.compactor.take() {
@@ -735,39 +942,28 @@ fn invalid_data<E: std::fmt::Display>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// Collects every shard's partitions and tombstoned cursors (each shard
-/// serializes between batches, so partitions are internally consistent).
-/// Fallible because a capped shard answers by decoding its spill file,
-/// and a spill read can fail; any shard's failure fails the collection
-/// (a snapshot missing partitions would silently lose state).
+/// Collects every shard's partitions and tombstoned cursors, one shard
+/// lock at a time (so each partition is internally consistent; the
+/// document is not one cut across shards, and never was), each committed
+/// first. Fallible because a capped shard answers by decoding its spill
+/// file, and a spill read can fail; any shard's failure fails the
+/// collection (a snapshot missing partitions would silently lose state).
 pub(crate) fn collect_partitions(
-    shards: &[ShardHandle],
+    shared: &Shared,
 ) -> io::Result<(Vec<PartitionSnapshot>, Vec<DeadPartition>)> {
-    let (tx, rx) = mpsc::channel();
-    let mut expected = 0usize;
-    for shard in shards {
-        if shard.tx.send(ShardMsg::Collect { reply: tx.clone() }).is_ok() {
-            expected += 1;
-        }
-    }
-    drop(tx);
     let mut out = Vec::new();
     let mut dead = Vec::new();
-    for _ in 0..expected {
-        match rx.recv() {
-            Ok(Ok((mut parts, mut d))) => {
-                out.append(&mut parts);
-                dead.append(&mut d);
-            }
-            Ok(Err(e)) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
-            Err(_) => {}
-        }
+    for index in 0..shared.shards.len() {
+        let (mut parts, mut d) =
+            shared.settled_shard(index).store.collect().map_err(invalid_data)?;
+        out.append(&mut parts);
+        dead.append(&mut d);
     }
     Ok((out, dead))
 }
 
-pub(crate) fn write_snapshot(shards: &[ShardHandle], path: &std::path::Path) -> io::Result<usize> {
-    let (parts, dead) = collect_partitions(shards)?;
+pub(crate) fn write_snapshot(shared: &Shared, path: &std::path::Path) -> io::Result<usize> {
+    let (parts, dead) = collect_partitions(shared)?;
     let count = parts.len();
     let doc = snapshot::encode(parts, dead);
     // Atomic replace: a crash mid-write must leave any previous snapshot
@@ -778,42 +974,12 @@ pub(crate) fn write_snapshot(shards: &[ShardHandle], path: &std::path::Path) -> 
     Ok(count)
 }
 
-/// Queries every shard's registry totals. The default (`serial == false`)
-/// broadcasts the request first and joins the replies afterwards, so the
-/// shards compute concurrently; `serial` asks one shard at a time. Both
-/// orders produce the same merged payload byte-for-byte (replies carry the
-/// shard index and are sorted before merging) — pinned by a unit test.
-pub(crate) fn gather_stats(shards: &[ShardHandle], serial: bool) -> Vec<ShardStats> {
-    let mut stats: Vec<ShardStats> = if serial {
-        shards
-            .iter()
-            .filter_map(|shard| {
-                let (tx, rx) = mpsc::channel();
-                shard.tx.send(ShardMsg::Stats { reply: tx }).ok()?;
-                rx.recv().ok()
-            })
-            .collect()
-    } else {
-        let (tx, rx) = mpsc::channel();
-        let mut expected = 0usize;
-        for shard in shards {
-            if shard.tx.send(ShardMsg::Stats { reply: tx.clone() }).is_ok() {
-                expected += 1;
-            }
-        }
-        drop(tx);
-        (0..expected).filter_map(|_| rx.recv().ok()).collect()
-    };
-    stats.sort_by_key(|s| s.shard);
-    stats
-}
-
 /// Builds the `stats` reply fields (minus the time-varying telemetry and
-/// uptime sections) from per-shard totals. Each shard's entry includes its
-/// live queue depth so a bare `stats` call shows where requests are
-/// backed up; equal registry states at idle still merge byte-identically
-/// (depth reads are zero once the queues drain).
-pub(crate) fn stats_payload(stats: &[ShardStats], shards: &[ShardHandle]) -> Vec<(String, Json)> {
+/// uptime sections) from every shard's registry totals, read one shard
+/// lock at a time, each committed first.
+pub(crate) fn stats_payload(shared: &Shared) -> Vec<(String, Json)> {
+    let stats: Vec<ShardStats> =
+        (0..shared.shards.len()).map(|index| shared.settled_shard(index).stats()).collect();
     let partitions: usize = stats.iter().map(|s| s.partitions).sum();
     let observations: u64 = stats.iter().map(|s| s.observations).sum();
     let resident: usize = stats.iter().map(|s| s.resident).sum();
@@ -826,17 +992,13 @@ pub(crate) fn stats_payload(stats: &[ShardStats], shards: &[ShardHandle]) -> Vec
         ("resident".into(), Json::Num(resident as f64)),
         ("hibernated".into(), Json::Num(hibernated as f64)),
         ("spill_disk_bytes".into(), Json::Num(spill_bytes as f64)),
-        ("shards".into(), Json::Num(shards.len() as f64)),
+        ("shards".into(), Json::Num(stats.len() as f64)),
         (
             "per_shard".into(),
             Json::Arr(
                 stats
                     .iter()
                     .map(|s| {
-                        let depth = shards
-                            .get(s.shard)
-                            .map(|h| h.depth.load(Ordering::Relaxed))
-                            .unwrap_or(0);
                         Json::Obj(vec![
                             ("shard".into(), Json::Num(s.shard as f64)),
                             ("partitions".into(), Json::Num(s.partitions as f64)),
@@ -844,7 +1006,6 @@ pub(crate) fn stats_payload(stats: &[ShardStats], shards: &[ShardHandle]) -> Vec
                             ("resident".into(), Json::Num(s.resident as f64)),
                             ("hibernated".into(), Json::Num(s.hibernated as f64)),
                             ("spill_bytes".into(), Json::Num(s.spill_bytes as f64)),
-                            ("queue_depth".into(), Json::Num(depth as f64)),
                         ])
                     })
                     .collect(),
@@ -855,9 +1016,8 @@ pub(crate) fn stats_payload(stats: &[ShardStats], shards: &[ShardHandle]) -> Vec
 
 /// Accumulates sealed-segment notifications from the shard writers and
 /// folds them into the journal snapshot once `threshold` bytes are
-/// pending. Exits when every writer is gone (shard shutdown); whatever is
-/// still pending then is superseded by the final consolidation in
-/// [`Server::join`].
+/// pending. Exits when every writer is closed; whatever is still pending
+/// then is superseded by the final consolidation in [`Server::join`].
 fn compactor_loop(
     rx: Receiver<SealedSegment>,
     dir: PathBuf,
@@ -893,361 +1053,6 @@ fn compactor_loop(
                 eprintln!("qdelay-serve: journal compaction failed (giving up): {e}");
                 return;
             }
-        }
-    }
-}
-
-/// Hands one data-plane op to the shard owning its partition, or answers
-/// it with the typed rejection when the shard cannot take it.
-pub(crate) fn route_op(
-    shards: &[ShardHandle],
-    key: PartitionKey,
-    op: Op,
-    resp: Responder,
-    mut trace: ReqTrace,
-) {
-    let shard_index = key.shard_index(shards.len());
-    let shard = &shards[shard_index];
-    // One clock read serves both the request-latency baseline and the
-    // trace's queue-stage start.
-    let now = Instant::now();
-    trace.enqueued(shard_index, now);
-    let msg = ShardMsg::Op { key, op, resp, enqueued: now, trace };
-    // Count the message before sending: the shard may dequeue (and
-    // decrement) before this thread resumes, and the counter must never
-    // dip below zero.
-    let depth = shard.depth.fetch_add(1, Ordering::Relaxed) + 1;
-    match shard.tx.try_send(msg) {
-        Ok(()) => {
-            QUEUE_DEPTH.set_max(depth);
-        }
-        Err(TrySendError::Full(ShardMsg::Op { resp, .. })) => {
-            shard.depth.fetch_sub(1, Ordering::Relaxed);
-            REJECTS.incr();
-            resp.send_error(
-                protocol::ERR_BACKPRESSURE,
-                "shard queue full; request dropped, retry later",
-            );
-        }
-        Err(TrySendError::Disconnected(ShardMsg::Op { resp, .. })) => {
-            shard.depth.fetch_sub(1, Ordering::Relaxed);
-            resp.send_error(protocol::ERR_SHUTTING_DOWN, "server is shutting down");
-        }
-        Err(_) => unreachable!("a rejected Op comes back as an Op"),
-    }
-}
-
-/// Largest number of messages a shard processes per wakeup.
-const MAX_BATCH: usize = 256;
-
-/// A response withheld until the batch's group commit resolves. While a
-/// journal is active, *every* response produced mid-batch is staged in
-/// arrival order — not only the observe acks whose durability the commit
-/// decides — so a connection pipelining mixed requests at one shard still
-/// sees replies in request order.
-enum Staged {
-    /// Observe ack: downgraded to a typed error if the commit fails.
-    Ack(Responder, Vec<u8>, Option<PendingTrace>),
-    /// Any other request's reply; held for ordering only.
-    Reply(Responder, Vec<u8>, Option<PendingTrace>),
-    /// Partition snapshots (plus dead cursors) answering a `Collect`.
-    Collected(
-        mpsc::Sender<Result<(Vec<PartitionSnapshot>, Vec<DeadPartition>), String>>,
-        Result<(Vec<PartitionSnapshot>, Vec<DeadPartition>), String>,
-    ),
-    /// This shard's `Stats` contribution.
-    Counted(mpsc::Sender<ShardStats>, ShardStats),
-}
-
-fn shard_loop(
-    shard: usize,
-    rx: Receiver<ShardMsg>,
-    depth: Arc<AtomicU64>,
-    mut store: PartitionStore,
-    mut journal: Option<JournalWriter>,
-    hub: Option<Arc<ReplHub>>,
-) {
-    // Committed-but-unpublished tail events for the replication hub;
-    // published as one batch after the group commit succeeds, so replicas
-    // only ever see durable records.
-    let mut pending_publish: Vec<TailEvent> = Vec::new();
-    let mut batch = Vec::with_capacity(MAX_BATCH);
-    // Responses staged until the batch's journal records are committed
-    // (the WAL invariant: acked ⊆ journaled). Empty when not journaling.
-    let mut staged: Vec<Staged> = Vec::new();
-    // Set after a failed group commit: the in-memory state may be ahead of
-    // the journal, so further observes are rejected (predicts keep
-    // serving) until the operator restarts the server.
-    let mut fenced = false;
-    // Blocking recv for the first message, then drain what has queued up
-    // behind it; the loop exits when every sender (server + connections)
-    // is gone.
-    while let Ok(first) = rx.recv() {
-        batch.push(first);
-        while batch.len() < MAX_BATCH {
-            match rx.try_recv() {
-                Ok(msg) => batch.push(msg),
-                Err(_) => break,
-            }
-        }
-        BATCH_SIZE.record(batch.len() as u64);
-        for msg in batch.drain(..) {
-            match msg {
-                ShardMsg::Op { key, op, resp, enqueued, mut trace } => {
-                    depth.fetch_sub(1, Ordering::Relaxed);
-                    trace.dequeued_now();
-                    let label = key.label();
-                    match op {
-                        Op::Observe { wait, predicted_bmbp, predicted_lognormal } => {
-                            if fenced {
-                                ERRORS.incr();
-                                resp.send_error(
-                                    protocol::ERR_IO,
-                                    "journal unavailable; observe rejected",
-                                );
-                                REQUEST_NS.record(enqueued.elapsed().as_nanos() as u64);
-                                continue;
-                            }
-                            let journal_key = journal.is_some().then(|| key.clone());
-                            let partition = match store.touch(key) {
-                                Ok(p) => p,
-                                Err(e) => {
-                                    ERRORS.incr();
-                                    resp.send_error(protocol::ERR_IO, &e.to_string());
-                                    REQUEST_NS.record(enqueued.elapsed().as_nanos() as u64);
-                                    continue;
-                                }
-                            };
-                            let t = Instant::now();
-                            let seq =
-                                partition.observe(wait, predicted_bmbp, predicted_lognormal);
-                            let handle_ns = t.elapsed().as_nanos() as u64;
-                            OBSERVE_NS.record(handle_ns);
-                            let rendered = resp.observe(&label, seq);
-                            let pending = Some(trace.finish(
-                                "observe",
-                                label,
-                                handle_ns,
-                                rendered.len(),
-                            ));
-                            match (&mut journal, journal_key) {
-                                (Some(writer), Some(jkey)) => {
-                                    let record = durability::record_for(
-                                        &jkey,
-                                        seq,
-                                        wait,
-                                        predicted_bmbp,
-                                        predicted_lognormal,
-                                    );
-                                    let end = writer.append(&record);
-                                    if hub.is_some() {
-                                        // Cursor: just past this record's
-                                        // frame in the writer's current
-                                        // segment (rotation happens at
-                                        // commit, after the batch).
-                                        let id = writer.current_id();
-                                        pending_publish.push(TailEvent {
-                                            cursor: Cursor {
-                                                epoch: id.epoch,
-                                                shard: id.shard,
-                                                counter: id.counter,
-                                                offset: end,
-                                            },
-                                            record,
-                                        });
-                                    }
-                                    // Ack withheld until this batch commits.
-                                    staged.push(Staged::Ack(resp, rendered, pending));
-                                }
-                                _ => resp.send(&rendered, pending),
-                            }
-                        }
-                        Op::Predict => {
-                            let partition = match store.touch(key) {
-                                Ok(p) => p,
-                                Err(e) => {
-                                    ERRORS.incr();
-                                    resp.send_error(protocol::ERR_IO, &e.to_string());
-                                    REQUEST_NS.record(enqueued.elapsed().as_nanos() as u64);
-                                    continue;
-                                }
-                            };
-                            let t = Instant::now();
-                            let p = partition.predict();
-                            let handle_ns = t.elapsed().as_nanos() as u64;
-                            PREDICT_NS.record(handle_ns);
-                            let rendered = resp.predict(&label, &p);
-                            let pending = Some(trace.finish(
-                                "predict",
-                                label,
-                                handle_ns,
-                                rendered.len(),
-                            ));
-                            if journal.is_some() {
-                                staged.push(Staged::Reply(resp, rendered, pending));
-                            } else {
-                                resp.send(&rendered, pending);
-                            }
-                        }
-                        Op::Admit { budget } => {
-                            let partition = match store.touch(key) {
-                                Ok(p) => p,
-                                Err(e) => {
-                                    ERRORS.incr();
-                                    resp.send_error(protocol::ERR_IO, &e.to_string());
-                                    REQUEST_NS.record(enqueued.elapsed().as_nanos() as u64);
-                                    continue;
-                                }
-                            };
-                            let t = Instant::now();
-                            let p = partition.predict();
-                            let decision =
-                                admission::decide(p.bmbp, p.lognormal, p.n as u64, budget);
-                            let handle_ns = t.elapsed().as_nanos() as u64;
-                            PREDICT_NS.record(handle_ns);
-                            match &decision {
-                                Decision::Admit { margin, .. } => {
-                                    ADMIT_ADMITTED.incr();
-                                    ADMIT_MARGIN.record(*margin as u64);
-                                }
-                                Decision::Reject { margin, .. } => {
-                                    ADMIT_REJECTED.incr();
-                                    ADMIT_MARGIN.record(*margin as u64);
-                                }
-                                Decision::Defer { .. } => ADMIT_DEFERRED.incr(),
-                            }
-                            let rendered = resp.admit(&label, &p, &decision);
-                            let pending = Some(trace.finish(
-                                "admit",
-                                label,
-                                handle_ns,
-                                rendered.len(),
-                            ));
-                            // Read-only like predict: staged for reply
-                            // ordering under a journal, never for
-                            // durability.
-                            if journal.is_some() {
-                                staged.push(Staged::Reply(resp, rendered, pending));
-                            } else {
-                                resp.send(&rendered, pending);
-                            }
-                        }
-                    }
-                    REQUEST_NS.record(enqueued.elapsed().as_nanos() as u64);
-                    // Evict whatever this touch displaced — after the
-                    // borrow on the touched partition ends, so even
-                    // cap = 0 never evicts the partition an op is using.
-                    if let Err(e) = store.enforce_cap() {
-                        eprintln!(
-                            "qdelay-serve: shard {shard} eviction failed \
-                             (partition stays resident): {e}"
-                        );
-                    }
-                }
-                ShardMsg::Collect { reply } => {
-                    let result = store.collect().map_err(|e| e.to_string());
-                    if journal.is_some() {
-                        staged.push(Staged::Collected(reply, result));
-                    } else {
-                        let _ = reply.send(result);
-                    }
-                }
-                ShardMsg::Stats { reply } => {
-                    let stats = ShardStats {
-                        shard,
-                        partitions: store.partition_count(),
-                        observations: store.total_observations(),
-                        resident: store.resident_count(),
-                        hibernated: store.hibernated_count(),
-                        spill_bytes: store.spill_disk_bytes(),
-                    };
-                    if journal.is_some() {
-                        staged.push(Staged::Counted(reply, stats));
-                    } else {
-                        let _ = reply.send(stats);
-                    }
-                }
-                ShardMsg::Apply { records, reply } => {
-                    // Replica apply: straight through the recovery ⊕ path,
-                    // answered directly (a replica has no journal, so
-                    // nothing stages). The store restores hibernated
-                    // partitions before applying to them and hibernates
-                    // under the same cap a primary would.
-                    let result = store.apply(records);
-                    let _ = reply.send(result);
-                    if let Err(e) = store.enforce_cap() {
-                        eprintln!(
-                            "qdelay-serve: shard {shard} eviction failed \
-                             (partition stays resident): {e}"
-                        );
-                    }
-                }
-                ShardMsg::Install { partitions: parts, dead: dead_list, reply } => {
-                    let result =
-                        store.install_parts(parts, dead_list).map_err(|e| e.to_string());
-                    let _ = reply.send(result);
-                }
-            }
-        }
-        // Group commit: one write (and at most one fsync) covers every
-        // observe of this drain cycle, then the withheld responses are
-        // released in arrival order.
-        let committed = match journal.as_mut().map(JournalWriter::commit) {
-            None | Some(Ok(())) => true,
-            Some(Err(e)) => {
-                eprintln!(
-                    "qdelay-serve: shard {shard} journal commit failed; \
-                     fencing observes: {e}"
-                );
-                // Some prefix of the staged bytes may be on disk (a torn
-                // tail for recovery); drop the writer rather than risk
-                // re-appending over a partial write.
-                fenced = true;
-                journal = None;
-                false
-            }
-        };
-        if committed {
-            if let Some(hub) = &hub {
-                if !pending_publish.is_empty() {
-                    hub.publish(Arc::new(std::mem::take(&mut pending_publish)));
-                }
-            }
-        } else {
-            // Uncommitted records must never reach a replica: their acks
-            // are about to be downgraded to errors.
-            pending_publish.clear();
-        }
-        for entry in staged.drain(..) {
-            match entry {
-                Staged::Ack(resp, rendered, pending) if committed => {
-                    resp.send(&rendered, pending)
-                }
-                Staged::Ack(resp, _, _) => {
-                    ERRORS.incr();
-                    resp.send_error(
-                        protocol::ERR_IO,
-                        "journal commit failed; observation not durable",
-                    );
-                }
-                Staged::Reply(resp, rendered, pending) => resp.send(&rendered, pending),
-                Staged::Collected(tx, result) => {
-                    let _ = tx.send(result);
-                }
-                Staged::Counted(tx, stats) => {
-                    let _ = tx.send(stats);
-                }
-            }
-        }
-        // Spill-file compaction between batches, off the request path:
-        // a no-op until the garbage ratio trips the threshold.
-        if let Err(e) = store.sweep() {
-            eprintln!("qdelay-serve: shard {shard} spill compaction failed: {e}");
-        }
-    }
-    if let Some(writer) = journal.take() {
-        if let Err(e) = writer.close() {
-            eprintln!("qdelay-serve: shard {shard} journal close failed: {e}");
         }
     }
 }
@@ -1300,34 +1105,22 @@ impl ApplyBuffers {
     /// cursors untouched (the caller resyncs).
     fn flush(
         &mut self,
-        shards: &[ShardHandle],
+        shared: &Shared,
         cursors: &mut HashMap<(u64, u32), Cursor>,
         ctl: &ReplicaCtl,
     ) -> Result<(), String> {
         if self.buffered == 0 {
             return Ok(());
         }
-        let (tx, rx) = mpsc::channel();
-        let mut expected = 0usize;
+        let mut applied = 0u64;
+        let mut failure = None;
         for (index, buffer) in self.per_shard.iter_mut().enumerate() {
             if buffer.is_empty() {
                 continue;
             }
-            let records = std::mem::take(buffer);
-            shards[index]
-                .tx
-                .send(ShardMsg::Apply { records, reply: tx.clone() })
-                .map_err(|_| "shard event loop gone".to_string())?;
-            expected += 1;
-        }
-        drop(tx);
-        let mut applied = 0u64;
-        let mut failure = None;
-        for _ in 0..expected {
-            match rx.recv() {
-                Ok(Ok(n)) => applied += n,
-                Ok(Err(e)) => failure = Some(e),
-                Err(_) => failure = Some("shard event loop gone".into()),
+            match shared.shard(index).apply(std::mem::take(buffer)) {
+                Ok(n) => applied += n,
+                Err(e) => failure = Some(e),
             }
         }
         self.buffered = 0;
@@ -1345,11 +1138,14 @@ impl ApplyBuffers {
 }
 
 /// Decodes a primary snapshot and installs it wholesale into the shards
-/// (every shard gets an `Install`, so stale state is cleared even where
-/// the snapshot has nothing for it). Empty bytes mean empty state.
-fn install_snapshot(shards: &[ShardHandle], bytes: &[u8]) -> Result<(), String> {
+/// (every shard is replaced, so stale state is cleared even where the
+/// snapshot has nothing for it). Empty bytes mean empty state. Under a
+/// resident cap the install spills partitions past the cap, which can
+/// fail.
+fn install_snapshot(shared: &Shared, bytes: &[u8]) -> Result<(), String> {
+    let shards = shared.shards.len();
     let mut per_shard: Vec<(Vec<(PartitionKey, Partition)>, Vec<(PartitionKey, u64)>)> =
-        (0..shards.len()).map(|_| (Vec::new(), Vec::new())).collect();
+        (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
     if !bytes.is_empty() {
         let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
@@ -1361,34 +1157,20 @@ fn install_snapshot(shards: &[ShardHandle], bytes: &[u8]) -> Result<(), String> 
                 range: snap.range,
             };
             let part = Partition::from_snapshot(snap).map_err(|e| e.to_string())?;
-            per_shard[key.shard_index(shards.len())].0.push((key, part));
+            per_shard[key.shard_index(shards)].0.push((key, part));
         }
         for d in dead {
             let key = PartitionKey { site: d.site, queue: d.queue, range: d.range };
-            per_shard[key.shard_index(shards.len())].1.push((key, d.seq));
+            per_shard[key.shard_index(shards)].1.push((key, d.seq));
         }
     }
-    let (tx, rx) = mpsc::channel();
-    let mut expected = 0usize;
+    let mut result = Ok(());
     for (index, (parts, dead)) in per_shard.into_iter().enumerate() {
-        shards[index]
-            .tx
-            .send(ShardMsg::Install { partitions: parts, dead, reply: tx.clone() })
-            .map_err(|_| "shard event loop gone".to_string())?;
-        expected += 1;
-    }
-    drop(tx);
-    let mut failure = None;
-    for _ in 0..expected {
-        match rx.recv() {
-            Ok(Ok(())) | Err(_) => {}
-            Ok(Err(e)) => failure = Some(e),
+        if let Err(e) = shared.shard(index).store.install_parts(parts, dead) {
+            result = Err(e.to_string());
         }
     }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    result
 }
 
 /// Lifts read-only dispatch and answers every promotion waiter.
@@ -1406,14 +1188,13 @@ fn finish_promotion(shared: &Shared, ctl: &ReplicaCtl) {
 /// buffered records and poll for shutdown/promotion.
 fn run_stream(
     shared: &Shared,
-    shards: &[ShardHandle],
     mut client: ReplClient,
     cursors: &mut HashMap<(u64, u32), Cursor>,
     ctl: &ReplicaCtl,
 ) -> StreamExit {
     let connected_at = Instant::now();
     let mut caught_up = false;
-    let mut buffers = ApplyBuffers::new(shards.len());
+    let mut buffers = ApplyBuffers::new(shared.shards.len());
     loop {
         let msg = match client.next_msg() {
             Ok(msg) => Some(msg),
@@ -1425,7 +1206,7 @@ fn run_stream(
             Err(_) => {
                 // Io / Eof: apply what we have so the cursors reflect it,
                 // then reconnect.
-                if buffers.flush(shards, cursors, ctl).is_err() {
+                if buffers.flush(shared, cursors, ctl).is_err() {
                     return StreamExit::Resync;
                 }
                 return StreamExit::Reconnect;
@@ -1439,7 +1220,7 @@ fn run_stream(
                 }
             }
             Some(Msg::Snapshot(bytes)) => {
-                if let Err(e) = install_snapshot(shards, &bytes) {
+                if let Err(e) = install_snapshot(shared, &bytes) {
                     eprintln!("qdelay-serve: replicated snapshot rejected ({e}); full resync");
                     return StreamExit::Resync;
                 }
@@ -1450,14 +1231,14 @@ fn run_stream(
                     return StreamExit::Resync;
                 }
                 if buffers.buffered >= APPLY_BATCH {
-                    if let Err(e) = buffers.flush(shards, cursors, ctl) {
+                    if let Err(e) = buffers.flush(shared, cursors, ctl) {
                         eprintln!("qdelay-serve: replica apply failed ({e}); full resync");
                         return StreamExit::Resync;
                     }
                 }
             }
             Some(Msg::CaughtUp) => {
-                if let Err(e) = buffers.flush(shards, cursors, ctl) {
+                if let Err(e) = buffers.flush(shared, cursors, ctl) {
                     eprintln!("qdelay-serve: replica apply failed ({e}); full resync");
                     return StreamExit::Resync;
                 }
@@ -1472,7 +1253,7 @@ fn run_stream(
             }
             None => {
                 // Tick: flush, then poll shutdown and promotion.
-                if let Err(e) = buffers.flush(shards, cursors, ctl) {
+                if let Err(e) = buffers.flush(shared, cursors, ctl) {
                     eprintln!("qdelay-serve: replica apply failed ({e}); full resync");
                     return StreamExit::Resync;
                 }
@@ -1491,7 +1272,7 @@ fn run_stream(
 /// Replica-mode apply thread: stream the primary's WAL into the shards,
 /// reconnecting (with the cursors kept) on connection loss and resyncing
 /// from a snapshot after corruption. Exits on shutdown or promotion.
-fn replica_loop(shared: Arc<Shared>, shards: Vec<ShardHandle>, primary: String) {
+fn replica_loop(shared: Arc<Shared>, primary: String) {
     let ctl = shared.replica.as_ref().expect("replica_loop needs ReplicaCtl");
     let mut cursors: HashMap<(u64, u32), Cursor> = HashMap::new();
     let mut backoff = Duration::from_millis(250);
@@ -1507,7 +1288,7 @@ fn replica_loop(shared: Arc<Shared>, shards: Vec<ShardHandle>, primary: String) 
         match ReplClient::connect(primary.as_str(), &resume, Duration::from_millis(100)) {
             Ok(client) => {
                 backoff = Duration::from_millis(250);
-                match run_stream(&shared, &shards, client, &mut cursors, ctl) {
+                match run_stream(&shared, client, &mut cursors, ctl) {
                     StreamExit::Stop => break 'outer,
                     StreamExit::Reconnect => {}
                     StreamExit::Resync => cursors.clear(),
@@ -1532,64 +1313,5 @@ fn replica_loop(shared: Arc<Shared>, shards: Vec<ShardHandle>, primary: String) 
     // Shutdown: fail any promotion request that raced it.
     for tx in ctl.waiters.lock().expect("promote waiters lock").drain(..) {
         let _ = tx.send(Err("server is shutting down".into()));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Spawns real shard loops with synthetic registries: shard `i` owns
-    /// `i + 1` partitions with distinct observation counts.
-    fn spawn_test_shards(count: usize) -> (Vec<ShardHandle>, Vec<JoinHandle<()>>) {
-        let mut shards = Vec::new();
-        let mut joins = Vec::new();
-        for i in 0..count {
-            let mut initial = Vec::new();
-            for j in 0..=i {
-                let key = PartitionKey::for_request(&format!("site-{i}-{j}"), "batch", 4);
-                let mut part = Partition::default();
-                for k in 0..(5 * (i + j + 1)) {
-                    part.observe(k as f64 * 3.0, None, None);
-                }
-                initial.push((key, part));
-            }
-            let mut store = PartitionStore::new(None, None).unwrap();
-            store.install_parts(initial, Vec::new()).unwrap();
-            let (tx, rx) = mpsc::sync_channel(64);
-            let depth = Arc::new(AtomicU64::new(0));
-            let loop_depth = Arc::clone(&depth);
-            joins.push(std::thread::spawn(move || {
-                shard_loop(i, rx, loop_depth, store, None, None)
-            }));
-            shards.push(ShardHandle { tx, depth });
-        }
-        (shards, joins)
-    }
-
-    #[test]
-    fn parallel_stats_fanout_matches_serial_byte_for_byte() {
-        let (shards, joins) = spawn_test_shards(4);
-        let parallel = stats_payload(&gather_stats(&shards, false), &shards);
-        let serial = stats_payload(&gather_stats(&shards, true), &shards);
-        assert_eq!(
-            Json::Obj(parallel.clone()).to_string_compact(),
-            Json::Obj(serial).to_string_compact(),
-            "fan-out merge must be order-independent"
-        );
-        // Sanity on the merged totals: 1 + 2 + 3 + 4 partitions.
-        let partitions = parallel
-            .iter()
-            .find(|(k, _)| k == "partitions")
-            .and_then(|(_, v)| match v {
-                Json::Num(n) => Some(*n as usize),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(partitions, 10);
-        drop(shards);
-        for j in joins {
-            j.join().unwrap();
-        }
     }
 }

@@ -17,7 +17,7 @@
 //!   per-predictor guarantee is tested in `qdelay-predict`; the end-to-end
 //!   one in the serve bench).
 //!
-//! Consistency: shards serialize their partitions between batches, so every
+//! Consistency: a shard serializes its partitions under its lock, so every
 //! partition is internally consistent at some point during the snapshot
 //! request; the file is not a single global cut across shards.
 //!

@@ -142,8 +142,8 @@ mod imp {
         }
     }
 
-    /// A nonblocking eventfd: the cross-thread wakeup primitive the reply
-    /// path uses to kick a sleeping event loop.
+    /// A nonblocking eventfd: how another thread makes an event loop's
+    /// `epoll_wait` return (a dealt socket, or shutdown).
     #[derive(Debug)]
     pub struct EventFd {
         fd: RawFd,

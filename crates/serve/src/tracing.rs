@@ -1,9 +1,11 @@
 //! The live observability plane: per-request stage tracing, the flight
 //! recorder, and the metrics hub.
 //!
-//! A request passes through distinct stages — decode (frame/JSON parse),
-//! queue (shard-enqueue to shard-dequeue), handle (predictor work +
-//! render), reply (reply-enqueue to write-complete) — and an aggregate
+//! A request passes through distinct stages, all on the I/O loop that read
+//! it — decode (frame/JSON parse), queue (decoded until the owning shard's
+//! lock is held: what another loop's operation or fsync on that shard
+//! costs this request), handle (predictor work), reply (rendered until
+//! written, the group-commit wait included) — and an aggregate
 //! `serve.request_ns` histogram cannot say which one a p99 spike lives in.
 //! [`ReqTrace`] rides each request through both wire protocols, stamping
 //! monotonic timestamps at the stage boundaries; completed records feed
@@ -44,7 +46,7 @@ pub struct TraceEntry {
     pub shard: u32,
     /// [`PROTO_JSON`] or [`PROTO_BIN`].
     pub protocol: &'static str,
-    /// `"observe"` or `"predict"` (only shard ops are traced).
+    /// `"observe"`, `"predict"` or `"admit"` (only shard ops are traced).
     pub method: &'static str,
     /// Partition label, `site/queue/procs`.
     pub partition: String,
@@ -54,11 +56,11 @@ pub struct TraceEntry {
     pub resp_bytes: u32,
     /// Frame/JSON parse time (read-blocking excluded).
     pub decode_ns: u64,
-    /// Shard-enqueue to shard-dequeue.
+    /// Decoded until the owning shard's lock is held.
     pub queue_ns: u64,
-    /// Predictor work + render (+ journal append when durable).
+    /// Predictor work under the shard lock.
     pub handle_ns: u64,
-    /// Reply-enqueue to write-complete (flush observed by the I/O loop).
+    /// Rendered until written to the socket (group-commit wait included).
     pub reply_ns: u64,
 }
 
@@ -132,9 +134,8 @@ mod imp {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// An in-flight request's stage stamps. Created at decode, carried
-    /// through the shard channel, turned into a [`PendingTrace`] when the
-    /// reply is queued on its connection.
+    /// An in-flight request's stage stamps. Created at decode, turned into
+    /// a [`PendingTrace`] when the reply is rendered.
     #[derive(Debug)]
     pub(crate) struct ReqTrace {
         protocol: &'static str,
@@ -142,7 +143,7 @@ mod imp {
         decode_ns: u64,
         req_bytes: u32,
         shard: u32,
-        enqueued: Instant,
+        routed: Instant,
         queue_ns: u64,
     }
 
@@ -157,7 +158,7 @@ mod imp {
                 decode_ns: 0,
                 req_bytes: 0,
                 shard: 0,
-                enqueued: now,
+                routed: now,
                 queue_ns: 0,
             }
         }
@@ -168,20 +169,20 @@ mod imp {
             self.req_bytes = clamp_u32(req_bytes);
         }
 
-        /// Records the shard handoff; `at` is the enqueue instant the
-        /// router already read for its own bookkeeping.
-        pub(crate) fn enqueued(&mut self, shard: usize, at: Instant) {
+        /// Opens the queue stage on the owning shard; `at` is the instant
+        /// dispatch already read for `serve.request_ns`.
+        pub(crate) fn routed(&mut self, shard: usize, at: Instant) {
             self.shard = shard as u32;
-            self.enqueued = at;
+            self.routed = at;
         }
 
-        /// Stamps shard pickup, closing the queue stage.
-        pub(crate) fn dequeued_now(&mut self) {
-            self.queue_ns = self.enqueued.elapsed().as_nanos() as u64;
+        /// Stamps the shard lock's acquisition, closing the queue stage.
+        pub(crate) fn locked(&mut self) {
+            self.queue_ns = self.routed.elapsed().as_nanos() as u64;
         }
 
         /// Closes the handle stage and seals the record; the reply stage
-        /// starts when the connection admits it ([`PendingTrace::mark_sent`]).
+        /// starts now, at render ([`PendingTrace::mark_sent`]).
         pub(crate) fn finish(
             self,
             method: &'static str,
@@ -220,8 +221,8 @@ mod imp {
     }
 
     impl PendingTrace {
-        /// Stamps the reply-enqueue instant (first call wins; error paths
-        /// that re-route a reply must not restart the clock).
+        /// Stamps the rendered instant (first call wins: a reply held for
+        /// its group commit keeps the clock it was rendered on).
         pub(crate) fn mark_sent(&mut self) {
             if self.sent.is_none() {
                 self.sent = Some(Instant::now());
@@ -334,12 +335,12 @@ mod imp {
 
         /// Completes a batch of pending traces against one clock read
         /// (the I/O loop calls this after each flush).
-        pub(crate) fn complete_all(&self, batch: &mut Vec<PendingTrace>) {
-            if batch.is_empty() {
+        pub(crate) fn complete_all(&self, batch: impl ExactSizeIterator<Item = PendingTrace>) {
+            if batch.len() == 0 {
                 return;
             }
             let now = Instant::now();
-            for pending in batch.drain(..) {
+            for pending in batch {
                 self.record(pending.into_entry(now));
             }
         }
@@ -381,9 +382,9 @@ mod imp {
 
         pub(crate) fn decoded(&mut self, _req_bytes: usize) {}
 
-        pub(crate) fn enqueued(&mut self, _shard: usize, _at: Instant) {}
+        pub(crate) fn routed(&mut self, _shard: usize, _at: Instant) {}
 
-        pub(crate) fn dequeued_now(&mut self) {}
+        pub(crate) fn locked(&mut self) {}
 
         pub(crate) fn finish(
             self,
@@ -412,8 +413,8 @@ mod imp {
             FlightRecorder
         }
 
-        pub(crate) fn complete_all(&self, batch: &mut Vec<PendingTrace>) {
-            batch.clear();
+        pub(crate) fn complete_all(&self, batch: impl ExactSizeIterator<Item = PendingTrace>) {
+            batch.for_each(drop);
         }
 
         pub(crate) fn dump(&self) -> RecorderDump {
@@ -701,14 +702,12 @@ mod tests {
             let mut trace = ReqTrace::begin(PROTO_BIN);
             trace.decoded(48);
             let now = Instant::now();
-            trace.enqueued(0, now);
-            trace.dequeued_now();
+            trace.routed(0, now);
+            trace.locked();
             let mut pending = trace.finish("observe", "s/q/1-4".to_string(), 7_000, 96);
             pending.mark_sent();
             std::thread::sleep(Duration::from_millis(2));
-            let mut batch = vec![pending];
-            rec.complete_all(&mut batch);
-            assert!(batch.is_empty());
+            rec.complete_all(vec![pending].into_iter());
             let dump = rec.dump();
             assert_eq!(dump.recent.len(), 1);
             let e = &dump.recent[0];
@@ -752,13 +751,11 @@ mod tests {
             let rec = FlightRecorder::new(4, 256, 10_000_000);
             let mut trace = ReqTrace::begin(PROTO_JSON);
             trace.decoded(10);
-            trace.enqueued(1, Instant::now());
-            trace.dequeued_now();
+            trace.routed(1, Instant::now());
+            trace.locked();
             let mut pending = trace.finish("predict", "a/b/1-2".to_string(), 5, 10);
             pending.mark_sent();
-            let mut batch = vec![pending];
-            rec.complete_all(&mut batch);
-            assert!(batch.is_empty());
+            rec.complete_all(vec![pending].into_iter());
             let dump = rec.dump();
             assert!(dump.recent.is_empty() && dump.slow.is_empty());
             assert_eq!(dump.dropped, 0);

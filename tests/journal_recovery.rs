@@ -11,13 +11,14 @@
 //! dead process would leave behind), then truncated at arbitrary offsets
 //! to model the torn final write.
 
-use qdelay::journal::{self, FsyncPolicy, RecoverMode};
-use qdelay::serve::client::Client;
+use qdelay::journal::{self, FsyncPolicy, RecoverMode, SegmentId};
+use qdelay::serve::client::{Client, ClientError};
 use qdelay::serve::durability::JournalConfig;
-use qdelay::serve::registry::Partition;
+use qdelay::serve::registry::{Partition, PartitionKey};
 use qdelay::serve::server::{Server, ServerConfig};
 use qdelay_json::Json;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Deterministic wait-time stream.
 fn wait(i: u64) -> f64 {
@@ -344,55 +345,309 @@ fn corrupted_journals_recover_a_prefix_or_fail_typed_never_panic() {
     let _ = std::fs::remove_dir_all(&damaged);
 }
 
+/// A site name whose `(site, "q", 4)` partition lives on `shard` of
+/// `shards`: the `nth` such name in a fixed enumeration.
+fn site_on_shard(shard: usize, shards: usize, nth: usize) -> String {
+    (0..)
+        .map(|i| format!("site{i}"))
+        .filter(|site| PartitionKey::for_request(site, "q", 4).shard_index(shards) == shard)
+        .nth(nth)
+        .unwrap()
+}
+
+/// Group commit withholds every reply of a wakeup until the shards it
+/// touched are committed, then releases them in arrival order — so a
+/// connection pipelining a mix of methods over partitions on every shard
+/// sees its replies in request order. Without a journal nothing is
+/// withheld, and the order holds because one loop executes and renders a
+/// connection's requests one after another.
+#[test]
+fn pipelined_replies_stay_in_request_order_under_journaling() {
+    const PARTITIONS: u64 = 64;
+    for journaled in [true, false] {
+        let dir = fresh_dir("fifo");
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServerConfig {
+                shards: 4,
+                journal: if journaled { config(&dir, 1 << 20, u64::MAX).journal } else { None },
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let mut id = 0u64;
+        for round in 0..8u64 {
+            // One burst, written at once: an observe, a predict and an
+            // admit for each of 64 partitions spread over the 4 shards.
+            let first = id;
+            for p in 0..PARTITIONS {
+                let target = format!(r#""site":"s{p}","queue":"normal","procs":4"#);
+                let wait = wait(round * PARTITIONS + p);
+                for method in [
+                    format!(r#""method":"observe",{target},"wait":{wait}"#),
+                    format!(r#""method":"predict",{target}"#),
+                    format!(r#""method":"admit",{target},"budget":600"#),
+                ] {
+                    client.send_raw(&format!(r#"{{"id":{id},{method}}}"#)).unwrap();
+                    id += 1;
+                }
+            }
+            for expect in first..id {
+                let reply = client.read_reply().unwrap();
+                assert_eq!(
+                    reply.get("ok"),
+                    Some(&Json::Bool(true)),
+                    "request must succeed: {}",
+                    reply.to_string_compact()
+                );
+                assert_eq!(
+                    reply.get("id").and_then(Json::as_f64),
+                    Some(expect as f64),
+                    "journaled={journaled} round {round}: reply out of request order"
+                );
+            }
+        }
+        client.shutdown().unwrap();
+        server.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Two connections on different loops interleave observes into partitions
+/// of ONE shard under `fsync always`, so both loops stage on, commit and
+/// ack from the same journal stream. Crash images taken while they run
+/// must each hold every observation acknowledged before the copy began,
+/// and recover to exactly the replay of the prefix they hold.
+#[test]
+fn two_loops_on_one_shard_keep_acked_subset_of_journaled() {
+    const PER_WORKER: usize = 150;
+    let live = fresh_dir("two-loops-live");
+    let mut cfg = config(&live, 4096, u64::MAX);
+    cfg.shards = 2;
+    cfg.journal.as_mut().unwrap().fsync = FsyncPolicy::Always;
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let sites: Vec<String> = (0..3).map(|nth| site_on_shard(0, 2, nth)).collect();
+
+    // Accept order is loop order: the first connection is loop 0's, the
+    // second loop 1's.
+    let clients = [
+        Client::connect(server.local_addr()).unwrap(),
+        Client::connect(server.local_addr()).unwrap(),
+    ];
+    // Every ack, as (partition, seq, wait), in the order acks were seen.
+    let acked: Mutex<Vec<(usize, u64, f64)>> = Mutex::new(Vec::new());
+    let mut images: Vec<(PathBuf, Vec<(usize, u64, f64)>)> = Vec::new();
+    std::thread::scope(|scope| {
+        for (worker, mut client) in clients.into_iter().enumerate() {
+            let (sites, acked) = (&sites, &acked);
+            scope.spawn(move || {
+                for i in 0..PER_WORKER {
+                    let part = (i + worker) % sites.len();
+                    let wait = wait((worker * PER_WORKER + i) as u64);
+                    let seq = client.observe(&sites[part], "q", 4, wait, None, None).unwrap();
+                    acked.lock().unwrap().push((part, seq, wait));
+                }
+            });
+        }
+        // The crash images: each taken once the workers have got this far,
+        // while they keep going. What was acked before the copy began must
+        // be in it.
+        for (n, threshold) in [40, 110, 180, 250].into_iter().enumerate() {
+            let before = loop {
+                let seen = acked.lock().unwrap();
+                if seen.len() >= threshold {
+                    break seen.clone();
+                }
+                drop(seen);
+                std::thread::yield_now();
+            };
+            let image = fresh_dir(&format!("two-loops-image-{n}"));
+            copy_dir(&live, &image);
+            images.push((image, before));
+        }
+    });
+    let mut probe = Client::connect(server.local_addr()).unwrap();
+    probe.shutdown().unwrap();
+    server.join().unwrap();
+
+    // Per partition, the waits in the order the shard applied them: acks
+    // carry the sequence number each observation became.
+    let mut all = acked.into_inner().unwrap();
+    assert_eq!(all.len(), 2 * PER_WORKER);
+    all.sort_by_key(|&(part, seq, _)| (part, seq));
+    let history: Vec<Vec<f64>> = (0..sites.len())
+        .map(|p| all.iter().filter(|e| e.0 == p).map(|e| e.2).collect())
+        .collect();
+    for (part, waits) in history.iter().enumerate() {
+        let seqs: Vec<u64> = all.iter().filter(|e| e.0 == part).map(|e| e.1).collect();
+        assert_eq!(seqs, (1..=waits.len() as u64).collect::<Vec<_>>(), "acked seqs are dense");
+    }
+
+    for (image, before) in images {
+        let mut cfg = config(&image, 4096, u64::MAX);
+        cfg.shards = 2;
+        let server = Server::start("127.0.0.1:0", cfg).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for (part, site) in sites.iter().enumerate() {
+            let got = client.predict(site, "q", 4).unwrap();
+            let acked_before =
+                before.iter().filter(|e| e.0 == part).map(|e| e.1).max().unwrap_or(0);
+            assert!(
+                got.seq >= acked_before,
+                "partition {part}: recovered seq {} < acked seq {acked_before}",
+                got.seq
+            );
+            let mut oracle = Partition::new();
+            for &wait in &history[part][..got.seq as usize] {
+                oracle.observe(wait, None, None);
+            }
+            let want = oracle.predict();
+            assert_eq!(got.n, want.n, "partition {part} n");
+            assert_eq!(got.bmbp.map(f64::to_bits), want.bmbp.map(f64::to_bits));
+            assert_eq!(got.lognormal.map(f64::to_bits), want.lognormal.map(f64::to_bits));
+        }
+        client.shutdown().unwrap();
+        server.join().unwrap();
+        let _ = std::fs::remove_dir_all(&image);
+    }
+    let _ = std::fs::remove_dir_all(&live);
+}
+
+/// The fence: a group commit that fails (here: its rotation finds the
+/// next segment file already there) turns the acks it covered into typed
+/// `io` errors and fences that shard for observes from every loop, while
+/// its predicts, and the other shard entirely, keep serving. No ack given
+/// before the failure is lost on recovery.
+#[test]
+fn failed_commit_fences_one_shard_across_loops() {
+    let live = fresh_dir("fence-live");
+    let mut cfg = config(&live, 512, u64::MAX);
+    cfg.shards = 2;
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    // Shard 0's first rotation will collide with this file.
+    let (active, _) = journal::scan_dir(&live)
+        .unwrap()
+        .into_iter()
+        .find(|(id, _)| id.shard == 0)
+        .expect("shard 0 has an active segment");
+    let next = SegmentId { counter: active.counter + 1, ..active };
+    std::fs::write(live.join(next.file_name()), journal::encode_header(next.epoch, next.shard))
+        .unwrap();
+
+    let doomed: Vec<String> = (0..2).map(|nth| site_on_shard(0, 2, nth)).collect();
+    let healthy = site_on_shard(1, 2, 0);
+    // The first connection is loop 0's, the second loop 1's.
+    let mut clients = [
+        Client::connect(server.local_addr()).unwrap(),
+        Client::connect(server.local_addr()).unwrap(),
+    ];
+    let io_error = |result: Result<u64, ClientError>| match result {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, "io", "{}", e.message);
+            true
+        }
+        Ok(_) => false,
+        Err(e) => panic!("unexpected failure {e}"),
+    };
+
+    // Depth-1 observes on the doomed shard, alternating loops, until the
+    // commit that has to rotate fails. `applied[p]` is every wait the
+    // shard applied to partition p, in order; `acked[p]` how many of them
+    // were acknowledged.
+    let mut applied: Vec<Vec<f64>> = vec![Vec::new(); doomed.len()];
+    let mut acked = vec![0u64; doomed.len()];
+    let mut fenced_at = None;
+    for i in 0..200usize {
+        let part = i % doomed.len();
+        let wait = wait(i as u64);
+        applied[part].push(wait);
+        let result = clients[i % 2].observe(&doomed[part], "q", 4, wait, None, None);
+        if io_error(result) {
+            fenced_at = Some(i);
+            break;
+        }
+        acked[part] = applied[part].len() as u64;
+    }
+    let fenced_at = fenced_at.expect("512-byte segments rotate within 200 observes");
+    assert!(fenced_at > 0, "some observes are acked before the first rotation");
+
+    // From both loops: observes on the fenced shard are refused, its
+    // predicts serve, the other shard still acks.
+    for round in 0..6u64 {
+        for client in &mut clients {
+            for site in &doomed {
+                assert!(io_error(client.observe(site, "q", 4, 1.0, None, None)));
+                assert!(client.predict(site, "q", 4).unwrap().seq > 0);
+            }
+            assert!(!io_error(client.observe(&healthy, "q", 4, wait(round), None, None)));
+        }
+    }
+    // And pipelined, both loops at once: every request is answered, in
+    // order, with the same verdicts.
+    std::thread::scope(|scope| {
+        for client in &mut clients {
+            let (doomed, healthy) = (&doomed[0], &healthy);
+            scope.spawn(move || {
+                for id in 0..90u64 {
+                    let line = match id % 3 {
+                        0 => format!(
+                            r#"{{"id":{id},"method":"observe","site":"{doomed}","queue":"q","procs":4,"wait":2}}"#
+                        ),
+                        1 => format!(
+                            r#"{{"id":{id},"method":"predict","site":"{doomed}","queue":"q","procs":4}}"#
+                        ),
+                        _ => format!(
+                            r#"{{"id":{id},"method":"observe","site":"{healthy}","queue":"q","procs":4,"wait":2}}"#
+                        ),
+                    };
+                    client.send_raw(&line).unwrap();
+                }
+                for id in 0..90u64 {
+                    let reply = client.read_reply().unwrap();
+                    assert_eq!(reply.get("id").and_then(Json::as_f64), Some(id as f64));
+                    let ok = reply.get("ok") == Some(&Json::Bool(true));
+                    assert_eq!(ok, id % 3 != 0, "{}", reply.to_string_compact());
+                    if !ok {
+                        assert_eq!(reply.get("error").and_then(Json::as_str), Some("io"));
+                    }
+                }
+            });
+        }
+    });
+
+    // The crash image must hold every ack given before the failure, and
+    // nothing the shard did not apply.
+    let image = fresh_dir("fence-image");
+    copy_dir(&live, &image);
+    clients[0].shutdown().unwrap();
+    server.join().unwrap();
+    let mut cfg = config(&image, 1 << 20, u64::MAX);
+    cfg.shards = 2;
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (part, site) in doomed.iter().enumerate() {
+        let got = client.predict(site, "q", 4).unwrap();
+        assert!(got.seq >= acked[part], "partition {part}: acked seq {} lost", acked[part]);
+        assert!(got.seq as usize <= applied[part].len(), "partition {part}: invented state");
+        let mut oracle = Partition::new();
+        for &wait in &applied[part][..got.seq as usize] {
+            oracle.observe(wait, None, None);
+        }
+        let want = oracle.predict();
+        assert_eq!(got.bmbp.map(f64::to_bits), want.bmbp.map(f64::to_bits));
+        assert_eq!(got.lognormal.map(f64::to_bits), want.lognormal.map(f64::to_bits));
+    }
+    client.shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&live);
+    let _ = std::fs::remove_dir_all(&image);
+}
+
 /// Compaction keeps disk usage and replay work bounded while the server
 /// runs: sealed segments are folded into the snapshot in the background,
 /// so a crash image never carries the full observation history as journal
 /// frames.
-/// Group commit withholds observe acks until the batch's records are on
-/// disk — but a connection pipelining mixed requests at one partition must
-/// still see replies in request order, so the shard stages *all* of the
-/// batch's responses and flushes them in arrival order after the commit.
-#[test]
-fn pipelined_replies_stay_in_request_order_under_journaling() {
-    let dir = fresh_dir("fifo");
-    let server = Server::start("127.0.0.1:0", config(&dir, 1 << 20, u64::MAX)).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    for round in 0..20u64 {
-        for i in 0..5u64 {
-            client
-                .send_raw(&format!(
-                    r#"{{"id":{},"method":"observe","site":"ds","queue":"normal","procs":4,"wait":{}}}"#,
-                    round * 6 + i,
-                    wait(round * 5 + i),
-                ))
-                .unwrap();
-        }
-        client
-            .send_raw(&format!(
-                r#"{{"id":{},"method":"predict","site":"ds","queue":"normal","procs":4}}"#,
-                round * 6 + 5,
-            ))
-            .unwrap();
-        for j in 0..6u64 {
-            let reply = client.read_reply().unwrap();
-            assert_eq!(
-                reply.get("ok"),
-                Some(&Json::Bool(true)),
-                "request must succeed: {}",
-                reply.to_string_compact()
-            );
-            assert_eq!(
-                reply.get("id").and_then(Json::as_f64),
-                Some((round * 6 + j) as f64),
-                "round {round}: reply out of request order"
-            );
-        }
-    }
-    client.shutdown().unwrap();
-    server.join().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn compaction_bounds_disk_and_replay() {
     let dir = fresh_dir("compact-bounds");

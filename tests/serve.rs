@@ -350,46 +350,3 @@ fn timeout_and_retry_are_transparent_on_a_healthy_server() {
     c.shutdown().unwrap();
     server.join().unwrap();
 }
-
-/// Backpressure: a tiny shard queue with a stalled shard rejects with the
-/// typed error instead of stalling the connection.
-#[test]
-fn full_shard_queue_rejects_with_backpressure() {
-    // One shard, capacity 2. Stall the shard by... shards only stall on
-    // work, so instead flood with pipelined requests faster than the shard
-    // drains; with capacity 2 and hundreds of in-flight requests, at least
-    // some must reject (the writer queue is large enough to hold replies).
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig { shards: 1, queue_capacity: 2, ..ServerConfig::default() },
-    )
-    .unwrap();
-    let mut c = Client::connect(server.local_addr()).unwrap();
-    let line = r#"{"method":"observe","site":"s","queue":"q","procs":1,"wait":1.0}"#;
-    const N: usize = 400;
-    for _ in 0..N {
-        c.send_raw(line).unwrap();
-    }
-    let mut ok = 0usize;
-    let mut backpressure = 0usize;
-    for _ in 0..N {
-        let reply = c.read_reply().unwrap();
-        match reply.get("ok") {
-            Some(Json::Bool(true)) => ok += 1,
-            _ => {
-                assert_eq!(
-                    reply.get("error").and_then(Json::as_str),
-                    Some("backpressure")
-                );
-                backpressure += 1;
-            }
-        }
-    }
-    assert_eq!(ok + backpressure, N);
-    assert!(ok > 0, "some observes must land");
-    // The accepted observes all made it into the partition.
-    let p = c.predict("s", "q", 1).unwrap();
-    assert_eq!(p.seq as usize, ok, "accepted = applied");
-    c.shutdown().unwrap();
-    server.join().unwrap();
-}
