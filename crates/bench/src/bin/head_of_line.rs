@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use qdelay_serve::client::{BinClient, Client};
+use qdelay_serve::client::Client;
 use qdelay_serve::durability::{FsyncPolicy, JournalConfig};
 use qdelay_serve::server::{Server, ServerConfig};
 
@@ -76,7 +76,8 @@ fn main() {
     .expect("server");
 
     // Accept order is loop order: A on loop 0, then a B for each loop.
-    let mut a = BinClient::connect(server.binary_addr().expect("binary listener")).expect("A");
+    let mut a =
+        Client::connect_binary(server.binary_addr().expect("binary listener")).expect("A");
     let mut b_other = Client::connect(server.local_addr()).expect("B, other loop");
     let mut b_same = Client::connect(server.local_addr()).expect("B, same loop");
 

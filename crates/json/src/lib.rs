@@ -1,8 +1,8 @@
 //! # qdelay-json
 //!
 //! A small, dependency-free JSON value with a strict parser, a stable
-//! pretty-printer, and an incremental newline-delimited [`Reader`], used
-//! for the workspace's committed result artifacts
+//! pretty-printer, and the per-line rule of newline-delimited streams
+//! ([`parse_line`]), used for the workspace's committed result artifacts
 //! (`results_tables34.json`, `results_tables567.json`), the determinism
 //! tests that require *byte-identical* serialization across worker counts,
 //! and the `qdelay-serve` wire protocol.
@@ -32,7 +32,7 @@
 
 mod reader;
 
-pub use reader::{parse_line, ReadError, Reader, DEFAULT_MAX_LINE};
+pub use reader::{parse_line, ReadError, DEFAULT_MAX_LINE};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,46 +1,67 @@
-//! A small blocking client for the wire protocol, used by the tests, the
-//! loadgen bench, and scriptable enough for ad-hoc poking.
+//! The blocking client: one [`Client`] type over both wire codecs, used by
+//! the CLI, the tests and the bench drivers, and scriptable enough for
+//! ad-hoc poking.
 //!
-//! [`Client::call`] is strict request/response. For pipelined load, pair
-//! [`Client::send_raw`] with [`Client::read_reply`] and keep a fixed window
-//! of requests in flight.
+//! ## One client, two wires
+//!
+//! A connection speaks one [`Wire`] for its whole life, fixed by the
+//! constructor and by nothing else: [`Client::connect`] /
+//! [`Client::connect_any`] dial a server's JSON-lines port (`--listen`),
+//! [`Client::connect_binary`] / [`Client::connect_any_binary`] its
+//! CRC-framed binary port (`--listen-binary`). Everything after the
+//! constructor is the same code on both: an operation builds a
+//! [`Request`], [`Wire::encode`] writes it in the connection's codec,
+//! [`Wire::cut`] takes one reply off the receive buffer and decodes it
+//! into the one typed [`BinResponse`], and the typed call checks the id and
+//! turns an `Error` reply into [`ClientError::Server`]. The same question
+//! gets the same answer on either wire, bit for bit.
+//!
+//! Every typed method is strict request/response. For pipelined load, the
+//! `queue_*` methods batch encoded requests into one buffer,
+//! [`Client::flush`] sends them with a single write, and
+//! [`Client::read_response`] drains the replies, which arrive in request
+//! order.
+//!
+//! ## Ids
+//!
+//! Requests carry a per-connection id counting up from 1 (0 is the
+//! server's "unattributed" sentinel, and what a JSON reply without an id
+//! reads as), and every typed call checks the id its reply echoes: a
+//! mismatch is [`ClientError::Protocol`], never another question's answer.
 //!
 //! ## Timeouts and retries
 //!
 //! [`Client::set_read_timeout`] bounds how long a reply is awaited; an
 //! expired wait surfaces as the typed [`ClientError::Timeout`]. After a
-//! timeout the connection is desynchronized (the late reply may still
-//! arrive) and must not be reused for request/response traffic — which is
-//! why the retry path always reconnects.
+//! timeout the connection is out of step (the late reply may still arrive;
+//! the id check refuses it) and must be reconnected before the next
+//! request — which is why the retry path always reconnects.
 //!
 //! [`Client::set_retry`] enables bounded exponential-backoff retries for
-//! the **idempotent** requests only: `predict`, `admit`, and `stats`
-//! re-ask the same question, so replaying them is always safe. `observe`
-//! is *never* retried — its ack assigns a sequence number, and a retry
-//! after a lost ack could double-count the observation.
+//! the **idempotent** requests only: `predict`, `admit`, `stats`,
+//! `metrics` and `trace` re-ask the same question, so replaying them is
+//! always safe. `observe` is *never* retried — its ack assigns a sequence
+//! number, and a retry after a lost ack could double-count the
+//! observation — and neither is `promote`.
 //!
 //! ## Failover
 //!
-//! [`Client::connect_any`] (and [`BinClient::connect_any`]) takes a list
-//! of addresses — typically a primary and its replicas. The first
-//! reachable peer serves; every retry reconnect rotates to the next peer
-//! in the list, so with a [`RetryPolicy`] set, the idempotent requests
-//! transparently fail over to a surviving replica when the connected
-//! server dies. `observe` still never retries, on any peer.
-//!
-//! ## Binary protocol
-//!
-//! [`BinClient`] speaks the CRC-framed binary protocol ([`crate::proto`])
-//! to a server's `--listen-binary` port. The call surface mirrors
-//! [`Client`]; for pipelined load, the `queue_*` methods batch frames
-//! into one buffer, [`BinClient::flush`] sends them with a single write,
-//! and [`BinClient::read_response`] drains replies in order.
+//! The `connect_any` constructors take a list of addresses — typically a
+//! primary and its replicas. The first reachable peer serves; every retry
+//! reconnect rotates to the next peer in the list, so with a
+//! [`RetryPolicy`] set, the idempotent requests transparently fail over to
+//! a surviving replica when the connected server dies. `observe` still
+//! never retries, on any peer.
 
-use std::io::{self, Write};
+use std::collections::VecDeque;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use qdelay_json::{Json, ReadError, Reader};
+use crate::proto::{self, BinResponse};
+use crate::protocol::{self, Request};
+use qdelay_journal::frame::{self, Check};
+use qdelay_json::{Json, DEFAULT_MAX_LINE};
 use qdelay_predict::admission::Decision;
 
 /// An `{"ok":false}` reply, surfaced as a typed error.
@@ -175,10 +196,85 @@ fn connect_rotating(
     Err(last.expect("peers is non-empty"))
 }
 
-/// A blocking connection to a qdelay-serve server.
+/// The codec a connection speaks, client side: the mirror of the server's
+/// two framers (JSON lines on `--listen`, CRC frames on `--listen-binary`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wire {
+    Json,
+    Bin,
+}
+
+/// The typed requests a JSON connection has sent and not yet read the reply
+/// to, oldest first, as `(id, method)`: a JSON success reply carries no kind
+/// tag, so it is decoded by the method of the request whose id it echoes.
+pub type Pending = VecDeque<(u64, &'static str)>;
+
+impl Wire {
+    /// Appends one encoded request to `out` (and, on the JSON wire, its
+    /// method to `pending`).
+    pub fn encode(self, out: &mut Vec<u8>, pending: &mut Pending, id: u64, request: &Request) {
+        match self {
+            Wire::Json => {
+                out.extend_from_slice(protocol::request_line(id, request).as_bytes());
+                out.push(b'\n');
+                pending.push_back((id, request.method()));
+            }
+            Wire::Bin => proto::encode_request(out, id, request),
+        }
+    }
+
+    /// Cuts one complete reply off the front of `buf` and decodes it into
+    /// `(id, response)`; `Ok(None)` when `buf` holds no complete reply yet.
+    /// A reply past the codec's size cap, a damaged frame or a line that is
+    /// not exactly one JSON value is an error, and the stream is lost.
+    pub fn cut(
+        self,
+        buf: &mut Vec<u8>,
+        pending: &mut Pending,
+    ) -> Result<Option<(u64, BinResponse)>, String> {
+        match self {
+            Wire::Bin => match frame::check(buf, proto::MAX_RESP_PAYLOAD) {
+                Check::Complete { start, end, next } => {
+                    let decoded = proto::decode_response(&buf[start..end]);
+                    buf.drain(..next);
+                    decoded.map(Some)
+                }
+                Check::Damaged(reason) => Err(format!("response frame: {reason}")),
+                Check::Incomplete => Ok(None),
+            },
+            Wire::Json => loop {
+                let newline = buf.iter().position(|&b| b == b'\n');
+                if newline.unwrap_or(buf.len()) > DEFAULT_MAX_LINE {
+                    return Err(format!("reply line exceeds {DEFAULT_MAX_LINE} bytes"));
+                }
+                let Some(newline) = newline else { return Ok(None) };
+                let parsed = qdelay_json::parse_line(&buf[..newline]);
+                buf.drain(..=newline);
+                let Some(v) = parsed.map_err(|e| e.to_string())? else { continue };
+                let id = protocol::reply_id(&v)?;
+                let method = match pending.front() {
+                    Some(&(sent, method)) if sent == id => {
+                        pending.pop_front();
+                        Some(method)
+                    }
+                    _ => None,
+                };
+                return protocol::decode_reply(&v, method).map(|resp| Some((id, resp)));
+            },
+        }
+    }
+}
+
+/// A blocking connection to a qdelay-serve server, on either wire.
 pub struct Client {
-    writer: TcpStream,
-    reader: Reader<TcpStream>,
+    stream: TcpStream,
+    wire: Wire,
+    /// Bytes received but not yet cut into replies.
+    rbuf: Vec<u8>,
+    /// Encoded requests awaiting [`Client::flush`].
+    wbuf: Vec<u8>,
+    pending: Pending,
+    next_id: u64,
     /// Failover peer set; `peers[active]` is the live connection's target.
     peers: Vec<SocketAddr>,
     active: usize,
@@ -187,33 +283,40 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects and disables Nagle (the protocol is request/response).
+    /// Connects to a server's JSON-lines port and disables Nagle (the
+    /// protocol is request/response).
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let peer = stream.peer_addr()?;
-        let read_half = stream.try_clone()?;
-        Ok(Client {
-            writer: stream,
-            reader: Reader::new(read_half),
-            peers: vec![peer],
-            active: 0,
-            read_timeout: None,
-            retry: None,
-        })
+        Self::open(&[addr], Wire::Json)
     }
 
-    /// Connects to the first reachable peer of a failover list (typically
-    /// the primary plus its replicas). The whole list is kept:
+    /// Connects to a server's binary port.
+    pub fn connect_binary<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
+        Self::open(&[addr], Wire::Bin)
+    }
+
+    /// Connects to the first reachable JSON-lines port of a failover list
+    /// (typically the primary plus its replicas). The whole list is kept:
     /// [`Client::reconnect`] rotates through it, so idempotent requests
     /// under a [`RetryPolicy`] fail over to surviving peers.
     pub fn connect_any<A: ToSocketAddrs>(addrs: &[A]) -> io::Result<Client> {
+        Self::open(addrs, Wire::Json)
+    }
+
+    /// [`Client::connect_any`] over a list of binary ports.
+    pub fn connect_any_binary<A: ToSocketAddrs>(addrs: &[A]) -> io::Result<Client> {
+        Self::open(addrs, Wire::Bin)
+    }
+
+    fn open<A: ToSocketAddrs>(addrs: &[A], wire: Wire) -> io::Result<Client> {
         let peers = resolve_peers(addrs)?;
         let (stream, active) = connect_rotating(&peers, 0, None)?;
-        let read_half = stream.try_clone()?;
         Ok(Client {
-            writer: stream,
-            reader: Reader::new(read_half),
+            stream,
+            wire,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            pending: Pending::new(),
+            next_id: 1,
             peers,
             active,
             read_timeout: None,
@@ -226,21 +329,20 @@ impl Client {
         self.peers[self.active]
     }
 
-    /// Bounds how long [`Client::read_reply`] waits; `None` (the default)
-    /// waits forever. An expired wait surfaces as
+    /// Bounds how long [`Client::read_response`] waits for more bytes;
+    /// `None` (the default) waits forever. An expired wait surfaces as
     /// [`ClientError::Timeout`], after which the connection must be
     /// reconnected before the next request.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        // SO_RCVTIMEO is a socket-level option shared by the cloned read
-        // half, so setting it on the writer stream covers both.
-        self.writer.set_read_timeout(timeout)?;
         self.read_timeout = timeout;
-        Ok(())
+        self.stream.set_read_timeout(timeout)
     }
 
     /// Enables (or with `None`, disables) automatic retries for the
-    /// idempotent requests, [`Client::predict`] and [`Client::stats`].
-    /// [`Client::observe`] never retries.
+    /// idempotent requests: [`Client::predict`], [`Client::admit`],
+    /// [`Client::stats`], [`Client::metrics`] and [`Client::trace`].
+    /// [`Client::observe`] never retries — its ack assigns a sequence
+    /// number — and neither does [`Client::promote`].
     pub fn set_retry(&mut self, policy: Option<RetryPolicy>) {
         self.retry = policy;
     }
@@ -248,79 +350,152 @@ impl Client {
     /// Tears down the current connection and dials again, reapplying the
     /// read timeout. With one peer this redials it; with a failover list
     /// the rotation starts at the *next* peer (the current one just
-    /// failed) and takes the first that answers.
+    /// failed) and takes the first that answers. Queued requests and
+    /// half-read reply bytes are dropped — their stream is gone.
     pub fn reconnect(&mut self) -> io::Result<()> {
         let from = if self.peers.len() > 1 { self.active + 1 } else { self.active };
         let (stream, active) = connect_rotating(&self.peers, from, self.read_timeout)?;
-        let read_half = stream.try_clone()?;
-        self.writer = stream;
-        self.reader = Reader::new(read_half);
+        self.stream = stream;
         self.active = active;
+        self.rbuf.clear();
+        self.wbuf.clear();
+        self.pending.clear();
         Ok(())
     }
 
-    /// Writes one raw line (a `\n` is appended). The line is not validated.
-    pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+    /// Queues one request under a fresh id, which it returns.
+    fn queue(&mut self, request: &Request) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.wire.encode(&mut self.wbuf, &mut self.pending, id, request);
+        id
     }
 
-    /// Reads the next reply value, whatever its `ok` flag.
-    pub fn read_reply(&mut self) -> Result<Json, ClientError> {
-        match self.reader.read_value() {
-            Ok(Some(v)) => Ok(v),
-            Ok(None) => Err(ClientError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ))),
-            // Both kinds are platform spellings of an expired SO_RCVTIMEO.
-            Err(ReadError::Io(e))
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                Err(ClientError::Timeout)
+    /// Queues one `observe`; returns its request id.
+    pub fn queue_observe(
+        &mut self,
+        site: &str,
+        queue: &str,
+        procs: u32,
+        wait: f64,
+        predicted_bmbp: Option<f64>,
+        predicted_lognormal: Option<f64>,
+    ) -> u64 {
+        self.queue(&Request::Observe {
+            site: site.into(),
+            queue: queue.into(),
+            procs,
+            wait,
+            predicted_bmbp,
+            predicted_lognormal,
+        })
+    }
+
+    /// Queues one `predict`; returns its request id.
+    pub fn queue_predict(&mut self, site: &str, queue: &str, procs: u32) -> u64 {
+        self.queue(&Request::Predict { site: site.into(), queue: queue.into(), procs })
+    }
+
+    /// Queues one `admit`; returns its request id.
+    pub fn queue_admit(
+        &mut self,
+        site: &str,
+        queue: &str,
+        procs: u32,
+        budget: f64,
+        confidence: Option<f64>,
+    ) -> u64 {
+        self.queue(&Request::Admit {
+            site: site.into(),
+            queue: queue.into(),
+            procs,
+            budget,
+            confidence,
+        })
+    }
+
+    /// Appends raw bytes to the outgoing buffer, bypassing the encoders (on
+    /// the JSON wire, a line needs its `\n`). For protocol tests that send
+    /// damaged requests: the reply to one decodes only if it is an error.
+    pub fn queue_raw(&mut self, bytes: &[u8]) {
+        self.wbuf.extend_from_slice(bytes);
+    }
+
+    /// Sends everything queued with one write.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if !self.wbuf.is_empty() {
+            self.stream.write_all(&self.wbuf)?;
+            self.wbuf.clear();
+        }
+        Ok(())
+    }
+
+    /// Reads the next reply, in server order, whatever its id or kind.
+    pub fn read_response(&mut self) -> Result<(u64, BinResponse), ClientError> {
+        loop {
+            let cut = self.wire.cut(&mut self.rbuf, &mut self.pending);
+            if let Some(reply) = cut.map_err(ClientError::Protocol)? {
+                return Ok(reply);
             }
-            Err(ReadError::Io(e)) => Err(ClientError::Io(e)),
-            Err(e) => Err(ClientError::Protocol(e.to_string())),
+            let mut chunk = [0u8; 16 * 1024];
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    return Err(ClientError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed the connection",
+                    )))
+                }
+                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Both kinds are platform spellings of an expired SO_RCVTIMEO.
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    return Err(ClientError::Timeout)
+                }
+                Err(e) => return Err(ClientError::Io(e)),
+            }
         }
     }
 
-    /// Sends a request value and returns the reply, converting
-    /// `{"ok":false}` into [`ClientError::Server`].
-    pub fn call(&mut self, request: &Json) -> Result<Json, ClientError> {
-        self.send_raw(&request.to_string_compact())?;
-        let reply = self.read_reply()?;
-        match reply.get("ok") {
-            Some(Json::Bool(true)) => Ok(reply),
-            Some(Json::Bool(false)) => Err(ClientError::Server(ServeError {
-                code: reply
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                message: reply
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-            })),
-            _ => Err(ClientError::Protocol(format!(
-                "reply missing 'ok': {}",
-                reply.to_string_compact()
+    /// One strict request/response exchange: the request goes out under a
+    /// fresh id, the next reply must echo that id, and an `Error` reply
+    /// becomes [`ClientError::Server`].
+    fn exchange(&mut self, request: &Request) -> Result<BinResponse, ClientError> {
+        let id = self.queue(request);
+        self.flush()?;
+        match self.read_response()? {
+            (got, _) if got != id => Err(ClientError::Protocol(format!(
+                "reply id {got} does not match request id {id}"
             ))),
+            (_, BinResponse::Error { code, message }) => {
+                Err(ClientError::Server(ServeError { code, message }))
+            }
+            (_, response) => Ok(response),
         }
     }
 
-    /// [`Client::call`] with the retry policy applied. Only transport
-    /// failures and timeouts retry (a typed server error would fail again
-    /// identically); every retry reconnects first, because after a timeout
-    /// or a mid-reply failure the old connection's stream position is
-    /// unknown.
-    fn call_idempotent(&mut self, request: &Json) -> Result<Json, ClientError> {
-        let Some(policy) = self.retry else { return self.call(request) };
+    /// [`Client::exchange`], under the retry policy when the request is
+    /// idempotent. Only transport failures and timeouts retry (a typed
+    /// server error would fail again identically); every retry reconnects
+    /// first, rotating peers, because after a timeout or a mid-reply
+    /// failure the old connection's stream position is unknown.
+    fn call(&mut self, request: &Request) -> Result<BinResponse, ClientError> {
+        let idempotent = matches!(
+            request,
+            Request::Predict { .. }
+                | Request::Admit { .. }
+                | Request::Stats
+                | Request::Metrics
+                | Request::Trace
+        );
+        let Some(policy) = self.retry.filter(|_| idempotent) else {
+            return self.exchange(request);
+        };
         let attempts = policy.attempts.max(1);
         let mut attempt = 0u32;
         loop {
-            let err = match self.call(request) {
+            let err = match self.exchange(request) {
                 Err(e @ (ClientError::Io(_) | ClientError::Timeout)) => e,
                 other => return other,
             };
@@ -330,24 +505,10 @@ impl Client {
             std::thread::sleep(policy.backoff(attempt));
             attempt += 1;
             // A failed reconnect consumes an attempt and loops: the stale
-            // streams below will fail fast, and the next iteration dials
-            // again after the grown backoff.
+            // stream fails fast, and the next iteration dials again after
+            // the grown backoff.
             let _ = self.reconnect();
         }
-    }
-
-    fn partition_request(
-        method: &str,
-        site: &str,
-        queue: &str,
-        procs: u32,
-    ) -> Vec<(String, Json)> {
-        vec![
-            ("method".into(), Json::Str(method.into())),
-            ("site".into(), Json::Str(site.into())),
-            ("queue".into(), Json::Str(queue.into())),
-            ("procs".into(), Json::Num(f64::from(procs))),
-        ]
     }
 
     /// Reveals a completed wait; returns the per-partition sequence number.
@@ -360,20 +521,18 @@ impl Client {
         predicted_bmbp: Option<f64>,
         predicted_lognormal: Option<f64>,
     ) -> Result<u64, ClientError> {
-        let mut members = Self::partition_request("observe", site, queue, procs);
-        members.push(("wait".into(), Json::Num(wait)));
-        if let Some(p) = predicted_bmbp {
-            members.push(("predicted_bmbp".into(), Json::Num(p)));
+        let request = Request::Observe {
+            site: site.into(),
+            queue: queue.into(),
+            procs,
+            wait,
+            predicted_bmbp,
+            predicted_lognormal,
+        };
+        match self.call(&request)? {
+            BinResponse::Observe { seq, .. } => Ok(seq),
+            other => Err(unexpected(&request, other)),
         }
-        if let Some(p) = predicted_lognormal {
-            members.push(("predicted_lognormal".into(), Json::Num(p)));
-        }
-        let reply = self.call(&Json::Obj(members))?;
-        reply
-            .get("seq")
-            .and_then(Json::as_usize)
-            .map(|s| s as u64)
-            .ok_or_else(|| ClientError::Protocol("observe ack missing 'seq'".into()))
     }
 
     /// Queries the current bounds for a partition.
@@ -383,24 +542,13 @@ impl Client {
         queue: &str,
         procs: u32,
     ) -> Result<Prediction, ClientError> {
-        let reply = self.call_idempotent(&Json::Obj(Self::partition_request(
-            "predict", site, queue, procs,
-        )))?;
-        let field = |k: &str| reply.get(k).cloned().unwrap_or(Json::Null);
-        Ok(Prediction {
-            partition: field("partition").as_str().unwrap_or_default().to_string(),
-            n: reply
-                .get("n")
-                .and_then(Json::as_usize)
-                .ok_or_else(|| ClientError::Protocol("predict reply missing 'n'".into()))?,
-            seq: reply
-                .get("seq")
-                .and_then(Json::as_usize)
-                .ok_or_else(|| ClientError::Protocol("predict reply missing 'seq'".into()))?
-                as u64,
-            bmbp: field("bmbp").as_f64(),
-            lognormal: field("lognormal").as_f64(),
-        })
+        let request = Request::Predict { site: site.into(), queue: queue.into(), procs };
+        match self.call(&request)? {
+            BinResponse::Predict { partition, n, seq, bmbp, lognormal } => {
+                Ok(Prediction { partition, n: n as usize, seq, bmbp, lognormal })
+            }
+            other => Err(unexpected(&request, other)),
+        }
     }
 
     /// Admission check: compares the partition's current bound against
@@ -414,63 +562,60 @@ impl Client {
         budget: f64,
         confidence: Option<f64>,
     ) -> Result<AdmitDecision, ClientError> {
-        let mut members = Self::partition_request("admit", site, queue, procs);
-        members.push(("budget".into(), Json::Num(budget)));
-        if let Some(c) = confidence {
-            members.push(("confidence".into(), Json::Num(c)));
+        let request =
+            Request::Admit { site: site.into(), queue: queue.into(), procs, budget, confidence };
+        match self.call(&request)? {
+            BinResponse::Admit { partition, n, seq, decision } => {
+                Ok(AdmitDecision { partition, n: n as usize, seq, decision })
+            }
+            other => Err(unexpected(&request, other)),
         }
-        let reply = self.call_idempotent(&Json::Obj(members))?;
-        parse_admit_reply(&reply)
     }
 
-    /// Asks the server to serialize every partition into the reply.
+    /// Asks the server to serialize every partition into the reply;
+    /// returns the snapshot document.
     pub fn snapshot_inline(&mut self) -> Result<Json, ClientError> {
-        let reply = self.call(&Json::Obj(vec![(
-            "method".into(),
-            Json::Str("snapshot".into()),
-        )]))?;
-        reply
-            .get("snapshot")
-            .cloned()
-            .ok_or_else(|| ClientError::Protocol("snapshot reply missing body".into()))
+        let request = Request::Snapshot { path: None };
+        match self.call(&request)? {
+            BinResponse::Snapshot { json: Some(doc), .. } => document(&doc),
+            other => Err(unexpected(&request, other)),
+        }
     }
 
     /// Asks the server to write a snapshot to a server-side path; returns
     /// the partition count.
     pub fn snapshot_to(&mut self, path: &str) -> Result<usize, ClientError> {
-        let reply = self.call(&Json::Obj(vec![
-            ("method".into(), Json::Str("snapshot".into())),
-            ("path".into(), Json::Str(path.into())),
-        ]))?;
-        reply
-            .get("partitions")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| ClientError::Protocol("snapshot reply missing count".into()))
+        let request = Request::Snapshot { path: Some(path.into()) };
+        match self.call(&request)? {
+            BinResponse::Snapshot { json: None, partitions, .. } => Ok(partitions as usize),
+            other => Err(unexpected(&request, other)),
+        }
     }
 
-    /// Fetches the registry overview + telemetry snapshot.
+    /// Fetches the registry overview + telemetry snapshot: the document's
+    /// members, without the JSON wire's `ok`/`id` envelope.
     pub fn stats(&mut self) -> Result<Json, ClientError> {
-        self.call_idempotent(&Json::Obj(vec![(
-            "method".into(),
-            Json::Str("stats".into()),
-        )]))
+        match self.call(&Request::Stats)? {
+            BinResponse::Stats { json } => document(&json),
+            other => Err(unexpected(&Request::Stats, other)),
+        }
     }
 
     /// Fetches the live metrics report: uptime, per-second rates over the
     /// sampler's last interval, and a fresh telemetry snapshot.
     pub fn metrics(&mut self) -> Result<Json, ClientError> {
-        self.call_idempotent(&Json::Obj(vec![(
-            "method".into(),
-            Json::Str("metrics".into()),
-        )]))
+        match self.call(&Request::Metrics)? {
+            BinResponse::Metrics { json } => document(&json),
+            other => Err(unexpected(&Request::Metrics, other)),
+        }
     }
 
     /// Fetches the flight-recorder dump (recent + slow traced requests).
     pub fn trace(&mut self) -> Result<Json, ClientError> {
-        self.call_idempotent(&Json::Obj(vec![(
-            "method".into(),
-            Json::Str("trace".into()),
-        )]))
+        match self.call(&Request::Trace)? {
+            BinResponse::Trace { json } => document(&json),
+            other => Err(unexpected(&Request::Trace, other)),
+        }
     }
 
     /// Promotes a replica to primary; returns how many replicated records
@@ -478,455 +623,30 @@ impl Client {
     /// retried: promotion is a one-shot control action, and re-sending it
     /// to a *rotated* peer could promote the wrong server.
     pub fn promote(&mut self) -> Result<u64, ClientError> {
-        let reply =
-            self.call(&Json::Obj(vec![("method".into(), Json::Str("promote".into()))]))?;
-        reply
-            .get("applied")
-            .and_then(Json::as_usize)
-            .map(|n| n as u64)
-            .ok_or_else(|| ClientError::Protocol("promote reply missing 'applied'".into()))
-    }
-
-    /// Requests graceful shutdown. The acknowledgement is best-effort (the
-    /// server may close the socket first), so EOF counts as success.
-    pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let req = Json::Obj(vec![("method".into(), Json::Str("shutdown".into()))]);
-        self.send_raw(&req.to_string_compact())?;
-        match self.read_reply() {
-            Ok(_) => Ok(()),
-            Err(ClientError::Io(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Parses an `{"ok":true}` admit reply into the typed decision.
-fn parse_admit_reply(reply: &Json) -> Result<AdmitDecision, ClientError> {
-    let missing = |k: &str| ClientError::Protocol(format!("admit reply missing '{k}'"));
-    let num = |k: &str| reply.get(k).and_then(Json::as_f64).ok_or_else(|| missing(k));
-    let decision = match reply.get("decision").and_then(Json::as_str) {
-        Some("admit") => Decision::Admit { bound: num("bound")?, margin: num("margin")? },
-        Some("reject") => Decision::Reject { bound: num("bound")?, margin: num("margin")? },
-        Some("defer") => Decision::Defer {
-            retry_hint: reply
-                .get("retry_hint")
-                .and_then(Json::as_usize)
-                .ok_or_else(|| missing("retry_hint"))? as u64,
-        },
-        other => return Err(ClientError::Protocol(format!("bad admit decision {other:?}"))),
-    };
-    Ok(AdmitDecision {
-        partition: reply
-            .get("partition")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string(),
-        n: reply.get("n").and_then(Json::as_usize).ok_or_else(|| missing("n"))?,
-        seq: reply.get("seq").and_then(Json::as_usize).ok_or_else(|| missing("seq"))? as u64,
-        decision,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Binary-protocol client.
-
-use crate::proto::{self, BinResponse};
-use qdelay_journal::frame::{self, Check};
-use std::io::Read;
-
-/// A blocking connection speaking the binary protocol of [`crate::proto`].
-///
-/// Request ids are assigned from a per-connection counter (starting at 1;
-/// id 0 is the server's "unattributed" sentinel) and checked against each
-/// reply, so a desynchronized stream is caught instead of mis-paired.
-pub struct BinClient {
-    stream: TcpStream,
-    /// Bytes received but not yet framed out.
-    rbuf: Vec<u8>,
-    /// Queued request frames awaiting [`BinClient::flush`].
-    wbuf: Vec<u8>,
-    next_id: u64,
-    /// Failover peer set; `peers[active]` is the live connection's target.
-    peers: Vec<SocketAddr>,
-    active: usize,
-    read_timeout: Option<Duration>,
-    retry: Option<RetryPolicy>,
-}
-
-impl BinClient {
-    /// Connects and disables Nagle (the protocol is request/response).
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<BinClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let peer = stream.peer_addr()?;
-        Ok(BinClient {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            next_id: 1,
-            peers: vec![peer],
-            active: 0,
-            read_timeout: None,
-            retry: None,
-        })
-    }
-
-    /// Connects to the first reachable peer of a failover list; see
-    /// [`Client::connect_any`] for the rotation contract.
-    pub fn connect_any<A: ToSocketAddrs>(addrs: &[A]) -> io::Result<BinClient> {
-        let peers = resolve_peers(addrs)?;
-        let (stream, active) = connect_rotating(&peers, 0, None)?;
-        Ok(BinClient {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            next_id: 1,
-            peers,
-            active,
-            read_timeout: None,
-            retry: None,
-        })
-    }
-
-    /// The peer the live connection targets.
-    pub fn active_peer(&self) -> SocketAddr {
-        self.peers[self.active]
-    }
-
-    /// Bounds how long [`BinClient::read_response`] waits for more bytes.
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.read_timeout = timeout;
-        self.stream.set_read_timeout(timeout)
-    }
-
-    /// Enables (or clears) the retry policy for the idempotent requests:
-    /// `predict`, `admit`, `stats`, `metrics`, and `trace`. `observe` is
-    /// never retried — its ack assigns a sequence number.
-    pub fn set_retry(&mut self, policy: Option<RetryPolicy>) {
-        self.retry = policy;
-    }
-
-    /// Tears down the current connection and dials again, rotating to the
-    /// next peer when a failover list was given (the current peer just
-    /// failed). Half-queued frames and half-read reply bytes are dropped —
-    /// their stream is gone.
-    pub fn reconnect(&mut self) -> io::Result<()> {
-        let from = if self.peers.len() > 1 { self.active + 1 } else { self.active };
-        let (stream, active) = connect_rotating(&self.peers, from, self.read_timeout)?;
-        self.stream = stream;
-        self.active = active;
-        self.rbuf.clear();
-        self.wbuf.clear();
-        Ok(())
-    }
-
-    /// Runs `op` under the retry policy: only transport failures and
-    /// timeouts retry, and every retry reconnects (rotating peers) first
-    /// because the old stream's position is unknown. Mirrors
-    /// [`Client::call_idempotent`].
-    fn idempotent<T>(
-        &mut self,
-        mut op: impl FnMut(&mut Self) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let Some(policy) = self.retry else { return op(self) };
-        let attempts = policy.attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            let err = match op(self) {
-                Err(e @ (ClientError::Io(_) | ClientError::Timeout)) => e,
-                other => return other,
-            };
-            if attempt + 1 >= attempts {
-                return Err(err);
-            }
-            std::thread::sleep(policy.backoff(attempt));
-            attempt += 1;
-            // A failed reconnect consumes an attempt and loops, like the
-            // JSON client: the dead stream fails fast and the next
-            // iteration dials again after the grown backoff.
-            let _ = self.reconnect();
-        }
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
-    /// Queues one `observe` frame; returns its request id.
-    #[allow(clippy::too_many_arguments)]
-    pub fn queue_observe(
-        &mut self,
-        site: &str,
-        queue: &str,
-        procs: u32,
-        wait: f64,
-        predicted_bmbp: Option<f64>,
-        predicted_lognormal: Option<f64>,
-    ) -> u64 {
-        let id = self.fresh_id();
-        proto::encode_observe_req(
-            &mut self.wbuf,
-            id,
-            site,
-            queue,
-            procs,
-            wait,
-            predicted_bmbp,
-            predicted_lognormal,
-        );
-        id
-    }
-
-    /// Queues one `predict` frame; returns its request id.
-    pub fn queue_predict(&mut self, site: &str, queue: &str, procs: u32) -> u64 {
-        let id = self.fresh_id();
-        proto::encode_predict_req(&mut self.wbuf, id, site, queue, procs);
-        id
-    }
-
-    /// Queues one `admit` frame; returns its request id.
-    pub fn queue_admit(
-        &mut self,
-        site: &str,
-        queue: &str,
-        procs: u32,
-        budget: f64,
-        confidence: Option<f64>,
-    ) -> u64 {
-        let id = self.fresh_id();
-        proto::encode_admit_req(&mut self.wbuf, id, site, queue, procs, budget, confidence);
-        id
-    }
-
-    /// Sends every queued frame with one write.
-    pub fn flush(&mut self) -> io::Result<()> {
-        if self.wbuf.is_empty() {
-            return Ok(());
-        }
-        self.stream.write_all(&self.wbuf)?;
-        self.wbuf.clear();
-        Ok(())
-    }
-
-    /// Appends raw bytes to the outgoing buffer, bypassing the frame
-    /// encoders. For protocol tests that need to send damaged frames.
-    pub fn queue_raw(&mut self, bytes: &[u8]) {
-        self.wbuf.extend_from_slice(bytes);
-    }
-
-    /// Reads the next response frame, in server order.
-    pub fn read_response(&mut self) -> Result<(u64, BinResponse), ClientError> {
-        loop {
-            match frame::check(&self.rbuf, proto::MAX_RESP_PAYLOAD) {
-                Check::Complete { start, end, next } => {
-                    let decoded = proto::decode_response(&self.rbuf[start..end])
-                        .map_err(ClientError::Protocol);
-                    self.rbuf.drain(..next);
-                    return decoded;
-                }
-                Check::Damaged(reason) => {
-                    return Err(ClientError::Protocol(format!("response frame: {reason}")));
-                }
-                Check::Incomplete => {
-                    let mut chunk = [0u8; 16 * 1024];
-                    let n = match self.stream.read(&mut chunk) {
-                        Ok(n) => n,
-                        Err(e)
-                            if matches!(
-                                e.kind(),
-                                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                            ) =>
-                        {
-                            return Err(ClientError::Timeout)
-                        }
-                        Err(e) => return Err(ClientError::Io(e)),
-                    };
-                    if n == 0 {
-                        return Err(ClientError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server closed the connection",
-                        )));
-                    }
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                }
-            }
-        }
-    }
-
-    /// Strict request/response: the queued frame is flushed and its reply
-    /// awaited, with the id checked and `Error` responses surfaced as
-    /// [`ClientError::Server`].
-    fn finish_call(&mut self, id: u64) -> Result<BinResponse, ClientError> {
-        self.flush()?;
-        let (got, resp) = self.read_response()?;
-        if got != id {
-            return Err(ClientError::Protocol(format!(
-                "reply id {got} does not match request id {id}"
-            )));
-        }
-        match resp {
-            BinResponse::Error { code, message } => {
-                Err(ClientError::Server(ServeError { code, message }))
-            }
-            other => Ok(other),
-        }
-    }
-
-    /// Reveals a completed wait; returns the per-partition sequence number.
-    pub fn observe(
-        &mut self,
-        site: &str,
-        queue: &str,
-        procs: u32,
-        wait: f64,
-        predicted_bmbp: Option<f64>,
-        predicted_lognormal: Option<f64>,
-    ) -> Result<u64, ClientError> {
-        let id = self.queue_observe(site, queue, procs, wait, predicted_bmbp, predicted_lognormal);
-        match self.finish_call(id)? {
-            BinResponse::Observe { seq, .. } => Ok(seq),
-            other => Err(ClientError::Protocol(format!("unexpected observe reply: {other:?}"))),
-        }
-    }
-
-    /// Queries the current bounds for a partition.
-    pub fn predict(
-        &mut self,
-        site: &str,
-        queue: &str,
-        procs: u32,
-    ) -> Result<Prediction, ClientError> {
-        self.idempotent(|c| {
-            let id = c.queue_predict(site, queue, procs);
-            match c.finish_call(id)? {
-                BinResponse::Predict { partition, n, seq, bmbp, lognormal } => Ok(Prediction {
-                    partition,
-                    n: n as usize,
-                    seq,
-                    bmbp,
-                    lognormal,
-                }),
-                other => {
-                    Err(ClientError::Protocol(format!("unexpected predict reply: {other:?}")))
-                }
-            }
-        })
-    }
-
-    /// Admission check: compares the partition's current bound against
-    /// `budget` (wait-units).
-    pub fn admit(
-        &mut self,
-        site: &str,
-        queue: &str,
-        procs: u32,
-        budget: f64,
-        confidence: Option<f64>,
-    ) -> Result<AdmitDecision, ClientError> {
-        self.idempotent(|c| {
-            let id = c.queue_admit(site, queue, procs, budget, confidence);
-            match c.finish_call(id)? {
-                BinResponse::Admit { partition, n, seq, decision } => Ok(AdmitDecision {
-                    partition,
-                    n: n as usize,
-                    seq,
-                    decision,
-                }),
-                other => Err(ClientError::Protocol(format!("unexpected admit reply: {other:?}"))),
-            }
-        })
-    }
-
-    /// Asks the server to serialize every partition into the reply. The
-    /// document is the same snapshot JSON the text protocol serves.
-    pub fn snapshot_inline(&mut self) -> Result<Json, ClientError> {
-        let id = self.fresh_id();
-        proto::encode_snapshot_req(&mut self.wbuf, id, None);
-        match self.finish_call(id)? {
-            BinResponse::Snapshot { json: Some(doc), .. } => Json::parse(&doc)
-                .map_err(|e| ClientError::Protocol(format!("snapshot body: {e}"))),
-            other => Err(ClientError::Protocol(format!("unexpected snapshot reply: {other:?}"))),
-        }
-    }
-
-    /// Asks the server to write a snapshot to a server-side path; returns
-    /// the partition count.
-    pub fn snapshot_to(&mut self, path: &str) -> Result<usize, ClientError> {
-        let id = self.fresh_id();
-        proto::encode_snapshot_req(&mut self.wbuf, id, Some(path));
-        match self.finish_call(id)? {
-            BinResponse::Snapshot { json: None, partitions, .. } => Ok(partitions as usize),
-            other => Err(ClientError::Protocol(format!("unexpected snapshot reply: {other:?}"))),
-        }
-    }
-
-    /// Fetches the registry overview + telemetry snapshot.
-    pub fn stats(&mut self) -> Result<Json, ClientError> {
-        self.idempotent(|c| {
-            let id = c.fresh_id();
-            proto::encode_stats_req(&mut c.wbuf, id);
-            match c.finish_call(id)? {
-                BinResponse::Stats { json } => Json::parse(&json)
-                    .map_err(|e| ClientError::Protocol(format!("stats body: {e}"))),
-                other => Err(ClientError::Protocol(format!("unexpected stats reply: {other:?}"))),
-            }
-        })
-    }
-
-    /// Fetches the live metrics report; same document as the JSON
-    /// protocol's `metrics` method minus its `ok` envelope.
-    pub fn metrics(&mut self) -> Result<Json, ClientError> {
-        self.idempotent(|c| {
-            let id = c.fresh_id();
-            proto::encode_metrics_req(&mut c.wbuf, id);
-            match c.finish_call(id)? {
-                BinResponse::Metrics { json } => Json::parse(&json)
-                    .map_err(|e| ClientError::Protocol(format!("metrics body: {e}"))),
-                other => {
-                    Err(ClientError::Protocol(format!("unexpected metrics reply: {other:?}")))
-                }
-            }
-        })
-    }
-
-    /// Fetches the flight-recorder dump (recent + slow traced requests).
-    pub fn trace(&mut self) -> Result<Json, ClientError> {
-        self.idempotent(|c| {
-            let id = c.fresh_id();
-            proto::encode_trace_req(&mut c.wbuf, id);
-            match c.finish_call(id)? {
-                BinResponse::Trace { json } => Json::parse(&json)
-                    .map_err(|e| ClientError::Protocol(format!("trace body: {e}"))),
-                other => Err(ClientError::Protocol(format!("unexpected trace reply: {other:?}"))),
-            }
-        })
-    }
-
-    /// Promotes a replica to primary; see [`Client::promote`] (same typed
-    /// errors, and likewise never retried).
-    pub fn promote(&mut self) -> Result<u64, ClientError> {
-        let id = self.fresh_id();
-        proto::encode_promote_req(&mut self.wbuf, id);
-        match self.finish_call(id)? {
+        match self.call(&Request::Promote)? {
             BinResponse::Promote { applied } => Ok(applied),
-            other => Err(ClientError::Protocol(format!("unexpected promote reply: {other:?}"))),
+            other => Err(unexpected(&Request::Promote, other)),
         }
     }
 
     /// Requests graceful shutdown. The acknowledgement is best-effort (the
     /// server may close the socket first), so EOF counts as success.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let id = self.fresh_id();
-        proto::encode_shutdown_req(&mut self.wbuf, id);
-        self.flush()?;
-        match self.read_response() {
-            Ok(_) => Ok(()),
-            Err(ClientError::Io(_)) => Ok(()),
+        match self.call(&Request::Shutdown) {
+            Ok(_) | Err(ClientError::Io(_)) => Ok(()),
             Err(e) => Err(e),
         }
     }
+}
+
+fn unexpected(request: &Request, got: BinResponse) -> ClientError {
+    ClientError::Protocol(format!("unexpected {} reply: {got:?}", request.method()))
+}
+
+/// Parses the JSON document a `stats`/`metrics`/`trace`/`snapshot` reply
+/// carries as text.
+fn document(text: &str) -> Result<Json, ClientError> {
+    Json::parse(text).map_err(|e| ClientError::Protocol(format!("reply document: {e}")))
 }
 
 #[cfg(test)]
@@ -987,7 +707,7 @@ mod tests {
     fn empty_peer_list_is_a_config_error() {
         let err = Client::connect_any::<&str>(&[]).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        let err = BinClient::connect_any::<&str>(&[]).map(|_| ()).unwrap_err();
+        let err = Client::connect_any_binary::<&str>(&[]).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
@@ -996,12 +716,46 @@ mod tests {
         let a = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let b = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addrs = [a.local_addr().unwrap(), b.local_addr().unwrap()];
-        let mut client = BinClient::connect_any(&addrs).unwrap();
-        assert_eq!(client.active_peer(), addrs[0]);
-        client.queue_raw(b"half a frame");
-        client.reconnect().unwrap();
-        assert_eq!(client.active_peer(), addrs[1]);
-        assert!(client.wbuf.is_empty(), "stale queued frames must not replay");
-        assert!(client.rbuf.is_empty());
+        // Less than a frame prefix, and a line without its newline.
+        let half_replies = [(Wire::Bin, &b"half"[..]), (Wire::Json, &b"{\"id\":1,\"ok\""[..])];
+        for (wire, half_reply) in half_replies {
+            let mut client = Client::open(&addrs, wire).unwrap();
+            assert_eq!(client.active_peer(), addrs[0]);
+            client.queue_predict("s", "q", 1);
+            client.queue_raw(b"half a request");
+            // A reply the first peer got half way through sending.
+            let (mut peer, _) = a.accept().unwrap();
+            peer.write_all(half_reply).unwrap();
+            drop(peer);
+            assert!(matches!(client.read_response(), Err(ClientError::Io(_))));
+            assert_eq!(client.rbuf, half_reply);
+            client.reconnect().unwrap();
+            assert_eq!(client.active_peer(), addrs[1]);
+            assert!(client.wbuf.is_empty(), "{wire:?}: stale queued requests must not replay");
+            assert!(client.rbuf.is_empty(), "{wire:?}: a half-read reply must not survive");
+            assert!(client.pending.is_empty());
+        }
+    }
+
+    #[test]
+    fn replies_past_the_size_cap_are_refused() {
+        let mut pending = Pending::new();
+        // A line still growing past the cap, then the same line arrived whole.
+        let mut line = vec![b' '; DEFAULT_MAX_LINE + 1];
+        assert!(Wire::Json.cut(&mut line.clone(), &mut pending).unwrap_err().contains("exceeds"));
+        line.push(b'\n');
+        assert!(Wire::Json.cut(&mut line, &mut pending).unwrap_err().contains("exceeds"));
+        // At the cap exactly it is still a reply.
+        let mut line = br#"{"ok":false,"error":"io","message":"disk"}"#.to_vec();
+        line.resize(DEFAULT_MAX_LINE, b' ');
+        line.push(b'\n');
+        let reply = Wire::Json.cut(&mut line, &mut pending).unwrap();
+        let want = BinResponse::Error { code: "io".into(), message: "disk".into() };
+        assert_eq!(reply, Some((0, want)));
+        assert!(line.is_empty(), "the reply was cut off the buffer");
+        // A frame prefix announcing more than the largest response payload.
+        let mut prefix = (proto::MAX_RESP_PAYLOAD + 1).to_le_bytes().to_vec();
+        prefix.extend_from_slice(&[0; 4]);
+        assert!(Wire::Bin.cut(&mut prefix, &mut pending).unwrap_err().contains("response frame"));
     }
 }

@@ -717,8 +717,9 @@ fn decode_frames(rbuf: &[u8], state: &mut ConnState, exec: &mut Exec) -> usize {
     }
 }
 
-/// The newline framer: the loop-side twin of `qdelay_json::Reader`'s line
-/// assembly, over the same per-line rule ([`qdelay_json::parse_line`]).
+/// The newline framer: the loop-side twin of the client's line cutter
+/// ([`crate::client::Wire::cut`]), over the same per-line rule
+/// ([`qdelay_json::parse_line`]).
 /// Returns the bytes consumed.
 fn decode_lines(rbuf: &[u8], state: &mut ConnState, eof: bool, exec: &mut Exec) -> usize {
     let max_line = exec.shared.config.max_line;

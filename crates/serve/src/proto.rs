@@ -433,34 +433,29 @@ pub fn encode_snapshot_req(out: &mut Vec<u8>, id: u64, path: Option<&str>) {
     frame::finish(out, start);
 }
 
-/// Appends one framed `stats` request.
-pub fn encode_stats_req(out: &mut Vec<u8>, id: u64) {
-    let start = req_head(out, OP_STATS, id);
-    frame::finish(out, start);
-}
-
-/// Appends one framed `metrics` request.
-pub fn encode_metrics_req(out: &mut Vec<u8>, id: u64) {
-    let start = req_head(out, OP_METRICS, id);
-    frame::finish(out, start);
-}
-
-/// Appends one framed `trace` request.
-pub fn encode_trace_req(out: &mut Vec<u8>, id: u64) {
-    let start = req_head(out, OP_TRACE, id);
-    frame::finish(out, start);
-}
-
-/// Appends one framed `promote` request.
-pub fn encode_promote_req(out: &mut Vec<u8>, id: u64) {
-    let start = req_head(out, OP_PROMOTE, id);
-    frame::finish(out, start);
-}
-
-/// Appends one framed `shutdown` request.
-pub fn encode_shutdown_req(out: &mut Vec<u8>, id: u64) {
-    let start = req_head(out, OP_SHUTDOWN, id);
-    frame::finish(out, start);
+/// Appends one framed request of any kind: the inverse of
+/// [`decode_request`]. A control method's frame is its head alone.
+pub fn encode_request(out: &mut Vec<u8>, id: u64, request: &Request) {
+    let bare = |out: &mut Vec<u8>, opcode: u8| {
+        let start = req_head(out, opcode, id);
+        frame::finish(out, start);
+    };
+    match request {
+        Request::Observe { site, queue, procs, wait, predicted_bmbp, predicted_lognormal } => {
+            let (bmbp, lognormal) = (*predicted_bmbp, *predicted_lognormal);
+            encode_observe_req(out, id, site, queue, *procs, *wait, bmbp, lognormal)
+        }
+        Request::Predict { site, queue, procs } => encode_predict_req(out, id, site, queue, *procs),
+        Request::Admit { site, queue, procs, budget, confidence } => {
+            encode_admit_req(out, id, site, queue, *procs, *budget, *confidence)
+        }
+        Request::Snapshot { path } => encode_snapshot_req(out, id, path.as_deref()),
+        Request::Stats => bare(out, OP_STATS),
+        Request::Metrics => bare(out, OP_METRICS),
+        Request::Trace => bare(out, OP_TRACE),
+        Request::Promote => bare(out, OP_PROMOTE),
+        Request::Shutdown => bare(out, OP_SHUTDOWN),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -774,62 +769,20 @@ mod tests {
         }
     }
 
+    /// The binary half of "both codecs describe one model", over the
+    /// seeded request set the JSON half uses.
     #[test]
     fn all_request_kinds_round_trip() {
-        let mut buf = Vec::new();
-        encode_predict_req(&mut buf, 1, "s", "q", 65);
-        assert_eq!(
-            decode_request(&unframe(&buf)),
-            (1, Ok(Request::Predict { site: "s".into(), queue: "q".into(), procs: 65 }))
-        );
-        buf.clear();
-        encode_snapshot_req(&mut buf, 2, Some("/tmp/s.json"));
-        assert_eq!(
-            decode_request(&unframe(&buf)),
-            (2, Ok(Request::Snapshot { path: Some("/tmp/s.json".into()) }))
-        );
-        buf.clear();
-        encode_snapshot_req(&mut buf, 3, None);
-        assert_eq!(decode_request(&unframe(&buf)), (3, Ok(Request::Snapshot { path: None })));
-        buf.clear();
-        encode_stats_req(&mut buf, 4);
-        assert_eq!(decode_request(&unframe(&buf)), (4, Ok(Request::Stats)));
-        buf.clear();
-        encode_metrics_req(&mut buf, 6);
-        assert_eq!(decode_request(&unframe(&buf)), (6, Ok(Request::Metrics)));
-        buf.clear();
-        encode_trace_req(&mut buf, 7);
-        assert_eq!(decode_request(&unframe(&buf)), (7, Ok(Request::Trace)));
-        buf.clear();
-        encode_shutdown_req(&mut buf, 5);
-        assert_eq!(decode_request(&unframe(&buf)), (5, Ok(Request::Shutdown)));
-        buf.clear();
-        encode_promote_req(&mut buf, 10);
-        assert_eq!(decode_request(&unframe(&buf)), (10, Ok(Request::Promote)));
-        buf.clear();
-        encode_admit_req(&mut buf, 8, "s", "q", 65, 3600.5, None);
-        assert_eq!(
-            decode_request(&unframe(&buf)),
-            (8, Ok(Request::Admit {
-                site: "s".into(),
-                queue: "q".into(),
-                procs: 65,
-                budget: 3600.5,
-                confidence: None,
-            }))
-        );
-        buf.clear();
-        encode_admit_req(&mut buf, 9, "s", "q", 1, 0.0, Some(0.95));
-        assert_eq!(
-            decode_request(&unframe(&buf)),
-            (9, Ok(Request::Admit {
-                site: "s".into(),
-                queue: "q".into(),
-                procs: 1,
-                budget: 0.0,
-                confidence: Some(0.95),
-            }))
-        );
+        use crate::protocol::tests::{float_bits, requests};
+        for (i, request) in requests().iter().enumerate() {
+            let id = i as u64 + 1;
+            let mut buf = Vec::new();
+            encode_request(&mut buf, id, request);
+            let (echo, decoded) = decode_request(&unframe(&buf));
+            assert_eq!((echo, decoded.as_ref()), (id, Ok(request)));
+            let want = float_bits(&format!("{request:?}"));
+            assert_eq!(float_bits(&format!("{decoded:?}")), want);
+        }
     }
 
     #[test]
@@ -1032,7 +985,7 @@ mod tests {
     #[test]
     fn trailing_bytes_and_bad_flags_are_malformed() {
         let mut buf = Vec::new();
-        encode_stats_req(&mut buf, 5);
+        encode_request(&mut buf, 5, &Request::Stats);
         let mut payload = unframe(&buf);
         payload.push(0xAB);
         let (id, req) = decode_request(&payload);

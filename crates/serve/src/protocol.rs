@@ -3,15 +3,18 @@
 //!
 //! [`Request`] and [`Reply`] are the one typed model of what a client can
 //! ask and what a control method answers; this module parses and renders
-//! them as JSON lines and [`crate::proto`] as binary frames. A new method
-//! is one `Request` arm, one parse arm here and one opcode there.
+//! them as JSON lines and [`crate::proto`] as binary frames, in both
+//! directions: [`parse_request`] and the `*_line` renderers for the server,
+//! [`request_line`] and [`decode_reply`] for the client. A new method is
+//! one `Request` arm, one parse arm here and one opcode there.
 //!
 //! Each line is one strict RFC-8259 value (`qdelay-json` rejects trailing
 //! garbage, so `{"method":"stats"} {"method":"stats"}` on one line is a
 //! parse error). Requests carry a `method` plus method-specific fields and
-//! an optional `id`, which is echoed verbatim in the response so pipelining
-//! clients can match replies — replies to requests touching *different*
-//! partitions may return out of submission order.
+//! an optional `id`, which is echoed verbatim in the response. A
+//! connection's replies come back in request order, so the bundled client
+//! numbers its requests from 1 and checks each echo: a reply that is not the
+//! next one owed means the stream is out of step.
 //!
 //! | method     | fields                                                        |
 //! |------------|---------------------------------------------------------------|
@@ -32,6 +35,7 @@
 //! oversized line) and the [`ERR_PARSE`] for a line that is not UTF-8
 //! (the peer is not speaking this protocol).
 
+use crate::proto::{BinResponse, UNATTRIBUTED_ID};
 use qdelay_json::Json;
 use qdelay_predict::admission::Decision;
 
@@ -111,6 +115,23 @@ pub enum Request {
     Promote,
     /// Begin graceful shutdown (final snapshot, then exit).
     Shutdown,
+}
+
+impl Request {
+    /// The method's name on the JSON wire.
+    pub fn method(&self) -> &'static str {
+        match self {
+            Request::Observe { .. } => "observe",
+            Request::Predict { .. } => "predict",
+            Request::Admit { .. } => "admit",
+            Request::Snapshot { .. } => "snapshot",
+            Request::Stats => "stats",
+            Request::Metrics => "metrics",
+            Request::Trace => "trace",
+            Request::Promote => "promote",
+            Request::Shutdown => "shutdown",
+        }
+    }
 }
 
 /// A control method's typed answer, before a codec renders it
@@ -242,6 +263,42 @@ fn parse_body(v: &Json) -> Result<Request, String> {
     }
 }
 
+/// Builds a request line (no trailing newline): the client-side inverse of
+/// [`parse_request`].
+pub fn request_line(id: u64, request: &Request) -> String {
+    let mut members = vec![
+        ("id".to_string(), Json::Num(id as f64)),
+        ("method".to_string(), Json::Str(request.method().into())),
+    ];
+    let mut put = |key: &str, value: Option<Json>| {
+        members.extend(value.map(|v| (key.to_string(), v)));
+    };
+    match request {
+        Request::Observe { site, queue, procs, .. }
+        | Request::Predict { site, queue, procs }
+        | Request::Admit { site, queue, procs, .. } => {
+            put("site", Some(Json::Str(site.clone())));
+            put("queue", Some(Json::Str(queue.clone())));
+            put("procs", Some(Json::Num(f64::from(*procs))));
+        }
+        Request::Snapshot { path } => put("path", path.clone().map(Json::Str)),
+        _ => {}
+    }
+    match request {
+        Request::Observe { wait, predicted_bmbp, predicted_lognormal, .. } => {
+            put("wait", Some(Json::Num(*wait)));
+            put("predicted_bmbp", predicted_bmbp.map(Json::Num));
+            put("predicted_lognormal", predicted_lognormal.map(Json::Num));
+        }
+        Request::Admit { budget, confidence, .. } => {
+            put("budget", Some(Json::Num(*budget)));
+            put("confidence", confidence.map(Json::Num));
+        }
+        _ => {}
+    }
+    Json::Obj(members).to_string_compact()
+}
+
 fn with_id(id: Option<&Json>, mut members: Vec<(String, Json)>) -> Json {
     if let Some(id) = id {
         members.insert(0, ("id".into(), id.clone()));
@@ -364,8 +421,92 @@ pub fn reply_line(id: Option<&Json>, reply: Reply) -> String {
     ok_line(id, members)
 }
 
+/// The id a reply line echoes; [`UNATTRIBUTED_ID`] when it carries none
+/// (the request had no id, or the server could not read one).
+pub fn reply_id(v: &Json) -> Result<u64, String> {
+    match v.get("id") {
+        None => Ok(UNATTRIBUTED_ID),
+        Some(id) => match id.as_usize() {
+            Some(id) => Ok(id as u64),
+            None => Err("reply 'id' is not an integer".into()),
+        },
+    }
+}
+
+/// Decodes a reply line's value into the typed response both codecs share:
+/// the client-side inverse of the `*_line` renderers. A success line
+/// carries no kind tag, so `method` names the request it answers
+/// ([`Request::method`]); an error line needs none.
+pub fn decode_reply(v: &Json, method: Option<&str>) -> Result<BinResponse, String> {
+    let missing = |key: &str| format!("reply missing '{key}': {}", v.to_string_compact());
+    let text = |key: &str| {
+        v.get(key).and_then(Json::as_str).map(str::to_string).ok_or_else(|| missing(key))
+    };
+    let int = |key: &str| {
+        v.get(key).and_then(Json::as_usize).map(|n| n as u64).ok_or_else(|| missing(key))
+    };
+    let num = |key: &str| v.get(key).and_then(Json::as_f64).ok_or_else(|| missing(key));
+    let bound = |key: &str| v.get(key).and_then(Json::as_f64);
+    let method = match v.get("ok") {
+        Some(Json::Bool(false)) => {
+            return Ok(BinResponse::Error { code: text("error")?, message: text("message")? })
+        }
+        Some(Json::Bool(true)) => {
+            method.ok_or("a success reply to a request this client did not type")?
+        }
+        _ => return Err(missing("ok")),
+    };
+    Ok(match method {
+        "observe" => BinResponse::Observe { partition: text("partition")?, seq: int("seq")? },
+        "predict" => BinResponse::Predict {
+            partition: text("partition")?,
+            n: int("n")?,
+            seq: int("seq")?,
+            bmbp: bound("bmbp"),
+            lognormal: bound("lognormal"),
+        },
+        "admit" => BinResponse::Admit {
+            partition: text("partition")?,
+            n: int("n")?,
+            seq: int("seq")?,
+            decision: match text("decision")?.as_str() {
+                "admit" => Decision::Admit { bound: num("bound")?, margin: num("margin")? },
+                "reject" => Decision::Reject { bound: num("bound")?, margin: num("margin")? },
+                "defer" => Decision::Defer { retry_hint: int("retry_hint")? },
+                other => return Err(format!("bad admit decision '{other}'")),
+            },
+        },
+        "snapshot" => match v.get("snapshot") {
+            Some(doc) => BinResponse::Snapshot {
+                json: Some(doc.to_string_compact()),
+                path: None,
+                partitions: 0,
+            },
+            None => BinResponse::Snapshot {
+                json: None,
+                path: Some(text("path")?),
+                partitions: int("partitions")?,
+            },
+        },
+        "stats" | "metrics" | "trace" => {
+            // The document is the line minus its leading `id`/`ok` envelope.
+            let members = v.as_object().unwrap_or_default().iter();
+            let body = members.skip_while(|(key, _)| key == "id" || key == "ok").cloned();
+            let json = Json::Obj(body.collect()).to_string_compact();
+            match method {
+                "stats" => BinResponse::Stats { json },
+                "metrics" => BinResponse::Metrics { json },
+                _ => BinResponse::Trace { json },
+            }
+        }
+        "promote" => BinResponse::Promote { applied: int("applied")? },
+        "shutdown" => BinResponse::Shutdown,
+        other => return Err(format!("no reply decoder for method '{other}'")),
+    })
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn parse(line: &str) -> (Option<Json>, Result<Request, String>) {
@@ -576,5 +717,171 @@ mod tests {
         assert_eq!(v.get("decision").and_then(Json::as_str), Some("defer"));
         assert_eq!(v.get("retry_hint").and_then(Json::as_usize), Some(1));
         assert!(v.get("bound").is_none());
+    }
+
+    /// A seeded spread over the request model: names at the length cap,
+    /// with escapes and beyond ASCII; every `Option` both ways; subnormal
+    /// and huge finite floats; each control method.
+    pub(crate) fn requests() -> Vec<Request> {
+        use qdelay_rng::{Rng, StdRng};
+        let names = ["s".repeat(MAX_NAME_LEN), "q\"\\\n\t\u{1}/".into(), "δ-星-🚀".into()];
+        let floats = [0.0, 5e-324, 2.2250738585072014e-308, 123.456_789_012_345_68, f64::MAX];
+        let fractions = [5e-324, 0.95, 1.0 - f64::EPSILON];
+        let mut out = vec![
+            Request::Stats,
+            Request::Metrics,
+            Request::Trace,
+            Request::Promote,
+            Request::Shutdown,
+            Request::Snapshot { path: None },
+            Request::Snapshot { path: Some("/tmp/δ \"x\"\\.json".into()) },
+        ];
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..300 {
+            let r = rng.next_u64();
+            let pick = |shift: u32, len: usize| (r >> shift) as usize % len;
+            let float = |shift: u32| floats[pick(shift, floats.len())];
+            let maybe = |bit: u32, x: f64| (r >> bit & 1 == 1).then_some(x);
+            let site = names[pick(8, names.len())].clone();
+            let queue = names[pick(12, names.len())].clone();
+            let procs = [0, 1, 65, (r >> 32) as u32, u32::MAX][pick(16, 5)];
+            out.push(match r % 3 {
+                0 => Request::Observe {
+                    site,
+                    queue,
+                    procs,
+                    wait: float(20),
+                    predicted_bmbp: maybe(2, float(24)),
+                    predicted_lognormal: maybe(3, float(28)),
+                },
+                1 => Request::Predict { site, queue, procs },
+                _ => Request::Admit {
+                    site,
+                    queue,
+                    procs,
+                    budget: float(20),
+                    confidence: maybe(2, fractions[pick(24, fractions.len())]),
+                },
+            });
+        }
+        out
+    }
+
+    /// Every float in a request's or response's `Debug` text, as bits.
+    /// (`-0.0` is in none of the sets below: the JSON writer prints it as
+    /// `0`, and no predictor serves it — waits and margins are `>= +0.0`.)
+    pub(crate) fn float_bits(debug: &str) -> Vec<u64> {
+        debug
+            .split(|c: char| !(c.is_ascii_alphanumeric() || "+-.".contains(c)))
+            .filter_map(|token| token.parse::<f64>().ok())
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// The JSON half of "both codecs describe one model"; the binary half,
+    /// over the same set, is `proto`'s `all_request_kinds_round_trip`.
+    #[test]
+    fn request_lines_round_trip_the_model() {
+        for (i, request) in requests().iter().enumerate() {
+            let id = i as u64 + 1;
+            let line = request_line(id, request);
+            assert!(!line.contains('\n'), "{line}");
+            let (echo, parsed) = parse(&line);
+            assert_eq!(echo, Some(Json::Num(id as f64)));
+            assert_eq!(parsed.as_ref(), Ok(request), "{line}");
+            let want = float_bits(&format!("{request:?}"));
+            assert_eq!(float_bits(&format!("{parsed:?}")), want, "{line}");
+        }
+    }
+
+    /// The client's decode of a reply line equals its decode of the frame
+    /// the other renderer makes from the same typed reply.
+    #[test]
+    fn line_and_frame_replies_decode_alike() {
+        use crate::proto;
+        use qdelay_journal::frame;
+        fn check(id: Option<u64>, line: String, framed: &[u8], method: Option<&str>) {
+            let v = Json::parse(&line).unwrap();
+            let from_line = (reply_id(&v).unwrap(), decode_reply(&v, method).unwrap());
+            let from_frame = proto::decode_response(&framed[frame::PREFIX_LEN..]).unwrap();
+            assert_eq!(from_line, from_frame, "{line}");
+            assert_eq!(from_line.0, id.unwrap_or(UNATTRIBUTED_ID));
+            assert_eq!(
+                float_bits(&format!("{from_line:?}")),
+                float_bits(&format!("{from_frame:?}")),
+                "{line}"
+            );
+        }
+        let labels = ["s/q/1-4", "δ \"星\"\\/q/65+"];
+        let floats = [0.0, 5e-324, 123.456_789_012_345_68, 9.007_199_254_740_993e15, f64::MAX];
+        let mut buf = Vec::new();
+        let mut id = 0u64;
+        let mut next = |buf: &mut Vec<u8>| {
+            buf.clear();
+            id += 1;
+            (id, Json::Num(id as f64))
+        };
+        for label in labels {
+            let (id, jid) = next(&mut buf);
+            proto::encode_observe_resp(&mut buf, id, label, id << 40);
+            check(Some(id), observe_line(Some(&jid), label, id << 40), &buf, Some("observe"));
+            for (i, &x) in floats.iter().enumerate() {
+                let y = floats[(i + 1) % floats.len()];
+                let both_ways = [(Some(x), Some(y)), (None, Some(x)), (Some(x), None), (None, None)];
+                for (bmbp, lognormal) in both_ways {
+                    let (id, jid) = next(&mut buf);
+                    proto::encode_predict_resp(&mut buf, id, label, 120, 40, bmbp, lognormal);
+                    let line = predict_line(Some(&jid), label, 120, 40, bmbp, lognormal);
+                    check(Some(id), line, &buf, Some("predict"));
+                }
+                for decision in [
+                    Decision::Admit { bound: x, margin: y },
+                    Decision::Reject { bound: y, margin: x },
+                    Decision::Defer { retry_hint: 1 + i as u64 },
+                ] {
+                    let (id, jid) = next(&mut buf);
+                    proto::encode_admit_resp(&mut buf, id, label, 70, 71, &decision);
+                    let line = admit_line(Some(&jid), label, 70, 71, &decision);
+                    check(Some(id), line, &buf, Some("admit"));
+                }
+            }
+        }
+        let members = vec![
+            ("version".to_string(), Json::Str("δ".into())),
+            ("per_shard".to_string(), Json::Arr(vec![Json::Obj(vec![("ok".into(), 0.5.into())])])),
+            ("id".to_string(), Json::Null),
+        ];
+        for (reply, method) in [
+            (Reply::SnapshotFile { path: "/tmp/δ.json".into(), partitions: 7 }, "snapshot"),
+            (Reply::SnapshotInline { partitions: 1, doc: Json::Obj(members.clone()) }, "snapshot"),
+            (Reply::Stats(members.clone()), "stats"),
+            (Reply::Metrics(members.clone()), "metrics"),
+            (Reply::Trace(members), "trace"),
+            (Reply::Promoted { applied: 50 }, "promote"),
+            (Reply::Shutdown, "shutdown"),
+        ] {
+            let (id, jid) = next(&mut buf);
+            proto::encode_reply(&mut buf, id, reply.clone());
+            check(Some(id), reply_line(Some(&jid), reply), &buf, Some(method));
+        }
+        for (code, message) in [(ERR_BAD_REQUEST, "'wait' is required"), (ERR_IO, "δ \"x\"\n")] {
+            let (id, jid) = next(&mut buf);
+            proto::encode_error_resp(&mut buf, id, code, message);
+            check(Some(id), error_line(Some(&jid), code, message), &buf, None);
+            buf.clear();
+            proto::encode_error_resp(&mut buf, UNATTRIBUTED_ID, code, message);
+            check(None, error_line(None, code, message), &buf, Some("predict"));
+        }
+    }
+
+    #[test]
+    fn success_replies_need_their_method_and_their_fields() {
+        let ok = Json::parse(&predict_line(None, "p", 2, 1, None, Some(1.0))).unwrap();
+        assert!(decode_reply(&ok, None).unwrap_err().contains("did not type"));
+        assert!(decode_reply(&ok, Some("admit")).unwrap_err().contains("decision"));
+        let no_partition = Json::parse(r#"{"ok":true,"n":7,"seq":7}"#).unwrap();
+        assert!(decode_reply(&no_partition, Some("predict")).unwrap_err().contains("partition"));
+        assert!(decode_reply(&Json::parse("[1]").unwrap(), None).unwrap_err().contains("'ok'"));
+        assert!(reply_id(&Json::parse(r#"{"id":"x","ok":true}"#).unwrap()).is_err());
     }
 }

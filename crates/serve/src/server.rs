@@ -93,7 +93,8 @@ use qdelay_repl::{
     Cursor, Msg, PrimaryConfig, ReplClient, ReplError, ReplHub, ReplListener, TailEvent,
 };
 
-/// Server tuning knobs. The defaults suit the loadgen bench and tests.
+/// Server tuning knobs. The defaults suit the committed benchmark's
+/// workloads (`benchmark/`) and the tests.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Shard count, and the I/O loop count: every shard comes with one

@@ -24,7 +24,7 @@ use qdelay::batchsim::{DeadlineConfig, MachineConfig, SimJob};
 use qdelay::predict::admission::{decide, Decision};
 use qdelay::predict::bmbp::Bmbp;
 use qdelay::predict::QuantilePredictor;
-use qdelay::serve::client::{BinClient, Client};
+use qdelay::serve::client::Client;
 use qdelay::serve::server::{Server, ServerConfig};
 use qdelay_rng::{Rng, StdRng};
 
@@ -101,43 +101,27 @@ fn run_script(steps: &[Step], shards: usize, binary: bool) -> Vec<AdmitProbe> {
     };
     let server = Server::start("127.0.0.1:0", config).unwrap();
     let mut json = Client::connect(server.local_addr()).unwrap();
-    let mut bin = if binary {
-        Some(BinClient::connect(server.binary_addr().unwrap()).unwrap())
-    } else {
-        None
-    };
+    let mut bin = server.binary_addr().map(|addr| Client::connect_binary(addr).unwrap());
+    // The one driver: the same calls, over whichever wire this run is on.
+    let client = bin.as_mut().unwrap_or(&mut json);
 
     let mut probes = Vec::new();
     for step in steps {
         match *step {
             Step::Observe { pi, wait } => {
                 let (site, queue, procs) = PARTITIONS[pi];
-                match bin.as_mut() {
-                    Some(b) => b.observe(site, queue, procs, wait, None, None).unwrap(),
-                    None => json.observe(site, queue, procs, wait, None, None).unwrap(),
-                };
+                client.observe(site, queue, procs, wait, None, None).unwrap();
             }
             Step::Predict { pi } => {
                 let (site, queue, procs) = PARTITIONS[pi];
-                match bin.as_mut() {
-                    Some(b) => b.predict(site, queue, procs).unwrap(),
-                    None => json.predict(site, queue, procs).unwrap(),
-                };
+                client.predict(site, queue, procs).unwrap();
             }
             Step::Admit { pi, budget, confidence } => {
                 let (site, queue, procs) = PARTITIONS[pi];
                 // Inline oracle: admit is read-only, so a predict issued
                 // just before it sees the exact same partition state.
-                let (p, a) = match bin.as_mut() {
-                    Some(b) => (
-                        b.predict(site, queue, procs).unwrap(),
-                        b.admit(site, queue, procs, budget, confidence).unwrap(),
-                    ),
-                    None => (
-                        json.predict(site, queue, procs).unwrap(),
-                        json.admit(site, queue, procs, budget, confidence).unwrap(),
-                    ),
-                };
+                let p = client.predict(site, queue, procs).unwrap();
+                let a = client.admit(site, queue, procs, budget, confidence).unwrap();
                 let expected = decide(p.bmbp, p.lognormal, p.n as u64, budget);
                 assert_eq!(
                     probe_of(pi, p.n, p.seq, &expected),
@@ -206,16 +190,13 @@ fn admit_boundary_budget_is_exact_on_both_protocols() {
     };
     let server = Server::start("127.0.0.1:0", config).unwrap();
     let mut json = Client::connect(server.local_addr()).unwrap();
-    let mut bin = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    let mut bin = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
     for i in 0..100 {
         json.observe("s", "q", 4, f64::from(i % 40) * 30.0 + 0.125, None, None).unwrap();
     }
     let bound = json.predict("s", "q", 4).unwrap().bmbp.expect("warm");
-    for a in [
-        json.admit("s", "q", 4, bound, None).unwrap(),
-        bin.admit("s", "q", 4, bound, None).unwrap(),
-    ] {
-        match a.decision {
+    for client in [&mut json, &mut bin] {
+        match client.admit("s", "q", 4, bound, None).unwrap().decision {
             Decision::Admit { bound: b, margin } => {
                 assert_eq!(b.to_bits(), bound.to_bits());
                 assert_eq!(margin.to_bits(), 0.0f64.to_bits(), "margin must be exactly zero");

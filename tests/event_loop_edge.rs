@@ -5,11 +5,10 @@
 //! framer's stream-level errors, and graceful shutdown with both listeners
 //! live.
 
-use qdelay::serve::client::{BinClient, Client, ClientError};
-use qdelay::serve::proto::{self, BinResponse};
-use qdelay::serve::protocol::ERR_LINE_TOO_LONG;
+use qdelay::serve::client::{Client, ClientError, Pending, Wire};
+use qdelay::serve::proto::BinResponse;
+use qdelay::serve::protocol::{Request, ERR_LINE_TOO_LONG};
 use qdelay::serve::server::{Server, ServerConfig};
-use qdelay_journal::frame::{self, Check};
 use qdelay_json::Json;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -36,13 +35,7 @@ fn slow_disconnects(server: &Server) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Which listener (and so which framer) a raw connection exercises.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Wire {
-    Json,
-    Bin,
-}
-
+/// Both listeners, and so both framers.
 const WIRES: [Wire; 2] = [Wire::Bin, Wire::Json];
 
 /// A reply reduced to what these tests compare, whichever codec carried it.
@@ -55,55 +48,15 @@ enum Reply {
     Error(String),
 }
 
-impl Wire {
-    fn observe(self, id: u64, site: &str, wait: f64) -> Vec<u8> {
-        match self {
-            Wire::Json => format!(
-                "{{\"id\":{id},\"method\":\"observe\",\"site\":\"{site}\",\"queue\":\"q\",\
-                 \"procs\":8,\"wait\":{wait}}}\n"
-            )
-            .into_bytes(),
-            Wire::Bin => {
-                let mut out = Vec::new();
-                proto::encode_observe_req(&mut out, id, site, "q", 8, wait, None, None);
-                out
-            }
-        }
-    }
-
-    fn predict(self, id: u64, site: &str) -> Vec<u8> {
-        match self {
-            Wire::Json => format!(
-                "{{\"id\":{id},\"method\":\"predict\",\"site\":\"{site}\",\"queue\":\"q\",\
-                 \"procs\":8}}\n"
-            )
-            .into_bytes(),
-            Wire::Bin => {
-                let mut out = Vec::new();
-                proto::encode_predict_req(&mut out, id, site, "q", 8);
-                out
-            }
-        }
-    }
-
-    fn snapshot(self, id: u64) -> Vec<u8> {
-        match self {
-            Wire::Json => format!("{{\"id\":{id},\"method\":\"snapshot\"}}\n").into_bytes(),
-            Wire::Bin => {
-                let mut out = Vec::new();
-                proto::encode_snapshot_req(&mut out, id, None);
-                out
-            }
-        }
-    }
-}
-
 /// A raw socket to one listener: the tests control every byte and every
 /// read, which the typed clients would hide.
 struct Raw {
     stream: TcpStream,
     wire: Wire,
     buf: Vec<u8>,
+    /// What `wire` needs to decode the replies to the requests encoded so
+    /// far; the tests send them in the order they were encoded.
+    pending: Pending,
 }
 
 impl Raw {
@@ -115,7 +68,36 @@ impl Raw {
         let stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        Raw { stream, wire, buf: Vec::new() }
+        Raw { stream, wire, buf: Vec::new(), pending: Pending::new() }
+    }
+
+    /// One request's bytes on this connection's wire.
+    fn encode(&mut self, id: u64, request: Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.wire.encode(&mut out, &mut self.pending, id, &request);
+        out
+    }
+
+    fn observe(&mut self, id: u64, site: &str, wait: f64) -> Vec<u8> {
+        self.encode(
+            id,
+            Request::Observe {
+                site: site.into(),
+                queue: "q".into(),
+                procs: 8,
+                wait,
+                predicted_bmbp: None,
+                predicted_lognormal: None,
+            },
+        )
+    }
+
+    fn predict(&mut self, id: u64, site: &str) -> Vec<u8> {
+        self.encode(id, Request::Predict { site: site.into(), queue: "q".into(), procs: 8 })
+    }
+
+    fn snapshot(&mut self, id: u64) -> Vec<u8> {
+        self.encode(id, Request::Snapshot { path: None })
     }
 
     fn send(&mut self, bytes: &[u8]) {
@@ -124,40 +106,15 @@ impl Raw {
 
     /// Cuts one complete reply off the front of `buf`, if one is there.
     fn cut(&mut self) -> Option<(u64, Reply)> {
-        match self.wire {
-            Wire::Bin => match frame::check(&self.buf, proto::MAX_RESP_PAYLOAD) {
-                Check::Complete { start, end, next } => {
-                    let (id, resp) = proto::decode_response(&self.buf[start..end]).unwrap();
-                    self.buf.drain(..next);
-                    let reply = match resp {
-                        BinResponse::Observe { seq, .. } => Reply::Observe { seq },
-                        BinResponse::Predict { n, seq, .. } => Reply::Predict { n, seq },
-                        BinResponse::Snapshot { json: Some(doc), .. } => Reply::Snapshot(doc),
-                        BinResponse::Error { code, .. } => Reply::Error(code),
-                        other => panic!("unexpected reply {other:?}"),
-                    };
-                    Some((id, reply))
-                }
-                Check::Damaged(reason) => panic!("damaged response frame: {reason}"),
-                Check::Incomplete => None,
-            },
-            Wire::Json => {
-                let newline = self.buf.iter().position(|&b| b == b'\n')?;
-                let line: Vec<u8> = self.buf.drain(..=newline).collect();
-                let v = Json::parse(std::str::from_utf8(&line).unwrap().trim_end()).unwrap();
-                let num = |k: &str| v.get(k).and_then(Json::as_f64).map(|x| x as u64);
-                let reply = if v.get("ok") == Some(&Json::Bool(false)) {
-                    Reply::Error(v.get("error").and_then(Json::as_str).unwrap().to_string())
-                } else if let Some(doc) = v.get("snapshot") {
-                    Reply::Snapshot(doc.to_string_compact())
-                } else if let Some(n) = num("n") {
-                    Reply::Predict { n, seq: num("seq").unwrap() }
-                } else {
-                    Reply::Observe { seq: num("seq").unwrap() }
-                };
-                Some((num("id").unwrap_or(0), reply))
-            }
-        }
+        let (id, response) = self.wire.cut(&mut self.buf, &mut self.pending).unwrap()?;
+        let reply = match response {
+            BinResponse::Observe { seq, .. } => Reply::Observe { seq },
+            BinResponse::Predict { n, seq, .. } => Reply::Predict { n, seq },
+            BinResponse::Snapshot { json: Some(doc), .. } => Reply::Snapshot(doc),
+            BinResponse::Error { code, .. } => Reply::Error(code),
+            other => panic!("unexpected reply {other:?}"),
+        };
+        Some((id, reply))
     }
 
     /// The next reply in server order, or `None` once the server has
@@ -191,7 +148,7 @@ fn partial_writes_resume_mid_reply() {
             writer_capacity: 1 << 20,
             ..ServerConfig::default()
         });
-        let mut seeder = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+        let mut seeder = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
 
         // Build up state so each inline snapshot is a sizable document.
         for i in 0..3000u32 {
@@ -207,7 +164,7 @@ fn partial_writes_resume_mid_reply() {
         // EPOLLOUT resumes.
         let requests = (6 * 1024 * 1024 / reference.len()).max(40) as u64;
         let mut client = Raw::connect(&server, wire);
-        let burst: Vec<u8> = (0..requests).flat_map(|i| wire.snapshot(100 + i)).collect();
+        let burst: Vec<u8> = (0..requests).flat_map(|i| client.snapshot(100 + i)).collect();
         client.send(&burst);
         std::thread::sleep(Duration::from_millis(100)); // let buffers wedge
 
@@ -234,9 +191,9 @@ fn short_reads_split_requests_across_wakeups() {
         let server = binary_server(ServerConfig { shards: 1, ..ServerConfig::default() });
         let mut client = Raw::connect(&server, wire);
 
-        let first = wire.observe(1, "site", 123.456);
-        let mut rest = wire.observe(2, "site", 789.0125);
-        rest.extend(wire.predict(3, "site"));
+        let first = client.observe(1, "site", 123.456);
+        let mut rest = client.observe(2, "site", 789.0125);
+        rest.extend(client.predict(3, "site"));
 
         // Dribble the first request byte-by-byte, then split the rest at an
         // arbitrary mid-request point: every prefix length gets exercised.
@@ -270,9 +227,9 @@ fn half_closed_client_still_gets_every_reply() {
         let mut client = Raw::connect(&server, wire);
         let mut burst = Vec::new();
         for i in 0..BURST {
-            burst.extend(wire.observe(i + 1, ["x", "y", "z"][i as usize % 3], i as f64));
+            burst.extend(client.observe(i + 1, ["x", "y", "z"][i as usize % 3], i as f64));
         }
-        burst.extend(wire.predict(BURST + 1, "x"));
+        burst.extend(client.predict(BURST + 1, "x"));
         client.send(&burst);
         client.stream.shutdown(Shutdown::Write).unwrap();
 
@@ -299,8 +256,8 @@ fn half_closed_client_still_gets_every_reply() {
 fn final_unterminated_line_is_answered() {
     let server = binary_server(ServerConfig { shards: 1, ..ServerConfig::default() });
     let mut client = Raw::connect(&server, Wire::Json);
-    let mut bytes = Wire::Json.observe(1, "s", 5.0);
-    bytes.extend(Wire::Json.predict(2, "s"));
+    let mut bytes = client.observe(1, "s", 5.0);
+    bytes.extend(client.predict(2, "s"));
     assert_eq!(bytes.pop(), Some(b'\n'), "the last line goes out unterminated");
     client.send(&bytes);
     client.stream.shutdown(Shutdown::Write).unwrap();
@@ -326,13 +283,13 @@ fn line_too_long_error_arrives_before_the_close() {
             ..ServerConfig::default()
         });
         let mut client = Raw::connect(&server, Wire::Json);
-        let mut bytes = Wire::Json.observe(1, "s", 5.0);
+        let mut bytes = client.observe(1, "s", 5.0);
         bytes.extend(std::iter::repeat_n(b'x', 4096));
         if terminated {
             bytes.push(b'\n');
         }
         // Never answered: it sits behind the point where sync was lost.
-        bytes.extend(Wire::Json.predict(3, "s"));
+        bytes.extend(client.predict(3, "s"));
         client.send(&bytes);
 
         // The shard's ack and the loop's own error may arrive in either
@@ -368,7 +325,7 @@ fn slow_client_is_poisoned_not_the_server() {
         let addr = server.binary_addr().unwrap();
 
         // Give the registry some weight so snapshots are big.
-        let mut seeder = BinClient::connect(addr).unwrap();
+        let mut seeder = Client::connect_binary(addr).unwrap();
         for i in 0..500u32 {
             seeder.observe("s", "q", 4, f64::from(i), None, None).unwrap();
         }
@@ -376,7 +333,7 @@ fn slow_client_is_poisoned_not_the_server() {
 
         // The slow client: requests many snapshots, reads nothing.
         let mut slow = Raw::connect(&server, wire);
-        let burst: Vec<u8> = (0..50).flat_map(|i| wire.snapshot(i + 1)).collect();
+        let burst: Vec<u8> = (0..50).flat_map(|i| slow.snapshot(i + 1)).collect();
         slow.send(&burst);
 
         // The server must cut the connection: reads on it reach EOF/reset in
@@ -436,7 +393,7 @@ fn reply_larger_than_the_budget_reaches_a_reading_client() {
     let budget = ServerConfig::default().writer_capacity * 256;
 
     // 250 partitions x 100 observes: an inline snapshot of ~480 KB.
-    let mut seeder = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    let mut seeder = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
     seeder.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     for round in 0..100u32 {
         for p in 0..250u32 {
@@ -455,7 +412,8 @@ fn reply_larger_than_the_budget_reaches_a_reading_client() {
 
     for wire in WIRES {
         let mut client = Raw::connect(&server, wire);
-        client.send(&wire.snapshot(1));
+        let request = client.snapshot(1);
+        client.send(&request);
         match client.recv() {
             Some((1, Reply::Snapshot(doc))) => assert!(
                 doc.len() > 400_000 && doc.len() > budget,
@@ -465,7 +423,8 @@ fn reply_larger_than_the_budget_reaches_a_reading_client() {
             other => panic!("{wire:?}: a reading client lost its snapshot: {other:?}"),
         }
         // Same connection, still healthy.
-        client.send(&wire.predict(2, "site7"));
+        let request = client.predict(2, "site7");
+        client.send(&request);
         assert_eq!(client.recv(), Some((2, Reply::Predict { n: 100, seq: 100 })), "{wire:?}");
     }
     assert_eq!(slow_disconnects(&server), before, "no reading client is a slow consumer");
@@ -491,7 +450,7 @@ fn graceful_shutdown_with_both_listeners_live() {
     let bin_addr = server.binary_addr().unwrap();
 
     let mut json = Client::connect(json_addr).unwrap();
-    let mut bin = BinClient::connect(bin_addr).unwrap();
+    let mut bin = Client::connect_binary(bin_addr).unwrap();
     for i in 0..40u32 {
         json.observe("json-site", "q", 2, f64::from(i) * 7.0, None, None).unwrap();
         bin.observe("bin-site", "q", 2, f64::from(i) * 11.0, None, None).unwrap();
@@ -524,7 +483,7 @@ fn graceful_shutdown_with_both_listeners_live() {
 fn shutdown_via_binary_listener() {
     let server = binary_server(ServerConfig { shards: 2, ..ServerConfig::default() });
     let mut json = Client::connect(server.local_addr()).unwrap();
-    let mut bin = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    let mut bin = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
 
     json.observe("x", "q", 1, 5.0, None, None).unwrap();
     bin.observe("x", "q", 1, 6.0, None, None).unwrap();

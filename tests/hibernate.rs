@@ -27,7 +27,7 @@
 //!    cap) still serves the same snapshot inline.
 
 use qdelay::journal::{FsyncPolicy, JournalWriter, Record};
-use qdelay::serve::client::{BinClient, Client, ClientError, Prediction};
+use qdelay::serve::client::{Client, ClientError, Prediction};
 use qdelay::serve::durability::JournalConfig;
 use qdelay::serve::registry::{Partition, PartitionKey};
 use qdelay::serve::server::{Server, ServerConfig};
@@ -581,7 +581,7 @@ fn inline_snapshot_past_the_line_cap_is_a_typed_error() {
 
     // Escape hatch 2: the binary protocol's 64 MiB frame cap carries the
     // same snapshot inline.
-    let mut bc = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    let mut bc = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
     let inline = bc.snapshot_inline().unwrap().to_string_compact();
     assert_eq!(inline, file_json, "binary inline and file snapshots must agree");
 

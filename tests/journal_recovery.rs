@@ -14,6 +14,7 @@
 use qdelay::journal::{self, FsyncPolicy, RecoverMode, SegmentId};
 use qdelay::serve::client::{Client, ClientError};
 use qdelay::serve::durability::JournalConfig;
+use qdelay::serve::proto::BinResponse;
 use qdelay::serve::registry::{Partition, PartitionKey};
 use qdelay::serve::server::{Server, ServerConfig};
 use qdelay_json::Json;
@@ -32,11 +33,24 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// Copies a live journal directory. The compactor may delete a sealed
+/// segment between the listing and its copy; the image could then pair the
+/// older snapshot with a hole, which no crash leaves behind, so the copy
+/// starts over from a fresh listing.
 fn copy_dir(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+    'listing: loop {
+        let _ = std::fs::remove_dir_all(dst);
+        std::fs::create_dir_all(dst).unwrap();
+        for entry in std::fs::read_dir(src).unwrap() {
+            let entry = entry.unwrap();
+            match std::fs::copy(entry.path(), dst.join(entry.file_name())) {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue 'listing,
+                copied => {
+                    copied.unwrap();
+                }
+            }
+        }
+        return;
     }
 }
 
@@ -376,34 +390,26 @@ fn pipelined_replies_stay_in_request_order_under_journaling() {
         )
         .unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
-        let mut id = 0u64;
         for round in 0..8u64 {
             // One burst, written at once: an observe, a predict and an
             // admit for each of 64 partitions spread over the 4 shards.
-            let first = id;
+            let mut sent = Vec::new();
             for p in 0..PARTITIONS {
-                let target = format!(r#""site":"s{p}","queue":"normal","procs":4"#);
+                let site = format!("s{p}");
                 let wait = wait(round * PARTITIONS + p);
-                for method in [
-                    format!(r#""method":"observe",{target},"wait":{wait}"#),
-                    format!(r#""method":"predict",{target}"#),
-                    format!(r#""method":"admit",{target},"budget":600"#),
-                ] {
-                    client.send_raw(&format!(r#"{{"id":{id},{method}}}"#)).unwrap();
-                    id += 1;
-                }
+                sent.push(client.queue_observe(&site, "normal", 4, wait, None, None));
+                sent.push(client.queue_predict(&site, "normal", 4));
+                sent.push(client.queue_admit(&site, "normal", 4, 600.0, None));
             }
-            for expect in first..id {
-                let reply = client.read_reply().unwrap();
-                assert_eq!(
-                    reply.get("ok"),
-                    Some(&Json::Bool(true)),
-                    "request must succeed: {}",
-                    reply.to_string_compact()
+            client.flush().unwrap();
+            for expect in sent {
+                let (id, reply) = client.read_response().unwrap();
+                assert!(
+                    !matches!(reply, BinResponse::Error { .. }),
+                    "request must succeed: {reply:?}"
                 );
                 assert_eq!(
-                    reply.get("id").and_then(Json::as_f64),
-                    Some(expect as f64),
+                    id, expect,
                     "journaled={journaled} round {round}: reply out of request order"
                 );
             }
@@ -589,27 +595,22 @@ fn failed_commit_fences_one_shard_across_loops() {
         for client in &mut clients {
             let (doomed, healthy) = (&doomed[0], &healthy);
             scope.spawn(move || {
-                for id in 0..90u64 {
-                    let line = match id % 3 {
-                        0 => format!(
-                            r#"{{"id":{id},"method":"observe","site":"{doomed}","queue":"q","procs":4,"wait":2}}"#
-                        ),
-                        1 => format!(
-                            r#"{{"id":{id},"method":"predict","site":"{doomed}","queue":"q","procs":4}}"#
-                        ),
-                        _ => format!(
-                            r#"{{"id":{id},"method":"observe","site":"{healthy}","queue":"q","procs":4,"wait":2}}"#
-                        ),
-                    };
-                    client.send_raw(&line).unwrap();
-                }
-                for id in 0..90u64 {
-                    let reply = client.read_reply().unwrap();
-                    assert_eq!(reply.get("id").and_then(Json::as_f64), Some(id as f64));
-                    let ok = reply.get("ok") == Some(&Json::Bool(true));
-                    assert_eq!(ok, id % 3 != 0, "{}", reply.to_string_compact());
-                    if !ok {
-                        assert_eq!(reply.get("error").and_then(Json::as_str), Some("io"));
+                let sent: Vec<u64> = (0..90u64)
+                    .map(|i| match i % 3 {
+                        0 => client.queue_observe(doomed, "q", 4, 2.0, None, None),
+                        1 => client.queue_predict(doomed, "q", 4),
+                        _ => client.queue_observe(healthy, "q", 4, 2.0, None, None),
+                    })
+                    .collect();
+                client.flush().unwrap();
+                for (i, expect) in sent.into_iter().enumerate() {
+                    let (id, reply) = client.read_response().unwrap();
+                    assert_eq!(id, expect);
+                    match reply {
+                        BinResponse::Error { code, .. } => {
+                            assert_eq!((i % 3, code.as_str()), (0, "io"))
+                        }
+                        reply => assert_ne!(i % 3, 0, "{reply:?}"),
                     }
                 }
             });

@@ -4,7 +4,7 @@
 //! a held shard lock shows up with its latency attributed to queue-wait,
 //! not compute.
 
-use qdelay::serve::client::{BinClient, Client};
+use qdelay::serve::client::Client;
 use qdelay::serve::server::{Server, ServerConfig};
 use qdelay_json::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -30,7 +30,7 @@ fn start_dual() -> Server {
 fn metrics_replies_on_both_protocols() {
     let server = start_dual();
     let mut json = Client::connect(server.local_addr()).unwrap();
-    let mut bin = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    let mut bin = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
 
     for i in 0..50 {
         json.observe("ds", "normal", 8, f64::from(i), None, None).unwrap();
@@ -40,7 +40,9 @@ fn metrics_replies_on_both_protocols() {
     // Let the sampler take at least one post-traffic sample.
     std::thread::sleep(Duration::from_millis(60));
 
-    for report in [json.metrics().unwrap(), bin.metrics().unwrap()] {
+    for client in [&mut json, &mut bin] {
+        let report = client.metrics().unwrap();
+        assert!(report.get("ok").is_none(), "the document, without a wire's envelope");
         for key in ["uptime_ms", "interval_ms", "samples", "window_ms"] {
             assert!(
                 report.get(key).and_then(Json::as_f64).is_some(),
@@ -74,7 +76,7 @@ fn metrics_replies_on_both_protocols() {
 fn trace_dump_covers_both_protocols() {
     let server = start_dual();
     let mut json = Client::connect(server.local_addr()).unwrap();
-    let mut bin = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    let mut bin = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
 
     for i in 0..20 {
         json.observe("ds", "normal", 8, f64::from(i), None, None).unwrap();
@@ -85,7 +87,9 @@ fn trace_dump_covers_both_protocols() {
     // trail the client's read by a scheduler tick; poll briefly.
     let mut protos_seen = (false, false);
     for _ in 0..50 {
-        for dump in [json.trace().unwrap(), bin.trace().unwrap()] {
+        for client in [&mut json, &mut bin] {
+            let dump = client.trace().unwrap();
+            assert!(dump.get("ok").is_none(), "the document, without a wire's envelope");
             for key in ["slow_threshold_us", "dropped", "recent_total", "slow_total"] {
                 assert!(dump.get(key).is_some(), "trace reply carries {key}");
             }
@@ -131,10 +135,12 @@ fn trace_dump_covers_both_protocols() {
 fn stats_reports_version_uptime_and_queue_depth() {
     let server = start_dual();
     let mut json = Client::connect(server.local_addr()).unwrap();
-    let mut bin = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    let mut bin = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
     json.observe("ds", "normal", 8, 10.0, None, None).unwrap();
 
-    for stats in [json.stats().unwrap(), bin.stats().unwrap()] {
+    for client in [&mut json, &mut bin] {
+        let stats = client.stats().unwrap();
+        assert!(stats.get("ok").is_none(), "the document, without a wire's envelope");
         assert_eq!(
             stats.get("version").and_then(Json::as_str),
             Some(env!("CARGO_PKG_VERSION")),

@@ -11,11 +11,11 @@
 //!   corrupted: its sequence numbers stay contiguous and its final state
 //!   matches a clean single-threaded replay.
 
-use qdelay::serve::client::BinClient;
+use qdelay::serve::client::{Client, Pending, Wire};
 use qdelay::serve::proto::{self, BinResponse};
 use qdelay::serve::protocol::{ERR_BAD_REQUEST, ERR_LINE_TOO_LONG, ERR_PARSE};
 use qdelay::serve::server::{Server, ServerConfig};
-use qdelay_journal::frame::{self, Check};
+use qdelay_journal::frame;
 use qdelay_json::Json;
 use qdelay_rng::{Rng, StdRng};
 use std::io::{Read, Write};
@@ -30,16 +30,10 @@ fn drain_responses(stream: &mut TcpStream) -> Vec<(u64, BinResponse)> {
     let mut buf = Vec::new();
     let mut out = Vec::new();
     loop {
-        match frame::check(&buf, proto::MAX_RESP_PAYLOAD) {
-            Check::Complete { start, end, next } => {
-                let decoded = proto::decode_response(&buf[start..end])
-                    .expect("server response frames always decode");
-                buf.drain(..next);
-                out.push(decoded);
-                continue;
-            }
-            Check::Damaged(reason) => panic!("server sent a damaged frame: {reason}"),
-            Check::Incomplete => {}
+        let cut = Wire::Bin.cut(&mut buf, &mut Pending::new());
+        if let Some(reply) = cut.expect("server response frames are intact and always decode") {
+            out.push(reply);
+            continue;
         }
         let mut chunk = [0u8; 4096];
         match stream.read(&mut chunk) {
@@ -149,7 +143,7 @@ fn corruption_battery_never_panics_or_leaks() {
     let addr = server.binary_addr().unwrap();
 
     // The co-resident connection hostile traffic must never corrupt.
-    let mut sentinel = BinClient::connect(addr).unwrap();
+    let mut sentinel = Client::connect_binary(addr).unwrap();
     let wait_of = |i: usize| ((i as u64).wrapping_mul(2_654_435_761) % 7_200) as f64;
     let seq = sentinel.observe("datastar", "normal", 4, wait_of(0), None, None).unwrap();
     assert_eq!(seq, 1);
@@ -175,7 +169,7 @@ fn corruption_battery_never_panics_or_leaks() {
 
     let clean_config = ServerConfig { shards: 1, ..ServerConfig::default() };
     let clean = Server::start("127.0.0.1:0", clean_config).unwrap();
-    let mut replay = qdelay::serve::client::Client::connect(clean.local_addr()).unwrap();
+    let mut replay = Client::connect(clean.local_addr()).unwrap();
     for i in 0..SENTINEL_OBSERVES {
         replay.observe("datastar", "normal", 4, wait_of(i), None, None).unwrap();
     }
@@ -232,7 +226,7 @@ fn intact_frames_with_bad_payloads_keep_the_connection() {
         "connection survived payload-level errors"
     );
 
-    let mut c = BinClient::connect(addr).unwrap();
+    let mut c = Client::connect_binary(addr).unwrap();
     c.shutdown().unwrap();
     server.join().unwrap();
 }
@@ -282,7 +276,7 @@ fn wrong_protocol_on_each_port_gets_one_typed_error_then_a_close() {
     assert_eq!(reply.get("error").and_then(Json::as_str), Some(ERR_PARSE));
 
     // Neither confused peer disturbed the server.
-    let mut c = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    let mut c = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
     assert_eq!(c.observe("probe", "q", 1, 1.0, None, None).unwrap(), 1);
     c.shutdown().unwrap();
     server.join().unwrap();
@@ -378,7 +372,7 @@ fn admit_corruption_battery_never_panics_or_leaks() {
     let server = Server::start("127.0.0.1:0", config).unwrap();
     let addr = server.binary_addr().unwrap();
 
-    let mut sentinel = BinClient::connect(addr).unwrap();
+    let mut sentinel = Client::connect_binary(addr).unwrap();
     let wait_of = |i: usize| ((i as u64).wrapping_mul(2_654_435_761) % 7_200) as f64;
     // Warm the sentinel partition far enough that the BMBP bound exists
     // and admit answers carry real bound/margin floats to compare.
@@ -408,7 +402,7 @@ fn admit_corruption_battery_never_panics_or_leaks() {
     // Every sentinel decision equals the pure function of a clean replay.
     let clean_config = ServerConfig { shards: 1, ..ServerConfig::default() };
     let clean = Server::start("127.0.0.1:0", clean_config).unwrap();
-    let mut replay = qdelay::serve::client::Client::connect(clean.local_addr()).unwrap();
+    let mut replay = Client::connect(clean.local_addr()).unwrap();
     for i in 0..100 {
         replay.observe("datastar", "normal", 4, wait_of(i), None, None).unwrap();
     }
@@ -442,7 +436,7 @@ fn hostile_admit_payloads_get_typed_errors_and_keep_the_connection() {
 
     // Warm the partition so valid-extreme budgets yield admit/reject
     // rather than defer.
-    let mut warm = BinClient::connect(addr).unwrap();
+    let mut warm = Client::connect_binary(addr).unwrap();
     for i in 0..100u64 {
         warm.observe("probe", "q", 1, ((i % 40) * 30) as f64, None, None).unwrap();
     }

@@ -11,7 +11,7 @@
 //! methods the script sprinkles in (`stats`, inline `snapshot`, `promote`
 //! on a non-replica) as much as for observe and predict.
 
-use qdelay::serve::client::{BinClient, Client, ClientError, Prediction};
+use qdelay::serve::client::{Client, ClientError};
 use qdelay::serve::proto::BinResponse;
 use qdelay::serve::server::{Server, ServerConfig};
 use qdelay_json::Json;
@@ -74,45 +74,6 @@ struct Outcome {
     snapshot: String,
 }
 
-/// The call surface the two clients share, so one driver runs the script
-/// through either.
-trait Api {
-    fn observe(&mut self, p: (&str, &str, u32), wait: f64, fed: (Option<f64>, Option<f64>)) -> u64;
-    fn predict(&mut self, p: (&str, &str, u32)) -> Prediction;
-    fn stats(&mut self) -> Json;
-    fn snapshot_inline(&mut self) -> Json;
-    fn promote(&mut self) -> Result<u64, ClientError>;
-}
-
-macro_rules! impl_api {
-    ($client:ty) => {
-        impl Api for $client {
-            fn observe(
-                &mut self,
-                (site, queue, procs): (&str, &str, u32),
-                wait: f64,
-                (bmbp, lognormal): (Option<f64>, Option<f64>),
-            ) -> u64 {
-                <$client>::observe(self, site, queue, procs, wait, bmbp, lognormal).unwrap()
-            }
-            fn predict(&mut self, (site, queue, procs): (&str, &str, u32)) -> Prediction {
-                <$client>::predict(self, site, queue, procs).unwrap()
-            }
-            fn stats(&mut self) -> Json {
-                <$client>::stats(self).unwrap()
-            }
-            fn snapshot_inline(&mut self) -> Json {
-                <$client>::snapshot_inline(self).unwrap()
-            }
-            fn promote(&mut self) -> Result<u64, ClientError> {
-                <$client>::promote(self)
-            }
-        }
-    };
-}
-impl_api!(Client);
-impl_api!(BinClient);
-
 /// The registry half of a `stats` reply: the totals and each shard's
 /// share. Uptime, telemetry and queue depths describe the run, not the
 /// state, and are left out.
@@ -137,7 +98,7 @@ fn registry_fields(stats: &Json) -> String {
     fields.to_string_compact()
 }
 
-fn drive(client: &mut dyn Api, steps: &[Step]) -> Outcome {
+fn drive(client: &mut Client, steps: &[Step]) -> Outcome {
     let mut last: Vec<(Option<f64>, Option<f64>)> = vec![(None, None); PARTITIONS.len()];
     let mut probes = Vec::new();
     let mut seqs = Vec::new();
@@ -145,11 +106,13 @@ fn drive(client: &mut dyn Api, steps: &[Step]) -> Outcome {
     for step in steps {
         match *step {
             Step::Observe { pi, wait, feed } => {
-                let fed = if feed { last[pi] } else { (None, None) };
-                seqs.push(client.observe(PARTITIONS[pi], wait, fed));
+                let (site, queue, procs) = PARTITIONS[pi];
+                let (bmbp, lognormal) = if feed { last[pi] } else { (None, None) };
+                seqs.push(client.observe(site, queue, procs, wait, bmbp, lognormal).unwrap());
             }
             Step::Predict { pi } => {
-                let p = client.predict(PARTITIONS[pi]);
+                let (site, queue, procs) = PARTITIONS[pi];
+                let p = client.predict(site, queue, procs).unwrap();
                 last[pi] = (p.bmbp, p.lognormal);
                 probes.push((
                     p.n,
@@ -159,41 +122,37 @@ fn drive(client: &mut dyn Api, steps: &[Step]) -> Outcome {
                     p.lognormal.map(f64::to_bits),
                 ));
             }
-            Step::Stats => controls.push(registry_fields(&client.stats())),
-            Step::Snapshot => controls.push(client.snapshot_inline().to_string_compact()),
+            Step::Stats => controls.push(registry_fields(&client.stats().unwrap())),
+            Step::Snapshot => {
+                controls.push(client.snapshot_inline().unwrap().to_string_compact())
+            }
             Step::Promote => match client.promote() {
                 Err(ClientError::Server(e)) => controls.push(format!("{}: {}", e.code, e.message)),
                 other => panic!("a primary must refuse promotion with a typed error: {other:?}"),
             },
         }
     }
-    let snapshot = client.snapshot_inline().to_string_compact();
+    let snapshot = client.snapshot_inline().unwrap().to_string_compact();
     Outcome { probes, seqs, controls, snapshot }
 }
 
-fn run_json(steps: &[Step], shards: usize) -> Outcome {
-    let config = ServerConfig { shards, ..ServerConfig::default() };
-    let server = Server::start("127.0.0.1:0", config).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let outcome = drive(&mut client, steps);
-    client.shutdown().unwrap();
-    server.join().unwrap();
-    outcome
-}
-
-fn run_binary(steps: &[Step], shards: usize) -> Outcome {
+/// One run of the script against a fresh server, through the listener
+/// `binary` names.
+fn run(steps: &[Step], shards: usize, binary: bool) -> Outcome {
     let config = ServerConfig {
         shards,
-        binary_addr: Some("127.0.0.1:0".to_string()),
+        binary_addr: binary.then(|| "127.0.0.1:0".to_string()),
         ..ServerConfig::default()
     };
     let server = Server::start("127.0.0.1:0", config).unwrap();
-    let bin_addr = server.binary_addr().expect("binary listener configured");
-    let mut client = BinClient::connect(bin_addr).unwrap();
-    let outcome = drive(&mut client, steps);
-    // Shut down through the JSON listener to also cover the mixed-protocol
-    // shutdown path (the binary listener must drain alongside it).
     let mut json = Client::connect(server.local_addr()).unwrap();
+    let outcome = match server.binary_addr() {
+        Some(addr) => drive(&mut Client::connect_binary(addr).unwrap(), steps),
+        None => drive(&mut json, steps),
+    };
+    // Always shut down through the JSON listener: after a binary run that
+    // also covers the mixed-protocol shutdown path (the binary listener
+    // must drain alongside it).
     json.shutdown().unwrap();
     server.join().unwrap();
     outcome
@@ -201,8 +160,8 @@ fn run_binary(steps: &[Step], shards: usize) -> Outcome {
 
 fn differential(seed: u64, len: usize, shards: usize) {
     let steps = script(seed, len);
-    let json = run_json(&steps, shards);
-    let binary = run_binary(&steps, shards);
+    let json = run(&steps, shards, false);
+    let binary = run(&steps, shards, true);
     assert_eq!(
         json.probes.len(),
         binary.probes.len(),
@@ -269,7 +228,7 @@ fn cross_protocol_visibility_on_one_server() {
     };
     let server = Server::start("127.0.0.1:0", config).unwrap();
     let mut json = Client::connect(server.local_addr()).unwrap();
-    let mut bin = BinClient::connect(server.binary_addr().unwrap()).unwrap();
+    let mut bin = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
 
     // 60 observations through the binary listener...
     for i in 0..60u32 {
@@ -300,19 +259,17 @@ fn cross_protocol_visibility_on_one_server() {
     for round in 0..ROUNDS {
         for i in 0..BURST {
             let wait = (round * BURST + i) as f64 * 1.25;
-            json.send_raw(&format!(
-                r#"{{"method":"observe","site":"site","queue":"q","procs":4,"wait":{wait}}}"#
-            ))
-            .unwrap();
+            json.queue_observe("site", "q", 4, wait, None, None);
             bin.queue_observe("site", "q", 4, wait + 0.5, None, None);
         }
+        json.flush().unwrap();
         bin.flush().unwrap();
         for _ in 0..BURST {
-            let ack = json.read_reply().unwrap();
-            json_seqs.push(ack.get("seq").and_then(Json::as_f64).expect("observe ack") as u64);
-            match bin.read_response().unwrap() {
-                (_, BinResponse::Observe { seq, .. }) => bin_seqs.push(seq),
-                (_, other) => panic!("expected an observe ack, got {other:?}"),
+            for (client, seqs) in [(&mut json, &mut json_seqs), (&mut bin, &mut bin_seqs)] {
+                match client.read_response().unwrap() {
+                    (_, BinResponse::Observe { seq, .. }) => seqs.push(seq),
+                    (_, other) => panic!("expected an observe ack, got {other:?}"),
+                }
             }
         }
     }

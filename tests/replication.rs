@@ -18,7 +18,7 @@
 
 use qdelay::journal::{FsyncPolicy, JournalWriter, Record};
 use qdelay::repl::{wire, Msg, ReplClient, ReplError};
-use qdelay::serve::client::{BinClient, Client, ClientError, RetryPolicy};
+use qdelay::serve::client::{Client, ClientError, RetryPolicy};
 use qdelay::serve::durability::JournalConfig;
 use qdelay::serve::registry::{Partition, PartitionKey};
 use qdelay::serve::server::{Server, ServerConfig};
@@ -210,7 +210,7 @@ fn replica_refuses_observes_until_promoted() {
     rc.admit("ds", "normal", 8, 1e9, None).unwrap();
 
     // Binary protocol: same gate, same typed code.
-    let mut bc = BinClient::connect(replica.binary_addr().unwrap()).unwrap();
+    let mut bc = Client::connect_binary(replica.binary_addr().unwrap()).unwrap();
     match bc.observe("ds", "normal", 8, 1.0, None, None) {
         Err(ClientError::Server(e)) => assert_eq!(e.code, "read_only"),
         other => panic!("replica accepted a binary observe: {other:?}"),

@@ -2,13 +2,16 @@
 //! real sockets, and hostile input that must produce typed errors rather
 //! than a crash.
 
-use qdelay::serve::client::{Client, ClientError, RetryPolicy};
+use qdelay::serve::client::{Client, ClientError, RetryPolicy, Wire};
+use qdelay::serve::proto::{self, BinResponse};
+use qdelay::serve::protocol::{self, Request};
 use qdelay::serve::registry::{Partition, PartitionKey};
 use qdelay::serve::server::{Server, ServerConfig};
 use qdelay::serve::snapshot;
+use qdelay_journal::frame::{self, Check};
 use qdelay_json::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 /// Deterministic per-thread wait stream.
@@ -135,29 +138,31 @@ fn malformed_input_yields_typed_errors_not_crashes() {
     let addr = server.local_addr();
 
     let mut c = Client::connect(addr).unwrap();
+    // Sends one raw line and reads its reply, which must be a typed error.
+    let refused = |c: &mut Client, line: &str| {
+        c.queue_raw(format!("{line}\n").as_bytes());
+        c.flush().unwrap();
+        match c.read_response().unwrap() {
+            (id, BinResponse::Error { code, .. }) => (id, code),
+            other => panic!("'{line}' was not refused: {other:?}"),
+        }
+    };
 
     // Truncated JSON: typed parse error, connection survives.
-    c.send_raw(r#"{"method":"stats""#).unwrap();
-    let reply = c.read_reply().unwrap();
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
-    assert_eq!(reply.get("error").and_then(Json::as_str), Some("parse"));
+    assert_eq!(refused(&mut c, r#"{"method":"stats""#), (0, "parse".to_string()));
 
     // Trailing garbage after a complete value: also a parse error.
-    c.send_raw(r#"{"method":"stats"} extra"#).unwrap();
-    let reply = c.read_reply().unwrap();
-    assert_eq!(reply.get("error").and_then(Json::as_str), Some("parse"));
+    assert_eq!(refused(&mut c, r#"{"method":"stats"} extra"#).1, "parse");
 
     // Unknown method: bad_request, and the id is echoed.
-    c.send_raw(r#"{"id":42,"method":"teleport"}"#).unwrap();
-    let reply = c.read_reply().unwrap();
-    assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"));
-    assert_eq!(reply.get("id").and_then(Json::as_f64), Some(42.0));
+    assert_eq!(
+        refused(&mut c, r#"{"id":42,"method":"teleport"}"#),
+        (42, "bad_request".to_string())
+    );
 
     // Missing/invalid fields.
-    c.send_raw(r#"{"method":"observe","site":"s","queue":"q","procs":1}"#)
-        .unwrap();
-    let reply = c.read_reply().unwrap();
-    assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"));
+    let line = r#"{"method":"observe","site":"s","queue":"q","procs":1}"#;
+    assert_eq!(refused(&mut c, line).1, "bad_request");
 
     // The connection still works for valid traffic.
     let seq = c.observe("s", "q", 1, 5.0, None, None).unwrap();
@@ -165,14 +170,9 @@ fn malformed_input_yields_typed_errors_not_crashes() {
 
     // Oversized line: typed error, then the server closes this connection.
     let huge = format!(r#"{{"method":"predict","site":"{}""#, "x".repeat(8192));
-    c.send_raw(&huge).unwrap();
-    let reply = c.read_reply().unwrap();
-    assert_eq!(
-        reply.get("error").and_then(Json::as_str),
-        Some("line_too_long")
-    );
+    assert_eq!(refused(&mut c, &huge).1, "line_too_long");
     assert!(
-        c.read_reply().is_err(),
+        c.read_response().is_err(),
         "connection should be closed after an oversized line"
     );
 
@@ -181,11 +181,8 @@ fn malformed_input_yields_typed_errors_not_crashes() {
     let p = c2.predict("s", "q", 1).unwrap();
     assert_eq!(p.seq, 1, "state survived the hostile connection");
 
-    // Unknown-method error via the typed client API.
-    let err = c2
-        .call(&Json::Obj(vec![("method".into(), Json::Str("nope".into()))]))
-        .unwrap_err();
-    match err {
+    // A refusal through the typed client API (this server is no replica).
+    match c2.promote().unwrap_err() {
         ClientError::Server(e) => assert_eq!(e.code, "bad_request"),
         other => panic!("expected server error, got {other}"),
     }
@@ -264,6 +261,88 @@ fn unresponsive_server_yields_typed_timeout() {
     hold.join().unwrap();
 }
 
+/// Reads one request off a stub server's connection.
+fn stub_read(stream: &mut TcpStream, wire: Wire, buf: &mut Vec<u8>) -> (u64, Request) {
+    loop {
+        match wire {
+            Wire::Json => {
+                if let Some(newline) = buf.iter().position(|&b| b == b'\n') {
+                    let line: Vec<u8> = buf.drain(..=newline).collect();
+                    let v = qdelay_json::parse_line(&line[..newline]).unwrap().unwrap();
+                    let (id, request) = protocol::parse_request(&v);
+                    let id = id.as_ref().and_then(Json::as_usize).expect("requests carry an id");
+                    return (id as u64, request.unwrap());
+                }
+            }
+            Wire::Bin => {
+                let checked = frame::check(buf, proto::MAX_REQ_PAYLOAD);
+                if let Check::Complete { start, end, next } = checked {
+                    let (id, request) = proto::decode_request(&buf[start..end]);
+                    buf.drain(..next);
+                    return (id, request.unwrap());
+                }
+            }
+        }
+        let mut chunk = [0u8; 4096];
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "the client hung up mid-request");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// A stub server's `predict` reply to request `id`, recognisable by `seq`.
+fn stub_predict_reply(wire: Wire, id: u64, seq: u64) -> Vec<u8> {
+    match wire {
+        Wire::Json => {
+            let id = Json::Num(id as f64);
+            let line = protocol::predict_line(Some(&id), "s/q/1-4", 7, seq, None, None);
+            format!("{line}\n").into_bytes()
+        }
+        Wire::Bin => {
+            let mut out = Vec::new();
+            proto::encode_predict_resp(&mut out, id, "s/q/1-4", 7, seq, None, None);
+            out
+        }
+    }
+}
+
+/// After a timeout the connection is out of step: the late reply to the
+/// first question arrives in front of the reply to the second. Whichever
+/// wire, the second call must fail on the id it reads, never return the
+/// first question's answer as its own.
+#[test]
+fn late_reply_is_refused_not_taken_for_the_next_answer() {
+    for wire in [Wire::Json, Wire::Bin] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stub = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = Vec::new();
+            // Silent through the first request; the second arrives only
+            // after the client has given up on it. Then both answers go
+            // out, the late one first.
+            let (first, _) = stub_read(&mut stream, wire, &mut buf);
+            let (second, _) = stub_read(&mut stream, wire, &mut buf);
+            assert_eq!((first, second), (1, 2), "{wire:?}: ids count up from 1");
+            stream.write_all(&stub_predict_reply(wire, first, 111)).unwrap();
+            stream.write_all(&stub_predict_reply(wire, second, 222)).unwrap();
+            stream
+        });
+        let mut c = match wire {
+            Wire::Json => Client::connect(addr).unwrap(),
+            Wire::Bin => Client::connect_binary(addr).unwrap(),
+        };
+        c.set_read_timeout(Some(Duration::from_millis(80))).unwrap();
+        let err = c.predict("s", "q", 1).unwrap_err();
+        assert!(matches!(err, ClientError::Timeout), "{wire:?}: got {err}");
+        match c.predict("s", "q", 1) {
+            Err(ClientError::Protocol(m)) => assert!(m.contains("reply id 1"), "{wire:?}: {m}"),
+            other => panic!("{wire:?}: the late reply must be refused, got {other:?}"),
+        }
+        drop(stub.join().unwrap());
+    }
+}
+
 /// Idempotent requests retry through a reconnect: the first connection
 /// times out, the retry's fresh connection is answered.
 #[test]
@@ -279,13 +358,9 @@ fn predict_retries_reconnect_after_timeout() {
         let _ = lines.read_line(&mut line);
         // Connection 2 (the retry): answer the predict properly.
         let (mut second, _) = listener.accept().unwrap();
-        let mut lines = BufReader::new(second.try_clone().unwrap());
-        let mut line = String::new();
-        lines.read_line(&mut line).unwrap();
-        assert!(line.contains(r#""method":"predict""#), "got: {line}");
-        second
-            .write_all(b"{\"ok\":true,\"partition\":\"s/q/1-4\",\"n\":7,\"seq\":7}\n")
-            .unwrap();
+        let (id, request) = stub_read(&mut second, Wire::Json, &mut Vec::new());
+        assert!(matches!(request, Request::Predict { .. }), "got: {request:?}");
+        second.write_all(&stub_predict_reply(Wire::Json, id, 7)).unwrap();
         drop(first);
     });
     let mut c = Client::connect(addr).unwrap();
