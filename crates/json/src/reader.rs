@@ -2,17 +2,22 @@
 //!
 //! The serve wire protocol is one JSON value per `\n`-terminated line over
 //! a TCP connection. Both ends cut lines off their own receive buffers (the
-//! serve event loop's framer, the client's reply cutter) and hand each one
-//! to [`parse_line`], so blank lines, CRLF, trailing garbage and invalid
-//! UTF-8 mean the same thing on both ends of a connection; both also refuse
-//! a line longer than a hard cap ([`DEFAULT_MAX_LINE`] unless configured) —
-//! an unbounded line is either a protocol violation or an attack.
+//! serve event loop's framer, the client's reply cutter) and read each one
+//! by [`line_text`] — the client through [`parse_line`], the server ahead
+//! of its flat scan ([`crate::scan_flat`]) and, when that declines, the
+//! same [`Json::parse`] — so blank lines, CRLF, trailing garbage and
+//! invalid UTF-8 mean the same thing on both ends of a connection; both
+//! also refuse a line longer than a hard cap ([`DEFAULT_MAX_LINE`] unless
+//! configured) — an unbounded line is either a protocol violation or an
+//! attack.
 //!
 //! Strictness matches [`Json::parse`]: each line must hold *exactly one*
 //! top-level value — trailing garbage after the value is rejected, not
 //! skipped — because leniency on a wire protocol hides client bugs.
 //! Lines that are empty or all-whitespace are skipped (they are the
 //! natural artifact of `\r\n` peers and trailing newlines).
+
+use std::str::Utf8Error;
 
 use crate::{Json, JsonError};
 
@@ -62,18 +67,29 @@ impl std::error::Error for ReadError {
 /// assert!(parse_line(b"42 43").is_err()); // one value per line
 /// ```
 pub fn parse_line(line: &[u8]) -> Result<Option<Json>, ReadError> {
+    let Some(text) = line_text(line).map_err(|_| ReadError::InvalidUtf8)? else {
+        return Ok(None);
+    };
+    // Json::parse rejects trailing garbage after the top-level value, which
+    // is exactly the per-line strictness the wire protocol needs.
+    Json::parse(text).map(Some).map_err(ReadError::Parse)
+}
+
+/// The text of one line (its `\n` already cut off) as every reader of the
+/// wire sees it: a trailing `\r` dropped, checked to be UTF-8, and `None`
+/// if nothing but whitespace is left.
+///
+/// # Errors
+///
+/// The line held bytes that are not valid UTF-8.
+pub fn line_text(line: &[u8]) -> Result<Option<&str>, Utf8Error> {
     // Tolerate CRLF peers.
     let line = match line.split_last() {
         Some((b'\r', rest)) => rest,
         _ => line,
     };
-    let text = std::str::from_utf8(line).map_err(|_| ReadError::InvalidUtf8)?;
-    if text.trim().is_empty() {
-        return Ok(None);
-    }
-    // Json::parse rejects trailing garbage after the top-level value, which
-    // is exactly the per-line strictness the wire protocol needs.
-    Json::parse(text).map(Some).map_err(ReadError::Parse)
+    let text = std::str::from_utf8(line)?;
+    Ok((!text.trim().is_empty()).then_some(text))
 }
 
 #[cfg(test)]

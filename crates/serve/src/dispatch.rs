@@ -70,16 +70,15 @@ pub(crate) struct Responder<'a> {
 
 impl Responder<'_> {
     /// The one codec switch: a JSON line for a line's id, a frame for a
-    /// frame's. The frame encoders append in place; a line is built as
-    /// text first.
+    /// frame's. Both kinds of encoder append in place.
     fn render(
         &mut self,
-        as_line: impl FnOnce(Option<&Json>) -> String,
+        as_line: impl FnOnce(&mut Vec<u8>, Option<&Json>),
         as_frame: impl FnOnce(&mut Vec<u8>, u64),
     ) {
         match self.id {
             Id::Line(id) => {
-                self.out.extend_from_slice(as_line(id.as_ref()).as_bytes());
+                as_line(self.out, id.as_ref());
                 self.out.push(b'\n');
             }
             Id::Frame(id) => as_frame(self.out, *id),
@@ -90,18 +89,20 @@ impl Responder<'_> {
     fn done(&mut self, partition: &str, done: &Done) {
         match done {
             Done::Observed(seq) => self.render(
-                |id| protocol::observe_line(id, partition, *seq),
+                |out, id| protocol::write_observe(out, id, partition, *seq),
                 |out, id| proto::encode_observe_resp(out, id, partition, *seq),
             ),
             Done::Predicted(p) => self.render(
-                |id| protocol::predict_line(id, partition, p.n, p.seq, p.bmbp, p.lognormal),
+                |out, id| {
+                    protocol::write_predict(out, id, partition, p.n, p.seq, p.bmbp, p.lognormal)
+                },
                 |out, id| {
                     let n = p.n as u64;
                     proto::encode_predict_resp(out, id, partition, n, p.seq, p.bmbp, p.lognormal)
                 },
             ),
             Done::Admitted(p, decision) => self.render(
-                |id| protocol::admit_line(id, partition, p.n, p.seq, decision),
+                |out, id| protocol::write_admit(out, id, partition, p.n, p.seq, decision),
                 |out, id| proto::encode_admit_resp(out, id, partition, p.n as u64, p.seq, decision),
             ),
         }
@@ -110,7 +111,7 @@ impl Responder<'_> {
     fn control(&mut self, reply: Reply) {
         match self.id {
             Id::Line(id) => {
-                self.out.extend_from_slice(protocol::reply_line(id.as_ref(), reply).as_bytes());
+                protocol::write_reply(self.out, id.as_ref(), &reply);
                 self.out.push(b'\n');
             }
             Id::Frame(id) => proto::encode_reply(self.out, *id, reply),
@@ -119,7 +120,7 @@ impl Responder<'_> {
 
     pub(crate) fn error(&mut self, code: &str, message: &str) {
         self.render(
-            |id| protocol::error_line(id, code, message),
+            |out, id| protocol::write_error(out, id, code, message),
             |out, id| proto::encode_error_resp(out, id, code, message),
         )
     }

@@ -82,10 +82,11 @@ use crate::sys::{
 };
 use crate::tracing::{self, FlightRecorder, PendingTrace, ReqTrace};
 use crate::{
-    BATCH_SIZE, BIN_CONNECTIONS, CONNECTIONS, ERRORS, LOOP_BUSY_NS, REQUESTS, SLOW_DISCONNECTS,
+    BATCH_SIZE, BIN_CONNECTIONS, CONNECTIONS, ERRORS, JSON_TREE_LINES, LOOP_BUSY_NS, REQUESTS,
+    SLOW_DISCONNECTS,
 };
 use qdelay_journal::frame::{self, Check};
-use qdelay_json::ReadError;
+use qdelay_json::Json;
 
 /// Epoll tokens of a loop's own descriptors; connections count up from 0.
 const PORT_TOKEN: u64 = u64::MAX;
@@ -498,8 +499,12 @@ impl IoLoop {
     /// Registers one accepted connection. A setup failure drops it.
     fn adopt(&mut self, stream: TcpStream, framer: Framer) {
         CONNECTIONS.incr();
-        if matches!(framer, Framer::Frames) {
-            BIN_CONNECTIONS.incr();
+        match framer {
+            Framer::Frames => BIN_CONNECTIONS.incr(),
+            // Shown (at 0) from the first JSON connection on: a counter is
+            // registered by its first add, and the healthy value of this
+            // one is never having had one.
+            Framer::Lines => JSON_TREE_LINES.add(0),
         }
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             return;
@@ -719,7 +724,7 @@ fn decode_frames(rbuf: &[u8], state: &mut ConnState, exec: &mut Exec) -> usize {
 
 /// The newline framer: the loop-side twin of the client's line cutter
 /// ([`crate::client::Wire::cut`]), over the same per-line rule
-/// ([`qdelay_json::parse_line`]).
+/// ([`qdelay_json::line_text`]).
 /// Returns the bytes consumed.
 fn decode_lines(rbuf: &[u8], state: &mut ConnState, eof: bool, exec: &mut Exec) -> usize {
     let max_line = exec.shared.config.max_line;
@@ -753,27 +758,43 @@ fn decode_lines(rbuf: &[u8], state: &mut ConnState, eof: bool, exec: &mut Exec) 
     }
 }
 
-/// Parses and answers one line. Returns whether the stream is still in
+/// Reads and answers one line. Returns whether the stream is still in
 /// sync; a line that is not UTF-8 says the peer is not speaking this
 /// protocol, so the connection closes behind its error.
+///
+/// There is one line path: the flat scan, which reads every line a client
+/// of the data plane sends without building a tree, else — for what it
+/// declines, a nested `id` or member or anything malformed — the tree
+/// parser, which alone words `parse` errors. Both end in the same
+/// validation, and `serve.json.tree_lines` counts the second.
 fn dispatch_line(line: &[u8], state: &mut ConnState, exec: &mut Exec) -> bool {
     let mut trace = ReqTrace::begin(tracing::PROTO_JSON);
-    let value = match qdelay_json::parse_line(line) {
-        Ok(Some(value)) => value,
+    let text = match qdelay_json::line_text(line) {
+        Ok(Some(text)) => text,
         Ok(None) => return true, // blank line: nothing to answer
-        Err(e) => {
-            let (message, in_sync) = match e {
-                ReadError::Parse(e) => (e.to_string(), true),
-                _ => ("invalid UTF-8".to_string(), false),
-            };
-            answer(state, Id::Line(None), Err((ERR_PARSE, message)), exec);
-            return in_sync;
+        Err(_) => {
+            answer(state, Id::Line(None), Err((ERR_PARSE, "invalid UTF-8".to_string())), exec);
+            return false;
         }
     };
-    trace.decoded(line.len());
-    let (id, request) = protocol::parse_request(&value);
+    let (id, request) = match protocol::scan_request(text) {
+        Some(scanned) => scanned,
+        None => {
+            JSON_TREE_LINES.incr();
+            match Json::parse(text) {
+                Ok(value) => protocol::parse_request(&value),
+                Err(e) => {
+                    answer(state, Id::Line(None), Err((ERR_PARSE, e.to_string())), exec);
+                    return true;
+                }
+            }
+        }
+    };
     let request = match request {
-        Ok(request) => Ok((request, trace)),
+        Ok(request) => {
+            trace.decoded(line.len());
+            Ok((request, trace))
+        }
         Err(message) => Err((ERR_BAD_REQUEST, message)),
     };
     answer(state, Id::Line(id), request, exec);

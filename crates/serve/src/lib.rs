@@ -70,6 +70,11 @@ use qdelay_telemetry::{Counter, Gauge, LatencyHistogram};
 pub(crate) static REQUESTS: Counter = Counter::new("serve.requests");
 /// Error replies of any kind (parse, bad request, io).
 pub(crate) static ERRORS: Counter = Counter::new("serve.errors");
+/// JSON lines the flat scan declined and the tree parser read instead: a
+/// nested `id` or member, or malformed input. No bundled client sends
+/// either, so on a healthy data plane this stands still — a rise is a
+/// client paying the slow path, or sending garbage.
+pub(crate) static JSON_TREE_LINES: Counter = Counter::new("serve.json.tree_lines");
 /// Data-plane requests executed per loop wakeup (what one group commit
 /// covers on a journaling server).
 pub(crate) static BATCH_SIZE: LatencyHistogram = LatencyHistogram::new("serve.batch_size");

@@ -54,7 +54,8 @@ pub struct TraceEntry {
     pub req_bytes: u32,
     /// Reply size on the wire (line + newline, or full frame).
     pub resp_bytes: u32,
-    /// Frame/JSON parse time (read-blocking excluded).
+    /// Wire bytes to the typed, validated request, on either codec
+    /// (read-blocking excluded).
     pub decode_ns: u64,
     /// Decoded until the owning shard's lock is held.
     pub queue_ns: u64,

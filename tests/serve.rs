@@ -12,7 +12,13 @@ use qdelay_journal::frame::{self, Check};
 use qdelay_json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// `serve.json.tree_lines` is process-wide and the harness runs tests on
+/// parallel threads: the tests that send lines the flat scan declines and
+/// the test that asserts the counter stands still run under this lock.
+static TREE_LINES: Mutex<()> = Mutex::new(());
 
 /// Deterministic per-thread wait stream.
 fn wait(thread: usize, i: usize) -> f64 {
@@ -130,6 +136,7 @@ fn concurrent_clients_match_single_threaded_replay() {
 
 #[test]
 fn malformed_input_yields_typed_errors_not_crashes() {
+    let _counter = TREE_LINES.lock().unwrap_or_else(|e| e.into_inner());
     let server = Server::start(
         "127.0.0.1:0",
         ServerConfig { max_line: 4096, ..ServerConfig::default() },
@@ -153,6 +160,9 @@ fn malformed_input_yields_typed_errors_not_crashes() {
 
     // Trailing garbage after a complete value: also a parse error.
     assert_eq!(refused(&mut c, r#"{"method":"stats"} extra"#).1, "parse");
+
+    // Nesting past the parser's cap: a parse error, not a deeper recursion.
+    assert_eq!(refused(&mut c, &"[".repeat(4000)).1, "parse");
 
     // Unknown method: bad_request, and the id is echoed.
     assert_eq!(
@@ -188,6 +198,88 @@ fn malformed_input_yields_typed_errors_not_crashes() {
     }
 
     c2.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// Sends raw lines down a fresh connection and returns each reply parsed.
+fn raw_exchange(server: &Server, lines: &[&str]) -> Vec<Json> {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut replies = BufReader::new(stream.try_clone().unwrap());
+    lines
+        .iter()
+        .map(|line| {
+            stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            replies.read_line(&mut reply).unwrap();
+            Json::parse(&reply).unwrap()
+        })
+        .collect()
+}
+
+/// A name spelled with a `\u` surrogate pair (what Python's `json.dumps`
+/// sends for anything past the BMP) and the same name as raw UTF-8 are one
+/// partition; half a pair is a parse error, not some third partition.
+#[test]
+fn escaped_and_raw_spellings_of_a_name_are_one_partition() {
+    let _counter = TREE_LINES.lock().unwrap_or_else(|e| e.into_inner());
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let replies = raw_exchange(
+        &server,
+        &[
+            r#"{"method":"observe","site":"\ud83d\ude80","queue":"q","procs":1,"wait":5}"#,
+            r#"{"method":"predict","site":"🚀","queue":"q","procs":1}"#,
+            r#"{"method":"predict","site":"\ud83d","queue":"q","procs":1}"#,
+            r#"{"method":"predict","site":"\ude80\ud83d","queue":"q","procs":1}"#,
+        ],
+    );
+    let label = Json::Str("🚀/q/1-4".into());
+    assert_eq!(replies[0].get("partition"), Some(&label), "{:?}", replies[0]);
+    assert_eq!(replies[1].get("partition"), Some(&label), "{:?}", replies[1]);
+    assert_eq!(replies[1].get("n"), Some(&Json::Num(1.0)));
+    for refused in &replies[2..] {
+        assert_eq!(refused.get("error").and_then(Json::as_str), Some("parse"), "{refused:?}");
+    }
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(c.predict("🚀", "q", 1).unwrap().n, 1);
+    assert_eq!(c.stats().unwrap().get("partitions"), Some(&Json::Num(1.0)));
+    c.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// The flat scan reads every line the bundled client writes, so the count
+/// of lines that fell to the tree parser stands still under data-plane
+/// (and control) traffic; a nested `id` is the tree's, answered all the
+/// same with the id echoed, and counted.
+#[test]
+fn client_traffic_never_takes_the_tree_path() {
+    let _counter = TREE_LINES.lock().unwrap_or_else(|e| e.into_inner());
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let tree_lines = |c: &mut Client| {
+        let metrics = c.metrics().unwrap();
+        let counters = metrics.get("current").and_then(|t| t.get("counters"));
+        counters
+            .and_then(|c| c.get("serve.json.tree_lines"))
+            .and_then(Json::as_f64)
+            .expect("registered by the first JSON connection")
+    };
+    let before = tree_lines(&mut c);
+    for i in 0..70 {
+        c.observe("δ \"site\"", "q\n", 4, wait(0, i), Some(1.5), None).unwrap();
+        c.predict("δ \"site\"", "q\n", 4).unwrap();
+        c.admit("δ \"site\"", "q\n", 4, 600.0, Some(0.95)).unwrap();
+    }
+    c.stats().unwrap();
+    c.trace().unwrap();
+    assert_eq!(tree_lines(&mut c), before, "a client line fell to the tree parser");
+
+    // (The blank lines ride in front: they are answered by nothing.)
+    let replies = raw_exchange(&server, &["\n  \r\n{\"method\":\"stats\",\"id\":[1]}"]);
+    assert_eq!(replies[0].get("id"), Some(&Json::Arr(vec![Json::Num(1.0)])));
+    assert_eq!(replies[0].get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(tree_lines(&mut c), before + 1.0, "blank lines are not counted");
+
+    c.shutdown().unwrap();
     server.join().unwrap();
 }
 
