@@ -16,7 +16,7 @@
 
 use qdelay_predict::QuantilePredictor;
 use qdelay_telemetry::{time_scope, Counter, LatencyHistogram, Span};
-use qdelay_trace::Trace;
+use qdelay_trace::{JobRecord, Trace};
 
 /// Per-refit latency, split by predictor so tail regressions in one method
 /// can't hide behind another's volume. Resolved once per [`run`], sampled
@@ -139,9 +139,10 @@ impl HarnessResult {
     }
 }
 
-/// Internal sweep event. Starts sort before arrivals at equal times, so an
-/// arriving job sees every wait that became visible at that instant; epoch
-/// refits are interleaved inline between events rather than materialized.
+/// Internal sweep event. A start goes before an arrival at the same
+/// instant, so an arriving job sees every wait that became visible at that
+/// instant; epoch refits are interleaved inline between events rather than
+/// materialized.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
     /// (start_time, job index) — job leaves the pending queue.
@@ -156,13 +157,26 @@ impl Event {
             Event::Start(t, _) | Event::Arrival(t, _) => t,
         }
     }
+}
 
-    fn priority(&self) -> u8 {
-        match self {
-            Event::Start(..) => 0,
-            Event::Arrival(..) => 1,
+/// Every job's arrival and start, in sweep order. Arrivals are already in
+/// order (the caller asserts it), so only the starts are sorted — ties by
+/// job index — and the two are merged on the fly.
+fn merged_events(jobs: &[JobRecord]) -> impl Iterator<Item = Event> + '_ {
+    let mut starts: Vec<(f64, usize)> =
+        jobs.iter().enumerate().map(|(i, j)| (j.start_time(), i)).collect();
+    assert!(starts.iter().all(|(t, _)| !t.is_nan()), "finite event times");
+    starts.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut starts = starts.into_iter().peekable();
+    let mut arrivals = jobs.iter().map(|j| j.submit as f64).enumerate().peekable();
+    std::iter::from_fn(move || match (starts.peek(), arrivals.peek()) {
+        (Some(&(start, idx)), Some(&(_, arrival))) if start <= arrival => {
+            starts.next();
+            Some(Event::Start(start, idx))
         }
-    }
+        (_, Some(_)) => arrivals.next().map(|(idx, t)| Event::Arrival(t, idx)),
+        (_, None) => starts.next().map(|(t, idx)| Event::Start(t, idx)),
+    })
 }
 
 /// Replays `trace` against `predictor` under the paper's §5.1 protocol.
@@ -195,19 +209,6 @@ pub fn run(
     time_scope!(&REPLAY_NS);
     JOBS_REPLAYED.add(n as u64);
 
-    // Pre-build arrival and start events, then merge chronologically.
-    let mut events: Vec<Event> = Vec::with_capacity(2 * n);
-    for (i, j) in jobs.iter().enumerate() {
-        events.push(Event::Arrival(j.submit as f64, i));
-        events.push(Event::Start(j.start_time(), i));
-    }
-    events.sort_by(|a, b| {
-        a.time()
-            .partial_cmp(&b.time())
-            .expect("finite event times")
-            .then(a.priority().cmp(&b.priority()))
-    });
-
     let mut records = Vec::with_capacity(n - training_jobs);
     let mut samples = Vec::new();
     // The prediction served to each job, by index (None = none served or
@@ -231,7 +232,7 @@ pub fn run(
         predictor.finish_training();
     }
 
-    for ev in events {
+    for ev in merged_events(jobs) {
         let now = ev.time();
         // Fire any epochs due before this event.
         if let Some(epoch) = next_epoch {
@@ -339,7 +340,6 @@ mod tests {
     use super::*;
     use qdelay_predict::baseline::MaxObservedPredictor;
     use qdelay_predict::bmbp::Bmbp;
-    use qdelay_trace::{JobRecord, Trace};
 
     /// A trace with constant inter-arrival gap and fixed waits.
     fn uniform_trace(n: usize, gap: u64, wait: f64) -> Trace {
@@ -502,6 +502,35 @@ mod tests {
         });
         let mut p = MaxObservedPredictor::new();
         run(&trace, &mut p, &HarnessConfig::default());
+    }
+
+    /// The merge against what it replaced: every event pushed (arrival
+    /// before start, per job) and stable-sorted by time, a start ranking
+    /// first at equal times. Small integer gaps and waits make ties of every
+    /// kind — start/start, start/arrival, a zero wait — common.
+    #[test]
+    fn merged_events_match_a_stable_sort_of_all_events() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |modulus: u64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % modulus
+        };
+        let mut submit = 50;
+        let mut t = Trace::new("m", "q");
+        for _ in 0..2_000 {
+            submit += next(3);
+            t.push(JobRecord { submit, wait_secs: next(6) as f64, procs: 1, run_secs: 1.0 });
+        }
+        let mut sorted = Vec::new();
+        for (i, j) in t.jobs().iter().enumerate() {
+            sorted.push(Event::Arrival(j.submit as f64, i));
+            sorted.push(Event::Start(j.start_time(), i));
+        }
+        sorted.sort_by(|a, b| {
+            let starts_first = |e: &Event| matches!(e, Event::Arrival(..));
+            a.time().total_cmp(&b.time()).then(starts_first(a).cmp(&starts_first(b)))
+        });
+        assert_eq!(merged_events(t.jobs()).collect::<Vec<_>>(), sorted);
     }
 
     #[test]
