@@ -163,7 +163,8 @@ fn print_usage() {
          Capacity: --max-resident N caps the partitions each shard keeps in\n\
          memory; cold ones hibernate to spill files (next to the journal or\n\
          snapshot — one of --journal-path / --snapshot-path is required)\n\
-         and are restored bit-identically on their next touch.\n\n\
+         and are restored bit-identically by their next observe (a predict\n\
+         or admit of one is answered from the index, without a restore).\n\n\
          Any command also accepts --telemetry <path.json>: on success the\n\
          internal counters/gauges/latency histograms are exported there as\n\
          JSON and summarized on stderr.\n\n\
@@ -757,7 +758,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 
 /// One watch-mode line: uptime, the rate window, every nonzero per-second
 /// rate the server reported, and — on a capacity-capped server — the
-/// hibernation levels (resident/hibernated partitions, spill disk bytes).
+/// hibernation levels (resident/hibernated partitions, spill disk bytes)
+/// and how cold traffic has been served so far: partitions restored from
+/// disk against questions answered from the index.
 fn render_watch_line(reply: &qdelay_json::Json) -> String {
     use qdelay_json::Json;
     let num = |key: &str| reply.get(key).and_then(Json::as_f64).unwrap_or(0.0);
@@ -777,21 +780,26 @@ fn render_watch_line(reply: &qdelay_json::Json) -> String {
             }
         }
     }
-    let gauge = |name: &str| {
+    let current = |section: &str, name: &str| {
         reply
             .get("current")
-            .and_then(|c| c.get("gauges"))
-            .and_then(|g| g.get(name))
+            .and_then(|c| c.get(section))
+            .and_then(|s| s.get(name))
             .and_then(Json::as_f64)
             .unwrap_or(0.0)
     };
+    let gauge = |name: &str| current("gauges", name);
+    let counter = |name: &str| current("counters", name);
     let hibernated = gauge("serve.hibernate.hibernated");
     let spill = gauge("serve.hibernate.disk_bytes");
     if hibernated > 0.0 || spill > 0.0 {
         line.push_str(&format!(
-            "  resident {:.0} hibernated {hibernated:.0} spill {:.1}KiB",
+            "  resident {:.0} hibernated {hibernated:.0} spill {:.1}KiB \
+             restores {:.0} index_answers {:.0}",
             gauge("serve.hibernate.resident"),
             spill / 1024.0,
+            counter("serve.hibernate.restores"),
+            counter("serve.hibernate.index_answers"),
         ));
         any = true;
     }
@@ -1156,6 +1164,39 @@ mod tests {
 
         let idle = Json::Obj(vec![("uptime_ms".into(), Json::Num(500.0))]);
         assert!(render_watch_line(&idle).contains("(idle)"));
+
+        // A capped server's line ends with the hibernation levels and the
+        // restore / index-answer totals.
+        let section = |entries: &[(&str, f64)]| {
+            Json::Obj(entries.iter().map(|&(k, v)| (k.to_string(), Json::Num(v))).collect())
+        };
+        let capped = Json::Obj(vec![(
+            "current".into(),
+            Json::Obj(vec![
+                (
+                    "gauges".into(),
+                    section(&[
+                        ("serve.hibernate.resident", 150.0),
+                        ("serve.hibernate.hibernated", 2850.0),
+                        ("serve.hibernate.disk_bytes", 2048.0),
+                    ]),
+                ),
+                (
+                    "counters".into(),
+                    section(&[
+                        ("serve.hibernate.restores", 180_000.0),
+                        ("serve.hibernate.index_answers", 1_774_211.0),
+                    ]),
+                ),
+            ]),
+        )]);
+        let line = render_watch_line(&capped);
+        assert!(
+            line.ends_with(
+                "resident 150 hibernated 2850 spill 2.0KiB restores 180000 index_answers 1774211"
+            ),
+            "{line}"
+        );
     }
 
     #[test]

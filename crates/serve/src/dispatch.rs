@@ -208,8 +208,8 @@ pub(crate) fn dispatch(
 }
 
 /// One data-plane op, start to rendered reply: lock the owning shard,
-/// execute, unlock, render. The lock is held for the store touch and the
-/// predictor call only.
+/// execute, unlock, render. The lock is held for `Shard::execute` — the
+/// trace's handle stage — and nothing else.
 fn execute(
     key: PartitionKey,
     op: Op,

@@ -8,7 +8,10 @@
 //! can page out losslessly: [`PartitionStore`] keeps each shard's
 //! partitions under a resident cap by serializing least-recently-touched
 //! partitions into a per-shard append-only **spill file** and lazily
-//! restoring them on the next observe/predict/admit touch.
+//! restoring them when they are next *written* (an observe, a replicated
+//! record). What pages out is the history, not the answer: the index entry
+//! of a hibernated partition keeps the [`Prediction`] it was serving, so a
+//! *question* (predict, admit) about it reads no file at all.
 //!
 //! ## The state machine
 //!
@@ -17,18 +20,22 @@
 //!                        the slot stays where it is)
 //!        ┌──────────────────────────────────────────────────┐
 //!        ▼                                                  │
-//!   ┌─────────────────┐  evict, seq unchanged:         ┌────┴───────┐
-//!   │ resident, clean │  index update, no write        │            │
-//!   │ — slot kept     │ ──────────────────────────────▶│            │
-//!   └─────────────────┘                                │ hibernated │
-//!        │ observe (seq moves on)                      │            │
-//!        ▼                                             │            │
-//!   ┌─────────────────┐  evict: encode + append; the   │            │
-//!   │ resident, dirty │  kept slot, if any, is garbage │            │
-//!   │ or never spilled│ ──────────────────────────────▶│            │
-//!   └─────────────────┘                                └────────────┘
-//!        │ tombstone                                        │ tombstone
-//!        ▼                                                  ▼
+//!   ┌─────────────────┐  evict, seq unchanged:         ┌────┴───────────┐
+//!   │ resident, clean │  index update, no write        │ hibernated,    │
+//!   │ — slot kept     │ ──────────────────────────────▶│ answer known   │
+//!   └─────────────────┘                                │ (a question is │
+//!        │ observe (seq moves on)                      │  answered here)│
+//!        ▼                                             │                │
+//!   ┌─────────────────┐  evict: refit if dirty, encode │                │
+//!   │ resident, dirty │  + append; the kept slot, if   │                │
+//!   │ or never spilled│  any, is garbage ─────────────▶│                │
+//!   └─────────────────┘                                └────────────────┘
+//!        │ tombstone            ▲ first question: touch       │ tombstone
+//!        │              ┌───────┴────────┐                    │
+//!        │              │ hibernated,    │ install_snapshots' │
+//!        │              │ answer unknown │◀── cold tail       │
+//!        │              └───────┬────────┘                    │
+//!        ▼                      ▼ tombstone                   ▼
 //!   ┌─────────────────────────────────────────────────────────────┐
 //!   │ dead (cursor only — any slot freed, its bytes garbage)      │
 //!   └─────────────────────────────────────────────────────────────┘
@@ -39,10 +46,49 @@
 //! partition's `seq` still equals the slot's" is an exact test that the
 //! slot's bytes are still the partition's state: evicting such a
 //! partition re-indexes the slot and touches neither the encoder nor the
-//! file. A cold *question* (predict, admit) therefore costs a warm one
-//! plus a read and a sort, and leaves no garbage behind. Only a dirty
-//! eviction, a tombstone, a wholesale install or a compaction turns a
-//! kept slot into garbage.
+//! file. Only a dirty eviction, a tombstone, a wholesale install or a
+//! compaction turns a kept slot into garbage.
+//!
+//! ## The answer in the index
+//!
+//! Served bounds are a pure function of the observation sequence, so the
+//! answer a partition gives at `seq` is the answer it gives until the next
+//! observe — whether or not its history is in memory. Every path that has
+//! the partition in memory when it leaves **writes the answer** into the
+//! slot's index entry: [`PartitionStore::enforce_cap`] (which refits first
+//! if an observe left the partition dirty — half a microsecond, against the
+//! restore it saves the next asker; the refit changes no exported state, so
+//! the spill record and every snapshot are byte for byte what they were)
+//! and [`PartitionStore::install_parts`]; a compaction moves slots and
+//! carries their answers along. The one slot with **no answer** is one
+//! written from a bare snapshot entry ([`PartitionStore::install_snapshots`]'
+//! cold tail, never materialized): its first question restores it as a
+//! touch would, and the clean eviction that follows leaves the answer.
+//!
+//! What a question ([`PartitionStore::predict`]) costs, by where it lands:
+//!
+//! | the key is…                | cost                                      |
+//! |----------------------------|-------------------------------------------|
+//! | resident                   | one hash, an LRU bump, `Partition::predict` |
+//! | hibernated, answer known   | two hashes, a 56-byte copy — no file, no LRU, no eviction |
+//! | hibernated, answer unknown | a restore, once                           |
+//! | unknown or tombstoned      | two or three hashes; **nothing is created** |
+//!
+//! An answer is invalidated by construction, not by bookkeeping: the only
+//! way to change a partition is to touch it, which moves its key from the
+//! hibernated map to the resident one, and the next eviction writes the
+//! answer of the state it evicts. A tombstone removes the index entry and
+//! the answer with it. The store's seeded differential test asks at every
+//! step and holds each answer against an uncapped twin's.
+//!
+//! The price is 32 bytes per *hibernated* partition (an index entry is
+//! already well over 100 bytes of key strings, `Arc` and map slots), and a
+//! change in **when damage is noticed**: a slot whose bytes rot on disk is
+//! detected by the next thing that reads them — an observe, a `snapshot`,
+//! a compaction — and no longer by the next question, which is answered,
+//! correctly, from the value computed while the state was verified in
+//! memory. Every byte that *is* read passes the same CRC, length, version
+//! and validity checks as before.
 //!
 //! ## Spill file format
 //!
@@ -64,7 +110,8 @@
 //! document codec yields, and the restore path from there on is the
 //! proven boot path ([`Partition::from_snapshot`] refits from state,
 //! bit-identically). An in-memory index maps each hibernated key to its
-//! `(offset, len)` slot; `live` counts the bytes of every slot that is
+//! slot — `(offset, len)`, the `seq` of the state in it and the answer
+//! that state serves; `live` counts the bytes of every slot that is
 //! indexed or kept by a resident partition, and `end - live` is garbage.
 //!
 //! ## Compaction
@@ -85,11 +132,12 @@
 //! with no reader for the old one.
 
 use crate::durability::{self, RecordSink};
-use crate::registry::{Partition, PartitionKey};
+use crate::registry::{Partition, PartitionKey, Prediction};
 use crate::snapshot::{self, DeadPartition, PartitionSnapshot};
 use crate::{
     HIBERNATE_DISK_BYTES, HIBERNATE_EVICTIONS, HIBERNATE_EVICT_NS, HIBERNATE_HIBERNATED,
-    HIBERNATE_RESIDENT, HIBERNATE_RESTORES, HIBERNATE_RESTORE_NS, HIBERNATE_SPILL_COMPACTIONS,
+    HIBERNATE_INDEX_ANSWERS, HIBERNATE_RESIDENT, HIBERNATE_RESTORES, HIBERNATE_RESTORE_NS,
+    HIBERNATE_SPILL_COMPACTIONS,
 };
 use qdelay_journal::frame::{self, Check};
 use std::collections::hash_map::Entry;
@@ -123,15 +171,44 @@ struct Resident {
     kept: Option<SpillSlot>,
 }
 
-/// Where a hibernated partition's bytes live in the spill file.
+/// Where a hibernated partition's bytes live in the spill file, and what
+/// the partition was serving when it left memory.
 #[derive(Clone, Copy)]
 struct SpillSlot {
     offset: u64,
     /// Whole-frame length (prefix + payload).
     len: u32,
+    /// History length of the answer; meaningful only beside `bounds`. Kept
+    /// out of the `Option` and narrow so it packs next to `len`: the answer
+    /// costs a slot 32 bytes, not 48.
+    n: u32,
     /// The partition's observation cursor at eviction time, kept in
     /// memory so `stats` and replay dedup never have to read the file.
     seq: u64,
+    /// Both served bounds as of `seq` (BMBP, log-normal). `None` only for a
+    /// slot written from a bare snapshot entry, whose partition was never
+    /// in memory to be asked.
+    bounds: Option<(Option<f64>, Option<f64>)>,
+}
+
+impl SpillSlot {
+    /// What a `predict` of the partition in this slot returns, if known.
+    fn answer(&self) -> Option<Prediction> {
+        let (bmbp, lognormal) = self.bounds?;
+        Some(Prediction { n: self.n as usize, seq: self.seq, bmbp, lognormal })
+    }
+
+    /// Records `served` — the partition's own `predict()`, taken while it
+    /// was in memory at this slot's `seq` — as the slot's answer.
+    fn set_answer(&mut self, served: &Prediction) {
+        debug_assert_eq!(served.seq, self.seq, "an answer belongs to its slot's state");
+        // A history past u32 cannot have fit a spill record; if one ever
+        // did, its questions restore.
+        if let Ok(n) = u32::try_from(served.n) {
+            self.n = n;
+            self.bounds = Some((served.bmbp, served.lognormal));
+        }
+    }
 }
 
 /// The spill file and its byte accounting.
@@ -165,7 +242,8 @@ impl Spill {
         frame::finish(&mut bytes, start);
         self.file.write_all_at(&bytes, self.end)?;
         let len = bytes.len() as u64;
-        let slot = SpillSlot { offset: self.end, len: len as u32, seq: snap.seq };
+        let slot =
+            SpillSlot { offset: self.end, len: len as u32, n: 0, seq: snap.seq, bounds: None };
         self.end += len;
         self.live += len;
         HIBERNATE_DISK_BYTES.add(len);
@@ -288,12 +366,13 @@ impl PartitionStore {
         self.reset(dead)?;
         parts.sort_by(|a, b| a.0.cmp(&b.0));
         let keep = self.cap.unwrap_or(usize::MAX);
-        for (i, (key, partition)) in parts.into_iter().enumerate() {
+        for (i, (key, mut partition)) in parts.into_iter().enumerate() {
             if i < keep {
                 self.insert_resident(Arc::new(key), partition, None);
             } else {
+                let answer = partition.predict();
                 let snap = partition.to_snapshot(&key);
-                self.spill_snapshot(Arc::new(key), &snap)?;
+                self.spill_snapshot(Arc::new(key), &snap, Some(&answer))?;
             }
         }
         Ok(())
@@ -304,6 +383,8 @@ impl PartitionStore {
     /// **directly in the hibernated state** — their history is never
     /// materialized, so booting a million-partition snapshot under a
     /// small cap costs a file append per cold partition, not a refit.
+    /// Their slots therefore carry no answer: the first question about
+    /// each restores it, and the clean eviction that follows leaves one.
     pub fn install_snapshots(
         &mut self,
         mut snaps: Vec<PartitionSnapshot>,
@@ -323,7 +404,7 @@ impl PartitionStore {
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
                 self.insert_resident(key, partition, None);
             } else {
-                self.spill_snapshot(key, &snap)?;
+                self.spill_snapshot(key, &snap, None)?;
             }
         }
         Ok(())
@@ -347,7 +428,8 @@ impl PartitionStore {
         Ok(())
     }
 
-    /// The materialize step every op goes through: returns the resident
+    /// The materialize step every write goes through (and the read entry,
+    /// [`PartitionStore::predict`], falls back on): returns the resident
     /// partition for `key`, restoring it from the spill file if it is
     /// hibernated, resurrecting it at its dead cursor if it was
     /// tombstoned, or creating it fresh. The touch stamp is bumped; call
@@ -358,12 +440,7 @@ impl PartitionStore {
         if self.resident.contains_key(&key) {
             let entry = self.resident.get_mut(&key).expect("just checked");
             if self.cap.is_some() {
-                // Move the recency entry to the most-recent end; the key
-                // it holds is shared, so nothing is cloned.
-                let shared = self.lru.remove(&entry.touch).expect("capped residents are in lru");
-                self.clock += 1;
-                entry.touch = self.clock;
-                self.lru.insert(entry.touch, shared);
+                Self::bump(&mut self.lru, &mut self.clock, entry);
             }
             return Ok(&mut entry.partition);
         }
@@ -383,6 +460,44 @@ impl PartitionStore {
             }
         };
         Ok(&mut self.insert_resident(key, partition, kept).partition)
+    }
+
+    /// The read every question (predict, admit) goes through: what
+    /// [`Partition::predict`] would say for `key`, from wherever that is
+    /// cheapest to learn. A resident partition is asked (and its touch
+    /// stamp bumped, one key hash in all); a hibernated one whose slot
+    /// carries its answer is answered from the index, touching neither the
+    /// file, the recency order nor the resident set; a key the store has
+    /// never seen, or has tombstoned, gets the fresh partition's constant
+    /// answer **without being created** — a question never changes what the
+    /// store holds. Only a hibernated partition with no answer on its slot
+    /// (snapshot-booted, never yet asked) is restored, as a touch would;
+    /// call [`PartitionStore::enforce_cap`] afterwards as after a touch.
+    pub fn predict(&mut self, key: PartitionKey) -> io::Result<Prediction> {
+        if let Some(entry) = self.resident.get_mut(&key) {
+            if self.cap.is_some() {
+                Self::bump(&mut self.lru, &mut self.clock, entry);
+            }
+            return Ok(entry.partition.predict());
+        }
+        match self.hibernated.get(&key).map(SpillSlot::answer) {
+            Some(Some(answer)) => {
+                HIBERNATE_INDEX_ANSWERS.incr();
+                Ok(answer)
+            }
+            Some(None) => Ok(self.touch(key)?.predict()),
+            None => Ok(Prediction::unobserved(self.dead.get(&key).copied().unwrap_or(0))),
+        }
+    }
+
+    /// Moves a resident entry of a capped store to the most-recent end of
+    /// the recency order; the key the order holds is shared, so nothing is
+    /// cloned.
+    fn bump(lru: &mut BTreeMap<u64, Arc<PartitionKey>>, clock: &mut u64, entry: &mut Resident) {
+        let shared = lru.remove(&entry.touch).expect("capped residents are in lru");
+        *clock += 1;
+        entry.touch = *clock;
+        lru.insert(entry.touch, shared);
     }
 
     /// Inserts a resident partition with a fresh touch stamp.
@@ -434,14 +549,19 @@ impl PartitionStore {
         Ok(partition)
     }
 
-    /// Appends `snap` to the spill file and indexes `key` as hibernated.
+    /// Appends `snap` to the spill file and indexes `key` as hibernated,
+    /// with the answer its partition was serving if it ever was in memory.
     fn spill_snapshot(
         &mut self,
         key: Arc<PartitionKey>,
         snap: &PartitionSnapshot,
+        answer: Option<&Prediction>,
     ) -> io::Result<()> {
         let spill = self.spill.as_mut().expect("capped stores have a spill file");
-        let slot = spill.append(snap)?;
+        let mut slot = spill.append(snap)?;
+        if let Some(served) = answer {
+            slot.set_answer(served);
+        }
         self.index(key, slot);
         Ok(())
     }
@@ -470,9 +590,14 @@ impl PartitionStore {
         while self.resident.len() > cap {
             let t0 = Instant::now();
             let (&touch, key) = self.lru.first_key_value().expect("capped residents are in lru");
-            let entry = self.resident.get(key).expect("lru entries are resident");
-            let slot = match entry.kept {
-                Some(slot) if slot.seq == entry.partition.seq() => slot,
+            let entry = self.resident.get_mut(key).expect("lru entries are resident");
+            // What the partition is serving leaves with it (refit first if
+            // an observe dirtied it): the next question is answered from
+            // the index instead of restoring. The refit changes no exported
+            // state, so the record is the one an unasked partition writes.
+            let answer = entry.partition.predict();
+            let mut slot = match entry.kept {
+                Some(slot) if slot.seq == answer.seq => slot,
                 stale => {
                     let spill = self.spill.as_mut().expect("capped stores have a spill file");
                     let slot = spill.append(&entry.partition.to_snapshot(key))?;
@@ -482,6 +607,7 @@ impl PartitionStore {
                     slot
                 }
             };
+            slot.set_answer(&answer);
             let key = self.lru.remove(&touch).expect("just read");
             self.resident.remove(&key);
             self.index(key, slot);
@@ -723,16 +849,35 @@ mod tests {
         snapshot::encode(parts, dead).to_string_pretty()
     }
 
-    fn prediction_bits(p: &crate::registry::Prediction) -> (usize, u64, Option<u64>, Option<u64>) {
+    fn prediction_bits(p: &Prediction) -> (usize, u64, Option<u64>, Option<u64>) {
         (p.n, p.seq, p.bmbp.map(f64::to_bits), p.lognormal.map(f64::to_bits))
+    }
+
+    /// Asks about `k` as a shard does — the read entry, then the cap — and
+    /// says whether the question had to restore the partition.
+    fn ask(store: &mut PartitionStore, k: &PartitionKey) -> (Prediction, bool) {
+        let cold = store.hibernated.contains_key(k);
+        let answer = store.predict(k.clone()).unwrap();
+        let restored = cold && store.resident.contains_key(k);
+        store.enforce_cap().unwrap();
+        (answer, restored)
+    }
+
+    /// What a question may not move: which partitions exist and where, and
+    /// the spill file's length.
+    fn holdings(store: &PartitionStore) -> (usize, usize, usize, u64) {
+        (store.resident_count(), store.hibernated_count(), store.dead.len(), store.spill_disk_bytes())
     }
 
     /// A seeded schedule of everything a shard does to its store —
     /// observe (with outcome feedback, so detectors run and trims fire),
-    /// predict, admit, replicated record batches, tombstones, collects
+    /// predict and admit through the read entry (of live, tombstoned and
+    /// never-seen keys), replicated record batches, tombstones, collects
     /// and the between-batch sweep — against an uncapped twin fed the
     /// same operations. The cap must be invisible at every step and the
-    /// spill file's books must balance after every step.
+    /// spill file's books must balance after every step. Every partition
+    /// here leaves memory through an eviction, so every slot carries its
+    /// answer: no question may restore, move or create anything.
     #[test]
     fn seeded_schedules_match_an_uncapped_twin_and_keep_the_books() {
         let _serial = serial();
@@ -744,7 +889,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             // What each partition was last served, fed back with its next
             // observation as a scheduler would.
-            let mut served: Vec<Option<crate::registry::Prediction>> = vec![None; parts];
+            let mut served: Vec<Option<Prediction>> = vec![None; parts];
             let mut compactions = 0;
             // Warm through `apply`, as a replica installs history.
             for i in 0..parts {
@@ -770,19 +915,24 @@ mod tests {
                         assert_eq!(got, want, "{when}: observe seq");
                     }
                     35..=69 => {
-                        let got = capped.touch(k.clone()).unwrap().predict();
-                        let want = twin.touch(k).unwrap().predict();
+                        let before = holdings(&capped);
+                        let (got, restored) = ask(&mut capped, &k);
+                        let want = twin.predict(k).unwrap();
                         assert_eq!(prediction_bits(&got), prediction_bits(&want), "{when}");
+                        assert!(!restored, "{when}: the slot had its answer");
+                        assert_eq!(holdings(&capped), before, "{when}: a question moves nothing");
                         served[i] = Some(want);
                     }
                     70..=79 => {
                         let budget = wait(step);
-                        let decide = |p: crate::registry::Prediction| {
+                        let decide = |p: Prediction| {
                             admission::decide(p.bmbp, p.lognormal, p.n as u64, budget)
                         };
-                        let got = decide(capped.touch(k.clone()).unwrap().predict());
-                        let want = decide(twin.touch(k).unwrap().predict());
+                        let before = holdings(&capped);
+                        let got = decide(capped.predict(k.clone()).unwrap());
+                        let want = decide(twin.predict(k).unwrap());
                         assert_eq!(got, want, "{when}: admit");
+                        assert_eq!(holdings(&capped), before, "{when}: a question moves nothing");
                     }
                     80..=84 => {
                         let seq = twin.cursor(&k) + 1;
@@ -806,7 +956,15 @@ mod tests {
                         assert_eq!(capped.apply(batch.clone()), twin.apply(batch), "{when}");
                     }
                     92..=95 => assert_eq!(document(&capped), document(&twin), "{when}: collect"),
-                    _ => {}
+                    _ => {
+                        // A key nobody ever observed: answered, not created
+                        // (the count checks below hold the twin to it too).
+                        let before = holdings(&capped);
+                        let (got, _) = ask(&mut capped, &key(parts + i));
+                        assert_eq!(got, Prediction::unobserved(0), "{when}");
+                        assert_eq!(twin.predict(key(parts + i)).unwrap(), got, "{when}");
+                        assert_eq!(holdings(&capped), before, "{when}: asking creates nothing");
+                    }
                 }
                 capped.enforce_cap().unwrap();
                 // The server sweeps at the end of each wakeup.
@@ -814,20 +972,24 @@ mod tests {
                 assert_accounting(&capped, &path, &when);
                 assert_eq!(capped.total_observations(), twin.total_observations(), "{when}");
                 assert_eq!(capped.partition_count(), twin.partition_count(), "{when}");
+                assert_eq!(capped.dead.len(), twin.dead.len(), "{when}: a dead key stays dead");
             }
             assert!(compactions > 0, "cap {cap}: the lowered floor must have tripped the sweeper");
             assert_eq!(document(&capped), document(&twin), "cap {cap}: final collect");
         }
     }
 
+    /// The slot-keeping restore on its own: a partition that is touched but
+    /// not observed (an answerless slot's first question, a probe) goes
+    /// back to the slot it came from.
     #[test]
-    fn predict_only_traffic_writes_nothing_and_strands_nothing() {
+    fn restores_that_observe_nothing_write_nothing_and_strand_nothing() {
         let _serial = serial();
-        let path = fresh_path("predict-only.qds");
+        let path = fresh_path("touch-only.qds");
         let mut store = PartitionStore::new(Some(4), Some(path.clone())).unwrap();
         store.set_compact_min_bytes(1);
         grown(&mut store, 40, 70);
-        // One pass of questions: whatever was resident and dirty gets its
+        // One pass of touches: whatever was resident and dirty gets its
         // slot; from here on every partition has one that is current.
         let mut first = Vec::new();
         for i in 0..40 {
@@ -849,12 +1011,72 @@ mod tests {
             }
             store.enforce_cap().unwrap();
             assert!(!store.sweep().unwrap(), "no garbage, so nothing to compact");
-            assert_accounting(&store, &path, "predict-only");
+            assert_accounting(&store, &path, "touch-only");
         }
         assert_eq!(store.spill_disk_bytes(), bytes.len() as u64, "the file did not grow");
         assert_eq!(std::fs::read(&path).unwrap(), bytes, "not one byte was written");
         assert_eq!(HIBERNATE_SPILL_COMPACTIONS.value(), compactions);
         assert_eq!(store.hibernated_count(), 36);
+    }
+
+    #[test]
+    fn questions_are_answered_from_the_index_and_move_nothing() {
+        let _serial = serial();
+        let path = fresh_path("questions.qds");
+        let mut store = PartitionStore::new(Some(4), Some(path.clone())).unwrap();
+        store.set_compact_min_bytes(1);
+        let mut twin = PartitionStore::new(None, None).unwrap();
+        for s in [&mut store, &mut twin] {
+            grown(s, 40, 70);
+        }
+        // Every hibernated partition left through an eviction, dirty: each
+        // slot has the answer the refit gave it, though nobody ever asked.
+        let bytes = std::fs::read(&path).unwrap();
+        let before = holdings(&store);
+        assert_eq!(before, (4, 36, 0, bytes.len() as u64));
+        let (restores, answers) = (HIBERNATE_RESTORES.value(), HIBERNATE_INDEX_ANSWERS.value());
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut cold_asks = 0;
+        for _ in 0..400 {
+            let k = key(rng.gen_range(0..40));
+            cold_asks += u64::from(store.hibernated.contains_key(&k));
+            let (got, restored) = ask(&mut store, &k);
+            let want = twin.predict(k).unwrap();
+            assert_eq!(prediction_bits(&got), prediction_bits(&want), "a cold answer is the warm answer");
+            assert!(!restored);
+            assert!(!store.sweep().unwrap(), "no garbage, so nothing to compact");
+            assert_accounting(&store, &path, "questions only");
+        }
+        assert!(cold_asks > 300, "the phase must have asked cold partitions");
+        assert_eq!(holdings(&store), before, "nothing restored, evicted, created or written");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "not one byte was written");
+        assert_eq!(HIBERNATE_RESTORES.value(), restores);
+        assert_eq!(HIBERNATE_INDEX_ANSWERS.value(), answers + cold_asks);
+
+        // Two rounds of cold writes strand more than half the file; the
+        // sweep moves every slot, and each answer moves with its slot.
+        for round in 0..2 {
+            for i in 0..40 {
+                for s in [&mut store, &mut twin] {
+                    s.touch(key(i)).unwrap().observe(wait(7_000 + round * 40 + i as u64), None, None);
+                    s.enforce_cap().unwrap();
+                }
+            }
+        }
+        assert!(store.sweep().unwrap(), "garbage ratio must have tripped");
+        for i in 0..40 {
+            let (got, restored) = ask(&mut store, &key(i));
+            assert_eq!(prediction_bits(&got), prediction_bits(&twin.predict(key(i)).unwrap()));
+            assert_eq!(got.seq, 72);
+            assert!(!restored, "key {i}: the answer survived the sweep");
+        }
+    }
+
+    /// The budget DESIGN §17 states: an answer adds 32 bytes to the 24 a
+    /// hibernated partition's slot already took.
+    #[test]
+    fn an_answer_costs_a_slot_32_bytes() {
+        assert_eq!(std::mem::size_of::<SpillSlot>(), 24 + 32);
     }
 
     #[test]
@@ -978,6 +1200,7 @@ mod tests {
         let mut store = PartitionStore::new(Some(0), Some(path.clone())).unwrap();
         grown(&mut store, 1, 50);
         let slot = store.hibernated[&key(0)];
+        let healthy = store.predict(key(0)).unwrap();
 
         // Flip one payload byte on disk: the restore is a typed
         // InvalidData error naming the CRC, the slot stays indexed (the
@@ -992,6 +1215,10 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
         assert!(store.hibernated.contains_key(&key(0)), "slot survives for diagnosis");
         assert_eq!(store.resident_count(), 0, "no history invented");
+        // A question reads no bytes: it is served what was computed while
+        // the state was in memory. Whatever reads the slot fails as above.
+        assert_eq!(store.predict(key(0)).unwrap(), healthy);
+        assert_eq!(store.collect().unwrap_err().kind(), io::ErrorKind::InvalidData);
 
         // Truncate mid-frame: same typed error, different cause.
         bytes.truncate(slot.offset as usize + 4);
@@ -1069,5 +1296,46 @@ mod tests {
             snapshot::encode(back, Vec::new()).to_string_pretty(),
             snapshot::encode(snaps, Vec::new()).to_string_pretty()
         );
+
+        // A slot written from a bare snapshot entry has no answer — its
+        // partition was never in memory. The first question restores it
+        // (and the eviction that follows, clean or not, leaves the answer);
+        // no later question restores anything, until an observe moves the
+        // partition on — and then the eviction's answer is the new one.
+        let cold: Vec<_> = store.hibernated.keys().map(|k| PartitionKey::clone(k)).collect();
+        assert!(store.hibernated.values().all(|slot| slot.answer().is_none()));
+        let end = store.spill_disk_bytes();
+        for k in &cold {
+            let (got, restored) = ask(&mut store, k);
+            assert!(restored, "{}: nothing to answer from yet", k.label());
+            assert_eq!(prediction_bits(&got), prediction_bits(&grower.predict(k.clone()).unwrap()));
+        }
+        assert_eq!(crate::HIBERNATE_RESTORES.value(), restores_before + 4);
+        // The four restored partitions went back to the slots they came
+        // from; only the two boot residents they displaced were written.
+        let written = store.spill_disk_bytes();
+        assert!(written > end);
+        for round in 0..3 {
+            for i in 0..6 {
+                let (got, restored) = ask(&mut store, &key(i));
+                assert!(!restored, "round {round} key {i}: asked before, answered from the index");
+                assert_eq!(prediction_bits(&got), prediction_bits(&grower.predict(key(i)).unwrap()));
+            }
+        }
+        assert_eq!(store.spill_disk_bytes(), written, "questions write nothing");
+        let k = cold[0].clone();
+        for s in [&mut store, &mut grower] {
+            assert_eq!(s.touch(k.clone()).unwrap().observe(31_337.0, None, None), 81);
+            s.enforce_cap().unwrap();
+        }
+        for other in &cold[1..3] {
+            store.touch(other.clone()).unwrap();
+            store.enforce_cap().unwrap();
+        }
+        assert!(store.hibernated.contains_key(&k), "cap 2: two touches pushed it out");
+        let (got, restored) = ask(&mut store, &k);
+        assert!(!restored);
+        assert_eq!(prediction_bits(&got), prediction_bits(&grower.predict(k).unwrap()));
+        assert_eq!(got.seq, 81);
     }
 }

@@ -44,7 +44,8 @@
 //! request/error counters, the requests-per-wakeup and loop-busy-time
 //! distributions, and per-request latency histograms (`serve.request_ns`
 //! measures decoded-to-rendered inside the server; `serve.predict_ns` /
-//! `serve.observe_ns` isolate predictor work). On top of that sits a live
+//! `serve.observe_ns` isolate the work under the shard lock: the store's
+//! lookup or restore, the predictor, the eviction). On top of that sits a live
 //! observability plane ([`tracing`]): per-request stage tracing feeding
 //! `serve.stage.*` histograms per protocol, a flight recorder of
 //! recent/slow requests, and `metrics`/`trace` wire methods on both
@@ -84,9 +85,11 @@ pub(crate) static LOOP_BUSY_NS: LatencyHistogram = LatencyHistogram::new("serve.
 /// Decoded-to-rendered latency of observe/predict/admit requests (shard
 /// lock wait included, group-commit wait not).
 pub(crate) static REQUEST_NS: LatencyHistogram = LatencyHistogram::new("serve.request_ns");
-/// Predictor time inside `predict` (refit-if-dirty + bound reads).
+/// A predict or admit under the shard lock: the store's lookup (or
+/// restore), refit-if-dirty + bound reads, and any eviction it displaced.
 pub(crate) static PREDICT_NS: LatencyHistogram = LatencyHistogram::new("serve.predict_ns");
-/// Predictor time inside `observe` (feedback + history pushes).
+/// An observe under the shard lock: the store's lookup (or restore),
+/// feedback + history pushes, journal staging, and any eviction.
 pub(crate) static OBSERVE_NS: LatencyHistogram = LatencyHistogram::new("serve.observe_ns");
 /// Connections accepted over the server's lifetime.
 pub(crate) static CONNECTIONS: Counter = Counter::new("serve.connections");
@@ -114,6 +117,11 @@ pub(crate) static HIBERNATE_HIBERNATED: Gauge = Gauge::new("serve.hibernate.hibe
 pub(crate) static HIBERNATE_DISK_BYTES: Gauge = Gauge::new("serve.hibernate.disk_bytes");
 /// Partitions restored from a spill file on touch.
 pub(crate) static HIBERNATE_RESTORES: Counter = Counter::new("serve.hibernate.restores");
+/// Questions (predict, admit) about a hibernated partition answered from
+/// the index — the answer it was serving when it left memory — with no
+/// restore. With `restores` it splits cold traffic into reads and writes.
+pub(crate) static HIBERNATE_INDEX_ANSWERS: Counter =
+    Counter::new("serve.hibernate.index_answers");
 /// Partitions evicted (serialized to a spill file and dropped from memory).
 pub(crate) static HIBERNATE_EVICTIONS: Counter = Counter::new("serve.hibernate.evictions");
 /// Spill-file compaction passes (garbage ratio exceeded the threshold).

@@ -102,6 +102,16 @@ pub struct Prediction {
     pub lognormal: Option<f64>,
 }
 
+impl Prediction {
+    /// What a partition with no history serves — [`Partition::with_seq`]`(seq)
+    /// .predict()`, without building the partition. The store answers
+    /// questions about keys it does not hold with this, so that asking
+    /// creates nothing.
+    pub fn unobserved(seq: u64) -> Self {
+        Self { n: 0, seq, bmbp: None, lognormal: None }
+    }
+}
+
 impl Partition {
     /// A fresh partition with the paper-default predictor pair (BMBP 95/95
     /// with trimming; log-normal Trim variant).
@@ -146,7 +156,10 @@ impl Partition {
     }
 
     /// Serves the current bounds, refitting first if observations arrived
-    /// since the last predict.
+    /// since the last predict. The answer is a pure function of the
+    /// observation sequence and stays the partition's answer until the next
+    /// `observe` — which is what lets [`crate::hibernate`] keep it in the
+    /// index when the partition's history pages out.
     pub fn predict(&mut self) -> Prediction {
         if self.dirty {
             self.bmbp.refit();
@@ -256,6 +269,13 @@ mod tests {
         assert_eq!(pa, pb);
         assert_eq!(pa.seq, 200);
         assert!(pa.bmbp.is_some());
+    }
+
+    #[test]
+    fn the_unobserved_answer_is_what_a_fresh_partition_serves() {
+        assert_eq!(Partition::new().predict(), Prediction::unobserved(0));
+        // A resurrected partition: new predictors, the dead cursor as seq.
+        assert_eq!(Partition::with_seq(41).predict(), Prediction::unobserved(41));
     }
 
     #[test]

@@ -139,8 +139,9 @@ pub struct ServerConfig {
     /// Resident-partition cap per shard ([`crate::hibernate`]). When a
     /// shard holds more partitions than this, the least-recently-touched
     /// ones hibernate: their predictor state is spilled to disk and the
-    /// in-memory history freed, to be restored bit-identically on the
-    /// next touch. `None` (the default) keeps everything resident.
+    /// in-memory history freed, to be restored bit-identically by the
+    /// next observe (questions are answered from what the index kept).
+    /// `None` (the default) keeps everything resident.
     pub max_resident: Option<usize>,
     /// Directory for the per-shard spill files hibernation appends to.
     /// Defaults to `<journal dir>/spill` when journaling, else
@@ -267,13 +268,16 @@ impl Shard {
     }
 
     /// Executes one data-plane op. Returns the typed result and the
-    /// nanoseconds the predictors took. On a journaling shard an observe
-    /// is staged on the writer, not committed: its ack must wait for a
-    /// [`Shard::settle`] that reaches the mark [`Shard::appended`] now
-    /// reports.
+    /// nanoseconds of the handle stage: this call, start to finish — the
+    /// store's lookup or restore, the predictor call, an observe's journal
+    /// staging, and the eviction the touch displaced. On a journaling shard
+    /// an observe is staged on the writer, not committed: its ack must wait
+    /// for a [`Shard::settle`] that reaches the mark [`Shard::appended`]
+    /// now reports.
     pub(crate) fn execute(&mut self, key: PartitionKey, op: Op) -> Result<(Done, u64), Failure> {
         let io_failure = |e: io::Error| (protocol::ERR_IO, e.to_string());
-        let result = match op {
+        let t = Instant::now();
+        let done = match op {
             Op::Observe { wait, predicted_bmbp, predicted_lognormal } => {
                 if self.fenced {
                     return Err((protocol::ERR_IO, "journal unavailable; observe rejected".into()));
@@ -282,10 +286,7 @@ impl Shard {
                 // from this copy by move.
                 let journal_key = self.journal.is_some().then(|| key.clone());
                 let partition = self.store.touch(key).map_err(io_failure)?;
-                let t = Instant::now();
                 let seq = partition.observe(wait, predicted_bmbp, predicted_lognormal);
-                let handle_ns = t.elapsed().as_nanos() as u64;
-                OBSERVE_NS.record(handle_ns);
                 if let (Some(writer), Some(jkey)) = (&mut self.journal, journal_key) {
                     let record = durability::record_for(
                         jkey,
@@ -312,23 +313,15 @@ impl Shard {
                         });
                     }
                 }
-                (Done::Observed(seq), handle_ns)
+                Done::Observed(seq)
             }
-            Op::Predict => {
-                let partition = self.store.touch(key).map_err(io_failure)?;
-                let t = Instant::now();
-                let p = partition.predict();
-                let handle_ns = t.elapsed().as_nanos() as u64;
-                PREDICT_NS.record(handle_ns);
-                (Done::Predicted(p), handle_ns)
-            }
+            // A question goes through the store's read entry: it restores
+            // only what the index cannot answer and never creates the
+            // partition it asks about.
+            Op::Predict => Done::Predicted(self.store.predict(key).map_err(io_failure)?),
             Op::Admit { budget } => {
-                let partition = self.store.touch(key).map_err(io_failure)?;
-                let t = Instant::now();
-                let p = partition.predict();
+                let p = self.store.predict(key).map_err(io_failure)?;
                 let decision = admission::decide(p.bmbp, p.lognormal, p.n as u64, budget);
-                let handle_ns = t.elapsed().as_nanos() as u64;
-                PREDICT_NS.record(handle_ns);
                 match &decision {
                     Decision::Admit { margin, .. } => {
                         ADMIT_ADMITTED.incr();
@@ -340,14 +333,19 @@ impl Shard {
                     }
                     Decision::Defer { .. } => ADMIT_DEFERRED.incr(),
                 }
-                (Done::Admitted(p, decision), handle_ns)
+                Done::Admitted(p, decision)
             }
         };
         // Evict whatever this touch displaced — after the borrow on the
         // touched partition ends, so even cap = 0 never evicts the
         // partition an op is using.
         self.enforce_cap();
-        Ok(result)
+        let handle_ns = t.elapsed().as_nanos() as u64;
+        match done {
+            Done::Observed(_) => OBSERVE_NS.record(handle_ns),
+            Done::Predicted(_) | Done::Admitted(..) => PREDICT_NS.record(handle_ns),
+        }
+        Ok((done, handle_ns))
     }
 
     fn enforce_cap(&mut self) {

@@ -4,9 +4,14 @@
 //! A request passes through distinct stages, all on the I/O loop that read
 //! it — decode (frame/JSON parse), queue (decoded until the owning shard's
 //! lock is held: what another loop's operation or fsync on that shard
-//! costs this request), handle (predictor work), reply (rendered until
-//! written, the group-commit wait included) — and an aggregate
-//! `serve.request_ns` histogram cannot say which one a p99 spike lives in.
+//! costs this request), handle (lock held until the result is in hand: the
+//! store's lookup — or its restore of a hibernated partition — the
+//! predictor call, an observe's journal staging, and the eviction the touch
+//! displaced), reply (rendered until written, the group-commit wait
+//! included) — and an aggregate `serve.request_ns` histogram cannot say
+//! which one a p99 spike lives in. Everything done under the shard lock is
+//! the handle stage's, so the four stages account for what a request cost
+//! the shard and a slow restore can cross the slow-ring threshold.
 //! [`ReqTrace`] rides each request through both wire protocols, stamping
 //! monotonic timestamps at the stage boundaries; completed records feed
 //! per-protocol `serve.stage.*` histograms and the [`FlightRecorder`]: a
@@ -59,7 +64,8 @@ pub struct TraceEntry {
     pub decode_ns: u64,
     /// Decoded until the owning shard's lock is held.
     pub queue_ns: u64,
-    /// Predictor work under the shard lock.
+    /// Everything under the shard lock: store lookup or restore, the
+    /// predictor call, journal staging, eviction.
     pub handle_ns: u64,
     /// Rendered until written to the socket (group-commit wait included).
     pub reply_ns: u64,

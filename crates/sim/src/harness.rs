@@ -527,8 +527,8 @@ mod tests {
             sorted.push(Event::Start(j.start_time(), i));
         }
         sorted.sort_by(|a, b| {
-            let starts_first = |e: &Event| matches!(e, Event::Arrival(..));
-            a.time().total_cmp(&b.time()).then(starts_first(a).cmp(&starts_first(b)))
+            let is_arrival = |e: &Event| matches!(e, Event::Arrival(..));
+            a.time().total_cmp(&b.time()).then(is_arrival(a).cmp(&is_arrival(b)))
         });
         assert_eq!(merged_events(t.jobs()).collect::<Vec<_>>(), sorted);
     }

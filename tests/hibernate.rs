@@ -18,9 +18,11 @@
 //!    history included (partitions tombstoned while hibernated on the
 //!    replica free their spill slots, they do not resurrect).
 //! 4. **Damage.** A torn or bit-flipped spill record surfaces as a typed
-//!    `io` error on the touching request — never a panic, never invented
-//!    history — and the rest of the shard keeps serving. The slot is
-//!    kept, so a repaired file serves again without a restart.
+//!    `io` error on every request that reads it (an observe, a snapshot)
+//!    — never a panic, never invented history — while questions keep
+//!    being served the answer computed before the damage, and the rest of
+//!    the shard keeps serving. The slot is kept, so a repaired file takes
+//!    writes again without a restart.
 //! 5. **Line caps.** An inline snapshot that cannot fit the JSON line
 //!    cap is the typed `snapshot_too_large` error; the file-snapshot
 //!    escape hatch still works, and the binary protocol (64 MiB frame
@@ -461,11 +463,100 @@ fn capped_replicas_converge_byte_identically() {
     assert!(hibernated >= floor, "expected a mostly-hibernated replica, got {hibernated}");
 }
 
+/// A question never changes the store. On both wires, `predict` and
+/// `admit` of keys the server has never seen are answered as a fresh
+/// partition would answer (`n` 0, `seq` 0, no bounds, `defer`) and of a
+/// tombstoned key with its dead cursor as `seq` — and `stats`, the spill
+/// file and the snapshot document are exactly what they were: no partition
+/// appears, nothing is evicted to make room for one, and the dead key
+/// stays dead until a write resurrects it at the next seq.
+#[test]
+fn questions_create_no_partitions_on_either_wire() {
+    let dir = fresh_dir("ask-only");
+    let live = [("ds", "normal", 2), ("ds", "normal", 8), ("ds", "large", 64)];
+    let dead = PartitionKey::for_request("ds", "debug", 1);
+    {
+        let mut w = JournalWriter::open(&dir, 0, 0, 1 << 20, FsyncPolicy::Never, None).unwrap();
+        for (site, queue, procs) in live {
+            for seq in 1..=70 {
+                w.append(&rec(&PartitionKey::for_request(site, queue, procs), seq));
+            }
+        }
+        for seq in 1..=5 {
+            w.append(&rec(&dead, seq));
+        }
+        w.append(&Record::tombstone(&dead.site, &dead.queue, dead.range.label(), 6));
+        w.commit().unwrap();
+    }
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            shards: 1,
+            journal: Some(JournalConfig {
+                dir: dir.clone(),
+                fsync: FsyncPolicy::Never,
+                segment_bytes: 1 << 20,
+                compact_bytes: u64::MAX,
+            }),
+            binary_addr: Some("127.0.0.1:0".into()),
+            max_resident: Some(1),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut json = Client::connect(server.local_addr()).unwrap();
+    let mut binary = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
+
+    // What must stand still: the registry totals of `stats` (its telemetry
+    // section counts requests, so it is left out) and the whole document.
+    fn holdings(c: &mut Client) -> (Vec<Option<f64>>, String) {
+        let stats = c.stats().unwrap();
+        let totals = ["partitions", "observations", "resident", "hibernated", "spill_disk_bytes"]
+            .iter()
+            .map(|name| stats.get(name).and_then(Json::as_f64))
+            .collect();
+        (totals, c.snapshot_inline().unwrap().to_string_compact())
+    }
+    let before = holdings(&mut json);
+    assert_eq!(before.0[..4], [Some(3.0), Some(210.0), Some(1.0), Some(2.0)]);
+    assert!(before.0[4] > Some(0.0), "cap 1 of 3: the boot spilled two partitions");
+
+    let fresh_defer = qdelay_predict::admission::decide(None, None, 0, 600.0);
+    assert!(matches!(fresh_defer, Decision::Defer { .. }));
+    for (wire, c) in [("json", &mut json), ("binary", &mut binary)] {
+        for (site, queue, procs, seq) in
+            [("typo", "nope", 4, 0), ("ds", "normla", 8, 0), ("ds", "debug", 1, 6)]
+        {
+            let p = c.predict(site, queue, procs).unwrap();
+            assert_eq!(predict_bits(&p), (0, seq, None, None), "{wire}: predict {site}/{queue}");
+            let a = c.admit(site, queue, procs, 600.0, Some(0.95)).unwrap();
+            assert_eq!((a.n, a.seq), (0, seq), "{wire}: admit {site}/{queue}");
+            assert_eq!(decision_bits(&a.decision), decision_bits(&fresh_defer), "{wire}");
+        }
+        // Questions about the hibernated partitions change nothing either.
+        for (site, queue, procs) in live {
+            assert_eq!(c.predict(site, queue, procs).unwrap().seq, 70, "{wire}");
+        }
+        assert_eq!(holdings(c), before, "{wire}: questions moved the store");
+    }
+
+    // The tombstoned key is still dead — and a write resurrects it just
+    // past its cursor, exactly as if nobody had asked.
+    assert_eq!(json.observe("ds", "debug", 1, 12.5, None, None).unwrap(), 7);
+    assert_eq!(predict_bits(&binary.predict("ds", "debug", 1).unwrap()), (1, 7, None, None));
+
+    json.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 /// Flip one byte inside a hibernated partition's spill record while the
-/// server is live: touching that partition is a typed `io` error (the
-/// server must not panic, must not invent history, and must keep serving
-/// every other partition), and repairing the byte serves the partition
-/// again — the failed restore keeps the slot.
+/// server is live. A question about that partition never reads the slot —
+/// it is served, bit for bit, the answer computed while the state was
+/// verified in memory. Everything that does read the slot fails typed: an
+/// observe is an `io` error and is not applied, a file snapshot is an `io`
+/// error (the server must not panic, must not invent history, and must
+/// keep serving every other partition). Repairing the byte serves the
+/// partition's writes again — the failed restore keeps the slot.
 #[test]
 fn torn_spill_record_is_a_typed_error_and_repairable() {
     let dir = fresh_dir("torn");
@@ -482,13 +573,17 @@ fn torn_spill_record_is_a_typed_error_and_repairable() {
     .unwrap();
     let mut c = Client::connect(server.local_addr()).unwrap();
 
-    for i in 0..20u64 {
+    // Enough history that the bounds are numbers, not `null`.
+    let mut oracle = Partition::new();
+    for i in 0..70u64 {
         c.observe("ds", "normal", 8, wait_stream(i), None, None).unwrap();
+        oracle.observe(wait_stream(i), None, None);
     }
     let healthy = predict_bits(&c.predict("ds", "normal", 8).unwrap());
+    assert!(healthy.2.is_some(), "70 observations serve a BMBP bound");
     // Touching a second partition evicts the first (cap 1). Stats rides
-    // the same shard queue, so once it reports the hibernation, the
-    // spill write has happened.
+    // the same shard lock, so once it reports the hibernation, the spill
+    // write has happened.
     c.observe("ds", "large", 64, wait_stream(100), None, None).unwrap();
     let stats = c.stats().unwrap();
     assert_eq!(stats.get("hibernated").and_then(Json::as_f64), Some(1.0));
@@ -512,23 +607,36 @@ fn torn_spill_record_is_a_typed_error_and_repairable() {
         std::fs::write(path, b).unwrap();
     };
     flip(&spill_file, victim);
+    let is_io = |result: Result<(), ClientError>, what: &str| match result {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, "io", "{what}: typed io error, got {e:?}"),
+        other => panic!("{what} over a corrupt spill record must be a typed error, got {other:?}"),
+    };
 
-    match c.predict("ds", "normal", 8) {
-        Err(ClientError::Server(e)) => {
-            assert_eq!(e.code, "io", "typed io error, got {e:?}");
-        }
-        other => panic!("corrupt spill record must be a typed error, got {other:?}"),
-    }
+    // A question is answered from the index, from before the damage.
+    let asked = predict_bits(&c.predict("ds", "normal", 8).unwrap());
+    assert_eq!(asked, healthy, "a question never reads the slot");
+    // A write has to restore, and the restore checks every byte it reads.
+    is_io(c.observe("ds", "normal", 8, wait_stream(70), None, None).map(drop), "observe");
+    // So does a snapshot: it may not launder the record into a document.
+    let out = dir.join("damaged.json");
+    is_io(c.snapshot_to(out.to_str().unwrap()).map(drop), "file snapshot");
+    assert!(!out.exists(), "no snapshot of state that cannot be read");
     // The shard survives: the resident partition still serves, and new
     // observations land.
     c.predict("ds", "large", 64).unwrap();
     c.observe("ds", "large", 64, wait_stream(101), None, None).unwrap();
+    assert_eq!(predict_bits(&c.predict("ds", "normal", 8).unwrap()), healthy);
 
-    // Repair the byte: the kept slot restores bit-identically, no
-    // restart needed.
+    // Repair the byte: the kept slot restores, no restart needed, and the
+    // refused observe consumed no sequence number.
     flip(&spill_file, victim);
+    let seq = c.observe("ds", "normal", 8, wait_stream(70), None, None).unwrap();
+    assert_eq!(seq, 71, "the failed observe was not applied");
+    oracle.observe(wait_stream(70), None, None);
+    let want = oracle.predict();
+    let want = (want.n, want.seq, want.bmbp.map(f64::to_bits), want.lognormal.map(f64::to_bits));
     let repaired = predict_bits(&c.predict("ds", "normal", 8).unwrap());
-    assert_eq!(repaired, healthy, "repaired spill record must restore bit-identically");
+    assert_eq!(repaired, want, "repaired history must serve a clean replay's bounds");
 
     c.shutdown().unwrap();
     server.join().unwrap();

@@ -2,7 +2,8 @@
 //! `trace` wire methods over both protocols, the enriched `stats` reply,
 //! and the flight recorder's central promise — that a request stuck behind
 //! a held shard lock shows up with its latency attributed to queue-wait,
-//! not compute.
+//! not compute — and that what the store does under the lock (a restore,
+//! an eviction) is the handle stage's, not nobody's.
 
 use qdelay::serve::client::Client;
 use qdelay::serve::server::{Server, ServerConfig};
@@ -280,5 +281,71 @@ fn stalled_shard_latency_is_attributed_to_queue_wait() {
     );
 
     seed.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// The handle stage is lock held → result in hand, so the one thing that
+/// makes a cold request slow — the restore — is inside it (and inside
+/// `serve.predict_ns`), where the slow-ring threshold can see it. A server
+/// booted from a snapshot under cap 1 holds its second partition as an
+/// answerless slot: the first question about it is this process's only
+/// restore, so `serve.hibernate.restore_ns` has one sample to compare with.
+/// The question after that, about the partition the restore displaced, is
+/// answered from the index and counted as such.
+#[test]
+fn a_restore_is_timed_in_the_handle_stage_and_index_answers_are_counted() {
+    let dir = std::env::temp_dir().join("qdelay-observability-it-restore");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = |max_resident| ServerConfig {
+        shards: 1,
+        snapshot_path: Some(dir.join("snap.json")),
+        max_resident,
+        ..ServerConfig::default()
+    };
+    let grower = Server::start("127.0.0.1:0", config(None)).unwrap();
+    let mut c = Client::connect(grower.local_addr()).unwrap();
+    c.observe("a", "q", 8, 1.0, None, None).unwrap();
+    // Enough history that restoring it (decode, sort, two refits) is far
+    // longer than a lookup.
+    for i in 0..4000u32 {
+        c.observe("big", "q", 8, f64::from(i * 7919 % 10_007), None, None).unwrap();
+    }
+    c.shutdown().unwrap();
+    grower.join().unwrap();
+
+    // Sorted first, "a" boots resident; "big" lands directly hibernated.
+    let server = Server::start("127.0.0.1:0", config(Some(1))).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(c.predict("big", "q", 8).unwrap().seq, 4000);
+    assert_eq!(c.predict("a", "q", 8).unwrap().seq, 1);
+
+    let stats = c.stats().unwrap();
+    let telemetry = |section: &str, name: &str, field: Option<&str>| {
+        let v = stats.get("telemetry").and_then(|t| t.get(section)).and_then(|s| s.get(name));
+        field.map_or(v, |f| v.and_then(|h| h.get(f))).and_then(Json::as_f64).unwrap_or(f64::NAN)
+    };
+    assert_eq!(telemetry("counters", "serve.hibernate.restores", None), 1.0);
+    assert_eq!(telemetry("counters", "serve.hibernate.index_answers", None), 1.0);
+    assert_eq!(telemetry("histograms", "serve.hibernate.restore_ns", Some("count")), 1.0);
+    // A histogram's `max` is the floor of its bucket: at most the sample.
+    let restore_ns = telemetry("histograms", "serve.hibernate.restore_ns", Some("max"));
+    assert!(restore_ns > 10_000.0, "restoring 4000 waits takes a while: {restore_ns} ns");
+    assert!(telemetry("histograms", "serve.predict_ns", Some("max")) >= restore_ns);
+
+    let dump = c.trace().unwrap();
+    let Some(Json::Arr(recent)) = dump.get("recent") else { panic!("recent is an array") };
+    let handle_ns = recent
+        .iter()
+        .find(|e| e.get("partition").and_then(Json::as_str) == Some("big/q/5-16"))
+        .and_then(|e| e.get("handle_ns"))
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("no trace of the cold predict in {recent:?}"));
+    assert!(
+        handle_ns >= restore_ns,
+        "the restore ({restore_ns} ns) is part of the handle stage ({handle_ns} ns)"
+    );
+
+    c.shutdown().unwrap();
     server.join().unwrap();
 }

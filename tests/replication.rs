@@ -4,8 +4,9 @@
 //!
 //! 1. **Bit-identity.** At any quiesced point, a replica's serialized
 //!    snapshot is *byte-identical* to the primary's — for replica shard
-//!    counts 1, 4, and 16, and with tombstoned partitions in the history
-//!    (the dead-cursor list replicates too).
+//!    counts 1, 4, and 16, with tombstoned partitions in the history
+//!    (the dead-cursor list replicates too), and whatever the replica's
+//!    clients have asked it (a read changes nothing).
 //! 2. **Failover.** `kill -9` the primary (a real process, a real
 //!    SIGKILL), promote the replica, and clients continue: idempotent
 //!    requests fail over under the retry policy, and the promoted
@@ -162,7 +163,17 @@ fn replica_snapshots_are_byte_identical_across_shard_counts() {
     for (replica, shards) in replicas.iter().zip([1usize, 4, 16]) {
         assert!(replica.is_read_only());
         let mut rc = Client::connect(replica.local_addr()).unwrap();
+        // Reads are the only traffic a replica takes, and a read changes
+        // nothing: asking about a key nobody observed creates no partition,
+        // and asking about the tombstoned one leaves it dead (it answers
+        // with its cursor). Either would make these bytes differ from the
+        // primary's without a single write.
+        assert_eq!(rc.predict("typo", "nope", 4).unwrap().seq, 0);
+        rc.admit("typo2", "nope", 4, 600.0, None).unwrap();
+        let asked = rc.predict(&stays_dead.site, &stays_dead.queue, 1).unwrap();
+        assert_eq!(asked.n, 0, "a tombstoned partition has no history");
         await_byte_identical(&mut rc, &want, &format!("{shards}-shard replica"));
+        assert_eq!(rc.predict(&stays_dead.site, &stays_dead.queue, 1).unwrap().seq, 6);
         rc.shutdown().unwrap();
     }
     for replica in replicas {
