@@ -27,7 +27,7 @@
 //!   older build with different cache internals still restores correctly.
 //!
 //! Consumers: `qdelay-serve` snapshots (every partition's pair of
-//! predictors) and `qdelay-sim`'s resumable Table-8 panel replays.
+//! predictors).
 
 use crate::bound::BoundMethod;
 use crate::PredictError;

@@ -15,19 +15,24 @@
 //! means part of the journal is missing, which is reported as corruption,
 //! never papered over.
 //!
-//! Compaction applies the same ⊕ to a *prefix* of the journal (the sealed
-//! segments), writes the result as the new snapshot (atomically), and
-//! deletes the folded segments. Because served bounds are a pure function
-//! of the observation sequence (PR 4's replay-equality guarantee) and
-//! predictor state round-trips bit-identically, folding commutes with
-//! serving: recovery over the compacted layout yields the same state as
-//! recovery over the original one.
+//! Boot ([`boot`]) is that rule and nothing else: the snapshot is read and
+//! installed into the shards' stores (the one install,
+//! [`PartitionStore::install_snapshots`]), then the journal tail is dealt
+//! by shard and replayed through each store's `apply` + `enforce_cap`, the
+//! path a replica applies its stream through; the result is consolidated
+//! into a fresh snapshot. Compaction applies the same ⊕ to a *prefix* of
+//! the journal (the sealed segments), writes the result as the new
+//! snapshot (atomically), and deletes the folded segments. Because served
+//! bounds are a pure function of the observation sequence and predictor
+//! state round-trips bit-identically, folding commutes with serving:
+//! recovery over the compacted layout yields the same state as recovery
+//! over the original one.
 
+use crate::hibernate::PartitionStore;
 use crate::registry::{Partition, PartitionKey};
-use crate::snapshot::{self, DeadPartition, PartitionSnapshot};
+use crate::snapshot::{self, Document};
 use qdelay_journal::{self as journal, JournalError, RecoverMode, Record, SealedSegment};
 pub use qdelay_journal::FsyncPolicy;
-use qdelay_json::Json;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -96,11 +101,11 @@ pub(crate) fn record_key(r: &Record) -> Result<PartitionKey, String> {
 
 /// Where replayed records land. The replay loop ([`apply_records_into`])
 /// owns the cursor discipline — dedup, gap detection, tombstone/resurrect
-/// sequencing — while the sink owns the storage. Two sinks exist: plain
-/// hash maps (boot-time load, compaction) and the capacity-managed
-/// [`crate::hibernate::PartitionStore`], whose `observe` may first have
-/// to restore a hibernated partition from its spill file (hence the
-/// fallible signature).
+/// sequencing — while the sink owns the storage. Two sinks exist: the
+/// capacity-managed [`PartitionStore`] every shard holds (boot replay,
+/// replica apply), whose `observe` may first have to restore a hibernated
+/// partition from its spill file (hence the fallible signature), and plain
+/// hash maps ([`MapSink`]), which journal compaction folds into.
 pub(crate) trait RecordSink {
     /// Current cursor for `key`: the live partition's seq, a hibernated
     /// partition's spilled seq, a dead partition's tombstone seq, or 0.
@@ -113,8 +118,8 @@ pub(crate) trait RecordSink {
     fn observe(&mut self, key: PartitionKey, cursor: u64, r: &Record) -> Result<(), String>;
 }
 
-/// The plain-map sink: exactly the storage the server used before
-/// hibernation, still what boot-time load and compaction replay into.
+/// The plain-map sink [`compact`] replays the partitions its records touch
+/// into.
 pub(crate) struct MapSink<'a> {
     pub partitions: &'a mut HashMap<PartitionKey, Partition>,
     pub dead: &'a mut HashMap<PartitionKey, u64>,
@@ -192,83 +197,97 @@ pub(crate) fn apply_records(
     apply_records_into(&mut MapSink { partitions, dead }, records)
 }
 
-/// What [`load_state`] reconstructed at boot.
-pub(crate) struct LoadedState {
-    /// Every partition, rebuilt as snapshot ⊕ journal.
-    pub partitions: Vec<(PartitionKey, Partition)>,
-    /// The epoch new writers must open.
-    pub next_epoch: u64,
-    /// Records replayed from the journal tail.
-    pub replayed: u64,
-    /// Segment files that existed at boot (all folded into `partitions`).
-    pub old_segments: Vec<PathBuf>,
-    /// Tombstoned partitions' cursors (snapshot dead list ⊕ journal).
-    pub dead: Vec<(PartitionKey, u64)>,
+/// How many records one [`PartitionStore::apply`] takes before the cap is
+/// enforced again — at boot and on a replica alike.
+pub(crate) const APPLY_BATCH: usize = 256;
+
+/// Splits a document into one share per shard, each partition and dead
+/// cursor going to the shard that owns its key.
+pub(crate) fn deal((parts, dead): Document, shards: usize) -> Vec<Document> {
+    let mut out: Vec<Document> = (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
+    for snap in parts {
+        out[snap.key().shard_index(shards)].0.push(snap);
+    }
+    for (key, seq) in dead {
+        out[key.shard_index(shards)].1.push((key, seq));
+    }
+    out
 }
 
-/// Boot-time load: newest valid snapshot plus the journal tail, with torn
-/// tails truncated in place. Corruption (a damaged sealed segment, a
-/// replay gap, an invalid snapshot) surfaces as `InvalidData` — the
-/// operator must intervene rather than silently serve from partial state.
-pub(crate) fn load_state(cfg: &JournalConfig) -> io::Result<LoadedState> {
-    std::fs::create_dir_all(&cfg.dir)?;
-    let mut partitions: HashMap<PartitionKey, Partition> = HashMap::new();
-    let mut dead: HashMap<PartitionKey, u64> = HashMap::new();
-    let snap_path = snapshot_file(&cfg.dir);
-    if snap_path.exists() {
-        let text = std::fs::read_to_string(&snap_path)?;
-        let doc = Json::parse(&text).map_err(invalid_data)?;
-        let (snaps, dead_list) = snapshot::decode(&doc).map_err(invalid_data)?;
-        for snap in snaps {
-            let key = PartitionKey {
-                site: snap.site.clone(),
-                queue: snap.queue.clone(),
-                range: snap.range,
-            };
-            partitions.insert(key, Partition::from_snapshot(&snap).map_err(invalid_data)?);
-        }
-        for d in dead_list {
-            dead.insert(
-                PartitionKey { site: d.site, queue: d.queue, range: d.range },
-                d.seq,
-            );
+/// Boot: **state = snapshot ⊕ journal**, into one store per shard. The
+/// snapshot — the journal directory's when journaling, else
+/// `snapshot_path` — is dealt to the stores and installed. A journaling
+/// boot then recovers the segments (truncating torn tails), deals their
+/// records by shard and replays each share through its store in
+/// [`APPLY_BATCH`] chunks, enforcing the cap after each, exactly as a
+/// replica applies its stream; consolidates the result into a fresh
+/// snapshot; and deletes the segments it folded, so recovery work never
+/// accumulates across restarts. Returns the epoch new writers must open
+/// (journaling only).
+///
+/// Corruption — an invalid snapshot, a damaged sealed segment, a replay
+/// gap — is `InvalidData`: the operator must intervene rather than the
+/// server silently serve partial state.
+pub(crate) fn boot(
+    stores: &mut [PartitionStore],
+    snapshot_path: Option<&Path>,
+    journal: Option<&JournalConfig>,
+) -> io::Result<Option<u64>> {
+    let journal_snapshot = journal.map(|cfg| snapshot_file(&cfg.dir));
+    if let Some(path) = journal_snapshot.as_deref().or(snapshot_path) {
+        let shares = deal(snapshot::read(path)?, stores.len());
+        for (store, (parts, dead)) in stores.iter_mut().zip(shares) {
+            store.install_snapshots(parts, dead)?;
         }
     }
-    let recovery = journal::recover(&cfg.dir, RecoverMode::TruncateTornTails)
-        .map_err(journal_to_io)?;
-    let replayed =
-        apply_records(&mut partitions, &mut dead, recovery.records).map_err(invalid_data)?;
-    let old_segments = journal::scan_dir(&cfg.dir)
-        .map_err(journal_to_io)?
-        .into_iter()
-        .map(|(_, path)| path)
-        .collect();
-    Ok(LoadedState {
-        partitions: partitions.into_iter().collect(),
-        next_epoch: recovery.next_epoch,
-        replayed,
-        old_segments,
-        dead: dead.into_iter().collect(),
-    })
+    let Some(cfg) = journal else { return Ok(None) };
+    std::fs::create_dir_all(&cfg.dir)?;
+    let recovery =
+        journal::recover(&cfg.dir, RecoverMode::TruncateTornTails).map_err(journal_to_io)?;
+    let old_segments: Vec<PathBuf> =
+        journal::scan_dir(&cfg.dir).map_err(journal_to_io)?.into_iter().map(|(_, p)| p).collect();
+    let mut shares: Vec<Vec<Record>> = stores.iter().map(|_| Vec::new()).collect();
+    for r in recovery.records {
+        shares[record_key(&r).map_err(invalid_data)?.shard_index(stores.len())].push(r);
+    }
+    let mut replayed = 0;
+    for (store, records) in stores.iter_mut().zip(shares) {
+        let mut records = records.into_iter().peekable();
+        while records.peek().is_some() {
+            replayed += store.apply(records.by_ref().take(APPLY_BATCH)).map_err(invalid_data)?;
+            store.enforce_cap()?;
+        }
+    }
+    let (mut parts, mut dead) = (Vec::new(), Vec::new());
+    for store in stores.iter() {
+        let (p, d) = store.collect()?;
+        parts.extend(p);
+        dead.extend(d);
+    }
+    let partitions = parts.len();
+    replace_with_snapshot(&cfg.dir, &snapshot::render(parts, dead), &old_segments)?;
+    if replayed > 0 {
+        eprintln!(
+            "qdelay-serve: recovered {partitions} partitions ({replayed} journal records replayed)"
+        );
+    }
+    Ok(Some(recovery.next_epoch))
 }
 
-/// Writes `parts` as the journal directory's snapshot (atomically), then
-/// deletes `segments` — in that order, so a crash between the two steps
-/// only leaves behind segments whose records the seq-dedup in
-/// [`apply_records`] will skip on the next boot.
+/// Writes a rendered document as the journal directory's snapshot
+/// (atomically), then deletes `segments` — in that order, so a crash
+/// between the two steps only leaves behind segments whose records the
+/// seq-dedup in [`apply_records_into`] will skip on the next boot.
 pub(crate) fn replace_with_snapshot(
     dir: &Path,
-    parts: Vec<PartitionSnapshot>,
-    dead: Vec<DeadPartition>,
+    rendered: &[u8],
     segments: &[PathBuf],
-) -> Result<(), JournalError> {
-    let doc = snapshot::encode(parts, dead);
-    journal::write_atomic(&snapshot_file(dir), (doc.to_string_pretty() + "\n").as_bytes())?;
+) -> io::Result<()> {
+    snapshot::write(&snapshot_file(dir), rendered)?;
     for path in segments {
-        std::fs::remove_file(path).map_err(|e| JournalError::io(path, e))?;
+        std::fs::remove_file(path)?;
     }
-    refresh_disk_gauges(dir)?;
-    Ok(())
+    refresh_disk_gauges(dir).map_err(journal_to_io)
 }
 
 /// Background compaction pass: folds the given sealed segments into the
@@ -284,14 +303,7 @@ pub(crate) fn compact(dir: &Path, sealed: &mut Vec<SealedSegment>) -> Result<(),
             journal::read_segment(&seg.path, seg.id, false).map_err(|e| e.to_string())?;
         records.extend(contents.records);
     }
-    let snap_path = snapshot_file(dir);
-    let (existing, existing_dead): (Vec<PartitionSnapshot>, Vec<DeadPartition>) =
-        if snap_path.exists() {
-            let text = std::fs::read_to_string(&snap_path).map_err(|e| e.to_string())?;
-            snapshot::decode(&Json::parse(&text).map_err(|e| e.to_string())?)?
-        } else {
-            (Vec::new(), Vec::new())
-        };
+    let (existing, dead) = snapshot::read(&snapshot_file(dir)).map_err(|e| e.to_string())?;
     // Materialize only the partitions the folded records touch.
     let touched: std::collections::HashSet<PartitionKey> = records
         .iter()
@@ -300,11 +312,7 @@ pub(crate) fn compact(dir: &Path, sealed: &mut Vec<SealedSegment>) -> Result<(),
     let mut untouched = Vec::new();
     let mut live: HashMap<PartitionKey, Partition> = HashMap::new();
     for snap in existing {
-        let key = PartitionKey {
-            site: snap.site.clone(),
-            queue: snap.queue.clone(),
-            range: snap.range,
-        };
+        let key = snap.key();
         if touched.contains(&key) {
             live.insert(key, Partition::from_snapshot(&snap).map_err(|e| e.to_string())?);
         } else {
@@ -314,19 +322,13 @@ pub(crate) fn compact(dir: &Path, sealed: &mut Vec<SealedSegment>) -> Result<(),
     // Dead cursors ride along whether touched or not: resurrection pulls
     // a key out of the map, a new tombstone puts one in, and an untouched
     // entry re-serializes identically.
-    let mut dead: HashMap<PartitionKey, u64> = existing_dead
-        .into_iter()
-        .map(|d| (PartitionKey { site: d.site, queue: d.queue, range: d.range }, d.seq))
-        .collect();
+    let mut dead: HashMap<PartitionKey, u64> = dead.into_iter().collect();
     apply_records(&mut live, &mut dead, records)?;
     let mut parts = untouched;
     parts.extend(live.iter().map(|(key, part)| part.to_snapshot(key)));
-    let dead_list: Vec<DeadPartition> = dead
-        .into_iter()
-        .map(|(k, seq)| DeadPartition { site: k.site, queue: k.queue, range: k.range, seq })
-        .collect();
+    let rendered = snapshot::render(parts, dead.into_iter().collect());
     let paths: Vec<PathBuf> = sealed.iter().map(|s| s.path.clone()).collect();
-    replace_with_snapshot(dir, parts, dead_list, &paths).map_err(|e| e.to_string())?;
+    replace_with_snapshot(dir, &rendered, &paths).map_err(|e| e.to_string())?;
     journal::COMPACTIONS.incr();
     journal::COMPACTED_SEGMENTS.add(sealed.len() as u64);
     sealed.clear();
@@ -361,7 +363,11 @@ fn invalid_data<E: std::fmt::Display>(e: E) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use crate::registry::Prediction;
+    use crate::server::{Server, ServerConfig};
     use qdelay_journal::JournalWriter;
+    use qdelay_rng::{Rng, StdRng};
 
     fn fresh_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("qdelay-serve-durability-{name}"));
@@ -405,26 +411,40 @@ mod tests {
         p
     }
 
+    /// Writes `parts` (and no dead cursors) as the directory's snapshot.
+    fn snapshot_of(dir: &Path, parts: &[(PartitionKey, Partition)]) {
+        let entries = parts.iter().map(|(k, p)| p.to_snapshot(k)).collect();
+        replace_with_snapshot(dir, &snapshot::render(entries, Vec::new()), &[]).unwrap();
+    }
+
+    /// Boots `dir` into one uncapped store, as a one-shard server does;
+    /// returns the store and the epoch its writers would open.
+    fn boot_one(dir: &Path) -> io::Result<(PartitionStore, u64)> {
+        let mut stores = vec![PartitionStore::new(None, None)?];
+        let epoch = boot(&mut stores, None, Some(&JournalConfig::new(dir)))?;
+        Ok((stores.pop().unwrap(), epoch.expect("a journaling boot opens an epoch")))
+    }
+
+    fn bits(p: &Prediction) -> (usize, u64, Option<u64>, Option<u64>) {
+        (p.n, p.seq, p.bmbp.map(f64::to_bits), p.lognormal.map(f64::to_bits))
+    }
+
     #[test]
     fn snapshot_plus_journal_equals_uninterrupted_replay() {
         let dir = fresh_dir("oplus");
         // Snapshot at seq 120, journal carries 121..=200.
-        let head = oracle(120);
-        let parts = vec![head.to_snapshot(&key())];
-        replace_with_snapshot(&dir, parts, Vec::new(), &[]).unwrap();
+        snapshot_of(&dir, &[(key(), oracle(120))]);
         journal_range(&dir, 1, 121..=200);
 
-        let cfg = JournalConfig::new(&dir);
-        let loaded = load_state(&cfg).unwrap();
-        assert_eq!(loaded.replayed, 80);
-        assert_eq!(loaded.next_epoch, 2);
-        let (_, mut rebuilt) =
-            loaded.partitions.into_iter().find(|(k, _)| *k == key()).unwrap();
-        let expect = oracle(200).predict();
-        let got = rebuilt.predict();
-        assert_eq!(got.seq, 200);
-        assert_eq!(got.bmbp.map(f64::to_bits), expect.bmbp.map(f64::to_bits));
-        assert_eq!(got.lognormal.map(f64::to_bits), expect.lognormal.map(f64::to_bits));
+        let (mut store, next_epoch) = boot_one(&dir).unwrap();
+        assert_eq!(next_epoch, 2);
+        let got = store.predict(key()).unwrap();
+        assert_eq!(got.seq, 200, "all 80 journaled records replayed");
+        assert_eq!(bits(&got), bits(&oracle(200).predict()));
+        // Consolidated: the snapshot alone now carries the state.
+        assert!(journal::scan_dir(&dir).unwrap().is_empty());
+        let (parts, _) = snapshot::read(&snapshot_file(&dir)).unwrap();
+        assert_eq!(parts, vec![oracle(200).to_snapshot(&key())]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -434,25 +454,22 @@ mod tests {
         // Snapshot already covers 1..=150; the journal still holds 101..=150
         // (as after a crash between compaction's snapshot write and its
         // segment deletes).
-        let parts = vec![oracle(150).to_snapshot(&key())];
-        replace_with_snapshot(&dir, parts, Vec::new(), &[]).unwrap();
+        snapshot_of(&dir, &[(key(), oracle(150))]);
         journal_range(&dir, 1, 101..=150);
-        let loaded = load_state(&JournalConfig::new(&dir)).unwrap();
-        assert_eq!(loaded.replayed, 0, "covered records must be skipped");
-        let (_, mut rebuilt) =
-            loaded.partitions.into_iter().find(|(k, _)| *k == key()).unwrap();
-        assert_eq!(rebuilt.predict().seq, 150);
+        let (mut store, _) = boot_one(&dir).unwrap();
+        let got = store.predict(key()).unwrap();
+        assert_eq!(got.seq, 150, "covered records must be skipped");
+        assert_eq!(bits(&got), bits(&oracle(150).predict()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn replay_gap_is_a_typed_error() {
         let dir = fresh_dir("gap");
-        let parts = vec![oracle(100).to_snapshot(&key())];
-        replace_with_snapshot(&dir, parts, Vec::new(), &[]).unwrap();
+        snapshot_of(&dir, &[(key(), oracle(100))]);
         // Journal starts at 102: record 101 is missing.
         journal_range(&dir, 1, 102..=110);
-        let err = match load_state(&JournalConfig::new(&dir)) {
+        let err = match boot_one(&dir) {
             Ok(_) => panic!("a replay gap must not load"),
             Err(e) => e,
         };
@@ -486,21 +503,18 @@ mod tests {
         w.commit().unwrap();
         w.close().unwrap();
 
-        let loaded = load_state(&JournalConfig::new(&dir)).unwrap();
-        assert!(loaded.dead.is_empty(), "resurrected key must not stay dead");
-        let (_, mut rebuilt) =
-            loaded.partitions.into_iter().find(|(kk, _)| *kk == k).unwrap();
+        let (mut store, _) = boot_one(&dir).unwrap();
+        let (_, dead) = store.collect().unwrap();
+        assert!(dead.is_empty(), "resurrected key must not stay dead");
         // Oracle: fresh predictors whose cursor starts at the tombstone.
         let mut expect = Partition::with_seq(81);
         for s in 82..=120u64 {
             expect.observe(wait(s), None, None);
         }
-        let e = expect.predict();
-        let got = rebuilt.predict();
+        let got = store.predict(k).unwrap();
         assert_eq!(got.seq, 120, "cursor continues across the tombstone");
         assert_eq!(got.n, 39, "history restarted at the tombstone");
-        assert_eq!(got.bmbp.map(f64::to_bits), e.bmbp.map(f64::to_bits));
-        assert_eq!(got.lognormal.map(f64::to_bits), e.lognormal.map(f64::to_bits));
+        assert_eq!(bits(&got), bits(&expect.predict()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -537,17 +551,16 @@ mod tests {
 
         // The snapshot alone (no segments remain) carries the dead cursor.
         assert!(journal::scan_dir(&dir).unwrap().is_empty());
-        let loaded = load_state(&JournalConfig::new(&dir)).unwrap();
-        assert!(
-            !loaded.partitions.iter().any(|(kk, _)| *kk == k),
-            "tombstoned partition must not come back alive"
-        );
-        assert_eq!(loaded.dead, vec![(k.clone(), 31)]);
+        let (mut store, _) = boot_one(&dir).unwrap();
+        assert_eq!(store.partition_count(), 0, "tombstoned partition must not come back alive");
+        assert_eq!(store.predict(k.clone()).unwrap(), Prediction::unobserved(31));
+        let (_, dead) = store.collect().unwrap();
+        assert_eq!(dead, vec![(k.clone(), 31)]);
 
         // Replay gating off the dead cursor: 32 resurrects, 33-first is a
         // gap.
         let mut partitions: HashMap<PartitionKey, Partition> = HashMap::new();
-        let mut dead: HashMap<PartitionKey, u64> = loaded.dead.into_iter().collect();
+        let mut dead: HashMap<PartitionKey, u64> = dead.into_iter().collect();
         apply_records(
             &mut partitions,
             &mut dead,
@@ -579,8 +592,7 @@ mod tests {
         for s in 1..=40 {
             other.observe(wait(s) + 1.0, None, None);
         }
-        replace_with_snapshot(&dir, vec![other.to_snapshot(&other_key)], Vec::new(), &[])
-            .unwrap();
+        snapshot_of(&dir, &[(other_key.clone(), other)]);
         let snapshot_before = std::fs::read_to_string(snapshot_file(&dir)).unwrap();
 
         // Journal 1..=120 for the test partition through a writer with a
@@ -605,20 +617,7 @@ mod tests {
         let remaining: Vec<_> = journal::scan_dir(&dir).unwrap();
         assert_eq!(remaining.len(), 1);
         assert_eq!(remaining[0].0, active);
-
-        // snapshot ⊕ remaining journal reproduces the oracle bit-exactly,
-        // and the untouched partition's snapshot entry survived verbatim.
-        let loaded = load_state(&JournalConfig::new(&dir)).unwrap();
-        let (_, mut rebuilt) = loaded
-            .partitions
-            .into_iter()
-            .find(|(k, _)| *k == key())
-            .expect("compacted partition present");
-        let got = rebuilt.predict();
-        let expect = oracle(120).predict();
-        assert_eq!(got.seq, 120);
-        assert_eq!(got.bmbp.map(f64::to_bits), expect.bmbp.map(f64::to_bits));
-        assert_eq!(got.lognormal.map(f64::to_bits), expect.lognormal.map(f64::to_bits));
+        // The untouched partition's snapshot entry survived verbatim.
         let snapshot_after = std::fs::read_to_string(snapshot_file(&dir)).unwrap();
         assert!(
             snapshot_after.contains(r#""site": "other""#)
@@ -626,6 +625,296 @@ mod tests {
             "untouched partition must stay in the snapshot"
         );
         assert_ne!(snapshot_before, snapshot_after);
+
+        // snapshot ⊕ remaining journal reproduces the oracle bit-exactly.
+        let (mut store, _) = boot_one(&dir).unwrap();
+        let got = store.predict(key()).unwrap();
+        assert_eq!(got.seq, 120);
+        assert_eq!(bits(&got), bits(&oracle(120).predict()));
+        assert_eq!(store.predict(other_key).unwrap().seq, 40);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Partitions of the seeded boot battery: every proc bucket, and more
+    /// keys than any cap under test holds.
+    const KEYS: [(&str, &str, u32); 10] = [
+        ("ds", "normal", 2),
+        ("ds", "normal", 8),
+        ("ds", "normal", 32),
+        ("ds", "normal", 128),
+        ("ds", "large", 4),
+        ("ds", "debug", 1),
+        ("blue", "batch", 16),
+        ("blue", "batch", 64),
+        ("lonestar", "q", 3),
+        ("lonestar", "q", 100),
+    ];
+
+    fn battery_key(i: usize) -> PartitionKey {
+        let (site, queue, procs) = KEYS[i];
+        PartitionKey::for_request(site, queue, procs)
+    }
+
+    /// A seeded history: for each of [`KEYS`], an unbroken seq line of
+    /// observes (some carrying the bounds a client was served, so detectors
+    /// run) with the odd tombstone, which the next observe resurrects.
+    fn seeded_history(rng: &mut StdRng) -> Vec<Record> {
+        let mut cursors = [0u64; KEYS.len()];
+        let mut records = Vec::new();
+        for step in 0..1_400u64 {
+            let i = rng.gen_range(0..KEYS.len());
+            let k = battery_key(i);
+            cursors[i] += 1;
+            let seq = cursors[i];
+            if rng.gen_range(0..90) == 0 {
+                records.push(Record::tombstone(&k.site, &k.queue, k.range.label(), seq));
+                continue;
+            }
+            let w = wait(step) * if rng.gen_bool(0.05) { 300.0 } else { 1.0 };
+            let fed = rng.gen_bool(0.3).then(|| wait(step + 1));
+            records.push(record_for(k, seq, w, fed, fed.map(|b| b * 0.9)));
+        }
+        records
+    }
+
+    /// Lays a history out as a journal directory a crashed server could
+    /// leave: its first `folded` records consolidated into the snapshot;
+    /// the rest — plus the last `overlap` folded ones again, as after a
+    /// crash between a compaction's snapshot write and its segment deletes —
+    /// in two epochs of per-shard streams written by a three-shard server;
+    /// and the last stream torn mid-frame.
+    fn lay_out(dir: &Path, history: &[Record], folded: usize, overlap: usize) {
+        let (mut parts, mut dead) = (HashMap::new(), HashMap::new());
+        apply_records(&mut parts, &mut dead, history[..folded].iter().cloned()).unwrap();
+        let entries = parts.iter().map(|(k, p)| p.to_snapshot(k)).collect();
+        let rendered = snapshot::render(entries, dead.into_iter().collect());
+        replace_with_snapshot(dir, &rendered, &[]).unwrap();
+        let tail = &history[folded - overlap..];
+        let (first, second) = tail.split_at(tail.len() / 2);
+        for (epoch, records) in [(1u64, first), (2, second)] {
+            let mut writers: HashMap<usize, JournalWriter> = HashMap::new();
+            for r in records {
+                let shard = record_key(r).unwrap().shard_index(3);
+                let w = writers.entry(shard).or_insert_with(|| {
+                    JournalWriter::open(dir, epoch, shard as u32, 4096, FsyncPolicy::Never, None)
+                        .unwrap()
+                });
+                w.append(r);
+                w.commit().unwrap();
+            }
+            for (_, w) in writers {
+                w.close().unwrap();
+            }
+        }
+        let mut segments = journal::scan_dir(dir).unwrap();
+        segments.sort_by_key(|(id, _)| *id);
+        let (_, last) = segments.last().unwrap();
+        let len = std::fs::metadata(last).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(last).unwrap().set_len(len - 3).unwrap();
+        let recovered = journal::recover(dir, RecoverMode::ReadOnly).unwrap();
+        assert!(segments.len() > 6, "streams rotated");
+        assert_eq!(recovered.torn_tails, 1);
+        assert_eq!(recovered.records.len(), tail.len() - 1, "the tear took the last record");
+    }
+
+    /// The oracle the boot must equal: a [`MapSink`] replay of the
+    /// directory's snapshot ⊕ every intact record of its journal.
+    fn map_replay(dir: &Path) -> Document {
+        let (snaps, dead) = snapshot::read(&snapshot_file(dir)).unwrap();
+        let mut parts: HashMap<PartitionKey, Partition> =
+            snaps.iter().map(|s| (s.key(), Partition::from_snapshot(s).unwrap())).collect();
+        let mut dead: HashMap<PartitionKey, u64> = dead.into_iter().collect();
+        let records = journal::recover(dir, RecoverMode::ReadOnly).unwrap().records;
+        apply_records(&mut parts, &mut dead, records).unwrap();
+        (parts.iter().map(|(k, p)| p.to_snapshot(k)).collect(), dead.into_iter().collect())
+    }
+
+    fn copy_dir(src: &Path, dst: &Path) {
+        let _ = std::fs::remove_dir_all(dst);
+        std::fs::create_dir_all(dst).unwrap();
+        for entry in std::fs::read_dir(src).unwrap() {
+            let entry = entry.unwrap();
+            if entry.file_type().unwrap().is_file() {
+                std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+            }
+        }
+    }
+
+    fn journaled(dir: &Path, shards: usize, cap: Option<usize>) -> ServerConfig {
+        ServerConfig {
+            shards,
+            journal: Some(JournalConfig {
+                dir: dir.to_path_buf(),
+                fsync: FsyncPolicy::Never,
+                segment_bytes: 1 << 20,
+                compact_bytes: u64::MAX,
+            }),
+            max_resident: cap,
+            ..ServerConfig::default()
+        }
+    }
+
+    const SHARDS: [usize; 3] = [1, 4, 16];
+    const CAPS: [Option<usize>; 4] = [None, Some(0), Some(1), Some(2)];
+
+    /// One boot, at every shard count and cap: install the snapshot, then
+    /// replay the journal through the stores as a replica applies its
+    /// stream. Seeded directories carry tombstones and resurrections on
+    /// both sides of the fold, duplicate records and a torn tail. Every
+    /// partition must serve the bits and `seq` of a plain-map replay of
+    /// snapshot ⊕ journal, every consolidated `snapshot.json` must be the
+    /// same bytes (and the oracle's), and a directory with a replay gap
+    /// must refuse to boot, typed, at every shard count and cap.
+    #[test]
+    fn one_boot_equals_the_map_replay_at_every_shard_count_and_cap() {
+        let _serial = crate::hibernate::tests::serial();
+        for seed in [1u64, 2] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let history = seeded_history(&mut rng);
+            assert!(history.iter().filter(|r| r.tombstone).count() >= 3, "seed {seed}");
+            let seeded = fresh_dir(&format!("battery-{seed}"));
+            lay_out(&seeded, &history, 600, 40);
+            let (parts, dead) = map_replay(&seeded);
+            let want = snapshot::render(parts.clone(), dead.clone());
+            let mut oracle: HashMap<PartitionKey, Partition> =
+                parts.iter().map(|s| (s.key(), Partition::from_snapshot(s).unwrap())).collect();
+            let answers: Vec<Prediction> = (0..KEYS.len())
+                .map(|i| {
+                    let k = battery_key(i);
+                    let cursor = dead.iter().find(|(d, _)| *d == k).map_or(0, |(_, s)| *s);
+                    oracle.get_mut(&k).map_or(Prediction::unobserved(cursor), Partition::predict)
+                })
+                .collect();
+            assert!(answers.iter().any(|p| p.bmbp.is_some()), "seed {seed}: some bound served");
+            for shards in SHARDS {
+                for cap in CAPS {
+                    let case = format!("seed {seed} shards {shards} cap {cap:?}");
+                    let dir = fresh_dir(&format!("battery-{seed}-{shards}-{cap:?}"));
+                    copy_dir(&seeded, &dir);
+                    let config = journaled(&dir, shards, cap);
+                    let server = Server::start("127.0.0.1:0", config).unwrap();
+                    let consolidated = std::fs::read(snapshot_file(&dir)).unwrap();
+                    assert!(consolidated == want, "{case}: consolidated snapshot differs");
+                    let mut c = Client::connect(server.local_addr()).unwrap();
+                    for (i, want) in answers.iter().enumerate() {
+                        let (site, queue, procs) = KEYS[i];
+                        let p = c.predict(site, queue, procs).unwrap();
+                        let (bmbp, lognormal) = (p.bmbp, p.lognormal);
+                        let got = bits(&Prediction { n: p.n, seq: p.seq, bmbp, lognormal });
+                        assert_eq!(got, bits(want), "{case}: {site}/{queue}/{procs}");
+                    }
+                    c.shutdown().unwrap();
+                    server.join().unwrap();
+                    let at_shutdown = std::fs::read(snapshot_file(&dir)).unwrap();
+                    assert!(at_shutdown == want, "{case}: the shutdown snapshot differs");
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+
+            // The same directory with one mid-journal observe gone (one
+            // whose key has a later record that the tear does not take).
+            let last = history.len() - 1;
+            let same_key = |a: &Record, b: &Record| record_key(a) == record_key(b);
+            let gone = (600..last)
+                .find(|&i| {
+                    !history[i].tombstone
+                        && history[i + 1..last].iter().any(|r| same_key(r, &history[i]))
+                })
+                .unwrap();
+            let mut holed = history.clone();
+            holed.remove(gone);
+            let gapped = fresh_dir(&format!("battery-{seed}-gap"));
+            lay_out(&gapped, &holed, 600, 40);
+            for shards in SHARDS {
+                for cap in CAPS {
+                    let dir = fresh_dir(&format!("battery-{seed}-gap-{shards}-{cap:?}"));
+                    copy_dir(&gapped, &dir);
+                    let err = Server::start("127.0.0.1:0", journaled(&dir, shards, cap)).err();
+                    let err = err.expect("a replay gap must not boot");
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{shards} shards, {cap:?}");
+                    assert!(err.to_string().contains("gap"), "{err}");
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+            let _ = std::fs::remove_dir_all(&seeded);
+            let _ = std::fs::remove_dir_all(&gapped);
+        }
+    }
+
+    /// A capped replica's resync is the same install: the snapshot's cold
+    /// tail lands hibernated with no answer and nothing is restored — no
+    /// refit of partitions nobody asked about — and the first question
+    /// about each cold key restores it exactly once; after that every
+    /// answer comes from memory or the index.
+    #[test]
+    fn a_capped_resync_installs_the_cold_tail_without_a_restore() {
+        let _serial = crate::hibernate::tests::serial();
+        let dir = fresh_dir("resync-primary");
+        let mut parts: Vec<(PartitionKey, Partition)> = Vec::new();
+        for (i, &(site, queue, procs)) in KEYS.iter().enumerate() {
+            let mut p = Partition::new();
+            for j in 0..70 + i as u64 {
+                p.observe(wait(j * 31 + i as u64), None, None);
+            }
+            parts.push((PartitionKey::for_request(site, queue, procs), p));
+        }
+        snapshot_of(&dir, &parts);
+        let primary = Server::start(
+            "127.0.0.1:0",
+            ServerConfig { repl_addr: Some("127.0.0.1:0".into()), ..journaled(&dir, 4, None) },
+        )
+        .unwrap();
+        let restores = crate::HIBERNATE_RESTORES.value();
+        let cap = 2;
+        let replica = Server::start(
+            "127.0.0.1:0",
+            ServerConfig {
+                shards: 1,
+                replicate_from: Some(primary.repl_addr().unwrap().to_string()),
+                max_resident: Some(cap),
+                spill_dir: Some(fresh_dir("resync-spill")),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut c = Client::connect(replica.local_addr()).unwrap();
+        let mut installed = || {
+            let stats = c.stats().unwrap();
+            let count = |name| stats.get(name).and_then(qdelay_json::Json::as_usize).unwrap();
+            (count("partitions"), count("hibernated"))
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while installed().0 < KEYS.len() {
+            assert!(std::time::Instant::now() < deadline, "the replica never resynced");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert_eq!(installed(), (KEYS.len(), KEYS.len() - cap));
+        assert_eq!(crate::HIBERNATE_RESTORES.value(), restores, "the install restored nothing");
+
+        // Sorted, the first `cap` keys are the residents; ask the cold tail
+        // first, then everything twice over.
+        let mut order: Vec<usize> = (0..KEYS.len()).collect();
+        order.sort_by_key(|&i| battery_key(i));
+        order.rotate_left(cap);
+        let mut p = Client::connect(primary.local_addr()).unwrap();
+        for round in 0..3 {
+            for (n, &i) in order.iter().enumerate() {
+                let (site, queue, procs) = KEYS[i];
+                let got = c.predict(site, queue, procs).unwrap();
+                assert_eq!(got, p.predict(site, queue, procs).unwrap(), "round {round}");
+                let cold = KEYS.len() - cap;
+                let asked = if round == 0 { (n + 1).min(cold) } else { cold };
+                assert_eq!(
+                    crate::HIBERNATE_RESTORES.value(),
+                    restores + asked as u64,
+                    "round {round} key {n}: one restore per cold key, on its first question"
+                );
+            }
+        }
+        c.shutdown().unwrap();
+        p.shutdown().unwrap();
+        replica.join().unwrap();
+        primary.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

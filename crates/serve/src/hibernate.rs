@@ -32,7 +32,7 @@
 //!   └─────────────────┘                                └────────────────┘
 //!        │ tombstone            ▲ first question: touch       │ tombstone
 //!        │              ┌───────┴────────┐                    │
-//!        │              │ hibernated,    │ install_snapshots' │
+//!        │              │ hibernated,    │ any install's      │
 //!        │              │ answer unknown │◀── cold tail       │
 //!        │              └───────┬────────┘                    │
 //!        ▼                      ▼ tombstone                   ▼
@@ -53,17 +53,20 @@
 //!
 //! Served bounds are a pure function of the observation sequence, so the
 //! answer a partition gives at `seq` is the answer it gives until the next
-//! observe — whether or not its history is in memory. Every path that has
-//! the partition in memory when it leaves **writes the answer** into the
-//! slot's index entry: [`PartitionStore::enforce_cap`] (which refits first
-//! if an observe left the partition dirty — half a microsecond, against the
+//! observe — whether or not its history is in memory. The path that has
+//! the partition in memory when it leaves, [`PartitionStore::enforce_cap`],
+//! **writes the answer** into the slot's index entry (refitting first if an
+//! observe left the partition dirty — half a microsecond, against the
 //! restore it saves the next asker; the refit changes no exported state, so
-//! the spill record and every snapshot are byte for byte what they were)
-//! and [`PartitionStore::install_parts`]; a compaction moves slots and
-//! carries their answers along. The one slot with **no answer** is one
-//! written from a bare snapshot entry ([`PartitionStore::install_snapshots`]'
-//! cold tail, never materialized): its first question restores it as a
-//! touch would, and the clean eviction that follows leaves the answer.
+//! the spill record and every snapshot are byte for byte what they were);
+//! a compaction moves slots and carries their answers along. The one slot
+//! with **no answer** is one written from a bare snapshot entry: the cold
+//! tail of [`PartitionStore::install_snapshots`], the one install behind a
+//! snapshot boot, a journal boot and a replica resync alike (and behind
+//! [`PartitionStore::install_parts`], which writes no answers either). Its
+//! partition is never materialized at install; its first question restores
+//! it as a touch would, and the clean eviction that follows leaves the
+//! answer.
 //!
 //! What a question ([`PartitionStore::predict`]) costs, by where it lands:
 //!
@@ -133,14 +136,13 @@
 
 use crate::durability::{self, RecordSink};
 use crate::registry::{Partition, PartitionKey, Prediction};
-use crate::snapshot::{self, DeadPartition, PartitionSnapshot};
+use crate::snapshot::{self, Document, PartitionSnapshot};
 use crate::{
     HIBERNATE_DISK_BYTES, HIBERNATE_EVICTIONS, HIBERNATE_EVICT_NS, HIBERNATE_HIBERNATED,
     HIBERNATE_INDEX_ANSWERS, HIBERNATE_RESIDENT, HIBERNATE_RESTORES, HIBERNATE_RESTORE_NS,
     HIBERNATE_SPILL_COMPACTIONS,
 };
 use qdelay_journal::frame::{self, Check};
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -299,7 +301,7 @@ pub struct PartitionStore {
     /// Keys are shared with `lru` and `hibernated`, so moving a partition
     /// between the three never clones its strings.
     resident: HashMap<Arc<PartitionKey>, Resident>,
-    /// Tombstoned partitions' cursors (see [`crate::snapshot::DeadPartition`]).
+    /// Tombstoned partitions' cursors (see [`crate::snapshot::Document`]).
     dead: HashMap<PartitionKey, u64>,
     hibernated: HashMap<Arc<PartitionKey>, SpillSlot>,
     /// Last-touch stamp → key; the first entry is the eviction victim.
@@ -353,38 +355,27 @@ impl PartitionStore {
         self.compact_min_bytes = bytes;
     }
 
-    /// Wholesale-replaces the store's contents with materialized
-    /// partitions (boot from a journal, replica snapshot install).
-    /// Under a cap, partitions beyond it are spilled immediately —
-    /// deterministically the largest sorted keys, so a re-install lands
-    /// the same layout.
+    /// [`PartitionStore::install_snapshots`] from materialized partitions:
+    /// each is exported to its snapshot entry first.
     pub fn install_parts(
         &mut self,
-        mut parts: Vec<(PartitionKey, Partition)>,
+        parts: Vec<(PartitionKey, Partition)>,
         dead: Vec<(PartitionKey, u64)>,
     ) -> io::Result<()> {
-        self.reset(dead)?;
-        parts.sort_by(|a, b| a.0.cmp(&b.0));
-        let keep = self.cap.unwrap_or(usize::MAX);
-        for (i, (key, mut partition)) in parts.into_iter().enumerate() {
-            if i < keep {
-                self.insert_resident(Arc::new(key), partition, None);
-            } else {
-                let answer = partition.predict();
-                let snap = partition.to_snapshot(&key);
-                self.spill_snapshot(Arc::new(key), &snap, Some(&answer))?;
-            }
-        }
-        Ok(())
+        self.install_snapshots(parts.iter().map(|(key, p)| p.to_snapshot(key)).collect(), dead)
     }
 
-    /// Wholesale-replaces the store's contents from snapshot entries
-    /// (boot from a snapshot file). Partitions beyond the cap land
-    /// **directly in the hibernated state** — their history is never
-    /// materialized, so booting a million-partition snapshot under a
-    /// small cap costs a file append per cold partition, not a refit.
-    /// Their slots therefore carry no answer: the first question about
-    /// each restores it, and the clean eviction that follows leaves one.
+    /// Wholesale-replaces the store's contents from snapshot entries —
+    /// the one install, behind a snapshot boot, a journal boot and a
+    /// replica resync. The keys must be distinct (the snapshot reader
+    /// refuses a document that names one twice). Under a cap, the entries
+    /// beyond it — deterministically the largest sorted keys, so a
+    /// re-install lands the same layout — land **directly in the
+    /// hibernated state**: their history is never materialized, so
+    /// installing a million-partition snapshot under a small cap costs a
+    /// file append per cold partition, not a refit. Their slots therefore
+    /// carry no answer: the first question about each restores it, and
+    /// the clean eviction that follows leaves one.
     pub fn install_snapshots(
         &mut self,
         mut snaps: Vec<PartitionSnapshot>,
@@ -394,17 +385,15 @@ impl PartitionStore {
         snaps.sort_by(|a, b| (&a.site, &a.queue, a.range).cmp(&(&b.site, &b.queue, b.range)));
         let keep = self.cap.unwrap_or(usize::MAX);
         for (i, snap) in snaps.into_iter().enumerate() {
-            let key = Arc::new(PartitionKey {
-                site: snap.site.clone(),
-                queue: snap.queue.clone(),
-                range: snap.range,
-            });
+            let key = Arc::new(snap.key());
             if i < keep {
                 let partition = Partition::from_snapshot(&snap)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
                 self.insert_resident(key, partition, None);
             } else {
-                self.spill_snapshot(key, &snap, None)?;
+                let spill = self.spill.as_mut().expect("capped stores have a spill file");
+                let slot = spill.append(&snap)?;
+                self.index(key, slot);
             }
         }
         Ok(())
@@ -513,20 +502,10 @@ impl PartitionStore {
             touch = self.clock;
             self.lru.insert(touch, Arc::clone(&key));
         }
-        let entry = Resident { partition, touch, kept };
-        match self.resident.entry(key) {
-            Entry::Vacant(vacant) => {
-                HIBERNATE_RESIDENT.add(1);
-                vacant.insert(entry)
-            }
-            // A snapshot document that lists a key twice: the last entry
-            // wins, and the first one's recency entry must not outlive it.
-            Entry::Occupied(mut occupied) => {
-                let old = occupied.insert(entry);
-                self.lru.remove(&old.touch);
-                occupied.into_mut()
-            }
-        }
+        HIBERNATE_RESIDENT.add(1);
+        // The key is not resident: a touch checked, and an install's keys
+        // are distinct.
+        self.resident.entry(key).or_insert(Resident { partition, touch, kept })
     }
 
     /// Reads `key`'s spill slot back into a partition. The slot stays
@@ -549,30 +528,11 @@ impl PartitionStore {
         Ok(partition)
     }
 
-    /// Appends `snap` to the spill file and indexes `key` as hibernated,
-    /// with the answer its partition was serving if it ever was in memory.
-    fn spill_snapshot(
-        &mut self,
-        key: Arc<PartitionKey>,
-        snap: &PartitionSnapshot,
-        answer: Option<&Prediction>,
-    ) -> io::Result<()> {
-        let spill = self.spill.as_mut().expect("capped stores have a spill file");
-        let mut slot = spill.append(snap)?;
-        if let Some(served) = answer {
-            slot.set_answer(served);
-        }
-        self.index(key, slot);
-        Ok(())
-    }
-
-    /// Indexes `key` as hibernated in `slot`. (A slot already indexed
-    /// under the key — a document that listed it twice — is released.)
+    /// Indexes `key` — just evicted, or just installed — as hibernated in
+    /// `slot`.
     fn index(&mut self, key: Arc<PartitionKey>, slot: SpillSlot) {
-        match (self.hibernated.insert(key, slot), &mut self.spill) {
-            (Some(old), Some(spill)) => spill.release(old),
-            _ => HIBERNATE_HIBERNATED.add(1),
-        }
+        self.hibernated.insert(key, slot);
+        HIBERNATE_HIBERNATED.add(1);
     }
 
     /// Evicts least-recently-touched partitions until the resident set
@@ -667,7 +627,7 @@ impl PartitionStore {
     /// materialized into a `Partition`) — plus the dead-cursor list.
     /// This is the shard's `Collect` answer, so snapshots of a capped
     /// server cost a decode per cold partition, not a refit.
-    pub fn collect(&self) -> io::Result<(Vec<PartitionSnapshot>, Vec<DeadPartition>)> {
+    pub fn collect(&self) -> io::Result<Document> {
         let mut parts = Vec::with_capacity(self.resident.len() + self.hibernated.len());
         for (key, entry) in &self.resident {
             parts.push(entry.partition.to_snapshot(key));
@@ -680,16 +640,7 @@ impl PartitionStore {
                 parts.push(spill.read(key, *slot, &mut buf)?);
             }
         }
-        let dead = self
-            .dead
-            .iter()
-            .map(|(key, &seq)| DeadPartition {
-                site: key.site.clone(),
-                queue: key.queue.clone(),
-                range: key.range,
-                seq,
-            })
-            .collect();
+        let dead = self.dead.iter().map(|(key, &seq)| (key.clone(), seq)).collect();
         Ok((parts, dead))
     }
 
@@ -788,17 +739,17 @@ impl Drop for PartitionStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qdelay_predict::admission;
     use qdelay_rng::{Rng, StdRng};
     use std::path::Path;
 
     /// `HIBERNATE_RESTORES` is process-wide and the harness runs tests on
-    /// parallel threads; two tests below assert the counter stands still
-    /// across a call, so every test here that can restore runs under this
-    /// lock.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
+    /// parallel threads; tests here and in `durability` assert the counter
+    /// stands still or moves by an exact count, so every test in the crate
+    /// that can restore runs under this lock.
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
         static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
         SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }

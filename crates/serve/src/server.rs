@@ -37,17 +37,19 @@
 //!   bounded; a client that stops reading while its backlog is past the
 //!   budget is disconnected (counted in `serve.slow_disconnects`) rather
 //!   than allowed to grow a buffer without limit.
-//! * **Warm restart** — on boot, `snapshot_path` (if it exists) is loaded
-//!   and partitions are re-dealt across however many shards this run has;
-//!   on graceful shutdown the final registry state is written back.
+//! * **Warm restart** — on boot, `snapshot_path` (if it exists) is read
+//!   and its partitions dealt across however many shards this run has and
+//!   installed ([`durability::boot`]); on graceful shutdown the final
+//!   registry state is written back.
 //! * **Durability (optional)** — with a [`JournalConfig`], each shard owns
 //!   a `qdelay-journal` writer: an observe is staged on it under the shard
 //!   lock, and every reply a wakeup produced is held until the shards it
 //!   touched are committed ([`Shard::settle`]), so every acknowledged
 //!   observation is in the WAL and no reply reflects unjournaled state.
-//!   Boot recovery loads the journal directory's snapshot and replays the
-//!   segment tail (truncating torn tails); a background compactor folds
-//!   sealed segments into the snapshot so disk and recovery time stay
+//!   Boot installs the journal directory's snapshot, then replays the
+//!   segment tail (torn tails truncated) through the shards' stores the way
+//!   a replica applies its stream, and consolidates; a background compactor
+//!   folds sealed segments into the snapshot so disk and recovery time stay
 //!   bounded. If a group commit fails, the acks it covered become `io`
 //!   errors and the shard **fences**: further observes are rejected (the
 //!   in-memory state may be ahead of the journal), while predicts keep
@@ -79,8 +81,8 @@ use crate::durability::{self, JournalConfig};
 use crate::event_loop::{self, LoopPort};
 use crate::hibernate::PartitionStore;
 use crate::protocol;
-use crate::registry::{Partition, PartitionKey, Prediction};
-use crate::snapshot::{self, DeadPartition, PartitionSnapshot};
+use crate::registry::{PartitionKey, Prediction};
+use crate::snapshot::{self, Document};
 use crate::tracing::{FlightRecorder, MetricsHub};
 use crate::{
     ADMIT_ADMITTED, ADMIT_DEFERRED, ADMIT_MARGIN, ADMIT_REJECTED, OBSERVE_NS, PREDICT_NS,
@@ -594,63 +596,18 @@ impl Server {
             &qdelay_predict::lognormal::LogNormalConfig::trim(),
         );
 
-        // Reconstruct boot state: snapshot ⊕ journal when journaling, the
-        // flat snapshot file otherwise. The journal path materializes
-        // partitions (it replayed records into them anyway); the snapshot
-        // path keeps the decoded `PartitionSnapshot`s so that, under a
-        // resident cap, cold partitions can land directly in the
-        // hibernated state without ever being refit.
-        let (restored, restored_snaps, restored_dead, journal_epoch) = match &config.journal {
-            Some(jcfg) => {
-                let loaded = durability::load_state(jcfg)?;
-                // Consolidate immediately: fold everything just replayed
-                // into one fresh snapshot and delete the old epochs'
-                // segments, so recovery work never accumulates across
-                // restarts.
-                let parts =
-                    loaded.partitions.iter().map(|(k, p)| p.to_snapshot(k)).collect();
-                let dead_list = loaded
-                    .dead
-                    .iter()
-                    .map(|(k, seq)| DeadPartition {
-                        site: k.site.clone(),
-                        queue: k.queue.clone(),
-                        range: k.range,
-                        seq: *seq,
-                    })
-                    .collect();
-                durability::replace_with_snapshot(
-                    &jcfg.dir,
-                    parts,
-                    dead_list,
-                    &loaded.old_segments,
-                )
-                .map_err(durability::journal_to_io)?;
-                if loaded.replayed > 0 {
-                    eprintln!(
-                        "qdelay-serve: recovered {} partitions ({} journal records replayed)",
-                        loaded.partitions.len(),
-                        loaded.replayed
-                    );
-                }
-                (loaded.partitions, Vec::new(), loaded.dead, Some(loaded.next_epoch))
-            }
-            None => match &config.snapshot_path {
-                Some(path) if path.exists() => {
-                    let text = std::fs::read_to_string(path)?;
-                    let doc = Json::parse(&text).map_err(invalid_data)?;
-                    let (snaps, dead_list) = snapshot::decode(&doc).map_err(invalid_data)?;
-                    let dead = dead_list
-                        .into_iter()
-                        .map(|d| {
-                            (PartitionKey { site: d.site, queue: d.queue, range: d.range }, d.seq)
-                        })
-                        .collect();
-                    (Vec::new(), snaps, dead, None)
-                }
-                _ => (Vec::new(), Vec::new(), Vec::new(), None),
-            },
-        };
+        // Boot: state = snapshot ⊕ journal, into one capacity-managed store
+        // per shard (under a cap, the cold tail of the install hibernates
+        // without a refit).
+        let mut stores = (0..config.shards)
+            .map(|index| {
+                let spill_path =
+                    spill_dir.as_ref().map(|dir| dir.join(format!("spill-{index:04}.qds")));
+                PartitionStore::new(config.max_resident, spill_path)
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        let snapshot_path = config.snapshot_path.as_deref();
+        let journal_epoch = durability::boot(&mut stores, snapshot_path, config.journal.as_ref())?;
 
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -662,33 +619,6 @@ impl Server {
             Some(l) => Some(l.local_addr()?),
             None => None,
         };
-
-        // Deal restored partitions (and tombstoned cursors) to their
-        // owning shards. At most one of `restored` / `restored_snaps` is
-        // non-empty (journal vs snapshot boot).
-        let boot_from_snapshot = !restored_snaps.is_empty();
-        let mut per_shard: Vec<Vec<(PartitionKey, Partition)>> =
-            (0..config.shards).map(|_| Vec::new()).collect();
-        for (key, part) in restored {
-            let index = key.shard_index(config.shards);
-            per_shard[index].push((key, part));
-        }
-        let mut per_shard_snaps: Vec<Vec<PartitionSnapshot>> =
-            (0..config.shards).map(|_| Vec::new()).collect();
-        for snap in restored_snaps {
-            let key = PartitionKey {
-                site: snap.site.clone(),
-                queue: snap.queue.clone(),
-                range: snap.range,
-            };
-            per_shard_snaps[key.shard_index(config.shards)].push(snap);
-        }
-        let mut per_shard_dead: Vec<Vec<(PartitionKey, u64)>> =
-            (0..config.shards).map(|_| Vec::new()).collect();
-        for (key, seq) in restored_dead {
-            let index = key.shard_index(config.shards);
-            per_shard_dead[index].push((key, seq));
-        }
 
         // Replication fan-out hub: shards publish committed batches into
         // it, replica connections subscribe.
@@ -709,12 +639,7 @@ impl Server {
         }
 
         let mut shards = Vec::with_capacity(config.shards);
-        for (index, ((initial, initial_snaps), initial_dead)) in per_shard
-            .into_iter()
-            .zip(per_shard_snaps)
-            .zip(per_shard_dead)
-            .enumerate()
-        {
+        for (index, store) in stores.into_iter().enumerate() {
             let writer = match (&config.journal, journal_epoch) {
                 (Some(jcfg), Some(epoch)) => Some(
                     JournalWriter::open(
@@ -729,16 +654,6 @@ impl Server {
                 ),
                 _ => None,
             };
-            // Each shard owns a capacity-managed store; under a cap the
-            // cold tail of a snapshot boot hibernates without a refit.
-            let spill_path =
-                spill_dir.as_ref().map(|dir| dir.join(format!("spill-{index:04}.qds")));
-            let mut store = PartitionStore::new(config.max_resident, spill_path)?;
-            if boot_from_snapshot {
-                store.install_snapshots(initial_snaps, initial_dead)?;
-            } else {
-                store.install_parts(initial, initial_dead)?;
-            }
             shards.push(Mutex::new(Shard::new(index, store, writer, repl_hub.clone())));
         }
         // The shard writers now hold the only sealed-segment senders, so
@@ -903,6 +818,8 @@ impl Server {
             let _ = compactor.join();
         }
         if let Some((parts, dead)) = final_state {
+            // One document, rendered once, to every place that keeps one.
+            let rendered = snapshot::render(parts, dead);
             if let Some(jcfg) = &self.shared.config.journal {
                 // Graceful-shutdown consolidation: fold everything into the
                 // snapshot and delete every segment, so the next boot
@@ -914,31 +831,20 @@ impl Server {
                 let segments = journal::scan_dir(&jcfg.dir)
                     .map(|v| v.into_iter().map(|(_, path)| path).collect::<Vec<_>>())
                     .unwrap_or_default();
-                match durability::replace_with_snapshot(
-                    &jcfg.dir,
-                    parts.clone(),
-                    dead.clone(),
-                    &segments,
-                ) {
+                match durability::replace_with_snapshot(&jcfg.dir, &rendered, &segments) {
                     Ok(()) => SNAPSHOTS.incr(),
-                    Err(e) => result = Err(durability::journal_to_io(e)),
+                    Err(e) => result = Err(e),
                 }
             }
             if let Some(path) = &self.shared.config.snapshot_path {
-                let doc = snapshot::encode(parts, dead);
-                match journal::write_atomic(path, (doc.to_string_pretty() + "\n").as_bytes())
-                {
+                match snapshot::write(path, &rendered) {
                     Ok(()) => SNAPSHOTS.incr(),
-                    Err(e) => result = result.and(Err(durability::journal_to_io(e))),
+                    Err(e) => result = result.and(Err(e)),
                 }
             }
         }
         result
     }
-}
-
-fn invalid_data<E: std::fmt::Display>(e: E) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
 /// Collects every shard's partitions and tombstoned cursors, one shard
@@ -947,14 +853,11 @@ fn invalid_data<E: std::fmt::Display>(e: E) -> io::Error {
 /// first. Fallible because a capped shard answers by decoding its spill
 /// file, and a spill read can fail; any shard's failure fails the
 /// collection (a snapshot missing partitions would silently lose state).
-pub(crate) fn collect_partitions(
-    shared: &Shared,
-) -> io::Result<(Vec<PartitionSnapshot>, Vec<DeadPartition>)> {
+pub(crate) fn collect_partitions(shared: &Shared) -> io::Result<Document> {
     let mut out = Vec::new();
     let mut dead = Vec::new();
     for index in 0..shared.shards.len() {
-        let (mut parts, mut d) =
-            shared.settled_shard(index).store.collect().map_err(invalid_data)?;
+        let (mut parts, mut d) = shared.settled_shard(index).store.collect()?;
         out.append(&mut parts);
         dead.append(&mut d);
     }
@@ -964,11 +867,7 @@ pub(crate) fn collect_partitions(
 pub(crate) fn write_snapshot(shared: &Shared, path: &std::path::Path) -> io::Result<usize> {
     let (parts, dead) = collect_partitions(shared)?;
     let count = parts.len();
-    let doc = snapshot::encode(parts, dead);
-    // Atomic replace: a crash mid-write must leave any previous snapshot
-    // intact rather than a truncated JSON file.
-    journal::write_atomic(path, (doc.to_string_pretty() + "\n").as_bytes())
-        .map_err(durability::journal_to_io)?;
+    snapshot::write(path, &snapshot::render(parts, dead))?;
     SNAPSHOTS.incr();
     Ok(count)
 }
@@ -1067,9 +966,6 @@ enum StreamExit {
     Resync,
 }
 
-/// How many buffered records trigger a flush to the shards mid-stream.
-const APPLY_BATCH: usize = 256;
-
 /// In-flight replica apply state: records buffered per *replica* shard
 /// (routing is by key hash against this server's shard count — the
 /// primary's may differ), plus the newest cursor seen per primary stream.
@@ -1136,40 +1032,17 @@ impl ApplyBuffers {
     }
 }
 
-/// Decodes a primary snapshot and installs it wholesale into the shards
-/// (every shard is replaced, so stale state is cleared even where the
-/// snapshot has nothing for it). Empty bytes mean empty state. Under a
-/// resident cap the install spills partitions past the cap, which can
-/// fail.
-fn install_snapshot(shared: &Shared, bytes: &[u8]) -> Result<(), String> {
-    let shards = shared.shards.len();
-    let mut per_shard: Vec<(Vec<(PartitionKey, Partition)>, Vec<(PartitionKey, u64)>)> =
-        (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
-    if !bytes.is_empty() {
-        let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let (snaps, dead) = snapshot::decode(&doc)?;
-        for snap in &snaps {
-            let key = PartitionKey {
-                site: snap.site.clone(),
-                queue: snap.queue.clone(),
-                range: snap.range,
-            };
-            let part = Partition::from_snapshot(snap).map_err(|e| e.to_string())?;
-            per_shard[key.shard_index(shards)].0.push((key, part));
-        }
-        for d in dead {
-            let key = PartitionKey { site: d.site, queue: d.queue, range: d.range };
-            per_shard[key.shard_index(shards)].1.push((key, d.seq));
-        }
+/// A replica's resync: parses the primary's snapshot and installs it
+/// wholesale into the shards, each its share — every shard is replaced, so
+/// stale state is cleared even where the snapshot has nothing for it.
+/// Under a resident cap the install spills the entries past the cap, which
+/// can fail.
+fn install_snapshot(shared: &Shared, bytes: &[u8]) -> io::Result<()> {
+    let shares = durability::deal(snapshot::parse(bytes)?, shared.shards.len());
+    for (index, (parts, dead)) in shares.into_iter().enumerate() {
+        shared.shard(index).store.install_snapshots(parts, dead)?;
     }
-    let mut result = Ok(());
-    for (index, (parts, dead)) in per_shard.into_iter().enumerate() {
-        if let Err(e) = shared.shard(index).store.install_parts(parts, dead) {
-            result = Err(e.to_string());
-        }
-    }
-    result
+    Ok(())
 }
 
 /// Lifts read-only dispatch and answers every promotion waiter.
@@ -1229,7 +1102,7 @@ fn run_stream(
                     eprintln!("qdelay-serve: replicated record rejected ({e}); full resync");
                     return StreamExit::Resync;
                 }
-                if buffers.buffered >= APPLY_BATCH {
+                if buffers.buffered >= durability::APPLY_BATCH {
                     if let Err(e) = buffers.flush(shared, cursors, ctl) {
                         eprintln!("qdelay-serve: replica apply failed ({e}); full resync");
                         return StreamExit::Resync;

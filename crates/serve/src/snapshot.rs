@@ -21,6 +21,18 @@
 //! partition is internally consistent at some point during the snapshot
 //! request; the file is not a single global cut across shards.
 //!
+//! ## The file
+//!
+//! Only this module knows the file form of the document: [`read`] and
+//! [`parse`] are the one reader (boot, journal compaction, and a replica's
+//! resync, which parses the bytes the primary read off its file), and
+//! [`render`] + [`write`] the one writer (a `snapshot` request, graceful
+//! shutdown, journal compaction and boot consolidation). A missing file and
+//! empty bytes both read as empty state — what a primary ships for a
+//! journal directory with no snapshot yet. A document that names one
+//! partition twice, across `partitions` and `dead`, is refused: no writer
+//! produces one, and there is no right answer to which entry is the state.
+//!
 //! ## The binary partition record
 //!
 //! Beside the document codec ([`encode_partition`]/[`decode_partition`])
@@ -54,11 +66,16 @@
 //! adds the binary ones: every length bounded by the bytes present, and
 //! no byte left over. Damage is a typed error, never a panic.
 
+use crate::durability::journal_to_io;
 use crate::proto::{Cur, DecodeError};
+use crate::registry::PartitionKey;
 use qdelay_json::Json;
 use qdelay_predict::bound::BoundMethod;
 use qdelay_predict::state::{BmbpState, DetectorState, LogNormalState, MomentsState};
 use qdelay_trace::ProcRange;
+use std::collections::HashSet;
+use std::io;
+use std::path::Path;
 
 /// Snapshot document version this build writes. Version 1 (no `dead`
 /// list) is still read: it decodes with an empty dead list.
@@ -76,19 +93,20 @@ pub struct PartitionSnapshot {
     pub lognormal: LogNormalState,
 }
 
-/// A partition deleted by a tombstone whose cursor must survive snapshot
-/// consolidation: `seq` is the tombstone's sequence number, and a
-/// resurrecting record continues at `seq + 1`. Without these entries a
-/// compaction could fold a tombstoned partition out of existence entirely
-/// and a later replay would see its seq counter restart — breaking the
-/// monotone dedup replication relies on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeadPartition {
-    pub site: String,
-    pub queue: String,
-    pub range: ProcRange,
-    pub seq: u64,
+impl PartitionSnapshot {
+    /// The partition this entry is the state of.
+    pub fn key(&self) -> PartitionKey {
+        PartitionKey { site: self.site.clone(), queue: self.queue.clone(), range: self.range }
+    }
 }
+
+/// A whole document: the live partitions, and the cursors of partitions
+/// deleted by a tombstone. A dead cursor is the tombstone's sequence number
+/// and a resurrecting record continues at `seq + 1`; without it a
+/// compaction could fold a tombstoned partition out of existence and a later
+/// replay would see its seq counter restart — breaking the monotone dedup
+/// replication relies on.
+pub type Document = (Vec<PartitionSnapshot>, Vec<(PartitionKey, u64)>);
 
 /// Parses a proc-range from its table label (`"1-4"`, `"5-16"`, `"17-64"`,
 /// `"65+"`).
@@ -318,30 +336,27 @@ pub fn decode_record(payload: &[u8]) -> Result<PartitionSnapshot, String> {
 
 /// Encodes partitions (and tombstoned cursors) into the snapshot
 /// document, sorting both lists by key for deterministic output.
-pub fn encode(mut partitions: Vec<PartitionSnapshot>, mut dead: Vec<DeadPartition>) -> Json {
+pub fn encode(
+    mut partitions: Vec<PartitionSnapshot>,
+    mut dead: Vec<(PartitionKey, u64)>,
+) -> Json {
     partitions.sort_by(|a, b| {
         (&a.site, &a.queue, a.range).cmp(&(&b.site, &b.queue, b.range))
     });
-    dead.sort_by(|a, b| (&a.site, &a.queue, a.range).cmp(&(&b.site, &b.queue, b.range)));
+    dead.sort_unstable();
+    let dead = dead.into_iter().map(|(key, seq)| {
+        Json::Obj(vec![
+            ("site".into(), Json::Str(key.site)),
+            ("queue".into(), Json::Str(key.queue)),
+            ("procs".into(), Json::Str(key.range.label().into())),
+            ("seq".into(), Json::Num(seq as f64)),
+        ])
+    });
     Json::Obj(vec![
         ("version".into(), Json::Num(SNAPSHOT_VERSION as f64)),
         ("kind".into(), Json::Str("qdelay-serve-snapshot".into())),
         ("partitions".into(), Json::Arr(partitions.iter().map(encode_partition).collect())),
-        (
-            "dead".into(),
-            Json::Arr(
-                dead.iter()
-                    .map(|d| {
-                        Json::Obj(vec![
-                            ("site".into(), Json::Str(d.site.clone())),
-                            ("queue".into(), Json::Str(d.queue.clone())),
-                            ("procs".into(), Json::Str(d.range.label().into())),
-                            ("seq".into(), Json::Num(d.seq as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("dead".into(), Json::Arr(dead.collect())),
     ])
 }
 
@@ -353,8 +368,9 @@ fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
 
 /// Decodes a snapshot document, validating the version and every field.
 /// Returns the live partitions and the tombstoned cursors (always empty
-/// for version-1 documents, which predate tombstones).
-pub fn decode(v: &Json) -> Result<(Vec<PartitionSnapshot>, Vec<DeadPartition>), String> {
+/// for version-1 documents, which predate tombstones). A key named twice is
+/// an error that names it.
+pub fn decode(v: &Json) -> Result<Document, String> {
     let version = v
         .get("version")
         .and_then(Json::as_usize)
@@ -383,20 +399,60 @@ pub fn decode(v: &Json) -> Result<(Vec<PartitionSnapshot>, Vec<DeadPartition>), 
             let label = req_str(d, "procs")?;
             let range = proc_range_from_label(label)
                 .ok_or_else(|| format!("unknown proc range '{label}'"))?;
-            dead.push(DeadPartition {
+            let key = PartitionKey {
                 site: req_str(d, "site")?.to_string(),
                 queue: req_str(d, "queue")?.to_string(),
                 range,
-                seq: d
-                    .get("seq")
-                    .and_then(Json::as_usize)
-                    .ok_or("dead partition missing 'seq'")? as u64,
-            });
+            };
+            let seq = d.get("seq").and_then(Json::as_usize).ok_or("dead partition missing 'seq'")?;
+            dead.push((key, seq as u64));
         }
     } else if version as u64 >= 2 {
         return Err("snapshot v2 missing 'dead' array".into());
     }
+    let mut seen = HashSet::with_capacity(out.len() + dead.len());
+    let keys = out.iter().map(|p| (&p.site, &p.queue, p.range));
+    for (site, queue, range) in keys.chain(dead.iter().map(|(k, _)| (&k.site, &k.queue, k.range))) {
+        if !seen.insert((site, queue, range)) {
+            return Err(format!("snapshot names partition {site}/{queue}/{} twice", range.label()));
+        }
+    }
     Ok((out, dead))
+}
+
+/// Parses a snapshot file's bytes — or a replica's SNAPSHOT message, which
+/// carries them. Empty bytes are empty state. Anything that is not a valid
+/// document is `InvalidData`.
+pub fn parse(bytes: &[u8]) -> io::Result<Document> {
+    if bytes.is_empty() {
+        return Ok((Vec::new(), Vec::new()));
+    }
+    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+    let text = std::str::from_utf8(bytes).map_err(|e| invalid(e.to_string()))?;
+    decode(&Json::parse(text).map_err(|e| invalid(e.to_string()))?).map_err(invalid)
+}
+
+/// Reads the snapshot file at `path`; a missing file is empty state.
+pub fn read(path: &Path) -> io::Result<Document> {
+    match std::fs::read(path) {
+        Ok(bytes) => parse(&bytes),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok((Vec::new(), Vec::new())),
+        Err(e) => Err(e),
+    }
+}
+
+/// Renders a document in its file form: [`encode`], pretty-printed, plus a
+/// newline. Equal states render to equal bytes.
+pub fn render(partitions: Vec<PartitionSnapshot>, dead: Vec<(PartitionKey, u64)>) -> Vec<u8> {
+    let mut text = encode(partitions, dead).to_string_pretty();
+    text.push('\n');
+    text.into_bytes()
+}
+
+/// Writes rendered bytes to `path` atomically (tmp + fsync + rename): a
+/// crash mid-write leaves the previous file intact, never a truncated one.
+pub fn write(path: &Path, rendered: &[u8]) -> io::Result<()> {
+    qdelay_journal::write_atomic(path, rendered).map_err(journal_to_io)
 }
 
 #[cfg(test)]
@@ -420,20 +476,10 @@ mod tests {
         out
     }
 
-    fn sample_dead() -> Vec<DeadPartition> {
+    fn sample_dead() -> Vec<(PartitionKey, u64)> {
         vec![
-            DeadPartition {
-                site: "ds".into(),
-                queue: "express".into(),
-                range: ProcRange::for_procs(2),
-                seq: 41,
-            },
-            DeadPartition {
-                site: "blue".into(),
-                queue: "batch".into(),
-                range: ProcRange::for_procs(100),
-                seq: 7,
-            },
+            (PartitionKey::for_request("ds", "express", 2), 41),
+            (PartitionKey::for_request("blue", "batch", 100), 7),
         ]
     }
 
@@ -446,12 +492,58 @@ mod tests {
         let (back, back_dead) = decode(&Json::parse(&text).unwrap()).unwrap();
         // decode returns in the file's (sorted) order.
         let mut sorted = parts;
-        sorted.sort_by(|a, b| (&a.site, &a.queue, a.range).cmp(&(&b.site, &b.queue, b.range)));
+        sorted.sort_by_key(PartitionSnapshot::key);
         assert_eq!(back, sorted);
         let mut sorted_dead = dead;
-        sorted_dead
-            .sort_by(|a, b| (&a.site, &a.queue, a.range).cmp(&(&b.site, &b.queue, b.range)));
+        sorted_dead.sort();
         assert_eq!(back_dead, sorted_dead);
+    }
+
+    #[test]
+    fn the_file_reader_reads_what_the_writer_wrote_and_nothing_is_empty_state() {
+        let dir = std::env::temp_dir().join("qdelay-serve-snapshot-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("round-trip.json");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(read(&path).unwrap(), (Vec::new(), Vec::new()), "a missing file");
+        assert_eq!(parse(b"").unwrap(), (Vec::new(), Vec::new()), "empty bytes");
+        let rendered = render(sample_partitions(), sample_dead());
+        assert!(rendered.ends_with(b"}\n"));
+        write(&path, &rendered).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), rendered);
+        let (parts, dead) = read(&path).unwrap();
+        assert_eq!(render(parts, dead), rendered, "read then rendered: the same bytes");
+        for junk in [&b"{"[..], b"\xff", b"[]", b"{\"version\":2}"] {
+            assert_eq!(parse(junk).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    /// A key named twice has no one state to install: the reader refuses
+    /// the document, naming the key, whether the two entries are both
+    /// partitions, both dead cursors, or one of each.
+    #[test]
+    fn a_document_that_names_a_key_twice_is_refused_by_name() {
+        let parts = sample_partitions();
+        let dead = sample_dead();
+        let twice_live = {
+            let mut later = parts[1].clone();
+            later.site = parts[0].site.clone();
+            later.range = parts[0].range;
+            later.seq += 10;
+            (vec![parts[0].clone(), later], Vec::new())
+        };
+        let live_and_dead = (parts.clone(), vec![(parts[2].key(), 90)]);
+        let twice_dead = (Vec::new(), vec![dead[0].clone(), (dead[0].0.clone(), 50)]);
+        for (what, (p, d), key) in [
+            ("twice live", twice_live, parts[0].key()),
+            ("live and dead", live_and_dead, parts[2].key()),
+            ("twice dead", twice_dead, dead[0].0.clone()),
+        ] {
+            let err = parse(&render(p, d)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains(&format!("{} twice", key.label())), "{what}: {err}");
+        }
+        assert!(parse(&render(parts, dead)).is_ok(), "distinct keys read");
     }
 
     #[test]

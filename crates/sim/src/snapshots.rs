@@ -7,8 +7,7 @@
 //! picture of what a user could expect from the queue at that moment.
 
 use qdelay_predict::bmbp::{Bmbp, BmbpConfig};
-use qdelay_predict::state::BmbpState;
-use qdelay_predict::{BoundSpec, PredictError, QuantilePredictor};
+use qdelay_predict::{BoundSpec, QuantilePredictor};
 use qdelay_trace::Trace;
 
 /// One row of a Table 8-style panel.
@@ -39,161 +38,42 @@ pub struct SnapshotConfig {
     pub confidence: f64,
 }
 
-/// Checkpoint of an in-progress [`PanelReplay`]: the predictor's
-/// serializable core plus the replay cursor. Everything else a replay holds
-/// is rebuilt from the trace and config on [`PanelReplay::resume`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PanelReplayState {
-    /// BMBP warm-restart state (see [`qdelay_predict::state`]).
-    pub bmbp: BmbpState,
-    /// Number of job starts already revealed to the history.
-    pub starts_consumed: usize,
-    /// Next snapshot time to emit (meaningless once `exhausted`).
-    pub next_time: u64,
-    /// Whether the replay has emitted its final panel.
-    pub exhausted: bool,
-}
-
-/// Incremental Table-8 panel generator: replays a trace with a BMBP
-/// predictor (paper configuration) and emits one [`QuantilePanel`] per
-/// [`PanelReplay::next_panel`] call.
-///
-/// Jobs are revealed to the history exactly as in the main harness: a job's
-/// wait becomes visible at its start time. The replay can be checkpointed
-/// at any panel boundary with [`PanelReplay::state`] and continued later by
-/// [`PanelReplay::resume`] — the continuation emits bit-identical panels to
-/// an uninterrupted run, because the checkpoint carries the predictor's
-/// full warm-restart state.
-#[derive(Debug, Clone)]
-pub struct PanelReplay {
-    end: u64,
-    step: u64,
-    specs: [BoundSpec; 4],
-    bmbp: Bmbp,
-    /// Job `(start_time, wait)` pairs in start-time order (stable sort, so
-    /// ties replay identically across runs).
-    starts: Vec<(f64, f64)>,
-    si: usize,
-    next_time: u64,
-    exhausted: bool,
-}
-
-fn panel_specs(confidence: f64) -> [BoundSpec; 4] {
-    [0.25, 0.50, 0.75, 0.95]
-        .map(|q| BoundSpec::new(q, confidence).expect("validated confidence"))
-}
-
-fn sorted_starts(trace: &Trace) -> Vec<(f64, f64)> {
-    let mut starts: Vec<(f64, f64)> = trace
-        .iter()
-        .map(|j| (j.start_time(), j.wait_secs))
-        .collect();
-    starts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-    starts
-}
-
-impl PanelReplay {
-    /// Starts a fresh replay at `config.start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end`, `step == 0`, or `confidence` is outside
-    /// (0, 1).
-    pub fn new(trace: &Trace, config: &SnapshotConfig) -> Self {
-        assert!(config.start <= config.end, "start must be <= end");
-        assert!(config.step > 0, "step must be positive");
-        Self {
-            end: config.end,
-            step: config.step,
-            specs: panel_specs(config.confidence),
-            bmbp: Bmbp::new(BmbpConfig::default()),
-            starts: sorted_starts(trace),
-            si: 0,
-            next_time: config.start,
-            exhausted: false,
-        }
-    }
-
-    /// Emits the next panel, or `None` once the window is exhausted.
-    pub fn next_panel(&mut self) -> Option<QuantilePanel> {
-        if self.exhausted {
-            return None;
-        }
-        let t = self.next_time;
-        while self.si < self.starts.len() && self.starts[self.si].0 <= t as f64 {
-            self.bmbp.observe(self.starts[self.si].1);
-            self.si += 1;
-        }
-        let [spec25, spec50, spec75, spec95] = self.specs;
-        let panel = QuantilePanel {
-            time: t,
-            lower_q25: self.bmbp.lower_bound_for(spec25).value(),
-            upper_q50: self.bmbp.upper_bound_for(spec50).value(),
-            upper_q75: self.bmbp.upper_bound_for(spec75).value(),
-            upper_q95: self.bmbp.upper_bound_for(spec95).value(),
-        };
-        match t.checked_add(self.step) {
-            Some(next) if next <= self.end => self.next_time = next,
-            _ => self.exhausted = true,
-        }
-        Some(panel)
-    }
-
-    /// Exports a checkpoint from which [`PanelReplay::resume`] can continue.
-    pub fn state(&self) -> PanelReplayState {
-        PanelReplayState {
-            bmbp: self.bmbp.state(),
-            starts_consumed: self.si,
-            next_time: self.next_time,
-            exhausted: self.exhausted,
-        }
-    }
-
-    /// Continues a replay from a checkpoint taken against the same trace
-    /// and config.
-    ///
-    /// # Errors
-    ///
-    /// Rejects checkpoints whose cursor does not fit the trace or whose
-    /// predictor state is invalid.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same invalid configs as [`PanelReplay::new`].
-    pub fn resume(
-        trace: &Trace,
-        config: &SnapshotConfig,
-        state: &PanelReplayState,
-    ) -> Result<Self, PredictError> {
-        let mut replay = Self::new(trace, config);
-        if state.starts_consumed > replay.starts.len() {
-            return Err(PredictError::new(format!(
-                "checkpoint consumed {} starts but the trace has only {}",
-                state.starts_consumed,
-                replay.starts.len()
-            )));
-        }
-        replay.bmbp = Bmbp::from_state(&state.bmbp)?;
-        replay.si = state.starts_consumed;
-        replay.next_time = state.next_time;
-        replay.exhausted = state.exhausted;
-        Ok(replay)
-    }
-}
-
-/// Replays `trace` end to end and collects every panel (the one-shot
-/// convenience over [`PanelReplay`]).
+/// Replays `trace` with a BMBP predictor (paper configuration) and emits
+/// one [`QuantilePanel`] per snapshot time from `config.start` to
+/// `config.end`. Jobs are revealed to the history exactly as in the main
+/// harness: a job's wait becomes visible at its start time (stable sort,
+/// so ties replay identically across runs).
 ///
 /// # Panics
 ///
 /// Panics if `start > end`, `step == 0`, or `confidence` is outside (0, 1).
 pub fn quantile_panels(trace: &Trace, config: &SnapshotConfig) -> Vec<QuantilePanel> {
-    let mut replay = PanelReplay::new(trace, config);
+    assert!(config.start <= config.end, "start must be <= end");
+    assert!(config.step > 0, "step must be positive");
+    let [spec25, spec50, spec75, spec95] = [0.25, 0.50, 0.75, 0.95]
+        .map(|q| BoundSpec::new(q, config.confidence).expect("validated confidence"));
+    let mut bmbp = Bmbp::new(BmbpConfig::default());
+    let mut starts: Vec<(f64, f64)> = trace.iter().map(|j| (j.start_time(), j.wait_secs)).collect();
+    starts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+    let mut starts = starts.into_iter().peekable();
     let mut panels = Vec::new();
-    while let Some(p) = replay.next_panel() {
-        panels.push(p);
+    let mut t = config.start;
+    loop {
+        while let Some((_, wait)) = starts.next_if(|&(start, _)| start <= t as f64) {
+            bmbp.observe(wait);
+        }
+        panels.push(QuantilePanel {
+            time: t,
+            lower_q25: bmbp.lower_bound_for(spec25).value(),
+            upper_q50: bmbp.upper_bound_for(spec50).value(),
+            upper_q75: bmbp.upper_bound_for(spec75).value(),
+            upper_q95: bmbp.upper_bound_for(spec95).value(),
+        });
+        match t.checked_add(config.step) {
+            Some(next) if next <= config.end => t = next,
+            _ => return panels,
+        }
     }
-    panels
 }
 
 #[cfg(test)]
@@ -266,87 +146,6 @@ mod tests {
         let panels = quantile_panels(&trace, &cfg);
         assert_eq!(panels.len(), 1);
         assert_eq!(panels[0].upper_q95, None);
-    }
-
-    #[test]
-    fn checkpointed_replay_matches_single_run() {
-        // Pause/resume at every panel boundary: the continuation must emit
-        // bit-identical panels to the uninterrupted run.
-        let waits: Vec<f64> = (0..4000)
-            .map(|i| ((i as u64).wrapping_mul(2_654_435_761) % 50_000) as f64)
-            .collect();
-        let trace = trace_with_waits(&waits);
-        let cfg = SnapshotConfig {
-            start: 0,
-            end: 300_000,
-            step: 7_200,
-            confidence: 0.95,
-        };
-        let whole = quantile_panels(&trace, &cfg);
-        assert!(whole.len() > 10);
-
-        for split in [1, 5, whole.len() - 1] {
-            let mut first = PanelReplay::new(&trace, &cfg);
-            let mut got: Vec<QuantilePanel> = Vec::new();
-            for _ in 0..split {
-                got.push(first.next_panel().unwrap());
-            }
-            let checkpoint = first.state();
-            drop(first);
-            let mut second =
-                PanelReplay::resume(&trace, &cfg, &checkpoint).expect("valid checkpoint");
-            while let Some(p) = second.next_panel() {
-                got.push(p);
-            }
-            assert_eq!(got.len(), whole.len(), "split at {split}");
-            for (a, b) in got.iter().zip(&whole) {
-                assert_eq!(a.time, b.time);
-                for (x, y) in [
-                    (a.lower_q25, b.lower_q25),
-                    (a.upper_q50, b.upper_q50),
-                    (a.upper_q75, b.upper_q75),
-                    (a.upper_q95, b.upper_q95),
-                ] {
-                    assert_eq!(
-                        x.map(f64::to_bits),
-                        y.map(f64::to_bits),
-                        "panel at {} diverged after split {split}",
-                        a.time
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exhausted_replay_stays_exhausted_across_resume() {
-        let trace = trace_with_waits(&[1.0; 10]);
-        let cfg = SnapshotConfig {
-            start: 0,
-            end: 100,
-            step: 100,
-            confidence: 0.95,
-        };
-        let mut r = PanelReplay::new(&trace, &cfg);
-        while r.next_panel().is_some() {}
-        let mut resumed = PanelReplay::resume(&trace, &cfg, &r.state()).unwrap();
-        assert_eq!(resumed.next_panel(), None);
-    }
-
-    #[test]
-    fn resume_rejects_cursor_beyond_trace() {
-        let trace = trace_with_waits(&[1.0; 10]);
-        let cfg = SnapshotConfig {
-            start: 0,
-            end: 1000,
-            step: 100,
-            confidence: 0.95,
-        };
-        let mut r = PanelReplay::new(&trace, &cfg);
-        r.next_panel();
-        let mut bad = r.state();
-        bad.starts_consumed = 11;
-        assert!(PanelReplay::resume(&trace, &cfg, &bad).is_err());
     }
 
     #[test]
