@@ -22,9 +22,11 @@ fn main() {
     }
 
     // The harness's access pattern: one query per refit while n grows by a
-    // handful of observations between refits. The cache carries the last
-    // index forward with one O(1) CDF check per intervening n; computing
-    // fresh re-inverts the binomial CDF every time.
+    // handful of observations between refits. The exact cache carries the
+    // last index forward with one O(1) CDF check per intervening n; the auto
+    // cache reads its exact region from the process-wide table and the rest
+    // from the closed form; computing fresh re-inverts the binomial CDF every
+    // time.
     println!("\n== sequential-n sweep (59..=10058), one query per n ==");
     let sweep = 10_000usize;
     for method in [BoundMethod::Exact, BoundMethod::Auto] {

@@ -278,9 +278,9 @@ impl Bmbp {
 
     fn recompute(&mut self) {
         let _span = Span::enter_sampled(&BMBP_REFIT_NS, &mut self.refit_tick, 63);
-        // Index from the per-n memo (O(1) carry-forward between refits),
-        // value from the rank index (O(√n) selection) — the refit no longer
-        // touches every stored observation.
+        // Index from the per-n memo (O(1): a table read, the closed form or
+        // a carry-forward step), value from the rank index (O(√n)
+        // selection) — the refit never touches every stored observation.
         self.cached = match self.index_cache.upper_index(self.history.len()) {
             Some(k) => BoundOutcome::Bound(
                 self.history

@@ -9,9 +9,13 @@
 use qdelay_stats::binomial::Binomial;
 use qdelay_stats::normal::std_normal_quantile;
 use qdelay_telemetry::Counter;
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 /// Refits that reused the index cached for the current `n` outright.
 static BOUND_INDEX_HIT: Counter = Counter::new("predict.bound_index.hit");
+/// Refits that read a new `n`'s index from the process-wide `Auto` table.
+static BOUND_INDEX_TABLE: Counter = Counter::new("predict.bound_index.table");
 /// Refits that advanced a cached exact index by the O(1)-per-step walk.
 static BOUND_INDEX_CARRY: Counter = Counter::new("predict.bound_index.carry_forward");
 /// Refits served by the O(1) CLT closed form (large-`n` region of `Auto`).
@@ -118,6 +122,20 @@ impl BoundMethod {
     /// Expected-count threshold above which `Auto` switches to the CLT
     /// approximation (the appendix suggests 10).
     pub const AUTO_THRESHOLD: f64 = 10.0;
+
+    /// Whether this method answers size `n` for quantile `q` with the CLT
+    /// closed form. `Auto`'s exact region is a prefix in `n`: both expected
+    /// counts grow with `n`.
+    fn resolves_to_approx(self, n: usize, q: f64) -> bool {
+        match self {
+            Self::Exact => false,
+            Self::Approx => true,
+            Self::Auto => {
+                let nf = n as f64;
+                nf * q >= Self::AUTO_THRESHOLD && nf * (1.0 - q) >= Self::AUTO_THRESHOLD
+            }
+        }
+    }
 }
 
 /// Result of asking for a bound from a finite sample.
@@ -167,15 +185,7 @@ pub fn upper_index(n: usize, spec: BoundSpec, method: BoundMethod) -> Option<usi
         return None;
     }
     let q = spec.quantile();
-    let use_approx = match method {
-        BoundMethod::Exact => false,
-        BoundMethod::Approx => true,
-        BoundMethod::Auto => {
-            let nf = n as f64;
-            nf * q >= BoundMethod::AUTO_THRESHOLD && nf * (1.0 - q) >= BoundMethod::AUTO_THRESHOLD
-        }
-    };
-    let k = if use_approx {
+    let k = if method.resolves_to_approx(n, q) {
         let nf = n as f64;
         let z = std_normal_quantile(spec.confidence());
         let raw = (nf * q + z * (nf * q * (1.0 - q)).sqrt()).ceil();
@@ -205,15 +215,7 @@ pub fn lower_index(n: usize, spec: BoundSpec, method: BoundMethod) -> Option<usi
         return None;
     }
     let q = spec.quantile();
-    let use_approx = match method {
-        BoundMethod::Exact => false,
-        BoundMethod::Approx => true,
-        BoundMethod::Auto => {
-            let nf = n as f64;
-            nf * q >= BoundMethod::AUTO_THRESHOLD && nf * (1.0 - q) >= BoundMethod::AUTO_THRESHOLD
-        }
-    };
-    if use_approx {
+    if method.resolves_to_approx(n, q) {
         let nf = n as f64;
         let z = std_normal_quantile(spec.confidence());
         let raw = (nf * q - z * (nf * q * (1.0 - q)).sqrt()).floor();
@@ -280,10 +282,13 @@ fn is_sorted(xs: &[f64]) -> bool {
 ///
 /// Predictors ask for the same index on every refit, but `n` only changes
 /// when an observation arrives or the history is trimmed. The cache
-/// recomputes only when `n` changes, and exploits the monotonicity of the
-/// index in `n` — `k(n) <= k(n+1) <= k(n) + 1` — to *carry forward* the
-/// exact-method index with one O(1) binomial CDF check per intervening `n`,
-/// instead of a fresh `O(log n)`-CDF-evaluation inversion.
+/// recomputes only when `n` changes. Under `Auto` the exact region is a
+/// finite prefix (`n < 200` for 95/95), so a new `n` there is read from a
+/// table built once per process per `(q, C)` by the exact inversion, and
+/// above it the closed form is O(1). `Exact`, whose region is unbounded,
+/// exploits the monotonicity of the index in `n` — `k(n) <= k(n+1) <= k(n)
+/// + 1` — to *carry forward* the index with one O(1) binomial CDF check per
+/// intervening `n`, instead of a fresh `O(log n)`-CDF-evaluation inversion.
 ///
 /// # Examples
 ///
@@ -299,6 +304,9 @@ fn is_sorted(xs: &[f64]) -> bool {
 pub struct BoundIndexCache {
     spec: BoundSpec,
     method: BoundMethod,
+    /// The process's table for `spec` under `Auto`; empty for the other
+    /// methods and for regions too long to tabulate.
+    table: AutoTable,
     upper: Option<(usize, Option<usize>)>,
     lower: Option<(usize, Option<usize>)>,
 }
@@ -307,12 +315,76 @@ pub struct BoundIndexCache {
 /// inversion, so the cache recomputes from scratch.
 const CARRY_FORWARD_LIMIT: usize = 64;
 
+/// Longest `Auto` exact region that is tabulated. Only a quantile within
+/// `10 / 4096` of 0 or 1 has a longer one; it keeps the carry-forward walk.
+const TABLE_MAX_LEN: usize = 4096;
+
+/// The process's `Auto` exact-region tables, keyed by `(q.to_bits(),
+/// C.to_bits())`; empty where the region is too long to tabulate. Tables
+/// live as long as the process.
+static SHARED_TABLES: OnceLock<Mutex<HashMap<(u64, u64), AutoTable>>> = OnceLock::new();
+
+/// `table[n] == upper_index(n, spec, Auto)` over `Auto`'s exact region.
+type AutoTable = &'static [Option<usize>];
+
+/// The process's `Auto` exact-region table for `spec`, built by the first
+/// cache that asks.
+fn auto_table(spec: BoundSpec) -> AutoTable {
+    let key = (spec.quantile().to_bits(), spec.confidence().to_bits());
+    let shared = SHARED_TABLES.get_or_init(Default::default);
+    let found = shared
+        .lock()
+        .expect("bound-index registry poisoned")
+        .get(&key)
+        .copied();
+    if let Some(table) = found {
+        return table;
+    }
+    // Built outside the lock: a racing cache builds the identical table and
+    // the entry API keeps the first winner.
+    let table = build_auto_table(spec);
+    shared
+        .lock()
+        .expect("bound-index registry poisoned")
+        .entry(key)
+        .or_insert_with(|| table.leak())
+}
+
+/// `upper_index(n, spec, Exact)` for every `n` below the first size `Auto`
+/// answers in closed form, or nothing if that is beyond [`TABLE_MAX_LEN`].
+fn build_auto_table(spec: BoundSpec) -> Vec<Option<usize>> {
+    let q = spec.quantile();
+    let guess = BoundMethod::AUTO_THRESHOLD / q.min(1.0 - q);
+    if guess >= TABLE_MAX_LEN as f64 {
+        return Vec::new();
+    }
+    let approx = |n: usize| BoundMethod::Auto.resolves_to_approx(n, q);
+    let mut region = guess as usize;
+    while !approx(region) {
+        region += 1;
+    }
+    while region > 0 && approx(region - 1) {
+        region -= 1;
+    }
+    (0..region)
+        .map(|n| upper_index(n, spec, BoundMethod::Exact))
+        .collect()
+}
+
 impl BoundIndexCache {
-    /// Creates an empty cache for a spec/method pair.
+    /// Creates an empty cache for a spec/method pair. An `Auto` cache
+    /// adopts the process's table for `spec`, building it (one exact
+    /// inversion per size of the region, ~0.15 ms for 95/95) if it is the
+    /// first to ask.
     pub fn new(spec: BoundSpec, method: BoundMethod) -> Self {
         Self {
             spec,
             method,
+            table: if method == BoundMethod::Auto {
+                auto_table(spec)
+            } else {
+                &[]
+            },
             upper: None,
             lower: None,
         }
@@ -330,16 +402,7 @@ impl BoundIndexCache {
 
     /// Whether `method` resolves to the CLT approximation at this `n`.
     fn resolves_to_approx(&self, n: usize) -> bool {
-        let q = self.spec.quantile();
-        match self.method {
-            BoundMethod::Exact => false,
-            BoundMethod::Approx => true,
-            BoundMethod::Auto => {
-                let nf = n as f64;
-                nf * q >= BoundMethod::AUTO_THRESHOLD
-                    && nf * (1.0 - q) >= BoundMethod::AUTO_THRESHOLD
-            }
-        }
+        self.method.resolves_to_approx(n, self.spec.quantile())
     }
 
     /// Cached [`upper_index`] for sample size `n`.
@@ -364,6 +427,10 @@ impl BoundIndexCache {
         if self.resolves_to_approx(n) {
             BOUND_INDEX_APPROX.incr();
             return upper_index(n, self.spec, self.method);
+        }
+        if let Some(&k) = self.table.get(n) {
+            BOUND_INDEX_TABLE.incr();
+            return k;
         }
         if let Some((prev_n, Some(mut k))) = self.upper {
             if prev_n < n
@@ -401,6 +468,7 @@ impl BoundIndexCache {
     }
 
     /// Drops all cached entries (e.g. after reconfiguring the predictor).
+    /// The process-wide `Auto` table stays: it depends on the spec alone.
     pub fn invalidate(&mut self) {
         self.upper = None;
         self.lower = None;
@@ -592,6 +660,45 @@ mod tests {
         // Regrow one observation at a time (the post-trim refit pattern).
         for n in 60..200 {
             assert_eq!(cache.upper_index(n), upper_index(n, spec, BoundMethod::Auto));
+        }
+    }
+
+    #[test]
+    fn auto_table_matches_direct_across_and_beyond_its_region() {
+        for (q, c, region) in [(0.95, 0.95, 200usize), (0.5, 0.9, 20), (0.99, 0.9, 1000)] {
+            let spec = BoundSpec::new(q, c).unwrap();
+            let direct = |n: usize| upper_index(n, spec, BoundMethod::Auto);
+            let mut cache = BoundIndexCache::new(spec, BoundMethod::Auto);
+            assert_eq!(cache.table.len(), region, "q = {q}");
+            assert!(!BoundMethod::Auto.resolves_to_approx(region - 1, q));
+            assert!(BoundMethod::Auto.resolves_to_approx(region, q));
+            for n in 0..=2 * region {
+                assert_eq!(cache.upper_index(n), direct(n), "q = {q}, n = {n}");
+            }
+            // Dropping the memo keeps the table; walk back down.
+            cache.invalidate();
+            for n in (0..=2 * region).rev() {
+                assert_eq!(cache.upper_index(n), direct(n), "q = {q}, n = {n} after invalidate");
+            }
+            // A change-point trim snaps n back to 59, then it regrows.
+            assert_eq!(cache.upper_index(5000), direct(5000));
+            for n in 59..=(2 * region).max(100) {
+                assert_eq!(cache.upper_index(n), direct(n), "q = {q}, n = {n} after trim");
+            }
+        }
+    }
+
+    #[test]
+    fn only_auto_caches_hold_a_table() {
+        let spec = BoundSpec::paper_default();
+        assert!(BoundIndexCache::new(spec, BoundMethod::Exact).table.is_empty());
+        assert!(BoundIndexCache::new(spec, BoundMethod::Approx).table.is_empty());
+        // A region past the tabulation limit keeps the carry-forward walk.
+        let extreme = BoundSpec::new(0.9999, 0.95).unwrap();
+        let mut cache = BoundIndexCache::new(extreme, BoundMethod::Auto);
+        assert!(cache.table.is_empty());
+        for n in [59usize, 60, 100, 30_000, 29_990] {
+            assert_eq!(cache.upper_index(n), upper_index(n, extreme, BoundMethod::Auto), "n = {n}");
         }
     }
 

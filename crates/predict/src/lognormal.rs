@@ -2,8 +2,9 @@
 //!
 //! Fits a normal distribution to `ln(wait + 1)` by maximum likelihood and
 //! produces the level-`C` upper confidence bound on the `q` quantile via a
-//! one-sided normal tolerance bound `m + K' * s` (Guttman's K', computed
-//! exactly in [`qdelay_stats::tolerance`]). Two variants, matching the
+//! one-sided normal tolerance bound `m + K' * s` (Guttman's K', which
+//! [`qdelay_stats::tolerance`] ships as a committed table for the paper's
+//! 95/95 spec and computes exactly for any other). Two variants, matching the
 //! paper's evaluation columns:
 //!
 //! * **NoTrim** — fits the entire observed history every refit;
@@ -23,6 +24,7 @@ use crate::changepoint::{calibrate_threshold, RareEventDetector, ThresholdTable}
 use crate::state::{DetectorState, LogNormalState, MomentsState};
 use crate::{PredictError, QuantilePredictor};
 use qdelay_stats::tolerance::KFactorCache;
+use qdelay_stats::DistributionError;
 use qdelay_telemetry::{time_scope, Counter, LatencyHistogram, Span};
 use std::collections::VecDeque;
 
@@ -35,10 +37,12 @@ static LOGN_TRIMS: Counter = Counter::new("predict.lognormal.trims");
 static KFACTOR_HIT: Counter = Counter::new("predict.lognormal.kfactor.hit");
 /// Refits whose `n` changed since the last K lookup (memo bypassed).
 static KFACTOR_MISS: Counter = Counter::new("predict.lognormal.kfactor.miss");
-/// Misses that additionally paid noncentral-t root-finding. Since the
-/// [`KFactorCache`] prefills its whole exact range on the first miss, a
-/// predictor pays this at most once per process-lifetime cache, no matter
-/// how many refits replay (regression-pinned in `tests/kfactor_prefill.rs`).
+/// Exact K-factor tables this process computed: one warm-started walk of
+/// ~100 noncentral-t root-finds each. Adopting the committed 95/95 table,
+/// or one another predictor's cache already computed, counts nothing — so
+/// a process serving only the paper's spec reads 0, and any other spec
+/// counts 1 however many predictors or refits replay (pinned in
+/// `tests/kfactor_prefill.rs`).
 static KFACTOR_ROOTFIND: Counter = Counter::new("predict.lognormal.kfactor.rootfind");
 /// Wall-clock cost of K-factor lookups that missed the per-`n` memo.
 static KFACTOR_NS: LatencyHistogram = LatencyHistogram::new("predict.lognormal.kfactor_ns");
@@ -177,15 +181,16 @@ const MIN_FIT: usize = 2;
 
 impl LogNormalPredictor {
     /// Forces the process-wide exact K-factor table for `config`'s spec to
-    /// exist: ~100 warm-started noncentral-t root-finds on the first call,
-    /// an `Arc` adoption on every later one. Servers call this at boot so
-    /// the first refit of a freshly created partition never pays the
-    /// prefill on a latency-sensitive thread.
+    /// exist, so the first refit of a predictor with that spec never pays
+    /// it on a latency-sensitive thread. Near-free for the paper's 95/95
+    /// spec, whose table is compiled in; any other spec pays ~100
+    /// warm-started noncentral-t root-finds on the first call in a process
+    /// and a registry lookup on every later one.
     pub fn prewarm_k_factors(config: &LogNormalConfig) {
         if let Ok(mut cache) =
             KFactorCache::new(config.spec.quantile(), config.spec.confidence())
         {
-            let _ = cache.k_factor(2);
+            let _ = k_factor_counted(&mut cache, 2);
         }
     }
 
@@ -330,8 +335,7 @@ impl LogNormalPredictor {
 
     /// K-factor for sample size `n`, memoized on the last `(n, k)` pair
     /// (the spec is fixed, so `n` alone keys the memo). Misses fall through
-    /// to the [`KFactorCache`], timing the lookup and counting whether it
-    /// had to pay a fresh noncentral-t root-find.
+    /// to the [`KFactorCache`], timing the lookup.
     fn k_factor_memoized(&mut self, n: usize) -> f64 {
         if let Some((last_n, last_k)) = self.klast {
             if last_n == n {
@@ -340,19 +344,25 @@ impl LogNormalPredictor {
             }
         }
         KFACTOR_MISS.incr();
-        let memoized_before = self.kcache.memoized_len();
         let k = {
             time_scope!(&KFACTOR_NS);
-            self.kcache
-                .k_factor(n)
-                .expect("n >= 2 and spec validated")
+            k_factor_counted(&mut self.kcache, n).expect("n >= 2 and spec validated")
         };
-        if self.kcache.memoized_len() > memoized_before {
-            KFACTOR_ROOTFIND.incr();
-        }
         self.klast = Some((n, k));
         k
     }
+}
+
+/// `cache.k_factor(n)`, counting the exact table in
+/// `predict.lognormal.kfactor.rootfind` if this lookup is the one that
+/// computed it.
+fn k_factor_counted(cache: &mut KFactorCache, n: usize) -> Result<f64, DistributionError> {
+    let computed_before = cache.computed_exact_table();
+    let k = cache.k_factor(n);
+    if cache.computed_exact_table() && !computed_before {
+        KFACTOR_ROOTFIND.incr();
+    }
+    k
 }
 
 impl QuantilePredictor for LogNormalPredictor {
