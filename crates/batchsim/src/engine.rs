@@ -49,11 +49,6 @@ use std::collections::BinaryHeap;
 /// incremental passes; full re-placement length otherwise).
 static BACKFILL_PASS_CONSIDERED: LatencyHistogram =
     LatencyHistogram::new("batchsim.backfill.pass_considered");
-/// Conservative passes truncated by a finite
-/// [`BackfillConfig::reservation_depth`] while jobs were still waiting.
-/// **Deprecated**: the default configuration is unbounded, so this counter
-/// only advances in legacy capped mode.
-static BACKFILL_CAP_HITS: Counter = Counter::new("batchsim.backfill.cap_hits");
 /// High-watermark of the waiting-queue depth across simulated runs.
 static QUEUE_DEPTH_PEAK: Gauge = Gauge::new("batchsim.queue_depth_peak");
 /// Profile change points examined per earliest-fit scan — the `k` in the
@@ -665,9 +660,6 @@ fn conservative_replace_all(
         }
     }
     BACKFILL_PASS_CONSIDERED.record(considered as u64);
-    if considered == cap && i < waiting.len() {
-        BACKFILL_CAP_HITS.incr();
-    }
     started
 }
 
@@ -792,9 +784,6 @@ fn conservative_pass_naive(
         }
     }
     BACKFILL_PASS_CONSIDERED.record(considered as u64);
-    if considered == cap && i < waiting.len() {
-        BACKFILL_CAP_HITS.incr();
-    }
     started
 }
 
@@ -1029,13 +1018,9 @@ mod tests {
 
     #[test]
     fn reservation_depth_knob_restores_capped_behavior() {
-        // Legacy capped mode: a finite depth truncates each pass and the
-        // deprecated cap-hit counter advances; both engines agree on the
-        // truncated schedule too.
+        // Legacy capped mode: a finite depth truncates each pass, and both
+        // engines agree on the truncated schedule.
         let jobs: Vec<SimJob> = (0..60).map(|i| job(i, 0, 1, 100)).collect();
-        let before = qdelay_telemetry::snapshot()
-            .counter("batchsim.backfill.cap_hits")
-            .unwrap_or(0);
         let (_, s_inc) = Simulation::new(machine(1), SchedulerPolicy::ConservativeBackfill)
             .with_reservation_depth(Some(16))
             .run_jobs_recorded(jobs.clone());
@@ -1044,10 +1029,6 @@ mod tests {
             .with_conservative_engine(ConservativeEngine::NaiveRebuild)
             .run_jobs_recorded(jobs);
         assert_eq!(s_inc, s_naive, "capped engines diverge");
-        let after = qdelay_telemetry::snapshot()
-            .counter("batchsim.backfill.cap_hits")
-            .unwrap_or(0);
-        assert!(after > before, "a 60-deep queue must hit a 16-job cap");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::bound::{self, BoundIndexCache, BoundMethod, BoundOutcome, BoundSpec};
 use crate::changepoint::{calibrate_threshold, RareEventDetector, ThresholdTable};
 use crate::history::HistoryBuffer;
-use crate::state::{BmbpState, DetectorState};
+use crate::state::{check_waits, BmbpState, DetectorState};
 use crate::{PredictError, QuantilePredictor};
 use qdelay_telemetry::{Counter, Gauge, LatencyHistogram, Span};
 
@@ -207,8 +207,8 @@ impl Bmbp {
         Some((lo, hi))
     }
 
-    /// Exports the plain serializable core of this predictor (see
-    /// [`crate::state`] for the warm-restart guarantees).
+    /// Exports the plain serializable core of this predictor, history
+    /// aside (see [`crate::state`]; the history is [`Bmbp::history`]).
     pub fn state(&self) -> BmbpState {
         BmbpState {
             quantile: self.config.spec.quantile(),
@@ -224,39 +224,32 @@ impl Bmbp {
             },
             trims: self.trims,
             calibrated: self.calibrated,
-            waits: self.history.to_arrival_vec(),
         }
     }
 
-    /// Reconstructs a predictor from exported state. The history is
-    /// bulk-loaded (one sort, [`HistoryBuffer::load`]), the bound-index
-    /// cache rebuilt, and the served bound refit, so the result continues
-    /// bit-for-bit where the exporter stopped.
+    /// Reconstructs a predictor from exported state and its retained
+    /// `waits` (arrival order, oldest first — [`HistoryBuffer::iter`] of the
+    /// exporter's [`Bmbp::history`]). The history is bulk-loaded (one sort,
+    /// [`HistoryBuffer::load`]), the bound-index cache rebuilt, and the
+    /// served bound refit, so the result continues bit-for-bit where the
+    /// exporter stopped.
     ///
     /// # Errors
     ///
     /// Rejects states with invalid specs, detectors, waits, or more waits
     /// than `max_history` admits.
-    pub fn from_state(state: &BmbpState) -> Result<Self, PredictError> {
+    pub fn from_state(state: &BmbpState, waits: &[f64]) -> Result<Self, PredictError> {
         let spec = BoundSpec::new(state.quantile, state.confidence)?;
         state.detector.validate()?;
         if let Some(cap) = state.max_history {
-            if state.waits.len() > cap {
+            if waits.len() > cap {
                 return Err(PredictError::invalid_config(format!(
                     "{} waits exceed max_history {cap}",
-                    state.waits.len()
+                    waits.len()
                 )));
             }
         }
-        if let Some(&w) = state
-            .waits
-            .iter()
-            .find(|w| !(w.is_finite() && **w >= 0.0))
-        {
-            return Err(PredictError::invalid_config(format!(
-                "waits must be finite and non-negative, got {w}"
-            )));
-        }
+        check_waits(waits)?;
         let mut p = Self::new(BmbpConfig {
             spec,
             method: state.method,
@@ -264,7 +257,7 @@ impl Bmbp {
             threshold_override: state.threshold_override,
             max_history: state.max_history,
         });
-        p.history.load(&state.waits);
+        p.history.load(waits);
         p.detector = RareEventDetector::restore(
             state.detector.threshold,
             state.detector.consecutive_misses,

@@ -21,7 +21,7 @@
 
 use crate::bound::{BoundOutcome, BoundSpec};
 use crate::changepoint::{calibrate_threshold, RareEventDetector, ThresholdTable};
-use crate::state::{DetectorState, LogNormalState, MomentsState};
+use crate::state::{check_waits, DetectorState, LogNormalState, MomentsState};
 use crate::{PredictError, QuantilePredictor};
 use qdelay_stats::tolerance::KFactorCache;
 use qdelay_stats::DistributionError;
@@ -229,10 +229,11 @@ impl LogNormalPredictor {
         self.trims
     }
 
-    /// Exports the plain serializable core of this predictor (see
-    /// [`crate::state`]). The Kahan accumulators are exported verbatim:
-    /// rebuilding them from the waits could differ in the last ulp, and the
-    /// served bound is a function of their exact bits.
+    /// Exports the plain serializable core of this predictor, history
+    /// aside (see [`crate::state`]; the history is [`Self::waits`]). The
+    /// Kahan accumulators are exported verbatim: rebuilding them from the
+    /// waits could differ in the last ulp, and the served bound is a
+    /// function of their exact bits.
     pub fn state(&self) -> LogNormalState {
         LogNormalState {
             quantile: self.config.spec.quantile(),
@@ -250,35 +251,30 @@ impl LogNormalPredictor {
                 sum_comp: self.moments.sum_comp,
                 sum_sq: self.moments.sum_sq,
                 sum_sq_comp: self.moments.sum_sq_comp,
-                // Nothing is ever removed one at a time (see `LogMoments`);
-                // the field stays so existing documents decode.
-                removals: 0,
             },
-            waits: self.history.iter().copied().collect(),
         }
     }
 
-    /// Reconstructs a predictor from exported state and refits. The
-    /// K-factor cache and per-`n` memo are regenerated (they are pure
-    /// functions of `(n, q, C)`); the moment accumulators are restored
-    /// bit-for-bit so the continuation is byte-identical.
+    /// The retained waits in arrival order, oldest first.
+    pub fn waits(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.history.iter().copied()
+    }
+
+    /// Reconstructs a predictor from exported state and its retained
+    /// `waits` (arrival order, oldest first — the exporter's
+    /// [`Self::waits`]) and refits. The K-factor cache and per-`n` memo
+    /// are regenerated (they are pure functions of `(n, q, C)`); the moment
+    /// accumulators are restored bit-for-bit so the continuation is
+    /// byte-identical.
     ///
     /// # Errors
     ///
     /// Rejects states with invalid specs, detectors, waits, or non-finite
     /// accumulators.
-    pub fn from_state(state: &LogNormalState) -> Result<Self, PredictError> {
+    pub fn from_state(state: &LogNormalState, waits: &[f64]) -> Result<Self, PredictError> {
         let spec = BoundSpec::new(state.quantile, state.confidence)?;
         state.detector.validate()?;
-        if let Some(&w) = state
-            .waits
-            .iter()
-            .find(|w| !(w.is_finite() && **w >= 0.0))
-        {
-            return Err(PredictError::invalid_config(format!(
-                "waits must be finite and non-negative, got {w}"
-            )));
-        }
+        check_waits(waits)?;
         let m = &state.moments;
         if ![m.sum, m.sum_comp, m.sum_sq, m.sum_sq_comp]
             .iter()
@@ -293,9 +289,9 @@ impl LogNormalPredictor {
             trimming: state.trimming,
             threshold_override: state.threshold_override,
         });
-        p.history.extend(&state.waits);
+        p.history.extend(waits);
         p.moments = LogMoments {
-            n: state.waits.len(),
+            n: waits.len(),
             sum: m.sum,
             sum_comp: m.sum_comp,
             sum_sq: m.sum_sq,

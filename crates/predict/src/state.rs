@@ -1,4 +1,4 @@
-//! Serializable predictor state — the warm-restart surface.
+//! Predictor state — the warm-restart surface.
 //!
 //! A predictor's observable behavior is a pure function of a small plain
 //! core: its configuration, the arrival-order wait history, the change-point
@@ -8,33 +8,32 @@
 //! [`crate::bound::BoundIndexCache`], the memoized K-factors — is a cache
 //! derived from that core, deterministically regenerable on load.
 //!
-//! This module defines that core as plain structs ([`BmbpState`],
-//! [`LogNormalState`]) with a stable JSON encoding, produced by
+//! This module defines that core, minus the history, as plain structs
+//! ([`BmbpState`], [`LogNormalState`]), produced by
 //! [`crate::bmbp::Bmbp::state`] /
-//! [`crate::lognormal::LogNormalPredictor::state`] and consumed by the
-//! matching `from_state` constructors. Two guarantees make it a *warm
-//! restart* rather than a best-effort import:
+//! [`crate::lognormal::LogNormalPredictor::state`] and consumed, together
+//! with the retained waits, by the matching `from_state` constructors. The
+//! history travels separately because both predictors of a partition see
+//! every wait and drop only the oldest ones: their two histories are
+//! suffixes of one arrival sequence, which a container stores once. Two
+//! guarantees make it a *warm restart* rather than a best-effort import:
 //!
 //! * **Byte-identical continuation** — a restored predictor fed the same
 //!   subsequent events emits bit-for-bit the same bounds as the original
 //!   would have. For BMBP this follows from multiset equality of the
 //!   history; for the log-normal method the Kahan accumulator state is
 //!   carried verbatim (a rebuild from the waits could differ in the last
-//!   ulp), and `qdelay-json` prints floats shortest-round-trip so the JSON
-//!   leg is lossless.
+//!   ulp).
 //! * **Caches invalidated on load** — bound indices and K-factors are
-//!   recomputed, never trusted from the snapshot, so a state produced by an
+//!   recomputed, never trusted from the state, so a state produced by an
 //!   older build with different cache internals still restores correctly.
 //!
-//! Consumers: `qdelay-serve` snapshots (every partition's pair of
-//! predictors).
+//! Consumers: `qdelay-serve`'s partition formats (its `snapshot` module owns
+//! both encodings — the snapshot document and the binary spill record — of
+//! every partition's pair of predictors and their one shared history).
 
 use crate::bound::BoundMethod;
 use crate::PredictError;
-use qdelay_json::Json;
-
-/// Snapshot-format version stamped into every serialized state.
-pub const STATE_VERSION: u64 = 1;
 
 /// Run state of a [`crate::changepoint::RareEventDetector`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +46,7 @@ pub struct DetectorState {
     pub times_fired: usize,
 }
 
-/// The plain core of a [`crate::bmbp::Bmbp`] predictor.
+/// The plain core of a [`crate::bmbp::Bmbp`] predictor, history aside.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BmbpState {
     /// Target quantile `q`.
@@ -68,13 +67,11 @@ pub struct BmbpState {
     pub trims: usize,
     /// Whether training calibration has run.
     pub calibrated: bool,
-    /// The retained waits, in arrival order (oldest first).
-    pub waits: Vec<f64>,
 }
 
 /// Exact Kahan-compensated log-moment accumulators of a
-/// [`crate::lognormal::LogNormalPredictor`]. `n` is implied by the wait
-/// list's length.
+/// [`crate::lognormal::LogNormalPredictor`]. `n` is implied by the length
+/// of the history they summarize.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MomentsState {
     /// Running sum of `ln(w + 1)`.
@@ -85,13 +82,10 @@ pub struct MomentsState {
     pub sum_sq: f64,
     /// Kahan compensation for `sum_sq`.
     pub sum_sq_comp: f64,
-    /// Single-wait removals since the last full rebuild. The log-normal
-    /// history is uncapped, so nothing is ever removed that way: exported
-    /// as 0 and ignored on load, kept so existing documents decode.
-    pub removals: usize,
 }
 
-/// The plain core of a [`crate::lognormal::LogNormalPredictor`].
+/// The plain core of a [`crate::lognormal::LogNormalPredictor`], history
+/// aside.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogNormalState {
     /// Target quantile `q`.
@@ -109,135 +103,9 @@ pub struct LogNormalState {
     /// Exact accumulator state (carried verbatim for bit-identical
     /// continuation).
     pub moments: MomentsState,
-    /// The retained waits, in arrival order (oldest first).
-    pub waits: Vec<f64>,
-}
-
-fn method_name(method: BoundMethod) -> &'static str {
-    match method {
-        BoundMethod::Auto => "auto",
-        BoundMethod::Exact => "exact",
-        BoundMethod::Approx => "approx",
-    }
-}
-
-fn method_from_name(name: &str) -> Result<BoundMethod, PredictError> {
-    match name {
-        "auto" => Ok(BoundMethod::Auto),
-        "exact" => Ok(BoundMethod::Exact),
-        "approx" => Ok(BoundMethod::Approx),
-        other => Err(PredictError::invalid_config(format!(
-            "unknown bound method '{other}'"
-        ))),
-    }
-}
-
-fn opt_usize_json(v: Option<usize>) -> Json {
-    match v {
-        Some(x) => Json::Num(x as f64),
-        None => Json::Null,
-    }
-}
-
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, PredictError> {
-    obj.get(key)
-        .ok_or_else(|| PredictError::invalid_config(format!("state missing field '{key}'")))
-}
-
-fn f64_field(obj: &Json, key: &str) -> Result<f64, PredictError> {
-    field(obj, key)?
-        .as_f64()
-        .ok_or_else(|| PredictError::invalid_config(format!("field '{key}' must be a number")))
-}
-
-fn usize_field(obj: &Json, key: &str) -> Result<usize, PredictError> {
-    field(obj, key)?.as_usize().ok_or_else(|| {
-        PredictError::invalid_config(format!("field '{key}' must be a non-negative integer"))
-    })
-}
-
-fn opt_usize_field(obj: &Json, key: &str) -> Result<Option<usize>, PredictError> {
-    match field(obj, key)? {
-        Json::Null => Ok(None),
-        v => v.as_usize().map(Some).ok_or_else(|| {
-            PredictError::invalid_config(format!("field '{key}' must be null or an integer"))
-        }),
-    }
-}
-
-fn bool_field(obj: &Json, key: &str) -> Result<bool, PredictError> {
-    match field(obj, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(PredictError::invalid_config(format!(
-            "field '{key}' must be a boolean"
-        ))),
-    }
-}
-
-fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, PredictError> {
-    field(obj, key)?
-        .as_str()
-        .ok_or_else(|| PredictError::invalid_config(format!("field '{key}' must be a string")))
-}
-
-fn waits_field(obj: &Json) -> Result<Vec<f64>, PredictError> {
-    let arr = field(obj, "waits")?
-        .as_array()
-        .ok_or_else(|| PredictError::invalid_config("field 'waits' must be an array"))?;
-    arr.iter()
-        .map(|v| {
-            let w = v
-                .as_f64()
-                .ok_or_else(|| PredictError::invalid_config("waits must be numbers"))?;
-            if w.is_finite() && w >= 0.0 {
-                Ok(w)
-            } else {
-                Err(PredictError::invalid_config(format!(
-                    "waits must be finite and non-negative, got {w}"
-                )))
-            }
-        })
-        .collect()
-}
-
-fn check_version(obj: &Json, expected_kind: &str) -> Result<(), PredictError> {
-    let version = usize_field(obj, "version")?;
-    if version as u64 != STATE_VERSION {
-        return Err(PredictError::invalid_config(format!(
-            "unsupported state version {version} (this build reads {STATE_VERSION})"
-        )));
-    }
-    let kind = str_field(obj, "kind")?;
-    if kind != expected_kind {
-        return Err(PredictError::invalid_config(format!(
-            "state kind '{kind}' where '{expected_kind}' was expected"
-        )));
-    }
-    Ok(())
 }
 
 impl DetectorState {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("threshold".into(), Json::Num(self.threshold as f64)),
-            (
-                "consecutive_misses".into(),
-                Json::Num(self.consecutive_misses as f64),
-            ),
-            ("times_fired".into(), Json::Num(self.times_fired as f64)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, PredictError> {
-        let state = Self {
-            threshold: usize_field(v, "threshold")?,
-            consecutive_misses: usize_field(v, "consecutive_misses")?,
-            times_fired: usize_field(v, "times_fired")?,
-        };
-        state.validate()?;
-        Ok(state)
-    }
-
     /// Checks the invariants a live detector keeps: a positive threshold
     /// and a run strictly below it. Every decoder of this state calls it.
     ///
@@ -260,123 +128,19 @@ impl DetectorState {
     }
 }
 
-impl BmbpState {
-    /// Serializes to the stable versioned JSON encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("version".into(), Json::Num(STATE_VERSION as f64)),
-            ("kind".into(), Json::Str("bmbp".into())),
-            ("quantile".into(), Json::Num(self.quantile)),
-            ("confidence".into(), Json::Num(self.confidence)),
-            ("method".into(), Json::Str(method_name(self.method).into())),
-            ("trimming".into(), Json::Bool(self.trimming)),
-            (
-                "threshold_override".into(),
-                opt_usize_json(self.threshold_override),
-            ),
-            ("max_history".into(), opt_usize_json(self.max_history)),
-            ("detector".into(), self.detector.to_json()),
-            ("trims".into(), Json::Num(self.trims as f64)),
-            ("calibrated".into(), Json::Bool(self.calibrated)),
-            (
-                "waits".into(),
-                Json::Arr(self.waits.iter().map(|&w| Json::Num(w)).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes from JSON, validating every field.
-    ///
-    /// # Errors
-    ///
-    /// [`PredictError`] naming the first missing, mistyped, or out-of-range
-    /// field.
-    pub fn from_json(v: &Json) -> Result<Self, PredictError> {
-        check_version(v, "bmbp")?;
-        Ok(Self {
-            quantile: f64_field(v, "quantile")?,
-            confidence: f64_field(v, "confidence")?,
-            method: method_from_name(str_field(v, "method")?)?,
-            trimming: bool_field(v, "trimming")?,
-            threshold_override: opt_usize_field(v, "threshold_override")?,
-            max_history: opt_usize_field(v, "max_history")?,
-            detector: DetectorState::from_json(field(v, "detector")?)?,
-            trims: usize_field(v, "trims")?,
-            calibrated: bool_field(v, "calibrated")?,
-            waits: waits_field(v)?,
-        })
-    }
-}
-
-impl MomentsState {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("sum".into(), Json::Num(self.sum)),
-            ("sum_comp".into(), Json::Num(self.sum_comp)),
-            ("sum_sq".into(), Json::Num(self.sum_sq)),
-            ("sum_sq_comp".into(), Json::Num(self.sum_sq_comp)),
-            ("removals".into(), Json::Num(self.removals as f64)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, PredictError> {
-        Ok(Self {
-            sum: f64_field(v, "sum")?,
-            sum_comp: f64_field(v, "sum_comp")?,
-            sum_sq: f64_field(v, "sum_sq")?,
-            sum_sq_comp: f64_field(v, "sum_sq_comp")?,
-            removals: usize_field(v, "removals")?,
-        })
-    }
-}
-
-impl LogNormalState {
-    /// Serializes to the stable versioned JSON encoding.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("version".into(), Json::Num(STATE_VERSION as f64)),
-            ("kind".into(), Json::Str("lognormal".into())),
-            ("quantile".into(), Json::Num(self.quantile)),
-            ("confidence".into(), Json::Num(self.confidence)),
-            ("trimming".into(), Json::Bool(self.trimming)),
-            (
-                "threshold_override".into(),
-                opt_usize_json(self.threshold_override),
-            ),
-            ("detector".into(), self.detector.to_json()),
-            ("trims".into(), Json::Num(self.trims as f64)),
-            ("moments".into(), self.moments.to_json()),
-            (
-                "waits".into(),
-                Json::Arr(self.waits.iter().map(|&w| Json::Num(w)).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes from JSON, validating every field.
-    ///
-    /// # Errors
-    ///
-    /// [`PredictError`] naming the first missing, mistyped, or out-of-range
-    /// field.
-    pub fn from_json(v: &Json) -> Result<Self, PredictError> {
-        check_version(v, "lognormal")?;
-        Ok(Self {
-            quantile: f64_field(v, "quantile")?,
-            confidence: f64_field(v, "confidence")?,
-            trimming: bool_field(v, "trimming")?,
-            threshold_override: opt_usize_field(v, "threshold_override")?,
-            detector: DetectorState::from_json(field(v, "detector")?)?,
-            trims: usize_field(v, "trims")?,
-            moments: MomentsState::from_json(field(v, "moments")?)?,
-            waits: waits_field(v)?,
-        })
+/// Rejects a history holding a wait no predictor admits: the check both
+/// `from_state` constructors make before loading.
+pub(crate) fn check_waits(waits: &[f64]) -> Result<(), PredictError> {
+    match waits.iter().find(|w| !(w.is_finite() && **w >= 0.0)) {
+        Some(w) => Err(PredictError::invalid_config(format!(
+            "waits must be finite and non-negative, got {w}"
+        ))),
+        None => Ok(()),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::bmbp::{Bmbp, BmbpConfig};
     use crate::lognormal::{LogNormalConfig, LogNormalPredictor};
     use crate::QuantilePredictor;
@@ -412,6 +176,14 @@ mod tests {
         bounds
     }
 
+    fn bmbp_waits(p: &Bmbp) -> Vec<f64> {
+        p.history().iter().collect()
+    }
+
+    fn lognormal_waits(p: &LogNormalPredictor) -> Vec<f64> {
+        p.waits().collect()
+    }
+
     fn assert_bits_eq(a: &[Option<f64>], b: &[Option<f64>], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: length");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -432,12 +204,9 @@ mod tests {
         drive(&mut original, 0..900);
         assert!(original.trims() > 0, "jolt must have caused a trim");
 
-        // Export -> JSON text -> parse -> restore.
-        let text = original.state().to_json().to_string_pretty();
-        let restored_state = BmbpState::from_json(&qdelay_json::Json::parse(&text).unwrap())
-            .expect("state decodes");
-        assert_eq!(restored_state, original.state());
-        let mut restored = Bmbp::from_state(&restored_state).expect("state restores");
+        let mut restored =
+            Bmbp::from_state(&original.state(), &bmbp_waits(&original)).expect("state restores");
+        assert_eq!(restored.state(), original.state());
 
         // Identical remainder -> bit-identical bounds.
         let a = drive(&mut original, 900..1600);
@@ -456,15 +225,13 @@ mod tests {
         drive(&mut original, 0..900);
         assert!(original.trims() > 0, "jolt must have caused a trim");
 
-        let text = original.state().to_json().to_string_pretty();
-        let restored_state =
-            LogNormalState::from_json(&qdelay_json::Json::parse(&text).unwrap())
-                .expect("state decodes");
-        assert_eq!(restored_state, original.state());
-        let mut restored = LogNormalPredictor::from_state(&restored_state).expect("restores");
+        let mut restored =
+            LogNormalPredictor::from_state(&original.state(), &lognormal_waits(&original))
+                .expect("restores");
+        assert_eq!(restored.state(), original.state());
 
         // The log-normal bound is a function of the *exact* accumulator
-        // bits, so this also proves the Kahan state survived the JSON leg.
+        // bits, so this also proves the Kahan state was carried verbatim.
         let a = drive(&mut original, 900..1600);
         let b = drive(&mut restored, 900..1600);
         assert_bits_eq(&a, &b, "lognormal");
@@ -478,7 +245,7 @@ mod tests {
         });
         drive(&mut original, 0..500);
         assert_eq!(original.history_len(), 150);
-        let restored = Bmbp::from_state(&original.state()).unwrap();
+        let restored = Bmbp::from_state(&original.state(), &bmbp_waits(&original)).unwrap();
         assert_eq!(restored.history_len(), 150);
         assert_eq!(restored.config(), original.config());
         let mut a = original;
@@ -495,7 +262,9 @@ mod tests {
             original.observe(wait(i));
         }
         original.refit();
-        let restored = LogNormalPredictor::from_state(&original.state()).unwrap();
+        let restored =
+            LogNormalPredictor::from_state(&original.state(), &lognormal_waits(&original))
+                .unwrap();
         let mut replayed = LogNormalPredictor::new(LogNormalConfig::no_trim());
         for i in 0..300 {
             replayed.observe(wait(i));
@@ -519,7 +288,7 @@ mod tests {
         for i in 100..160 {
             p.observe(wait(i)); // not yet refit in the original
         }
-        let restored = Bmbp::from_state(&p.state()).unwrap();
+        let restored = Bmbp::from_state(&p.state(), &bmbp_waits(&p)).unwrap();
         p.refit();
         assert_eq!(
             restored.current_bound().value().map(f64::to_bits),
@@ -533,51 +302,25 @@ mod tests {
 
         let mut bad_spec = good.clone();
         bad_spec.quantile = 1.5;
-        assert!(Bmbp::from_state(&bad_spec).is_err());
+        assert!(Bmbp::from_state(&bad_spec, &[]).is_err());
 
         let mut bad_detector = good.clone();
         bad_detector.detector.threshold = 0;
-        assert!(Bmbp::from_state(&bad_detector).is_err());
+        assert!(Bmbp::from_state(&bad_detector, &[]).is_err());
 
         let mut bad_run = good.clone();
         bad_run.detector.consecutive_misses = bad_run.detector.threshold;
-        assert!(Bmbp::from_state(&bad_run).is_err());
+        assert!(Bmbp::from_state(&bad_run, &[]).is_err());
 
-        let mut bad_wait = good.clone();
-        bad_wait.waits = vec![-1.0];
-        assert!(Bmbp::from_state(&bad_wait).is_err());
+        for bad_wait in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(Bmbp::from_state(&good, &[1.0, bad_wait]).is_err());
+            let logn = LogNormalPredictor::new(LogNormalConfig::trim()).state();
+            assert!(LogNormalPredictor::from_state(&logn, &[bad_wait, 1.0]).is_err());
+        }
 
         let mut overfull = good.clone();
         overfull.max_history = Some(2);
-        overfull.waits = vec![1.0, 2.0, 3.0];
-        assert!(Bmbp::from_state(&overfull).is_err());
-    }
-
-    #[test]
-    fn json_decode_rejects_wrong_kind_and_version() {
-        let bmbp_json = Bmbp::with_defaults().state().to_json();
-        assert!(LogNormalState::from_json(&bmbp_json).is_err(), "kind mismatch");
-        let lognormal_json = LogNormalPredictor::new(LogNormalConfig::no_trim())
-            .state()
-            .to_json();
-        assert!(BmbpState::from_json(&lognormal_json).is_err(), "kind mismatch");
-
-        let mut members = match bmbp_json {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        members[0].1 = Json::Num(999.0); // version
-        assert!(BmbpState::from_json(&Json::Obj(members)).is_err());
-
-        assert!(BmbpState::from_json(&Json::Null).is_err());
-        assert!(BmbpState::from_json(&Json::Obj(vec![])).is_err());
-    }
-
-    #[test]
-    fn method_names_round_trip() {
-        for m in [BoundMethod::Auto, BoundMethod::Exact, BoundMethod::Approx] {
-            assert_eq!(method_from_name(method_name(m)).unwrap(), m);
-        }
-        assert!(method_from_name("clt").is_err());
+        assert!(Bmbp::from_state(&overfull, &[1.0, 2.0, 3.0]).is_err());
+        assert!(Bmbp::from_state(&overfull, &[2.0, 3.0]).is_ok());
     }
 }

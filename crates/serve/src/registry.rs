@@ -92,7 +92,10 @@ pub struct Partition {
 /// The answer `predict` serves for a partition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
-    /// Observations currently retained (post-trim history length).
+    /// Observations the BMBP predictor currently retains (its post-trim
+    /// history length). The log-normal predictor trims on its own misses,
+    /// so its history can be shorter or longer: on the paper's loop the
+    /// two lengths differ in ~45 % of samples of long-lived partitions.
     pub n: usize,
     /// Observation sequence number the prediction reflects.
     pub seq: u64,
@@ -179,24 +182,40 @@ impl Partition {
         self.seq
     }
 
-    /// Exports this partition's serializable core.
+    /// Exports this partition's serializable core. Both predictors saw
+    /// every wait and dropped only the oldest, so the longer history holds
+    /// the shorter as its suffix and is stored once for both.
     pub fn to_snapshot(&self, key: &PartitionKey) -> PartitionSnapshot {
-        PartitionSnapshot {
+        let (bmbp, lognormal) = (self.bmbp.history(), &self.lognormal);
+        let (bmbp_retained, lognormal_retained) = (bmbp.len(), lognormal.waits().len());
+        let waits: Vec<f64> = if bmbp_retained >= lognormal_retained {
+            bmbp.iter().collect()
+        } else {
+            lognormal.waits().collect()
+        };
+        let snap = PartitionSnapshot {
             site: key.site.clone(),
             queue: key.queue.clone(),
             range: key.range,
             seq: self.seq,
             bmbp: self.bmbp.state(),
-            lognormal: self.lognormal.state(),
-        }
+            lognormal: lognormal.state(),
+            waits,
+            bmbp_retained,
+            lognormal_retained,
+        };
+        let (b, l) = snap.histories();
+        debug_assert!(b.iter().copied().eq(bmbp.iter()) && l.iter().copied().eq(lognormal.waits()));
+        snap
     }
 
     /// Restores a partition from a snapshot. Both predictors refit on load
     /// (`from_state` does), so the partition starts clean, not dirty.
     pub fn from_snapshot(snap: &PartitionSnapshot) -> Result<Self, PredictError> {
+        let (bmbp, lognormal) = snap.histories();
         Ok(Self {
-            bmbp: Bmbp::from_state(&snap.bmbp)?,
-            lognormal: LogNormalPredictor::from_state(&snap.lognormal)?,
+            bmbp: Bmbp::from_state(&snap.bmbp, bmbp)?,
+            lognormal: LogNormalPredictor::from_state(&snap.lognormal, lognormal)?,
             seq: snap.seq,
             dirty: false,
         })

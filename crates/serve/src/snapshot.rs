@@ -1,27 +1,50 @@
-//! Warm-restart snapshot format.
+//! The partition formats, all owned here: the warm-restart snapshot
+//! document and the binary partition record.
 //!
 //! A snapshot is one JSON document holding every partition's serializable
-//! core ([`qdelay_predict::state`]), written on `snapshot` requests and at
-//! graceful shutdown, and restored at boot. Properties:
+//! core — the predictors' plain state ([`qdelay_predict::state`]) and their
+//! one shared history — written on `snapshot` requests and at graceful
+//! shutdown, and restored at boot. Properties:
 //!
-//! * **Versioned** — `version` is checked on load; an unknown version is a
-//!   load error, never a silent misread.
+//! * **Versioned** — this build writes version 3 and reads 2..=3 (the
+//!   previous version, for one version); any other is a load error.
 //! * **Flat** — partitions are stored as a sorted list keyed by
 //!   `(site, queue, procs-range)`; the shard count is *not* part of the
 //!   format, so a restart may re-shard freely.
 //! * **Deterministic** — partitions sort by key and `qdelay-json` prints
 //!   floats shortest-round-trip, so equal registry states produce
-//!   byte-identical files.
+//!   byte-identical files, and the JSON leg is lossless.
 //! * **Warm** — restoring and replaying the remainder of a workload yields
-//!   bit-identical predictions to a server that never restarted (the
-//!   per-predictor guarantee is tested in `qdelay-predict`; the end-to-end
-//!   one in the serve bench).
+//!   bit-identical predictions to a server that never restarted.
 //!
 //! Consistency: a shard serializes its partitions under its lock, so every
 //! partition is internally consistent at some point during the snapshot
 //! request; the file is not a single global cut across shards.
 //!
-//! ## The file
+//! **One history per partition.** Both predictors see every wait and drop
+//! only the oldest, so their histories are suffixes of one arrival
+//! sequence: `waits` is the longer, oldest first, and each predictor keeps
+//! the newest `retained` of it. The two lengths differ in ~45 % of samples
+//! of long-lived partitions on the paper's loop, so both are kept. Every
+//! decoder requires `waits` to be exactly as long as the longer history —
+//! no stored wait is one no predictor owns, so equal states encode equally.
+//!
+//! ```text
+//! { "version": 3, "kind": "qdelay-serve-snapshot",
+//!   "partitions": [ { "site", "queue", "procs", "seq",
+//!       "bmbp":      { quantile, confidence, method, trimming, threshold_override,
+//!                      max_history, detector, trims, calibrated, retained },
+//!       "lognormal": { quantile, confidence, trimming, threshold_override, detector,
+//!                      trims, moments: { sum, sum_comp, sum_sq, sum_sq_comp }, retained },
+//!       "waits": [ ... ] } ],
+//!   "dead": [ { "site", "queue", "procs", "seq" } ] }
+//! ```
+//!
+//! A version-2 entry carried each predictor's whole history in its object,
+//! stamped `"version": 1` and its `"kind"`, with a `moments.removals` that
+//! was always 0: the reader checks the stamps, ignores `removals`, and
+//! refuses, naming the partition, a shorter list that is not a suffix of
+//! the longer, bit for bit.
 //!
 //! Only this module knows the file form of the document: [`read`] and
 //! [`parse`] are the one reader (boot, journal compaction, and a replica's
@@ -35,36 +58,31 @@
 //!
 //! ## The binary partition record
 //!
-//! Beside the document codec ([`encode_partition`]/[`decode_partition`])
-//! this module owns the one versioned **binary** encoding of a
-//! [`PartitionSnapshot`] ([`encode_record`]/[`decode_record`]): the same
-//! fields in the same order, every `f64` as raw `to_bits` so no float is
-//! ever printed or parsed. It is a frame *payload* — callers carry it in
-//! the shared [`qdelay_journal::frame`], as journal, wire and repl
-//! payloads are — and today it is what a hibernation spill slot holds
-//! ([`crate::hibernate`]). All integers little-endian:
+//! [`encode_record`]/[`decode_record`] carry the same fields with every
+//! `f64` as raw `to_bits`, so no float is printed or parsed. It is a frame
+//! *payload* (callers wrap it in the shared [`qdelay_journal::frame`]) and
+//! is what a hibernation spill slot holds ([`crate::hibernate`]); spill
+//! files are truncated at boot, so only this version is read. Little-endian:
 //!
 //! ```text
-//! u8  version (1)        | u8 proc-range tag (index into ProcRange::ALL)
+//! u8  version (2)        | u8 proc-range tag (index into ProcRange::ALL)
 //! u32 len | site bytes   | u32 len | queue bytes            (UTF-8)
 //! u64 seq
 //! bmbp:      f64 quantile | f64 confidence | u8 method (0 auto, 1 exact,
 //!            2 approx) | u8 trimming | opt threshold_override
-//!            | opt max_history | detector | u64 trims | u8 calibrated | waits
+//!            | opt max_history | detector | u64 trims | u8 calibrated
 //! lognormal: f64 quantile | f64 confidence | u8 trimming
 //!            | opt threshold_override | detector | u64 trims
 //!            | f64 sum | f64 sum_comp | f64 sum_sq | f64 sum_sq_comp
-//!            | u64 removals | waits
+//! history:   u32 count | count × f64 bits | u32 bmbp_retained | u32 lognormal_retained
 //!
 //! opt      = u8 0, or u8 1 then u64
 //! detector = u64 threshold | u64 consecutive_misses | u64 times_fired
-//! waits    = u32 count | count × f64 bits
 //! ```
 //!
-//! [`decode_record`] keeps every check the document decoder makes — known
-//! version and tags, a valid detector, finite non-negative waits — and
-//! adds the binary ones: every length bounded by the bytes present, and
-//! no byte left over. Damage is a typed error, never a panic.
+//! [`decode_record`] keeps every check the document decoder makes and adds
+//! the binary ones: every length bounded by the bytes present, and no byte
+//! left over. Damage is a typed error, never a panic.
 
 use crate::durability::journal_to_io;
 use crate::proto::{Cur, DecodeError};
@@ -77,9 +95,9 @@ use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
-/// Snapshot document version this build writes. Version 1 (no `dead`
-/// list) is still read: it decodes with an empty dead list.
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// Snapshot document version this build writes. The previous version (2)
+/// is still read; see the module docs.
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// One partition's serialized core.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,12 +109,38 @@ pub struct PartitionSnapshot {
     pub seq: u64,
     pub bmbp: BmbpState,
     pub lognormal: LogNormalState,
+    /// The longer of the two predictors' histories, in arrival order
+    /// (oldest first). The other history is a suffix of it.
+    pub waits: Vec<f64>,
+    /// How many of the newest `waits` the BMBP predictor retains.
+    pub bmbp_retained: usize,
+    /// How many of the newest `waits` the log-normal predictor retains.
+    pub lognormal_retained: usize,
 }
 
 impl PartitionSnapshot {
     /// The partition this entry is the state of.
     pub fn key(&self) -> PartitionKey {
         PartitionKey { site: self.site.clone(), queue: self.queue.clone(), range: self.range }
+    }
+
+    /// The BMBP and log-normal histories: the newest `bmbp_retained` and
+    /// `lognormal_retained` of `waits` (all of them, should a hand-built
+    /// entry claim more — no decoder admits one that does).
+    pub fn histories(&self) -> (&[f64], &[f64]) {
+        let suffix = |retained: usize| &self.waits[self.waits.len().saturating_sub(retained)..];
+        (suffix(self.bmbp_retained), suffix(self.lognormal_retained))
+    }
+}
+
+/// The shape rule of the shared history, which both decoders enforce: the
+/// list is exactly as long as the longer history, so no stored wait is one
+/// no predictor owns (and equal states encode to equal bytes).
+fn check_retained(count: usize, bmbp: usize, lognormal: usize) -> Result<(), String> {
+    if bmbp.max(lognormal) == count {
+        Ok(())
+    } else {
+        Err(format!("{count} waits stored, but the predictors retain {bmbp} and {lognormal}"))
     }
 }
 
@@ -114,47 +158,242 @@ pub fn proc_range_from_label(label: &str) -> Option<ProcRange> {
     ProcRange::ALL.into_iter().find(|r| r.label() == label)
 }
 
+/// The bound methods, by their record tag (the index) and document name.
+const METHOD_TAGS: [BoundMethod; 3] = [BoundMethod::Auto, BoundMethod::Exact, BoundMethod::Approx];
+const METHOD_NAMES: [&str; 3] = ["auto", "exact", "approx"];
+
+fn method_tag(method: BoundMethod) -> usize {
+    METHOD_TAGS.iter().position(|m| *m == method).expect("METHOD_TAGS lists every method")
+}
+
+fn obj(members: Vec<(&str, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+fn num(x: usize) -> Json {
+    Json::Num(x as f64)
+}
+
+fn opt_num(x: Option<usize>) -> Json {
+    x.map_or(Json::Null, num)
+}
+
+fn detector_json(d: &DetectorState) -> Json {
+    obj(vec![
+        ("threshold", num(d.threshold)),
+        ("consecutive_misses", num(d.consecutive_misses)),
+        ("times_fired", num(d.times_fired)),
+    ])
+}
+
 /// Encodes one partition as its snapshot-document object.
 pub fn encode_partition(p: &PartitionSnapshot) -> Json {
-    Json::Obj(vec![
-        ("site".into(), Json::Str(p.site.clone())),
-        ("queue".into(), Json::Str(p.queue.clone())),
-        ("procs".into(), Json::Str(p.range.label().into())),
-        ("seq".into(), Json::Num(p.seq as f64)),
-        ("bmbp".into(), p.bmbp.to_json()),
-        ("lognormal".into(), p.lognormal.to_json()),
+    let (b, l, m) = (&p.bmbp, &p.lognormal, &p.lognormal.moments);
+    obj(vec![
+        ("site", Json::Str(p.site.clone())),
+        ("queue", Json::Str(p.queue.clone())),
+        ("procs", Json::Str(p.range.label().into())),
+        ("seq", Json::Num(p.seq as f64)),
+        (
+            "bmbp",
+            obj(vec![
+                ("quantile", Json::Num(b.quantile)),
+                ("confidence", Json::Num(b.confidence)),
+                ("method", Json::Str(METHOD_NAMES[method_tag(b.method)].into())),
+                ("trimming", Json::Bool(b.trimming)),
+                ("threshold_override", opt_num(b.threshold_override)),
+                ("max_history", opt_num(b.max_history)),
+                ("detector", detector_json(&b.detector)),
+                ("trims", num(b.trims)),
+                ("calibrated", Json::Bool(b.calibrated)),
+                ("retained", num(p.bmbp_retained)),
+            ]),
+        ),
+        (
+            "lognormal",
+            obj(vec![
+                ("quantile", Json::Num(l.quantile)),
+                ("confidence", Json::Num(l.confidence)),
+                ("trimming", Json::Bool(l.trimming)),
+                ("threshold_override", opt_num(l.threshold_override)),
+                ("detector", detector_json(&l.detector)),
+                ("trims", num(l.trims)),
+                (
+                    "moments",
+                    obj(vec![
+                        ("sum", Json::Num(m.sum)),
+                        ("sum_comp", Json::Num(m.sum_comp)),
+                        ("sum_sq", Json::Num(m.sum_sq)),
+                        ("sum_sq_comp", Json::Num(m.sum_sq_comp)),
+                    ]),
+                ),
+                ("retained", num(p.lognormal_retained)),
+            ]),
+        ),
+        ("waits", Json::Arr(p.waits.iter().map(|&w| Json::Num(w)).collect())),
     ])
+}
+
+/// The document's one field reader: `key`'s value, through `read`, which
+/// accepts only `what`.
+fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    what: &str,
+    read: fn(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    let x = v.get(key).ok_or_else(|| format!("missing '{key}'"))?;
+    read(x).ok_or_else(|| format!("'{key}' must be {what}"))
+}
+
+fn get<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    field(v, key, "present", Some)
+}
+
+fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
+    field(v, key, "a number", Json::as_f64)
+}
+
+fn get_usize(v: &Json, key: &str) -> Result<usize, String> {
+    field(v, key, "a non-negative integer", Json::as_usize)
+}
+
+fn get_opt_usize(v: &Json, key: &str) -> Result<Option<usize>, String> {
+    let read = |x: &Json| if let Json::Null = x { Some(None) } else { x.as_usize().map(Some) };
+    field(v, key, "null or a non-negative integer", read)
+}
+
+fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
+    field(v, key, "a boolean", |x| if let Json::Bool(b) = x { Some(*b) } else { None })
+}
+
+fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
+    field(v, key, "a string", Json::as_str)
+}
+
+fn get_array<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    field(v, key, "an array", Json::as_array)
+}
+
+/// The document's one wait-list reader.
+fn get_waits(v: &Json) -> Result<Vec<f64>, String> {
+    get_array(v, "waits")?
+        .iter()
+        .map(|x| match x.as_f64() {
+            Some(w) if w.is_finite() && w >= 0.0 => Ok(w),
+            _ => Err(format!("waits must be finite and non-negative numbers, got {x:?}")),
+        })
+        .collect()
+}
+
+fn get_detector(v: &Json) -> Result<DetectorState, String> {
+    let d = get(v, "detector")?;
+    let d = DetectorState {
+        threshold: get_usize(d, "threshold")?,
+        consecutive_misses: get_usize(d, "consecutive_misses")?,
+        times_fired: get_usize(d, "times_fired")?,
+    };
+    d.validate().map_err(|e| e.to_string())?;
+    Ok(d)
+}
+
+fn get_bmbp(v: &Json) -> Result<BmbpState, String> {
+    let name = get_str(v, "method")?;
+    let tag = METHOD_NAMES.iter().position(|n| *n == name);
+    Ok(BmbpState {
+        quantile: get_f64(v, "quantile")?,
+        confidence: get_f64(v, "confidence")?,
+        method: METHOD_TAGS[tag.ok_or_else(|| format!("unknown bound method '{name}'"))?],
+        trimming: get_bool(v, "trimming")?,
+        threshold_override: get_opt_usize(v, "threshold_override")?,
+        max_history: get_opt_usize(v, "max_history")?,
+        detector: get_detector(v)?,
+        trims: get_usize(v, "trims")?,
+        calibrated: get_bool(v, "calibrated")?,
+    })
+}
+
+fn get_lognormal(v: &Json) -> Result<LogNormalState, String> {
+    let m = get(v, "moments")?;
+    Ok(LogNormalState {
+        quantile: get_f64(v, "quantile")?,
+        confidence: get_f64(v, "confidence")?,
+        trimming: get_bool(v, "trimming")?,
+        threshold_override: get_opt_usize(v, "threshold_override")?,
+        detector: get_detector(v)?,
+        trims: get_usize(v, "trims")?,
+        moments: MomentsState {
+            sum: get_f64(m, "sum")?,
+            sum_comp: get_f64(m, "sum_comp")?,
+            sum_sq: get_f64(m, "sum_sq")?,
+            sum_sq_comp: get_f64(m, "sum_sq_comp")?,
+        },
+    })
+}
+
+fn get_key(v: &Json) -> Result<PartitionKey, String> {
+    let label = get_str(v, "procs")?;
+    Ok(PartitionKey {
+        site: get_str(v, "site")?.to_string(),
+        queue: get_str(v, "queue")?.to_string(),
+        range: proc_range_from_label(label)
+            .ok_or_else(|| format!("unknown proc range '{label}'"))?,
+    })
+}
+
+/// A version-2 entry's history: each predictor object carries its own
+/// stamp and its whole history, and the two must be suffixes of one
+/// sequence, bit for bit. Returns the longer and the two lengths.
+fn v2_history(b: &Json, l: &Json) -> Result<(Vec<f64>, usize, usize), String> {
+    for (v, kind) in [(b, "bmbp"), (l, "lognormal")] {
+        let (version, stamped) = (get_usize(v, "version")?, get_str(v, "kind")?);
+        if version != 1 || stamped != kind {
+            return Err(format!("{kind} state stamped version {version} kind '{stamped}'"));
+        }
+    }
+    let (bmbp, lognormal) = (get_waits(b)?, get_waits(l)?);
+    let lens = (bmbp.len(), lognormal.len());
+    let (long, short) = if lens.0 >= lens.1 { (bmbp, &lognormal) } else { (lognormal, &bmbp) };
+    let tail = &long[long.len() - short.len()..];
+    if !tail.iter().map(|w| w.to_bits()).eq(short.iter().map(|w| w.to_bits())) {
+        return Err("its bmbp and lognormal histories are not suffixes of one sequence".into());
+    }
+    Ok((long, lens.0, lens.1))
+}
+
+/// Decodes one partition object of a document of `version`.
+fn decode_entry(p: &Json, version: u64) -> Result<PartitionSnapshot, String> {
+    let PartitionKey { site, queue, range } = get_key(p)?;
+    let (b, l) = (get(p, "bmbp")?, get(p, "lognormal")?);
+    let (waits, bmbp_retained, lognormal_retained) = if version == SNAPSHOT_VERSION {
+        (get_waits(p)?, get_usize(b, "retained")?, get_usize(l, "retained")?)
+    } else {
+        v2_history(b, l).map_err(|e| format!("partition {site}/{queue}/{}: {e}", range.label()))?
+    };
+    check_retained(waits.len(), bmbp_retained, lognormal_retained)?;
+    let seq = get_usize(p, "seq")? as u64;
+    let bmbp = get_bmbp(b).map_err(|e| format!("bmbp state: {e}"))?;
+    let lognormal = get_lognormal(l).map_err(|e| format!("lognormal state: {e}"))?;
+    Ok(PartitionSnapshot {
+        site, queue, range, seq, bmbp, lognormal, waits, bmbp_retained, lognormal_retained,
+    })
 }
 
 /// Decodes one partition object (the inverse of [`encode_partition`]),
 /// validating every field.
 pub fn decode_partition(p: &Json) -> Result<PartitionSnapshot, String> {
-    let label = req_str(p, "procs")?;
-    let range = proc_range_from_label(label)
-        .ok_or_else(|| format!("unknown proc range '{label}'"))?;
-    Ok(PartitionSnapshot {
-        site: req_str(p, "site")?.to_string(),
-        queue: req_str(p, "queue")?.to_string(),
-        range,
-        seq: p
-            .get("seq")
-            .and_then(Json::as_usize)
-            .ok_or("partition missing 'seq'")? as u64,
-        bmbp: BmbpState::from_json(p.get("bmbp").ok_or("partition missing 'bmbp'")?)
-            .map_err(|e| format!("bmbp state: {e}"))?,
-        lognormal: LogNormalState::from_json(
-            p.get("lognormal").ok_or("partition missing 'lognormal'")?,
-        )
-        .map_err(|e| format!("lognormal state: {e}"))?,
-    })
+    decode_entry(p, SNAPSHOT_VERSION)
 }
 
 /// Version byte that opens every binary partition record.
-pub const RECORD_VERSION: u8 = 1;
-
-const METHOD_TAGS: [BoundMethod; 3] = [BoundMethod::Auto, BoundMethod::Exact, BoundMethod::Approx];
+pub const RECORD_VERSION: u8 = 2;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u32(out: &mut Vec<u8>, v: usize) {
+    let v = u32::try_from(v).expect("names and histories are far below 2^32");
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -166,8 +405,7 @@ fn put_opt(out: &mut Vec<u8>, v: Option<usize>) {
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = u32::try_from(s.len()).expect("partition names are far below 4 GiB");
-    out.extend_from_slice(&len.to_le_bytes());
+    put_u32(out, s.len());
     out.extend_from_slice(s.as_bytes());
 }
 
@@ -175,15 +413,6 @@ fn put_detector(out: &mut Vec<u8>, d: &DetectorState) {
     put_u64(out, d.threshold as u64);
     put_u64(out, d.consecutive_misses as u64);
     put_u64(out, d.times_fired as u64);
-}
-
-fn put_waits(out: &mut Vec<u8>, waits: &[f64]) {
-    let count = u32::try_from(waits.len()).expect("a history holds far fewer than 2^32 waits");
-    out.extend_from_slice(&count.to_le_bytes());
-    out.reserve(waits.len() * 8);
-    for w in waits {
-        put_u64(out, w.to_bits());
-    }
 }
 
 /// Appends the binary record of one partition to `out` (layout in the
@@ -200,15 +429,13 @@ pub fn encode_record(p: &PartitionSnapshot, out: &mut Vec<u8>) {
     let b = &p.bmbp;
     put_u64(out, b.quantile.to_bits());
     put_u64(out, b.confidence.to_bits());
-    let method = METHOD_TAGS.iter().position(|m| *m == b.method);
-    out.push(method.expect("METHOD_TAGS lists every method") as u8);
+    out.push(method_tag(b.method) as u8);
     out.push(u8::from(b.trimming));
     put_opt(out, b.threshold_override);
     put_opt(out, b.max_history);
     put_detector(out, &b.detector);
     put_u64(out, b.trims as u64);
     out.push(u8::from(b.calibrated));
-    put_waits(out, &b.waits);
 
     let l = &p.lognormal;
     put_u64(out, l.quantile.to_bits());
@@ -221,8 +448,14 @@ pub fn encode_record(p: &PartitionSnapshot, out: &mut Vec<u8>) {
     for x in [m.sum, m.sum_comp, m.sum_sq, m.sum_sq_comp] {
         put_u64(out, x.to_bits());
     }
-    put_u64(out, m.removals as u64);
-    put_waits(out, &l.waits);
+
+    put_u32(out, p.waits.len());
+    out.reserve(p.waits.len() * 8);
+    for w in &p.waits {
+        put_u64(out, w.to_bits());
+    }
+    put_u32(out, p.bmbp_retained);
+    put_u32(out, p.lognormal_retained);
 }
 
 fn invalid(message: String) -> DecodeError {
@@ -267,16 +500,16 @@ fn detector(r: &mut Cur<'_>, what: &str) -> Result<DetectorState, DecodeError> {
     Ok(d)
 }
 
-/// The count is checked against the bytes present (by `take`) before
-/// anything is allocated for it.
-fn waits(r: &mut Cur<'_>, what: &str) -> Result<Vec<f64>, DecodeError> {
-    let count = r.u32(what)? as usize;
-    let bytes = r.take(count.saturating_mul(8), what)?;
+/// The record's one wait-list reader. The count is checked against the
+/// bytes present (by `take`) before anything is allocated for it.
+fn waits(r: &mut Cur<'_>) -> Result<Vec<f64>, DecodeError> {
+    let count = r.u32("waits")? as usize;
+    let bytes = r.take(count.saturating_mul(8), "waits")?;
     let mut waits = Vec::with_capacity(count);
     for c in bytes.chunks_exact(8) {
         let w = f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes")));
         if !(w.is_finite() && w >= 0.0) {
-            return Err(invalid(format!("{what} must be finite and non-negative, got {w}")));
+            return Err(invalid(format!("waits must be finite and non-negative, got {w}")));
         }
         waits.push(w);
     }
@@ -304,7 +537,6 @@ fn read_record(r: &mut Cur<'_>) -> Result<PartitionSnapshot, DecodeError> {
         detector: detector(r, "bmbp detector")?,
         trims: usize_field(r, "bmbp trims")?,
         calibrated: flag(r, "bmbp calibrated")?,
-        waits: waits(r, "bmbp waits")?,
     };
     let lognormal = LogNormalState {
         quantile: f64_field(r, "lognormal quantile")?,
@@ -318,12 +550,16 @@ fn read_record(r: &mut Cur<'_>) -> Result<PartitionSnapshot, DecodeError> {
             sum_comp: f64_field(r, "lognormal sum_comp")?,
             sum_sq: f64_field(r, "lognormal sum_sq")?,
             sum_sq_comp: f64_field(r, "lognormal sum_sq_comp")?,
-            removals: usize_field(r, "lognormal removals")?,
         },
-        waits: waits(r, "lognormal waits")?,
     };
+    let waits = waits(r)?;
+    let bmbp_retained = r.u32("bmbp retained")? as usize;
+    let lognormal_retained = r.u32("lognormal retained")? as usize;
+    check_retained(waits.len(), bmbp_retained, lognormal_retained).map_err(invalid)?;
     r.done("record")?;
-    Ok(PartitionSnapshot { site, queue, range, seq, bmbp, lognormal })
+    Ok(PartitionSnapshot {
+        site, queue, range, seq, bmbp, lognormal, waits, bmbp_retained, lognormal_retained,
+    })
 }
 
 /// Decodes one binary partition record (the inverse of [`encode_record`])
@@ -345,79 +581,52 @@ pub fn encode(
     });
     dead.sort_unstable();
     let dead = dead.into_iter().map(|(key, seq)| {
-        Json::Obj(vec![
-            ("site".into(), Json::Str(key.site)),
-            ("queue".into(), Json::Str(key.queue)),
-            ("procs".into(), Json::Str(key.range.label().into())),
-            ("seq".into(), Json::Num(seq as f64)),
+        obj(vec![
+            ("site", Json::Str(key.site)),
+            ("queue", Json::Str(key.queue)),
+            ("procs", Json::Str(key.range.label().into())),
+            ("seq", Json::Num(seq as f64)),
         ])
     });
-    Json::Obj(vec![
-        ("version".into(), Json::Num(SNAPSHOT_VERSION as f64)),
-        ("kind".into(), Json::Str("qdelay-serve-snapshot".into())),
-        ("partitions".into(), Json::Arr(partitions.iter().map(encode_partition).collect())),
-        ("dead".into(), Json::Arr(dead.collect())),
+    obj(vec![
+        ("version", Json::Num(SNAPSHOT_VERSION as f64)),
+        ("kind", Json::Str("qdelay-serve-snapshot".into())),
+        ("partitions", Json::Arr(partitions.iter().map(encode_partition).collect())),
+        ("dead", Json::Arr(dead.collect())),
     ])
 }
 
-fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("snapshot partition missing string '{key}'"))
-}
-
-/// Decodes a snapshot document, validating the version and every field.
-/// Returns the live partitions and the tombstoned cursors (always empty
-/// for version-1 documents, which predate tombstones). A key named twice is
-/// an error that names it.
+/// Decodes a snapshot document of this version or the previous one (see
+/// the module docs), validating the version and every field. Returns the
+/// live partitions and the tombstoned cursors. A key named twice is an
+/// error that names it.
 pub fn decode(v: &Json) -> Result<Document, String> {
-    let version = v
-        .get("version")
-        .and_then(Json::as_usize)
-        .ok_or("snapshot missing 'version'")?;
-    if !(1..=SNAPSHOT_VERSION).contains(&(version as u64)) {
-        return Err(format!(
-            "snapshot version {version} unsupported (this build reads 1..={SNAPSHOT_VERSION})"
-        ));
+    let version = get_usize(v, "version")? as u64;
+    let oldest = SNAPSHOT_VERSION - 1;
+    if !(oldest..=SNAPSHOT_VERSION).contains(&version) {
+        let reads = format!("this build reads {oldest}..={SNAPSHOT_VERSION}");
+        return Err(format!("snapshot version {version} unsupported ({reads})"));
     }
-    let kind = req_str(v, "kind")?;
+    let kind = get_str(v, "kind")?;
     if kind != "qdelay-serve-snapshot" {
         return Err(format!("unexpected snapshot kind '{kind}'"));
     }
-    let parts = v
-        .get("partitions")
-        .and_then(Json::as_array)
-        .ok_or("snapshot missing 'partitions' array")?;
-    let mut out = Vec::with_capacity(parts.len());
-    for p in parts {
-        out.push(decode_partition(p)?);
-    }
-    let mut dead = Vec::new();
-    if let Some(list) = v.get("dead") {
-        let list = list.as_array().ok_or("snapshot 'dead' is not an array")?;
-        for d in list {
-            let label = req_str(d, "procs")?;
-            let range = proc_range_from_label(label)
-                .ok_or_else(|| format!("unknown proc range '{label}'"))?;
-            let key = PartitionKey {
-                site: req_str(d, "site")?.to_string(),
-                queue: req_str(d, "queue")?.to_string(),
-                range,
-            };
-            let seq = d.get("seq").and_then(Json::as_usize).ok_or("dead partition missing 'seq'")?;
-            dead.push((key, seq as u64));
-        }
-    } else if version as u64 >= 2 {
-        return Err("snapshot v2 missing 'dead' array".into());
-    }
-    let mut seen = HashSet::with_capacity(out.len() + dead.len());
-    let keys = out.iter().map(|p| (&p.site, &p.queue, p.range));
+    let parts = get_array(v, "partitions")?
+        .iter()
+        .map(|p| decode_entry(p, version))
+        .collect::<Result<Vec<_>, _>>()?;
+    let dead = get_array(v, "dead")?
+        .iter()
+        .map(|d| Ok((get_key(d)?, get_usize(d, "seq")? as u64)))
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut seen = HashSet::with_capacity(parts.len() + dead.len());
+    let keys = parts.iter().map(|p| (&p.site, &p.queue, p.range));
     for (site, queue, range) in keys.chain(dead.iter().map(|(k, _)| (&k.site, &k.queue, k.range))) {
         if !seen.insert((site, queue, range)) {
             return Err(format!("snapshot names partition {site}/{queue}/{} twice", range.label()));
         }
     }
-    Ok((out, dead))
+    Ok((parts, dead))
 }
 
 /// Parses a snapshot file's bytes — or a replica's SNAPSHOT message, which
@@ -458,8 +667,9 @@ pub fn write(path: &Path, rendered: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{Partition, PartitionKey};
+    use crate::registry::{Partition, PartitionKey, Prediction};
     use qdelay_rng::{Rng, StdRng};
+    use qdelay_trace::{catalog, synth, synth::SynthSettings};
 
     fn sample_partitions() -> Vec<PartitionSnapshot> {
         let mut out = Vec::new();
@@ -560,19 +770,107 @@ mod tests {
         );
     }
 
+    /// The paper's loop, one job: the partition is asked, then the job's
+    /// wait is observed with the bounds it was served as feedback.
+    fn paper_step(p: &mut Partition, wait: f64) -> Prediction {
+        let served = p.predict();
+        p.observe(wait, served.bmbp, served.lognormal);
+        served
+    }
+
+    fn bits(p: Prediction) -> (usize, u64, Option<u64>, Option<u64>) {
+        (p.n, p.seq, p.bmbp.map(f64::to_bits), p.lognormal.map(f64::to_bits))
+    }
+
+    /// A version-2 document written by the previous release: its `qdelay
+    /// serve --journal-path` booted over a journal holding [`fixture_wait`]'s
+    /// streams on the paper's loop (`fx/long/1-4`: stream 1, 260 jobs;
+    /// `fx/short/5-16`: stream 2, 75 jobs) and three observes of
+    /// `fx/gone/1-4` followed by a tombstone at seq 4.
+    const V2_FIXTURE: &[u8] = include_bytes!("../testdata/snapshot-v2.json");
+
+    fn fixture_wait(stream: u64, i: u64) -> f64 {
+        let base = (i.wrapping_mul(2_654_435_761).wrapping_add(stream * 7_919) % 1_000) as f64;
+        if (120..150).contains(&i) {
+            base * 40.0 + 50_000.0
+        } else {
+            base
+        }
+    }
+
     #[test]
-    fn version_1_documents_still_decode() {
-        // A v1 file (no `dead` key) decodes with an empty dead list.
-        let doc = encode(sample_partitions(), Vec::new());
-        let mut members = match doc {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
+    fn a_version_2_document_from_the_previous_build_serves_the_same_bits() {
+        let (parts, dead) = parse(V2_FIXTURE).expect("the previous version reads");
+        assert_eq!(dead, vec![(PartitionKey::for_request("fx", "gone", 2), 4)]);
+        assert_eq!(parts.len(), 2);
+        for (queue, procs, stream, jobs) in [("long", 4, 1, 260), ("short", 8, 2, 75)] {
+            let key = PartitionKey::for_request("fx", queue, procs);
+            let snap = parts.iter().find(|p| p.key() == key).expect("fixture partition");
+            let mut live = Partition::new();
+            for i in 0..jobs {
+                paper_step(&mut live, fixture_wait(stream, i));
+            }
+            assert_eq!(live.to_snapshot(&key), *snap, "{queue}: the entry is the replayed state");
+            let mut restored = Partition::from_snapshot(snap).unwrap();
+            for i in jobs..jobs + 200 {
+                let w = fixture_wait(stream, i);
+                let (got, want) = (paper_step(&mut restored, w), paper_step(&mut live, w));
+                assert_eq!(bits(got), bits(want), "{queue}: job {i}");
+            }
+        }
+        let long = &parts[0];
+        assert_eq!((long.bmbp_retained, long.lognormal_retained), (197, 188), "two lengths");
+        // Any writer now writes the current version, which reads back whole.
+        let rendered = render(parts.clone(), dead.clone());
+        assert!(std::str::from_utf8(&rendered).unwrap().contains("\"version\": 3,"));
+        assert_eq!(parse(&rendered).unwrap(), (parts, dead));
+    }
+
+    fn member<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+        match v {
+            Json::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+            other => panic!("no '{key}' in {other:?}"),
+        }
+    }
+
+    /// The previous version's reader keeps that version's checks — each
+    /// predictor object's stamp — and adds the one the shared history
+    /// needs: the two lists are suffixes of one sequence, bit for bit.
+    #[test]
+    fn version_2_entries_must_hold_one_history() {
+        let fixture = Json::parse(std::str::from_utf8(V2_FIXTURE).unwrap()).unwrap();
+        let edited = |path: &[&str], to: Json| {
+            let mut doc = fixture.clone();
+            *path.iter().fold(&mut doc, |v, key| member(v, key)) = to;
+            parse(doc.to_string_compact().as_bytes())
         };
-        members[0].1 = Json::Num(1.0);
-        members.retain(|(k, _)| k != "dead");
-        let (parts, dead) = decode(&Json::Obj(members)).unwrap();
-        assert_eq!(parts.len(), 3);
-        assert!(dead.is_empty());
+        let long = ["partitions", "0"];
+        let logn_last = [&long[..], &["lognormal", "waits", "187"]].concat();
+        let last = fixture.get("partitions").unwrap().as_array().unwrap()[0]
+            .get("lognormal")
+            .and_then(|l| l.get("waits")?.as_array()?.last()?.as_f64())
+            .unwrap();
+        for (what, to) in [
+            ("another wait", Json::Num(last + 1.0)),
+            ("the next float", Json::Num(f64::from_bits(last.to_bits() + 1))),
+        ] {
+            let err = edited(&logn_last, to).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            let err = err.to_string();
+            assert!(err.contains("fx/long/1-4") && err.contains("suffixes"), "{what}: {err}");
+        }
+        for (field, to) in [("kind", Json::Str("lognormal".into())), ("version", Json::Num(2.0))] {
+            let err = edited(&[&long[..], &["bmbp", field]].concat(), to).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field}");
+        }
+        // `removals` was always 0 and is not read.
+        let removals = [&long[..], &["lognormal", "moments", "removals"]].concat();
+        assert!(edited(&removals, Json::Str("ignored".into())).is_ok());
+        // Version 1, which had no `dead` list, is refused.
+        let err = edited(&["version"], Json::Num(1.0)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported (this build reads 2..=3)"), "{err}");
     }
 
     #[test]
@@ -582,36 +880,100 @@ mod tests {
             Json::Obj(m) => m,
             _ => unreachable!(),
         };
-        members[0].1 = Json::Num(99.0);
-        assert!(decode(&Json::Obj(members.clone())).is_err());
+        for version in [0.0, 1.0, 4.0, 99.0] {
+            let mut other = members.clone();
+            other[0].1 = Json::Num(version);
+            assert!(decode(&Json::Obj(other)).is_err(), "version {version}");
+        }
         assert!(decode(&Json::Null).is_err());
-        assert!(decode(&Json::parse(r#"{"version":1,"kind":"other","partitions":[]}"#).unwrap())
+        assert!(decode(&Json::parse(r#"{"version":3,"kind":"other","partitions":[]}"#).unwrap())
             .is_err());
-        // A v2 document must carry the dead array.
-        members[0].1 = Json::Num(2.0);
+        // The document must carry the dead array.
         members.retain(|(k, _)| k != "dead");
         assert!(decode(&Json::Obj(members)).is_err());
     }
 
+    #[test]
+    fn method_names_round_trip() {
+        let mut snap = sample_partitions().remove(0);
+        for method in METHOD_TAGS {
+            snap.bmbp.method = method;
+            let text = encode_partition(&snap).to_string_compact();
+            assert_eq!(decode_partition(&Json::parse(&text).unwrap()).unwrap(), snap);
+        }
+        let text = encode_partition(&snap).to_string_compact().replace("\"approx\"", "\"clt\"");
+        let err = decode_partition(&Json::parse(&text).unwrap()).unwrap_err();
+        assert!(err.contains("unknown bound method 'clt'"), "{err}");
+    }
+
+    /// The differential behind the one-history format, on the paper's loop
+    /// over `synth` waits, where both detectors trim: at every
+    /// `EVERY`-th job each partition round-trips through the binary record,
+    /// the document entry and the whole rendered document, and each copy
+    /// must serve the original's bits now and over the next `AHEAD` jobs.
+    #[test]
+    fn one_history_round_trips_through_every_codec_on_the_paper_loop() {
+        const PARTITIONS: usize = 256;
+        const JOBS: usize = 2_000;
+        const EVERY: usize = 250;
+        const AHEAD: usize = 200;
+        let profiles = catalog::queue_table_catalog();
+        let (mut samples, mut bmbp_longer, mut lognormal_longer) = (0, 0, 0);
+        for i in 0..PARTITIONS {
+            let mut profile = profiles[i % profiles.len()].clone();
+            profile.job_count = (JOBS + AHEAD) as u64;
+            let waits = synth::generate(&profile, &SynthSettings::with_seed(i as u64)).waits();
+            let key = PartitionKey::for_request(&format!("p{i}"), profile.queue, 4);
+            let mut live = Partition::new();
+            let mut copies: Vec<(Partition, usize)> = Vec::new();
+            for (job, &w) in waits.iter().enumerate() {
+                let want = bits(paper_step(&mut live, w));
+                for (copy, left) in &mut copies {
+                    assert_eq!(bits(paper_step(copy, w)), want, "partition {i}, job {job}");
+                    *left -= 1;
+                }
+                copies.retain(|(_, left)| *left > 0);
+                if (job + 1) % EVERY != 0 || job >= JOBS {
+                    continue;
+                }
+                let snap = live.to_snapshot(&key);
+                samples += 1;
+                bmbp_longer += usize::from(snap.bmbp_retained > snap.lognormal_retained);
+                lognormal_longer += usize::from(snap.lognormal_retained > snap.bmbp_retained);
+                let entry = encode_partition(&snap).to_string_compact();
+                let (mut document, _) = parse(&render(vec![snap.clone()], Vec::new())).unwrap();
+                let now = bits(live.predict());
+                for back in [
+                    decode_record(&record_of(&snap)).unwrap(),
+                    decode_partition(&Json::parse(&entry).unwrap()).unwrap(),
+                    document.remove(0),
+                ] {
+                    assert_eq!(back, snap, "partition {i}, job {job}");
+                    let mut copy = Partition::from_snapshot(&back).unwrap();
+                    assert_eq!(bits(copy.predict()), now, "partition {i}, job {job}");
+                    copies.push((copy, AHEAD));
+                }
+            }
+        }
+        let differ = bmbp_longer + lognormal_longer;
+        eprintln!(
+            "retained lengths differ in {differ}/{samples} samples ({:.1} %): \
+             bmbp longer {bmbp_longer}, lognormal longer {lognormal_longer}",
+            100.0 * differ as f64 / samples as f64
+        );
+        assert!(bmbp_longer > 0 && lognormal_longer > 0, "both shapes of the pair occur");
+        assert!(differ * 5 > samples, "the lengths differ often: {differ}/{samples}");
+    }
+
     /// A state no predictor would produce but every codec must carry:
-    /// each field drawn independently, the wait lists salted with the
-    /// extremes of the admitted range.
+    /// each field drawn independently, the one wait list salted with the
+    /// extremes of the admitted range, and the shorter retained length
+    /// drawn from `0..=waits` with both edges favoured.
     fn random_snapshot(rng: &mut StdRng, waits: usize) -> PartitionSnapshot {
         const EDGES: [f64; 4] = [0.0, 5e-324, f64::MIN_POSITIVE, f64::MAX];
         let unit = |rng: &mut StdRng| rng.gen_f64_open();
         let count = |rng: &mut StdRng| rng.gen_range(0..1 << 40);
         let opt = |rng: &mut StdRng| rng.gen_bool(0.5).then(|| rng.gen_range(1..1 << 40));
-        let wait_list = |rng: &mut StdRng| -> Vec<f64> {
-            (0..waits)
-                .map(|_| match rng.gen_range(0..16) {
-                    i @ 0..=3 => EDGES[i],
-                    // Sign bit clear: any non-negative bit pattern.
-                    _ => Some(f64::from_bits(rng.next_u64() >> 1))
-                        .filter(|w| w.is_finite())
-                        .unwrap_or(f64::MAX),
-                })
-                .collect()
-        };
         let detector = |rng: &mut StdRng| {
             let threshold = rng.gen_range(1..100);
             DetectorState {
@@ -627,6 +989,13 @@ mod tests {
                 .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
                 .collect()
         };
+        let shorter = match rng.gen_range(0..4) {
+            0 => 0,
+            1 => waits,
+            _ => rng.gen_range(0..waits + 1),
+        };
+        let (bmbp_retained, lognormal_retained) =
+            if rng.gen_bool(0.5) { (waits, shorter) } else { (shorter, waits) };
         PartitionSnapshot {
             site: name(rng),
             queue: name(rng),
@@ -642,7 +1011,6 @@ mod tests {
                 detector: detector(rng),
                 trims: count(rng),
                 calibrated: rng.gen_bool(0.5),
-                waits: wait_list(rng),
             },
             lognormal: LogNormalState {
                 quantile: unit(rng),
@@ -656,10 +1024,19 @@ mod tests {
                     sum_comp: signed(rng) * 1e-20,
                     sum_sq: signed(rng),
                     sum_sq_comp: signed(rng) * 1e-20,
-                    removals: count(rng),
                 },
-                waits: wait_list(rng),
             },
+            waits: (0..waits)
+                .map(|_| match rng.gen_range(0..16) {
+                    i @ 0..=3 => EDGES[i],
+                    // Sign bit clear: any non-negative bit pattern.
+                    _ => Some(f64::from_bits(rng.next_u64() >> 1))
+                        .filter(|w| w.is_finite())
+                        .unwrap_or(f64::MAX),
+                })
+                .collect(),
+            bmbp_retained,
+            lognormal_retained,
         }
     }
 
@@ -675,6 +1052,10 @@ mod tests {
         // the other shows up as a difference here.
         let mut rng = StdRng::seed_from_u64(0x5EC0);
         let mut methods = [false; 3];
+        // Shorter history: empty, as long as the longer, strictly between;
+        // and which predictor holds the longer one.
+        let mut shapes = [false; 3];
+        let mut longer = [false; 2];
         for case in 0..60 {
             let waits = match case % 6 {
                 0 => 0,
@@ -682,21 +1063,25 @@ mod tests {
                 _ => rng.gen_range(1..200),
             };
             let snap = random_snapshot(&mut rng, waits);
-            methods[METHOD_TAGS.iter().position(|m| *m == snap.bmbp.method).unwrap()] = true;
+            methods[method_tag(snap.bmbp.method)] = true;
+            let shorter = snap.bmbp_retained.min(snap.lognormal_retained);
+            if waits > 0 {
+                shapes[if shorter == 0 { 0 } else if shorter == waits { 1 } else { 2 }] = true;
+                longer[usize::from(snap.lognormal_retained == waits)] = true;
+            }
             let binary = decode_record(&record_of(&snap)).expect("record decodes");
             assert_eq!(binary, snap, "case {case}: binary round trip");
             let text = encode_partition(&snap).to_string_compact();
             let document = decode_partition(&Json::parse(&text).unwrap()).expect("entry decodes");
             assert_eq!(binary, document, "case {case}: the two codecs disagree");
             // Equality of f64s is not identity of bits; the record's is.
-            for (got, want) in [
-                (&binary.bmbp.waits, &snap.bmbp.waits),
-                (&binary.lognormal.waits, &snap.lognormal.waits),
-            ] {
-                assert!(got.iter().map(|w| w.to_bits()).eq(want.iter().map(|w| w.to_bits())));
-            }
+            let wait_bits = |p: &PartitionSnapshot| -> Vec<u64> {
+                p.waits.iter().map(|w| w.to_bits()).collect()
+            };
+            assert_eq!(wait_bits(&binary), wait_bits(&snap), "case {case}: wait bits");
         }
         assert_eq!(methods, [true; 3], "every bound method must have been drawn");
+        assert_eq!((shapes, longer), ([true; 3], [true; 2]), "every history shape drawn");
     }
 
     #[test]
@@ -750,8 +1135,8 @@ mod tests {
         const SENTINEL: f64 = 12_345.678;
         let mut snap = random_snapshot(&mut StdRng::seed_from_u64(11), 8);
         snap.site = "site".into();
-        snap.bmbp.waits[3] = SENTINEL;
-        snap.lognormal.waits[5] = SENTINEL;
+        snap.waits[3] = SENTINEL;
+        (snap.bmbp_retained, snap.lognormal_retained) = (8, 5);
         let good = record_of(&snap);
         assert!(decode_record(&good).is_ok());
         let patched = |at: usize, bytes: &[u8]| {
@@ -760,37 +1145,52 @@ mod tests {
             decode_record(&p)
         };
 
-        // Waits: both lists, every inadmissible class.
+        // Waits: every inadmissible class.
         let sentinel = SENTINEL.to_bits().to_le_bytes();
         let wait_offsets: Vec<usize> = (0..good.len() - 7)
             .filter(|&i| good[i..i + 8] == sentinel)
             .collect();
-        assert_eq!(wait_offsets.len(), 2, "one sentinel per wait list");
-        for at in wait_offsets {
-            for bad in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
-                let err = patched(at, &bad.to_bits().to_le_bytes()).unwrap_err();
-                assert!(err.contains("finite and non-negative"), "{bad}: {err}");
-            }
+        assert_eq!(wait_offsets.len(), 1, "one wait list");
+        for bad in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = patched(wait_offsets[0], &bad.to_bits().to_le_bytes()).unwrap_err();
+            assert!(err.contains("finite and non-negative"), "{bad}: {err}");
         }
 
         // Version and the two enum tags.
-        assert!(patched(0, &[0]).unwrap_err().contains("version"));
+        assert!(patched(0, &[1]).unwrap_err().contains("version"));
         assert!(patched(0, &[RECORD_VERSION + 1]).unwrap_err().contains("version"));
         assert!(patched(1, &[4]).unwrap_err().contains("proc range tag"));
         let method_at = 2 + 4 + snap.site.len() + 4 + snap.queue.len() + 8 + 16;
-        let method = METHOD_TAGS.iter().position(|m| *m == snap.bmbp.method).unwrap();
-        assert_eq!(usize::from(good[method_at]), method, "the layout in the module docs");
+        assert_eq!(usize::from(good[method_at]), method_tag(snap.bmbp.method), "the layout");
         assert!(patched(method_at, &[3]).unwrap_err().contains("bound method tag"));
         // The flag after it (trimming) admits only 0 and 1.
         assert!(patched(method_at + 1, &[2]).unwrap_err().contains("0 or 1"));
 
+        // The history's tail: `u32 count | count × f64 | u32 | u32`. A
+        // retained length past the list, and a list longer than both
+        // retained lengths, hold waits no predictor owns.
+        let retained_at = good.len() - 8;
+        let count_at = retained_at - 8 * snap.waits.len() - 4;
+        assert_eq!(good[count_at..count_at + 4], 8u32.to_le_bytes(), "the layout");
+        assert_eq!(good[retained_at..], [8, 0, 0, 0, 5, 0, 0, 0], "the layout");
+        for (what, retained) in [
+            ("bmbp past the list", [9, 0, 0, 0, 5, 0, 0, 0]),
+            ("lognormal past the list", [8, 0, 0, 0, 9, 0, 0, 0]),
+            ("the list longer than both", [7, 0, 0, 0, 5, 0, 0, 0]),
+            ("both empty", [0; 8]),
+        ] {
+            let err = patched(retained_at, &retained).unwrap_err();
+            assert!(err.contains("waits stored, but the predictors retain"), "{what}: {err}");
+        }
+        let mut entry = snap.clone();
+        entry.lognormal_retained = 9;
+        let text = encode_partition(&entry).to_string_compact();
+        assert!(decode_partition(&Json::parse(&text).unwrap()).unwrap_err().contains("retain"));
+
         // A name that is not UTF-8, a count larger than the bytes present,
         // and bytes after the record.
         assert!(patched(6, &[0xFF]).unwrap_err().contains("UTF-8"));
-        let mut long_count = good.clone();
-        let count_at = good.len() - 8 * snap.lognormal.waits.len() - 4;
-        long_count[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_record(&long_count).unwrap_err().contains("truncated"));
+        assert!(patched(count_at, &u32::MAX.to_le_bytes()).unwrap_err().contains("truncated"));
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(decode_record(&trailing).unwrap_err().contains("trailing"));

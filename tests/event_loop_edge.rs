@@ -392,10 +392,11 @@ fn reply_larger_than_the_budget_reaches_a_reading_client() {
     let server = binary_server(ServerConfig { shards: 4, ..ServerConfig::default() });
     let budget = ServerConfig::default().writer_capacity * 256;
 
-    // 250 partitions x 100 observes: an inline snapshot of ~480 KB.
+    // 250 partitions x 200 observes: an inline snapshot of ~480 KB (each
+    // partition's history is stored once).
     let mut seeder = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
     seeder.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    for round in 0..100u32 {
+    for round in 0..200u32 {
         for p in 0..250u32 {
             let wait = f64::from((round * 250 + p) % 9973) * 1.5;
             seeder.queue_observe(&format!("site{p}"), "q", 8, wait, None, None);
@@ -425,7 +426,7 @@ fn reply_larger_than_the_budget_reaches_a_reading_client() {
         // Same connection, still healthy.
         let request = client.predict(2, "site7");
         client.send(&request);
-        assert_eq!(client.recv(), Some((2, Reply::Predict { n: 100, seq: 100 })), "{wire:?}");
+        assert_eq!(client.recv(), Some((2, Reply::Predict { n: 200, seq: 200 })), "{wire:?}");
     }
     assert_eq!(slow_disconnects(&server), before, "no reading client is a slow consumer");
 
