@@ -18,6 +18,7 @@
 //! qdelay admit --site S --queue Q --procs N --budget SECS
 //!              [--connect ADDR[,ADDR...]] [--confidence C]
 //! qdelay promote [--connect ADDR]
+//! qdelay snapshot export <file>
 //! qdelay catalog
 //! ```
 //!
@@ -76,6 +77,7 @@ fn main() -> ExitCode {
         Some("stats") => cmd_stats(&args[1..]),
         Some("admit") => cmd_admit(&args[1..]),
         Some("promote") => cmd_promote(&args[1..]),
+        Some("snapshot") => cmd_snapshot(&args[1..]),
         Some("catalog") => cmd_catalog(),
         Some("--help") | Some("-h") | None => {
             print_usage();
@@ -148,6 +150,7 @@ fn print_usage() {
          \x20 qdelay admit --site S --queue Q --procs N --budget SECS\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--connect ADDR[,ADDR...]] [--confidence C]\n\
          \x20 qdelay promote [--connect ADDR]\n\
+         \x20 qdelay snapshot export <file>\n\
          \x20 qdelay catalog\n\n\
          Serving (Linux only): --shards N means N shards and N I/O threads;\n\
          a connection belongs to one thread, which executes its requests\n\
@@ -165,6 +168,9 @@ fn print_usage() {
          snapshot — one of --journal-path / --snapshot-path is required)\n\
          and are restored bit-identically by their next observe (a predict\n\
          or admit of one is answered from the index, without a restore).\n\n\
+         Snapshots: a --snapshot-path file and a journal directory's\n\
+         snapshot.json hold framed binary partition records; 'qdelay\n\
+         snapshot export FILE' prints one as the JSON snapshot document.\n\n\
          Any command also accepts --telemetry <path.json>: on success the\n\
          internal counters/gauges/latency histograms are exported there as\n\
          JSON and summarized on stderr.\n\n\
@@ -890,6 +896,27 @@ fn cmd_promote(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `qdelay snapshot export <file>`: prints a snapshot file — the framed
+/// file a server writes, or a version-3 JSON document — as the JSON
+/// snapshot document, pretty-printed.
+fn cmd_snapshot(args: &[String]) -> Result<(), String> {
+    match args {
+        [sub, path] if sub == "export" => {
+            emit(&export_snapshot(path)?);
+            Ok(())
+        }
+        _ => Err("usage: qdelay snapshot export <file>".to_string()),
+    }
+}
+
+/// The JSON document of the snapshot file at `path`. Unlike a server's
+/// boot, a missing file is an error here, not empty state.
+fn export_snapshot(path: &str) -> Result<String, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = qdelay_serve::snapshot::parse(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    Ok(qdelay_serve::snapshot::export(doc))
+}
+
 /// Builds the durability config from the serve flags, rejecting journal
 /// tuning knobs given without `--journal-path`.
 fn journal_config(
@@ -1397,6 +1424,34 @@ mod tests {
     fn unknown_catalog_entry_is_an_error() {
         let err = cmd_generate(&strs(&["nope", "nada"])).unwrap_err();
         assert!(err.contains("no catalog entry"));
+    }
+
+    #[test]
+    fn snapshot_export_prints_the_pretty_document_of_a_written_file() {
+        use qdelay_serve::registry::{Partition, PartitionKey};
+        use qdelay_serve::snapshot;
+        let dir = std::env::temp_dir().join("qdelay-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("export.snap");
+        let key = PartitionKey::for_request("ds", "normal", 4);
+        let mut p = Partition::new();
+        for i in 0..70 {
+            p.observe(f64::from(i % 13) * 60.0, None, None);
+        }
+        let parts = vec![p.to_snapshot(&key)];
+        let dead = vec![(PartitionKey::for_request("ds", "gone", 4), 9)];
+        snapshot::write(&path, &snapshot::render(parts.clone(), dead.clone()).unwrap()).unwrap();
+        let path = path.to_str().unwrap();
+        let mut want = snapshot::encode(parts, dead).to_string_pretty();
+        want.push('\n');
+        assert_eq!(export_snapshot(path).unwrap(), want);
+        assert!(cmd_snapshot(&strs(&["export"])).unwrap_err().contains("usage"));
+        assert!(cmd_snapshot(&strs(&["import", path])).unwrap_err().contains("usage"));
+        let missing = dir.join("no-such.snap");
+        assert!(export_snapshot(missing.to_str().unwrap()).unwrap_err().contains("cannot read"));
+        let junk = dir.join("junk.snap");
+        std::fs::write(&junk, b"\x01junk").unwrap();
+        assert!(export_snapshot(junk.to_str().unwrap()).unwrap_err().contains("junk.snap"));
     }
 
     #[test]

@@ -74,10 +74,15 @@ pub static FSYNCS: Counter = Counter::new("journal.fsyncs");
 pub static FSYNC_NS: LatencyHistogram = LatencyHistogram::new("journal.fsync_ns");
 /// Segment rotations.
 pub static ROTATIONS: Counter = Counter::new("journal.rotations");
-/// Compaction passes (segments folded into the snapshot and deleted).
+/// Compaction passes (the snapshot rewritten, sealed segments deleted).
 pub static COMPACTIONS: Counter = Counter::new("journal.compactions");
 /// Segments deleted by compaction.
 pub static COMPACTED_SEGMENTS: Counter = Counter::new("journal.compacted_segments");
+/// Wall time of one compaction pass, in microseconds.
+pub static COMPACT_US: LatencyHistogram = LatencyHistogram::new("journal.compact_us");
+/// The longest single shard-lock hold within one compaction pass, in
+/// microseconds: what the pass cost the traffic of that shard.
+pub static COMPACT_LOCK_US: LatencyHistogram = LatencyHistogram::new("journal.compact_lock_us");
 /// Live segment files on disk (last observed).
 pub static LIVE_SEGMENTS: Gauge = Gauge::new("journal.segments");
 /// Live journal bytes on disk (last observed).

@@ -4,7 +4,8 @@
 //! Layout of a journal directory:
 //!
 //! ```text
-//! <dir>/snapshot.json          versioned full snapshot (crate::snapshot)
+//! <dir>/snapshot.json          the snapshot file (crate::snapshot; framed
+//!                              records since version 4 — the name is kept)
 //! <dir>/seg-EEEE-SSSS-CCCC.qdj per-shard segment streams (qdelay-journal)
 //! ```
 //!
@@ -20,22 +21,40 @@
 //! [`PartitionStore::install_snapshots`]), then the journal tail is dealt
 //! by shard and replayed through each store's `apply` + `enforce_cap`, the
 //! path a replica applies its stream through; the result is consolidated
-//! into a fresh snapshot. Compaction applies the same ⊕ to a *prefix* of
-//! the journal (the sealed segments), writes the result as the new
-//! snapshot (atomically), and deletes the folded segments. Because served
-//! bounds are a pure function of the observation sequence and predictor
-//! state round-trips bit-identically, folding commutes with serving:
-//! recovery over the compacted layout yields the same state as recovery
-//! over the original one.
+//! into a fresh snapshot.
+//!
+//! **Compaction collects; it does not fold.** The background compactor
+//! (`server.rs`) writes what the shards already hold — the settled,
+//! one-shard-at-a-time collect a `snapshot` request and graceful shutdown
+//! use — as the new snapshot ([`replace_with_snapshot`], atomically), then
+//! deletes the sealed segments it was sent. No segment is read and no
+//! record replayed a second time. Why the result is `snapshot ⊕ journal`:
+//!
+//! * a shard applies an observe and stages its record under one lock hold,
+//!   so once a segment is sealed every record in it is already in that
+//!   shard's memory, and the deleted segments hold nothing the file lacks;
+//! * each shard is settled — everything staged committed — before it is
+//!   read, so the file never holds a record the journal lacks;
+//! * the file may run ahead of the segments left on disk, which boot's
+//!   seq dedup skips, exactly as after a crash between a snapshot write
+//!   and its segment deletes.
+//!
+//! **The fenced rule.** A shard whose group commit failed is fenced: its
+//! memory may hold an observe whose ack became an `io` error, and no
+//! journal to hold it. If any shard is fenced the compactor stops, as it
+//! does on any failure, rather than persist that observe; the segments stay
+//! for the next boot. Lock order: the replication hub's compaction guard
+//! first, then one shard at a time — nothing takes them the other way.
 
 use crate::hibernate::PartitionStore;
-use crate::registry::{Partition, PartitionKey};
+use crate::registry::PartitionKey;
 use crate::snapshot::{self, Document};
-use qdelay_journal::{self as journal, JournalError, RecoverMode, Record, SealedSegment};
+use qdelay_journal::{self as journal, JournalError, RecoverMode, Record};
 pub use qdelay_journal::FsyncPolicy;
-use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
+#[cfg(test)]
+use {crate::registry::Partition, std::collections::HashMap};
 
 /// Durability knobs for a journaling server.
 #[derive(Debug, Clone)]
@@ -48,7 +67,8 @@ pub struct JournalConfig {
     /// Segment rotation threshold in bytes.
     pub segment_bytes: u64,
     /// Compaction trigger: once this many bytes of *sealed* segments have
-    /// accumulated, fold them into the snapshot and delete them.
+    /// accumulated, write what the shards hold as the snapshot and delete
+    /// them.
     pub compact_bytes: u64,
 }
 
@@ -101,11 +121,11 @@ pub(crate) fn record_key(r: &Record) -> Result<PartitionKey, String> {
 
 /// Where replayed records land. The replay loop ([`apply_records_into`])
 /// owns the cursor discipline — dedup, gap detection, tombstone/resurrect
-/// sequencing — while the sink owns the storage. Two sinks exist: the
-/// capacity-managed [`PartitionStore`] every shard holds (boot replay,
-/// replica apply), whose `observe` may first have to restore a hibernated
-/// partition from its spill file (hence the fallible signature), and plain
-/// hash maps ([`MapSink`]), which journal compaction folds into.
+/// sequencing — while the sink owns the storage: the capacity-managed
+/// [`PartitionStore`] every shard holds (boot replay, replica apply), whose
+/// `observe` may first have to restore a hibernated partition from its
+/// spill file (hence the fallible signature). The tests' oracle replays
+/// into plain hash maps (`MapSink`).
 pub(crate) trait RecordSink {
     /// Current cursor for `key`: the live partition's seq, a hibernated
     /// partition's spilled seq, a dead partition's tombstone seq, or 0.
@@ -118,13 +138,15 @@ pub(crate) trait RecordSink {
     fn observe(&mut self, key: PartitionKey, cursor: u64, r: &Record) -> Result<(), String>;
 }
 
-/// The plain-map sink [`compact`] replays the partitions its records touch
+/// The plain-map sink: the oracle the tests replay snapshot ⊕ journal
 /// into.
+#[cfg(test)]
 pub(crate) struct MapSink<'a> {
     pub partitions: &'a mut HashMap<PartitionKey, Partition>,
     pub dead: &'a mut HashMap<PartitionKey, u64>,
 }
 
+#[cfg(test)]
 impl RecordSink for MapSink<'_> {
     fn cursor(&self, key: &PartitionKey) -> u64 {
         match self.partitions.get(key) {
@@ -189,6 +211,7 @@ pub(crate) fn apply_records_into<S: RecordSink>(
 }
 
 /// [`apply_records_into`] onto plain maps.
+#[cfg(test)]
 pub(crate) fn apply_records(
     partitions: &mut HashMap<PartitionKey, Partition>,
     dead: &mut HashMap<PartitionKey, u64>,
@@ -201,7 +224,7 @@ pub(crate) fn apply_records(
 /// enforced again — at boot and on a replica alike.
 pub(crate) const APPLY_BATCH: usize = 256;
 
-/// Splits a document into one share per shard, each partition and dead
+/// Splits a snapshot into one share per shard, each partition and dead
 /// cursor going to the shard that owns its key.
 pub(crate) fn deal((parts, dead): Document, shards: usize) -> Vec<Document> {
     let mut out: Vec<Document> = (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
@@ -265,7 +288,7 @@ pub(crate) fn boot(
         dead.extend(d);
     }
     let partitions = parts.len();
-    replace_with_snapshot(&cfg.dir, &snapshot::render(parts, dead), &old_segments)?;
+    replace_with_snapshot(&cfg.dir, &snapshot::render(parts, dead)?, &old_segments)?;
     if replayed > 0 {
         eprintln!(
             "qdelay-serve: recovered {partitions} partitions ({replayed} journal records replayed)"
@@ -274,7 +297,7 @@ pub(crate) fn boot(
     Ok(Some(recovery.next_epoch))
 }
 
-/// Writes a rendered document as the journal directory's snapshot
+/// Writes a rendered snapshot as the journal directory's snapshot file
 /// (atomically), then deletes `segments` — in that order, so a crash
 /// between the two steps only leaves behind segments whose records the
 /// seq-dedup in [`apply_records_into`] will skip on the next boot.
@@ -288,51 +311,6 @@ pub(crate) fn replace_with_snapshot(
         std::fs::remove_file(path)?;
     }
     refresh_disk_gauges(dir).map_err(journal_to_io)
-}
-
-/// Background compaction pass: folds the given sealed segments into the
-/// snapshot and deletes them. Untouched partitions' snapshot entries are
-/// passed through verbatim; only partitions named by the folded records
-/// are re-materialized, replayed, and re-serialized.
-pub(crate) fn compact(dir: &Path, sealed: &mut Vec<SealedSegment>) -> Result<(), String> {
-    sealed.sort_by_key(|s| s.id);
-    let mut records = Vec::new();
-    for seg in sealed.iter() {
-        // Sealed segments were synced before rotation; strict read.
-        let contents =
-            journal::read_segment(&seg.path, seg.id, false).map_err(|e| e.to_string())?;
-        records.extend(contents.records);
-    }
-    let (existing, dead) = snapshot::read(&snapshot_file(dir)).map_err(|e| e.to_string())?;
-    // Materialize only the partitions the folded records touch.
-    let touched: std::collections::HashSet<PartitionKey> = records
-        .iter()
-        .map(record_key)
-        .collect::<Result<_, _>>()?;
-    let mut untouched = Vec::new();
-    let mut live: HashMap<PartitionKey, Partition> = HashMap::new();
-    for snap in existing {
-        let key = snap.key();
-        if touched.contains(&key) {
-            live.insert(key, Partition::from_snapshot(&snap).map_err(|e| e.to_string())?);
-        } else {
-            untouched.push(snap);
-        }
-    }
-    // Dead cursors ride along whether touched or not: resurrection pulls
-    // a key out of the map, a new tombstone puts one in, and an untouched
-    // entry re-serializes identically.
-    let mut dead: HashMap<PartitionKey, u64> = dead.into_iter().collect();
-    apply_records(&mut live, &mut dead, records)?;
-    let mut parts = untouched;
-    parts.extend(live.iter().map(|(key, part)| part.to_snapshot(key)));
-    let rendered = snapshot::render(parts, dead.into_iter().collect());
-    let paths: Vec<PathBuf> = sealed.iter().map(|s| s.path.clone()).collect();
-    replace_with_snapshot(dir, &rendered, &paths).map_err(|e| e.to_string())?;
-    journal::COMPACTIONS.incr();
-    journal::COMPACTED_SEGMENTS.add(sealed.len() as u64);
-    sealed.clear();
-    Ok(())
 }
 
 /// Updates the `journal.segments` / `journal.live_bytes` gauges from the
@@ -414,7 +392,7 @@ mod tests {
     /// Writes `parts` (and no dead cursors) as the directory's snapshot.
     fn snapshot_of(dir: &Path, parts: &[(PartitionKey, Partition)]) {
         let entries = parts.iter().map(|(k, p)| p.to_snapshot(k)).collect();
-        replace_with_snapshot(dir, &snapshot::render(entries, Vec::new()), &[]).unwrap();
+        replace_with_snapshot(dir, &snapshot::render(entries, Vec::new()).unwrap(), &[]).unwrap();
     }
 
     /// Boots `dir` into one uncapped store, as a one-shard server does;
@@ -522,8 +500,8 @@ mod tests {
     fn dead_cursor_survives_compaction_and_gates_replay() {
         let dir = fresh_dir("deadcursor");
         let k = key();
-        // Journal 1..=30 then a trailing tombstone; fold *everything* into
-        // the snapshot.
+        // Journal 1..=30 then a trailing tombstone; the boot consolidation
+        // compacts *everything* into the snapshot.
         let mut w = JournalWriter::open(
             &dir,
             1,
@@ -539,18 +517,12 @@ mod tests {
         w.append(&Record::tombstone(&k.site, &k.queue, k.range.label(), 31));
         w.commit().unwrap();
         w.close().unwrap();
-        let mut sealed: Vec<SealedSegment> = journal::scan_dir(&dir)
-            .unwrap()
-            .into_iter()
-            .map(|(id, path)| {
-                let len = std::fs::metadata(&path).unwrap().len();
-                SealedSegment { id, path, len }
-            })
-            .collect();
-        compact(&dir, &mut sealed).unwrap();
+        boot_one(&dir).unwrap();
 
         // The snapshot alone (no segments remain) carries the dead cursor.
         assert!(journal::scan_dir(&dir).unwrap().is_empty());
+        let alone = snapshot::read(&snapshot_file(&dir)).unwrap();
+        assert_eq!(alone, (Vec::new(), vec![(k.clone(), 31)]));
         let (mut store, _) = boot_one(&dir).unwrap();
         assert_eq!(store.partition_count(), 0, "tombstoned partition must not come back alive");
         assert_eq!(store.predict(k.clone()).unwrap(), Prediction::unobserved(31));
@@ -582,57 +554,125 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Copies a live journal directory as a crash would leave it. The
+    /// compactor may delete a sealed segment between the listing and its
+    /// copy, pairing an older snapshot with a hole no crash leaves behind,
+    /// so the copy then starts over from a fresh listing.
+    fn crash_image(src: &Path, dst: &Path) {
+        'listing: loop {
+            let _ = std::fs::remove_dir_all(dst);
+            std::fs::create_dir_all(dst).unwrap();
+            for entry in std::fs::read_dir(src).unwrap() {
+                let entry = entry.unwrap();
+                match std::fs::copy(entry.path(), dst.join(entry.file_name())) {
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => continue 'listing,
+                    copied => {
+                        copied.unwrap();
+                    }
+                }
+            }
+            return;
+        }
+    }
+
+    /// Compaction collects the settled shards instead of folding segments.
+    /// A journaling server with 512-byte segments, compacting at 2 KiB, runs
+    /// the paper's loop — each observe carries the bounds its partition was
+    /// just served — over 256 partitions until it has compacted at least
+    /// three times. A crash image copied while it runs must boot every
+    /// partition to a `seq` at or past its last ack before the copy and at
+    /// or under its last observe sent by the copy's end, serving the bits of
+    /// a [`MapSink`] replay of exactly that prefix.
     #[test]
-    fn compaction_folds_sealed_segments_bit_identically() {
-        let dir = fresh_dir("compact");
-        // An untouched second partition already in the snapshot: compaction
-        // must pass its entry through verbatim.
-        let other_key = PartitionKey::for_request("other", "q", 70);
-        let mut other = Partition::new();
-        for s in 1..=40 {
-            other.observe(wait(s) + 1.0, None, None);
+    fn compaction_collects_the_settled_shards_and_a_crash_image_boots_to_the_map_replay() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        use std::time::Duration;
+        const PARTITIONS: usize = 256;
+        // Jobs per partition before the image is taken: enough for every
+        // partition to be served a BMBP bound.
+        const WARM: usize = 70;
+        let live = fresh_dir("collect-live");
+        let config = ServerConfig {
+            journal: Some(JournalConfig {
+                dir: live.clone(),
+                fsync: FsyncPolicy::Never,
+                segment_bytes: 512,
+                compact_bytes: 2048,
+            }),
+            ..ServerConfig::default()
+        };
+        let server = Server::start("127.0.0.1:0", config).unwrap();
+        let keys: Vec<PartitionKey> =
+            (0..PARTITIONS).map(|i| PartitionKey::for_request(&format!("c{i}"), "q", 4)).collect();
+        // Per partition: the record of every observe sent, in order, and
+        // the seq of the last one acked.
+        let sent: Mutex<Vec<Vec<Record>>> = Mutex::new(vec![Vec::new(); PARTITIONS]);
+        let acked: Mutex<Vec<u64>> = Mutex::new(vec![0; PARTITIONS]);
+        let (jobs, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
+        // No other test in this crate compacts, so the counter is this
+        // server's.
+        let compactions = journal::COMPACTIONS.value();
+        let image = fresh_dir("collect-image");
+        let (before, after) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut c = Client::connect(server.local_addr()).unwrap();
+                let mut rng = StdRng::seed_from_u64(29);
+                for job in 0.. {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let (i, k) = (job % PARTITIONS, &keys[job % PARTITIONS]);
+                    let served = c.predict(&k.site, &k.queue, 4).unwrap();
+                    let spike = if rng.gen_bool(0.03) { 50.0 } else { 1.0 };
+                    let w = wait(job as u64) * spike;
+                    let (bmbp, lognormal) = (served.bmbp, served.lognormal);
+                    let seq = served.seq + 1;
+                    sent.lock().unwrap()[i].push(record_for(k.clone(), seq, w, bmbp, lognormal));
+                    assert_eq!(c.observe(&k.site, &k.queue, 4, w, bmbp, lognormal).unwrap(), seq);
+                    acked.lock().unwrap()[i] = seq;
+                    jobs.store(job + 1, Ordering::SeqCst);
+                }
+            });
+            while jobs.load(Ordering::SeqCst) < PARTITIONS * WARM
+                || journal::COMPACTIONS.value() < compactions + 3
+            {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let before = acked.lock().unwrap().clone();
+            crash_image(&live, &image);
+            let after: Vec<usize> = sent.lock().unwrap().iter().map(Vec::len).collect();
+            // The loop runs on past the copy before it is stopped.
+            let target = jobs.load(Ordering::SeqCst) + PARTITIONS;
+            while jobs.load(Ordering::SeqCst) < target {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            stop.store(true, Ordering::SeqCst);
+            (before, after)
+        });
+        Client::connect(server.local_addr()).unwrap().shutdown().unwrap();
+        server.join().unwrap();
+        // Compaction kept the journal short: most of the history is in the
+        // image's snapshot, not its segments.
+        let tail = journal::recover(&image, RecoverMode::ReadOnly).unwrap().records.len();
+        assert!(tail < PARTITIONS * WARM / 4, "{tail} records left in the journal tail");
+
+        let sent = sent.into_inner().unwrap();
+        let (mut store, _) = boot_one(&image).unwrap();
+        assert_eq!(store.partition_count(), PARTITIONS);
+        for (i, k) in keys.iter().enumerate() {
+            let got = store.predict(k.clone()).unwrap();
+            assert!(got.seq >= before[i], "{}: seq {} lost ack {}", k.label(), got.seq, before[i]);
+            assert!(got.seq as usize <= after[i], "{}: seq {} never sent", k.label(), got.seq);
+            let (mut parts, mut dead) = (HashMap::new(), HashMap::new());
+            let prefix = sent[i][..got.seq as usize].iter().cloned();
+            assert_eq!(apply_records(&mut parts, &mut dead, prefix).unwrap(), got.seq);
+            let want = parts.get_mut(k).unwrap().predict();
+            assert_eq!(bits(&got), bits(&want), "{}", k.label());
+            assert!(got.bmbp.is_some(), "{}: the loop ran long enough to bound it", k.label());
         }
-        snapshot_of(&dir, &[(other_key.clone(), other)]);
-        let snapshot_before = std::fs::read_to_string(snapshot_file(&dir)).unwrap();
-
-        // Journal 1..=120 for the test partition through a writer with a
-        // tiny rotation threshold, so real sealed-segment notifications
-        // accumulate.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let shard = key().shard_index(1) as u32;
-        let mut w =
-            JournalWriter::open(&dir, 1, shard, 256, FsyncPolicy::Never, Some(tx)).unwrap();
-        for s in 1..=120u64 {
-            w.append(&record_for(key(), s, wait(s), None, None));
-            w.commit().unwrap();
-        }
-        let active = w.current_id();
-        w.close().unwrap();
-        let mut sealed: Vec<SealedSegment> = rx.try_iter().collect();
-        assert!(sealed.len() >= 2, "need several sealed segments");
-
-        compact(&dir, &mut sealed).unwrap();
-        assert!(sealed.is_empty());
-        // Only the active (never-sealed) segment remains on disk.
-        let remaining: Vec<_> = journal::scan_dir(&dir).unwrap();
-        assert_eq!(remaining.len(), 1);
-        assert_eq!(remaining[0].0, active);
-        // The untouched partition's snapshot entry survived verbatim.
-        let snapshot_after = std::fs::read_to_string(snapshot_file(&dir)).unwrap();
-        assert!(
-            snapshot_after.contains(r#""site": "other""#)
-                || snapshot_after.contains(r#""site":"other""#),
-            "untouched partition must stay in the snapshot"
-        );
-        assert_ne!(snapshot_before, snapshot_after);
-
-        // snapshot ⊕ remaining journal reproduces the oracle bit-exactly.
-        let (mut store, _) = boot_one(&dir).unwrap();
-        let got = store.predict(key()).unwrap();
-        assert_eq!(got.seq, 120);
-        assert_eq!(bits(&got), bits(&oracle(120).predict()));
-        assert_eq!(store.predict(other_key).unwrap().seq, 40);
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&live);
+        let _ = std::fs::remove_dir_all(&image);
     }
 
     /// Partitions of the seeded boot battery: every proc bucket, and more
@@ -687,7 +727,7 @@ mod tests {
         let (mut parts, mut dead) = (HashMap::new(), HashMap::new());
         apply_records(&mut parts, &mut dead, history[..folded].iter().cloned()).unwrap();
         let entries = parts.iter().map(|(k, p)| p.to_snapshot(k)).collect();
-        let rendered = snapshot::render(entries, dead.into_iter().collect());
+        let rendered = snapshot::render(entries, dead.into_iter().collect()).unwrap();
         replace_with_snapshot(dir, &rendered, &[]).unwrap();
         let tail = &history[folded - overlap..];
         let (first, second) = tail.split_at(tail.len() / 2);
@@ -775,7 +815,7 @@ mod tests {
             let seeded = fresh_dir(&format!("battery-{seed}"));
             lay_out(&seeded, &history, 600, 40);
             let (parts, dead) = map_replay(&seeded);
-            let want = snapshot::render(parts.clone(), dead.clone());
+            let want = snapshot::render(parts.clone(), dead.clone()).unwrap();
             let mut oracle: HashMap<PartitionKey, Partition> =
                 parts.iter().map(|s| (s.key(), Partition::from_snapshot(s).unwrap())).collect();
             let answers: Vec<Prediction> = (0..KEYS.len())

@@ -107,10 +107,11 @@
 //! ```
 //!
 //! The payload is the versioned binary partition record
-//! ([`crate::snapshot::encode_record`]): the fields of the partition's
-//! snapshot-document entry with every float as raw bits, so a restore
-//! parses no text. It decodes to the same [`PartitionSnapshot`] the
-//! document codec yields, and the restore path from there on is the
+//! ([`crate::snapshot::encode_record`]) — the frame a snapshot file holds
+//! for the partition, byte for byte: every field with every float as raw
+//! bits, so a restore parses no text. It decodes to the same
+//! [`PartitionSnapshot`] every snapshot reader yields, and the restore
+//! path from there on is the
 //! proven boot path ([`Partition::from_snapshot`] refits from state,
 //! bit-identically). An in-memory index maps each hibernated key to its
 //! slot — `(offset, len)`, the `seq` of the state in it and the answer
@@ -150,10 +151,6 @@ use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Largest spill-record payload written or accepted on read: 4 M
-/// observations' worth. Anything near this on read is damage, not data.
-const MAX_SPILL_PAYLOAD: u32 = 1 << 26;
 
 /// Compaction trigger: garbage must exceed half the file...
 const COMPACT_GARBAGE_NUM: u64 = 2;
@@ -231,17 +228,9 @@ impl Spill {
     /// never matters.
     fn append(&mut self, snap: &PartitionSnapshot) -> io::Result<SpillSlot> {
         let mut bytes = Vec::new();
-        let start = frame::begin(&mut bytes);
-        snapshot::encode_record(snap, &mut bytes);
-        if bytes.len() - frame::PREFIX_LEN > MAX_SPILL_PAYLOAD as usize {
-            // Refused here, while the partition is still in memory: a
-            // slot the reader would reject is lost history.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("partition record of {} bytes is too large to spill", bytes.len()),
-            ));
-        }
-        frame::finish(&mut bytes, start);
+        // Refused while the partition is still in memory: a slot the reader
+        // would reject is lost history.
+        snapshot::frame_record(snap, &mut bytes)?;
         self.file.write_all_at(&bytes, self.end)?;
         let len = bytes.len() as u64;
         let slot =
@@ -283,7 +272,7 @@ impl Spill {
         self.file
             .read_exact_at(buf, slot.offset)
             .map_err(|e| bad(&format!("read failed: {e}")))?;
-        let (start, end) = match frame::check(buf, MAX_SPILL_PAYLOAD) {
+        let (start, end) = match frame::check(buf, snapshot::MAX_FRAME_PAYLOAD) {
             Check::Complete { start, end, next } if next == buf.len() => (start, end),
             Check::Complete { .. } => return Err(bad("frame shorter than its slot")),
             Check::Incomplete => return Err(bad("torn frame")),

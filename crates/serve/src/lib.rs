@@ -18,7 +18,8 @@
 //! With a [`durability::JournalConfig`], the server additionally keeps a
 //! `qdelay-journal` write-ahead log: every `observe` is journaled before it
 //! is acknowledged (group-committed per loop wakeup), segments rotate and a
-//! background compactor folds sealed ones into the snapshot, and boot
+//! background compactor writes what the shards hold as the snapshot and
+//! deletes the sealed ones, and boot
 //! recovery (`snapshot ⊕ journal`, torn tails truncated) reconstructs
 //! bit-identical predictor state even after `kill -9` at an arbitrary byte.
 //!

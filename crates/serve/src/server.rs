@@ -49,11 +49,12 @@
 //!   Boot installs the journal directory's snapshot, then replays the
 //!   segment tail (torn tails truncated) through the shards' stores the way
 //!   a replica applies its stream, and consolidates; a background compactor
-//!   folds sealed segments into the snapshot so disk and recovery time stay
-//!   bounded. If a group commit fails, the acks it covered become `io`
-//!   errors and the shard **fences**: further observes are rejected (the
-//!   in-memory state may be ahead of the journal), while predicts keep
-//!   serving.
+//!   writes what the settled shards hold as the snapshot and deletes the
+//!   sealed segments, so disk and recovery time stay bounded. If a group
+//!   commit fails, the acks it covered become `io` errors and the shard
+//!   **fences**: further observes are rejected (the in-memory state may be
+//!   ahead of the journal), while predicts keep serving, and the compactor
+//!   stops rather than persist that state.
 //! * **Replication (optional)** — with `repl_addr` set (requires a
 //!   journal), a `qdelay-repl` listener streams the WAL to replicas:
 //!   each shard publishes its committed batch to the replication hub
@@ -69,10 +70,10 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -618,18 +619,15 @@ impl Server {
         let repl_hub: Option<Arc<ReplHub>> =
             config.repl_addr.as_ref().map(|_| Arc::new(ReplHub::new()));
 
-        // Background compactor + the sealed-segment channel feeding it.
-        let mut compactor = None;
-        let mut sealed_tx = None;
-        if let Some(jcfg) = &config.journal {
-            let (tx, rx) = mpsc::channel::<SealedSegment>();
-            sealed_tx = Some(tx);
-            let dir = jcfg.dir.clone();
-            let threshold = jcfg.compact_bytes;
-            let hub = repl_hub.clone();
-            compactor =
-                Some(std::thread::spawn(move || compactor_loop(rx, dir, threshold, hub)));
-        }
+        // The sealed-segment channel: the shard writers send, the
+        // compactor (spawned once the shards are shared) receives.
+        let (sealed_tx, sealed_rx) = match &config.journal {
+            Some(_) => {
+                let (tx, rx) = mpsc::channel::<SealedSegment>();
+                (Some(tx), Some(rx))
+            }
+            None => (None, None),
+        };
 
         let mut shards = Vec::with_capacity(config.shards);
         for (index, store) in stores.into_iter().enumerate() {
@@ -678,6 +676,14 @@ impl Server {
                 applied: AtomicU64::new(0),
             }),
         });
+        let compactor = match (sealed_rx, &shared.config.journal) {
+            (Some(rx), Some(jcfg)) => {
+                let (dir, threshold) = (jcfg.dir.clone(), jcfg.compact_bytes);
+                let (shards, hub) = (Arc::downgrade(&shared), repl_hub.clone());
+                Some(std::thread::spawn(move || compactor_loop(rx, shards, dir, threshold, hub)))
+            }
+            _ => None,
+        };
         let io_loops = event_loop::spawn(listener, bin_listener, &shared)?;
 
         // Primary side: the replication listener streaming the WAL.
@@ -780,14 +786,18 @@ impl Server {
         if let Some(listener) = self.repl_listener.take() {
             listener.stop();
         }
-        // Collect the final registry state. Hibernated partitions are
-        // decoded off the spill files without being restored, so a capped
-        // shutdown costs reads, not refits.
+        // Collect and render the final registry state, once, for every
+        // place that keeps one. Hibernated partitions are decoded off the
+        // spill files without being restored, so a capped shutdown costs
+        // reads, not refits.
         let wants_final = self.shared.config.snapshot_path.is_some()
             || self.shared.config.journal.is_some();
         let mut result = Ok(());
-        let final_state = match wants_final.then(|| collect_partitions(&self.shared)) {
-            Some(Ok(state)) => Some(state),
+        let collected = wants_final.then(|| {
+            collect_partitions(&self.shared).and_then(|(parts, dead)| snapshot::render(parts, dead))
+        });
+        let final_state = match collected {
+            Some(Ok(rendered)) => Some(rendered),
             Some(Err(e)) => {
                 result = Err(e);
                 None
@@ -810,9 +820,7 @@ impl Server {
         if let Some(compactor) = self.compactor.take() {
             let _ = compactor.join();
         }
-        if let Some((parts, dead)) = final_state {
-            // One document, rendered once, to every place that keeps one.
-            let rendered = snapshot::render(parts, dead);
+        if let Some(rendered) = final_state {
             if let Some(jcfg) = &self.shared.config.journal {
                 // Graceful-shutdown consolidation: fold everything into the
                 // snapshot and delete every segment, so the next boot
@@ -860,7 +868,7 @@ pub(crate) fn collect_partitions(shared: &Shared) -> io::Result<Document> {
 pub(crate) fn write_snapshot(shared: &Shared, path: &std::path::Path) -> io::Result<usize> {
     let (parts, dead) = collect_partitions(shared)?;
     let count = parts.len();
-    snapshot::write(path, &snapshot::render(parts, dead))?;
+    snapshot::write(path, &snapshot::render(parts, dead)?)?;
     SNAPSHOTS.incr();
     Ok(count)
 }
@@ -906,11 +914,15 @@ pub(crate) fn stats_payload(shared: &Shared) -> Vec<(String, Json)> {
 }
 
 /// Accumulates sealed-segment notifications from the shard writers and
-/// folds them into the journal snapshot once `threshold` bytes are
-/// pending. Exits when every writer is closed; whatever is still pending
-/// then is superseded by the final consolidation in [`Server::join`].
+/// compacts once `threshold` bytes are pending. Holds the shards weakly:
+/// they own the writers whose senders keep `rx` open, so a strong reference
+/// would keep them, and this thread, alive for good. Exits when every
+/// writer is closed, or after the first failed pass; whatever is pending
+/// then is superseded by the final consolidation in [`Server::join`] or by
+/// the next boot's.
 fn compactor_loop(
     rx: Receiver<SealedSegment>,
+    shards: Weak<Shared>,
     dir: PathBuf,
     threshold: u64,
     hub: Option<Arc<ReplHub>>,
@@ -927,25 +939,64 @@ fn compactor_loop(
         if pending_bytes < threshold {
             continue;
         }
+        let Some(shared) = shards.upgrade() else { return };
         // A replica catching up holds the hub's compaction lock across its
-        // snapshot-plus-segments scan; folding segments away mid-scan
-        // would ship it a hole.
+        // snapshot-plus-segments scan; deleting segments mid-scan would
+        // ship it a hole. The guard comes first, then one shard at a time.
         let result = {
             let _guard = hub.as_ref().map(|h| h.pause_compaction());
-            durability::compact(&dir, &mut pending)
+            compact(&shared, &dir, &pending)
         };
         match result {
-            Ok(()) => pending_bytes = 0,
+            Ok(()) => {
+                pending.clear();
+                pending_bytes = 0;
+            }
             Err(e) => {
                 // Compaction is an optimization, not a correctness
                 // requirement: leave the segments for the next boot's
                 // consolidation and stop retrying (the failure is almost
-                // certainly persistent — disk full, permissions).
+                // certainly persistent — disk full, permissions, a fence).
                 eprintln!("qdelay-serve: journal compaction failed (giving up): {e}");
                 return;
             }
         }
     }
+}
+
+/// One compaction pass: writes what the shards hold as the journal
+/// directory's snapshot, then deletes `sealed` (see [`crate::durability`]
+/// for why that is `snapshot ⊕ journal`). Each shard is settled, checked and
+/// collected under one lock hold, one shard at a time; a fenced shard fails
+/// the pass, since its memory may hold an observe the journal lacks.
+fn compact(shared: &Shared, dir: &Path, sealed: &[SealedSegment]) -> io::Result<()> {
+    let started = Instant::now();
+    let mut longest_hold = Duration::ZERO;
+    let (mut parts, mut dead) = (Vec::new(), Vec::new());
+    for index in 0..shared.shards.len() {
+        let mut shard = shared.shard(index);
+        let held = Instant::now();
+        let need = shard.appended;
+        shard.settle(need);
+        if shard.fenced {
+            return Err(io::Error::other(format!(
+                "shard {index} is fenced; its memory may hold an observe the journal lacks"
+            )));
+        }
+        let (p, d) = shard.store.collect()?;
+        drop(shard);
+        longest_hold = longest_hold.max(held.elapsed());
+        parts.extend(p);
+        dead.extend(d);
+    }
+    let rendered = snapshot::render(parts, dead)?;
+    let paths: Vec<PathBuf> = sealed.iter().map(|s| s.path.clone()).collect();
+    durability::replace_with_snapshot(dir, &rendered, &paths)?;
+    journal::COMPACTIONS.incr();
+    journal::COMPACTED_SEGMENTS.add(sealed.len() as u64);
+    journal::COMPACT_US.record(started.elapsed().as_micros() as u64);
+    journal::COMPACT_LOCK_US.record(longest_hold.as_micros() as u64);
+    Ok(())
 }
 
 /// Why [`run_stream`] returned.

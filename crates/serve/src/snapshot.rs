@@ -1,25 +1,22 @@
-//! The partition formats, all owned here: the warm-restart snapshot
-//! document and the binary partition record.
+//! The partition formats, all owned here: the snapshot file, the binary
+//! partition record it is made of, and the JSON snapshot document.
 //!
-//! A snapshot is one JSON document holding every partition's serializable
-//! core — the predictors' plain state ([`qdelay_predict::state`]) and their
-//! one shared history — written on `snapshot` requests and at graceful
-//! shutdown, and restored at boot. Properties:
+//! A snapshot holds every partition's serializable core — the predictors'
+//! plain state ([`qdelay_predict::state`]) and their one shared history —
+//! and the cursors of tombstoned partitions. Properties:
 //!
-//! * **Versioned** — this build writes version 3 and reads 2..=3 (the
-//!   previous version, for one version); any other is a load error.
 //! * **Flat** — partitions are stored as a sorted list keyed by
 //!   `(site, queue, procs-range)`; the shard count is *not* part of the
 //!   format, so a restart may re-shard freely.
-//! * **Deterministic** — partitions sort by key and `qdelay-json` prints
-//!   floats shortest-round-trip, so equal registry states produce
-//!   byte-identical files, and the JSON leg is lossless.
+//! * **Deterministic** — entries sort by key and every float is carried
+//!   losslessly (raw bits in the record, shortest round-trip in the JSON
+//!   document), so equal registry states produce byte-identical output.
 //! * **Warm** — restoring and replaying the remainder of a workload yields
 //!   bit-identical predictions to a server that never restarted.
 //!
 //! Consistency: a shard serializes its partitions under its lock, so every
-//! partition is internally consistent at some point during the snapshot
-//! request; the file is not a single global cut across shards.
+//! partition is internally consistent at some point during the collect;
+//! the file is not a single global cut across shards.
 //!
 //! **One history per partition.** Both predictors see every wait and drop
 //! only the oldest, so their histories are suffixes of one arrival
@@ -29,40 +26,43 @@
 //! decoder requires `waits` to be exactly as long as the longer history —
 //! no stored wait is one no predictor owns, so equal states encode equally.
 //!
+//! ## The snapshot file (version 4)
+//!
+//! A sequence of CRC frames — the shared [`qdelay_journal::frame`] codec,
+//! with the spill file's payload cap (`MAX_FRAME_PAYLOAD`, 64 MiB):
+//!
 //! ```text
-//! { "version": 3, "kind": "qdelay-serve-snapshot",
-//!   "partitions": [ { "site", "queue", "procs", "seq",
-//!       "bmbp":      { quantile, confidence, method, trimming, threshold_override,
-//!                      max_history, detector, trims, calibrated, retained },
-//!       "lognormal": { quantile, confidence, trimming, threshold_override, detector,
-//!                      trims, moments: { sum, sum_comp, sum_sq, sum_sq_comp }, retained },
-//!       "waits": [ ... ] } ],
-//!   "dead": [ { "site", "queue", "procs", "seq" } ] }
+//! header       "QDLYSNAP" | u32 version (4) | u64 partitions | u64 dead
+//! partitions × one binary partition record (below), sorted by key
+//! dead       × u8 proc-range tag | u32 len | site | u32 len | queue | u64 seq,
+//!              sorted by key
 //! ```
 //!
-//! A version-2 entry carried each predictor's whole history in its object,
-//! stamped `"version": 1` and its `"kind"`, with a `moments.removals` that
-//! was always 0: the reader checks the stamps, ignores `removals`, and
-//! refuses, naming the partition, a shorter list that is not a suffix of
-//! the longer, bit for bit.
+//! The reader ([`parse`]): empty bytes are empty state — what a primary
+//! ships for a journal directory with no snapshot yet. Bytes whose first is
+//! `{` are a JSON document of version 3 (the previous file version, read
+//! one way: nothing writes it to a file any more). Anything else must be
+//! exactly the frames its header counts: a damaged or torn frame, a count
+//! that does not match the frames present, trailing bytes, and a key named
+//! twice are each `InvalidData`. There is no right answer to which of two
+//! entries for one key is the state, and no writer produces one. A record
+//! past the cap is refused by the writer, while the partition is still in
+//! memory: a file the reader would reject is lost state.
 //!
-//! Only this module knows the file form of the document: [`read`] and
-//! [`parse`] are the one reader (boot, journal compaction, and a replica's
-//! resync, which parses the bytes the primary read off its file), and
-//! [`render`] + [`write`] the one writer (a `snapshot` request, graceful
-//! shutdown, journal compaction and boot consolidation). A missing file and
-//! empty bytes both read as empty state — what a primary ships for a
-//! journal directory with no snapshot yet. A document that names one
-//! partition twice, across `partitions` and `dead`, is refused: no writer
-//! produces one, and there is no right answer to which entry is the state.
+//! Only this module knows the file form: [`read`] and [`parse`] are the one
+//! reader (boot, and a replica's resync, which parses the bytes the primary
+//! read off its file), and [`render`] + [`write`] the one writer (a
+//! `snapshot` request, graceful shutdown, boot consolidation and journal
+//! compaction). A missing file reads as empty state.
 //!
 //! ## The binary partition record
 //!
-//! [`encode_record`]/[`decode_record`] carry the same fields with every
-//! `f64` as raw `to_bits`, so no float is printed or parsed. It is a frame
-//! *payload* (callers wrap it in the shared [`qdelay_journal::frame`]) and
-//! is what a hibernation spill slot holds ([`crate::hibernate`]); spill
-//! files are truncated at boot, so only this version is read. Little-endian:
+//! [`encode_record`]/[`decode_record`] carry every field with every `f64`
+//! as raw `to_bits`, so no float is printed or parsed. It is a frame
+//! *payload*: a snapshot file's partition frames and a hibernation spill
+//! slot ([`crate::hibernate`]) hold it, and `frame_record` frames it for
+//! both. Spill files are truncated at boot and snapshot files carry the
+//! file version, so only this record version is read. Little-endian:
 //!
 //! ```text
 //! u8  version (2)        | u8 proc-range tag (index into ProcRange::ALL)
@@ -83,10 +83,30 @@
 //! [`decode_record`] keeps every check the document decoder makes and adds
 //! the binary ones: every length bounded by the bytes present, and no byte
 //! left over. Damage is a typed error, never a panic.
+//!
+//! ## The JSON document (version 3)
+//!
+//! The same fields as text: the inline `snapshot` reply, `qdelay snapshot
+//! export` ([`export`]) and the reader of version-3 files. `qdelay-json`
+//! prints floats shortest-round-trip, so the document is lossless too.
+//!
+//! ```text
+//! { "version": 3, "kind": "qdelay-serve-snapshot",
+//!   "partitions": [ { "site", "queue", "procs", "seq",
+//!       "bmbp":      { quantile, confidence, method, trimming, threshold_override,
+//!                      max_history, detector, trims, calibrated, retained },
+//!       "lognormal": { quantile, confidence, trimming, threshold_override, detector,
+//!                      trims, moments: { sum, sum_comp, sum_sq, sum_sq_comp }, retained },
+//!       "waits": [ ... ] } ],
+//!   "dead": [ { "site", "queue", "procs", "seq" } ] }
+//! ```
+//!
+//! Any other document version is refused, naming what this build reads.
 
 use crate::durability::journal_to_io;
 use crate::proto::{Cur, DecodeError};
 use crate::registry::PartitionKey;
+use qdelay_journal::frame::{self, Check};
 use qdelay_json::Json;
 use qdelay_predict::bound::BoundMethod;
 use qdelay_predict::state::{BmbpState, DetectorState, LogNormalState, MomentsState};
@@ -95,9 +115,20 @@ use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
-/// Snapshot document version this build writes. The previous version (2)
-/// is still read; see the module docs.
-pub const SNAPSHOT_VERSION: u64 = 3;
+/// Version of the JSON snapshot document: written by the inline `snapshot`
+/// reply and [`export`], and read from a version-3 file.
+pub const DOCUMENT_VERSION: u64 = 3;
+
+/// Version of the framed snapshot file this build writes and reads.
+pub const FILE_VERSION: u32 = 4;
+
+/// The first bytes of a snapshot file's header frame payload.
+const FILE_MAGIC: [u8; 8] = *b"QDLYSNAP";
+
+/// Largest frame payload written or accepted on read, in a snapshot file
+/// and a spill file alike: 4 M observations' worth. Anything near this on
+/// read is damage, not data.
+pub(crate) const MAX_FRAME_PAYLOAD: u32 = 1 << 26;
 
 /// One partition's serialized core.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,13 +175,31 @@ fn check_retained(count: usize, bmbp: usize, lognormal: usize) -> Result<(), Str
     }
 }
 
-/// A whole document: the live partitions, and the cursors of partitions
+/// A whole snapshot: the live partitions, and the cursors of partitions
 /// deleted by a tombstone. A dead cursor is the tombstone's sequence number
 /// and a resurrecting record continues at `seq + 1`; without it a
 /// compaction could fold a tombstoned partition out of existence and a later
 /// replay would see its seq counter restart — breaking the monotone dedup
 /// replication relies on.
 pub type Document = (Vec<PartitionSnapshot>, Vec<(PartitionKey, u64)>);
+
+/// Sorts partitions by key: the order every writer emits.
+fn sort_by_key(partitions: &mut [PartitionSnapshot]) {
+    partitions.sort_by(|a, b| (&a.site, &a.queue, a.range).cmp(&(&b.site, &b.queue, b.range)));
+}
+
+/// Refuses a snapshot that names one key twice, across the partitions and
+/// the dead cursors, naming the key.
+fn check_distinct((parts, dead): &Document) -> Result<(), String> {
+    let mut seen = HashSet::with_capacity(parts.len() + dead.len());
+    let keys = parts.iter().map(|p| (&p.site, &p.queue, p.range));
+    for (site, queue, range) in keys.chain(dead.iter().map(|(k, _)| (&k.site, &k.queue, k.range))) {
+        if !seen.insert((site, queue, range)) {
+            return Err(format!("snapshot names partition {site}/{queue}/{} twice", range.label()));
+        }
+    }
+    Ok(())
+}
 
 /// Parses a proc-range from its table label (`"1-4"`, `"5-16"`, `"17-64"`,
 /// `"65+"`).
@@ -341,35 +390,13 @@ fn get_key(v: &Json) -> Result<PartitionKey, String> {
     })
 }
 
-/// A version-2 entry's history: each predictor object carries its own
-/// stamp and its whole history, and the two must be suffixes of one
-/// sequence, bit for bit. Returns the longer and the two lengths.
-fn v2_history(b: &Json, l: &Json) -> Result<(Vec<f64>, usize, usize), String> {
-    for (v, kind) in [(b, "bmbp"), (l, "lognormal")] {
-        let (version, stamped) = (get_usize(v, "version")?, get_str(v, "kind")?);
-        if version != 1 || stamped != kind {
-            return Err(format!("{kind} state stamped version {version} kind '{stamped}'"));
-        }
-    }
-    let (bmbp, lognormal) = (get_waits(b)?, get_waits(l)?);
-    let lens = (bmbp.len(), lognormal.len());
-    let (long, short) = if lens.0 >= lens.1 { (bmbp, &lognormal) } else { (lognormal, &bmbp) };
-    let tail = &long[long.len() - short.len()..];
-    if !tail.iter().map(|w| w.to_bits()).eq(short.iter().map(|w| w.to_bits())) {
-        return Err("its bmbp and lognormal histories are not suffixes of one sequence".into());
-    }
-    Ok((long, lens.0, lens.1))
-}
-
-/// Decodes one partition object of a document of `version`.
-fn decode_entry(p: &Json, version: u64) -> Result<PartitionSnapshot, String> {
+/// Decodes one partition object (the inverse of [`encode_partition`]),
+/// validating every field.
+pub fn decode_partition(p: &Json) -> Result<PartitionSnapshot, String> {
     let PartitionKey { site, queue, range } = get_key(p)?;
     let (b, l) = (get(p, "bmbp")?, get(p, "lognormal")?);
-    let (waits, bmbp_retained, lognormal_retained) = if version == SNAPSHOT_VERSION {
-        (get_waits(p)?, get_usize(b, "retained")?, get_usize(l, "retained")?)
-    } else {
-        v2_history(b, l).map_err(|e| format!("partition {site}/{queue}/{}: {e}", range.label()))?
-    };
+    let (waits, bmbp_retained, lognormal_retained) =
+        (get_waits(p)?, get_usize(b, "retained")?, get_usize(l, "retained")?);
     check_retained(waits.len(), bmbp_retained, lognormal_retained)?;
     let seq = get_usize(p, "seq")? as u64;
     let bmbp = get_bmbp(b).map_err(|e| format!("bmbp state: {e}"))?;
@@ -377,12 +404,6 @@ fn decode_entry(p: &Json, version: u64) -> Result<PartitionSnapshot, String> {
     Ok(PartitionSnapshot {
         site, queue, range, seq, bmbp, lognormal, waits, bmbp_retained, lognormal_retained,
     })
-}
-
-/// Decodes one partition object (the inverse of [`encode_partition`]),
-/// validating every field.
-pub fn decode_partition(p: &Json) -> Result<PartitionSnapshot, String> {
-    decode_entry(p, SNAPSHOT_VERSION)
 }
 
 /// Version byte that opens every binary partition record.
@@ -409,6 +430,11 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+fn put_range(out: &mut Vec<u8>, range: ProcRange) {
+    let tag = ProcRange::ALL.iter().position(|r| *r == range);
+    out.push(tag.expect("ALL lists every range") as u8);
+}
+
 fn put_detector(out: &mut Vec<u8>, d: &DetectorState) {
     put_u64(out, d.threshold as u64);
     put_u64(out, d.consecutive_misses as u64);
@@ -416,12 +442,11 @@ fn put_detector(out: &mut Vec<u8>, d: &DetectorState) {
 }
 
 /// Appends the binary record of one partition to `out` (layout in the
-/// module docs). The bytes are a frame payload: wrap them with
-/// [`qdelay_journal::frame::begin`]/[`qdelay_journal::frame::finish`].
+/// module docs). The bytes are a frame payload: `frame_record` wraps
+/// them.
 pub fn encode_record(p: &PartitionSnapshot, out: &mut Vec<u8>) {
     out.push(RECORD_VERSION);
-    let range = ProcRange::ALL.iter().position(|r| *r == p.range);
-    out.push(range.expect("ALL lists every range") as u8);
+    put_range(out, p.range);
     put_str(out, &p.site);
     put_str(out, &p.queue);
     put_u64(out, p.seq);
@@ -456,6 +481,29 @@ pub fn encode_record(p: &PartitionSnapshot, out: &mut Vec<u8>) {
     }
     put_u32(out, p.bmbp_retained);
     put_u32(out, p.lognormal_retained);
+}
+
+/// Appends one partition's record to `out` as a whole CRC frame — the
+/// form a snapshot file and a spill slot both hold. A record past
+/// [`MAX_FRAME_PAYLOAD`] is refused: no reader would take it back.
+pub(crate) fn frame_record(p: &PartitionSnapshot, out: &mut Vec<u8>) -> io::Result<()> {
+    let start = frame::begin(out);
+    encode_record(p, out);
+    let len = out.len() - start - frame::PREFIX_LEN;
+    if len > MAX_FRAME_PAYLOAD as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "partition {}/{}/{}: its record of {len} bytes is past the \
+                 {MAX_FRAME_PAYLOAD}-byte frame cap",
+                p.site,
+                p.queue,
+                p.range.label()
+            ),
+        ));
+    }
+    frame::finish(out, start);
+    Ok(())
 }
 
 fn invalid(message: String) -> DecodeError {
@@ -576,9 +624,7 @@ pub fn encode(
     mut partitions: Vec<PartitionSnapshot>,
     mut dead: Vec<(PartitionKey, u64)>,
 ) -> Json {
-    partitions.sort_by(|a, b| {
-        (&a.site, &a.queue, a.range).cmp(&(&b.site, &b.queue, b.range))
-    });
+    sort_by_key(&mut partitions);
     dead.sort_unstable();
     let dead = dead.into_iter().map(|(key, seq)| {
         obj(vec![
@@ -589,56 +635,171 @@ pub fn encode(
         ])
     });
     obj(vec![
-        ("version", Json::Num(SNAPSHOT_VERSION as f64)),
+        ("version", Json::Num(DOCUMENT_VERSION as f64)),
         ("kind", Json::Str("qdelay-serve-snapshot".into())),
         ("partitions", Json::Arr(partitions.iter().map(encode_partition).collect())),
         ("dead", Json::Arr(dead.collect())),
     ])
 }
 
-/// Decodes a snapshot document of this version or the previous one (see
-/// the module docs), validating the version and every field. Returns the
-/// live partitions and the tombstoned cursors. A key named twice is an
-/// error that names it.
+/// What this build reads, for the message that refuses anything else.
+fn unsupported(version: u64) -> String {
+    format!(
+        "snapshot version {version} unsupported (this build reads {DOCUMENT_VERSION} as a \
+         JSON document and {FILE_VERSION} as framed records)"
+    )
+}
+
+/// Decodes a snapshot document (see the module docs), validating the
+/// version and every field. Returns the live partitions and the tombstoned
+/// cursors. A key named twice is an error that names it.
 pub fn decode(v: &Json) -> Result<Document, String> {
     let version = get_usize(v, "version")? as u64;
-    let oldest = SNAPSHOT_VERSION - 1;
-    if !(oldest..=SNAPSHOT_VERSION).contains(&version) {
-        let reads = format!("this build reads {oldest}..={SNAPSHOT_VERSION}");
-        return Err(format!("snapshot version {version} unsupported ({reads})"));
+    if version != DOCUMENT_VERSION {
+        return Err(unsupported(version));
     }
     let kind = get_str(v, "kind")?;
     if kind != "qdelay-serve-snapshot" {
         return Err(format!("unexpected snapshot kind '{kind}'"));
     }
-    let parts = get_array(v, "partitions")?
-        .iter()
-        .map(|p| decode_entry(p, version))
-        .collect::<Result<Vec<_>, _>>()?;
+    let parts =
+        get_array(v, "partitions")?.iter().map(decode_partition).collect::<Result<Vec<_>, _>>()?;
     let dead = get_array(v, "dead")?
         .iter()
         .map(|d| Ok((get_key(d)?, get_usize(d, "seq")? as u64)))
         .collect::<Result<Vec<_>, String>>()?;
-    let mut seen = HashSet::with_capacity(parts.len() + dead.len());
-    let keys = parts.iter().map(|p| (&p.site, &p.queue, p.range));
-    for (site, queue, range) in keys.chain(dead.iter().map(|(k, _)| (&k.site, &k.queue, k.range))) {
-        if !seen.insert((site, queue, range)) {
-            return Err(format!("snapshot names partition {site}/{queue}/{} twice", range.label()));
-        }
+    let doc = (parts, dead);
+    check_distinct(&doc)?;
+    Ok(doc)
+}
+
+/// The JSON document of a snapshot, pretty-printed with a trailing newline:
+/// what `qdelay snapshot export` prints for any file [`parse`] accepts.
+pub fn export((partitions, dead): Document) -> String {
+    let mut text = encode(partitions, dead).to_string_pretty();
+    text.push('\n');
+    text
+}
+
+/// Renders a snapshot in its file form (layout in the module docs): both
+/// lists sorted by key, each entry one frame, so equal states render to
+/// equal bytes. A partition whose record is past the frame cap is
+/// `InvalidData`.
+pub fn render(
+    mut partitions: Vec<PartitionSnapshot>,
+    mut dead: Vec<(PartitionKey, u64)>,
+) -> io::Result<Vec<u8>> {
+    sort_by_key(&mut partitions);
+    dead.sort_unstable();
+    // Past its names and waits, a record takes at most 189 bytes and a
+    // dead cursor 17.
+    let names = |site: &str, queue: &str| frame::PREFIX_LEN + site.len() + queue.len();
+    let size = partitions.iter().map(|p| names(&p.site, &p.queue) + 189 + 8 * p.waits.len());
+    let size = size.chain(dead.iter().map(|(k, _)| names(&k.site, &k.queue) + 17)).sum::<usize>();
+    let mut out = Vec::with_capacity(frame::PREFIX_LEN + 28 + size);
+    let start = frame::begin(&mut out);
+    out.extend_from_slice(&FILE_MAGIC);
+    out.extend_from_slice(&FILE_VERSION.to_le_bytes());
+    put_u64(&mut out, partitions.len() as u64);
+    put_u64(&mut out, dead.len() as u64);
+    frame::finish(&mut out, start);
+    for p in &partitions {
+        frame_record(p, &mut out)?;
     }
-    Ok((parts, dead))
+    for (key, seq) in &dead {
+        let start = frame::begin(&mut out);
+        put_range(&mut out, key.range);
+        put_str(&mut out, &key.site);
+        put_str(&mut out, &key.queue);
+        put_u64(&mut out, *seq);
+        frame::finish(&mut out, start);
+    }
+    Ok(out)
+}
+
+/// The payload of the frame at `bytes[*at..]`, moving `*at` past it.
+fn next_frame<'a>(bytes: &'a [u8], at: &mut usize, what: &str) -> Result<&'a [u8], String> {
+    match frame::check(&bytes[*at..], MAX_FRAME_PAYLOAD) {
+        Check::Complete { start, end, next } => {
+            let payload = &bytes[*at + start..*at + end];
+            *at += next;
+            Ok(payload)
+        }
+        Check::Incomplete => Err(format!("snapshot truncated in its {what} frame at byte {at}")),
+        Check::Damaged(why) => Err(format!("snapshot {what} frame at byte {at}: {why}")),
+    }
+}
+
+/// The header frame's payload: the partition and dead-cursor counts.
+fn read_header(r: &mut Cur<'_>) -> Result<(usize, usize), DecodeError> {
+    if r.take(FILE_MAGIC.len(), "magic")? != FILE_MAGIC {
+        return Err(invalid("not a snapshot file (no magic)".into()));
+    }
+    let version = r.u32("version")?;
+    if version != FILE_VERSION {
+        return Err(invalid(unsupported(u64::from(version))));
+    }
+    let counts = (usize_field(r, "partition count")?, usize_field(r, "dead count")?);
+    r.done("header")?;
+    Ok(counts)
+}
+
+/// A dead-cursor frame's payload.
+fn read_dead(r: &mut Cur<'_>) -> Result<(PartitionKey, u64), DecodeError> {
+    let range = tagged(r, &ProcRange::ALL, "proc range")?;
+    let (site, queue) = (r.text("site")?, r.text("queue")?);
+    let seq = r.u64("seq")?;
+    r.done("dead cursor")?;
+    Ok((PartitionKey { site, queue, range }, seq))
+}
+
+/// Reads a framed snapshot file: the header, exactly the frames it counts,
+/// and nothing after them.
+fn read_frames(bytes: &[u8]) -> Result<Document, String> {
+    let mut at = 0;
+    let header = next_frame(bytes, &mut at, "header")?;
+    let (parts, dead) = read_header(&mut Cur::new(header))
+        .map_err(|e| format!("snapshot header: {}", e.message()))?;
+    // Every entry is at least a frame prefix, so no count can reserve more
+    // than the bytes present could hold.
+    let most = bytes.len() / frame::PREFIX_LEN;
+    let mut doc: Document =
+        (Vec::with_capacity(parts.min(most)), Vec::with_capacity(dead.min(most)));
+    for i in 0..parts {
+        let payload = next_frame(bytes, &mut at, "partition")?;
+        doc.0.push(decode_record(payload).map_err(|e| format!("partition frame {i}: {e}"))?);
+    }
+    for i in 0..dead {
+        let payload = next_frame(bytes, &mut at, "dead cursor")?;
+        let cursor = read_dead(&mut Cur::new(payload))
+            .map_err(|e| format!("dead cursor frame {i}: {}", e.message()))?;
+        doc.1.push(cursor);
+    }
+    if at != bytes.len() {
+        return Err(format!(
+            "snapshot has {} trailing bytes after the {} frames its header counts",
+            bytes.len() - at,
+            1 + parts + dead
+        ));
+    }
+    check_distinct(&doc)?;
+    Ok(doc)
 }
 
 /// Parses a snapshot file's bytes — or a replica's SNAPSHOT message, which
-/// carries them. Empty bytes are empty state. Anything that is not a valid
-/// document is `InvalidData`.
+/// carries them: empty bytes are empty state, a first byte `{` is a JSON
+/// document of version 3, and anything else is the framed file. Anything
+/// that is not a valid snapshot is `InvalidData`.
 pub fn parse(bytes: &[u8]) -> io::Result<Document> {
-    if bytes.is_empty() {
-        return Ok((Vec::new(), Vec::new()));
-    }
     let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-    let text = std::str::from_utf8(bytes).map_err(|e| invalid(e.to_string()))?;
-    decode(&Json::parse(text).map_err(|e| invalid(e.to_string()))?).map_err(invalid)
+    match bytes.first() {
+        None => Ok((Vec::new(), Vec::new())),
+        Some(b'{') => {
+            let text = std::str::from_utf8(bytes).map_err(|e| invalid(e.to_string()))?;
+            decode(&Json::parse(text).map_err(|e| invalid(e.to_string()))?).map_err(invalid)
+        }
+        Some(_) => read_frames(bytes).map_err(invalid),
+    }
 }
 
 /// Reads the snapshot file at `path`; a missing file is empty state.
@@ -648,14 +809,6 @@ pub fn read(path: &Path) -> io::Result<Document> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok((Vec::new(), Vec::new())),
         Err(e) => Err(e),
     }
-}
-
-/// Renders a document in its file form: [`encode`], pretty-printed, plus a
-/// newline. Equal states render to equal bytes.
-pub fn render(partitions: Vec<PartitionSnapshot>, dead: Vec<(PartitionKey, u64)>) -> Vec<u8> {
-    let mut text = encode(partitions, dead).to_string_pretty();
-    text.push('\n');
-    text.into_bytes()
 }
 
 /// Writes rendered bytes to `path` atomically (tmp + fsync + rename): a
@@ -693,44 +846,60 @@ mod tests {
         ]
     }
 
+    fn sorted((mut parts, mut dead): Document) -> Document {
+        sort_by_key(&mut parts);
+        dead.sort();
+        (parts, dead)
+    }
+
     #[test]
     fn encode_decode_round_trip() {
         let parts = sample_partitions();
         let dead = sample_dead();
         let doc = encode(parts.clone(), dead.clone());
         let text = doc.to_string_pretty();
-        let (back, back_dead) = decode(&Json::parse(&text).unwrap()).unwrap();
-        // decode returns in the file's (sorted) order.
-        let mut sorted = parts;
-        sorted.sort_by_key(PartitionSnapshot::key);
-        assert_eq!(back, sorted);
-        let mut sorted_dead = dead;
-        sorted_dead.sort();
-        assert_eq!(back_dead, sorted_dead);
+        // decode returns in the document's (sorted) order.
+        let back = decode(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, sorted((parts, dead)));
     }
 
     #[test]
     fn the_file_reader_reads_what_the_writer_wrote_and_nothing_is_empty_state() {
         let dir = std::env::temp_dir().join("qdelay-serve-snapshot-unit");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round-trip.json");
+        let path = dir.join("round-trip.snap");
         let _ = std::fs::remove_file(&path);
         assert_eq!(read(&path).unwrap(), (Vec::new(), Vec::new()), "a missing file");
         assert_eq!(parse(b"").unwrap(), (Vec::new(), Vec::new()), "empty bytes");
-        let rendered = render(sample_partitions(), sample_dead());
-        assert!(rendered.ends_with(b"}\n"));
+        let rendered = render(sample_partitions(), sample_dead()).unwrap();
+        assert_eq!(rendered[frame::PREFIX_LEN..][..FILE_MAGIC.len()], FILE_MAGIC, "framed");
         write(&path, &rendered).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), rendered);
         let (parts, dead) = read(&path).unwrap();
-        assert_eq!(render(parts, dead), rendered, "read then rendered: the same bytes");
+        assert_eq!((parts.clone(), dead.clone()), sorted((sample_partitions(), sample_dead())));
+        assert_eq!(render(parts, dead).unwrap(), rendered, "read then rendered: the same bytes");
         for junk in [&b"{"[..], b"\xff", b"[]", b"{\"version\":2}"] {
             assert_eq!(parse(junk).unwrap_err().kind(), io::ErrorKind::InvalidData);
         }
     }
 
+    /// `qdelay snapshot export` of a file this build wrote is the document
+    /// of the same state, pretty-printed, byte for byte — the text the
+    /// previous build wrote as the file.
+    #[test]
+    fn export_of_a_written_file_is_the_pretty_document_of_its_state() {
+        let (parts, dead) = (sample_partitions(), sample_dead());
+        let mut want = encode(parts.clone(), dead.clone()).to_string_pretty();
+        want.push('\n');
+        let file = render(parts, dead).unwrap();
+        assert_eq!(export(parse(&file).unwrap()), want);
+        // And the export reads back as the same state.
+        assert_eq!(parse(want.as_bytes()).unwrap(), parse(&file).unwrap());
+    }
+
     /// A key named twice has no one state to install: the reader refuses
-    /// the document, naming the key, whether the two entries are both
-    /// partitions, both dead cursors, or one of each.
+    /// the file — and the JSON document — naming the key, whether the two
+    /// entries are both partitions, both dead cursors, or one of each.
     #[test]
     fn a_document_that_names_a_key_twice_is_refused_by_name() {
         let parts = sample_partitions();
@@ -744,16 +913,19 @@ mod tests {
         };
         let live_and_dead = (parts.clone(), vec![(parts[2].key(), 90)]);
         let twice_dead = (Vec::new(), vec![dead[0].clone(), (dead[0].0.clone(), 50)]);
-        for (what, (p, d), key) in [
+        for (what, doc, key) in [
             ("twice live", twice_live, parts[0].key()),
             ("live and dead", live_and_dead, parts[2].key()),
             ("twice dead", twice_dead, dead[0].0.clone()),
         ] {
-            let err = parse(&render(p, d)).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
-            assert!(err.to_string().contains(&format!("{} twice", key.label())), "{what}: {err}");
+            let file = render(doc.0.clone(), doc.1.clone()).unwrap();
+            for bytes in [file, export(doc).into_bytes()] {
+                let err = parse(&bytes).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+                assert!(err.to_string().contains(&format!("{} twice", key.label())), "{what}: {err}");
+            }
         }
-        assert!(parse(&render(parts, dead)).is_ok(), "distinct keys read");
+        assert!(parse(&render(parts, dead).unwrap()).is_ok(), "distinct keys read");
     }
 
     #[test]
@@ -764,6 +936,10 @@ mod tests {
         let dead = sample_dead();
         let mut dead_reversed = dead.clone();
         dead_reversed.reverse();
+        assert_eq!(
+            render(parts.clone(), dead.clone()).unwrap(),
+            render(reversed.clone(), dead_reversed.clone()).unwrap()
+        );
         assert_eq!(
             encode(parts, dead).to_string_pretty(),
             encode(reversed, dead_reversed).to_string_pretty()
@@ -782,12 +958,15 @@ mod tests {
         (p.n, p.seq, p.bmbp.map(f64::to_bits), p.lognormal.map(f64::to_bits))
     }
 
-    /// A version-2 document written by the previous release: its `qdelay
-    /// serve --journal-path` booted over a journal holding [`fixture_wait`]'s
+    /// A version-3 file written by the previous release: its `qdelay serve
+    /// --journal-path` booted over a journal holding [`fixture_wait`]'s
     /// streams on the paper's loop (`fx/long/1-4`: stream 1, 260 jobs;
     /// `fx/short/5-16`: stream 2, 75 jobs) and three observes of
     /// `fx/gone/1-4` followed by a tombstone at seq 4.
-    const V2_FIXTURE: &[u8] = include_bytes!("../testdata/snapshot-v2.json");
+    const V3_FIXTURE: &[u8] = include_bytes!("../testdata/snapshot-v3.json");
+
+    /// The fixture's partitions: (queue, procs, stream, jobs).
+    const FIXTURE_STREAMS: [(&str, u32, u64, u64); 2] = [("long", 4, 1, 260), ("short", 8, 2, 75)];
 
     fn fixture_wait(stream: u64, i: u64) -> f64 {
         let base = (i.wrapping_mul(2_654_435_761).wrapping_add(stream * 7_919) % 1_000) as f64;
@@ -798,18 +977,25 @@ mod tests {
         }
     }
 
+    /// The fixture's partitions replayed live, by queue.
+    fn fixture_replayed(queue: &str) -> Partition {
+        let (_, _, stream, jobs) = FIXTURE_STREAMS.into_iter().find(|s| s.0 == queue).unwrap();
+        let mut live = Partition::new();
+        for i in 0..jobs {
+            paper_step(&mut live, fixture_wait(stream, i));
+        }
+        live
+    }
+
     #[test]
-    fn a_version_2_document_from_the_previous_build_serves_the_same_bits() {
-        let (parts, dead) = parse(V2_FIXTURE).expect("the previous version reads");
+    fn a_version_3_file_from_the_previous_build_serves_the_same_bits() {
+        let (parts, dead) = parse(V3_FIXTURE).expect("the previous version reads");
         assert_eq!(dead, vec![(PartitionKey::for_request("fx", "gone", 2), 4)]);
         assert_eq!(parts.len(), 2);
-        for (queue, procs, stream, jobs) in [("long", 4, 1, 260), ("short", 8, 2, 75)] {
+        for (queue, procs, stream, jobs) in FIXTURE_STREAMS {
             let key = PartitionKey::for_request("fx", queue, procs);
             let snap = parts.iter().find(|p| p.key() == key).expect("fixture partition");
-            let mut live = Partition::new();
-            for i in 0..jobs {
-                paper_step(&mut live, fixture_wait(stream, i));
-            }
+            let mut live = fixture_replayed(queue);
             assert_eq!(live.to_snapshot(&key), *snap, "{queue}: the entry is the replayed state");
             let mut restored = Partition::from_snapshot(snap).unwrap();
             for i in jobs..jobs + 200 {
@@ -820,57 +1006,73 @@ mod tests {
         }
         let long = &parts[0];
         assert_eq!((long.bmbp_retained, long.lognormal_retained), (197, 188), "two lengths");
-        // Any writer now writes the current version, which reads back whole.
-        let rendered = render(parts.clone(), dead.clone());
-        assert!(std::str::from_utf8(&rendered).unwrap().contains("\"version\": 3,"));
+        // The export of the state is the fixture, byte for byte; any writer
+        // now writes the framed file, which reads back whole.
+        assert_eq!(export((parts.clone(), dead.clone())).as_bytes(), V3_FIXTURE);
+        let rendered = render(parts.clone(), dead.clone()).unwrap();
+        assert_eq!(rendered[frame::PREFIX_LEN..][..FILE_MAGIC.len()], FILE_MAGIC);
         assert_eq!(parse(&rendered).unwrap(), (parts, dead));
+    }
+
+    /// A server booted on the fixture serves the replayed bits over the
+    /// wire, and its graceful shutdown rewrites the file as version 4
+    /// holding the same state.
+    #[test]
+    fn a_version_3_file_boots_to_bit_identical_predicts_and_is_rewritten_framed() {
+        use crate::client::Client;
+        use crate::server::{Server, ServerConfig};
+        let dir = std::env::temp_dir().join("qdelay-serve-snapshot-v3-boot");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        std::fs::write(&path, V3_FIXTURE).unwrap();
+        let config = ServerConfig { shards: 2, snapshot_path: Some(path.clone()), ..Default::default() };
+        let server = Server::start("127.0.0.1:0", config).unwrap();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        for (queue, procs, ..) in FIXTURE_STREAMS {
+            let got = c.predict("fx", queue, procs).unwrap();
+            let (bmbp, lognormal) = (got.bmbp, got.lognormal);
+            let got = Prediction { n: got.n, seq: got.seq, bmbp, lognormal };
+            assert_eq!(bits(got), bits(fixture_replayed(queue).predict()), "{queue}");
+        }
+        c.shutdown().unwrap();
+        server.join().unwrap();
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(rewritten[frame::PREFIX_LEN..][..FILE_MAGIC.len()], FILE_MAGIC);
+        assert_eq!(parse(&rewritten).unwrap(), parse(V3_FIXTURE).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn member<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
         match v {
             Json::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1,
-            Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
             other => panic!("no '{key}' in {other:?}"),
         }
     }
 
-    /// The previous version's reader keeps that version's checks — each
-    /// predictor object's stamp — and adds the one the shared history
-    /// needs: the two lists are suffixes of one sequence, bit for bit.
+    /// The file reads version 4 framed and version 3 as a JSON document;
+    /// every other version of either form is refused, typed, naming both.
     #[test]
-    fn version_2_entries_must_hold_one_history() {
-        let fixture = Json::parse(std::str::from_utf8(V2_FIXTURE).unwrap()).unwrap();
-        let edited = |path: &[&str], to: Json| {
+    fn versions_other_than_3_and_4_are_refused() {
+        let fixture = Json::parse(std::str::from_utf8(V3_FIXTURE).unwrap()).unwrap();
+        for version in [0.0, 1.0, 2.0, 4.0, 99.0] {
             let mut doc = fixture.clone();
-            *path.iter().fold(&mut doc, |v, key| member(v, key)) = to;
-            parse(doc.to_string_compact().as_bytes())
-        };
-        let long = ["partitions", "0"];
-        let logn_last = [&long[..], &["lognormal", "waits", "187"]].concat();
-        let last = fixture.get("partitions").unwrap().as_array().unwrap()[0]
-            .get("lognormal")
-            .and_then(|l| l.get("waits")?.as_array()?.last()?.as_f64())
-            .unwrap();
-        for (what, to) in [
-            ("another wait", Json::Num(last + 1.0)),
-            ("the next float", Json::Num(f64::from_bits(last.to_bits() + 1))),
-        ] {
-            let err = edited(&logn_last, to).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            *member(&mut doc, "version") = Json::Num(version);
+            let err = parse(doc.to_string_pretty().as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "JSON version {version}");
             let err = err.to_string();
-            assert!(err.contains("fx/long/1-4") && err.contains("suffixes"), "{what}: {err}");
+            assert!(err.contains("unsupported (this build reads 3 as a JSON"), "{version}: {err}");
         }
-        for (field, to) in [("kind", Json::Str("lognormal".into())), ("version", Json::Num(2.0))] {
-            let err = edited(&[&long[..], &["bmbp", field]].concat(), to).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field}");
+        let file = render(sample_partitions(), sample_dead()).unwrap();
+        for version in [3u32, 5] {
+            let mut header = file[frame::PREFIX_LEN..HEADER_FRAME].to_vec();
+            header[FILE_MAGIC.len()..][..4].copy_from_slice(&version.to_le_bytes());
+            let mut bytes = Vec::new();
+            frame::encode(&header, &mut bytes);
+            bytes.extend_from_slice(&file[HEADER_FRAME..]);
+            let err = parse(&bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "framed version {version}");
+            assert!(err.to_string().contains("unsupported (this build reads"), "{err}");
         }
-        // `removals` was always 0 and is not read.
-        let removals = [&long[..], &["lognormal", "moments", "removals"]].concat();
-        assert!(edited(&removals, Json::Str("ignored".into())).is_ok());
-        // Version 1, which had no `dead` list, is refused.
-        let err = edited(&["version"], Json::Num(1.0)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("unsupported (this build reads 2..=3)"), "{err}");
     }
 
     #[test]
@@ -880,7 +1082,7 @@ mod tests {
             Json::Obj(m) => m,
             _ => unreachable!(),
         };
-        for version in [0.0, 1.0, 4.0, 99.0] {
+        for version in [0.0, 1.0, 2.0, 4.0, 99.0] {
             let mut other = members.clone();
             other[0].1 = Json::Num(version);
             assert!(decode(&Json::Obj(other)).is_err(), "version {version}");
@@ -891,6 +1093,97 @@ mod tests {
         // The document must carry the dead array.
         members.retain(|(k, _)| k != "dead");
         assert!(decode(&Json::Obj(members)).is_err());
+    }
+
+    /// Byte length of a rendered file's header frame.
+    const HEADER_FRAME: usize = frame::PREFIX_LEN + 28;
+
+    /// `file` with its header frame replaced by one counting `parts` and
+    /// `dead` (a valid frame: only the counts lie).
+    fn recounted(file: &[u8], parts: u64, dead: u64) -> Vec<u8> {
+        let mut header = FILE_MAGIC.to_vec();
+        header.extend_from_slice(&FILE_VERSION.to_le_bytes());
+        put_u64(&mut header, parts);
+        put_u64(&mut header, dead);
+        let mut out = Vec::new();
+        frame::encode(&header, &mut out);
+        out.extend_from_slice(&file[HEADER_FRAME..]);
+        out
+    }
+
+    /// Hostile snapshot files: every truncation, every flipped bit, header
+    /// counts off by one either way, trailing bytes, a frame length past
+    /// the cap and a key named in both a record and a dead frame are each
+    /// a typed `InvalidData` — never a panic, never a partial state.
+    #[test]
+    fn hostile_files_are_typed_invalid_data_never_a_panic() {
+        let (parts, dead) = (sample_partitions(), sample_dead());
+        let file = render(parts.clone(), dead.clone()).unwrap();
+        let refused = |bytes: &[u8], what: &str| match parse(bytes) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}"),
+            Ok(_) => panic!("{what}: a damaged file read"),
+        };
+        assert_eq!(recounted(&file, 3, 2), file, "the header layout");
+        assert!(parse(&file).is_ok());
+        // Truncated at every byte: at every frame boundary and inside every
+        // frame. (At zero bytes it is empty state, by design.)
+        let mut starts = vec![0];
+        while let Some(&at) = starts.last().filter(|&&at| at < file.len()) {
+            let Check::Complete { next, .. } = frame::check(&file[at..], MAX_FRAME_PAYLOAD) else {
+                unreachable!("a rendered file is whole frames")
+            };
+            starts.push(at + next);
+        }
+        assert_eq!(starts.len(), 2 + parts.len() + dead.len(), "one frame per entry");
+        for cut in 1..file.len() {
+            refused(&file[..cut], &format!("cut at {cut}"));
+        }
+        // One flipped bit anywhere, in every frame.
+        for i in 0..file.len() {
+            for bit in 0..8 {
+                let mut flipped = file.clone();
+                flipped[i] ^= 1 << bit;
+                refused(&flipped, &format!("bit {bit} of byte {i}"));
+            }
+        }
+        // Counts one above or one below the frames present.
+        for (p, d) in [(4, 2), (2, 2), (3, 3), (3, 1), (0, 0), (u64::MAX, 2)] {
+            refused(&recounted(&file, p, d), &format!("counts {p}/{d}"));
+        }
+        // Bytes after the counted frames: one byte, or one more whole frame.
+        let mut trailing = file.clone();
+        trailing.push(0);
+        refused(&trailing, "a trailing byte");
+        let mut extra = file.clone();
+        extra.extend_from_slice(&file[starts[starts.len() - 2]..]);
+        refused(&extra, "the last dead frame twice");
+        let mut empty = file.clone();
+        frame::encode(b"", &mut empty);
+        refused(&empty, "a trailing empty frame");
+        // A frame length past the cap, on the header and on a record.
+        for at in [0, HEADER_FRAME] {
+            let mut long = file.clone();
+            long[at..at + 4].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
+            refused(&long, &format!("frame length past the cap at {at}"));
+        }
+        // A key in both a record frame and a dead frame.
+        let both = render(parts.clone(), vec![(parts[1].key(), 99)]).unwrap();
+        let err = parse(&both).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&format!("{} twice", parts[1].key().label())), "{err}");
+    }
+
+    /// The writer refuses a record no reader would take back, before any
+    /// byte is written.
+    #[test]
+    fn a_record_past_the_frame_cap_is_refused_by_the_writer() {
+        let mut snap = sample_partitions().remove(0);
+        let over = MAX_FRAME_PAYLOAD as usize / 8 + 1;
+        snap.waits = vec![1.0; over];
+        (snap.bmbp_retained, snap.lognormal_retained) = (over, over);
+        let err = render(vec![snap], Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("frame cap"), "{err}");
     }
 
     #[test]
@@ -909,8 +1202,9 @@ mod tests {
     /// The differential behind the one-history format, on the paper's loop
     /// over `synth` waits, where both detectors trim: at every
     /// `EVERY`-th job each partition round-trips through the binary record,
-    /// the document entry and the whole rendered document, and each copy
-    /// must serve the original's bits now and over the next `AHEAD` jobs.
+    /// the document entry, the framed file and the exported document, and
+    /// each copy must serve the original's bits now and over the next
+    /// `AHEAD` jobs.
     #[test]
     fn one_history_round_trips_through_every_codec_on_the_paper_loop() {
         const PARTITIONS: usize = 256;
@@ -941,12 +1235,15 @@ mod tests {
                 bmbp_longer += usize::from(snap.bmbp_retained > snap.lognormal_retained);
                 lognormal_longer += usize::from(snap.lognormal_retained > snap.bmbp_retained);
                 let entry = encode_partition(&snap).to_string_compact();
-                let (mut document, _) = parse(&render(vec![snap.clone()], Vec::new())).unwrap();
+                let doc = (vec![snap.clone()], Vec::new());
+                let (mut file, _) = parse(&render(doc.0.clone(), Vec::new()).unwrap()).unwrap();
+                let (mut exported, _) = parse(export(doc).as_bytes()).unwrap();
                 let now = bits(live.predict());
                 for back in [
                     decode_record(&record_of(&snap)).unwrap(),
                     decode_partition(&Json::parse(&entry).unwrap()).unwrap(),
-                    document.remove(0),
+                    file.remove(0),
+                    exported.remove(0),
                 ] {
                     assert_eq!(back, snap, "partition {i}, job {job}");
                     let mut copy = Partition::from_snapshot(&back).unwrap();
@@ -1086,7 +1383,6 @@ mod tests {
 
     #[test]
     fn damaged_framed_records_are_typed_never_a_panic_or_another_partition() {
-        use qdelay_journal::frame::{self, Check};
         let snap = random_snapshot(&mut StdRng::seed_from_u64(7), 60);
         let mut framed = Vec::new();
         let start = frame::begin(&mut framed);
@@ -1094,7 +1390,7 @@ mod tests {
         frame::finish(&mut framed, start);
         // What a spill-slot reader does with the bytes it is handed.
         let read = |bytes: &[u8]| -> Result<PartitionSnapshot, String> {
-            match frame::check(bytes, 1 << 26) {
+            match frame::check(bytes, MAX_FRAME_PAYLOAD) {
                 Check::Complete { start, end, next } if next == bytes.len() => {
                     decode_record(&bytes[start..end])
                 }

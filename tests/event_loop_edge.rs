@@ -9,6 +9,7 @@ use qdelay::serve::client::{Client, ClientError, Pending, Wire};
 use qdelay::serve::proto::BinResponse;
 use qdelay::serve::protocol::{Request, ERR_LINE_TOO_LONG};
 use qdelay::serve::server::{Server, ServerConfig};
+use qdelay::serve::snapshot;
 use qdelay_json::Json;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -471,9 +472,10 @@ fn graceful_shutdown_with_both_listeners_live() {
     }
 
     // The final snapshot holds both protocols' partitions.
-    let doc = std::fs::read_to_string(&snap_path).unwrap();
-    assert!(doc.contains("json-site"), "snapshot missing JSON-observed partition");
-    assert!(doc.contains("bin-site"), "snapshot missing binary-observed partition");
+    let (parts, _) = snapshot::read(&snap_path).unwrap();
+    let has = |site: &str| parts.iter().any(|p| p.site == site);
+    assert!(has("json-site"), "snapshot missing JSON-observed partition");
+    assert!(has("bin-site"), "snapshot missing binary-observed partition");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -33,6 +33,7 @@ use qdelay::serve::client::{Client, ClientError, Prediction};
 use qdelay::serve::durability::JournalConfig;
 use qdelay::serve::registry::{Partition, PartitionKey};
 use qdelay::serve::server::{Server, ServerConfig};
+use qdelay::serve::snapshot;
 use qdelay_json::Json;
 use qdelay_predict::admission::Decision;
 use std::io::BufRead;
@@ -683,9 +684,8 @@ fn inline_snapshot_past_the_line_cap_is_a_typed_error() {
     let out = dir.join("full.json");
     let n = c.snapshot_to(out.to_str().unwrap()).unwrap();
     assert_eq!(n, parts.len());
-    let file_json = Json::parse(&std::fs::read_to_string(&out).unwrap())
-        .unwrap()
-        .to_string_compact();
+    let (parts, dead) = snapshot::read(&out).unwrap();
+    let file_json = snapshot::encode(parts, dead).to_string_compact();
 
     // Escape hatch 2: the binary protocol's 64 MiB frame cap carries the
     // same snapshot inline.

@@ -17,9 +17,11 @@ use qdelay::serve::durability::JournalConfig;
 use qdelay::serve::proto::BinResponse;
 use qdelay::serve::registry::{Partition, PartitionKey};
 use qdelay::serve::server::{Server, ServerConfig};
+use qdelay::serve::snapshot;
 use qdelay_json::Json;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Deterministic wait-time stream.
 fn wait(i: u64) -> f64 {
@@ -520,15 +522,27 @@ fn two_loops_on_one_shard_keep_acked_subset_of_journaled() {
     let _ = std::fs::remove_dir_all(&live);
 }
 
+/// The doomed partitions' cursors in the live directory's snapshot file:
+/// what a compaction last wrote for them (0 for one it has never seen).
+fn snapshot_cursors(dir: &Path, doomed: &[String]) -> Vec<u64> {
+    let (parts, _) = snapshot::read(&dir.join("snapshot.json")).unwrap();
+    let cursor = |site: &str| parts.iter().find(|p| p.site == site).map_or(0, |p| p.seq);
+    doomed.iter().map(|site| cursor(site)).collect()
+}
+
 /// The fence: a group commit that fails (here: its rotation finds the
 /// next segment file already there) turns the acks it covered into typed
 /// `io` errors and fences that shard for observes from every loop, while
 /// its predicts, and the other shard entirely, keep serving. No ack given
-/// before the failure is lost on recovery.
+/// before the failure is lost on recovery. Compaction runs throughout (512
+/// B segments, 2 KiB threshold): it compacts before the fence, and after it
+/// stops rather than persist the fenced shard's memory, so no snapshot
+/// written while the server runs carries a doomed partition past its last
+/// durable (acked) seq.
 #[test]
 fn failed_commit_fences_one_shard_across_loops() {
     let live = fresh_dir("fence-live");
-    let mut cfg = config(&live, 512, u64::MAX);
+    let mut cfg = config(&live, 512, 2048);
     cfg.shards = 2;
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     // Shard 0's first rotation will collide with this file.
@@ -557,6 +571,19 @@ fn failed_commit_fences_one_shard_across_loops() {
         Err(e) => panic!("unexpected failure {e}"),
     };
 
+    // The healthy shard rotates until a compaction has written it into the
+    // snapshot: the compactor runs before the fence.
+    let mut healthy_seq = 0;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let (parts, _) = snapshot::read(&live.join("snapshot.json")).unwrap();
+        if parts.iter().any(|p| p.site == healthy) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no compaction before the fence");
+        healthy_seq = clients[1].observe(&healthy, "q", 4, wait(healthy_seq), None, None).unwrap();
+    }
+
     // Depth-1 observes on the doomed shard, alternating loops, until the
     // commit that has to rotate fails. `applied[p]` is every wait the
     // shard applied to partition p, in order; `acked[p]` how many of them
@@ -579,7 +606,8 @@ fn failed_commit_fences_one_shard_across_loops() {
     assert!(fenced_at > 0, "some observes are acked before the first rotation");
 
     // From both loops: observes on the fenced shard are refused, its
-    // predicts serve, the other shard still acks.
+    // predicts serve, the other shard still acks (and keeps sealing
+    // segments, so the compactor is asked again).
     for round in 0..6u64 {
         for client in &mut clients {
             for site in &doomed {
@@ -616,6 +644,16 @@ fn failed_commit_fences_one_shard_across_loops() {
             });
         }
     });
+
+    // Well past the threshold of sealed bytes since the fence, the
+    // compactor has had its turns: none may persist the fenced shard's
+    // memory, which holds the observe whose ack became an error.
+    for _ in 0..25 {
+        for (part, cursor) in snapshot_cursors(&live, &doomed).into_iter().enumerate() {
+            assert!(cursor <= acked[part], "partition {part}: snapshot at {cursor} > acked");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     // The crash image must hold every ack given before the failure, and
     // nothing the shard did not apply.

@@ -44,14 +44,16 @@ fn capped_and_uncapped_servers_refuse_a_snapshot_that_names_a_key_twice() {
                     grown(70, 3.0).to_snapshot(&other),
                 ],
                 Vec::new(),
-            ),
+            )
+            .unwrap(),
         ),
         (
             "live and dead",
             snapshot::render(
                 vec![grown(80, 1.0).to_snapshot(&twice), grown(70, 3.0).to_snapshot(&other)],
                 vec![(twice.clone(), 95)],
-            ),
+            )
+            .unwrap(),
         ),
     ];
     for (what, rendered) in documents {
