@@ -24,7 +24,9 @@ use crate::event_loop::{ConnState, Exec};
 use crate::proto;
 use crate::protocol::{self, Reply, Request};
 use crate::registry::PartitionKey;
-use crate::server::{collect_partitions, stats_payload, write_snapshot, Done, Op, Shared};
+use crate::replica::{self, PromoteError};
+use crate::server::Shared;
+use crate::shard::{self, Done, Op};
 use crate::snapshot;
 use crate::tracing::{self, ReqTrace};
 use crate::{ERRORS, REQUEST_NS, SNAPSHOTS};
@@ -178,17 +180,17 @@ pub(crate) fn dispatch(
         }
         Request::Snapshot { path } => take_snapshot(path, &id, shared),
         Request::Stats => {
-            let mut fields = stats_payload(shared);
+            let mut fields = shard::stats_payload(&shared.shards);
             fields.push(("uptime_ms".into(), Json::Num(shared.metrics.uptime_ms() as f64)));
             fields.push(("telemetry".into(), qdelay_telemetry::snapshot().to_json()));
             Ok(control(Reply::Stats(fields)))
         }
         Request::Metrics => Ok(control(Reply::Metrics(shared.metrics.report()))),
         Request::Trace => Ok(control(Reply::Trace(tracing::trace_fields(&shared.recorder)))),
-        Request::Promote => match shared.promote() {
+        Request::Promote => match replica::promote(shared) {
             Ok(applied) => Ok(control(Reply::Promoted { applied })),
-            Err(msg) if msg == "not a replica" => Err((protocol::ERR_BAD_REQUEST, msg)),
-            Err(msg) => Err((protocol::ERR_IO, msg)),
+            Err(e @ PromoteError::NotReplica) => Err((protocol::ERR_BAD_REQUEST, e.to_string())),
+            Err(PromoteError::Failed(msg)) => Err((protocol::ERR_IO, msg)),
         },
         // Rendered before shutdown is requested, and the loop finishes its
         // wakeup (and flushes every connection once more on its way out),
@@ -255,12 +257,14 @@ fn take_snapshot(path: Option<String>, id: &Id, shared: &Shared) -> Result<Vec<u
     let io_failure = |e: io::Error| (protocol::ERR_IO, e.to_string());
     let mut rendered = Vec::new();
     if let Some(path) = path.map(PathBuf::from).or_else(|| shared.config.snapshot_path.clone()) {
-        let partitions = write_snapshot(shared, &path).map_err(io_failure)?;
+        let (partitions, _) =
+            shard::persist(&shared.shards, None, Some(&path)).map_err(io_failure)?;
+        SNAPSHOTS.incr();
         let path = path.display().to_string();
         id.responder(&mut rendered).control(Reply::SnapshotFile { path, partitions });
         return Ok(rendered);
     }
-    let (parts, dead) = collect_partitions(shared).map_err(io_failure)?;
+    let ((parts, dead), _) = shard::collect(&shared.shards, false).map_err(io_failure)?;
     let partitions = parts.len();
     let doc = snapshot::encode(parts, dead);
     id.responder(&mut rendered).control(Reply::SnapshotInline { partitions, doc });

@@ -16,19 +16,19 @@
 //! means part of the journal is missing, which is reported as corruption,
 //! never papered over.
 //!
-//! Boot ([`boot`]) is that rule and nothing else: the snapshot is read and
-//! installed into the shards' stores (the one install,
-//! [`PartitionStore::install_snapshots`]), then the journal tail is dealt
-//! by shard and replayed through each store's `apply` + `enforce_cap`, the
-//! path a replica applies its stream through; the result is consolidated
-//! into a fresh snapshot.
+//! Boot ([`boot`]) is that rule and nothing else, run through the shards'
+//! own crossings ([`crate::shard`]) before any writer exists: the snapshot
+//! is read and installed ([`shard::install`]), then the journal tail is
+//! replayed the way a replica applies its stream ([`shard::replay`]), and
+//! the result is consolidated into a fresh snapshot ([`shard::persist`]).
 //!
 //! **Compaction collects; it does not fold.** The background compactor
-//! (`server.rs`) writes what the shards already hold — the settled,
-//! one-shard-at-a-time collect a `snapshot` request and graceful shutdown
-//! use — as the new snapshot ([`replace_with_snapshot`], atomically), then
-//! deletes the sealed segments it was sent. No segment is read and no
-//! record replayed a second time. Why the result is `snapshot ⊕ journal`:
+//! ([`compactor_loop`]) writes what the shards already hold — the settled,
+//! one-shard-at-a-time collect behind every snapshot — through the one
+//! writer, [`shard::persist`], which replaces the snapshot atomically
+//! ([`replace_with_snapshot`]) and then deletes the sealed segments the
+//! compactor was sent. No segment is read and no record replayed a second
+//! time. Why the result is `snapshot ⊕ journal`:
 //!
 //! * a shard applies an observe and stages its record under one lock hold,
 //!   so once a segment is sealed every record in it is already in that
@@ -41,20 +41,26 @@
 //!
 //! **The fenced rule.** A shard whose group commit failed is fenced: its
 //! memory may hold an observe whose ack became an `io` error, and no
-//! journal to hold it. If any shard is fenced the compactor stops, as it
-//! does on any failure, rather than persist that observe; the segments stay
-//! for the next boot. Lock order: the replication hub's compaction guard
-//! first, then one shard at a time — nothing takes them the other way.
+//! journal to hold it. Every write of the journal directory goes through
+//! [`shard::persist`], whose collect refuses a fenced shard: the compactor
+//! stops, as it does on any failure, and graceful shutdown leaves the
+//! snapshot and segments as they are and reports the shard, so the next
+//! boot recovers exactly what the journal holds. Lock order: the
+//! replication hub's compaction guard first, then one shard at a time —
+//! nothing takes them the other way.
 
-use crate::hibernate::PartitionStore;
 use crate::registry::PartitionKey;
-use crate::snapshot::{self, Document};
-use qdelay_journal::{self as journal, JournalError, RecoverMode, Record};
+use crate::server::Shared;
+use crate::shard::{self, Shard};
+use crate::snapshot;
+use qdelay_journal::{self as journal, JournalError, RecoverMode, Record, SealedSegment};
 pub use qdelay_journal::FsyncPolicy;
+use qdelay_repl::ReplHub;
 use std::io;
 use std::path::{Path, PathBuf};
-#[cfg(test)]
-use {crate::registry::Partition, std::collections::HashMap};
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Mutex, Weak};
+use std::time::Instant;
 
 /// Durability knobs for a journaling server.
 #[derive(Debug, Clone)]
@@ -122,10 +128,10 @@ pub(crate) fn record_key(r: &Record) -> Result<PartitionKey, String> {
 /// Where replayed records land. The replay loop ([`apply_records_into`])
 /// owns the cursor discipline — dedup, gap detection, tombstone/resurrect
 /// sequencing — while the sink owns the storage: the capacity-managed
-/// [`PartitionStore`] every shard holds (boot replay, replica apply), whose
-/// `observe` may first have to restore a hibernated partition from its
-/// spill file (hence the fallible signature). The tests' oracle replays
-/// into plain hash maps (`MapSink`).
+/// [`crate::hibernate::PartitionStore`] every shard holds (boot replay,
+/// replica apply), whose `observe` may first have to restore a hibernated
+/// partition from its spill file (hence the fallible signature). The tests'
+/// oracle replays into plain hash maps (`MapSink`).
 pub(crate) trait RecordSink {
     /// Current cursor for `key`: the live partition's seq, a hibernated
     /// partition's spilled seq, a dead partition's tombstone seq, or 0.
@@ -136,38 +142,6 @@ pub(crate) trait RecordSink {
     /// Applies one observation to the partition at cursor `cursor`
     /// (creating or resurrecting it if absent).
     fn observe(&mut self, key: PartitionKey, cursor: u64, r: &Record) -> Result<(), String>;
-}
-
-/// The plain-map sink: the oracle the tests replay snapshot ⊕ journal
-/// into.
-#[cfg(test)]
-pub(crate) struct MapSink<'a> {
-    pub partitions: &'a mut HashMap<PartitionKey, Partition>,
-    pub dead: &'a mut HashMap<PartitionKey, u64>,
-}
-
-#[cfg(test)]
-impl RecordSink for MapSink<'_> {
-    fn cursor(&self, key: &PartitionKey) -> u64 {
-        match self.partitions.get(key) {
-            Some(p) => p.seq(),
-            None => self.dead.get(key).copied().unwrap_or(0),
-        }
-    }
-
-    fn tombstone(&mut self, key: PartitionKey, seq: u64) {
-        self.partitions.remove(&key);
-        self.dead.insert(key, seq);
-    }
-
-    fn observe(&mut self, key: PartitionKey, cursor: u64, r: &Record) -> Result<(), String> {
-        self.dead.remove(&key);
-        self.partitions
-            .entry(key)
-            .or_insert_with(|| Partition::with_seq(cursor))
-            .observe(r.wait, r.predicted_bmbp, r.predicted_lognormal);
-        Ok(())
-    }
 }
 
 /// Replays records onto a sink: a record at or below a partition's
@@ -210,58 +184,27 @@ pub(crate) fn apply_records_into<S: RecordSink>(
     Ok(applied)
 }
 
-/// [`apply_records_into`] onto plain maps.
-#[cfg(test)]
-pub(crate) fn apply_records(
-    partitions: &mut HashMap<PartitionKey, Partition>,
-    dead: &mut HashMap<PartitionKey, u64>,
-    records: impl IntoIterator<Item = Record>,
-) -> Result<u64, String> {
-    apply_records_into(&mut MapSink { partitions, dead }, records)
-}
-
-/// How many records one [`PartitionStore::apply`] takes before the cap is
-/// enforced again — at boot and on a replica alike.
-pub(crate) const APPLY_BATCH: usize = 256;
-
-/// Splits a snapshot into one share per shard, each partition and dead
-/// cursor going to the shard that owns its key.
-pub(crate) fn deal((parts, dead): Document, shards: usize) -> Vec<Document> {
-    let mut out: Vec<Document> = (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
-    for snap in parts {
-        out[snap.key().shard_index(shards)].0.push(snap);
-    }
-    for (key, seq) in dead {
-        out[key.shard_index(shards)].1.push((key, seq));
-    }
-    out
-}
-
-/// Boot: **state = snapshot ⊕ journal**, into one store per shard. The
-/// snapshot — the journal directory's when journaling, else
-/// `snapshot_path` — is dealt to the stores and installed. A journaling
-/// boot then recovers the segments (truncating torn tails), deals their
-/// records by shard and replays each share through its store in
-/// [`APPLY_BATCH`] chunks, enforcing the cap after each, exactly as a
-/// replica applies its stream; consolidates the result into a fresh
-/// snapshot; and deletes the segments it folded, so recovery work never
-/// accumulates across restarts. Returns the epoch new writers must open
-/// (journaling only).
+/// Boot: **state = snapshot ⊕ journal**, into the shards before any of
+/// them has a journal writer. The snapshot — the journal directory's when
+/// journaling, else `snapshot_path` — is installed ([`shard::install`]). A
+/// journaling boot then recovers the segments (truncating torn tails),
+/// replays their records exactly as a replica applies its stream
+/// ([`shard::replay`]), consolidates the result into a fresh snapshot and
+/// deletes the segments it covers ([`shard::persist`]), so recovery work
+/// never accumulates across restarts. Returns the epoch new writers must
+/// open (journaling only).
 ///
 /// Corruption — an invalid snapshot, a damaged sealed segment, a replay
 /// gap — is `InvalidData`: the operator must intervene rather than the
 /// server silently serve partial state.
 pub(crate) fn boot(
-    stores: &mut [PartitionStore],
+    shards: &[Mutex<Shard>],
     snapshot_path: Option<&Path>,
     journal: Option<&JournalConfig>,
 ) -> io::Result<Option<u64>> {
     let journal_snapshot = journal.map(|cfg| snapshot_file(&cfg.dir));
     if let Some(path) = journal_snapshot.as_deref().or(snapshot_path) {
-        let shares = deal(snapshot::read(path)?, stores.len());
-        for (store, (parts, dead)) in stores.iter_mut().zip(shares) {
-            store.install_snapshots(parts, dead)?;
-        }
+        shard::install(shards, snapshot::read(path)?)?;
     }
     let Some(cfg) = journal else { return Ok(None) };
     std::fs::create_dir_all(&cfg.dir)?;
@@ -269,32 +212,72 @@ pub(crate) fn boot(
         journal::recover(&cfg.dir, RecoverMode::TruncateTornTails).map_err(journal_to_io)?;
     let old_segments: Vec<PathBuf> =
         journal::scan_dir(&cfg.dir).map_err(journal_to_io)?.into_iter().map(|(_, p)| p).collect();
-    let mut shares: Vec<Vec<Record>> = stores.iter().map(|_| Vec::new()).collect();
-    for r in recovery.records {
-        shares[record_key(&r).map_err(invalid_data)?.shard_index(stores.len())].push(r);
-    }
-    let mut replayed = 0;
-    for (store, records) in stores.iter_mut().zip(shares) {
-        let mut records = records.into_iter().peekable();
-        while records.peek().is_some() {
-            replayed += store.apply(records.by_ref().take(APPLY_BATCH)).map_err(invalid_data)?;
-            store.enforce_cap()?;
-        }
-    }
-    let (mut parts, mut dead) = (Vec::new(), Vec::new());
-    for store in stores.iter() {
-        let (p, d) = store.collect()?;
-        parts.extend(p);
-        dead.extend(d);
-    }
-    let partitions = parts.len();
-    replace_with_snapshot(&cfg.dir, &snapshot::render(parts, dead)?, &old_segments)?;
+    let replayed = shard::replay(shards, recovery.records).map_err(invalid_data)?;
+    let (partitions, _) = shard::persist(shards, Some((&cfg.dir, &old_segments)), None)?;
     if replayed > 0 {
         eprintln!(
             "qdelay-serve: recovered {partitions} partitions ({replayed} journal records replayed)"
         );
     }
     Ok(Some(recovery.next_epoch))
+}
+
+/// Accumulates sealed-segment notifications from the shard writers and,
+/// once `threshold` bytes are pending, runs one compaction pass: the shards
+/// persisted as the directory's snapshot, then the pending segments
+/// deleted ([`shard::persist`]). Holds the shards weakly: they own the
+/// writers whose senders keep `rx` open, so a strong reference would keep
+/// them, and this thread, alive for good. Exits when every writer is
+/// closed, or after the first failed pass (a fenced shard fails every
+/// pass); whatever is pending then is left to graceful shutdown's
+/// consolidation or the next boot's.
+pub(crate) fn compactor_loop(
+    rx: Receiver<SealedSegment>,
+    shared: Weak<Shared>,
+    dir: PathBuf,
+    threshold: u64,
+    hub: Option<Arc<ReplHub>>,
+) {
+    let mut pending: Vec<PathBuf> = Vec::new();
+    let mut pending_bytes = 0u64;
+    while let Ok(seg) = rx.recv() {
+        pending_bytes += seg.len;
+        pending.push(seg.path);
+        while let Ok(more) = rx.try_recv() {
+            pending_bytes += more.len;
+            pending.push(more.path);
+        }
+        if pending_bytes < threshold {
+            continue;
+        }
+        let Some(shared) = shared.upgrade() else { return };
+        let started = Instant::now();
+        // A replica catching up holds the hub's compaction lock across its
+        // snapshot-plus-segments scan; deleting segments mid-scan would
+        // ship it a hole. The guard comes first, then one shard at a time.
+        let result = {
+            let _guard = hub.as_ref().map(|h| h.pause_compaction());
+            shard::persist(&shared.shards, Some((&dir, &pending)), None)
+        };
+        match result {
+            Ok((_, longest_hold)) => {
+                journal::COMPACTIONS.incr();
+                journal::COMPACTED_SEGMENTS.add(pending.len() as u64);
+                journal::COMPACT_US.record(started.elapsed().as_micros() as u64);
+                journal::COMPACT_LOCK_US.record(longest_hold.as_micros() as u64);
+                pending.clear();
+                pending_bytes = 0;
+            }
+            Err(e) => {
+                // Compaction is an optimization, not a correctness
+                // requirement: leave the segments for the next boot's
+                // consolidation and stop retrying (the failure is almost
+                // certainly persistent — disk full, permissions, a fence).
+                eprintln!("qdelay-serve: journal compaction failed (giving up): {e}");
+                return;
+            }
+        }
+    }
 }
 
 /// Writes a rendered snapshot as the journal directory's snapshot file
@@ -342,10 +325,52 @@ fn invalid_data<E: std::fmt::Display>(e: E) -> io::Error {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::registry::Prediction;
+    use crate::hibernate::PartitionStore;
+    use crate::registry::{Partition, Prediction};
     use crate::server::{Server, ServerConfig};
+    use crate::snapshot::Document;
     use qdelay_journal::JournalWriter;
     use qdelay_rng::{Rng, StdRng};
+    use std::collections::HashMap;
+
+    /// The plain-map sink: the oracle the tests replay snapshot ⊕ journal
+    /// into.
+    struct MapSink<'a> {
+        partitions: &'a mut HashMap<PartitionKey, Partition>,
+        dead: &'a mut HashMap<PartitionKey, u64>,
+    }
+
+    impl RecordSink for MapSink<'_> {
+        fn cursor(&self, key: &PartitionKey) -> u64 {
+            match self.partitions.get(key) {
+                Some(p) => p.seq(),
+                None => self.dead.get(key).copied().unwrap_or(0),
+            }
+        }
+
+        fn tombstone(&mut self, key: PartitionKey, seq: u64) {
+            self.partitions.remove(&key);
+            self.dead.insert(key, seq);
+        }
+
+        fn observe(&mut self, key: PartitionKey, cursor: u64, r: &Record) -> Result<(), String> {
+            self.dead.remove(&key);
+            self.partitions
+                .entry(key)
+                .or_insert_with(|| Partition::with_seq(cursor))
+                .observe(r.wait, r.predicted_bmbp, r.predicted_lognormal);
+            Ok(())
+        }
+    }
+
+    /// [`apply_records_into`] onto plain maps.
+    fn apply_records(
+        partitions: &mut HashMap<PartitionKey, Partition>,
+        dead: &mut HashMap<PartitionKey, u64>,
+        records: impl IntoIterator<Item = Record>,
+    ) -> Result<u64, String> {
+        apply_records_into(&mut MapSink { partitions, dead }, records)
+    }
 
     fn fresh_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("qdelay-serve-durability-{name}"));
@@ -395,12 +420,14 @@ mod tests {
         replace_with_snapshot(dir, &snapshot::render(entries, Vec::new()).unwrap(), &[]).unwrap();
     }
 
-    /// Boots `dir` into one uncapped store, as a one-shard server does;
-    /// returns the store and the epoch its writers would open.
+    /// Boots `dir` into one uncapped shard, as a one-shard server does;
+    /// returns its store and the epoch its writer would open.
     fn boot_one(dir: &Path) -> io::Result<(PartitionStore, u64)> {
-        let mut stores = vec![PartitionStore::new(None, None)?];
-        let epoch = boot(&mut stores, None, Some(&JournalConfig::new(dir)))?;
-        Ok((stores.pop().unwrap(), epoch.expect("a journaling boot opens an epoch")))
+        let shards = [Mutex::new(Shard::new(0, PartitionStore::new(None, None)?, None))];
+        let epoch = boot(&shards, None, Some(&JournalConfig::new(dir)))?;
+        let [shard] = shards;
+        let store = shard.into_inner().expect("no thread held the shard").store;
+        Ok((store, epoch.expect("a journaling boot opens an epoch")))
     }
 
     fn bits(p: &Prediction) -> (usize, u64, Option<u64>, Option<u64>) {

@@ -41,7 +41,7 @@
 //! On a journaling server every reply of a wakeup — acks, reads, errors,
 //! control replies — is rendered into the loop's staging arena instead of
 //! its connection. When the wakeup's events are done the loop settles each
-//! shard it executed on ([`crate::server::Shard::settle`], starting at its
+//! shard it executed on ([`crate::shard::Shard::settle`], starting at its
 //! own index so two loops sync different journals first), then releases
 //! the staged replies in arrival order: an ack whose mark the commit did
 //! not reach goes out as the typed `io` error. Only then is anything

@@ -10,7 +10,7 @@
 //! ([`proto`]) — served by one epoll I/O loop per shard ([`event_loop`],
 //! Linux only) with one [`dispatch`] that executes a request on the thread
 //! that read it; a registry of `(site, queue, proc-range)` partitions
-//! sharded across mutex-held shards ([`registry`], [`server`]), a reply
+//! sharded across mutex-held shards ([`registry`], `shard`), a reply
 //! budget per connection, and versioned warm-restart snapshots
 //! ([`snapshot`]) built on [`qdelay_predict::state`] — a restarted server
 //! continues serving bit-identical bounds.
@@ -61,7 +61,9 @@ pub mod hibernate;
 pub mod proto;
 pub mod protocol;
 pub mod registry;
+mod replica;
 pub mod server;
+mod shard;
 pub mod snapshot;
 pub mod sys;
 pub mod tracing;

@@ -530,6 +530,30 @@ fn snapshot_cursors(dir: &Path, doomed: &[String]) -> Vec<u64> {
     doomed.iter().map(|site| cursor(site)).collect()
 }
 
+/// Boots `dir` on two shards and checks each doomed partition: it keeps
+/// every ack given before the failure and holds nothing the shard did not
+/// apply, serving the bits of a replay of the prefix it recovered.
+fn assert_doomed_recover(dir: &Path, doomed: &[String], applied: &[Vec<f64>], acked: &[u64]) {
+    let mut cfg = config(dir, 1 << 20, u64::MAX);
+    cfg.shards = 2;
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (part, site) in doomed.iter().enumerate() {
+        let got = client.predict(site, "q", 4).unwrap();
+        assert!(got.seq >= acked[part], "partition {part}: acked seq {} lost", acked[part]);
+        assert!(got.seq as usize <= applied[part].len(), "partition {part}: invented state");
+        let mut oracle = Partition::new();
+        for &wait in &applied[part][..got.seq as usize] {
+            oracle.observe(wait, None, None);
+        }
+        let want = oracle.predict();
+        assert_eq!(got.bmbp.map(f64::to_bits), want.bmbp.map(f64::to_bits));
+        assert_eq!(got.lognormal.map(f64::to_bits), want.lognormal.map(f64::to_bits));
+    }
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 /// The fence: a group commit that fails (here: its rotation finds the
 /// next segment file already there) turns the acks it covered into typed
 /// `io` errors and fences that shard for observes from every loop, while
@@ -538,7 +562,10 @@ fn snapshot_cursors(dir: &Path, doomed: &[String]) -> Vec<u64> {
 /// B segments, 2 KiB threshold): it compacts before the fence, and after it
 /// stops rather than persist the fenced shard's memory, so no snapshot
 /// written while the server runs carries a doomed partition past its last
-/// durable (acked) seq.
+/// durable (acked) seq. Graceful shutdown keeps the same rule: `join`
+/// fails naming the fenced shard, the directory keeps its snapshot and
+/// segments, and booting the live directory recovers what the journal
+/// holds, exactly as booting a crash image does.
 #[test]
 fn failed_commit_fences_one_shard_across_loops() {
     let live = fresh_dir("fence-live");
@@ -660,27 +687,70 @@ fn failed_commit_fences_one_shard_across_loops() {
     let image = fresh_dir("fence-image");
     copy_dir(&live, &image);
     clients[0].shutdown().unwrap();
-    server.join().unwrap();
-    let mut cfg = config(&image, 1 << 20, u64::MAX);
-    cfg.shards = 2;
-    let server = Server::start("127.0.0.1:0", cfg).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    for (part, site) in doomed.iter().enumerate() {
-        let got = client.predict(site, "q", 4).unwrap();
-        assert!(got.seq >= acked[part], "partition {part}: acked seq {} lost", acked[part]);
-        assert!(got.seq as usize <= applied[part].len(), "partition {part}: invented state");
-        let mut oracle = Partition::new();
-        for &wait in &applied[part][..got.seq as usize] {
-            oracle.observe(wait, None, None);
-        }
-        let want = oracle.predict();
-        assert_eq!(got.bmbp.map(f64::to_bits), want.bmbp.map(f64::to_bits));
-        assert_eq!(got.lognormal.map(f64::to_bits), want.lognormal.map(f64::to_bits));
+    let err = server.join().expect_err("a fenced server cannot consolidate");
+    assert!(err.to_string().contains("shard 0 is fenced"), "{err}");
+    // Shutdown left the snapshot as the compactor last wrote it, and the
+    // segments for recovery.
+    for (part, cursor) in snapshot_cursors(&live, &doomed).into_iter().enumerate() {
+        assert!(cursor <= acked[part], "partition {part}: snapshot at {cursor} > acked");
     }
-    client.shutdown().unwrap();
-    server.join().unwrap();
+    assert!(!journal::scan_dir(&live).unwrap().is_empty(), "shutdown kept the segments");
+    assert_doomed_recover(&image, &doomed, &applied, &acked);
+    assert_doomed_recover(&live, &doomed, &applied, &acked);
     let _ = std::fs::remove_dir_all(&live);
     let _ = std::fs::remove_dir_all(&image);
+}
+
+/// Every snapshot of one state is the same bytes, whoever wrote it. A
+/// quiescent, capped, journaling server (so hibernated spill slots are in
+/// every collect) whose every commit seals a segment, so its compactor's
+/// last pass saw the final state: that pass's `snapshot.json`, a
+/// `snapshot` request to an explicit path, the `snapshot.json` graceful
+/// shutdown consolidates, and the one the next boot consolidates (from the
+/// same state handed to it as a version-3 document, so the boot must
+/// rewrite it) are all byte-identical.
+#[test]
+fn every_writer_renders_one_state_to_the_same_bytes() {
+    let dir = fresh_dir("one-writer");
+    let requested = fresh_dir("one-writer-request").join("snapshot");
+    // A segment is sealed at every commit; every seal starts a compaction.
+    let mut cfg = config(&dir, 1, 1);
+    cfg.shards = 2;
+    cfg.max_resident = Some(2);
+    let server = Server::start("127.0.0.1:0", cfg.clone()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for p in 0..12u64 {
+        let jobs = if p % 3 == 0 { 65 } else { 4 };
+        for j in 0..jobs {
+            client.observe(&format!("w{p}"), "q", 4, wait(p * 100 + j), None, None).unwrap();
+        }
+    }
+    let stats = client.stats().unwrap();
+    let hibernated = stats.get("hibernated").and_then(Json::as_f64).unwrap();
+    assert!(hibernated >= 6.0, "the cap hibernates most partitions: {hibernated}");
+
+    assert_eq!(client.snapshot_to(requested.to_str().unwrap()).unwrap(), 12);
+    let want = std::fs::read(&requested).unwrap();
+    let snapshot_json = dir.join("snapshot.json");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while std::fs::read(&snapshot_json).unwrap() != want {
+        assert!(Instant::now() < deadline, "the compactor never wrote the final state");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    client.shutdown().unwrap();
+    server.join().unwrap();
+    assert!(journal::scan_dir(&dir).unwrap().is_empty(), "shutdown consolidated");
+    assert!(std::fs::read(&snapshot_json).unwrap() == want, "the shutdown snapshot differs");
+
+    let document = snapshot::export(snapshot::read(&snapshot_json).unwrap());
+    std::fs::write(&snapshot_json, document).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    assert!(std::fs::read(&snapshot_json).unwrap() == want, "the boot snapshot differs");
+    Client::connect(server.local_addr()).unwrap().shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(requested.parent().unwrap());
 }
 
 /// Compaction keeps disk usage and replay work bounded while the server
