@@ -8,36 +8,32 @@
 //! happens) — the same information asymmetry real backfill schedulers live
 //! with.
 //!
-//! # Conservative backfill: incremental vs naive
+//! # Conservative backfill
 //!
-//! Conservative backfill gives every waiting job a reservation. The seed
-//! engine rebuilt the availability profile and re-placed every reservation
-//! on every event (O(W·P²) per pass), so a 128-job reservation cap was
-//! needed on overloaded queues. The default engine now maintains a
-//! persistent [`AvailabilityProfile`] across events and keeps reservations
-//! valid between them; a full re-placement happens only when something the
-//! held reservations assumed turns out false:
+//! Conservative backfill gives every waiting job a reservation, however
+//! deep the queue. The engine maintains a persistent
+//! [`AvailabilityProfile`] across events and keeps reservations valid
+//! between them; a full re-placement happens only when something the held
+//! reservations assumed turns out false:
 //!
 //! * a job finishes **early or late** relative to its estimate (including
 //!   overdue jobs whose release point had to be clamped past `now`);
 //! * an arrival does **not** sort after every waiting job (it would have
 //!   been placed before them in priority order);
 //! * an administrator action changes the policy or any priority;
-//! * the profile went stale because another discipline ran;
-//! * a finite [`BackfillConfig::reservation_depth`] is configured (legacy
-//!   capped mode re-places every pass so the truncation point is defined).
+//! * the profile went stale because another discipline ran.
 //!
 //! On every other event — the common case when completions match their
 //! estimates — the pass is O(log n) per start plus one O(log n + k) scan
-//! per new arrival. The naive rebuild engine is retained behind
-//! [`ConservativeEngine::NaiveRebuild`] as the differential oracle: both
-//! produce byte-identical schedules (see `tests/backfill_differential.rs`).
+//! per new arrival. A rebuild-per-event oracle written in test code
+//! (`tests/backfill_differential.rs`) must produce byte-identical
+//! schedules.
 
 use crate::cluster::Cluster;
 use crate::policy::{PolicyChange, PolicySchedule, PriorityState, SchedulerPolicy};
 use crate::profile::AvailabilityProfile;
 use crate::workload::{self, WorkloadConfig};
-use crate::{BackfillConfig, ConservativeEngine, DeadlineConfig, MachineConfig, SimJob};
+use crate::{DeadlineConfig, MachineConfig, SimJob};
 use qdelay_predict::bmbp::Bmbp;
 use qdelay_predict::QuantilePredictor;
 use qdelay_telemetry::{Counter, Gauge, LatencyHistogram};
@@ -84,7 +80,6 @@ pub struct Simulation {
     machine: MachineConfig,
     policy: SchedulerPolicy,
     schedule: PolicySchedule,
-    backfill: BackfillConfig,
     deadline: DeadlineConfig,
 }
 
@@ -121,7 +116,6 @@ impl Simulation {
             machine,
             policy,
             schedule: PolicySchedule::new(),
-            backfill: BackfillConfig::default(),
             deadline: DeadlineConfig::default(),
         }
     }
@@ -136,26 +130,6 @@ impl Simulation {
     /// Installs an administrator policy-change schedule.
     pub fn with_schedule(mut self, schedule: PolicySchedule) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Overrides the backfill tuning knobs.
-    pub fn with_backfill(mut self, backfill: BackfillConfig) -> Self {
-        self.backfill = backfill;
-        self
-    }
-
-    /// Caps reservations per conservative pass (`None` = unbounded, the
-    /// default).
-    pub fn with_reservation_depth(mut self, depth: Option<usize>) -> Self {
-        self.backfill.reservation_depth = depth;
-        self
-    }
-
-    /// Selects the conservative-backfill implementation (the naive rebuild
-    /// engine is the differential oracle and seed-era bench baseline).
-    pub fn with_conservative_engine(mut self, engine: ConservativeEngine) -> Self {
-        self.backfill.engine = engine;
         self
     }
 
@@ -305,7 +279,6 @@ impl Simulation {
                 &mut waiting,
                 now,
                 &mut cons,
-                self.backfill,
                 &mut predictors,
                 self.deadline,
             );
@@ -375,7 +348,6 @@ fn schedule_pass(
     waiting: &mut Vec<SimJob>,
     now: u64,
     cons: &mut ConservativeState,
-    backfill: BackfillConfig,
     predictors: &mut [Bmbp],
     deadline: DeadlineConfig,
 ) -> Vec<SimJob> {
@@ -392,15 +364,7 @@ fn schedule_pass(
             cons.valid = false;
             predictive_pass(cluster, waiting, now, priority, predictors, deadline)
         }
-        SchedulerPolicy::ConservativeBackfill => match backfill.engine {
-            ConservativeEngine::NaiveRebuild => {
-                cons.valid = false;
-                conservative_pass_naive(cluster, waiting, now, backfill.reservation_depth)
-            }
-            ConservativeEngine::Incremental => {
-                conservative_pass_incremental(cluster, waiting, now, cons, backfill.reservation_depth)
-            }
-        },
+        SchedulerPolicy::ConservativeBackfill => conservative_pass(cluster, waiting, now, cons),
     }
 }
 
@@ -515,15 +479,14 @@ fn predictive_pass(
     started
 }
 
-/// The incremental conservative pass: re-sync/advance the profile, then
-/// either serve the event from held reservations (fast path) or re-place
-/// everything (the oracle-equivalent slow path).
-fn conservative_pass_incremental(
+/// The conservative pass: re-sync/advance the profile, then either serve
+/// the event from held reservations (fast path) or re-place everything
+/// (the slow path, what a rebuild-per-event scheduler does every event).
+fn conservative_pass(
     cluster: &mut Cluster,
     waiting: &mut Vec<SimJob>,
     now: u64,
     cons: &mut ConservativeState,
-    depth: Option<usize>,
 ) -> Vec<SimJob> {
     if !cons.valid {
         cons.profile.sync(cluster, now);
@@ -534,15 +497,9 @@ fn conservative_pass_incremental(
         // An overdue release point moved: reservations assumed it.
         cons.dirty = true;
     }
-    if depth.is_some() {
-        // Legacy capped mode: the cap truncates each pass, so which jobs
-        // hold reservations depends on the pass — re-place every event
-        // exactly like the capped oracle.
-        cons.dirty = true;
-    }
     let started = if cons.dirty || cons.unplaced {
         PROFILE_REPLACEMENTS.incr();
-        conservative_replace_all(cluster, waiting, now, cons, depth)
+        conservative_replace_all(cluster, waiting, now, cons)
     } else {
         PROFILE_FAST_PASSES.incr();
         conservative_fast_pass(cluster, waiting, now, cons)
@@ -621,23 +578,21 @@ fn conservative_fast_pass(
 }
 
 /// Slow path: drop every reservation and re-place in priority order —
-/// exactly the greedy placement the naive oracle computes each event, but
-/// against the persistent profile (O(log n) edits, O(log n + k) scans).
+/// the greedy placement a rebuild-per-event scheduler computes each event,
+/// but against the persistent profile (O(log n) edits, O(log n + k) scans).
 fn conservative_replace_all(
     cluster: &mut Cluster,
     waiting: &mut Vec<SimJob>,
     now: u64,
     cons: &mut ConservativeState,
-    depth: Option<usize>,
 ) -> Vec<SimJob> {
     cons.profile.clear_reservations();
     cons.dirty = false;
     cons.unplaced = false;
-    let cap = depth.unwrap_or(usize::MAX);
     let mut started = Vec::new();
     let mut i = 0;
-    let mut considered = 0usize;
-    while i < waiting.len() && considered < cap {
+    let mut considered = 0u64;
+    while i < waiting.len() {
         considered += 1;
         let job = waiting[i];
         // Estimates of zero still occupy the machine momentarily.
@@ -659,131 +614,7 @@ fn conservative_replace_all(
             i += 1;
         }
     }
-    BACKFILL_PASS_CONSIDERED.record(considered as u64);
-    started
-}
-
-/// An availability profile rebuilt from scratch per pass — the seed
-/// engine's representation, retained as the differential oracle.
-#[derive(Debug, Clone)]
-struct RebuildProfile {
-    /// (time, free_from_this_time_on), strictly increasing times.
-    points: Vec<(u64, u32)>,
-}
-
-impl RebuildProfile {
-    fn new(cluster: &Cluster, now: u64) -> Self {
-        let mut points = vec![(now, cluster.free())];
-        let mut free = cluster.free();
-        for (t, p) in cluster.estimated_releases() {
-            free += p;
-            // A release estimated at or before `now` belongs to a job that
-            // is still running (its Finish event has not fired — e.g. a
-            // same-instant finish later in the event queue, or a true
-            // runtime exceeding the estimate). Its processors must not be
-            // counted free at the present instant, or a start at `now`
-            // could exceed the machine's real free count.
-            let t = t.max(now + 1);
-            match points.iter_mut().find(|(pt, _)| *pt == t) {
-                Some(entry) => entry.1 = free,
-                None => points.push((t, free)),
-            }
-        }
-        points.sort_unstable();
-        Self { points }
-    }
-
-    /// Free processors at time `t`.
-    fn free_at(&self, t: u64) -> u32 {
-        let idx = self.points.partition_point(|(pt, _)| *pt <= t);
-        if idx == 0 {
-            self.points[0].1
-        } else {
-            self.points[idx - 1].1
-        }
-    }
-
-    /// Earliest `t >= from` such that `procs` are free throughout
-    /// `[t, t + duration)`.
-    fn earliest_window(&self, procs: u32, duration: u64, from: u64) -> u64 {
-        let mut candidates: Vec<u64> = self
-            .points
-            .iter()
-            .map(|&(t, _)| t.max(from))
-            .collect();
-        candidates.push(from);
-        candidates.sort_unstable();
-        candidates.dedup();
-        'outer: for &start in &candidates {
-            if self.free_at(start) < procs {
-                continue;
-            }
-            let end = start.saturating_add(duration);
-            for &(t, free) in &self.points {
-                if t > start && t < end && free < procs {
-                    continue 'outer;
-                }
-            }
-            return start;
-        }
-        u64::MAX
-    }
-
-    /// Reserves `procs` processors over `[start, start + duration)`.
-    fn reserve(&mut self, procs: u32, start: u64, duration: u64) {
-        let end = start.saturating_add(duration);
-        let free_at_start = self.free_at(start);
-        let free_at_end = self.free_at(end);
-        if !self.points.iter().any(|(t, _)| *t == start) {
-            self.points.push((start, free_at_start));
-        }
-        if end != u64::MAX && !self.points.iter().any(|(t, _)| *t == end) {
-            self.points.push((end, free_at_end));
-        }
-        self.points.sort_unstable();
-        for p in &mut self.points {
-            if p.0 >= start && p.0 < end {
-                debug_assert!(p.1 >= procs, "conservative profile underflow");
-                p.1 -= procs;
-            }
-        }
-    }
-}
-
-/// The seed-era conservative pass: rebuild the profile, walk jobs in
-/// priority order, give each the earliest reservation compatible with all
-/// earlier reservations, start the ones whose reservation is *now*.
-fn conservative_pass_naive(
-    cluster: &mut Cluster,
-    waiting: &mut Vec<SimJob>,
-    now: u64,
-    depth: Option<usize>,
-) -> Vec<SimJob> {
-    let cap = depth.unwrap_or(usize::MAX);
-    let mut profile = RebuildProfile::new(cluster, now);
-    let mut started = Vec::new();
-    let mut i = 0;
-    let mut considered = 0;
-    while i < waiting.len() && considered < cap {
-        considered += 1;
-        let job = waiting[i];
-        // Estimates of zero still occupy the machine momentarily.
-        let duration = job.estimate.max(1);
-        let t = profile.earliest_window(job.procs, duration, now);
-        if t == u64::MAX {
-            i += 1;
-            continue;
-        }
-        profile.reserve(job.procs, t, duration);
-        if t == now {
-            cluster.allocate(job.id, job.procs, now + job.estimate);
-            started.push(job);
-            waiting.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    BACKFILL_PASS_CONSIDERED.record(considered as u64);
+    BACKFILL_PASS_CONSIDERED.record(considered);
     started
 }
 
@@ -938,63 +769,14 @@ mod tests {
         assert_eq!(w[2], (10, 90.0), "C starts at t=100 once both finish");
     }
 
-    /// Runs one job list through both conservative engines and asserts
-    /// byte-identical schedules.
-    fn assert_engines_agree(procs: u32, jobs: Vec<SimJob>) {
-        let (t_inc, s_inc) = Simulation::new(machine(procs), SchedulerPolicy::ConservativeBackfill)
-            .run_jobs_recorded(jobs.clone());
-        let (t_naive, s_naive) =
-            Simulation::new(machine(procs), SchedulerPolicy::ConservativeBackfill)
-                .with_conservative_engine(ConservativeEngine::NaiveRebuild)
-                .run_jobs_recorded(jobs);
-        assert_eq!(s_inc, s_naive, "start schedules diverge");
-        assert_eq!(waits(&t_inc), waits(&t_naive), "wait traces diverge");
-    }
-
-    #[test]
-    fn deep_queue_matches_oracle_with_cap_off() {
-        // 160 jobs burst onto an 8-proc machine: the queue runs far deeper
-        // than the old 128-job cap, and with the cap off (the default) the
-        // incremental engine must match the uncapped oracle byte for byte.
-        let jobs: Vec<SimJob> = (0..160)
-            .map(|i| job(i, (i % 4) as u64, 1 + (i as u32 * 5) % 8, 50 + (i * 37) % 400))
-            .collect();
-        assert_engines_agree(8, jobs);
-    }
-
-    #[test]
-    fn misestimated_runtimes_match_oracle() {
-        // Early and late completions (estimate != runtime) exercise every
-        // invalidation rule; schedules must still match the oracle exactly.
-        let jobs: Vec<SimJob> = (0..120)
-            .map(|i| {
-                let runtime = 50 + (i * 61) % 500;
-                let estimate = match i % 3 {
-                    0 => runtime,                 // on time
-                    1 => runtime * 2,             // finishes early
-                    _ => (runtime / 2).max(1),    // overruns its estimate
-                };
-                SimJob {
-                    id: i,
-                    submit: i * 3,
-                    procs: 1 + (i as u32 * 7) % 8,
-                    runtime,
-                    estimate,
-                    queue: 0,
-                }
-            })
-            .collect();
-        assert_engines_agree(8, jobs);
-    }
-
     #[test]
     fn ten_k_job_overload_completes_with_bounded_scans() {
         // A 10k-job overload on a serial machine — queue depth near 10k,
-        // 78x the old reservation cap. With on-time completions the
-        // incremental engine stays on the fast path: back-to-back
-        // reservations coalesce, so each earliest-fit scan touches O(1)
-        // change points no matter how deep the queue gets (the seed engine
-        // re-placed all ~10k reservations per event here).
+        // every waiting job holding a reservation. With on-time completions
+        // the engine stays on the fast path: back-to-back reservations
+        // coalesce, so each earliest-fit scan touches O(1) change points no
+        // matter how deep the queue gets (a rebuild-per-event scheduler
+        // re-places all ~10k reservations per event here).
         let n: u64 = 10_000;
         let jobs: Vec<SimJob> = (0..n).map(|i| job(i, i, 1, 40 + (i % 97))).collect();
         let mut sim = Simulation::new(machine(1), SchedulerPolicy::ConservativeBackfill);
@@ -1014,21 +796,6 @@ mod tests {
         } else {
             panic!("points_scanned histogram must be populated");
         }
-    }
-
-    #[test]
-    fn reservation_depth_knob_restores_capped_behavior() {
-        // Legacy capped mode: a finite depth truncates each pass, and both
-        // engines agree on the truncated schedule.
-        let jobs: Vec<SimJob> = (0..60).map(|i| job(i, 0, 1, 100)).collect();
-        let (_, s_inc) = Simulation::new(machine(1), SchedulerPolicy::ConservativeBackfill)
-            .with_reservation_depth(Some(16))
-            .run_jobs_recorded(jobs.clone());
-        let (_, s_naive) = Simulation::new(machine(1), SchedulerPolicy::ConservativeBackfill)
-            .with_reservation_depth(Some(16))
-            .with_conservative_engine(ConservativeEngine::NaiveRebuild)
-            .run_jobs_recorded(jobs);
-        assert_eq!(s_inc, s_naive, "capped engines diverge");
     }
 
     #[test]
@@ -1160,20 +927,23 @@ mod tests {
 
     #[test]
     fn predictive_reduces_slo_misses_on_overloaded_burst() {
-        let jobs = waves(6, 40, 7);
-        let deadline = crate::DeadlineConfig::default();
-        let miss = |policy| {
-            let (_, starts, _) = Simulation::new(machine(8), policy)
-                .with_deadlines(deadline)
-                .run_jobs_admitted(jobs.clone());
-            crate::metrics::slo_miss_rate(&jobs, &starts, deadline).unwrap()
-        };
-        let easy = miss(SchedulerPolicy::EasyBackfill);
-        let predictive = miss(SchedulerPolicy::PredictiveBackfill);
-        assert!(
-            predictive < easy,
-            "predictive must miss fewer SLOs: predictive {predictive} vs easy {easy}"
-        );
+        for seed in [7, 11] {
+            let jobs = waves(6, 40, seed);
+            let deadline = crate::DeadlineConfig::default();
+            let miss = |policy| {
+                let (_, starts, _) = Simulation::new(machine(8), policy)
+                    .with_deadlines(deadline)
+                    .run_jobs_admitted(jobs.clone());
+                crate::metrics::slo_miss_rate(&jobs, &starts, deadline).unwrap()
+            };
+            let easy = miss(SchedulerPolicy::EasyBackfill);
+            let predictive = miss(SchedulerPolicy::PredictiveBackfill);
+            assert!(
+                predictive < easy,
+                "seed {seed}: predictive must miss fewer SLOs: \
+                 predictive {predictive} vs easy {easy}"
+            );
+        }
     }
 
     #[test]

@@ -48,49 +48,6 @@ pub mod policy;
 pub mod profile;
 pub mod workload;
 
-/// Which conservative-backfill implementation the engine runs.
-///
-/// The naive rebuild-per-event engine is retained as the differential
-/// oracle: the incremental engine must produce byte-identical schedules
-/// (see `tests/backfill_differential.rs`), and benches use it as the
-/// seed-era baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConservativeEngine {
-    /// Persistent incremental availability profile (the default):
-    /// O(log n) event updates, reservations kept across events and
-    /// re-placed only when invalidated.
-    #[default]
-    Incremental,
-    /// Seed-era oracle: rebuild the profile and re-place every
-    /// reservation on every scheduling event.
-    NaiveRebuild,
-}
-
-/// Tuning knobs for the backfill disciplines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackfillConfig {
-    /// Most waiting jobs (in priority order) that receive reservations per
-    /// conservative pass; `None` (the default) is unbounded. The seed
-    /// engine hard-coded 128 to keep rebuild-per-event passes tolerable on
-    /// overloaded queues — silently truncating exactly the deep-queue tail.
-    /// With the incremental profile the cap is unnecessary; setting it
-    /// restores the legacy capped behavior (every pass re-places, so the
-    /// truncation point is well-defined).
-    pub reservation_depth: Option<usize>,
-    /// Which conservative-backfill implementation runs.
-    pub engine: ConservativeEngine,
-}
-
-impl Default for BackfillConfig {
-    fn default() -> Self {
-        Self {
-            reservation_depth: None,
-            engine: ConservativeEngine::Incremental,
-        }
-    }
-}
-
-
 /// Per-job wait-budget (deadline) derivation for deadline-aware policies.
 ///
 /// Jobs carry no deadline field of their own (real batch logs don't have

@@ -5,8 +5,8 @@
 //! Markers: `*` = method failed the 0.95 correctness target on that queue;
 //! `^` = tightest bounds among the correct methods (the paper's boldface).
 //!
-//! Usage: `cargo run --release -p qdelay-bench --bin tables34 [seed [quick]]`
-//! `quick` truncates every queue to 5000 jobs for a fast smoke run.
+//! Usage: `cargo run --release -p qdelay-bench --bin tables34 [seed]`
+//! (every queue at its full catalog length; seconds on two cores).
 
 use qdelay_bench::suite::{self, MethodKind, SuiteConfig};
 use qdelay_bench::table;
@@ -18,22 +18,15 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
-    let quick = std::env::args().nth(2).is_some_and(|s| s == "quick");
 
-    let mut profiles = catalog::queue_table_catalog();
-    if quick {
-        for p in &mut profiles {
-            p.job_count = p.job_count.min(5000);
-        }
-    }
+    let profiles = catalog::queue_table_catalog();
     let config = SuiteConfig {
         synth: SynthSettings::with_seed(seed),
         ..SuiteConfig::default()
     };
     eprintln!(
-        "evaluating {} queues x 3 methods (seed {seed}{}) ...",
-        profiles.len(),
-        if quick { ", quick" } else { "" }
+        "evaluating {} queues x 3 methods (seed {seed}) ...",
+        profiles.len()
     );
     let started = std::time::Instant::now();
     let runs = suite::evaluate_catalog(&profiles, &config);

@@ -3,7 +3,8 @@
 //! 65+) for BMBP, log-normal without trimming, and log-normal with
 //! trimming. Cells with fewer than 1000 jobs print `-`, as in the paper.
 //!
-//! Usage: `cargo run --release -p qdelay-bench --bin tables567 [seed [quick]]`
+//! Usage: `cargo run --release -p qdelay-bench --bin tables567 [seed]`
+//! (every queue at its full catalog length; seconds on two cores).
 
 use qdelay_bench::suite::{self, MethodKind, SuiteConfig};
 use qdelay_bench::table;
@@ -16,22 +17,15 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
-    let quick = std::env::args().nth(2).is_some_and(|s| s == "quick");
 
-    let mut profiles = catalog::proc_table_catalog();
-    if quick {
-        for p in &mut profiles {
-            p.job_count = p.job_count.min(8000);
-        }
-    }
+    let profiles = catalog::proc_table_catalog();
     let config = SuiteConfig {
         synth: SynthSettings::with_seed(seed),
         ..SuiteConfig::default()
     };
     eprintln!(
-        "evaluating {} queues x 3 methods x 4 ranges (seed {seed}{}) ...",
-        profiles.len(),
-        if quick { ", quick" } else { "" }
+        "evaluating {} queues x 3 methods x 4 ranges (seed {seed}) ...",
+        profiles.len()
     );
     let started = std::time::Instant::now();
     let runs = suite::evaluate_catalog(&profiles, &config);

@@ -15,12 +15,9 @@
 //! | `figure2`   | Figure 2 — bounds by processor range, large-job era|
 //! | `ablations` | epoch length, bound method, trimming ablations     |
 //!
-//! Micro-benchmarks (`cargo bench -p qdelay-bench`, built on the
-//! first-party [`microbench`] runner) measure prediction latency against
-//! the paper's "8 ms on a 1 GHz Pentium III" claim and document the
-//! incremental engine's speedup over naive recomputation.
+//! Timing lives in the committed benchmark (`benchmark/`, contract in
+//! `BENCHMARK.json`), not here.
 
-pub mod microbench;
 pub mod suite;
 pub mod table;
 

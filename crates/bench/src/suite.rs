@@ -109,40 +109,6 @@ pub struct QueueRun {
     pub per_range: BTreeMap<ProcRange, EvalMetrics>,
 }
 
-/// Deterministic overloaded-burst workload for the conservative-backfill
-/// benches and stress tests: `n` jobs burst in at 2-second spacing onto a
-/// small machine, so the waiting queue grows to nearly `n` deep — far past
-/// the seed engine's 128-job reservation cap. Runtimes are spread over a
-/// wide range (60..20130 s) so estimated finishes rarely collide, which
-/// keeps the incremental engine's fast path hot; estimates are exact, so
-/// completions are on time. The same generator serves the bench's naive
-/// baseline (at small `n`) and the incremental 10k-job headline run.
-pub fn overloaded_burst_jobs(n: usize, seed: u64) -> Vec<qdelay_batchsim::SimJob> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..n as u64)
-        .map(|i| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let runtime = 60 + (state >> 17) % 20_071;
-            qdelay_batchsim::SimJob {
-                id: i,
-                submit: i * 2,
-                procs: 1 + (state >> 53) as u32 % 8,
-                runtime,
-                estimate: runtime,
-                queue: 0,
-            }
-        })
-        .collect()
-}
-
-/// The machine the overloaded-burst workload targets: 8 processors, one
-/// queue — small enough that the burst overloads it immediately.
-pub fn overloaded_burst_machine() -> qdelay_batchsim::MachineConfig {
-    qdelay_batchsim::MachineConfig::single_queue(8)
-}
-
 /// Runs every method over every profile, in parallel across queues.
 ///
 /// Each queue's trace is generated once and replayed once per method, so

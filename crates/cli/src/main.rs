@@ -8,7 +8,7 @@
 //! qdelay evaluate <trace-file> [--epoch SECS] [--training FRAC]
 //! qdelay generate <machine> <queue> [--seed N]
 //! qdelay simulate [--days N] [--procs N] [--policy fcfs|easy|conservative|predictive]
-//!                 [--reservation-depth N] [--seed N]
+//!                 [--seed N]
 //! qdelay serve [--listen ADDR] [--listen-binary ADDR] [--shards N] [--snapshot-path FILE]
 //!              [--journal-path DIR] [--fsync always|never|interval[:ms]]
 //!              [--segment-bytes N] [--compact-bytes N]
@@ -137,7 +137,7 @@ fn print_usage() {
          \x20 qdelay generate <machine> <queue> [--seed N]\n\
          \x20 qdelay simulate [--days N] [--procs N]\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--policy fcfs|easy|conservative|predictive]\n\
-         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--reservation-depth N] [--seed N]\n\
+         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--seed N]\n\
          \x20 qdelay serve [--listen ADDR] [--listen-binary ADDR] [--shards N]\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--snapshot-path FILE]\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--journal-path DIR] [--fsync always|never|interval[:ms]]\n\
@@ -180,7 +180,7 @@ fn print_usage() {
 }
 
 /// Pulls `--flag value` out of an argument list; returns remaining
-/// positionals.
+/// positionals. An unrecognised `--flag` is an error, never a positional.
 fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     let mut flags = Flags::default();
     let mut positional = Vec::new();
@@ -202,13 +202,6 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
             "--seed" => flags.seed = take("--seed")? as u64,
             "--days" => flags.days = take("--days")? as u32,
             "--procs" => flags.procs = take("--procs")? as u32,
-            "--reservation-depth" => {
-                let v = take("--reservation-depth")?;
-                if v < 1.0 {
-                    return Err("--reservation-depth must be at least 1".to_string());
-                }
-                flags.reservation_depth = Some(v as usize);
-            }
             "--lower" => flags.lower = true,
             "--policy" => {
                 i += 1;
@@ -363,6 +356,7 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
                 }
                 flags.samples = v as u64;
             }
+            _ if a.starts_with("--") => return Err(format!("unknown flag '{a}' (try --help)")),
             _ => positional.push(a.clone()),
         }
         i += 1;
@@ -378,7 +372,6 @@ struct Flags {
     seed: u64,
     days: u32,
     procs: u32,
-    reservation_depth: Option<usize>,
     lower: bool,
     policy: String,
     listen: String,
@@ -414,7 +407,6 @@ impl Default for Flags {
             seed: 42,
             days: 30,
             procs: 128,
-            reservation_depth: None,
             lower: false,
             policy: "easy".to_string(),
             listen: "127.0.0.1:4680".to_string(),
@@ -560,8 +552,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         "predictive" => SchedulerPolicy::PredictiveBackfill,
         other => return Err(format!("unknown policy '{other}'")),
     };
-    let mut sim = Simulation::new(MachineConfig::single_queue(flags.procs), policy)
-        .with_reservation_depth(flags.reservation_depth);
+    let mut sim = Simulation::new(MachineConfig::single_queue(flags.procs), policy);
     let traces = sim.run(&WorkloadConfig {
         days: flags.days,
         seed: flags.seed,
@@ -999,13 +990,22 @@ mod tests {
     }
 
     #[test]
-    fn reservation_depth_flag() {
-        let (_, flags) = parse_flags(&strs(&["--reservation-depth", "128"])).unwrap();
-        assert_eq!(flags.reservation_depth, Some(128));
-        let (_, flags) = parse_flags(&strs(&[])).unwrap();
-        assert_eq!(flags.reservation_depth, None);
-        assert!(parse_flags(&strs(&["--reservation-depth", "0"])).is_err());
-        assert!(parse_flags(&strs(&["--reservation-depth"])).is_err());
+    fn unknown_flags_are_named_errors() {
+        // A typo and the removed reservation cap both fail loudly instead
+        // of landing in the positionals, where commands ignore extras.
+        for args in [
+            &["t.txt", "--quantil", "0.5"][..],
+            &["--dayz", "1"],
+            &["--reservation-depth", "128"],
+        ] {
+            let err = parse_flags(&strs(args)).err().expect("unknown flag must fail");
+            let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+            assert!(err.contains(&format!("'{flag}'")), "{err}");
+        }
+        let err = cmd_predict(&strs(&["t.txt", "--quantil", "0.5"])).unwrap_err();
+        assert!(err.contains("--quantil"), "{err}");
+        let err = cmd_simulate(&strs(&["--dayz", "1"])).unwrap_err();
+        assert!(err.contains("--dayz"), "{err}");
     }
 
     #[test]

@@ -656,10 +656,10 @@ mod tests {
     #[test]
     fn errors_render() {
         let e = ClientError::Server(ServeError {
-            code: crate::protocol::ERR_BACKPRESSURE.into(),
-            message: "queue full".into(),
+            code: crate::protocol::ERR_IO.into(),
+            message: "disk full".into(),
         });
-        assert!(e.to_string().contains("backpressure"));
+        assert_eq!(e.to_string(), "server error io: disk full");
         assert!(ClientError::Protocol("x".into()).to_string().contains("x"));
         assert!(ClientError::Timeout.to_string().contains("timeout"));
     }

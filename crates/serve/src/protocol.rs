@@ -82,13 +82,6 @@ pub const ERR_LINE_TOO_LONG: &str = "line_too_long";
 /// Well-formed JSON that is not a valid request (unknown method, missing
 /// or mistyped field, non-finite number).
 pub const ERR_BAD_REQUEST: &str = "bad_request";
-/// A shard's request queue was full and the request was dropped. No
-/// longer emitted — a request is executed by the thread that read it, so
-/// there is no queue — but kept decodable for clients that match on it.
-pub const ERR_BACKPRESSURE: &str = "backpressure";
-/// A request raced the shard threads' teardown. No longer emitted, for
-/// the same reason; kept decodable.
-pub const ERR_SHUTTING_DOWN: &str = "shutting_down";
 /// A server-side filesystem operation failed: a snapshot write, a spill
 /// read, or the journal commit an observe's ack was waiting for.
 pub const ERR_IO: &str = "io";
@@ -842,7 +835,7 @@ pub(crate) mod tests {
     fn reply_lines_are_single_line_json() {
         let id = Json::Num(3.0);
         for line in [
-            error_line(Some(&id), ERR_BACKPRESSURE, "queue full"),
+            error_line(Some(&id), ERR_IO, "disk full"),
             observe_line(None, "s/q/1-4", 17),
             predict_line(Some(&id), "s/q/65+", 120, 40, Some(88.5), None),
             reply_line(None, &Reply::Stats(vec![("partitions".into(), Json::Num(3.0))])),

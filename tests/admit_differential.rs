@@ -11,26 +11,14 @@
 //! sequence, this is the executable proof that admission decisions are
 //! replayable.
 //!
-//! Scheduler half: `PredictiveBackfill` schedules from the engine must
-//! match a naive rebuild-per-event oracle — an independent event loop,
-//! written here, that re-derives the urgency order, the EASY pass, and
-//! the admission verdicts from scratch at every event — on the exact
-//! `(job, start, admitted?)` sequences across seeded workloads including
-//! overloaded bursts and mid-trace policy switches.
+//! The scheduler half of the admission loop — `PredictiveBackfill`
+//! against an independent oracle — lives in `tests/backfill_differential.rs`
+//! with the other scheduler scenarios.
 
-use qdelay::batchsim::engine::{AdmitRecord, Simulation, StartRecord};
-use qdelay::batchsim::policy::{PolicyChange, PolicySchedule, SchedulerPolicy};
-use qdelay::batchsim::{DeadlineConfig, MachineConfig, SimJob};
 use qdelay::predict::admission::{decide, Decision};
-use qdelay::predict::bmbp::Bmbp;
-use qdelay::predict::QuantilePredictor;
 use qdelay::serve::client::Client;
 use qdelay::serve::server::{Server, ServerConfig};
 use qdelay_rng::{Rng, StdRng};
-
-// ---------------------------------------------------------------------------
-// Wire half
-// ---------------------------------------------------------------------------
 
 const PARTITIONS: [(&str, &str, u32); 8] = [
     ("datastar", "normal", 2),
@@ -206,305 +194,4 @@ fn admit_boundary_budget_is_exact_on_both_protocols() {
     }
     json.shutdown().unwrap();
     server.join().unwrap();
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler half: PredictiveBackfill vs a naive rebuild-per-event oracle
-// ---------------------------------------------------------------------------
-
-/// An independently written event loop that re-derives everything from
-/// scratch at every event: the priority order, the urgency order, the EASY
-/// pass, and the admission verdicts. No state is carried between passes
-/// except what the contract requires (cluster occupancy, predictors).
-struct Oracle {
-    free: u32,
-    /// (id, true_finish, est_finish, procs)
-    running: Vec<(u64, u64, u64, u32)>,
-    waiting: Vec<SimJob>,
-    predictors: Vec<Bmbp>,
-    deadline: DeadlineConfig,
-    policy: SchedulerPolicy,
-    /// (at, policy), time-sorted; drained as time passes.
-    switches: Vec<(u64, SchedulerPolicy)>,
-    starts: Vec<StartRecord>,
-    admits: Vec<AdmitRecord>,
-}
-
-impl Oracle {
-    fn run(
-        machine_procs: u32,
-        queues: usize,
-        policy: SchedulerPolicy,
-        switches: Vec<(u64, SchedulerPolicy)>,
-        deadline: DeadlineConfig,
-        jobs: &[SimJob],
-    ) -> (Vec<StartRecord>, Vec<AdmitRecord>) {
-        let mut o = Oracle {
-            free: machine_procs,
-            running: Vec::new(),
-            waiting: Vec::new(),
-            predictors: (0..queues).map(|_| Bmbp::with_defaults()).collect(),
-            deadline,
-            policy,
-            switches,
-            starts: Vec::new(),
-            admits: Vec::new(),
-        };
-        // Arrivals in (submit, input-index) order — the engine's heap
-        // breaks arrival ties by job-list index.
-        let mut arrivals: Vec<usize> = (0..jobs.len()).collect();
-        arrivals.sort_by_key(|&i| (jobs[i].submit, i));
-        let mut next_arrival = 0;
-        loop {
-            // Next event: finishes sort before arrivals at equal times,
-            // finishes among themselves by job id (the engine's EventKind
-            // derive ordering inside its min-heap).
-            let fin = o.running.iter().map(|&(id, tf, _, _)| (tf, 0u8, id)).min();
-            let arr = (next_arrival < arrivals.len())
-                .then(|| (jobs[arrivals[next_arrival]].submit, 1u8, arrivals[next_arrival] as u64));
-            let (now, kind, payload) = match (fin, arr) {
-                (None, None) => break,
-                (Some(f), None) => f,
-                (None, Some(a)) => a,
-                (Some(f), Some(a)) => f.min(a),
-            };
-            while let Some(&(at, p)) = o.switches.first() {
-                if at > now {
-                    break;
-                }
-                o.policy = p;
-                o.switches.remove(0);
-            }
-            if kind == 0 {
-                let idx = o.running.iter().position(|&(id, ..)| id == payload).unwrap();
-                let (_, _, _, procs) = o.running.remove(idx);
-                o.free += procs;
-            } else {
-                let j = jobs[arrivals[next_arrival]];
-                next_arrival += 1;
-                let admitted = if o.policy == SchedulerPolicy::PredictiveBackfill {
-                    match o.predictors[j.queue].current_bound().value() {
-                        Some(b) => b <= o.deadline.wait_budget(j.estimate) as f64,
-                        None => true,
-                    }
-                } else {
-                    true
-                };
-                o.admits.push(AdmitRecord { job_id: j.id, admitted });
-                o.waiting.push(j);
-            }
-            o.pass(now);
-        }
-        assert!(o.waiting.is_empty(), "oracle stalled with jobs waiting");
-        (o.starts, o.admits)
-    }
-
-    fn allocate(&mut self, j: SimJob, now: u64) {
-        assert!(j.procs <= self.free, "oracle over-allocated");
-        self.free -= j.procs;
-        self.running.push((j.id, now + j.runtime, now + j.estimate, j.procs));
-        self.starts.push(StartRecord { job_id: j.id, start: now });
-        let wait = (now - j.submit) as f64;
-        if let Some(b) = self.predictors[j.queue].current_bound().value() {
-            self.predictors[j.queue].record_outcome(b, wait);
-        }
-        self.predictors[j.queue].observe(wait);
-    }
-
-    /// Single-queue priority order (all priorities equal): submit, then id.
-    fn sort_fcfs(&mut self) {
-        self.waiting.sort_by_key(|j| (j.submit, j.id));
-    }
-
-    fn pass(&mut self, now: u64) {
-        match self.policy {
-            SchedulerPolicy::Fcfs => {
-                self.sort_fcfs();
-                self.fcfs(now);
-            }
-            SchedulerPolicy::EasyBackfill => {
-                self.sort_fcfs();
-                self.easy(now);
-            }
-            SchedulerPolicy::PredictiveBackfill => {
-                for p in &mut self.predictors {
-                    p.refit();
-                }
-                let bounds: Vec<Option<f64>> =
-                    self.predictors.iter().map(|p| p.current_bound().value()).collect();
-                let deadline = self.deadline;
-                self.waiting.sort_by_key(|j| {
-                    let budget = deadline.wait_budget(j.estimate);
-                    let waited = now - j.submit;
-                    let rem = budget.saturating_sub(waited) as i128;
-                    let bound = bounds[j.queue].map_or(0, |b| b.ceil() as i128);
-                    ((waited > budget, rem - bound), (j.submit, j.id))
-                });
-                self.easy(now);
-            }
-            SchedulerPolicy::ConservativeBackfill => {
-                panic!("oracle scripts only switch between fcfs/easy/predictive")
-            }
-        }
-    }
-
-    fn fcfs(&mut self, now: u64) {
-        while let Some(&head) = self.waiting.first() {
-            if head.procs > self.free {
-                break;
-            }
-            self.waiting.remove(0);
-            self.allocate(head, now);
-        }
-    }
-
-    /// Earliest time >= now when `procs` fit, from estimated releases.
-    fn earliest_fit(&self, procs: u32, now: u64) -> (u64, u32) {
-        if procs <= self.free {
-            return (now, self.free);
-        }
-        let mut releases: Vec<(u64, u32)> =
-            self.running.iter().map(|&(_, _, est, p)| (est, p)).collect();
-        releases.sort_unstable();
-        let mut free = self.free;
-        for (finish, p) in releases {
-            free += p;
-            if free >= procs {
-                return (finish.max(now), free);
-            }
-        }
-        (u64::MAX, 0)
-    }
-
-    fn easy(&mut self, now: u64) {
-        self.fcfs(now);
-        if self.waiting.is_empty() {
-            return;
-        }
-        loop {
-            let head = self.waiting[0];
-            let (shadow, free_at_shadow) = self.earliest_fit(head.procs, now);
-            if shadow == u64::MAX {
-                break;
-            }
-            let extra = free_at_shadow - head.procs;
-            let mut any = false;
-            let mut i = 1;
-            while i < self.waiting.len() {
-                let cand = self.waiting[i];
-                let fits_now = cand.procs <= self.free;
-                let ends_before_shadow = now + cand.estimate <= shadow;
-                let within_extra = cand.procs <= extra;
-                if fits_now && (ends_before_shadow || within_extra) {
-                    self.waiting.remove(i);
-                    self.allocate(cand, now);
-                    any = true;
-                    break;
-                }
-                i += 1;
-            }
-            if !any {
-                break;
-            }
-            if self.waiting[0].procs <= self.free {
-                self.fcfs(now);
-                if self.waiting.is_empty() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Seeded single-queue workload: arrival waves several times machine
-/// capacity with mixed widths, the regime where urgency ordering and
-/// admission verdicts are all exercised.
-fn workload(n_waves: u64, per_wave: u64, gap: u64, spacing: u64, seed: u64) -> Vec<SimJob> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut jobs = Vec::new();
-    for w in 0..n_waves {
-        for j in 0..per_wave {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let procs = 1 + ((state >> 53) % 8) as u32;
-            let runtime = 60 + ((state >> 17) % 1_201);
-            // A third of jobs overestimate their runtime, as real users do.
-            let estimate = if state % 3 == 0 { runtime * 2 } else { runtime };
-            jobs.push(SimJob {
-                id: w * per_wave + j,
-                submit: w * gap + j * spacing,
-                procs,
-                runtime,
-                estimate,
-                queue: 0,
-            });
-        }
-    }
-    jobs
-}
-
-fn scheduler_differential(
-    jobs: Vec<SimJob>,
-    policy: SchedulerPolicy,
-    switches: &[(u64, SchedulerPolicy)],
-    label: &str,
-) {
-    let deadline = DeadlineConfig::default();
-    let mut schedule = PolicySchedule::new();
-    for &(at, p) in switches {
-        schedule.add(at, PolicyChange::SetPolicy(p));
-    }
-    let (_, starts, admits) = Simulation::new(MachineConfig::single_queue(8), policy)
-        .with_schedule(schedule)
-        .with_deadlines(deadline)
-        .run_jobs_admitted(jobs.clone());
-    let (o_starts, o_admits) =
-        Oracle::run(8, 1, policy, switches.to_vec(), deadline, &jobs);
-    assert_eq!(starts, o_starts, "start schedule diverged from oracle: {label}");
-    assert_eq!(admits, o_admits, "admission verdicts diverged from oracle: {label}");
-}
-
-#[test]
-fn predictive_matches_oracle_across_seeded_workloads() {
-    // ≥8 seeded workloads: overload waves of different shapes and seeds.
-    for (i, seed) in [3u64, 7, 11, 19, 42, 1009, 77_777, 20_260_809].iter().enumerate() {
-        let jobs = workload(4 + (i as u64 % 3), 30 + (i as u64 * 5), 18_000, 10, *seed);
-        scheduler_differential(
-            jobs,
-            SchedulerPolicy::PredictiveBackfill,
-            &[],
-            &format!("workload {i} (seed {seed})"),
-        );
-    }
-}
-
-#[test]
-fn predictive_matches_oracle_on_dense_overloaded_burst() {
-    // Everything arrives nearly at once: the queue runs ~200 deep.
-    let jobs = workload(1, 200, 0, 2, 5);
-    scheduler_differential(
-        jobs,
-        SchedulerPolicy::PredictiveBackfill,
-        &[],
-        "dense burst",
-    );
-}
-
-#[test]
-fn predictive_matches_oracle_through_policy_switches() {
-    // Warm up under EASY, switch to predictive mid-trace, briefly fall
-    // back to FCFS, and return — verdict gating must follow the policy in
-    // force at each arrival instant.
-    let jobs = workload(5, 40, 20_000, 10, 13);
-    scheduler_differential(
-        jobs,
-        SchedulerPolicy::EasyBackfill,
-        &[
-            (25_000, SchedulerPolicy::PredictiveBackfill),
-            (45_000, SchedulerPolicy::Fcfs),
-            (62_000, SchedulerPolicy::PredictiveBackfill),
-        ],
-        "mid-trace switches",
-    );
 }
