@@ -78,7 +78,7 @@ fn main() -> ExitCode {
         Some("admit") => cmd_admit(&args[1..]),
         Some("promote") => cmd_promote(&args[1..]),
         Some("snapshot") => cmd_snapshot(&args[1..]),
-        Some("catalog") => cmd_catalog(),
+        Some("catalog") => cmd_catalog(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
@@ -179,187 +179,95 @@ fn print_usage() {
     );
 }
 
-/// Pulls `--flag value` out of an argument list; returns remaining
-/// positionals. An unrecognised `--flag` is an error, never a positional.
-fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
+/// The flags each command reads. `--telemetry` is global and stripped
+/// before dispatch; any other flag a command does not read is an error.
+fn accepted_flags(command: &str) -> &'static [&'static str] {
+    match command {
+        "predict" => &["--quantile", "--confidence", "--lower"],
+        "evaluate" => &["--epoch", "--training"],
+        "generate" => &["--seed"],
+        "simulate" => &["--days", "--procs", "--policy", "--seed"],
+        "serve" => &[
+            "--listen", "--listen-binary", "--shards", "--snapshot-path", "--journal-path",
+            "--fsync", "--segment-bytes", "--compact-bytes", "--listen-repl", "--replicate-from",
+            "--max-resident", "--slow-request-us", "--flight-recorder-depth", "--metrics-interval",
+        ],
+        "stats" => &["--connect", "--watch", "--interval-ms", "--samples"],
+        "admit" => &["--site", "--queue", "--procs", "--budget", "--confidence", "--connect"],
+        "promote" => &["--connect"],
+        _ => &[],
+    }
+}
+
+/// `text` as a number of at least `min`.
+fn at_least(flag: &str, text: &str, min: f64) -> Result<f64, String> {
+    let v = text.parse::<f64>().ok().filter(|v| !v.is_nan());
+    match v.ok_or_else(|| format!("bad value for {flag}"))? {
+        v if v < min => Err(format!("{flag} must be at least {min}")),
+        v => Ok(v),
+    }
+}
+
+/// Pulls `--flag value` out of `command`'s argument list; returns the
+/// remaining positionals. A flag the command does not read
+/// ([`accepted_flags`]) is an error naming both — never a positional, and
+/// never silently ignored.
+fn parse_flags(command: &str, args: &[String]) -> Result<(Vec<String>, Flags), String> {
+    const ANY: f64 = f64::NEG_INFINITY;
     let mut flags = Flags::default();
     let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let mut take = |name: &str| -> Result<f64, String> {
-            i += 1;
-            args.get(i)
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse::<f64>()
-                .map_err(|_| format!("bad value for {name}"))
-        };
-        match a.as_str() {
-            "--quantile" => flags.quantile = take("--quantile")?,
-            "--confidence" => flags.confidence = take("--confidence")?,
-            "--epoch" => flags.epoch = take("--epoch")?,
-            "--training" => flags.training = take("--training")?,
-            "--seed" => flags.seed = take("--seed")? as u64,
-            "--days" => flags.days = take("--days")? as u32,
-            "--procs" => flags.procs = take("--procs")? as u32,
-            "--lower" => flags.lower = true,
-            "--policy" => {
-                i += 1;
-                flags.policy = args
-                    .get(i)
-                    .ok_or_else(|| "--policy needs a value".to_string())?
-                    .clone();
-            }
-            "--listen" => {
-                i += 1;
-                flags.listen = args
-                    .get(i)
-                    .ok_or_else(|| "--listen needs a host:port".to_string())?
-                    .clone();
-            }
-            "--listen-binary" => {
-                i += 1;
-                flags.listen_binary = Some(
-                    args.get(i)
-                        .ok_or_else(|| "--listen-binary needs a host:port".to_string())?
-                        .clone(),
-                );
-            }
-            "--snapshot-path" => {
-                i += 1;
-                flags.snapshot_path = Some(
-                    args.get(i)
-                        .ok_or_else(|| "--snapshot-path needs a file path".to_string())?
-                        .clone(),
-                );
-            }
-            "--journal-path" => {
-                i += 1;
-                flags.journal_path = Some(
-                    args.get(i)
-                        .ok_or_else(|| "--journal-path needs a directory".to_string())?
-                        .clone(),
-                );
-            }
-            "--listen-repl" => {
-                i += 1;
-                flags.listen_repl = Some(
-                    args.get(i)
-                        .ok_or_else(|| "--listen-repl needs a host:port".to_string())?
-                        .clone(),
-                );
-            }
-            "--replicate-from" => {
-                i += 1;
-                flags.replicate_from = Some(
-                    args.get(i)
-                        .ok_or_else(|| "--replicate-from needs a host:port".to_string())?
-                        .clone(),
-                );
-            }
-            "--fsync" => {
-                i += 1;
-                let spec = args
-                    .get(i)
-                    .ok_or_else(|| "--fsync needs always | never | interval[:ms]".to_string())?;
-                flags.fsync = Some(qdelay_serve::durability::FsyncPolicy::parse(spec)?);
-            }
-            "--segment-bytes" => {
-                let v = take("--segment-bytes")?;
-                if v < 1.0 {
-                    return Err("--segment-bytes must be at least 1".to_string());
-                }
-                flags.segment_bytes = Some(v as u64);
-            }
-            "--compact-bytes" => {
-                let v = take("--compact-bytes")?;
-                if v < 1.0 {
-                    return Err("--compact-bytes must be at least 1".to_string());
-                }
-                flags.compact_bytes = Some(v as u64);
-            }
-            "--shards" => {
-                let v = take("--shards")?;
-                if v < 1.0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-                flags.shards = v as usize;
-            }
-            "--max-resident" => {
-                let v = take("--max-resident")?;
-                if v < 0.0 {
-                    return Err("--max-resident must be non-negative".to_string());
-                }
-                flags.max_resident = Some(v as usize);
-            }
-            "--slow-request-us" => {
-                let v = take("--slow-request-us")?;
-                if v < 0.0 {
-                    return Err("--slow-request-us must be non-negative".to_string());
-                }
-                flags.slow_request_us = Some(v as u64);
-            }
-            "--flight-recorder-depth" => {
-                let v = take("--flight-recorder-depth")?;
-                if v < 1.0 {
-                    return Err("--flight-recorder-depth must be at least 1".to_string());
-                }
-                flags.flight_recorder_depth = Some(v as usize);
-            }
-            "--metrics-interval" => {
-                let v = take("--metrics-interval")?;
-                if v < 1.0 {
-                    return Err("--metrics-interval must be at least 1 ms".to_string());
-                }
-                flags.metrics_interval_ms = Some(v as u64);
-            }
-            "--connect" => {
-                i += 1;
-                flags.connect = args
-                    .get(i)
-                    .ok_or_else(|| "--connect needs a host:port".to_string())?
-                    .clone();
-            }
-            "--watch" => flags.watch = true,
-            "--site" => {
-                i += 1;
-                flags.site = args
-                    .get(i)
-                    .ok_or_else(|| "--site needs a name".to_string())?
-                    .clone();
-            }
-            "--queue" => {
-                i += 1;
-                flags.queue = args
-                    .get(i)
-                    .ok_or_else(|| "--queue needs a name".to_string())?
-                    .clone();
-            }
-            "--budget" => {
-                let v = take("--budget")?;
-                if !(v.is_finite() && v >= 0.0) {
-                    return Err("--budget must be a non-negative number of wait-seconds".to_string());
-                }
-                flags.budget = Some(v);
-            }
-            "--interval-ms" => {
-                let v = take("--interval-ms")?;
-                if v < 1.0 {
-                    return Err("--interval-ms must be at least 1".to_string());
-                }
-                flags.interval_ms = v as u64;
-            }
-            "--samples" => {
-                let v = take("--samples")?;
-                if v < 0.0 {
-                    return Err("--samples must be non-negative".to_string());
-                }
-                flags.samples = v as u64;
-            }
-            _ if a.starts_with("--") => return Err(format!("unknown flag '{a}' (try --help)")),
-            _ => positional.push(a.clone()),
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        if !flag.starts_with("--") {
+            positional.push(arg.clone());
+            continue;
         }
-        i += 1;
+        if !accepted_flags(command).contains(&flag) {
+            return Err(format!("'{command}' does not take {flag} (try --help)"));
+        }
+        let mut value =
+            |what: &str| args.next().cloned().ok_or_else(|| format!("{flag} needs {what}"));
+        let mut num = |min: f64| at_least(flag, &value("a value")?, min);
+        match flag {
+            "--quantile" => flags.quantile = num(ANY)?,
+            "--confidence" => flags.confidence = num(ANY)?,
+            "--epoch" => flags.epoch = num(ANY)?,
+            "--training" => flags.training = num(ANY)?,
+            "--seed" => flags.seed = num(ANY)? as u64,
+            "--days" => flags.days = num(ANY)? as u32,
+            "--procs" => flags.procs = num(ANY)? as u32,
+            "--lower" => flags.lower = true,
+            "--watch" => flags.watch = true,
+            "--policy" => flags.policy = value("a value")?,
+            "--listen" => flags.listen = value("a host:port")?,
+            "--listen-binary" => flags.listen_binary = Some(value("a host:port")?),
+            "--snapshot-path" => flags.snapshot_path = Some(value("a file path")?),
+            "--journal-path" => flags.journal_path = Some(value("a directory")?),
+            "--listen-repl" => flags.listen_repl = Some(value("a host:port")?),
+            "--replicate-from" => flags.replicate_from = Some(value("a host:port")?),
+            "--connect" => flags.connect = value("a host:port")?,
+            "--site" => flags.site = value("a name")?,
+            "--queue" => flags.queue = value("a name")?,
+            "--fsync" => {
+                let spec = value("always | never | interval[:ms]")?;
+                flags.fsync = Some(qdelay_serve::durability::FsyncPolicy::parse(&spec)?);
+            }
+            "--segment-bytes" => flags.segment_bytes = Some(num(1.0)? as u64),
+            "--compact-bytes" => flags.compact_bytes = Some(num(1.0)? as u64),
+            "--shards" => flags.shards = num(1.0)? as usize,
+            "--max-resident" => flags.max_resident = Some(num(0.0)? as usize),
+            "--slow-request-us" => flags.slow_request_us = Some(num(0.0)? as u64),
+            "--flight-recorder-depth" => flags.flight_recorder_depth = Some(num(1.0)? as usize),
+            "--metrics-interval" => flags.metrics_interval_ms = Some(num(1.0)? as u64),
+            "--interval-ms" => flags.interval_ms = num(1.0)? as u64,
+            "--samples" => flags.samples = num(0.0)? as u64,
+            "--budget" => match num(0.0)? {
+                b if b.is_finite() => flags.budget = Some(b),
+                _ => return Err("--budget must be a finite number of wait-seconds".into()),
+            },
+            _ => return Err(format!("'{command}' lists {flag} but does not read it")),
+        }
     }
     Ok((positional, flags))
 }
@@ -463,7 +371,7 @@ fn load_trace(path: &str) -> Result<Trace, String> {
 }
 
 fn cmd_predict(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("predict", args)?;
     let path = pos.first().ok_or("predict needs a trace file")?;
     let trace = load_trace(path)?;
     let spec =
@@ -496,7 +404,7 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_evaluate(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("evaluate", args)?;
     let path = pos.first().ok_or("evaluate needs a trace file")?;
     let trace = load_trace(path)?;
     let cfg = HarnessConfig {
@@ -529,7 +437,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("generate", args)?;
     let machine = pos.first().ok_or("generate needs <machine> <queue>")?;
     let queue = pos.get(1).ok_or("generate needs <machine> <queue>")?;
     let profile = catalog::find(machine, queue)
@@ -544,7 +452,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     use qdelay_batchsim::policy::SchedulerPolicy;
     use qdelay_batchsim::workload::WorkloadConfig;
     use qdelay_batchsim::MachineConfig;
-    let (_, flags) = parse_flags(args)?;
+    let (_, flags) = parse_flags("simulate", args)?;
     let policy = match flags.policy.as_str() {
         "fcfs" => SchedulerPolicy::Fcfs,
         "easy" => SchedulerPolicy::EasyBackfill,
@@ -573,7 +481,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 /// standby that SIGHUP (or `qdelay promote`) turns into a primary.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use qdelay_serve::server::{Server, ServerConfig};
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("serve", args)?;
     if let Some(extra) = pos.first() {
         return Err(format!("serve takes no positional argument (got '{extra}')"));
     }
@@ -727,7 +635,7 @@ fn spawn_sighup_promoter(addr: std::net::SocketAddr) {
 /// one line of per-second rates per sample (`--samples 0` = until killed
 /// or the server goes away).
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("stats", args)?;
     if let Some(extra) = pos.first() {
         return Err(format!("stats takes no positional argument (got '{extra}')"));
     }
@@ -812,7 +720,7 @@ fn render_watch_line(reply: &qdelay_json::Json) -> String {
 /// hint) the shard answered with.
 fn cmd_admit(args: &[String]) -> Result<(), String> {
     use qdelay_predict::admission::Decision;
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("admit", args)?;
     if let Some(extra) = pos.first() {
         return Err(format!("admit takes no positional argument (got '{extra}')"));
     }
@@ -867,7 +775,7 @@ fn connect_with_failover(spec: &str) -> Result<qdelay_serve::client::Client, Str
 /// address *list*: promotion must name exactly one server — failing over
 /// to "whichever peer answered" could promote the wrong one.
 fn cmd_promote(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("promote", args)?;
     if let Some(extra) = pos.first() {
         return Err(format!("promote takes no positional argument (got '{extra}')"));
     }
@@ -888,8 +796,7 @@ fn cmd_promote(args: &[String]) -> Result<(), String> {
 }
 
 /// `qdelay snapshot export <file>`: prints a snapshot file — the framed
-/// file a server writes, or a version-3 JSON document — as the JSON
-/// snapshot document, pretty-printed.
+/// file a server writes — as the JSON snapshot document, pretty-printed.
 fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     match args {
         [sub, path] if sub == "export" => {
@@ -935,7 +842,11 @@ fn journal_config(
     Ok(Some(cfg))
 }
 
-fn cmd_catalog() -> Result<(), String> {
+fn cmd_catalog(args: &[String]) -> Result<(), String> {
+    let (pos, _) = parse_flags("catalog", args)?;
+    if let Some(extra) = pos.first() {
+        return Err(format!("catalog takes no positional argument (got '{extra}')"));
+    }
     let mut text = format!(
         "{:<10} {:<12} {:>8} {:>10} {:>10} {:>10}\n",
         "machine", "queue", "jobs", "mean", "median", "std"
@@ -960,7 +871,7 @@ mod tests {
 
     #[test]
     fn flags_defaults() {
-        let (pos, flags) = parse_flags(&strs(&["trace.txt"])).unwrap();
+        let (pos, flags) = parse_flags("predict", &strs(&["trace.txt"])).unwrap();
         assert_eq!(pos, vec!["trace.txt"]);
         assert_eq!(flags.quantile, 0.95);
         assert_eq!(flags.confidence, 0.95);
@@ -970,47 +881,65 @@ mod tests {
 
     #[test]
     fn flags_parse_values() {
-        let (pos, flags) = parse_flags(&strs(&[
-            "f", "--quantile", "0.9", "--confidence", "0.8", "--lower", "--seed", "7",
-            "--policy", "fcfs",
-        ]))
-        .unwrap();
+        let args = strs(&["f", "--quantile", "0.9", "--confidence", "0.8", "--lower"]);
+        let (pos, flags) = parse_flags("predict", &args).unwrap();
         assert_eq!(pos, vec!["f"]);
         assert_eq!(flags.quantile, 0.9);
         assert_eq!(flags.confidence, 0.8);
         assert!(flags.lower);
+        let (_, flags) = parse_flags("simulate", &strs(&["--seed", "7", "--policy", "fcfs"])).unwrap();
         assert_eq!(flags.seed, 7);
         assert_eq!(flags.policy, "fcfs");
     }
 
     #[test]
     fn flags_reject_missing_and_bad_values() {
-        assert!(parse_flags(&strs(&["--quantile"])).is_err());
-        assert!(parse_flags(&strs(&["--seed", "not-a-number"])).is_err());
+        assert!(parse_flags("predict", &strs(&["--quantile"])).is_err());
+        assert!(parse_flags("predict", &strs(&["--quantile", "nan"])).is_err());
+        assert!(parse_flags("generate", &strs(&["--seed", "not-a-number"])).is_err());
     }
 
     #[test]
     fn unknown_flags_are_named_errors() {
-        // A typo and the removed reservation cap both fail loudly instead
-        // of landing in the positionals, where commands ignore extras.
-        for args in [
-            &["t.txt", "--quantil", "0.5"][..],
-            &["--dayz", "1"],
-            &["--reservation-depth", "128"],
+        // A typo, the removed reservation cap, and a real flag of another
+        // command all fail loudly, naming the command and the flag, instead
+        // of landing in the positionals or being silently ignored.
+        for (command, args) in [
+            ("predict", &["t.txt", "--quantil", "0.5"][..]),
+            ("simulate", &["--dayz", "1"]),
+            ("simulate", &["--reservation-depth", "128"]),
+            ("serve", &["--quantile", "0.5"]),
+            ("predict", &["t.txt", "--shards", "8"]),
+            ("catalog", &["--seed", "7"]),
+            ("stats", &["--budget", "60"]),
         ] {
-            let err = parse_flags(&strs(args)).err().expect("unknown flag must fail");
+            let err = parse_flags(command, &strs(args)).err().expect("unknown flag must fail");
             let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
-            assert!(err.contains(&format!("'{flag}'")), "{err}");
+            let want = format!("'{command}' does not take {flag} (try --help)");
+            assert_eq!(err, want);
         }
         let err = cmd_predict(&strs(&["t.txt", "--quantil", "0.5"])).unwrap_err();
         assert!(err.contains("--quantil"), "{err}");
         let err = cmd_simulate(&strs(&["--dayz", "1"])).unwrap_err();
         assert!(err.contains("--dayz"), "{err}");
+        let err = cmd_serve(&strs(&["--quantile", "0.5"])).unwrap_err();
+        assert_eq!(err, "'serve' does not take --quantile (try --help)");
+        let err = cmd_catalog(&strs(&["--seed", "7"])).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
+        assert!(cmd_catalog(&strs(&["extra"])).is_err());
+        // Every flag a command lists is one the parser reads.
+        for command in ["predict", "evaluate", "generate", "simulate", "serve", "stats", "admit", "promote"] {
+            for flag in accepted_flags(command) {
+                let args = strs(&[flag, "1"]);
+                let err = parse_flags(command, &args).err().unwrap_or_default();
+                assert!(!err.contains("does not"), "{command} {flag}: {err}");
+            }
+        }
     }
 
     #[test]
     fn serve_flags() {
-        let (_, flags) = parse_flags(&strs(&[
+        let (_, flags) = parse_flags("serve", &strs(&[
             "--listen", "0.0.0.0:9000", "--listen-binary", "0.0.0.0:9001", "--shards", "8",
             "--snapshot-path", "/tmp/s.json",
         ]))
@@ -1020,22 +949,22 @@ mod tests {
         assert_eq!(flags.shards, 8);
         assert_eq!(flags.snapshot_path.as_deref(), Some("/tmp/s.json"));
 
-        let (_, flags) = parse_flags(&strs(&[])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&[])).unwrap();
         assert_eq!(flags.listen, "127.0.0.1:4680");
         assert_eq!(flags.listen_binary, None);
         assert_eq!(flags.shards, 4);
         assert_eq!(flags.snapshot_path, None);
 
-        assert!(parse_flags(&strs(&["--shards", "0"])).is_err());
-        assert!(parse_flags(&strs(&["--listen"])).is_err());
-        assert!(parse_flags(&strs(&["--listen-binary"])).is_err());
-        assert!(parse_flags(&strs(&["--snapshot-path"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--shards", "0"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--listen"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--listen-binary"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--snapshot-path"])).is_err());
         assert!(cmd_serve(&strs(&["extra"])).is_err());
     }
 
     #[test]
     fn observability_flags() {
-        let (_, flags) = parse_flags(&strs(&[
+        let (_, flags) = parse_flags("serve", &strs(&[
             "--slow-request-us", "2500", "--flight-recorder-depth", "512",
             "--metrics-interval", "250",
         ]))
@@ -1045,22 +974,22 @@ mod tests {
         assert_eq!(flags.metrics_interval_ms, Some(250));
 
         // Defaults defer to the server's own (None = don't override).
-        let (_, flags) = parse_flags(&strs(&[])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&[])).unwrap();
         assert_eq!(flags.slow_request_us, None);
         assert_eq!(flags.flight_recorder_depth, None);
         assert_eq!(flags.metrics_interval_ms, None);
 
         // 0 disables slow promotion but depth/interval must stay positive.
-        let (_, flags) = parse_flags(&strs(&["--slow-request-us", "0"])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&["--slow-request-us", "0"])).unwrap();
         assert_eq!(flags.slow_request_us, Some(0));
-        assert!(parse_flags(&strs(&["--flight-recorder-depth", "0"])).is_err());
-        assert!(parse_flags(&strs(&["--metrics-interval", "0"])).is_err());
-        assert!(parse_flags(&strs(&["--slow-request-us"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--flight-recorder-depth", "0"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--metrics-interval", "0"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--slow-request-us"])).is_err());
     }
 
     #[test]
     fn stats_flags() {
-        let (_, flags) = parse_flags(&strs(&[
+        let (_, flags) = parse_flags("stats", &strs(&[
             "--connect", "10.0.0.1:9000", "--watch", "--interval-ms", "200", "--samples", "5",
         ]))
         .unwrap();
@@ -1069,20 +998,20 @@ mod tests {
         assert_eq!(flags.interval_ms, 200);
         assert_eq!(flags.samples, 5);
 
-        let (_, flags) = parse_flags(&strs(&[])).unwrap();
+        let (_, flags) = parse_flags("stats", &strs(&[])).unwrap();
         assert_eq!(flags.connect, "127.0.0.1:4680");
         assert!(!flags.watch);
         assert_eq!(flags.interval_ms, 1000);
         assert_eq!(flags.samples, 0);
 
-        assert!(parse_flags(&strs(&["--connect"])).is_err());
-        assert!(parse_flags(&strs(&["--interval-ms", "0"])).is_err());
+        assert!(parse_flags("stats", &strs(&["--connect"])).is_err());
+        assert!(parse_flags("stats", &strs(&["--interval-ms", "0"])).is_err());
         assert!(cmd_stats(&strs(&["extra"])).is_err());
     }
 
     #[test]
     fn admit_flags() {
-        let (_, flags) = parse_flags(&strs(&[
+        let (_, flags) = parse_flags("admit", &strs(&[
             "--site", "datastar", "--queue", "normal", "--procs", "8", "--budget", "3600",
         ]))
         .unwrap();
@@ -1091,16 +1020,16 @@ mod tests {
         assert_eq!(flags.procs, 8);
         assert_eq!(flags.budget, Some(3600.0));
 
-        let (_, flags) = parse_flags(&strs(&[])).unwrap();
+        let (_, flags) = parse_flags("admit", &strs(&[])).unwrap();
         assert!(flags.site.is_empty());
         assert!(flags.queue.is_empty());
         assert_eq!(flags.budget, None);
 
-        assert!(parse_flags(&strs(&["--site"])).is_err());
-        assert!(parse_flags(&strs(&["--queue"])).is_err());
-        assert!(parse_flags(&strs(&["--budget"])).is_err());
-        assert!(parse_flags(&strs(&["--budget", "-5"])).is_err());
-        assert!(parse_flags(&strs(&["--budget", "inf"])).is_err());
+        assert!(parse_flags("admit", &strs(&["--site"])).is_err());
+        assert!(parse_flags("admit", &strs(&["--queue"])).is_err());
+        assert!(parse_flags("admit", &strs(&["--budget"])).is_err());
+        assert!(parse_flags("admit", &strs(&["--budget", "-5"])).is_err());
+        assert!(parse_flags("admit", &strs(&["--budget", "inf"])).is_err());
         assert!(cmd_admit(&strs(&["extra"])).is_err());
         let err = cmd_admit(&strs(&["--budget", "60"])).unwrap_err();
         assert!(err.contains("--site"), "{err}");
@@ -1229,7 +1158,7 @@ mod tests {
     #[test]
     fn journal_flags() {
         use qdelay_serve::durability::FsyncPolicy;
-        let (_, flags) = parse_flags(&strs(&[
+        let (_, flags) = parse_flags("serve", &strs(&[
             "--journal-path", "/tmp/wal", "--fsync", "interval:50",
             "--segment-bytes", "65536", "--compact-bytes", "262144",
         ]))
@@ -1248,7 +1177,7 @@ mod tests {
         assert_eq!(cfg.compact_bytes, 262144);
 
         // Defaults pass through when only the path is given.
-        let (_, flags) = parse_flags(&strs(&["--journal-path", "/tmp/wal"])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&["--journal-path", "/tmp/wal"])).unwrap();
         let defaults = qdelay_serve::durability::JournalConfig::new("/tmp/wal");
         let cfg = journal_config(&flags).unwrap().unwrap();
         assert_eq!(cfg.fsync, defaults.fsync);
@@ -1256,32 +1185,32 @@ mod tests {
         assert_eq!(cfg.compact_bytes, defaults.compact_bytes);
 
         // No journaling at all.
-        let (_, flags) = parse_flags(&strs(&[])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&[])).unwrap();
         assert!(journal_config(&flags).unwrap().is_none());
 
         // Tuning knobs without a journal path are rejected.
-        let (_, flags) = parse_flags(&strs(&["--fsync", "always"])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&["--fsync", "always"])).unwrap();
         assert!(journal_config(&flags).is_err());
 
         // Bad values are typed parse errors.
-        assert!(parse_flags(&strs(&["--fsync", "sometimes"])).is_err());
-        assert!(parse_flags(&strs(&["--fsync", "interval:abc"])).is_err());
-        assert!(parse_flags(&strs(&["--segment-bytes", "0"])).is_err());
-        assert!(parse_flags(&strs(&["--compact-bytes", "0"])).is_err());
-        assert!(parse_flags(&strs(&["--journal-path"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--fsync", "sometimes"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--fsync", "interval:abc"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--segment-bytes", "0"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--compact-bytes", "0"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--journal-path"])).is_err());
     }
 
     #[test]
     fn replication_flags() {
-        let (_, flags) = parse_flags(&strs(&["--listen-repl", "0.0.0.0:4700"])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&["--listen-repl", "0.0.0.0:4700"])).unwrap();
         assert_eq!(flags.listen_repl.as_deref(), Some("0.0.0.0:4700"));
         assert_eq!(flags.replicate_from, None);
 
-        let (_, flags) = parse_flags(&strs(&["--replicate-from", "10.0.0.1:4700"])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&["--replicate-from", "10.0.0.1:4700"])).unwrap();
         assert_eq!(flags.replicate_from.as_deref(), Some("10.0.0.1:4700"));
 
-        assert!(parse_flags(&strs(&["--listen-repl"])).is_err());
-        assert!(parse_flags(&strs(&["--replicate-from"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--listen-repl"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--replicate-from"])).is_err());
 
         // Flag-level validation: the WAL is the replication log.
         let err = cmd_serve(&strs(&["--listen-repl", "127.0.0.1:0"])).unwrap_err();
@@ -1300,14 +1229,14 @@ mod tests {
 
     #[test]
     fn hibernation_flags() {
-        let (_, flags) = parse_flags(&strs(&["--max-resident", "256"])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&["--max-resident", "256"])).unwrap();
         assert_eq!(flags.max_resident, Some(256));
         // 0 is a legal (fully-hibernated) cap; a missing value is not.
-        let (_, flags) = parse_flags(&strs(&["--max-resident", "0"])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&["--max-resident", "0"])).unwrap();
         assert_eq!(flags.max_resident, Some(0));
-        let (_, flags) = parse_flags(&strs(&[])).unwrap();
+        let (_, flags) = parse_flags("serve", &strs(&[])).unwrap();
         assert_eq!(flags.max_resident, None);
-        assert!(parse_flags(&strs(&["--max-resident"])).is_err());
+        assert!(parse_flags("serve", &strs(&["--max-resident"])).is_err());
 
         // Flag-level validation: hibernation needs a spill directory,
         // which lives beside the snapshot or the journal.
@@ -1452,6 +1381,11 @@ mod tests {
         let junk = dir.join("junk.snap");
         std::fs::write(&junk, b"\x01junk").unwrap();
         assert!(export_snapshot(junk.to_str().unwrap()).unwrap_err().contains("junk.snap"));
+        // The export is output only: reading it back is a typed refusal.
+        let exported = dir.join("exported.json");
+        std::fs::write(&exported, &want).unwrap();
+        let err = export_snapshot(exported.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("version-4 framed snapshot files only"), "{err}");
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //! complete frame is there, more bytes are needed, or the bytes are
 //! damaged — exactly the three outcomes a nonblocking socket reader or a
 //! torn-tail file scan has to distinguish.
+//!
+//! [`Reader`] is the one bounds-checked cursor over a checked payload,
+//! under the journal record, repl messages, serve wire and snapshot file.
 
 use crate::crc::Crc32;
+use std::fmt;
 
 /// Byte length of a frame's prefix (length + CRC).
 pub const PREFIX_LEN: usize = 8;
@@ -82,6 +86,100 @@ pub fn check(buf: &[u8], max_payload: u32) -> Check {
         return Check::Damaged("frame checksum mismatch");
     }
     Check::Complete { start: PREFIX_LEN, end, next: end }
+}
+
+/// Why a [`Reader`] refused a payload, naming the field it was reading.
+/// It holds no heap data: a decoder pays for a message only on failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadError {
+    /// The payload ended inside the field.
+    Truncated(&'static str),
+    /// The field's bytes are not UTF-8.
+    NotUtf8(&'static str),
+    /// Bytes are left after the last field.
+    Trailing { after: &'static str, bytes: usize },
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ReadError::Truncated(field) => write!(f, "truncated {field}"),
+            ReadError::NotUtf8(field) => write!(f, "{field} is not UTF-8"),
+            ReadError::Trailing { after, bytes } => {
+                write!(f, "{bytes} trailing bytes after {after}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+/// For decoders whose errors are plain messages.
+impl From<ReadError> for String {
+    fn from(e: ReadError) -> String {
+        e.to_string()
+    }
+}
+
+/// Bounds-checked little-endian reads over one payload, front to back.
+/// Every read names its field; nothing here allocates.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], ReadError> {
+        if self.buf.len() - self.pos < n {
+            return Err(ReadError::Truncated(field));
+        }
+        let bytes = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(bytes)
+    }
+
+    fn array<const N: usize>(&mut self, field: &'static str) -> Result<[u8; N], ReadError> {
+        Ok(self.take(N, field)?.try_into().expect("take returns N bytes"))
+    }
+
+    pub fn u8(&mut self, field: &'static str) -> Result<u8, ReadError> {
+        Ok(self.take(1, field)?[0])
+    }
+
+    pub fn u16(&mut self, field: &'static str) -> Result<u16, ReadError> {
+        self.array(field).map(u16::from_le_bytes)
+    }
+
+    pub fn u32(&mut self, field: &'static str) -> Result<u32, ReadError> {
+        self.array(field).map(u32::from_le_bytes)
+    }
+
+    pub fn u64(&mut self, field: &'static str) -> Result<u64, ReadError> {
+        self.array(field).map(u64::from_le_bytes)
+    }
+
+    /// The next `len` bytes, which must be UTF-8.
+    pub fn str(&mut self, len: usize, field: &'static str) -> Result<&'a str, ReadError> {
+        std::str::from_utf8(self.take(len, field)?).map_err(|_| ReadError::NotUtf8(field))
+    }
+
+    /// The bytes not read yet.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// Ends the payload, which `after` must have filled exactly.
+    pub fn done(&self, after: &'static str) -> Result<(), ReadError> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            bytes => Err(ReadError::Trailing { after, bytes }),
+        }
+    }
 }
 
 #[cfg(test)]

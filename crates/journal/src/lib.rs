@@ -46,9 +46,8 @@ pub use crc::{crc32, Crc32};
 pub use record::{Record, MAX_NAME_LEN};
 pub use recovery::{recover, RecoverMode, RecoveredStream, Recovery};
 pub use segment::{
-    encode_frame, encode_header, read_segment, read_segment_from, scan_dir, FramedRecord,
-    SegmentContents, SegmentFrames, SegmentId, FORMAT_VERSION, FRAME_PREFIX_LEN, HEADER_LEN,
-    MAX_FRAME_LEN,
+    encode_frame, encode_header, read_segment_from, scan_dir, FramedRecord, SegmentFrames,
+    SegmentId, FORMAT_VERSION, HEADER_LEN, MAX_FRAME_LEN,
 };
 pub use writer::{JournalWriter, SealedSegment};
 
@@ -163,6 +162,13 @@ impl std::fmt::Display for JournalError {
                 }
             }
         }
+    }
+}
+
+/// A record payload the frame reader refused is corrupt.
+impl From<frame::ReadError> for JournalError {
+    fn from(e: frame::ReadError) -> Self {
+        JournalError::corrupt(e.to_string())
     }
 }
 

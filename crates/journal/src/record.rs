@@ -27,6 +27,7 @@
 //! Tombstones carry no wait and no feedback — a tombstone frame with a
 //! non-zero wait or any prediction bits is corrupt, not ambiguous.
 
+use crate::frame::Reader;
 use crate::JournalError;
 
 /// Longest admitted site/queue name in a record (matches the serve
@@ -107,36 +108,24 @@ impl Record {
     /// exactly one record — trailing bytes are a decode error, because a
     /// frame holds exactly one record by construction.
     pub fn decode(payload: &[u8]) -> Result<Record, JournalError> {
-        let mut cur = Cursor { buf: payload, pos: 0 };
-        let site_len = cur.take_u16()? as usize;
-        let site = cur.take_str(site_len, "site")?;
-        let queue_len = cur.take_u16()? as usize;
-        let queue = cur.take_str(queue_len, "queue")?;
-        let range_len = cur.take_u8()? as usize;
-        let range = cur.take_str(range_len, "range")?;
-        let seq = cur.take_u64()?;
-        let wait = f64::from_bits(cur.take_u64()?);
-        let flags = cur.take_u8()?;
+        let mut r = Reader::new(payload);
+        let site_len = r.u16("site length")?;
+        let site = r.str(usize::from(site_len), "site")?.to_string();
+        let queue_len = r.u16("queue length")?;
+        let queue = r.str(usize::from(queue_len), "queue")?.to_string();
+        let range_len = r.u8("range length")?;
+        let range = r.str(usize::from(range_len), "range")?.to_string();
+        let seq = r.u64("seq")?;
+        let wait = f64::from_bits(r.u64("wait")?);
+        let flags = r.u8("flags")?;
         if flags & !0b111 != 0 {
             return Err(JournalError::corrupt(format!("unknown record flags {flags:#04x}")));
         }
         let tombstone = flags & 0b100 != 0;
-        let predicted_bmbp = if flags & 0b01 != 0 {
-            Some(f64::from_bits(cur.take_u64()?))
-        } else {
-            None
-        };
-        let predicted_lognormal = if flags & 0b10 != 0 {
-            Some(f64::from_bits(cur.take_u64()?))
-        } else {
-            None
-        };
-        if cur.pos != payload.len() {
-            return Err(JournalError::corrupt(format!(
-                "{} trailing bytes after record",
-                payload.len() - cur.pos
-            )));
-        }
+        let mut feedback = |bit: u8, field| (flags & bit != 0).then(|| r.u64(field)).transpose();
+        let predicted_bmbp = feedback(0b01, "predicted_bmbp")?.map(f64::from_bits);
+        let predicted_lognormal = feedback(0b10, "predicted_lognormal")?.map(f64::from_bits);
+        r.done("record")?;
         if site.is_empty() || site.len() > MAX_NAME_LEN || queue.is_empty()
             || queue.len() > MAX_NAME_LEN || range.is_empty()
         {
@@ -154,40 +143,6 @@ impl Record {
             return Err(JournalError::corrupt("tombstone record carries wait or feedback"));
         }
         Ok(Record { site, queue, range, seq, wait, predicted_bmbp, predicted_lognormal, tombstone })
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], JournalError> {
-        if self.pos + n > self.buf.len() {
-            return Err(JournalError::corrupt("record payload truncated"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn take_u8(&mut self) -> Result<u8, JournalError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn take_u16(&mut self) -> Result<u16, JournalError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn take_u64(&mut self) -> Result<u64, JournalError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn take_str(&mut self, n: usize, what: &str) -> Result<String, JournalError> {
-        std::str::from_utf8(self.take(n)?)
-            .map(str::to_string)
-            .map_err(|_| JournalError::corrupt(format!("record {what} is not UTF-8")))
     }
 }
 

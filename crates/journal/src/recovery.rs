@@ -13,9 +13,8 @@
 //! the partition sets are disjoint; across epochs, the earlier epoch's
 //! records were acked before the later epoch's process even started.
 
-use crate::segment::{read_segment, scan_dir};
+use crate::segment::{read_segment_from, scan_dir, SegmentId, HEADER_LEN};
 use crate::{JournalError, Record};
-use std::collections::HashMap;
 use std::path::Path;
 use std::time::Instant;
 
@@ -79,18 +78,14 @@ pub fn recover(dir: &Path, mode: RecoverMode) -> Result<Recovery, JournalError> 
         return Ok(out);
     }
     let segments = scan_dir(dir)?;
-    // The active segment of each (epoch, shard) stream — the only place a
-    // torn tail is legitimate — is the one with the highest counter.
-    let mut last_counter: HashMap<(u64, u32), u64> = HashMap::new();
-    for (id, _) in &segments {
-        let slot = last_counter.entry((id.epoch, id.shard)).or_insert(id.counter);
-        *slot = (*slot).max(id.counter);
-    }
-    let mut stream: Option<RecoveredStream> = None;
-    for (id, path) in &segments {
+    let stream_of = |id: &SegmentId| (id.epoch, id.shard);
+    for (i, (id, path)) in segments.iter().enumerate() {
         out.next_epoch = out.next_epoch.max(id.epoch + 1);
-        let tolerant = last_counter[&(id.epoch, id.shard)] == id.counter;
-        let contents = read_segment(path, *id, tolerant)?;
+        // The active segment of each (epoch, shard) stream — the only place
+        // a torn tail is legitimate — is the one with the highest counter:
+        // the last of its stream in scan order.
+        let tolerant = segments.get(i + 1).is_none_or(|(next, _)| stream_of(next) != stream_of(id));
+        let contents = read_segment_from(path, *id, HEADER_LEN as u64, tolerant)?;
         out.segments_read += 1;
         crate::RECOVERY_SEGMENTS.incr();
         let record_count = contents.records.len() as u64;
@@ -109,31 +104,23 @@ pub fn recover(dir: &Path, mode: RecoverMode) -> Result<Recovery, JournalError> 
             }
             None => 0,
         };
-        out.records.extend(contents.records);
+        out.records.extend(contents.records.into_iter().map(|f| f.record));
         // Fold into the per-stream summary (segments arrive grouped by
         // (epoch, shard) because scan order sorts by counter last).
-        match &mut stream {
-            Some(s) if s.epoch == id.epoch && s.shard == id.shard => {
+        match out.streams.last_mut() {
+            Some(s) if (s.epoch, s.shard) == stream_of(id) => {
                 s.segments += 1;
                 s.records += record_count;
                 s.torn_bytes += torn_bytes;
             }
-            _ => {
-                if let Some(done) = stream.take() {
-                    out.streams.push(done);
-                }
-                stream = Some(RecoveredStream {
-                    epoch: id.epoch,
-                    shard: id.shard,
-                    segments: 1,
-                    records: record_count,
-                    torn_bytes,
-                });
-            }
+            _ => out.streams.push(RecoveredStream {
+                epoch: id.epoch,
+                shard: id.shard,
+                segments: 1,
+                records: record_count,
+                torn_bytes,
+            }),
         }
-    }
-    if let Some(done) = stream.take() {
-        out.streams.push(done);
     }
     crate::RECOVERY_MS.set(started.elapsed().as_millis().min(u64::MAX as u128) as u64);
     Ok(out)

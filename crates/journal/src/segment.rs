@@ -29,11 +29,11 @@
 //! `frame_crc` covers the length prefix *and* the payload, so a corrupted
 //! length cannot silently re-frame the stream. Only the last segment of an
 //! (epoch, shard) stream may legitimately end mid-frame (a torn write from
-//! a crash); [`read_segment`] distinguishes that tolerated torn tail from
-//! hard corruption in a sealed segment.
+//! a crash); [`read_segment_from`] distinguishes that tolerated torn tail
+//! from hard corruption in a sealed segment.
 
 use crate::crc::crc32;
-use crate::frame::{self, Check};
+use crate::frame::{self, Check, Reader};
 use crate::record::Record;
 use crate::JournalError;
 use std::path::{Path, PathBuf};
@@ -46,9 +46,6 @@ pub const MAGIC: [u8; 4] = *b"QDJL";
 
 /// Byte length of the segment header.
 pub const HEADER_LEN: usize = 4 + 4 + 8 + 4 + 4;
-
-/// Byte length of a frame's prefix (length + CRC).
-pub const FRAME_PREFIX_LEN: usize = frame::PREFIX_LEN;
 
 /// Largest admitted frame payload. Far above any real record; a length
 /// prefix beyond this is treated as damage, not an allocation request.
@@ -97,24 +94,22 @@ pub fn encode_header(epoch: u64, shard: u32) -> [u8; HEADER_LEN] {
 
 /// Validates a segment header against the id its filename claims.
 fn check_header(bytes: &[u8], id: SegmentId) -> Result<(), JournalError> {
-    if bytes.len() < HEADER_LEN {
+    let Some(header) = bytes.get(..HEADER_LEN) else {
         return Err(JournalError::corrupt("segment shorter than its header"));
-    }
-    if bytes[0..4] != MAGIC {
+    };
+    let r = &mut Reader::new(header);
+    if r.take(4, "magic")? != MAGIC {
         return Err(JournalError::corrupt("bad segment magic"));
     }
-    let stored_crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    if crc32(&bytes[0..20]) != stored_crc {
+    let (version, epoch, shard) = (r.u32("version")?, r.u64("epoch")?, r.u32("shard")?);
+    if crc32(&header[..HEADER_LEN - 4]) != r.u32("header checksum")? {
         return Err(JournalError::corrupt("segment header checksum mismatch"));
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     if version != FORMAT_VERSION {
         return Err(JournalError::corrupt(format!(
             "segment format version {version} unsupported (this build reads {FORMAT_VERSION})"
         )));
     }
-    let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let shard = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
     if epoch != id.epoch || shard != id.shard {
         return Err(JournalError::corrupt(format!(
             "segment header (epoch {epoch}, shard {shard}) disagrees with filename {}",
@@ -128,20 +123,8 @@ fn check_header(bytes: &[u8], id: SegmentId) -> Result<(), JournalError> {
 pub fn encode_frame(record: &Record, out: &mut Vec<u8>) {
     let start = frame::begin(out);
     record.encode(out);
-    debug_assert!(out.len() - start - FRAME_PREFIX_LEN <= MAX_FRAME_LEN as usize);
+    debug_assert!(out.len() - start - frame::PREFIX_LEN <= MAX_FRAME_LEN as usize);
     frame::finish(out, start);
-}
-
-/// What `read_segment` found in one file.
-#[derive(Debug)]
-pub struct SegmentContents {
-    /// Decoded records, in file (append) order.
-    pub records: Vec<Record>,
-    /// Byte offset of the first damaged/incomplete frame, if the scan
-    /// stopped early; `None` when the file parsed to its exact end.
-    pub torn_at: Option<u64>,
-    /// Total file length in bytes.
-    pub len: u64,
 }
 
 /// One decoded record plus the byte offset just past its frame — the
@@ -159,48 +142,33 @@ pub struct FramedRecord {
 pub struct SegmentFrames {
     /// Decoded records with their end offsets, in file (append) order.
     pub records: Vec<FramedRecord>,
-    /// As in [`SegmentContents`].
+    /// Byte offset of the first damaged/incomplete frame, if the scan
+    /// stopped early; `None` when the file parsed to its exact end.
     pub torn_at: Option<u64>,
     /// Total file length in bytes.
     pub len: u64,
 }
 
-/// Reads a whole segment file.
+/// Reads a segment starting at a frame-boundary byte offset: `HEADER_LEN`
+/// for the whole file (recovery), or a replica's cursor — the `end_offset`
+/// of the last record it applied, so resuming there yields exactly the
+/// records it has not seen.
 ///
 /// With `tolerate_torn_tail`, the first bad frame (truncated, checksum
 /// mismatch, or undecodable) ends the scan: everything before it is
 /// returned and `torn_at` records where the damage starts. Without it, any
 /// damage is a [`JournalError::Corrupt`] — the mode for sealed segments,
 /// which were completed and rotated away and have no business being torn.
+/// A damaged header is `Corrupt` in either mode, **unless** the file is so
+/// short the header itself is the torn tail (`torn_at = 0`, zero records).
+/// An offset beyond the file end, or one that does not land on a frame
+/// boundary (the CRC framing detects this), is corruption, not tolerated
+/// tearing — a cursor the primary cannot serve must fail loudly so the
+/// replica falls back to a full resync.
 ///
 /// # Errors
 ///
-/// `Io` when the file cannot be read; `Corrupt` on damage in strict mode,
-/// or on a damaged header even in tolerant mode **unless** the file is so
-/// short the header itself is the torn tail (`torn_at = 0`, zero records).
-pub fn read_segment(
-    path: &Path,
-    id: SegmentId,
-    tolerate_torn_tail: bool,
-) -> Result<SegmentContents, JournalError> {
-    let frames = read_segment_from(path, id, HEADER_LEN as u64, tolerate_torn_tail)?;
-    Ok(SegmentContents {
-        records: frames.records.into_iter().map(|f| f.record).collect(),
-        torn_at: frames.torn_at,
-        len: frames.len,
-    })
-}
-
-/// Reads a segment starting at a frame-boundary byte offset (the
-/// replication catch-up path: a replica's cursor is the `end_offset` of
-/// the last record it applied, so resuming there yields exactly the
-/// records it has not seen). Pass `HEADER_LEN` to read the whole file.
-///
-/// Torn-tail tolerance works as in [`read_segment`]. An offset beyond the
-/// file end, or one that does not land on a frame boundary (the CRC framing
-/// detects this), is corruption, not tolerated tearing — a cursor the
-/// primary cannot serve must fail loudly so the replica falls back to a
-/// full resync.
+/// `Io` when the file cannot be read; `Corrupt` as above.
 pub fn read_segment_from(
     path: &Path,
     id: SegmentId,
@@ -236,38 +204,27 @@ pub fn read_segment_from(
     let mut records = Vec::new();
     let mut pos = start_offset as usize;
     while pos < bytes.len() {
-        let frame_start = pos as u64;
+        // A file can only end mid-frame, so Incomplete means the tail is
+        // cut — inside the prefix or the payload.
+        let damage = match frame::check(&bytes[pos..], MAX_FRAME_LEN) {
+            Check::Complete { start, end, next } => {
+                if let Ok(record) = Record::decode(&bytes[pos + start..pos + end]) {
+                    pos += next;
+                    records.push(FramedRecord { record, end_offset: pos as u64 });
+                    continue;
+                }
+                "frame payload does not decode"
+            }
+            Check::Incomplete if pos + frame::PREFIX_LEN > bytes.len() => "truncated frame prefix",
+            Check::Incomplete => "truncated frame payload",
+            Check::Damaged(reason) => reason,
+        };
         // In tolerant mode any damage ends the scan (returning the intact
         // prefix); in strict mode it is a typed corruption error.
-        macro_rules! stop_or_fail {
-            ($reason:expr) => {{
-                if tolerate_torn_tail {
-                    return Ok(SegmentFrames { records, torn_at: Some(frame_start), len });
-                }
-                return fail(frame_start, $reason.to_string());
-            }};
+        if tolerate_torn_tail {
+            return Ok(SegmentFrames { records, torn_at: Some(pos as u64), len });
         }
-        match frame::check(&bytes[pos..], MAX_FRAME_LEN) {
-            Check::Incomplete => {
-                // A file can only end mid-frame, so Incomplete here means
-                // the tail is cut — inside the prefix or the payload.
-                if pos + FRAME_PREFIX_LEN > bytes.len() {
-                    stop_or_fail!("truncated frame prefix");
-                }
-                stop_or_fail!("truncated frame payload");
-            }
-            Check::Damaged(reason) => stop_or_fail!(reason),
-            Check::Complete { start, end, next } => {
-                match Record::decode(&bytes[pos + start..pos + end]) {
-                    Ok(r) => records.push(FramedRecord {
-                        record: r,
-                        end_offset: (pos + next) as u64,
-                    }),
-                    Err(_) => stop_or_fail!("frame payload does not decode"),
-                }
-                pos += next;
-            }
-        }
+        return fail(pos as u64, damage.to_string());
     }
     Ok(SegmentFrames { records, torn_at: None, len })
 }
@@ -289,8 +246,25 @@ pub fn scan_dir(dir: &Path) -> Result<Vec<(SegmentId, PathBuf)>, JournalError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A whole segment through [`read_segment_from`], its records without
+    /// their end offsets.
+    pub(crate) struct Whole {
+        pub records: Vec<Record>,
+        pub torn_at: Option<u64>,
+    }
+
+    pub(crate) fn read_segment(
+        path: &Path,
+        id: SegmentId,
+        tolerant: bool,
+    ) -> Result<Whole, JournalError> {
+        let frames = read_segment_from(path, id, HEADER_LEN as u64, tolerant)?;
+        let records = frames.records.into_iter().map(|f| f.record).collect();
+        Ok(Whole { records, torn_at: frames.torn_at })
+    }
 
     fn rec(seq: u64) -> Record {
         Record {

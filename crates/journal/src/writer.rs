@@ -63,16 +63,15 @@ impl JournalWriter {
         policy: FsyncPolicy,
         sealed_tx: Option<Sender<SealedSegment>>,
     ) -> Result<JournalWriter, JournalError> {
-        let mut w = JournalWriter {
+        let (file, path) = open_segment_file(dir, epoch, shard, 0)?;
+        Ok(JournalWriter {
             dir: dir.to_path_buf(),
             epoch,
             shard,
             counter: 0,
-            // Replaced by open_segment below; a placeholder that cannot be
-            // constructed without a real file, so open the real one first.
-            file: open_segment_file(dir, epoch, shard, 0)?.0,
-            path: PathBuf::new(),
-            written: 0,
+            file,
+            path,
+            written: HEADER_LEN as u64,
             segment_bytes: segment_bytes.max(HEADER_LEN as u64 + 1),
             policy,
             last_sync: Instant::now(),
@@ -80,11 +79,7 @@ impl JournalWriter {
             buf: Vec::with_capacity(64 * 1024),
             staged_records: 0,
             sealed_tx,
-        };
-        // open_segment_file wrote the header; finish the bookkeeping.
-        w.path = dir.join(SegmentId { epoch, shard, counter: 0 }.file_name());
-        w.written = HEADER_LEN as u64;
-        Ok(w)
+        })
     }
 
     /// The id of the segment currently being appended to.
@@ -217,7 +212,8 @@ fn open_segment_file(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{read_segment, scan_dir};
+    use crate::segment::scan_dir;
+    use crate::segment::tests::read_segment;
     use std::sync::mpsc;
 
     fn rec(seq: u64) -> Record {

@@ -4,7 +4,8 @@
 //! bytes-in/bytes-out; socket handling lives in [`crate::primary`] and
 //! [`crate::replica`].
 
-use qdelay_journal::{frame, Record};
+use qdelay_journal::frame::{self, ReadError, Reader};
+use qdelay_journal::Record;
 use std::io;
 
 /// Protocol version spoken by this build. A mismatch on either side of
@@ -78,6 +79,13 @@ impl From<io::Error> for ReplError {
     }
 }
 
+/// A message the frame reader refused is corrupt.
+impl From<ReadError> for ReplError {
+    fn from(e: ReadError) -> Self {
+        ReplError::Corrupt(e.to_string())
+    }
+}
+
 /// A decoded replication message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
@@ -142,51 +150,13 @@ pub fn encode_caught_up(out: &mut Vec<u8>) {
     frame::finish(out, start);
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], ReplError> {
-        if self.pos + n > self.buf.len() {
-            return Err(ReplError::corrupt("message payload truncated"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ReplError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ReplError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ReplError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn cursor(&mut self) -> Result<Cursor, ReplError> {
-        Ok(Cursor {
-            epoch: self.u64()?,
-            shard: self.u32()?,
-            counter: self.u64()?,
-            offset: self.u64()?,
-        })
-    }
-
-    fn done(&self) -> Result<(), ReplError> {
-        if self.pos != self.buf.len() {
-            return Err(ReplError::corrupt(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+fn cursor(r: &mut Reader<'_>) -> Result<Cursor, ReplError> {
+    Ok(Cursor {
+        epoch: r.u64("cursor epoch")?,
+        shard: r.u32("cursor shard")?,
+        counter: r.u64("cursor counter")?,
+        offset: r.u64("cursor offset")?,
+    })
 }
 
 /// Decodes one message from a full frame payload. The payload must be
@@ -194,16 +164,16 @@ impl Reader<'_> {
 /// trailing bytes, an undecodable record, a version this build does not
 /// speak — is a typed [`ReplError::Corrupt`].
 pub fn decode_msg(payload: &[u8]) -> Result<Msg, ReplError> {
-    let mut r = Reader { buf: payload, pos: 0 };
-    match r.u8()? {
+    let mut r = Reader::new(payload);
+    match r.u8("message type")? {
         MSG_HELLO => {
-            let version = r.u32()?;
+            let version = r.u32("version")?;
             if version != PROTO_VERSION {
                 return Err(ReplError::corrupt(format!(
                     "peer speaks repl protocol {version}, this build speaks {PROTO_VERSION}"
                 )));
             }
-            let n = r.u32()? as usize;
+            let n = r.u32("cursor count")? as usize;
             // 28 bytes per cursor: an absurd count is damage, not an
             // allocation request.
             if n > payload.len() / 28 {
@@ -211,37 +181,37 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, ReplError> {
             }
             let mut cursors = Vec::with_capacity(n);
             for _ in 0..n {
-                cursors.push(r.cursor()?);
+                cursors.push(cursor(&mut r)?);
             }
-            r.done()?;
+            r.done("hello")?;
             Ok(Msg::Hello { version, cursors })
         }
         MSG_WELCOME => {
-            let version = r.u32()?;
+            let version = r.u32("version")?;
             if version != PROTO_VERSION {
                 return Err(ReplError::corrupt(format!(
                     "primary speaks repl protocol {version}, this build speaks {PROTO_VERSION}"
                 )));
             }
-            let resume = match r.u8()? {
+            let resume = match r.u8("resume")? {
                 0 => false,
                 1 => true,
                 other => {
                     return Err(ReplError::corrupt(format!("bad welcome resume byte {other}")))
                 }
             };
-            r.done()?;
+            r.done("welcome")?;
             Ok(Msg::Welcome { version, resume })
         }
         MSG_SNAPSHOT => Ok(Msg::Snapshot(payload[1..].to_vec())),
         MSG_RECORD => {
-            let cursor = r.cursor()?;
-            let record = Record::decode(&payload[r.pos..])
+            let cursor = cursor(&mut r)?;
+            let record = Record::decode(r.rest())
                 .map_err(|e| ReplError::corrupt(format!("record payload: {e}")))?;
             Ok(Msg::Record { cursor, record })
         }
         MSG_CAUGHT_UP => {
-            r.done()?;
+            r.done("caught-up")?;
             Ok(Msg::CaughtUp)
         }
         other => Err(ReplError::corrupt(format!("unknown message type {other}"))),
@@ -328,7 +298,7 @@ mod tests {
         // Version mismatch.
         let mut hello = Vec::new();
         encode_hello(&[], &mut hello);
-        let payload_at = qdelay_journal::FRAME_PREFIX_LEN;
+        let payload_at = frame::PREFIX_LEN;
         let mut bad = hello[payload_at..].to_vec();
         bad[1] = 9; // version LSB
         assert!(matches!(decode_msg(&bad), Err(ReplError::Corrupt(_))));

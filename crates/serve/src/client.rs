@@ -572,22 +572,12 @@ impl Client {
         }
     }
 
-    /// Asks the server to serialize every partition into the reply;
-    /// returns the snapshot document.
-    pub fn snapshot_inline(&mut self) -> Result<Json, ClientError> {
-        let request = Request::Snapshot { path: None };
+    /// Asks the server to write a snapshot file to `path` on its side, or
+    /// to its configured snapshot path; returns the partition count.
+    pub fn snapshot(&mut self, path: Option<&str>) -> Result<usize, ClientError> {
+        let request = Request::Snapshot { path: path.map(str::to_string) };
         match self.call(&request)? {
-            BinResponse::Snapshot { json: Some(doc), .. } => document(&doc),
-            other => Err(unexpected(&request, other)),
-        }
-    }
-
-    /// Asks the server to write a snapshot to a server-side path; returns
-    /// the partition count.
-    pub fn snapshot_to(&mut self, path: &str) -> Result<usize, ClientError> {
-        let request = Request::Snapshot { path: Some(path.into()) };
-        match self.call(&request)? {
-            BinResponse::Snapshot { json: None, partitions, .. } => Ok(partitions as usize),
+            BinResponse::Snapshot { partitions, .. } => Ok(partitions as usize),
             other => Err(unexpected(&request, other)),
         }
     }
@@ -643,7 +633,7 @@ fn unexpected(request: &Request, got: BinResponse) -> ClientError {
     ClientError::Protocol(format!("unexpected {} reply: {got:?}", request.method()))
 }
 
-/// Parses the JSON document a `stats`/`metrics`/`trace`/`snapshot` reply
+/// Parses the JSON document a `stats`/`metrics`/`trace` reply
 /// carries as text.
 fn document(text: &str) -> Result<Json, ClientError> {
     Json::parse(text).map_err(|e| ClientError::Protocol(format!("reply document: {e}")))

@@ -15,7 +15,6 @@
 //! this module compute typed results, and the wire form is chosen by the
 //! kind of id the request arrived with.
 
-use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -27,10 +26,8 @@ use crate::registry::PartitionKey;
 use crate::replica::{self, PromoteError};
 use crate::server::Shared;
 use crate::shard::{self, Done, Op};
-use crate::snapshot;
 use crate::tracing::{self, ReqTrace};
 use crate::{ERRORS, REQUEST_NS, SNAPSHOTS};
-use qdelay_journal::frame;
 use qdelay_json::Json;
 use qdelay_trace::ProcRange;
 
@@ -46,16 +43,6 @@ impl Id {
     /// A renderer of replies to this id, appending to `out`.
     pub(crate) fn responder<'a>(&'a self, out: &'a mut Vec<u8>) -> Responder<'a> {
         Responder { out, id: self }
-    }
-
-    /// Most bytes one reply may occupy on this id's wire before the peer's
-    /// own framer would refuse it: the line cap, or the largest response
-    /// frame.
-    fn reply_cap(&self, max_line: usize) -> usize {
-        match self {
-            Id::Line(_) => max_line,
-            Id::Frame(_) => frame::PREFIX_LEN + proto::MAX_RESP_PAYLOAD as usize,
-        }
     }
 }
 
@@ -152,14 +139,7 @@ pub(crate) fn dispatch(
 ) {
     let shared = &*exec.shared;
     let stop = request == Request::Shutdown;
-    // Control replies are rendered apart and copied in: they are rare, and
-    // an inline snapshot must be measured before it may be sent.
-    let control = |reply: Reply| {
-        let mut rendered = Vec::new();
-        id.responder(&mut rendered).control(reply);
-        rendered
-    };
-    let rendered: Result<Vec<u8>, Failure> = match request {
+    let reply: Result<Reply, Failure> = match request {
         Request::Observe { .. } if shared.read_only.load(Ordering::SeqCst) => Err((
             protocol::ERR_READ_ONLY,
             "replica is read-only; observe on the primary (or promote)".into(),
@@ -178,27 +158,27 @@ pub(crate) fn dispatch(
             let key = PartitionKey { site, queue, range: ProcRange::for_procs(procs) };
             return execute(key, Op::Admit { budget }, id, trace, conn, exec);
         }
-        Request::Snapshot { path } => take_snapshot(path, &id, shared),
+        Request::Snapshot { path } => take_snapshot(path, shared),
         Request::Stats => {
             let mut fields = shard::stats_payload(&shared.shards);
             fields.push(("uptime_ms".into(), Json::Num(shared.metrics.uptime_ms() as f64)));
             fields.push(("telemetry".into(), qdelay_telemetry::snapshot().to_json()));
-            Ok(control(Reply::Stats(fields)))
+            Ok(Reply::Stats(fields))
         }
-        Request::Metrics => Ok(control(Reply::Metrics(shared.metrics.report()))),
-        Request::Trace => Ok(control(Reply::Trace(tracing::trace_fields(&shared.recorder)))),
+        Request::Metrics => Ok(Reply::Metrics(shared.metrics.report())),
+        Request::Trace => Ok(Reply::Trace(tracing::trace_fields(&shared.recorder))),
         Request::Promote => match replica::promote(shared) {
-            Ok(applied) => Ok(control(Reply::Promoted { applied })),
+            Ok(applied) => Ok(Reply::Promoted { applied }),
             Err(e @ PromoteError::NotReplica) => Err((protocol::ERR_BAD_REQUEST, e.to_string())),
             Err(PromoteError::Failed(msg)) => Err((protocol::ERR_IO, msg)),
         },
         // Rendered before shutdown is requested, and the loop finishes its
         // wakeup (and flushes every connection once more on its way out),
         // so the ack normally lands.
-        Request::Shutdown => Ok(control(Reply::Shutdown)),
+        Request::Shutdown => Ok(Reply::Shutdown),
     };
-    match rendered {
-        Ok(bytes) => send(conn, exec, |out| out.extend_from_slice(&bytes)),
+    match reply {
+        Ok(reply) => send(conn, exec, |out| id.responder(out).control(reply)),
         Err((code, message)) => {
             ERRORS.incr();
             send_error(conn, exec, id, code, &message);
@@ -251,37 +231,16 @@ fn execute(
     REQUEST_NS.record(start.elapsed().as_nanos() as u64);
 }
 
-/// The `snapshot` method: to `path` (or the configured snapshot file) when
-/// there is one, inline in the reply otherwise.
-fn take_snapshot(path: Option<String>, id: &Id, shared: &Shared) -> Result<Vec<u8>, Failure> {
-    let io_failure = |e: io::Error| (protocol::ERR_IO, e.to_string());
-    let mut rendered = Vec::new();
-    if let Some(path) = path.map(PathBuf::from).or_else(|| shared.config.snapshot_path.clone()) {
-        let (partitions, _) =
-            shard::persist(&shared.shards, None, Some(&path)).map_err(io_failure)?;
-        SNAPSHOTS.incr();
-        let path = path.display().to_string();
-        id.responder(&mut rendered).control(Reply::SnapshotFile { path, partitions });
-        return Ok(rendered);
-    }
-    let ((parts, dead), _) = shard::collect(&shared.shards, false).map_err(io_failure)?;
-    let partitions = parts.len();
-    let doc = snapshot::encode(parts, dead);
-    id.responder(&mut rendered).control(Reply::SnapshotInline { partitions, doc });
-    // A reply past the codec's cap would only fail in the client's framer
-    // as an opaque parse error; answer with the size instead and point at
-    // the file escape hatch.
-    let cap = id.reply_cap(shared.config.max_line);
-    if rendered.len() > cap {
-        return Err((
-            protocol::ERR_SNAPSHOT_TOO_LARGE,
-            format!(
-                "inline snapshot is {} bytes (reply cap {cap}); request a file snapshot \
-                 with an explicit path",
-                rendered.len()
-            ),
-        ));
-    }
+/// The `snapshot` method: every partition to the file at `path`, or at the
+/// configured snapshot path. With neither there is nowhere to write.
+fn take_snapshot(path: Option<String>, shared: &Shared) -> Result<Reply, Failure> {
+    let path = path.map(PathBuf::from).or_else(|| shared.config.snapshot_path.clone());
+    let path = path.ok_or_else(|| {
+        let why = "'path' is required: this server has no snapshot path to fall back on";
+        (protocol::ERR_BAD_REQUEST, why.to_string())
+    })?;
+    let (partitions, _) = shard::persist(&shared.shards, None, Some(&path))
+        .map_err(|e| (protocol::ERR_IO, e.to_string()))?;
     SNAPSHOTS.incr();
-    Ok(rendered)
+    Ok(Reply::Snapshot { path: path.display().to_string(), partitions })
 }

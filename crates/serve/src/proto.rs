@@ -45,7 +45,11 @@
 //!
 //! Ok bodies open with a `u8 kind` mirroring the request opcode; error
 //! bodies are `u16 code_len | code | u16 msg_len | msg` with `code` drawn
-//! from the same typed [`protocol`](crate::protocol) codes as JSON.
+//! from the same typed [`protocol`](crate::protocol) codes as JSON. A
+//! `snapshot` reply names the file the server wrote: `u8 mode (1) |
+//! u16 path_len | path | u64 partitions`. `stats`, `metrics` and `trace`
+//! carry their document as `u32 len | JSON text`; no reply carries
+//! partition state.
 //!
 //! The `id` is a client-chosen `u64` echoed in every response, including
 //! validation errors. Id `0` is reserved for errors the server cannot
@@ -62,7 +66,7 @@
 //! and the connection survives: framing kept the stream in sync.
 
 use crate::protocol::{Reply, Request, MAX_NAME_LEN};
-use qdelay_journal::frame;
+use qdelay_journal::frame::{self, ReadError, Reader};
 use qdelay_json::Json;
 use qdelay_predict::admission::Decision;
 
@@ -70,7 +74,8 @@ use qdelay_predict::admission::Decision;
 pub const MAX_REQ_PAYLOAD: u32 = 1 << 20;
 
 /// Largest admitted response payload. Larger than the request cap because
-/// one inline snapshot reply carries the whole registry as JSON text.
+/// a `stats` or `trace` reply carries a whole JSON document: the telemetry
+/// of every instrument, or the flight recorder's recent and slow requests.
 pub const MAX_RESP_PAYLOAD: u32 = 1 << 26;
 
 /// Reserved id for errors the server cannot attribute to a request.
@@ -93,6 +98,10 @@ const FLAG_BMBP: u8 = 1;
 const FLAG_LOGNORMAL: u8 = 2;
 /// Admit-request flags bit: an optional `confidence` f64 follows.
 const FLAG_CONFIDENCE: u8 = 1;
+
+/// The `snapshot` reply's mode byte: a file written server-side, the one
+/// mode there is.
+const SNAPSHOT_FILE: u8 = 1;
 
 /// Admit-reply decision bytes.
 const DECISION_ADMIT: u8 = 0;
@@ -142,9 +151,8 @@ pub enum BinResponse {
         seq: u64,
         decision: Decision,
     },
-    /// `json` is the snapshot document (inline mode) and `path`/`partitions`
-    /// describe a server-side write (file mode); exactly one form is set.
-    Snapshot { json: Option<String>, path: Option<String>, partitions: u64 },
+    /// A snapshot file written server-side: its path and partition count.
+    Snapshot { path: String, partitions: u64 },
     Stats { json: String },
     Metrics { json: String },
     Trace { json: String },
@@ -153,80 +161,32 @@ pub enum BinResponse {
     Error { code: String, message: String },
 }
 
-// ---------------------------------------------------------------------------
-// Cursor: bounds-checked little-endian reads over one payload. Shared with
-// the binary partition record's decoder (`crate::snapshot::decode_record`).
-
-pub(crate) struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    pub(crate) fn new(b: &'a [u8]) -> Self {
-        Cur { b, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DecodeError> {
-        if self.b.len() - self.pos < n {
-            return Err(DecodeError::Malformed(format!("truncated {what}")));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, DecodeError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().expect("2 bytes")))
-    }
-
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn utf8(&mut self, len: usize, what: &str) -> Result<String, DecodeError> {
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| DecodeError::Malformed(format!("{what} is not UTF-8")))
-    }
-
-    /// A `u16 len | bytes` string field, checked for UTF-8.
-    fn str(&mut self, what: &str) -> Result<String, DecodeError> {
-        let len = self.u16(what)? as usize;
-        self.utf8(len, what)
-    }
-
-    /// A `u32 len | bytes` document field, checked for UTF-8.
-    pub(crate) fn text(&mut self, what: &str) -> Result<String, DecodeError> {
-        let len = self.u32(what)? as usize;
-        self.utf8(len, what)
-    }
-
-    pub(crate) fn done(&self, what: &str) -> Result<(), DecodeError> {
-        if self.pos != self.b.len() {
-            return Err(DecodeError::Malformed(format!(
-                "{} trailing bytes after {what}",
-                self.b.len() - self.pos
-            )));
-        }
-        Ok(())
+/// A payload the frame reader refused is not a message at all.
+impl From<ReadError> for DecodeError {
+    fn from(e: ReadError) -> Self {
+        DecodeError::Malformed(e.to_string())
     }
 }
 
-fn name_field(cur: &mut Cur<'_>, what: &str) -> Result<String, DecodeError> {
-    let s = cur.str(what)?;
+/// A `u16 len | bytes` string field, checked for UTF-8.
+fn str_field<'a>(r: &mut Reader<'a>, what: &'static str) -> Result<&'a str, ReadError> {
+    let len = r.u16(what)?;
+    r.str(usize::from(len), what)
+}
+
+/// A `u32 len | bytes` field, checked for UTF-8: a reply's document, and a
+/// name in the snapshot file's records.
+pub(crate) fn text(r: &mut Reader<'_>, what: &'static str) -> Result<String, ReadError> {
+    let len = r.u32(what)?;
+    r.str(len as usize, what).map(str::to_string)
+}
+
+fn name_field(r: &mut Reader<'_>, what: &'static str) -> Result<String, DecodeError> {
+    let s = str_field(r, what)?;
     if s.is_empty() || s.len() > MAX_NAME_LEN {
         return Err(DecodeError::Invalid(format!("'{what}' must be 1..={MAX_NAME_LEN} bytes")));
     }
-    Ok(s)
+    Ok(s.to_string())
 }
 
 fn finite(bits: u64, what: &str) -> Result<f64, DecodeError> {
@@ -246,19 +206,15 @@ fn finite(bits: u64, what: &str) -> Result<f64, DecodeError> {
 /// be matchable — and is [`UNATTRIBUTED_ID`] only when the payload is too
 /// short to carry one.
 pub fn decode_request(payload: &[u8]) -> (u64, Result<Request, DecodeError>) {
-    let mut cur = Cur::new(payload);
-    let opcode = match cur.u8("opcode") {
-        Ok(o) => o,
-        Err(e) => return (UNATTRIBUTED_ID, Err(e)),
-    };
-    let id = match cur.u64("request id") {
-        Ok(id) => id,
-        Err(e) => return (UNATTRIBUTED_ID, Err(e)),
+    let mut cur = Reader::new(payload);
+    let (opcode, id) = match (cur.u8("opcode"), cur.u64("request id")) {
+        (Ok(opcode), Ok(id)) => (opcode, id),
+        (Err(e), _) | (_, Err(e)) => return (UNATTRIBUTED_ID, Err(e.into())),
     };
     (id, decode_request_body(opcode, &mut cur))
 }
 
-fn decode_request_body(opcode: u8, cur: &mut Cur<'_>) -> Result<Request, DecodeError> {
+fn decode_request_body(opcode: u8, cur: &mut Reader<'_>) -> Result<Request, DecodeError> {
     let req = match opcode {
         OP_OBSERVE => {
             let site = name_field(cur, "site")?;
@@ -318,7 +274,7 @@ fn decode_request_body(opcode: u8, cur: &mut Cur<'_>) -> Result<Request, DecodeE
             let has_path = cur.u8("has_path")?;
             let path = match has_path {
                 0 => None,
-                1 => Some(cur.str("path")?),
+                1 => Some(str_field(cur, "path")?.to_string()),
                 other => {
                     return Err(DecodeError::Malformed(format!("bad has_path byte {other}")))
                 }
@@ -543,19 +499,10 @@ pub fn encode_admit_resp(
     frame::finish(out, start);
 }
 
-/// Appends one framed inline-snapshot reply carrying the document text.
-pub fn encode_snapshot_inline_resp(out: &mut Vec<u8>, id: u64, json: &str) {
+/// Appends one framed `snapshot` reply: the file written server-side.
+pub fn encode_snapshot_resp(out: &mut Vec<u8>, id: u64, path: &str, partitions: u64) {
     let start = resp_head(out, STATUS_OK, id, Some(OP_SNAPSHOT));
-    out.push(0); // inline mode
-    out.extend_from_slice(&(json.len() as u32).to_le_bytes());
-    out.extend_from_slice(json.as_bytes());
-    frame::finish(out, start);
-}
-
-/// Appends one framed file-snapshot reply (server-side write confirmed).
-pub fn encode_snapshot_file_resp(out: &mut Vec<u8>, id: u64, path: &str, partitions: u64) {
-    let start = resp_head(out, STATUS_OK, id, Some(OP_SNAPSHOT));
-    out.push(1); // file mode
+    out.push(SNAPSHOT_FILE);
     push_str(out, path);
     out.extend_from_slice(&partitions.to_le_bytes());
     frame::finish(out, start);
@@ -602,11 +549,8 @@ pub fn encode_shutdown_resp(out: &mut Vec<u8>, id: u64) {
 pub fn encode_reply(out: &mut Vec<u8>, id: u64, reply: Reply) {
     let text = |members| Json::Obj(members).to_string_compact();
     match reply {
-        Reply::SnapshotFile { path, partitions } => {
-            encode_snapshot_file_resp(out, id, &path, partitions as u64)
-        }
-        Reply::SnapshotInline { doc, .. } => {
-            encode_snapshot_inline_resp(out, id, &doc.to_string_compact())
+        Reply::Snapshot { path, partitions } => {
+            encode_snapshot_resp(out, id, &path, partitions as u64)
         }
         Reply::Stats(members) => encode_stats_resp(out, id, &text(members)),
         Reply::Metrics(members) => encode_metrics_resp(out, id, &text(members)),
@@ -633,23 +577,23 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, BinResponse), String> {
 }
 
 fn decode_response_inner(payload: &[u8]) -> Result<(u64, BinResponse), DecodeError> {
-    let mut cur = Cur::new(payload);
+    let mut cur = Reader::new(payload);
     let status = cur.u8("status")?;
     let id = cur.u64("response id")?;
     let resp = match status {
         STATUS_ERR => BinResponse::Error {
-            code: cur.str("error code")?,
-            message: cur.str("error message")?,
+            code: str_field(&mut cur, "error code")?.to_string(),
+            message: str_field(&mut cur, "error message")?.to_string(),
         },
         STATUS_OK => {
             let kind = cur.u8("response kind")?;
             match kind {
                 OP_OBSERVE => BinResponse::Observe {
-                    partition: cur.str("partition")?,
+                    partition: str_field(&mut cur, "partition")?.to_string(),
                     seq: cur.u64("seq")?,
                 },
                 OP_PREDICT => {
-                    let partition = cur.str("partition")?;
+                    let partition = str_field(&mut cur, "partition")?.to_string();
                     let n = cur.u64("n")?;
                     let seq = cur.u64("seq")?;
                     let flags = cur.u8("flags")?;
@@ -671,7 +615,7 @@ fn decode_response_inner(payload: &[u8]) -> Result<(u64, BinResponse), DecodeErr
                     BinResponse::Predict { partition, n, seq, bmbp, lognormal }
                 }
                 OP_ADMIT => {
-                    let partition = cur.str("partition")?;
+                    let partition = str_field(&mut cur, "partition")?.to_string();
                     let n = cur.u64("n")?;
                     let seq = cur.u64("seq")?;
                     let decision = match cur.u8("decision")? {
@@ -695,25 +639,19 @@ fn decode_response_inner(payload: &[u8]) -> Result<(u64, BinResponse), DecodeErr
                     BinResponse::Admit { partition, n, seq, decision }
                 }
                 OP_SNAPSHOT => match cur.u8("snapshot mode")? {
-                    0 => BinResponse::Snapshot {
-                        json: Some(cur.text("snapshot json")?),
-                        path: None,
-                        partitions: 0,
+                    SNAPSHOT_FILE => BinResponse::Snapshot {
+                        path: str_field(&mut cur, "snapshot path")?.to_string(),
+                        partitions: cur.u64("partitions")?,
                     },
-                    1 => {
-                        let path = cur.str("snapshot path")?;
-                        let partitions = cur.u64("partitions")?;
-                        BinResponse::Snapshot { json: None, path: Some(path), partitions }
-                    }
                     other => {
                         return Err(DecodeError::Malformed(format!(
                             "bad snapshot mode byte {other}"
                         )))
                     }
                 },
-                OP_STATS => BinResponse::Stats { json: cur.text("stats json")? },
-                OP_METRICS => BinResponse::Metrics { json: cur.text("metrics json")? },
-                OP_TRACE => BinResponse::Trace { json: cur.text("trace json")? },
+                OP_STATS => BinResponse::Stats { json: text(&mut cur, "stats json")? },
+                OP_METRICS => BinResponse::Metrics { json: text(&mut cur, "metrics json")? },
+                OP_TRACE => BinResponse::Trace { json: text(&mut cur, "trace json")? },
                 OP_PROMOTE => BinResponse::Promote { applied: cur.u64("applied")? },
                 OP_SHUTDOWN => BinResponse::Shutdown,
                 other => {
@@ -806,16 +744,10 @@ mod tests {
             })
         );
         buf.clear();
-        encode_snapshot_inline_resp(&mut buf, 11, "{\"v\":1}");
+        encode_snapshot_resp(&mut buf, 12, "/tmp/out.json", 7);
         assert_eq!(
             decode_response(&unframe(&buf)).unwrap(),
-            (11, BinResponse::Snapshot { json: Some("{\"v\":1}".into()), path: None, partitions: 0 })
-        );
-        buf.clear();
-        encode_snapshot_file_resp(&mut buf, 12, "/tmp/out.json", 7);
-        assert_eq!(
-            decode_response(&unframe(&buf)).unwrap(),
-            (12, BinResponse::Snapshot { json: None, path: Some("/tmp/out.json".into()), partitions: 7 })
+            (12, BinResponse::Snapshot { path: "/tmp/out.json".into(), partitions: 7 })
         );
         buf.clear();
         encode_stats_resp(&mut buf, 13, "{}");
@@ -869,15 +801,10 @@ mod tests {
     #[test]
     fn control_replies_encode_through_the_shared_model() {
         let members = vec![("n".to_string(), Json::Num(1.0))];
-        let doc = Json::Obj(members.clone());
         for (reply, want) in [
             (
-                Reply::SnapshotFile { path: "/tmp/out.json".into(), partitions: 7 },
-                BinResponse::Snapshot { json: None, path: Some("/tmp/out.json".into()), partitions: 7 },
-            ),
-            (
-                Reply::SnapshotInline { partitions: 1, doc: doc.clone() },
-                BinResponse::Snapshot { json: Some("{\"n\":1}".into()), path: None, partitions: 0 },
+                Reply::Snapshot { path: "/tmp/out.json".into(), partitions: 7 },
+                BinResponse::Snapshot { path: "/tmp/out.json".into(), partitions: 7 },
             ),
             (Reply::Stats(members.clone()), BinResponse::Stats { json: "{\"n\":1}".into() }),
             (Reply::Metrics(members.clone()), BinResponse::Metrics { json: "{\"n\":1}".into() }),

@@ -55,7 +55,7 @@
 //! | `observe`  | `site`, `queue`, `procs`, `wait`, optional `predicted_bmbp` / `predicted_lognormal` |
 //! | `predict`  | `site`, `queue`, `procs`                                      |
 //! | `admit`    | `site`, `queue`, `procs`, `budget` (wait-units), optional `confidence` |
-//! | `snapshot` | optional `path` (server-side file; omitted = inline reply, which answers [`ERR_SNAPSHOT_TOO_LARGE`] past the line cap — use a file snapshot at scale) |
+//! | `snapshot` | optional `path` (server-side file; omitted = the configured `--snapshot-path`, and with neither a `bad_request` — `qdelay snapshot export` prints a file as JSON) |
 //! | `stats`    | —                                                             |
 //! | `metrics`  | — (live telemetry snapshot + per-second rates)                |
 //! | `trace`    | — (flight-recorder dump: recent + slow requests)              |
@@ -88,12 +88,6 @@ pub const ERR_IO: &str = "io";
 /// This server is a replica: it serves reads (`predict`/`admit`/`stats`/
 /// `metrics`) but rejects state-changing requests until promoted.
 pub const ERR_READ_ONLY: &str = "read_only";
-/// An inline `snapshot` reply would exceed what the protocol (or a
-/// default client's line cap) can carry; the message reports the byte
-/// size. Escape hatch: request a file snapshot instead
-/// (`{"method":"snapshot","path":...}` writes server-side and replies
-/// with the path), which has no size limit.
-pub const ERR_SNAPSHOT_TOO_LARGE: &str = "snapshot_too_large";
 
 /// Longest admitted `site`/`queue` name, bounding per-partition key memory.
 pub const MAX_NAME_LEN: usize = 128;
@@ -129,8 +123,8 @@ pub enum Request {
         /// configuration.
         confidence: Option<f64>,
     },
-    /// Serialize every partition; to a server-side file when `path` is
-    /// given, inline in the reply otherwise.
+    /// Write every partition to a server-side snapshot file: `path`, or
+    /// the server's configured snapshot path when it is omitted.
     Snapshot { path: Option<String> },
     /// Registry overview plus a telemetry snapshot.
     Stats,
@@ -169,10 +163,8 @@ impl Request {
 /// from the typed result the shard returned and have no variant here.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
-    /// `snapshot` to a server-side file.
-    SnapshotFile { path: String, partitions: usize },
-    /// `snapshot` carried in the reply itself.
-    SnapshotInline { partitions: usize, doc: Json },
+    /// `snapshot` wrote `partitions` partitions to the file at `path`.
+    Snapshot { path: String, partitions: usize },
     /// The `stats` document's members.
     Stats(Vec<(String, Json)>),
     /// The `metrics` document's members.
@@ -517,17 +509,11 @@ pub fn write_admit(
 pub fn write_reply(out: &mut Vec<u8>, id: Option<&Json>, reply: &Reply) {
     open_reply(out, id, true);
     match reply {
-        Reply::SnapshotFile { path, partitions } => {
+        Reply::Snapshot { path, partitions } => {
             out.extend_from_slice(b",\"partitions\":");
             write_uint(out, *partitions as u64);
             out.extend_from_slice(b",\"path\":");
             write_str(out, path);
-        }
-        Reply::SnapshotInline { partitions, doc } => {
-            out.extend_from_slice(b",\"partitions\":");
-            write_uint(out, *partitions as u64);
-            out.extend_from_slice(b",\"snapshot\":");
-            doc.write_compact(out);
         }
         Reply::Stats(members) | Reply::Metrics(members) | Reply::Trace(members) => {
             for (key, value) in members {
@@ -647,18 +633,7 @@ pub fn decode_reply(v: &Json, method: Option<&str>) -> Result<BinResponse, Strin
                 other => return Err(format!("bad admit decision '{other}'")),
             },
         },
-        "snapshot" => match v.get("snapshot") {
-            Some(doc) => BinResponse::Snapshot {
-                json: Some(doc.to_string_compact()),
-                path: None,
-                partitions: 0,
-            },
-            None => BinResponse::Snapshot {
-                json: None,
-                path: Some(text("path")?),
-                partitions: int("partitions")?,
-            },
-        },
+        "snapshot" => BinResponse::Snapshot { path: text("path")?, partitions: int("partitions")? },
         "stats" | "metrics" | "trace" => {
             // The document is the line minus its leading `id`/`ok` envelope.
             let members = v.as_object().unwrap_or_default().iter();
@@ -854,11 +829,7 @@ pub(crate) mod tests {
         let id = Json::Num(4.0);
         let members = vec![("partitions".to_string(), Json::Num(2.0))];
         for (reply, keys) in [
-            (Reply::SnapshotFile { path: "/p".into(), partitions: 2 }, &["partitions", "path"][..]),
-            (
-                Reply::SnapshotInline { partitions: 2, doc: Json::Obj(vec![]) },
-                &["partitions", "snapshot"][..],
-            ),
+            (Reply::Snapshot { path: "/p".into(), partitions: 2 }, &["partitions", "path"][..]),
             (Reply::Stats(members.clone()), &["partitions"][..]),
             (Reply::Promoted { applied: 50 }, &["promoted", "applied"][..]),
             (Reply::Shutdown, &[][..]),
@@ -1040,8 +1011,7 @@ pub(crate) mod tests {
             ("id".to_string(), Json::Null),
         ];
         for (reply, method) in [
-            (Reply::SnapshotFile { path: "/tmp/δ.json".into(), partitions: 7 }, "snapshot"),
-            (Reply::SnapshotInline { partitions: 1, doc: Json::Obj(members.clone()) }, "snapshot"),
+            (Reply::Snapshot { path: "/tmp/δ.json".into(), partitions: 7 }, "snapshot"),
             (Reply::Stats(members.clone()), "stats"),
             (Reply::Metrics(members.clone()), "metrics"),
             (Reply::Trace(members), "trace"),
@@ -1445,12 +1415,8 @@ pub(crate) mod tests {
             let path = "/tmp/δ \"x\"\\.json";
             for (reply, want) in [
                 (
-                    Reply::SnapshotFile { path: path.into(), partitions: 7 },
+                    Reply::Snapshot { path: path.into(), partitions: 7 },
                     ok(vec![("partitions", num(7)), ("path", path.into())]),
-                ),
-                (
-                    Reply::SnapshotInline { partitions: 1, doc: doc.clone() },
-                    ok(vec![("partitions", num(1)), ("snapshot", doc.clone())]),
                 ),
                 (Reply::Stats(members.clone()), ok(listed)),
                 (Reply::Metrics(vec![]), ok(vec![])),

@@ -332,7 +332,7 @@ pub(crate) fn replay(
 /// file, and a spill read can fail; any shard's failure fails the collect
 /// (a snapshot missing partitions would silently lose state). Also returns
 /// the longest shard-lock hold.
-pub(crate) fn collect(
+fn collect(
     shards: &[Mutex<Shard>],
     journaled: bool,
 ) -> io::Result<(Document, Duration)> {

@@ -1,5 +1,6 @@
 //! The partition formats, all owned here: the snapshot file, the binary
-//! partition record it is made of, and the JSON snapshot document.
+//! partition record it is made of, and the JSON snapshot document that
+//! `qdelay snapshot export` prints.
 //!
 //! A snapshot holds every partition's serializable core — the predictors'
 //! plain state ([`qdelay_predict::state`]) and their one shared history —
@@ -39,12 +40,10 @@
 //! ```
 //!
 //! The reader ([`parse`]): empty bytes are empty state — what a primary
-//! ships for a journal directory with no snapshot yet. Bytes whose first is
-//! `{` are a JSON document of version 3 (the previous file version, read
-//! one way: nothing writes it to a file any more). Anything else must be
-//! exactly the frames its header counts: a damaged or torn frame, a count
-//! that does not match the frames present, trailing bytes, and a key named
-//! twice are each `InvalidData`. There is no right answer to which of two
+//! ships for a journal directory with no snapshot yet. Anything else must
+//! be exactly the frames its header counts: a damaged or torn frame (a JSON
+//! document among them), a count that does not match the frames present,
+//! trailing bytes, and a key named twice are each `InvalidData`. There is no right answer to which of two
 //! entries for one key is the state, and no writer produces one. A record
 //! past the cap is refused by the writer, while the partition is still in
 //! memory: a file the reader would reject is lost state.
@@ -80,15 +79,16 @@
 //! detector = u64 threshold | u64 consecutive_misses | u64 times_fired
 //! ```
 //!
-//! [`decode_record`] keeps every check the document decoder makes and adds
-//! the binary ones: every length bounded by the bytes present, and no byte
-//! left over. Damage is a typed error, never a panic.
+//! [`decode_record`] reads through the shared frame [`Reader`]: every
+//! length is bounded by the bytes present, every field validated, and no
+//! byte left over. Damage is a typed error, never a panic.
 //!
 //! ## The JSON document (version 3)
 //!
-//! The same fields as text: the inline `snapshot` reply, `qdelay snapshot
-//! export` ([`export`]) and the reader of version-3 files. `qdelay-json`
-//! prints floats shortest-round-trip, so the document is lossless too.
+//! The same fields as text, written for people and tools: `qdelay snapshot
+//! export` ([`export`]) prints it, and nothing reads it back as state.
+//! `qdelay-json` prints floats shortest-round-trip, so it is lossless: the
+//! tests hold [`decode_partition`] to the inverse of [`encode_partition`].
 //!
 //! ```text
 //! { "version": 3, "kind": "qdelay-serve-snapshot",
@@ -100,13 +100,11 @@
 //!       "waits": [ ... ] } ],
 //!   "dead": [ { "site", "queue", "procs", "seq" } ] }
 //! ```
-//!
-//! Any other document version is refused, naming what this build reads.
 
 use crate::durability::journal_to_io;
-use crate::proto::{Cur, DecodeError};
+use crate::proto::text;
 use crate::registry::PartitionKey;
-use qdelay_journal::frame::{self, Check};
+use qdelay_journal::frame::{self, Check, Reader};
 use qdelay_json::Json;
 use qdelay_predict::bound::BoundMethod;
 use qdelay_predict::state::{BmbpState, DetectorState, LogNormalState, MomentsState};
@@ -115,8 +113,7 @@ use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
-/// Version of the JSON snapshot document: written by the inline `snapshot`
-/// reply and [`export`], and read from a version-3 file.
+/// Version of the JSON snapshot document [`export`] writes.
 pub const DOCUMENT_VERSION: u64 = 3;
 
 /// Version of the framed snapshot file this build writes and reads.
@@ -164,7 +161,7 @@ impl PartitionSnapshot {
     }
 }
 
-/// The shape rule of the shared history, which both decoders enforce: the
+/// The shape rule of the shared history, which every decoder enforces: the
 /// list is exactly as long as the longer history, so no stored wait is one
 /// no predictor owns (and equal states encode to equal bytes).
 fn check_retained(count: usize, bmbp: usize, lognormal: usize) -> Result<(), String> {
@@ -506,74 +503,72 @@ pub(crate) fn frame_record(p: &PartitionSnapshot, out: &mut Vec<u8>) -> io::Resu
     Ok(())
 }
 
-fn invalid(message: String) -> DecodeError {
-    DecodeError::Invalid(message)
+fn usize_field(r: &mut Reader<'_>, what: &'static str) -> Result<usize, String> {
+    usize::try_from(r.u64(what)?).map_err(|_| format!("{what} out of range"))
 }
 
-fn usize_field(r: &mut Cur<'_>, what: &str) -> Result<usize, DecodeError> {
-    usize::try_from(r.u64(what)?).map_err(|_| invalid(format!("{what} out of range")))
-}
-
-fn f64_field(r: &mut Cur<'_>, what: &str) -> Result<f64, DecodeError> {
+fn f64_field(r: &mut Reader<'_>, what: &'static str) -> Result<f64, String> {
     Ok(f64::from_bits(r.u64(what)?))
 }
 
-fn flag(r: &mut Cur<'_>, what: &str) -> Result<bool, DecodeError> {
+fn flag(r: &mut Reader<'_>, what: &'static str) -> Result<bool, String> {
     match r.u8(what)? {
         0 => Ok(false),
         1 => Ok(true),
-        other => Err(invalid(format!("{what} must be 0 or 1, got {other}"))),
+        other => Err(format!("{what} must be 0 or 1, got {other}")),
     }
 }
 
-fn opt(r: &mut Cur<'_>, what: &str) -> Result<Option<usize>, DecodeError> {
+fn opt(r: &mut Reader<'_>, what: &'static str) -> Result<Option<usize>, String> {
     Ok(if flag(r, what)? { Some(usize_field(r, what)?) } else { None })
 }
 
 /// One of a closed set of values, by its index in `all`.
-fn tagged<T: Copy>(r: &mut Cur<'_>, all: &[T], what: &str) -> Result<T, DecodeError> {
+fn tagged<T: Copy>(r: &mut Reader<'_>, all: &[T], what: &'static str) -> Result<T, String> {
     let tag = r.u8(what)?;
-    all.get(usize::from(tag))
-        .copied()
-        .ok_or_else(|| invalid(format!("unknown {what} tag {tag}")))
+    all.get(usize::from(tag)).copied().ok_or_else(|| format!("unknown {what} tag {tag}"))
 }
 
-fn detector(r: &mut Cur<'_>, what: &str) -> Result<DetectorState, DecodeError> {
+fn detector(r: &mut Reader<'_>, what: &'static str) -> Result<DetectorState, String> {
     let d = DetectorState {
         threshold: usize_field(r, what)?,
         consecutive_misses: usize_field(r, what)?,
         times_fired: usize_field(r, what)?,
     };
-    d.validate().map_err(|e| invalid(format!("{what}: {e}")))?;
+    d.validate().map_err(|e| format!("{what}: {e}"))?;
     Ok(d)
 }
 
 /// The record's one wait-list reader. The count is checked against the
 /// bytes present (by `take`) before anything is allocated for it.
-fn waits(r: &mut Cur<'_>) -> Result<Vec<f64>, DecodeError> {
+fn waits(r: &mut Reader<'_>) -> Result<Vec<f64>, String> {
     let count = r.u32("waits")? as usize;
     let bytes = r.take(count.saturating_mul(8), "waits")?;
     let mut waits = Vec::with_capacity(count);
     for c in bytes.chunks_exact(8) {
         let w = f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes")));
         if !(w.is_finite() && w >= 0.0) {
-            return Err(invalid(format!("waits must be finite and non-negative, got {w}")));
+            return Err(format!("waits must be finite and non-negative, got {w}"));
         }
         waits.push(w);
     }
     Ok(waits)
 }
 
-fn read_record(r: &mut Cur<'_>) -> Result<PartitionSnapshot, DecodeError> {
+/// Decodes one binary partition record (the inverse of [`encode_record`])
+/// from a whole frame payload, validating every field. The payload must be
+/// exactly one record: trailing bytes are an error.
+pub fn decode_record(payload: &[u8]) -> Result<PartitionSnapshot, String> {
+    let r = &mut Reader::new(payload);
     let version = r.u8("version")?;
     if version != RECORD_VERSION {
-        return Err(invalid(format!(
+        return Err(format!(
             "record version {version} unsupported (this build reads {RECORD_VERSION})"
-        )));
+        ));
     }
     let range = tagged(r, &ProcRange::ALL, "proc range")?;
-    let site = r.text("site")?;
-    let queue = r.text("queue")?;
+    let site = text(r, "site")?;
+    let queue = text(r, "queue")?;
     let seq = r.u64("seq")?;
     let bmbp = BmbpState {
         quantile: f64_field(r, "bmbp quantile")?,
@@ -603,19 +598,11 @@ fn read_record(r: &mut Cur<'_>) -> Result<PartitionSnapshot, DecodeError> {
     let waits = waits(r)?;
     let bmbp_retained = r.u32("bmbp retained")? as usize;
     let lognormal_retained = r.u32("lognormal retained")? as usize;
-    check_retained(waits.len(), bmbp_retained, lognormal_retained).map_err(invalid)?;
+    check_retained(waits.len(), bmbp_retained, lognormal_retained)?;
     r.done("record")?;
     Ok(PartitionSnapshot {
         site, queue, range, seq, bmbp, lognormal, waits, bmbp_retained, lognormal_retained,
     })
-}
-
-/// Decodes one binary partition record (the inverse of [`encode_record`])
-/// from a whole frame payload, validating every field. The payload must be
-/// exactly one record: trailing bytes are an error. Reads go through the
-/// wire codec's bounds-checked cursor ([`crate::proto`]).
-pub fn decode_record(payload: &[u8]) -> Result<PartitionSnapshot, String> {
-    read_record(&mut Cur::new(payload)).map_err(|e| e.message().to_string())
 }
 
 /// Encodes partitions (and tombstoned cursors) into the snapshot
@@ -642,39 +629,9 @@ pub fn encode(
     ])
 }
 
-/// What this build reads, for the message that refuses anything else.
-fn unsupported(version: u64) -> String {
-    format!(
-        "snapshot version {version} unsupported (this build reads {DOCUMENT_VERSION} as a \
-         JSON document and {FILE_VERSION} as framed records)"
-    )
-}
-
-/// Decodes a snapshot document (see the module docs), validating the
-/// version and every field. Returns the live partitions and the tombstoned
-/// cursors. A key named twice is an error that names it.
-pub fn decode(v: &Json) -> Result<Document, String> {
-    let version = get_usize(v, "version")? as u64;
-    if version != DOCUMENT_VERSION {
-        return Err(unsupported(version));
-    }
-    let kind = get_str(v, "kind")?;
-    if kind != "qdelay-serve-snapshot" {
-        return Err(format!("unexpected snapshot kind '{kind}'"));
-    }
-    let parts =
-        get_array(v, "partitions")?.iter().map(decode_partition).collect::<Result<Vec<_>, _>>()?;
-    let dead = get_array(v, "dead")?
-        .iter()
-        .map(|d| Ok((get_key(d)?, get_usize(d, "seq")? as u64)))
-        .collect::<Result<Vec<_>, String>>()?;
-    let doc = (parts, dead);
-    check_distinct(&doc)?;
-    Ok(doc)
-}
-
 /// The JSON document of a snapshot, pretty-printed with a trailing newline:
-/// what `qdelay snapshot export` prints for any file [`parse`] accepts.
+/// what `qdelay snapshot export` prints for any file [`parse`] accepts. It
+/// is output only: no reader takes it back.
 pub fn export((partitions, dead): Document) -> String {
     let mut text = encode(partitions, dead).to_string_pretty();
     text.push('\n');
@@ -731,13 +688,16 @@ fn next_frame<'a>(bytes: &'a [u8], at: &mut usize, what: &str) -> Result<&'a [u8
 }
 
 /// The header frame's payload: the partition and dead-cursor counts.
-fn read_header(r: &mut Cur<'_>) -> Result<(usize, usize), DecodeError> {
+fn read_header(payload: &[u8]) -> Result<(usize, usize), String> {
+    let r = &mut Reader::new(payload);
     if r.take(FILE_MAGIC.len(), "magic")? != FILE_MAGIC {
-        return Err(invalid("not a snapshot file (no magic)".into()));
+        return Err("not a snapshot file (no magic)".into());
     }
     let version = r.u32("version")?;
     if version != FILE_VERSION {
-        return Err(invalid(unsupported(u64::from(version))));
+        return Err(format!(
+            "snapshot version {version} unsupported (this build reads {FILE_VERSION})"
+        ));
     }
     let counts = (usize_field(r, "partition count")?, usize_field(r, "dead count")?);
     r.done("header")?;
@@ -745,9 +705,10 @@ fn read_header(r: &mut Cur<'_>) -> Result<(usize, usize), DecodeError> {
 }
 
 /// A dead-cursor frame's payload.
-fn read_dead(r: &mut Cur<'_>) -> Result<(PartitionKey, u64), DecodeError> {
+fn read_dead(payload: &[u8]) -> Result<(PartitionKey, u64), String> {
+    let r = &mut Reader::new(payload);
     let range = tagged(r, &ProcRange::ALL, "proc range")?;
-    let (site, queue) = (r.text("site")?, r.text("queue")?);
+    let (site, queue) = (text(r, "site")?, text(r, "queue")?);
     let seq = r.u64("seq")?;
     r.done("dead cursor")?;
     Ok((PartitionKey { site, queue, range }, seq))
@@ -757,9 +718,10 @@ fn read_dead(r: &mut Cur<'_>) -> Result<(PartitionKey, u64), DecodeError> {
 /// and nothing after them.
 fn read_frames(bytes: &[u8]) -> Result<Document, String> {
     let mut at = 0;
-    let header = next_frame(bytes, &mut at, "header")?;
-    let (parts, dead) = read_header(&mut Cur::new(header))
-        .map_err(|e| format!("snapshot header: {}", e.message()))?;
+    let header = next_frame(bytes, &mut at, "header").map_err(|e| {
+        format!("{e} (this build reads version-{FILE_VERSION} framed snapshot files only)")
+    })?;
+    let (parts, dead) = read_header(header).map_err(|e| format!("snapshot header: {e}"))?;
     // Every entry is at least a frame prefix, so no count can reserve more
     // than the bytes present could hold.
     let most = bytes.len() / frame::PREFIX_LEN;
@@ -771,9 +733,7 @@ fn read_frames(bytes: &[u8]) -> Result<Document, String> {
     }
     for i in 0..dead {
         let payload = next_frame(bytes, &mut at, "dead cursor")?;
-        let cursor = read_dead(&mut Cur::new(payload))
-            .map_err(|e| format!("dead cursor frame {i}: {}", e.message()))?;
-        doc.1.push(cursor);
+        doc.1.push(read_dead(payload).map_err(|e| format!("dead cursor frame {i}: {e}"))?);
     }
     if at != bytes.len() {
         return Err(format!(
@@ -787,19 +747,14 @@ fn read_frames(bytes: &[u8]) -> Result<Document, String> {
 }
 
 /// Parses a snapshot file's bytes — or a replica's SNAPSHOT message, which
-/// carries them: empty bytes are empty state, a first byte `{` is a JSON
-/// document of version 3, and anything else is the framed file. Anything
-/// that is not a valid snapshot is `InvalidData`.
+/// carries them: empty bytes are empty state, and anything else must be the
+/// framed file. Anything that is not a valid snapshot, the JSON document
+/// included, is `InvalidData`.
 pub fn parse(bytes: &[u8]) -> io::Result<Document> {
-    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-    match bytes.first() {
-        None => Ok((Vec::new(), Vec::new())),
-        Some(b'{') => {
-            let text = std::str::from_utf8(bytes).map_err(|e| invalid(e.to_string()))?;
-            decode(&Json::parse(text).map_err(|e| invalid(e.to_string()))?).map_err(invalid)
-        }
-        Some(_) => read_frames(bytes).map_err(invalid),
+    if bytes.is_empty() {
+        return Ok((Vec::new(), Vec::new()));
     }
+    read_frames(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Reads the snapshot file at `path`; a missing file is empty state.
@@ -853,17 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip() {
-        let parts = sample_partitions();
-        let dead = sample_dead();
-        let doc = encode(parts.clone(), dead.clone());
-        let text = doc.to_string_pretty();
-        // decode returns in the document's (sorted) order.
-        let back = decode(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, sorted((parts, dead)));
-    }
-
-    #[test]
     fn the_file_reader_reads_what_the_writer_wrote_and_nothing_is_empty_state() {
         let dir = std::env::temp_dir().join("qdelay-serve-snapshot-unit");
         std::fs::create_dir_all(&dir).unwrap();
@@ -884,22 +828,28 @@ mod tests {
     }
 
     /// `qdelay snapshot export` of a file this build wrote is the document
-    /// of the same state, pretty-printed, byte for byte — the text the
-    /// previous build wrote as the file.
+    /// of the same state, pretty-printed, byte for byte. Its partitions
+    /// decode back to the state; the document itself is output, and the
+    /// file reader refuses it, typed.
     #[test]
     fn export_of_a_written_file_is_the_pretty_document_of_its_state() {
         let (parts, dead) = (sample_partitions(), sample_dead());
         let mut want = encode(parts.clone(), dead.clone()).to_string_pretty();
         want.push('\n');
-        let file = render(parts, dead).unwrap();
+        let file = render(parts.clone(), dead).unwrap();
         assert_eq!(export(parse(&file).unwrap()), want);
-        // And the export reads back as the same state.
-        assert_eq!(parse(want.as_bytes()).unwrap(), parse(&file).unwrap());
+        let doc = Json::parse(&want).unwrap();
+        let entries = doc.get("partitions").and_then(Json::as_array).unwrap();
+        let back: Vec<_> = entries.iter().map(|p| decode_partition(p).unwrap()).collect();
+        assert_eq!(back, sorted((parts, Vec::new())).0);
+        let err = parse(want.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version-4 framed snapshot files only"), "{err}");
     }
 
     /// A key named twice has no one state to install: the reader refuses
-    /// the file — and the JSON document — naming the key, whether the two
-    /// entries are both partitions, both dead cursors, or one of each.
+    /// the file naming the key, whether the two entries are both
+    /// partitions, both dead cursors, or one of each.
     #[test]
     fn a_document_that_names_a_key_twice_is_refused_by_name() {
         let parts = sample_partitions();
@@ -918,12 +868,9 @@ mod tests {
             ("live and dead", live_and_dead, parts[2].key()),
             ("twice dead", twice_dead, dead[0].0.clone()),
         ] {
-            let file = render(doc.0.clone(), doc.1.clone()).unwrap();
-            for bytes in [file, export(doc).into_bytes()] {
-                let err = parse(&bytes).unwrap_err();
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
-                assert!(err.to_string().contains(&format!("{} twice", key.label())), "{what}: {err}");
-            }
+            let err = parse(&render(doc.0, doc.1).unwrap()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains(&format!("{} twice", key.label())), "{what}: {err}");
         }
         assert!(parse(&render(parts, dead).unwrap()).is_ok(), "distinct keys read");
     }
@@ -958,143 +905,6 @@ mod tests {
         (p.n, p.seq, p.bmbp.map(f64::to_bits), p.lognormal.map(f64::to_bits))
     }
 
-    /// A version-3 file written by the previous release: its `qdelay serve
-    /// --journal-path` booted over a journal holding [`fixture_wait`]'s
-    /// streams on the paper's loop (`fx/long/1-4`: stream 1, 260 jobs;
-    /// `fx/short/5-16`: stream 2, 75 jobs) and three observes of
-    /// `fx/gone/1-4` followed by a tombstone at seq 4.
-    const V3_FIXTURE: &[u8] = include_bytes!("../testdata/snapshot-v3.json");
-
-    /// The fixture's partitions: (queue, procs, stream, jobs).
-    const FIXTURE_STREAMS: [(&str, u32, u64, u64); 2] = [("long", 4, 1, 260), ("short", 8, 2, 75)];
-
-    fn fixture_wait(stream: u64, i: u64) -> f64 {
-        let base = (i.wrapping_mul(2_654_435_761).wrapping_add(stream * 7_919) % 1_000) as f64;
-        if (120..150).contains(&i) {
-            base * 40.0 + 50_000.0
-        } else {
-            base
-        }
-    }
-
-    /// The fixture's partitions replayed live, by queue.
-    fn fixture_replayed(queue: &str) -> Partition {
-        let (_, _, stream, jobs) = FIXTURE_STREAMS.into_iter().find(|s| s.0 == queue).unwrap();
-        let mut live = Partition::new();
-        for i in 0..jobs {
-            paper_step(&mut live, fixture_wait(stream, i));
-        }
-        live
-    }
-
-    #[test]
-    fn a_version_3_file_from_the_previous_build_serves_the_same_bits() {
-        let (parts, dead) = parse(V3_FIXTURE).expect("the previous version reads");
-        assert_eq!(dead, vec![(PartitionKey::for_request("fx", "gone", 2), 4)]);
-        assert_eq!(parts.len(), 2);
-        for (queue, procs, stream, jobs) in FIXTURE_STREAMS {
-            let key = PartitionKey::for_request("fx", queue, procs);
-            let snap = parts.iter().find(|p| p.key() == key).expect("fixture partition");
-            let mut live = fixture_replayed(queue);
-            assert_eq!(live.to_snapshot(&key), *snap, "{queue}: the entry is the replayed state");
-            let mut restored = Partition::from_snapshot(snap).unwrap();
-            for i in jobs..jobs + 200 {
-                let w = fixture_wait(stream, i);
-                let (got, want) = (paper_step(&mut restored, w), paper_step(&mut live, w));
-                assert_eq!(bits(got), bits(want), "{queue}: job {i}");
-            }
-        }
-        let long = &parts[0];
-        assert_eq!((long.bmbp_retained, long.lognormal_retained), (197, 188), "two lengths");
-        // The export of the state is the fixture, byte for byte; any writer
-        // now writes the framed file, which reads back whole.
-        assert_eq!(export((parts.clone(), dead.clone())).as_bytes(), V3_FIXTURE);
-        let rendered = render(parts.clone(), dead.clone()).unwrap();
-        assert_eq!(rendered[frame::PREFIX_LEN..][..FILE_MAGIC.len()], FILE_MAGIC);
-        assert_eq!(parse(&rendered).unwrap(), (parts, dead));
-    }
-
-    /// A server booted on the fixture serves the replayed bits over the
-    /// wire, and its graceful shutdown rewrites the file as version 4
-    /// holding the same state.
-    #[test]
-    fn a_version_3_file_boots_to_bit_identical_predicts_and_is_rewritten_framed() {
-        use crate::client::Client;
-        use crate::server::{Server, ServerConfig};
-        let dir = std::env::temp_dir().join("qdelay-serve-snapshot-v3-boot");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        std::fs::write(&path, V3_FIXTURE).unwrap();
-        let config = ServerConfig { shards: 2, snapshot_path: Some(path.clone()), ..Default::default() };
-        let server = Server::start("127.0.0.1:0", config).unwrap();
-        let mut c = Client::connect(server.local_addr()).unwrap();
-        for (queue, procs, ..) in FIXTURE_STREAMS {
-            let got = c.predict("fx", queue, procs).unwrap();
-            let (bmbp, lognormal) = (got.bmbp, got.lognormal);
-            let got = Prediction { n: got.n, seq: got.seq, bmbp, lognormal };
-            assert_eq!(bits(got), bits(fixture_replayed(queue).predict()), "{queue}");
-        }
-        c.shutdown().unwrap();
-        server.join().unwrap();
-        let rewritten = std::fs::read(&path).unwrap();
-        assert_eq!(rewritten[frame::PREFIX_LEN..][..FILE_MAGIC.len()], FILE_MAGIC);
-        assert_eq!(parse(&rewritten).unwrap(), parse(V3_FIXTURE).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn member<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
-        match v {
-            Json::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1,
-            other => panic!("no '{key}' in {other:?}"),
-        }
-    }
-
-    /// The file reads version 4 framed and version 3 as a JSON document;
-    /// every other version of either form is refused, typed, naming both.
-    #[test]
-    fn versions_other_than_3_and_4_are_refused() {
-        let fixture = Json::parse(std::str::from_utf8(V3_FIXTURE).unwrap()).unwrap();
-        for version in [0.0, 1.0, 2.0, 4.0, 99.0] {
-            let mut doc = fixture.clone();
-            *member(&mut doc, "version") = Json::Num(version);
-            let err = parse(doc.to_string_pretty().as_bytes()).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "JSON version {version}");
-            let err = err.to_string();
-            assert!(err.contains("unsupported (this build reads 3 as a JSON"), "{version}: {err}");
-        }
-        let file = render(sample_partitions(), sample_dead()).unwrap();
-        for version in [3u32, 5] {
-            let mut header = file[frame::PREFIX_LEN..HEADER_FRAME].to_vec();
-            header[FILE_MAGIC.len()..][..4].copy_from_slice(&version.to_le_bytes());
-            let mut bytes = Vec::new();
-            frame::encode(&header, &mut bytes);
-            bytes.extend_from_slice(&file[HEADER_FRAME..]);
-            let err = parse(&bytes).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "framed version {version}");
-            assert!(err.to_string().contains("unsupported (this build reads"), "{err}");
-        }
-    }
-
-    #[test]
-    fn version_and_shape_are_enforced() {
-        let doc = encode(sample_partitions(), sample_dead());
-        let mut members = match doc {
-            Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        for version in [0.0, 1.0, 2.0, 4.0, 99.0] {
-            let mut other = members.clone();
-            other[0].1 = Json::Num(version);
-            assert!(decode(&Json::Obj(other)).is_err(), "version {version}");
-        }
-        assert!(decode(&Json::Null).is_err());
-        assert!(decode(&Json::parse(r#"{"version":3,"kind":"other","partitions":[]}"#).unwrap())
-            .is_err());
-        // The document must carry the dead array.
-        members.retain(|(k, _)| k != "dead");
-        assert!(decode(&Json::Obj(members)).is_err());
-    }
-
     /// Byte length of a rendered file's header frame.
     const HEADER_FRAME: usize = frame::PREFIX_LEN + 28;
 
@@ -1109,6 +919,23 @@ mod tests {
         frame::encode(&header, &mut out);
         out.extend_from_slice(&file[HEADER_FRAME..]);
         out
+    }
+
+    /// The file reads version 4 only: a header naming any other version is
+    /// refused, typed, naming what this build reads.
+    #[test]
+    fn versions_other_than_4_are_refused() {
+        let file = render(sample_partitions(), sample_dead()).unwrap();
+        for version in [2u32, 3, 5] {
+            let mut header = file[frame::PREFIX_LEN..HEADER_FRAME].to_vec();
+            header[FILE_MAGIC.len()..][..4].copy_from_slice(&version.to_le_bytes());
+            let mut bytes = Vec::new();
+            frame::encode(&header, &mut bytes);
+            bytes.extend_from_slice(&file[HEADER_FRAME..]);
+            let err = parse(&bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
+            assert!(err.to_string().contains("unsupported (this build reads 4)"), "{err}");
+        }
     }
 
     /// Hostile snapshot files: every truncation, every flipped bit, header
@@ -1202,9 +1029,8 @@ mod tests {
     /// The differential behind the one-history format, on the paper's loop
     /// over `synth` waits, where both detectors trim: at every
     /// `EVERY`-th job each partition round-trips through the binary record,
-    /// the document entry, the framed file and the exported document, and
-    /// each copy must serve the original's bits now and over the next
-    /// `AHEAD` jobs.
+    /// the exported document's entry and the framed file, and each copy
+    /// must serve the original's bits now and over the next `AHEAD` jobs.
     #[test]
     fn one_history_round_trips_through_every_codec_on_the_paper_loop() {
         const PARTITIONS: usize = 256;
@@ -1235,15 +1061,12 @@ mod tests {
                 bmbp_longer += usize::from(snap.bmbp_retained > snap.lognormal_retained);
                 lognormal_longer += usize::from(snap.lognormal_retained > snap.bmbp_retained);
                 let entry = encode_partition(&snap).to_string_compact();
-                let doc = (vec![snap.clone()], Vec::new());
-                let (mut file, _) = parse(&render(doc.0.clone(), Vec::new()).unwrap()).unwrap();
-                let (mut exported, _) = parse(export(doc).as_bytes()).unwrap();
+                let (mut file, _) = parse(&render(vec![snap.clone()], Vec::new()).unwrap()).unwrap();
                 let now = bits(live.predict());
                 for back in [
                     decode_record(&record_of(&snap)).unwrap(),
                     decode_partition(&Json::parse(&entry).unwrap()).unwrap(),
                     file.remove(0),
-                    exported.remove(0),
                 ] {
                     assert_eq!(back, snap, "partition {i}, job {job}");
                     let mut copy = Partition::from_snapshot(&back).unwrap();

@@ -8,6 +8,7 @@
 use qdelay::serve::client::{Client, ClientError, Pending, Wire};
 use qdelay::serve::proto::BinResponse;
 use qdelay::serve::protocol::{Request, ERR_LINE_TOO_LONG};
+use qdelay::serve::registry::Partition;
 use qdelay::serve::server::{Server, ServerConfig};
 use qdelay::serve::snapshot;
 use qdelay_json::Json;
@@ -44,8 +45,6 @@ const WIRES: [Wire; 2] = [Wire::Bin, Wire::Json];
 enum Reply {
     Observe { seq: u64 },
     Predict { n: u64, seq: u64 },
-    /// The snapshot document, compact.
-    Snapshot(String),
     Error(String),
 }
 
@@ -55,6 +54,8 @@ struct Raw {
     stream: TcpStream,
     wire: Wire,
     buf: Vec<u8>,
+    /// Bytes read off the socket so far.
+    received: usize,
     /// What `wire` needs to decode the replies to the requests encoded so
     /// far; the tests send them in the order they were encoded.
     pending: Pending,
@@ -69,7 +70,7 @@ impl Raw {
         let stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        Raw { stream, wire, buf: Vec::new(), pending: Pending::new() }
+        Raw { stream, wire, buf: Vec::new(), received: 0, pending: Pending::new() }
     }
 
     /// One request's bytes on this connection's wire.
@@ -97,50 +98,55 @@ impl Raw {
         self.encode(id, Request::Predict { site: site.into(), queue: "q".into(), procs: 8 })
     }
 
-    fn snapshot(&mut self, id: u64) -> Vec<u8> {
-        self.encode(id, Request::Snapshot { path: None })
+    fn stats(&mut self, id: u64) -> Vec<u8> {
+        self.encode(id, Request::Stats)
     }
 
     fn send(&mut self, bytes: &[u8]) {
         self.stream.write_all(bytes).unwrap();
     }
 
-    /// Cuts one complete reply off the front of `buf`, if one is there.
-    fn cut(&mut self) -> Option<(u64, Reply)> {
-        let (id, response) = self.wire.cut(&mut self.buf, &mut self.pending).unwrap()?;
-        let reply = match response {
-            BinResponse::Observe { seq, .. } => Reply::Observe { seq },
-            BinResponse::Predict { n, seq, .. } => Reply::Predict { n, seq },
-            BinResponse::Snapshot { json: Some(doc), .. } => Reply::Snapshot(doc),
-            BinResponse::Error { code, .. } => Reply::Error(code),
-            other => panic!("unexpected reply {other:?}"),
-        };
-        Some((id, reply))
-    }
-
-    /// The next reply in server order, or `None` once the server has
-    /// closed the connection.
-    fn recv(&mut self) -> Option<(u64, Reply)> {
+    /// The next reply in server order, whole, or `None` once the server
+    /// has closed the connection.
+    fn recv_response(&mut self) -> Option<(u64, BinResponse)> {
         loop {
-            if let Some(reply) = self.cut() {
+            if let Some(reply) = self.wire.cut(&mut self.buf, &mut self.pending).unwrap() {
                 return Some(reply);
             }
             let mut chunk = [0u8; 16 * 1024];
             match self.stream.read(&mut chunk) {
                 Ok(0) => return None,
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.buf.extend_from_slice(&chunk[..n]);
+                    self.received += n;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return None,
                 Err(e) => panic!("{:?}: no reply within the timeout: {e}", self.wire),
             }
         }
     }
+
+    /// The next reply, reduced to what most tests compare.
+    fn recv(&mut self) -> Option<(u64, Reply)> {
+        let (id, response) = self.recv_response()?;
+        let reply = match response {
+            BinResponse::Observe { seq, .. } => Reply::Observe { seq },
+            BinResponse::Predict { n, seq, .. } => Reply::Predict { n, seq },
+            BinResponse::Error { code, .. } => Reply::Error(code),
+            other => panic!("unexpected reply {other:?}"),
+        };
+        Some((id, reply))
+    }
 }
 
-/// Large pipelined responses while the client is not reading: the kernel
-/// send buffer fills, the server's vectored write goes partial, and the
-/// EPOLLOUT resume path must deliver every reply intact and in order.
+/// Megabytes of pipelined replies while the client is not reading: the
+/// kernel send buffer fills, the server's vectored write goes partial, and
+/// the EPOLLOUT resume path must deliver every reply intact and in order —
+/// each one the bounds, bit for bit, of an in-process replay.
 #[test]
 fn partial_writes_resume_mid_reply() {
+    const SITES: [&str; 4] = ["a", "b", "c", "d"];
+    const REQUESTS: u64 = 60_000;
     for wire in WIRES {
         let server = binary_server(ServerConfig {
             shards: 2,
@@ -151,33 +157,41 @@ fn partial_writes_resume_mid_reply() {
         });
         let mut seeder = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
 
-        // Build up state so each inline snapshot is a sizable document.
+        // The same history on the server and in process: the replay is the
+        // oracle for every reply's bits.
+        let mut replay: Vec<Partition> = SITES.iter().map(|_| Partition::new()).collect();
         for i in 0..3000u32 {
-            let site = ["a", "b", "c", "d"][i as usize % 4];
-            seeder.observe(site, "q", 4, f64::from(i % 997) * 3.25, None, None).unwrap();
+            let wait = f64::from(i % 997) * 3.25;
+            seeder.observe(SITES[i as usize % 4], "q", 8, wait, None, None).unwrap();
+            replay[i as usize % 4].observe(wait, None, None);
         }
-        let reference = seeder.snapshot_inline().unwrap().to_string_compact();
-        assert!(reference.len() > 8 * 1024, "snapshot must be multi-packet sized");
+        let want: Vec<String> = SITES
+            .iter()
+            .zip(&mut replay)
+            .map(|(site, partition)| {
+                let p = partition.predict();
+                let (n, seq, bmbp, lognormal) = (p.n as u64, p.seq, p.bmbp, p.lognormal);
+                let partition = format!("{site}/q/5-16");
+                format!("{:?}", BinResponse::Predict { partition, n, seq, bmbp, lognormal })
+            })
+            .collect();
 
-        // Queue enough snapshot requests in one burst (without reading a
-        // byte) that the responses total several megabytes — far more than
-        // any socket buffer pair, forcing the server through WouldBlock +
-        // EPOLLOUT resumes.
-        let requests = (6 * 1024 * 1024 / reference.len()).max(40) as u64;
+        // Queue the whole burst (without reading a byte): its replies total
+        // megabytes — far more than any socket buffer pair, forcing the
+        // server through WouldBlock + EPOLLOUT resumes.
         let mut client = Raw::connect(&server, wire);
-        let burst: Vec<u8> = (0..requests).flat_map(|i| client.snapshot(100 + i)).collect();
+        let site = |i: u64| SITES[i as usize % SITES.len()];
+        let burst: Vec<u8> = (0..REQUESTS).flat_map(|i| client.predict(100 + i, site(i))).collect();
         client.send(&burst);
         std::thread::sleep(Duration::from_millis(100)); // let buffers wedge
 
-        for i in 0..requests {
-            let (id, reply) = client.recv().expect("server closed mid-burst");
+        for i in 0..REQUESTS {
+            let (id, reply) = client.recv_response().expect("server closed mid-burst");
             assert_eq!(id, 100 + i, "{wire:?}: responses arrive in request order");
-            assert_eq!(
-                reply,
-                Reply::Snapshot(reference.clone()),
-                "{wire:?}: reassembled reply {i} is byte-identical"
-            );
+            let want = &want[i as usize % SITES.len()];
+            assert_eq!(&format!("{reply:?}"), want, "{wire:?}: reply {i} is bit-identical");
         }
+        assert!(client.received > 3 << 20, "{wire:?}: {} bytes of replies", client.received);
 
         seeder.shutdown().unwrap();
         server.join().unwrap();
@@ -325,16 +339,15 @@ fn slow_client_is_poisoned_not_the_server() {
         });
         let addr = server.binary_addr().unwrap();
 
-        // Give the registry some weight so snapshots are big.
         let mut seeder = Client::connect_binary(addr).unwrap();
         for i in 0..500u32 {
             seeder.observe("s", "q", 4, f64::from(i), None, None).unwrap();
         }
         let before = slow_disconnects(&server);
 
-        // The slow client: requests many snapshots, reads nothing.
+        // The slow client: requests many `stats` documents, reads nothing.
         let mut slow = Raw::connect(&server, wire);
-        let burst: Vec<u8> = (0..50).flat_map(|i| slow.snapshot(i + 1)).collect();
+        let burst: Vec<u8> = (0..50).flat_map(|i| slow.stats(i + 1)).collect();
         slow.send(&burst);
 
         // The server must cut the connection: reads on it reach EOF/reset in
@@ -384,45 +397,32 @@ fn slow_client_is_poisoned_not_the_server() {
 
 /// One reply larger than the whole slow-consumer budget, to a client that
 /// is reading: the budget judges the backlog a reply finds, not the reply,
-/// so the snapshot is served in full on both protocols, the connection
-/// lives on, and nobody is counted as a slow consumer.
+/// so a `stats` document is served in full on both protocols, the
+/// connection lives on, and nobody is counted as a slow consumer.
 #[test]
 fn reply_larger_than_the_budget_reaches_a_reading_client() {
     let _counter = SLOW_DISCONNECTS.lock().unwrap_or_else(|e| e.into_inner());
-    // The default budget: 1024 * 256 bytes = 256 KiB.
-    let server = binary_server(ServerConfig { shards: 4, ..ServerConfig::default() });
-    let budget = ServerConfig::default().writer_capacity * 256;
-
-    // 250 partitions x 200 observes: an inline snapshot of ~480 KB (each
-    // partition's history is stored once).
+    // writer_capacity 1: a budget of 256 bytes, well under one `stats` reply.
+    let config = ServerConfig { shards: 4, writer_capacity: 1, ..ServerConfig::default() };
+    let budget = config.writer_capacity * 256;
+    let server = binary_server(config);
     let mut seeder = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
-    seeder.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    for round in 0..200u32 {
-        for p in 0..250u32 {
-            let wait = f64::from((round * 250 + p) % 9973) * 1.5;
-            seeder.queue_observe(&format!("site{p}"), "q", 8, wait, None, None);
-        }
-        seeder.flush().unwrap();
-        for _ in 0..250 {
-            match seeder.read_response().unwrap() {
-                (_, BinResponse::Observe { .. }) => {}
-                (_, other) => panic!("seeding observe failed: {other:?}"),
-            }
-        }
+    for i in 0..200u32 {
+        seeder.observe("site7", "q", 8, f64::from(i % 97) * 1.5, None, None).unwrap();
     }
     let before = slow_disconnects(&server);
 
     for wire in WIRES {
         let mut client = Raw::connect(&server, wire);
-        let request = client.snapshot(1);
+        let request = client.stats(1);
         client.send(&request);
-        match client.recv() {
-            Some((1, Reply::Snapshot(doc))) => assert!(
-                doc.len() > 400_000 && doc.len() > budget,
-                "{wire:?}: the snapshot ({} bytes) must exceed the {budget}-byte budget",
-                doc.len()
+        match client.recv_response() {
+            Some((1, BinResponse::Stats { json })) => assert!(
+                json.len() > budget,
+                "{wire:?}: the stats reply ({} bytes) must exceed the {budget}-byte budget",
+                json.len()
             ),
-            other => panic!("{wire:?}: a reading client lost its snapshot: {other:?}"),
+            other => panic!("{wire:?}: a reading client lost its stats reply: {other:?}"),
         }
         // Same connection, still healthy.
         let request = client.predict(2, "site7");

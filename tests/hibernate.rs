@@ -23,10 +23,10 @@
 //!    being served the answer computed before the damage, and the rest of
 //!    the shard keeps serving. The slot is kept, so a repaired file takes
 //!    writes again without a restart.
-//! 5. **Line caps.** An inline snapshot that cannot fit the JSON line
-//!    cap is the typed `snapshot_too_large` error; the file-snapshot
-//!    escape hatch still works, and the binary protocol (64 MiB frame
-//!    cap) still serves the same snapshot inline.
+//! 5. **Nowhere to write.** A `snapshot` without a path on a server
+//!    without a snapshot path is a typed `bad_request` on both wires and
+//!    the connection survives; an explicit path, or the configured one,
+//!    writes the state.
 
 use qdelay::journal::{FsyncPolicy, JournalWriter, Record};
 use qdelay::serve::client::{Client, ClientError, Prediction};
@@ -155,8 +155,8 @@ fn assert_capped_matches_uncapped(shards: usize, cap: usize, label: &str) {
     // rewrites that file; the explicit path keeps the two separate.)
     let mid_free = dir.join("mid-free.json");
     let mid_capped = dir.join("mid-capped.json");
-    cf.snapshot_to(mid_free.to_str().unwrap()).unwrap();
-    cc.snapshot_to(mid_capped.to_str().unwrap()).unwrap();
+    cf.snapshot(Some(mid_free.to_str().unwrap())).unwrap();
+    cc.snapshot(Some(mid_capped.to_str().unwrap())).unwrap();
     assert_eq!(
         std::fs::read(&mid_free).unwrap(),
         std::fs::read(&mid_capped).unwrap(),
@@ -351,19 +351,27 @@ fn rec(k: &PartitionKey, seq: u64) -> Record {
     }
 }
 
-/// Polls the replica until its inline snapshot matches `want` byte for
-/// byte (the primary must be quiesced before computing `want`).
-fn await_byte_identical(replica: &mut Client, want: &str, what: &str) {
+/// The snapshot file `c`'s server writes to `path`, read back as bytes.
+fn snapshot_file(c: &mut Client, path: &Path) -> Vec<u8> {
+    c.snapshot(Some(path.to_str().unwrap())).unwrap();
+    std::fs::read(path).unwrap()
+}
+
+/// Polls the replica until the snapshot file it writes to `path` matches
+/// `want` byte for byte (the primary must be quiesced before computing
+/// `want`).
+fn await_byte_identical(replica: &mut Client, path: &Path, want: &[u8], what: &str) {
     let deadline = Instant::now() + Duration::from_secs(20);
-    let mut got = String::new();
+    let mut got = Vec::new();
     while Instant::now() < deadline {
-        got = replica.snapshot_inline().unwrap().to_string_compact();
+        got = snapshot_file(replica, path);
         if got == want {
             return;
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    panic!("{what}: replica never converged\nprimary: {want}\nreplica: {got}");
+    let (want, got) = (snapshot::parse(want), snapshot::parse(&got));
+    panic!("{what}: replica never converged\nprimary: {want:?}\nreplica: {got:?}");
 }
 
 /// Replicas under cap 1 — at shard counts 1, 4, and 16 — converge to the
@@ -449,10 +457,12 @@ fn capped_replicas_converge_byte_identically() {
         pc.observe(site, queue, procs, wait_stream(1000 + i), None, None).unwrap();
     }
 
-    let want = pc.snapshot_inline().unwrap().to_string_compact();
+    let snaps = fresh_dir("replica-snapshots");
+    let want = snapshot_file(&mut pc, &snaps.join("primary.snap"));
     for (shards, replica) in &replicas {
         let mut rc = Client::connect(replica.local_addr()).unwrap();
-        await_byte_identical(&mut rc, &want, &format!("{shards}-shard capped replica"));
+        let path = snaps.join(format!("replica-{shards}.snap"));
+        await_byte_identical(&mut rc, &path, &want, &format!("{shards}-shard capped replica"));
     }
 
     // The cap-1 single-shard replica holds every live partition through
@@ -468,7 +478,7 @@ fn capped_replicas_converge_byte_identically() {
 /// `admit` of keys the server has never seen are answered as a fresh
 /// partition would answer (`n` 0, `seq` 0, no bounds, `defer`) and of a
 /// tombstoned key with its dead cursor as `seq` — and `stats`, the spill
-/// file and the snapshot document are exactly what they were: no partition
+/// file and the snapshot file are exactly what they were: no partition
 /// appears, nothing is evicted to make room for one, and the dead key
 /// stays dead until a write resurrects it at the next seq.
 #[test]
@@ -509,15 +519,16 @@ fn questions_create_no_partitions_on_either_wire() {
     let mut binary = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
 
     // What must stand still: the registry totals of `stats` (its telemetry
-    // section counts requests, so it is left out) and the whole document.
-    fn holdings(c: &mut Client) -> (Vec<Option<f64>>, String) {
+    // section counts requests, so it is left out) and the whole snapshot.
+    let snap = fresh_dir("ask-only-snapshots").join("holdings.snap");
+    let holdings = |c: &mut Client| -> (Vec<Option<f64>>, Vec<u8>) {
         let stats = c.stats().unwrap();
         let totals = ["partitions", "observations", "resident", "hibernated", "spill_disk_bytes"]
             .iter()
             .map(|name| stats.get(name).and_then(Json::as_f64))
             .collect();
-        (totals, c.snapshot_inline().unwrap().to_string_compact())
-    }
+        (totals, snapshot_file(c, &snap))
+    };
     let before = holdings(&mut json);
     assert_eq!(before.0[..4], [Some(3.0), Some(210.0), Some(1.0), Some(2.0)]);
     assert!(before.0[4] > Some(0.0), "cap 1 of 3: the boot spilled two partitions");
@@ -620,7 +631,7 @@ fn torn_spill_record_is_a_typed_error_and_repairable() {
     is_io(c.observe("ds", "normal", 8, wait_stream(70), None, None).map(drop), "observe");
     // So does a snapshot: it may not launder the record into a document.
     let out = dir.join("damaged.json");
-    is_io(c.snapshot_to(out.to_str().unwrap()).map(drop), "file snapshot");
+    is_io(c.snapshot(Some(out.to_str().unwrap())).map(drop), "file snapshot");
     assert!(!out.exists(), "no snapshot of state that cannot be read");
     // The shard survives: the resident partition still serves, and new
     // observations land.
@@ -644,55 +655,66 @@ fn torn_spill_record_is_a_typed_error_and_repairable() {
     assert!(snap.exists(), "graceful shutdown still writes the snapshot");
 }
 
-/// An inline snapshot bigger than the server's JSON line cap is the
-/// typed `snapshot_too_large` error naming the byte size; the
-/// file-snapshot escape hatch and the binary protocol (64 MiB frame cap)
-/// both still serve the same state.
+/// A `snapshot` with no path asks for the server's configured snapshot
+/// path. On a server that has none it is a typed `bad_request` naming
+/// `path` on both wires, and the connection keeps serving; an explicit
+/// path writes the state, the same bytes from either wire. On a server
+/// with a snapshot path, the path-less request writes that file.
 #[test]
-fn inline_snapshot_past_the_line_cap_is_a_typed_error() {
-    let dir = fresh_dir("too-large");
+fn pathless_snapshot_without_a_snapshot_path_is_a_bad_request() {
+    let dir = fresh_dir("pathless");
     let server = Server::start(
         "127.0.0.1:0",
-        ServerConfig {
-            shards: 2,
-            max_line: 2048,
-            binary_addr: Some("127.0.0.1:0".into()),
-            ..ServerConfig::default()
-        },
+        ServerConfig { shards: 2, binary_addr: Some("127.0.0.1:0".into()), ..ServerConfig::default() },
     )
     .unwrap();
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut json = Client::connect(server.local_addr()).unwrap();
+    let mut binary = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
     let parts = partitions();
     for (i, &(site, queue, procs)) in parts.iter().enumerate() {
         for j in 0..5u64 {
-            c.observe(site, queue, procs, wait_stream(i as u64 * 10 + j), None, None).unwrap();
+            json.observe(site, queue, procs, wait_stream(i as u64 * 10 + j), None, None).unwrap();
         }
     }
 
-    let err = match c.snapshot_inline() {
-        Err(ClientError::Server(e)) => e,
-        other => panic!("expected snapshot_too_large, got {other:?}"),
-    };
-    assert_eq!(err.code, "snapshot_too_large");
-    assert!(
-        err.message.contains("bytes") && err.message.contains("path"),
-        "message must report the size and the file escape hatch: {}",
-        err.message
-    );
-
-    // Escape hatch 1: a server-side file snapshot has no size limit.
-    let out = dir.join("full.json");
-    let n = c.snapshot_to(out.to_str().unwrap()).unwrap();
-    assert_eq!(n, parts.len());
-    let (parts, dead) = snapshot::read(&out).unwrap();
-    let file_json = snapshot::encode(parts, dead).to_string_compact();
-
-    // Escape hatch 2: the binary protocol's 64 MiB frame cap carries the
-    // same snapshot inline.
-    let mut bc = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
-    let inline = bc.snapshot_inline().unwrap().to_string_compact();
-    assert_eq!(inline, file_json, "binary inline and file snapshots must agree");
-
-    c.shutdown().unwrap();
+    let mut written = Vec::new();
+    for (wire, c) in [("json", &mut json), ("binary", &mut binary)] {
+        let err = match c.snapshot(None) {
+            Err(ClientError::Server(e)) => e,
+            other => panic!("{wire}: expected bad_request, got {other:?}"),
+        };
+        assert_eq!(err.code, "bad_request", "{wire}");
+        assert!(err.message.contains("'path'"), "{wire}: the message names path: {}", err.message);
+        // The connection survives the refusal.
+        assert_eq!(c.predict("ds", "normal", 8).unwrap().seq, 5, "{wire}");
+        let out = dir.join(format!("{wire}.snap"));
+        assert_eq!(c.snapshot(Some(out.to_str().unwrap())).unwrap(), parts.len(), "{wire}");
+        written.push(std::fs::read(&out).unwrap());
+    }
+    assert_eq!(written[0], written[1], "both wires write the same bytes");
+    let (state, dead) = snapshot::parse(&written[0]).unwrap();
+    assert_eq!((state.len(), dead.len()), (parts.len(), 0));
+    assert!(state.iter().all(|p| p.seq == 5), "every partition's five observations");
+    json.shutdown().unwrap();
     server.join().unwrap();
+
+    // With a configured path, the path-less request writes there.
+    let configured = dir.join("configured.snap");
+    let config = ServerConfig {
+        snapshot_path: Some(configured.clone()),
+        binary_addr: Some("127.0.0.1:0".into()),
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut json = Client::connect(server.local_addr()).unwrap();
+    let mut binary = Client::connect_binary(server.binary_addr().unwrap()).unwrap();
+    json.observe("ds", "normal", 8, 5.0, None, None).unwrap();
+    for (wire, c) in [("json", &mut json), ("binary", &mut binary)] {
+        let _ = std::fs::remove_file(&configured);
+        assert_eq!(c.snapshot(None).unwrap(), 1, "{wire}");
+        assert_eq!(snapshot::read(&configured).unwrap().0.len(), 1, "{wire}");
+    }
+    json.shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,6 +11,7 @@
 //! dead process would leave behind), then truncated at arbitrary offsets
 //! to model the torn final write.
 
+use qdelay::journal::frame::{self, Check};
 use qdelay::journal::{self, FsyncPolicy, RecoverMode, SegmentId};
 use qdelay::serve::client::{Client, ClientError};
 use qdelay::serve::durability::JournalConfig;
@@ -707,8 +708,9 @@ fn failed_commit_fences_one_shard_across_loops() {
 /// last pass saw the final state: that pass's `snapshot.json`, a
 /// `snapshot` request to an explicit path, the `snapshot.json` graceful
 /// shutdown consolidates, and the one the next boot consolidates (from the
-/// same state handed to it as a version-3 document, so the boot must
-/// rewrite it) are all byte-identical.
+/// same state handed to it with its partition frames reversed — a file the
+/// reader takes but no writer writes — so the boot must rewrite it) are all
+/// byte-identical.
 #[test]
 fn every_writer_renders_one_state_to_the_same_bytes() {
     let dir = fresh_dir("one-writer");
@@ -729,7 +731,7 @@ fn every_writer_renders_one_state_to_the_same_bytes() {
     let hibernated = stats.get("hibernated").and_then(Json::as_f64).unwrap();
     assert!(hibernated >= 6.0, "the cap hibernates most partitions: {hibernated}");
 
-    assert_eq!(client.snapshot_to(requested.to_str().unwrap()).unwrap(), 12);
+    assert_eq!(client.snapshot(Some(requested.to_str().unwrap())).unwrap(), 12);
     let want = std::fs::read(&requested).unwrap();
     let snapshot_json = dir.join("snapshot.json");
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -743,8 +745,19 @@ fn every_writer_renders_one_state_to_the_same_bytes() {
     assert!(journal::scan_dir(&dir).unwrap().is_empty(), "shutdown consolidated");
     assert!(std::fs::read(&snapshot_json).unwrap() == want, "the shutdown snapshot differs");
 
-    let document = snapshot::export(snapshot::read(&snapshot_json).unwrap());
-    std::fs::write(&snapshot_json, document).unwrap();
+    let (parts, _) = snapshot::read(&snapshot_json).unwrap();
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while at < want.len() {
+        let Check::Complete { next, .. } = frame::check(&want[at..], u32::MAX) else {
+            panic!("a snapshot file is whole frames")
+        };
+        frames.push(&want[at..at + next]);
+        at += next;
+    }
+    frames[1..=parts.len()].reverse();
+    std::fs::write(&snapshot_json, frames.concat()).unwrap();
+    assert!(std::fs::read(&snapshot_json).unwrap() != want, "the boot gets other bytes");
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     assert!(std::fs::read(&snapshot_json).unwrap() == want, "the boot snapshot differs");
     Client::connect(server.local_addr()).unwrap().shutdown().unwrap();

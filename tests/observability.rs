@@ -6,7 +6,9 @@
 //! an eviction) is the handle stage's, not nobody's.
 
 use qdelay::serve::client::Client;
+use qdelay::serve::registry::{Partition, PartitionKey};
 use qdelay::serve::server::{Server, ServerConfig};
+use qdelay::serve::snapshot;
 use qdelay_json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::time::Duration;
@@ -173,115 +175,99 @@ fn stats_reports_version_uptime_and_queue_depth() {
 /// The flight recorder's reason for existing: when a request has to wait
 /// for its shard, its trace must pin the latency on `queue_ns` (decoded
 /// until the shard lock is held), not `handle_ns` (the predictor itself).
-/// The staller really holds the locks: a pipelined burst of observe→predict
-/// pairs over every partition, so each predict pays a dirty refit under
-/// its shard's lock and loop 1 (the second connection accepted) spends
-/// most of the burst inside one lock or the other. The victim is on loop 0
-/// (the third connection), asking depth-1 for a partition the burst never
-/// touches. (Inline `snapshot`s hold a lock too, but only for a twelfth of
-/// the time one takes; the rest is JSON encoding outside it.)
+/// The staller holds the victim's shard lock for milliseconds at a time:
+/// pipelined `snapshot` requests, each collecting a registry of 400,000
+/// waits under every shard's lock in turn, and leaving no trace entry of
+/// its own. The victim, on the other loop (connections are dealt to loops
+/// in accept order), asks depth-1 about a small partition of the same
+/// shard from the staller's first request until after its last reply, so
+/// its predicts overlap every hold, and its entries are the only ones in
+/// the dump.
 #[test]
 fn stalled_shard_latency_is_attributed_to_queue_wait() {
-    const PARTITIONS: u32 = 64;
-    const SWEEPS: usize = 20;
-    const VICTIM_PREDICTS: usize = 100;
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig {
-            shards: 2,
-            // Every victim predict of one attempt stays in its shard's
-            // ring, whatever the burst adds to it.
-            flight_recorder_depth: 4096,
-            // The staller reads nothing until its burst is done: its
-            // unread replies must fit its budget.
-            writer_capacity: 1 << 16,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.local_addr();
+    const HEAVY: usize = 4;
+    const WAITS: usize = 100_000;
+    const SNAPSHOTS: usize = 8;
+    let dir = std::env::temp_dir().join(format!("qdelay-stalled-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
 
-    // Enough history that every refit is real work under the lock: 80
-    // observations (past the 59 a 95/95 bound needs) in each partition,
-    // and in the victim's own.
-    let mut seed = Client::connect(addr).unwrap(); // loop 0
-    for site in (0..PARTITIONS).map(|p| format!("site{p}")).chain(["victim".to_string()]) {
-        for i in 0..80 {
-            seed.observe(&site, "normal", 8, f64::from(i * 7 % 100), None, None)
-                .unwrap();
-        }
-    }
-    let mut burst = String::new();
-    for sweep in 0..SWEEPS {
-        for p in 0..PARTITIONS {
-            burst.push_str(&format!(
-                "{{\"method\":\"observe\",\"site\":\"site{p}\",\"queue\":\"normal\",\
-                 \"procs\":8,\"wait\":{sweep}}}\n\
-                 {{\"method\":\"predict\",\"site\":\"site{p}\",\"queue\":\"normal\",\
-                 \"procs\":8}}\n"
-            ));
-        }
-    }
-    let burst_replies = SWEEPS * PARTITIONS as usize * 2;
-
-    let mut attributed = false;
-    for _ in 0..10 {
-        // Raw writer so the whole burst is pipelined: loop 1 works through
-        // it back to back, in and out of both shard locks.
-        let staller = std::net::TcpStream::connect(addr).unwrap(); // loop 1
-        let mut staller_w = staller.try_clone().unwrap();
-        let mut staller_r = BufReader::new(staller);
-        let mut victim = Client::connect(addr).unwrap(); // loop 0
-        staller_w.write_all(burst.as_bytes()).unwrap();
-        staller_w.flush().unwrap();
-
-        // Depth-1 predicts while the burst runs: some of them find their
-        // shard's lock held and wait for it. A trace lands when its reply
-        // is flushed, and the burst's own traces all land when loop 1
-        // finishes the wakeup that read it — so the victim looks at the
-        // dump (newest entries only) as it goes, while its predicts are
-        // still the newest thing in it.
-        for _ in 0..VICTIM_PREDICTS / 20 {
-            for _ in 0..20 {
-                victim.predict("victim", "normal", 8).unwrap();
+    // The heavy partitions share the victim's shard. They are built in
+    // process and booted from a snapshot file: the wire would take minutes.
+    let victim_key = PartitionKey::for_request("victim", "normal", 8);
+    let shard = victim_key.shard_index(2);
+    let heavy = (0..).map(|i| PartitionKey::for_request(&format!("heavy{i}"), "normal", 8));
+    let keys = heavy.filter(|k| k.shard_index(2) == shard).take(HEAVY).chain([victim_key.clone()]);
+    let parts = keys
+        .enumerate()
+        .map(|(i, key)| {
+            let mut p = Partition::new();
+            let waits = if key == victim_key { 80 } else { WAITS };
+            for j in 0..waits {
+                p.observe(((i * 7_919 + j * 7) % 1_000) as f64, None, None);
             }
-            let dump = victim.trace().unwrap();
-            let recent = match dump.get("recent") {
-                Some(Json::Arr(entries)) => entries.clone(),
-                _ => Vec::new(),
-            };
-            attributed |= recent
-                .iter()
-                .filter(|e| {
-                    e.get("method").and_then(Json::as_str) == Some("predict")
-                        && e.get("partition").and_then(Json::as_str)
-                            == Some("victim/normal/5-16")
-                })
-                .any(|entry| {
-                    let queue = entry.get("queue_ns").and_then(Json::as_f64).unwrap();
-                    let handle = entry.get("handle_ns").and_then(Json::as_f64).unwrap();
-                    queue > 10.0 * handle.max(1.0)
-                });
-        }
+            p.to_snapshot(&key)
+        })
+        .collect();
+    let boot = dir.join("boot.snap");
+    snapshot::write(&boot, &snapshot::render(parts, Vec::new()).unwrap()).unwrap();
+    let config = ServerConfig {
+        shards: 2,
+        snapshot_path: Some(boot),
+        // Every victim predict of the test stays in its shard's ring.
+        flight_recorder_depth: 1 << 16,
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    let path = Json::Str(dir.join("stall.snap").to_str().unwrap().into()).to_string_compact();
+    let burst = format!("{{\"method\":\"snapshot\",\"path\":{path}}}\n").repeat(SNAPSHOTS);
 
-        // Drain the staller so its replies do not pile up across attempts.
-        let mut line = String::new();
-        for _ in 0..burst_replies {
-            line.clear();
-            staller_r.read_line(&mut line).unwrap();
-        }
+    let waited = |dump: &Json| match dump.get("recent") {
+        Some(Json::Arr(entries)) => entries.iter().any(|e| {
+            let text = |key: &str| e.get(key).and_then(Json::as_str);
+            let num = |key: &str| e.get(key).and_then(Json::as_f64).unwrap();
+            (text("method"), text("partition")) == (Some("predict"), Some("victim/normal/5-16"))
+                && num("queue_ns") > 10.0 * num("handle_ns").max(1.0)
+        }),
+        _ => false,
+    };
+    let mut attributed = false;
+    for _ in 0..5 {
+        let mut victim = Client::connect(addr).unwrap(); // loop 0
+        let staller = std::net::TcpStream::connect(addr).unwrap(); // loop 1
+        std::thread::scope(|scope| {
+            let staller = scope.spawn(|| {
+                (&staller).write_all(burst.as_bytes()).unwrap();
+                let mut replies = BufReader::new(&staller);
+                let mut line = String::new();
+                for _ in 0..SNAPSHOTS {
+                    line.clear();
+                    replies.read_line(&mut line).unwrap();
+                    assert!(line.contains("\"ok\":true"), "{line}");
+                }
+            });
+            // Sixteen predicts between dumps: the dump's newest 128
+            // entries always hold all of them.
+            while !staller.is_finished() {
+                for _ in 0..16 {
+                    victim.predict("victim", "normal", 8).unwrap();
+                }
+                attributed |= waited(&victim.trace().unwrap());
+            }
+        });
         if attributed {
             break;
         }
-        // Lost every race (the burst ran between the predicts); try again.
     }
     assert!(
         attributed,
         "a predict behind a held shard lock attributes latency to queue-wait"
     );
 
-    seed.shutdown().unwrap();
+    Client::connect(addr).unwrap().shutdown().unwrap();
     server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The handle stage is lock held → result in hand, so the one thing that

@@ -1,20 +1,22 @@
 //! Differential test of the two wire protocols: the same seeded
 //! multi-partition request sequence driven through a JSON-protocol server
 //! and through a binary-protocol server must produce bit-identical
-//! predicted bounds at every probe point and a byte-identical final
-//! snapshot document — across shard counts 1, 4, and 16.
+//! predicted bounds at every probe point and byte-identical snapshot
+//! files — across shard counts 1, 4, and 16.
 //!
 //! Both protocols are codecs over one request model, one `dispatch` and
 //! one shard-side `Op` path (the `Responder` is the only codec-aware
 //! seam), so this test is the executable proof that the listener a request
 //! arrives on changes the wire format and nothing else — for the control
-//! methods the script sprinkles in (`stats`, inline `snapshot`, `promote`
-//! on a non-replica) as much as for observe and predict.
+//! methods the script sprinkles in (`stats`, `snapshot` to a file,
+//! `promote` on a non-replica) as much as for observe and predict.
 
 use qdelay::serve::client::{Client, ClientError};
 use qdelay::serve::proto::BinResponse;
 use qdelay::serve::server::{Server, ServerConfig};
+use qdelay::serve::snapshot;
 use qdelay_json::Json;
+use std::path::{Path, PathBuf};
 use qdelay_rng::{Rng, StdRng};
 
 /// One partition universe shared by every run: 2 sites x 2 queues x
@@ -65,13 +67,14 @@ fn script(seed: u64, len: usize) -> Vec<Step> {
 
 /// The observable outcomes of one run, everything bit-exact: each probe's
 /// (n, seq, bmbp bits, lognormal bits), every observe's assigned seq, every
-/// control method's answer, and the final snapshot document text.
+/// control method's answer, and the bytes of every snapshot file the run
+/// wrote — the script's, then a final one.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     probes: Vec<(usize, u64, u64, Option<u64>, Option<u64>)>,
     seqs: Vec<u64>,
     controls: Vec<String>,
-    snapshot: String,
+    snapshots: Vec<Vec<u8>>,
 }
 
 /// The registry half of a `stats` reply: the totals and each shard's
@@ -98,11 +101,19 @@ fn registry_fields(stats: &Json) -> String {
     fields.to_string_compact()
 }
 
-fn drive(client: &mut Client, steps: &[Step]) -> Outcome {
+/// Drives the script through `client`, writing its snapshot files in `dir`.
+fn drive(client: &mut Client, steps: &[Step], dir: &Path) -> Outcome {
     let mut last: Vec<(Option<f64>, Option<f64>)> = vec![(None, None); PARTITIONS.len()];
     let mut probes = Vec::new();
     let mut seqs = Vec::new();
     let mut controls = Vec::new();
+    let mut snapshots = Vec::new();
+    let mut snapshot = |client: &mut Client| {
+        let path = dir.join(format!("{}.snap", snapshots.len()));
+        let partitions = client.snapshot(Some(path.to_str().unwrap())).unwrap();
+        snapshots.push(std::fs::read(&path).unwrap());
+        format!("snapshot of {partitions} partitions")
+    };
     for step in steps {
         match *step {
             Step::Observe { pi, wait, feed } => {
@@ -123,22 +134,24 @@ fn drive(client: &mut Client, steps: &[Step]) -> Outcome {
                 ));
             }
             Step::Stats => controls.push(registry_fields(&client.stats().unwrap())),
-            Step::Snapshot => {
-                controls.push(client.snapshot_inline().unwrap().to_string_compact())
-            }
+            Step::Snapshot => controls.push(snapshot(client)),
             Step::Promote => match client.promote() {
                 Err(ClientError::Server(e)) => controls.push(format!("{}: {}", e.code, e.message)),
                 other => panic!("a primary must refuse promotion with a typed error: {other:?}"),
             },
         }
     }
-    let snapshot = client.snapshot_inline().unwrap().to_string_compact();
-    Outcome { probes, seqs, controls, snapshot }
+    snapshot(client);
+    Outcome { probes, seqs, controls, snapshots }
 }
 
 /// One run of the script against a fresh server, through the listener
-/// `binary` names.
-fn run(steps: &[Step], shards: usize, binary: bool) -> Outcome {
+/// `binary` names; `label` keeps its snapshot files apart from every other
+/// run's.
+fn run(steps: &[Step], shards: usize, binary: bool, label: &str) -> Outcome {
+    let dir: PathBuf = std::env::temp_dir().join(format!("qdelay-proto-diff-{label}-{binary}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
     let config = ServerConfig {
         shards,
         binary_addr: binary.then(|| "127.0.0.1:0".to_string()),
@@ -147,21 +160,23 @@ fn run(steps: &[Step], shards: usize, binary: bool) -> Outcome {
     let server = Server::start("127.0.0.1:0", config).unwrap();
     let mut json = Client::connect(server.local_addr()).unwrap();
     let outcome = match server.binary_addr() {
-        Some(addr) => drive(&mut Client::connect_binary(addr).unwrap(), steps),
-        None => drive(&mut json, steps),
+        Some(addr) => drive(&mut Client::connect_binary(addr).unwrap(), steps, &dir),
+        None => drive(&mut json, steps, &dir),
     };
     // Always shut down through the JSON listener: after a binary run that
     // also covers the mixed-protocol shutdown path (the binary listener
     // must drain alongside it).
     json.shutdown().unwrap();
     server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
     outcome
 }
 
 fn differential(seed: u64, len: usize, shards: usize) {
     let steps = script(seed, len);
-    let json = run(&steps, shards, false);
-    let binary = run(&steps, shards, true);
+    let label = format!("{seed}-{shards}");
+    let json = run(&steps, shards, false, &label);
+    let binary = run(&steps, shards, true, &label);
     assert_eq!(
         json.probes.len(),
         binary.probes.len(),
@@ -174,7 +189,7 @@ fn differential(seed: u64, len: usize, shards: usize) {
     assert!(
         json.controls.iter().any(|c| c == "bad_request: not a replica")
             && json.controls.iter().any(|c| c.contains("per_shard"))
-            && json.controls.iter().any(|c| c.contains("datastar")),
+            && json.controls.iter().any(|c| c.starts_with("snapshot of")),
         "the script must reach promote, stats and snapshot: {:?}",
         json.controls
     );
@@ -182,15 +197,14 @@ fn differential(seed: u64, len: usize, shards: usize) {
         assert_eq!(j, b, "control reply {i} diverged (shards={shards})");
     }
     assert_eq!(json.controls.len(), binary.controls.len());
-    assert_eq!(
-        json.snapshot, binary.snapshot,
-        "final snapshot documents diverged (shards={shards})"
-    );
-    // The snapshot must actually hold state, or the comparison is vacuous.
-    assert!(
-        json.snapshot.contains("datastar"),
-        "snapshot should contain observed partitions"
-    );
+    assert_eq!(json.snapshots.len(), binary.snapshots.len());
+    for (i, (j, b)) in json.snapshots.iter().zip(binary.snapshots.iter()).enumerate() {
+        assert!(j == b, "snapshot file {i} diverged (shards={shards})");
+    }
+    // The final snapshot must actually hold state, or the comparison is
+    // vacuous.
+    let (partitions, _) = snapshot::parse(json.snapshots.last().unwrap()).unwrap();
+    assert_eq!(partitions.len(), PARTITIONS.len(), "snapshot holds every observed partition");
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! The contract under test, end to end:
 //!
-//! 1. **Bit-identity.** At any quiesced point, a replica's serialized
-//!    snapshot is *byte-identical* to the primary's — for replica shard
+//! 1. **Bit-identity.** At any quiesced point, a replica's snapshot file
+//!    is *byte-identical* to the primary's — for replica shard
 //!    counts 1, 4, and 16, with tombstoned partitions in the history
 //!    (the dead-cursor list replicates too), and whatever the replica's
 //!    clients have asked it (a read changes nothing).
@@ -23,6 +23,7 @@ use qdelay::serve::client::{Client, ClientError, RetryPolicy};
 use qdelay::serve::durability::JournalConfig;
 use qdelay::serve::registry::{Partition, PartitionKey};
 use qdelay::serve::server::{Server, ServerConfig};
+use qdelay::serve::snapshot;
 use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
@@ -77,19 +78,27 @@ fn rec(k: &PartitionKey, seq: u64) -> Record {
     }
 }
 
-/// Polls the replica until its inline snapshot matches `want` byte for
-/// byte (the primary must be quiesced before computing `want`).
-fn await_byte_identical(replica: &mut Client, want: &str, what: &str) {
+/// The snapshot file `c`'s server writes to `path`, read back as bytes.
+fn snapshot_file(c: &mut Client, path: &Path) -> Vec<u8> {
+    c.snapshot(Some(path.to_str().unwrap())).unwrap();
+    std::fs::read(path).unwrap()
+}
+
+/// Polls the replica until the snapshot file it writes to `path` matches
+/// `want` byte for byte (the primary must be quiesced before computing
+/// `want`).
+fn await_byte_identical(replica: &mut Client, path: &Path, want: &[u8], what: &str) {
     let deadline = Instant::now() + Duration::from_secs(20);
-    let mut got = String::new();
+    let mut got = Vec::new();
     while Instant::now() < deadline {
-        got = replica.snapshot_inline().unwrap().to_string_compact();
+        got = snapshot_file(replica, path);
         if got == want {
             return;
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    panic!("{what}: replica never converged\nprimary: {want}\nreplica: {got}");
+    let (want, got) = (snapshot::parse(want), snapshot::parse(&got));
+    panic!("{what}: replica never converged\nprimary: {want:?}\nreplica: {got:?}");
 }
 
 /// Byte-identity across replica shard counts, with tombstone history.
@@ -158,8 +167,10 @@ fn replica_snapshots_are_byte_identical_across_shard_counts() {
 
     // Quiesce: no more observes. The primary's snapshot is now stable and
     // every replica must converge to exactly these bytes.
-    let want = pc.snapshot_inline().unwrap().to_string_compact();
-    assert!(want.contains("\"dead\""), "tombstone cursors must be in the snapshot");
+    let snaps = fresh_dir("differential-snapshots");
+    let want = snapshot_file(&mut pc, &snaps.join("primary.snap"));
+    let (_, dead) = snapshot::parse(&want).unwrap();
+    assert!(!dead.is_empty(), "tombstone cursors must be in the snapshot");
     for (replica, shards) in replicas.iter().zip([1usize, 4, 16]) {
         assert!(replica.is_read_only());
         let mut rc = Client::connect(replica.local_addr()).unwrap();
@@ -172,7 +183,8 @@ fn replica_snapshots_are_byte_identical_across_shard_counts() {
         rc.admit("typo2", "nope", 4, 600.0, None).unwrap();
         let asked = rc.predict(&stays_dead.site, &stays_dead.queue, 1).unwrap();
         assert_eq!(asked.n, 0, "a tombstoned partition has no history");
-        await_byte_identical(&mut rc, &want, &format!("{shards}-shard replica"));
+        let path = snaps.join(format!("replica-{shards}.snap"));
+        await_byte_identical(&mut rc, &path, &want, &format!("{shards}-shard replica"));
         assert_eq!(rc.predict(&stays_dead.site, &stays_dead.queue, 1).unwrap().seq, 6);
         rc.shutdown().unwrap();
     }
@@ -182,6 +194,7 @@ fn replica_snapshots_are_byte_identical_across_shard_counts() {
     pc.shutdown().unwrap();
     primary.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&snaps);
 }
 
 /// Read-only dispatch on both protocols, and promotion idempotence.

@@ -92,13 +92,15 @@ fn concurrent_clients_match_single_threaded_replay() {
         handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
     });
 
-    // Grab the server's final state and shut it down.
+    // Grab the server's final state as a snapshot file and shut it down.
+    let path = std::env::temp_dir().join("qdelay-serve-it-concurrent.snap");
     let mut client = Client::connect(addr).unwrap();
-    let inline = client.snapshot_inline().unwrap();
+    client.snapshot(Some(path.to_str().unwrap())).unwrap();
     client.shutdown().unwrap();
     server.join().unwrap();
 
-    let (server_parts, server_dead) = snapshot::decode(&inline).expect("valid snapshot");
+    let (server_parts, server_dead) = snapshot::read(&path).expect("valid snapshot");
+    let _ = std::fs::remove_file(&path);
     assert_eq!(server_parts.len(), 6);
     assert!(server_dead.is_empty(), "no tombstones were issued");
 
