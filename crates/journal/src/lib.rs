@@ -84,7 +84,9 @@ pub static COMPACT_US: LatencyHistogram = LatencyHistogram::new("journal.compact
 pub static COMPACT_LOCK_US: LatencyHistogram = LatencyHistogram::new("journal.compact_lock_us");
 /// Live segment files on disk (last observed).
 pub static LIVE_SEGMENTS: Gauge = Gauge::new("journal.segments");
-/// Live journal bytes on disk (last observed).
+/// Live journal bytes on disk (last observed): the blocks allocated to the
+/// segment files × 512, so a sized-ahead segment's sparse zero tail does
+/// not count.
 pub static LIVE_BYTES: Gauge = Gauge::new("journal.live_bytes");
 /// Records replayed during recovery.
 pub static RECOVERY_RECORDS: Counter = Counter::new("journal.recovery.records");

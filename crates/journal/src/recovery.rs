@@ -7,6 +7,8 @@
 //! syncs a segment before sealing it, so damage anywhere else means the
 //! file was modified outside the journal's write path — that is reported
 //! as a typed [`JournalError::Corrupt`], never tolerated, never a panic.
+//! The same active segment may end in a zero tail (the writer sizes it
+//! ahead of its frames): that is a clean end, not a torn tail.
 //!
 //! Replay order is sufficient for bit-identical state reconstruction:
 //! within one stream, frames appear in append (= ack) order; across shards
@@ -24,8 +26,9 @@ pub enum RecoverMode {
     /// Read-only scan: torn tails are tolerated and reported but the
     /// files are left untouched (for inspection tools and dry runs).
     ReadOnly,
-    /// Truncate each torn tail at the first bad frame, so the directory
-    /// is fully clean afterwards. This is what the server uses at boot.
+    /// Truncate each torn tail at the first bad frame and each zero tail
+    /// at its start, so the directory is fully clean afterwards: no file
+    /// keeps a tail. This is what the server uses at boot.
     TruncateTornTails,
 }
 
@@ -97,13 +100,14 @@ pub fn recover(dir: &Path, mode: RecoverMode) -> Result<Recovery, JournalError> 
                 out.torn_bytes += torn;
                 crate::TORN_TAILS.incr();
                 crate::TORN_TAIL_BYTES.add(torn);
-                if mode == RecoverMode::TruncateTornTails {
-                    truncate_at(path, offset)?;
-                }
                 torn
             }
             None => 0,
         };
+        // `end` is the torn tail's start, or a zero tail's.
+        if mode == RecoverMode::TruncateTornTails && contents.end < contents.len {
+            truncate_at(path, contents.end)?;
+        }
         out.records.extend(contents.records.into_iter().map(|f| f.record));
         // Fold into the per-stream summary (segments arrive grouped by
         // (epoch, shard) because scan order sorts by counter last).
@@ -126,8 +130,8 @@ pub fn recover(dir: &Path, mode: RecoverMode) -> Result<Recovery, JournalError> 
     Ok(out)
 }
 
-/// Truncates a torn segment at the first bad frame and syncs both the
-/// file and its directory, so the repair itself survives a crash. A
+/// Truncates a segment at the end of its last intact frame and syncs both
+/// the file and its directory, so the repair itself survives a crash. A
 /// torn-below-header file (offset 0) is removed outright — it never
 /// carried a valid header, so an empty husk would be corrupt on the
 /// next scan.
@@ -259,6 +263,38 @@ mod tests {
         let r2 = recover(&dir, RecoverMode::ReadOnly).unwrap();
         assert_eq!(r2.torn_tails, 0);
         assert_eq!(r2.records.len(), replayed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_tails_are_clean_ends_and_truncating_recovery_trims_them() {
+        let dir = fresh_dir("zero-tail");
+        // Two dead streams, each left by a crash (no close) with its active
+        // segment sized ahead of its frames.
+        let len = |path: &Path| std::fs::metadata(path).unwrap().len();
+        let mut paths = Vec::new();
+        for shard in 0..2 {
+            let mut w =
+                JournalWriter::open(&dir, 1, shard, 4096, FsyncPolicy::Never, None).unwrap();
+            for s in 1..=5 {
+                w.append(&rec("zeta", s));
+                w.commit().unwrap();
+            }
+            let path = dir.join(w.current_id().file_name());
+            assert_eq!(len(&path), 4096, "sized ahead");
+            paths.push(path);
+        }
+        let r = recover(&dir, RecoverMode::ReadOnly).unwrap();
+        assert_eq!(r.records.len(), 10);
+        assert_eq!((r.torn_tails, r.torn_bytes), (0, 0), "a zero tail is not torn");
+        assert!(paths.iter().all(|p| len(p) == 4096), "read-only leaves it");
+        let r = recover(&dir, RecoverMode::TruncateTornTails).unwrap();
+        assert_eq!((r.records.len(), r.torn_tails), (10, 0));
+        for path in &paths {
+            let id = SegmentId::parse(path.file_name().unwrap().to_str().unwrap()).unwrap();
+            let frames = read_segment_from(path, id, HEADER_LEN as u64, false).unwrap();
+            assert_eq!(frames.end, frames.len, "no file keeps a tail after boot");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

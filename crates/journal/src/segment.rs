@@ -31,6 +31,13 @@
 //! (epoch, shard) stream may legitimately end mid-frame (a torn write from
 //! a crash); [`read_segment_from`] distinguishes that tolerated torn tail
 //! from hard corruption in a sealed segment.
+//!
+//! The writer sizes the active segment ahead of its frames, so the last
+//! segment of a stream may also end in a *zero tail*: all-zero bytes from a
+//! frame boundary to the end of the file. A record payload is never empty,
+//! so a real frame never starts with a zero length prefix, and a tolerant
+//! read ends cleanly there. Sealed segments are trimmed, so in a strict
+//! read a zero tail is corruption.
 
 use crate::crc::crc32;
 use crate::frame::{self, Check, Reader};
@@ -143,8 +150,13 @@ pub struct SegmentFrames {
     /// Decoded records with their end offsets, in file (append) order.
     pub records: Vec<FramedRecord>,
     /// Byte offset of the first damaged/incomplete frame, if the scan
-    /// stopped early; `None` when the file parsed to its exact end.
+    /// stopped early; `None` when the file parsed to its exact end or to a
+    /// zero tail.
     pub torn_at: Option<u64>,
+    /// Byte offset just past the last intact frame (the start offset when
+    /// there is none): where a torn tail or a zero tail begins, `len` when
+    /// the file has neither.
+    pub end: u64,
     /// Total file length in bytes.
     pub len: u64,
 }
@@ -160,11 +172,17 @@ pub struct SegmentFrames {
 /// damage is a [`JournalError::Corrupt`] — the mode for sealed segments,
 /// which were completed and rotated away and have no business being torn.
 /// A damaged header is `Corrupt` in either mode, **unless** the file is so
-/// short the header itself is the torn tail (`torn_at = 0`, zero records).
+/// short, or all zeros, that the header itself is the torn tail
+/// (`torn_at = 0`, zero records).
+/// An all-zero remainder at a frame boundary (the sized-ahead tail of an
+/// active segment, see the module docs) ends a tolerant scan cleanly
+/// (`torn_at = None`) and is `Corrupt` in a strict one.
 /// An offset beyond the file end, or one that does not land on a frame
-/// boundary (the CRC framing detects this), is corruption, not tolerated
-/// tearing — a cursor the primary cannot serve must fail loudly so the
-/// replica falls back to a full resync.
+/// boundary, is corruption, not tolerated tearing — a cursor the primary
+/// cannot serve must fail loudly so the replica falls back to a full
+/// resync. Inside the frames the CRC framing detects a bad offset; one
+/// followed only by zeros is checked by walking the frames from the
+/// header, so a cursor inside a zero tail is refused too.
 ///
 /// # Errors
 ///
@@ -185,10 +203,11 @@ pub fn read_segment_from(
         })
     };
     if let Err(e) = check_header(&bytes, id) {
-        // A file shorter than one header can be a torn first write of the
+        // A file shorter than one header, or all zeros (sized ahead before
+        // its header reached the disk), can be a torn first write of the
         // active segment; a *wrong* header of full length cannot.
-        if tolerate_torn_tail && bytes.len() < HEADER_LEN {
-            return Ok(SegmentFrames { records: Vec::new(), torn_at: Some(0), len });
+        if tolerate_torn_tail && (bytes.len() < HEADER_LEN || bytes.iter().all(|&b| b == 0)) {
+            return Ok(SegmentFrames { records: Vec::new(), torn_at: Some(0), end: 0, len });
         }
         return match e {
             JournalError::Corrupt { reason, .. } => fail(0, reason),
@@ -201,9 +220,22 @@ pub fn read_segment_from(
             format!("start offset {start_offset} outside segment (len {len})"),
         );
     }
+    let zero_from = |pos: usize| bytes[pos..].iter().all(|&b| b == 0);
+    let start = start_offset as usize;
+    if start > HEADER_LEN && zero_from(start) && !is_frame_end(&bytes, start) {
+        return fail(start_offset, format!("start offset {start_offset} is not a frame end"));
+    }
     let mut records = Vec::new();
-    let mut pos = start_offset as usize;
+    let mut pos = start;
     while pos < bytes.len() {
+        // A real frame's length prefix is never zero, so this stops within
+        // four bytes anywhere but in a zero tail.
+        if zero_from(pos) {
+            if tolerate_torn_tail {
+                break;
+            }
+            return fail(pos as u64, "zero tail in a sealed segment".to_string());
+        }
         // A file can only end mid-frame, so Incomplete means the tail is
         // cut — inside the prefix or the payload.
         let damage = match frame::check(&bytes[pos..], MAX_FRAME_LEN) {
@@ -222,11 +254,24 @@ pub fn read_segment_from(
         // In tolerant mode any damage ends the scan (returning the intact
         // prefix); in strict mode it is a typed corruption error.
         if tolerate_torn_tail {
-            return Ok(SegmentFrames { records, torn_at: Some(pos as u64), len });
+            let end = pos as u64;
+            return Ok(SegmentFrames { records, torn_at: Some(end), end, len });
         }
         return fail(pos as u64, damage.to_string());
     }
-    Ok(SegmentFrames { records, torn_at: None, len })
+    Ok(SegmentFrames { records, torn_at: None, end: pos as u64, len })
+}
+
+/// True when whole frames walked from the header end exactly at `offset`.
+fn is_frame_end(bytes: &[u8], offset: usize) -> bool {
+    let mut pos = HEADER_LEN;
+    while pos < offset {
+        match frame::check(&bytes[pos..], MAX_FRAME_LEN) {
+            Check::Complete { next, .. } => pos += next,
+            _ => return false,
+        }
+    }
+    pos == offset
 }
 
 /// Lists the segment files in `dir`, sorted by `(epoch, shard, counter)`.
@@ -371,6 +416,80 @@ pub(crate) mod tests {
             read_segment(&path, id, false),
             Err(JournalError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn zero_tail_is_a_clean_end_only_in_tolerant_mode() {
+        let id = SegmentId { epoch: 1, shard: 0, counter: 0 };
+        let mut bytes = build_segment(id, 1..10);
+        let end = bytes.len() as u64;
+        bytes.resize(bytes.len() + 3000, 0);
+        let path = tmp("zero-tail.qdj");
+        std::fs::write(&path, &bytes).unwrap();
+        let got = read_segment_from(&path, id, HEADER_LEN as u64, true).unwrap();
+        assert_eq!(got.records.len(), 9);
+        assert_eq!(got.torn_at, None, "a zero tail is not a torn tail");
+        assert_eq!((got.end, got.len), (end, bytes.len() as u64));
+        // A sealed segment is trimmed: zeros there are damage.
+        assert!(matches!(
+            read_segment(&path, id, false),
+            Err(JournalError::Corrupt { offset, .. }) if offset == end
+        ));
+        // Shorter than a frame prefix is a zero tail too.
+        std::fs::write(&path, &bytes[..end as usize + 3]).unwrap();
+        let got = read_segment(&path, id, true).unwrap();
+        assert_eq!((got.records.len(), got.torn_at), (9, None));
+    }
+
+    #[test]
+    fn torn_frame_followed_by_zeros_is_still_a_torn_tail() {
+        let id = SegmentId { epoch: 1, shard: 0, counter: 0 };
+        let full = build_segment(id, 1..10);
+        let mut bytes = full[..full.len() - 5].to_vec();
+        bytes.resize(full.len() + 3000, 0);
+        let path = tmp("torn-zero-tail.qdj");
+        std::fs::write(&path, &bytes).unwrap();
+        let got = read_segment_from(&path, id, HEADER_LEN as u64, true).unwrap();
+        assert_eq!(got.records.len(), 8);
+        let last_end = got.records.last().unwrap().end_offset;
+        assert_eq!(got.torn_at, Some(last_end));
+        assert_eq!(got.end, last_end);
+    }
+
+    #[test]
+    fn cursor_inside_a_zero_tail_is_corrupt() {
+        let id = SegmentId { epoch: 1, shard: 0, counter: 0 };
+        let mut bytes = build_segment(id, 1..10);
+        let end = bytes.len() as u64;
+        bytes.resize(bytes.len() + 3000, 0);
+        let len = bytes.len() as u64;
+        let path = tmp("cursor-zero-tail.qdj");
+        std::fs::write(&path, &bytes).unwrap();
+        // At the last frame's end: nothing to ship, and no error.
+        let rest = read_segment_from(&path, id, end, true).unwrap();
+        assert!(rest.records.is_empty());
+        assert_eq!((rest.torn_at, rest.end), (None, end));
+        // Anywhere past it, up to and including EOF, or on the last
+        // record's zero flags byte (followed only by zeros too): typed
+        // corruption, so a replica resyncs instead of receiving nothing.
+        assert_eq!(bytes[end as usize - 1], 0, "the last record ends in a zero byte");
+        for bad in [end - 1, end + 1, end + 8, end + 1500, len] {
+            assert!(
+                matches!(read_segment_from(&path, id, bad, true), Err(JournalError::Corrupt { .. })),
+                "offset {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn all_zero_file_is_a_torn_first_write() {
+        let id = SegmentId { epoch: 1, shard: 0, counter: 0 };
+        let path = tmp("all-zero.qdj");
+        std::fs::write(&path, vec![0u8; 4096]).unwrap();
+        let got = read_segment_from(&path, id, HEADER_LEN as u64, true).unwrap();
+        assert!(got.records.is_empty());
+        assert_eq!((got.torn_at, got.end), (Some(0), 0));
+        assert!(matches!(read_segment(&path, id, false), Err(JournalError::Corrupt { .. })));
     }
 
     #[test]

@@ -8,6 +8,16 @@
 //! since the last commit, by any loop, lands as one buffered `write(2)`,
 //! and acks are released only after a commit that covers them returns.
 //! That is the WAL invariant: *acked ⊆ written*.
+//!
+//! The active segment is sized ahead of its writes: a commit that would
+//! pass the file's length first extends it with `set_len` (a sparse zero
+//! tail) towards the rotation threshold, at most [`GROW_STEP`] at a time.
+//! Every other commit overwrites zeros inside the file, so its sync is a
+//! `sync_data` that has no new length to journal. Sizing ahead stops at the
+//! threshold, so a segment rotates exactly [`SealedSegment::len`] long and
+//! is sealed with one `sync_all`; closing one trims its zero tail first.
+//! Only a crashed active segment ends in zeros, which
+//! [`crate::segment::read_segment_from`] reads as its end.
 
 use crate::segment::{encode_frame, encode_header, SegmentId, HEADER_LEN};
 use crate::{FsyncPolicy, JournalError, Record};
@@ -16,6 +26,10 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::Sender;
 use std::time::Instant;
+
+/// The most the active segment's length grows in one step. A constant, so
+/// an unbounded rotation threshold still leaves a small file.
+pub const GROW_STEP: u64 = 1 << 20;
 
 /// Notification that a segment was completed and rotated away. The
 /// compactor consumes these; a sealed segment is immutable from this
@@ -40,6 +54,8 @@ pub struct JournalWriter {
     path: PathBuf,
     /// Bytes in the current segment file (header included).
     written: u64,
+    /// The file's length: `written` plus the zero tail sized ahead of it.
+    len: u64,
     /// Rotation threshold in bytes.
     segment_bytes: u64,
     policy: FsyncPolicy,
@@ -63,7 +79,7 @@ impl JournalWriter {
         policy: FsyncPolicy,
         sealed_tx: Option<Sender<SealedSegment>>,
     ) -> Result<JournalWriter, JournalError> {
-        let (file, path) = open_segment_file(dir, epoch, shard, 0)?;
+        let (file, path) = open_segment_file(dir, epoch, shard, 0, policy)?;
         Ok(JournalWriter {
             dir: dir.to_path_buf(),
             epoch,
@@ -72,6 +88,7 @@ impl JournalWriter {
             file,
             path,
             written: HEADER_LEN as u64,
+            len: HEADER_LEN as u64,
             segment_bytes: segment_bytes.max(HEADER_LEN as u64 + 1),
             policy,
             last_sync: Instant::now(),
@@ -117,38 +134,48 @@ impl JournalWriter {
             return Ok(());
         }
         qdelay_telemetry::time_scope!(&crate::COMMIT_NS);
+        let end = self.written + self.buf.len() as u64;
+        if end > self.len {
+            let len = self.segment_bytes.min(self.len + GROW_STEP).max(end);
+            self.file.set_len(len).map_err(|e| JournalError::io(&self.path, e))?;
+            self.len = len;
+        }
         self.file
             .write_all(&self.buf)
             .map_err(|e| JournalError::io(&self.path, e))?;
-        self.written += self.buf.len() as u64;
+        self.written = end;
         crate::APPEND_BYTES.add(self.buf.len() as u64);
         crate::RECORDS.add(self.staged_records);
         crate::COMMITS.incr();
         self.buf.clear();
         self.staged_records = 0;
         self.dirty_since_sync = true;
+        if self.written >= self.segment_bytes {
+            // Sealing syncs data and metadata (policy permitting), which
+            // covers this commit.
+            return self.rotate();
+        }
         let sync_now = match self.policy {
             FsyncPolicy::Always => true,
             FsyncPolicy::Never => false,
             FsyncPolicy::Interval(d) => self.last_sync.elapsed() >= d,
         };
         if sync_now {
-            self.sync()?;
-        }
-        if self.written >= self.segment_bytes {
-            self.rotate()?;
+            self.sync(false)?;
         }
         Ok(())
     }
 
-    fn sync(&mut self) -> Result<(), JournalError> {
+    /// `sync_data` for a commit (a length it grew is one a read needs, so
+    /// `fdatasync` includes it); `sync_all` (`metadata`) once the file's
+    /// length is final.
+    fn sync(&mut self, metadata: bool) -> Result<(), JournalError> {
         if !self.dirty_since_sync {
             return Ok(());
         }
         qdelay_telemetry::time_scope!(&crate::FSYNC_NS);
-        self.file
-            .sync_all()
-            .map_err(|e| JournalError::io(&self.path, e))?;
+        let synced = if metadata { self.file.sync_all() } else { self.file.sync_data() };
+        synced.map_err(|e| JournalError::io(&self.path, e))?;
         crate::FSYNCS.incr();
         self.last_sync = Instant::now();
         self.dirty_since_sync = false;
@@ -157,10 +184,14 @@ impl JournalWriter {
 
     /// Seals the current segment and opens the next one. Sealed segments
     /// are synced to stable storage (unless the policy is `Never`), so
-    /// only the *active* segment of a stream can ever be torn.
+    /// only the *active* segment of a stream can ever be torn. Nor can a
+    /// sealed one end in zeros: sizing ahead stops at the threshold, and
+    /// the commit that reaches it ends at or past the file's length, so
+    /// the file is exactly `written` long here.
     fn rotate(&mut self) -> Result<(), JournalError> {
+        debug_assert_eq!(self.len, self.written);
         if self.policy != FsyncPolicy::Never {
-            self.sync()?;
+            self.sync(true)?;
         }
         let sealed = SealedSegment {
             id: self.current_id(),
@@ -168,10 +199,12 @@ impl JournalWriter {
             len: self.written,
         };
         self.counter += 1;
-        let (file, path) = open_segment_file(&self.dir, self.epoch, self.shard, self.counter)?;
+        let (file, path) =
+            open_segment_file(&self.dir, self.epoch, self.shard, self.counter, self.policy)?;
         self.file = file;
         self.path = path;
         self.written = HEADER_LEN as u64;
+        self.len = HEADER_LEN as u64;
         self.dirty_since_sync = false;
         crate::ROTATIONS.incr();
         if let Some(tx) = &self.sealed_tx {
@@ -182,21 +215,28 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Commits anything staged and syncs the active segment to disk.
-    /// Called on clean server shutdown.
+    /// Commits anything staged, trims the zero tail off the active segment
+    /// and syncs it to disk. Called on clean server shutdown.
     pub fn close(mut self) -> Result<(), JournalError> {
         self.commit()?;
-        self.sync()
+        if self.len > self.written {
+            self.file.set_len(self.written).map_err(|e| JournalError::io(&self.path, e))?;
+            self.dirty_since_sync = true;
+        }
+        self.sync(true)
     }
 }
 
 /// Creates a new segment file (must not already exist) and writes its
-/// header. Returns the open handle positioned after the header.
+/// header. Returns the open handle positioned after the header. Unless the
+/// policy is `Never`, the directory is synced so the new name is durable
+/// on its own: a commit's `sync_data` does not carry it.
 fn open_segment_file(
     dir: &Path,
     epoch: u64,
     shard: u32,
     counter: u64,
+    policy: FsyncPolicy,
 ) -> Result<(File, PathBuf), JournalError> {
     let path = dir.join(SegmentId { epoch, shard, counter }.file_name());
     let mut file = OpenOptions::new()
@@ -206,6 +246,9 @@ fn open_segment_file(
         .map_err(|e| JournalError::io(&path, e))?;
     file.write_all(&encode_header(epoch, shard))
         .map_err(|e| JournalError::io(&path, e))?;
+    if policy != FsyncPolicy::Never {
+        crate::atomic::sync_dir(dir)?;
+    }
     Ok((file, path))
 }
 
@@ -301,6 +344,65 @@ mod tests {
             }
         }
         assert_eq!(seqs, (1..=9).collect::<Vec<u64>>());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    #[test]
+    fn commits_within_one_step_leave_the_length_unchanged() {
+        let dir = fresh_dir("step");
+        let mut w =
+            JournalWriter::open(&dir, 1, 0, u64::MAX, FsyncPolicy::Always, None).unwrap();
+        let path = dir.join(w.current_id().file_name());
+        assert_eq!(file_len(&path), HEADER_LEN as u64, "an idle segment is not sized ahead");
+        let mut ends = Vec::new();
+        for s in 1..=200 {
+            ends.push(w.append(&rec(s)));
+            w.commit().unwrap();
+            // An unbounded threshold still grows one step, not to the threshold.
+            assert_eq!(file_len(&path), HEADER_LEN as u64 + GROW_STEP, "commit {s}");
+        }
+        // A crash now leaves a zero tail: a tolerant read ends there cleanly,
+        // a strict one calls it corruption.
+        let id = w.current_id();
+        let frames = crate::segment::read_segment_from(&path, id, HEADER_LEN as u64, true).unwrap();
+        assert_eq!(frames.records.len(), 200);
+        assert_eq!(frames.torn_at, None);
+        assert_eq!(frames.end, *ends.last().unwrap());
+        assert!(matches!(read_segment(&path, id, false), Err(JournalError::Corrupt { .. })));
+        w.close().unwrap();
+        assert_eq!(file_len(&path), *ends.last().unwrap(), "close trims the zero tail");
+        assert_eq!(read_segment(&path, id, false).unwrap().records.len(), 200);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rotated_segment_is_exactly_its_sealed_length() {
+        let dir = fresh_dir("trim");
+        let (tx, rx) = mpsc::channel();
+        let mut w =
+            JournalWriter::open(&dir, 1, 0, 4096, FsyncPolicy::Always, Some(tx)).unwrap();
+        let first = dir.join(w.current_id().file_name());
+        let mut seq = 0;
+        let sealed = loop {
+            seq += 1;
+            w.append(&rec(seq));
+            w.commit().unwrap();
+            if let Ok(sealed) = rx.try_recv() {
+                break sealed;
+            }
+            // Sized ahead to the threshold, never past it.
+            assert_eq!(file_len(&first), 4096, "commit {seq}");
+        };
+        assert_eq!(sealed.path, first);
+        assert!(sealed.len < 4096 + 100, "sealed at the commit that crossed the threshold");
+        assert_eq!(file_len(&sealed.path), sealed.len, "no zero tail past the threshold");
+        let got = read_segment(&sealed.path, sealed.id, false).unwrap();
+        assert_eq!(got.records.len(), seq as usize, "a sealed segment reads strictly");
+        w.close().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,7 +22,7 @@ use crate::hub::{ReplHub, Subscription};
 use crate::wire::{self, Cursor, Msg, ReplError, REPL_MAX_PAYLOAD};
 use crate::{CONNECTED, LAG_BYTES, LAG_RECORDS, RESYNCS, SHIPPED};
 use qdelay_journal::frame::{self, Check};
-use qdelay_journal::{read_segment_from, scan_dir, SegmentId, HEADER_LEN};
+use qdelay_journal::{read_segment_from, scan_dir, JournalError, SegmentId, HEADER_LEN};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -159,10 +159,11 @@ struct StreamPlan {
 /// Decides whether the replica's cursors let the primary skip the
 /// snapshot. Resume requires: at least one cursor, and for *every*
 /// on-disk `(epoch, shard)` stream a cursor pointing inside that stream
-/// (counter within the on-disk range, offsets `HEADER_LEN ..= file len`)
-/// with every later counter still present. Anything else — unknown
-/// streams, compacted-away positions, bogus offsets — falls back to a
-/// full resync, which is always correct.
+/// (counter within the on-disk range, an offset the segment reader
+/// accepts as a frame end) with every later counter still present.
+/// Anything else — unknown streams, compacted-away positions, bogus
+/// offsets past the file, off a frame boundary or inside a zero tail —
+/// falls back to a full resync, which is always correct.
 fn resume_plan(
     cursors: &[Cursor],
     segments: &[(SegmentId, PathBuf)],
@@ -193,20 +194,16 @@ fn resume_plan(
         }
         for (i, seg) in suffix.iter().enumerate() {
             let (id, path) = (seg.0, &seg.1);
+            let tolerant = i == suffix.len() - 1;
             let start = if id.counter == cursor.counter { cursor.offset } else { HEADER_LEN as u64 };
-            if start < HEADER_LEN as u64 {
-                return Ok(None);
+            if start != HEADER_LEN as u64 {
+                match read_segment_from(path, id, start, tolerant) {
+                    Ok(_) => {}
+                    Err(JournalError::Io { source, .. }) => return Err(ReplError::Io(source)),
+                    Err(JournalError::Corrupt { .. }) => return Ok(None),
+                }
             }
-            let len = std::fs::metadata(path).map_err(ReplError::Io)?.len();
-            if start > len {
-                return Ok(None);
-            }
-            plan.push(StreamPlan {
-                id,
-                path: path.clone(),
-                start,
-                tolerant: i == suffix.len() - 1,
-            });
+            plan.push(StreamPlan { id, path: path.clone(), start, tolerant });
         }
     }
     Ok(Some(plan))
@@ -441,6 +438,19 @@ mod tests {
         // Offset beyond the file → resync.
         let bogus = Cursor { epoch: 1, shard: 0, counter: 0, offset: 1 << 40 };
         assert!(resume_plan(&[bogus], &segments).unwrap().is_none());
+        // The active segment sized ahead: a cursor at its last frame's end
+        // resumes (shipping nothing); one inside the zero tail, even short
+        // of EOF, resyncs.
+        let (p1, ends1) = write_segment(&dir, id1, &[3]);
+        let at_end = Cursor { epoch: 1, shard: 0, counter: 1, offset: ends1[0] };
+        std::fs::OpenOptions::new().write(true).open(&p1).unwrap().set_len(4096).unwrap();
+        let plan = resume_plan(&[at_end], &segments).unwrap().expect("resumable");
+        let p = &plan[0];
+        assert!(read_segment_from(&p.path, p.id, p.start, p.tolerant).unwrap().records.is_empty());
+        for offset in [ends1[0] + 1, 4000, 4096] {
+            let zeros = Cursor { offset, ..at_end };
+            assert!(resume_plan(&[zeros], &segments).unwrap().is_none(), "offset {offset}");
+        }
         // A second on-disk stream with no cursor → resync.
         let id_other = SegmentId { epoch: 1, shard: 1, counter: 0 };
         write_segment(&dir, id_other, &[1]);

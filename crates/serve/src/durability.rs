@@ -299,15 +299,24 @@ pub(crate) fn replace_with_snapshot(
 /// Updates the `journal.segments` / `journal.live_bytes` gauges from the
 /// directory's current contents.
 pub(crate) fn refresh_disk_gauges(dir: &Path) -> Result<(), JournalError> {
+    let (count, bytes) = disk_usage(dir)?;
+    journal::LIVE_SEGMENTS.set(count);
+    journal::LIVE_BYTES.set(bytes);
+    Ok(())
+}
+
+/// The segment files in `dir` and the bytes they hold on disk: the blocks
+/// allocated to each × 512, not its length, because an active segment is
+/// sized ahead of its frames and its sparse zero tail holds nothing.
+fn disk_usage(dir: &Path) -> Result<(u64, u64), JournalError> {
+    use std::os::unix::fs::MetadataExt as _;
     let mut count = 0u64;
     let mut bytes = 0u64;
     for (_, path) in journal::scan_dir(dir)? {
         count += 1;
-        bytes += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        bytes += std::fs::metadata(&path).map(|m| m.blocks() * 512).unwrap_or(0);
     }
-    journal::LIVE_SEGMENTS.set(count);
-    journal::LIVE_BYTES.set(bytes);
-    Ok(())
+    Ok((count, bytes))
 }
 
 pub(crate) fn journal_to_io(e: JournalError) -> io::Error {
@@ -403,6 +412,23 @@ mod tests {
         }
         w.commit().unwrap();
         w.close().unwrap();
+    }
+
+    #[test]
+    fn live_bytes_counts_allocated_blocks_not_the_sized_ahead_length() {
+        let dir = fresh_dir("live-bytes");
+        let mut w = JournalWriter::open(&dir, 1, 0, u64::MAX, FsyncPolicy::Never, None).unwrap();
+        for s in 1..=10 {
+            w.append(&record_for(key(), s, wait(s), None, None));
+        }
+        w.commit().unwrap();
+        let len = std::fs::metadata(dir.join(w.current_id().file_name())).unwrap().len();
+        assert!(len > 1 << 20, "sized ahead: {len}");
+        let (count, bytes) = disk_usage(&dir).unwrap();
+        assert_eq!(count, 1);
+        assert!(bytes < 64 << 10, "{bytes} bytes on disk for a {len}-byte segment");
+        w.close().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The oracle: a single partition fed seqs 1..=n directly.

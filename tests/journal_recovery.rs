@@ -169,20 +169,26 @@ fn crash_image_recovers_bit_identical_prefix_at_arbitrary_truncations() {
     client.shutdown().unwrap();
     server.join().unwrap();
 
-    // Find the image's active (highest-id) segment and its length.
+    // Find the image's active (highest-id) segment, its length and where
+    // its frames end: the writer sizes it ahead, so a zero tail follows.
     let segments = journal::scan_dir(&image).unwrap();
     assert!(segments.len() >= 2, "need rotation in the crash image");
-    let (_, active_path) = segments.last().unwrap();
+    let (active_id, active_path) = segments.last().unwrap();
     let active_len = std::fs::metadata(active_path).unwrap().len();
+    let written =
+        journal::read_segment_from(active_path, *active_id, journal::HEADER_LEN as u64, true)
+            .unwrap()
+            .end;
+    assert!(written < active_len, "the active segment is sized ahead of its frames");
 
-    // Arbitrary kill offsets: a seeded LCG spread over the active segment,
-    // plus the edge cases (0 = killed at file creation, full length = no
-    // tear at all).
-    let mut offsets: Vec<u64> = vec![0, 1, active_len];
+    // Arbitrary kill offsets: a seeded LCG spread over the written frames,
+    // plus the edge cases (0 = killed at file creation, the written end =
+    // no tear, full length = no tear and the whole zero tail).
+    let mut offsets: Vec<u64> = vec![0, 1, written, active_len];
     let mut x = 0x2545_f491_4f6c_dd1du64;
     for _ in 0..12 {
         x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        offsets.push(x % active_len);
+        offsets.push(x % written);
     }
 
     for (case, cut) in offsets.into_iter().enumerate() {
@@ -214,6 +220,95 @@ fn crash_image_recovers_bit_identical_prefix_at_arbitrary_truncations() {
 
     let _ = std::fs::remove_dir_all(&live);
     let _ = std::fs::remove_dir_all(&image);
+}
+
+const KILL9_CHILD_ENV: &str = "QDELAY_JOURNAL_KILL9_CHILD";
+
+/// Child half of the SIGKILL check: an `--fsync always` server on the
+/// journal directory named by the environment, in its own process, parked
+/// until the parent kills it or shuts it down. Runs only when re-exec'd; as
+/// a normal test it is a no-op.
+#[test]
+fn kill9_child_fsync_always_server() {
+    let Ok(dir) = std::env::var(KILL9_CHILD_ENV) else { return };
+    let mut cfg = config(Path::new(&dir), 4096, u64::MAX);
+    cfg.journal.as_mut().unwrap().fsync = FsyncPolicy::Always;
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    println!("CHILD_READY {}", server.local_addr());
+    server.join().unwrap();
+}
+
+/// Starts [`kill9_child_fsync_always_server`] on `dir` and returns it with
+/// the address it serves on.
+fn spawn_child(dir: &Path) -> (std::process::Child, String) {
+    use std::io::BufRead as _;
+    let mut child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["kill9_child_fsync_always_server", "--exact", "--nocapture"])
+        .env(KILL9_CHILD_ENV, dir)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut out = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert!(out.read_line(&mut line).unwrap() > 0, "child exited before CHILD_READY");
+        // libtest prints the test name with no newline before the body
+        // runs: search, don't prefix-match.
+        if let Some(pos) = line.find("CHILD_READY ") {
+            break line[pos + "CHILD_READY ".len()..].split_whitespace().next().unwrap().to_string();
+        }
+    };
+    // Keep the pipe open, so the child's last lines do not hit EPIPE.
+    child.stdout = Some(out.into_inner());
+    (child, addr)
+}
+
+/// A SIGKILLed `--fsync always` server leaves its active segment sized
+/// ahead of its frames, ending in zeros. The next boot reads the zero tail
+/// as a clean end, not a torn tail, and serves exactly the acked history.
+#[test]
+fn sigkilled_fsync_always_server_leaves_a_zero_tail_that_boots_clean() {
+    let dir = fresh_dir("kill9-zero-tail");
+    let (mut child, addr) = spawn_child(&dir);
+    let mut client = Client::connect(addr.as_str()).unwrap();
+    let events = drive(&mut client, 0, 150);
+    child.kill().unwrap(); // SIGKILL: no close, so nothing trims the active segment
+    child.wait().unwrap();
+
+    let segments = journal::scan_dir(&dir).unwrap();
+    assert!(segments.len() >= 2, "need rotation: sealed segments are exact");
+    for (i, (id, path)) in segments.iter().enumerate() {
+        let len = std::fs::metadata(path).unwrap().len();
+        let active = i == segments.len() - 1;
+        let frames =
+            journal::read_segment_from(path, *id, journal::HEADER_LEN as u64, active).unwrap();
+        assert_eq!(frames.torn_at, None, "{}", id.file_name());
+        if active {
+            assert_eq!(len, 4096, "the active segment is sized to the threshold");
+            assert!(frames.end < len, "and ends in zeros");
+        } else {
+            assert_eq!(frames.end, len, "a sealed segment is trimmed");
+        }
+    }
+
+    let (mut child, addr) = spawn_child(&dir);
+    let mut c = Client::connect(addr.as_str()).unwrap();
+    let stats = c.stats().unwrap();
+    let counter = |name: &str| {
+        stats.get("telemetry").and_then(|t| t.get("counters")).and_then(|c| c.get(name)).cloned()
+    };
+    // With telemetry compiled in, the boot counted what it replayed, and
+    // a counter never incremented is absent.
+    if let Some(replayed) = counter("journal.recovery.records") {
+        assert_eq!(replayed.as_f64(), Some(events.len() as f64));
+        assert!(counter("journal.torn_tails").is_none(), "a zero tail is not a torn tail");
+    }
+    assert_eq!(observations(&mut c) as usize, events.len(), "every ack survives");
+    assert_matches_oracle(&mut c, &events, events.len());
+    c.shutdown().unwrap();
+    child.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Graceful restarts through the journal directory: state carries across
