@@ -16,7 +16,8 @@
 //! [`KFactorCache`] tabulates the exact range once per process and switches
 //! to the asymptotic expansion above a configurable size, which is what the
 //! predictors use in the hot path. As in the paper, the served 95/95 table
-//! ships as a committed constant, so no process pays its root-finds.
+//! ships as a committed constant, so no process pays its root-finds; its
+//! normal quantile ships beside it, so no 95/95 cache runs `Phi^-1` either.
 
 use crate::noncentral_t::NonCentralT;
 use crate::normal::std_normal_quantile;
@@ -141,6 +142,12 @@ const PAPER_K_FACTOR_BITS: [u64; 99] = [
     0x3ffed31a66d6c7c8, // n = 100: 1.9265388505123031
 ];
 
+/// `std_normal_quantile(0.95)` as an `f64` bit pattern (1.6448536269514726):
+/// both `z_q` and `z_C` of the served spec, so a 95/95 [`KFactorCache`]
+/// resolves its expansion inputs without running `Phi^-1`. A unit test pins
+/// it to the function.
+const PAPER_Z_BITS: u64 = 0x3ffa515209676abd;
+
 /// [`PAPER_K_FACTOR_BITS`] as values, `PAPER_K_FACTORS[i] == k(i + 2)`.
 static PAPER_K_FACTORS: [f64; 99] = from_bits(PAPER_K_FACTOR_BITS);
 
@@ -182,9 +189,12 @@ pub fn one_sided_k_factor(n: usize, q: f64, confidence: f64) -> Result<f64, Dist
 /// Asymptotic (large-`n`) one-sided tolerance factor.
 ///
 /// Uses the standard expansion `k ~ (z_q + sqrt(z_q^2 - a b)) / a` with
-/// `a = 1 - z_C^2 / (2(n-1))` and `b = z_q^2 - z_C^2 / n`. Relative error
-/// versus the exact factor is below `2e-3` for `n >= 100` and below `2e-4`
-/// for `n >= 2000` (verified in tests).
+/// `a = 1 - z_C^2 / (2(n-1))` and `b = z_q^2 - z_C^2 / n`. Its error has a
+/// sign: at 95/95 the expansion sits *below* the exact factor at every `n`
+/// sampled in `[101, 5000]`, by up to 0.16 % at `n = 101`, so a bound built
+/// on it is slightly liberal there (ROADMAP item 1 owns the fix). The
+/// relative error is below `2e-3` for `n >= 100` and below `2e-4` for
+/// `n >= 2000` (verified in tests).
 ///
 /// # Errors
 ///
@@ -197,9 +207,28 @@ pub fn one_sided_k_factor_approx(
     confidence: f64,
 ) -> Result<f64, DistributionError> {
     validate(n, q, confidence)?;
+    expansion(
+        n,
+        q,
+        confidence,
+        std_normal_quantile(q),
+        std_normal_quantile(confidence),
+    )
+}
+
+/// The expansion of [`one_sided_k_factor_approx`] from resolved normal
+/// quantiles `zq = Phi^-1(q)` and `zc = Phi^-1(confidence)`: the one code
+/// path behind the free function and [`KFactorCache::k_factor`]. `q` and
+/// `confidence` only name the spec in the degenerate error; the caller has
+/// validated them.
+fn expansion(
+    n: usize,
+    q: f64,
+    confidence: f64,
+    zq: f64,
+    zc: f64,
+) -> Result<f64, DistributionError> {
     let nf = n as f64;
-    let zq = std_normal_quantile(q);
-    let zc = std_normal_quantile(confidence);
     let a = 1.0 - zc * zc / (2.0 * (nf - 1.0));
     let b = zq * zq - zc * zc / nf;
     let disc = zq * zq - a * b;
@@ -229,9 +258,14 @@ fn validate(n: usize, q: f64, confidence: f64) -> Result<(), DistributionError> 
 ///
 /// Exact values are computed and cached for `n` up to
 /// [`KFactorCache::exact_limit`]; larger samples use the asymptotic
-/// expansion, whose error is negligible there. This is the form the
-/// log-normal predictor uses: it refits on every epoch, with `n` growing by
-/// a few jobs each time, so memoization by `n` removes nearly all cost.
+/// expansion, which runs slightly *below* the exact factor there (up to
+/// 0.16 % at `n = 101` for 95/95, so the served bound is slightly liberal;
+/// ROADMAP item 1). The expansion's two normal quantiles are constants of
+/// the spec, resolved once when the cache is made — for 95/95 from a
+/// committed constant — so a lookup past the exact range costs a few
+/// arithmetic operations. This is the form the log-normal predictor uses:
+/// it refits on every epoch, with `n` growing by a few jobs each time, so
+/// memoization by `n` removes nearly all cost.
 ///
 /// # Examples
 ///
@@ -247,6 +281,9 @@ fn validate(n: usize, q: f64, confidence: f64) -> Result<(), DistributionError> 
 pub struct KFactorCache {
     q: f64,
     confidence: f64,
+    /// `Phi^-1(q)` and `Phi^-1(confidence)`, the expansion's inputs.
+    zq: f64,
+    zc: f64,
     exact_limit: usize,
     /// Exact factors, `exact[i] == k(i + 2)`; `None` until the first exact
     /// request adopts (or computes) the table for this spec.
@@ -259,13 +296,18 @@ pub struct KFactorCache {
 impl KFactorCache {
     /// Default crossover from exact to asymptotic evaluation. The
     /// asymptotic expansion is within 2e-3 relative error of the exact
-    /// factor from n = 100 on (verified in tests), which is far below the
-    /// sampling noise of any quantile estimate at that size, while exact
-    /// evaluation costs ~10^6 floating-point operations (about 2 ms) per
-    /// factor.
+    /// factor from n = 100 on (verified in tests), while exact evaluation
+    /// costs ~10^6 floating-point operations (about 2 ms) per factor. The
+    /// error is one-sided, not noise: at 95/95 the expansion is below the
+    /// exact factor at every sampled `n` in `[101, 5000]`, by up to 0.16 %
+    /// at `n = 101`, so the served bound just past this limit is slightly
+    /// liberal (ROADMAP item 1 owns the fix).
     pub const DEFAULT_EXACT_LIMIT: usize = 100;
 
-    /// Creates a cache for the given quantile and confidence level.
+    /// Creates a cache for the given quantile and confidence level,
+    /// resolving the expansion's `Phi^-1(q)` and `Phi^-1(confidence)` once:
+    /// the served 95/95 spec reads them from a committed constant, any
+    /// other spec computes them here.
     ///
     /// # Errors
     ///
@@ -273,9 +315,17 @@ impl KFactorCache {
     /// `(0, 1)`.
     pub fn new(q: f64, confidence: f64) -> Result<Self, DistributionError> {
         validate(2, q, confidence)?;
+        let (zq, zc) = if (q, confidence) == (0.95, 0.95) {
+            let z = f64::from_bits(PAPER_Z_BITS);
+            (z, z)
+        } else {
+            (std_normal_quantile(q), std_normal_quantile(confidence))
+        };
         Ok(Self {
             q,
             confidence,
+            zq,
+            zc,
             exact_limit: Self::DEFAULT_EXACT_LIMIT,
             exact: None,
             computed: false,
@@ -331,16 +381,19 @@ impl KFactorCache {
     /// [`exact_walk`] and published in a process-wide registry keyed by
     /// `(q, C, exact_limit)`; every other cache with the same spec adopts
     /// it instead of recomputing, so per-partition predictors cost O(1) to
-    /// warm no matter how many partitions a process holds.
+    /// warm no matter how many partitions a process holds. Past the exact
+    /// range the factor is the expansion of [`one_sided_k_factor_approx`],
+    /// bit for bit, from the quantiles this cache resolved when it was made.
     ///
     /// # Errors
     ///
-    /// Returns [`DistributionError`] if `n < 2`.
+    /// Returns [`DistributionError`] if `n < 2`, or if the expansion
+    /// degenerates (see [`one_sided_k_factor_approx`]).
     pub fn k_factor(&mut self, n: usize) -> Result<f64, DistributionError> {
-        if n > self.exact_limit {
-            return one_sided_k_factor_approx(n, self.q, self.confidence);
-        }
         validate(n, self.q, self.confidence)?;
+        if n > self.exact_limit {
+            return expansion(n, self.q, self.confidence, self.zq, self.zc);
+        }
         let table = match self.exact {
             Some(table) => table,
             None => self.adopt_exact()?,
@@ -539,6 +592,44 @@ mod tests {
         assert_eq!(second.k_factor(7).unwrap().to_bits(), k.to_bits());
         assert!(!second.computed_exact_table());
         assert_eq!(second.memoized_len(), 11);
+    }
+
+    #[test]
+    fn committed_paper_z_is_the_normal_quantile() {
+        assert_eq!(PAPER_Z_BITS, std_normal_quantile(0.95).to_bits());
+    }
+
+    #[test]
+    fn cache_expansion_is_the_free_expansion_bit_for_bit() {
+        // (0.9, 0.99) has q != C, so a swap of z_q and z_C shows there.
+        let specs = [(0.95, 0.95), (0.05, 0.95), (0.5, 0.95), (0.75, 0.95), (0.9, 0.99)];
+        let sizes = (101..=100_000).chain((100_000..=10_000_000).step_by(997));
+        for (q, c) in specs {
+            let mut cache = KFactorCache::new(q, c).unwrap();
+            for n in sizes.clone() {
+                let free = one_sided_k_factor_approx(n, q, c).unwrap();
+                assert_eq!(
+                    cache.k_factor(n).unwrap().to_bits(),
+                    free.to_bits(),
+                    "q={q}, C={c}, n={n}"
+                );
+            }
+            assert_eq!(cache.memoized_len(), 0, "no exact table was needed");
+        }
+    }
+
+    #[test]
+    fn cache_expansion_degenerates_with_the_free_error() {
+        // z_C ~ 7.03, so a = 1 - z_C^2 / (2(n-1)) <= 0 up to n = 25.
+        let (q, c) = (0.9, 1.0 - 1e-12);
+        let mut cache = KFactorCache::new(q, c).unwrap().with_exact_limit(2);
+        for n in [3usize, 10, 25] {
+            let err = cache.k_factor(n).unwrap_err();
+            assert_eq!(err.kind(), crate::DistributionErrorKind::Numerical);
+            assert_eq!(Err(err), one_sided_k_factor_approx(n, q, c), "n={n}");
+        }
+        let free = one_sided_k_factor_approx(30, q, c).unwrap();
+        assert_eq!(cache.k_factor(30).unwrap().to_bits(), free.to_bits());
     }
 
     #[test]
