@@ -32,9 +32,10 @@ fn main() {
     .map(|s| s.to_string())
     .collect();
 
+    let profiles = catalog::paper_catalog();
+    let traces = synth::generate_catalog(&profiles, &settings);
     let mut rows = Vec::new();
-    for profile in catalog::paper_catalog() {
-        let trace = synth::generate(&profile, &settings);
+    for (profile, trace) in profiles.iter().zip(&traces) {
         let s = trace.summary().expect("every catalog trace has >= 2 jobs");
         rows.push(vec![
             profile.machine.to_string(),

@@ -77,6 +77,19 @@ pub trait QuantilePredictor {
 
     /// Recomputes the served prediction from the current history (the
     /// paper's periodic "refit" epoch).
+    ///
+    /// A refit is a pure function of the state the other mutators leave:
+    /// one with no [`observe`], [`record_outcome`] or [`finish_training`]
+    /// since the previous refit leaves [`current_bound`] and all later
+    /// behaviour unchanged. The replay harness relies on this to skip the
+    /// epochs in which no job started. Every implementation here meets it:
+    /// a repeated refit is a same-`n` memo hit, so it leaves no index or
+    /// K-factor memo behind either.
+    ///
+    /// [`observe`]: QuantilePredictor::observe
+    /// [`record_outcome`]: QuantilePredictor::record_outcome
+    /// [`finish_training`]: QuantilePredictor::finish_training
+    /// [`current_bound`]: QuantilePredictor::current_bound
     fn refit(&mut self);
 
     /// The prediction currently being served.
@@ -89,6 +102,11 @@ pub trait QuantilePredictor {
     /// Signals the end of the training period, letting the predictor
     /// calibrate (e.g. the consecutive-miss threshold from training
     /// autocorrelation) and produce its first real prediction.
+    ///
+    /// It must leave [`current_bound`](QuantilePredictor::current_bound)
+    /// current, as a [`refit`](QuantilePredictor::refit) would: the replay
+    /// harness counts it as a refit and skips the next one if no job starts
+    /// in between. An override that only calibrates must refit as well.
     fn finish_training(&mut self) {
         self.refit();
     }
@@ -149,6 +167,84 @@ mod tests {
         }
         assert_eq!(predictors[0].name(), "bmbp");
         assert!(predictors[2].current_bound().value().is_some());
+    }
+
+    /// The contract on [`QuantilePredictor::refit`]: a seeded random
+    /// schedule of observes, outcomes (with bursts of misses, so trimming
+    /// predictors trim), `finish_training` calls and refits, applied to two
+    /// twins of which one refits 0–2 extra times after every refit and
+    /// `finish_training` — before the next change. Both must serve the same
+    /// bound, bit for bit, after every step.
+    fn assert_extra_refits_change_nothing<P: QuantilePredictor>(make: impl Fn() -> P) -> P {
+        use qdelay_rng::{Rng, StdRng};
+        let bits = |p: &P| match p.current_bound() {
+            BoundOutcome::Bound(v) => Ok(v.to_bits()),
+            BoundOutcome::InsufficientHistory { needed } => Err(needed),
+        };
+        let (mut plain, mut eager) = (make(), make());
+        for seed in 1..=4u64 {
+            let mut ops = StdRng::seed_from_u64(seed);
+            let mut extra = StdRng::seed_from_u64(!seed);
+            let (mut level, mut missing) = (100.0f64, false);
+            for step in 0..2_500 {
+                if ops.gen_bool(0.01) {
+                    level = 10.0 + 5_000.0 * ops.gen_f64();
+                }
+                if ops.gen_bool(0.03) {
+                    missing = !missing;
+                }
+                let roll = ops.gen_f64();
+                let refit = roll >= 0.85;
+                if roll < 0.55 {
+                    let wait = (level * -ops.gen_f64_open().ln()).floor();
+                    plain.observe(wait);
+                    eager.observe(wait);
+                } else if roll < 0.85 {
+                    let predicted = plain.current_bound().value().unwrap_or(level);
+                    let actual = if missing {
+                        predicted * 2.0 + 1.0
+                    } else {
+                        level * ops.gen_f64()
+                    };
+                    plain.record_outcome(predicted, actual);
+                    eager.record_outcome(predicted, actual);
+                } else if roll < 0.98 {
+                    plain.refit();
+                    eager.refit();
+                } else {
+                    plain.finish_training();
+                    eager.finish_training();
+                }
+                for _ in 0..if refit { extra.gen_range(0..3) } else { 0 } {
+                    eager.refit();
+                }
+                assert_eq!(bits(&plain), bits(&eager), "{} seed {seed} step {step}", plain.name());
+                assert_eq!(plain.history_len(), eager.history_len());
+            }
+        }
+        plain
+    }
+
+    #[test]
+    fn an_extra_refit_changes_nothing() {
+        use bmbp::{Bmbp, BmbpConfig};
+        use lognormal::{LogNormalConfig, LogNormalPredictor};
+        for method in [BoundMethod::Auto, BoundMethod::Exact] {
+            let p = assert_extra_refits_change_nothing(|| {
+                Bmbp::new(BmbpConfig {
+                    method,
+                    ..BmbpConfig::default()
+                })
+            });
+            assert!(p.trims() > 0, "the schedule must exercise {method:?} trims");
+        }
+        assert_extra_refits_change_nothing(|| LogNormalPredictor::new(LogNormalConfig::no_trim()));
+        let p = assert_extra_refits_change_nothing(|| LogNormalPredictor::new(LogNormalConfig::trim()));
+        assert!(p.trims() > 0, "the schedule must exercise log-normal trims");
+        assert_extra_refits_change_nothing(baseline::MaxObservedPredictor::new);
+        assert_extra_refits_change_nothing(|| {
+            baseline::EmpiricalQuantilePredictor::new(BoundSpec::paper_default())
+        });
     }
 
     #[test]

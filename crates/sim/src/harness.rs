@@ -13,10 +13,15 @@
 //! With `epoch_secs = 0` the predictor refits before every arrival — the
 //! paper's "likely unrealizable" per-job-update deployment, kept as an
 //! ablation (§5.1 reports its effect is minimal).
+//!
+//! A refit that no start has preceded since the last one is skipped: it
+//! would serve the same bound (the contract on
+//! [`QuantilePredictor::refit`]). Most epochs are such: on the Table 1
+//! catalog about one epoch in six has a start since the last refit.
 
 use qdelay_predict::QuantilePredictor;
 use qdelay_telemetry::{time_scope, Counter, LatencyHistogram, Span};
-use qdelay_trace::{JobRecord, Trace};
+use qdelay_trace::Trace;
 
 /// Per-refit latency, split by predictor so tail regressions in one method
 /// can't hide behind another's volume. Resolved once per [`run`], sampled
@@ -31,7 +36,9 @@ static REFIT_NS_OTHER: LatencyHistogram = LatencyHistogram::new("sim.refit_ns.ot
 static JOBS_REPLAYED: Counter = Counter::new("sim.jobs_replayed");
 /// Result-phase arrivals that were actually served a bound.
 static PREDICTIONS_SERVED: Counter = Counter::new("sim.predictions_served");
-/// Epoch refits fired (excludes the per-arrival refits of `epoch_secs = 0`).
+/// Epochs elapsed (excludes the per-arrival refits of `epoch_secs = 0`).
+/// An epoch refits only if the predictor changed since its last refit, so
+/// this counts epochs, not refits.
 static EPOCHS: Counter = Counter::new("sim.epochs");
 /// Wall-clock of whole replay runs (jobs/sec = jobs_replayed / replay_ns).
 static REPLAY_NS: LatencyHistogram = LatencyHistogram::new("sim.replay_ns");
@@ -52,8 +59,10 @@ fn refit_histogram(name: &str) -> &'static LatencyHistogram {
 /// Harness configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HarnessConfig {
-    /// Seconds of virtual time between predictor refits (paper: 300).
-    /// Zero means "refit before every arrival".
+    /// Seconds of virtual time between refit epochs (paper: 300). Zero
+    /// means "refit before every arrival". Either way a refit runs only if
+    /// a job started since the last one: otherwise the bound it would serve
+    /// is the one already served.
     pub epoch_secs: f64,
     /// Leading fraction of jobs used for training (paper: 0.10).
     pub training_fraction: f64,
@@ -160,14 +169,16 @@ impl Event {
 }
 
 /// Every job's arrival and start, in sweep order. Arrivals are already in
-/// order (the caller asserts it), so only the starts are sorted — ties by
-/// job index — and the two are merged on the fly.
-fn merged_events(jobs: &[JobRecord]) -> impl Iterator<Item = Event> + '_ {
-    let mut starts: Vec<(f64, usize)> =
-        jobs.iter().enumerate().map(|(i, j)| (j.start_time(), i)).collect();
-    assert!(starts.iter().all(|(t, _)| !t.is_nan()), "finite event times");
-    starts.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut starts = starts.into_iter().peekable();
+/// order (the caller asserts it) and starts walk the trace's cached
+/// [`Trace::start_order`] (ties by job index; it asserts no start time is
+/// NaN); the two are merged on the fly.
+fn merged_events(trace: &Trace) -> impl Iterator<Item = Event> + '_ {
+    let jobs = trace.jobs();
+    let mut starts = trace
+        .start_order()
+        .iter()
+        .map(|&idx| (jobs[idx as usize].start_time(), idx as usize))
+        .peekable();
     let mut arrivals = jobs.iter().map(|j| j.submit as f64).enumerate().peekable();
     std::iter::from_fn(move || match (starts.peek(), arrivals.peek()) {
         (Some(&(start, idx)), Some(&(_, arrival))) if start <= arrival => {
@@ -222,27 +233,32 @@ pub fn run(
     let mut next_sample = config.sample.map(|w| w.start);
     let mut arrivals_seen = 0usize;
     // Global-counter traffic is batched in locals and flushed once per run:
-    // the event loop runs up to ~10 refits per job, and even one relaxed
+    // the event loop passes a few epochs per job, and even one relaxed
     // `fetch_add` per event is measurable against a ~40 ns incremental refit.
     let mut refit_tick: u32 = 0;
     let mut epochs: u64 = 0;
     let mut predictions_served: u64 = 0;
+    // Whether the predictor may have changed since its last refit: set by
+    // every start, cleared by every refit and by `finish_training`, which
+    // must leave the bound as current as a refit would (its contract on
+    // `QuantilePredictor`). A refit while it is clear would serve the same
+    // bound (the contract on `QuantilePredictor::refit`), so it is skipped.
+    // It starts set because a predictor may be handed over with history it
+    // has not refit on.
+    let mut stale = true;
     let mut trained = training_jobs == 0;
     if trained {
         predictor.finish_training();
+        stale = false;
     }
 
-    for ev in merged_events(jobs) {
+    for ev in merged_events(trace) {
         let now = ev.time();
         // Fire any epochs due before this event.
         if let Some(epoch) = next_epoch {
             let mut epoch = epoch;
             while epoch <= now {
-                {
-                    let _refit_span =
-                        Span::enter_sampled(refit_ns, &mut refit_tick, REFIT_SAMPLE_MASK);
-                    predictor.refit();
-                }
+                refit_if_stale(predictor, &mut stale, refit_ns, &mut refit_tick);
                 epochs += 1;
                 record_samples(&mut next_sample, &config.sample, epoch, predictor, &mut samples);
                 epoch += config.epoch_secs;
@@ -256,16 +272,16 @@ pub fn run(
                 if let Some(predicted) = served[idx] {
                     predictor.record_outcome(predicted, actual);
                 }
+                stale = true;
             }
             Event::Arrival(_, idx) => {
                 if config.epoch_secs == 0.0 {
-                    let _refit_span =
-                        Span::enter_sampled(refit_ns, &mut refit_tick, REFIT_SAMPLE_MASK);
-                    predictor.refit();
+                    refit_if_stale(predictor, &mut stale, refit_ns, &mut refit_tick);
                 }
                 arrivals_seen += 1;
                 if !trained && arrivals_seen > training_jobs {
                     predictor.finish_training();
+                    stale = false;
                     trained = true;
                 }
                 if trained {
@@ -290,11 +306,7 @@ pub fn run(
             if t > w.end {
                 break;
             }
-            {
-                let _refit_span =
-                    Span::enter_sampled(refit_ns, &mut refit_tick, REFIT_SAMPLE_MASK);
-                predictor.refit();
-            }
+            refit_if_stale(predictor, &mut stale, refit_ns, &mut refit_tick);
             samples.push(BoundSample {
                 time: t,
                 bound: predictor.current_bound().value(),
@@ -312,6 +324,20 @@ pub fn run(
         training_jobs,
         records,
         samples,
+    }
+}
+
+/// Refits `predictor` if `stale`, clearing it, and times one refit in
+/// [`REFIT_SAMPLE_MASK`]` + 1`.
+fn refit_if_stale(
+    predictor: &mut dyn QuantilePredictor,
+    stale: &mut bool,
+    refit_ns: &'static LatencyHistogram,
+    refit_tick: &mut u32,
+) {
+    if std::mem::take(stale) {
+        let _refit_span = Span::enter_sampled(refit_ns, refit_tick, REFIT_SAMPLE_MASK);
+        predictor.refit();
     }
 }
 
@@ -340,6 +366,7 @@ mod tests {
     use super::*;
     use qdelay_predict::baseline::MaxObservedPredictor;
     use qdelay_predict::bmbp::Bmbp;
+    use qdelay_trace::JobRecord;
 
     /// A trace with constant inter-arrival gap and fixed waits.
     fn uniform_trace(n: usize, gap: u64, wait: f64) -> Trace {
@@ -530,7 +557,148 @@ mod tests {
             let is_arrival = |e: &Event| matches!(e, Event::Arrival(..));
             a.time().total_cmp(&b.time()).then(is_arrival(a).cmp(&is_arrival(b)))
         });
-        assert_eq!(merged_events(t.jobs()).collect::<Vec<_>>(), sorted);
+        assert_eq!(merged_events(&t).collect::<Vec<_>>(), sorted);
+    }
+
+    /// Counts the refits `run` asks for, and checks each is owed: the
+    /// wrapper is dirty from any change until the next refit or
+    /// `finish_training`, and at the start (a handed-over predictor may
+    /// not have refit on its history).
+    struct Counting<P> {
+        inner: P,
+        dirty: bool,
+        refits: usize,
+        dirty_reads: std::cell::Cell<usize>,
+    }
+
+    impl<P: QuantilePredictor> QuantilePredictor for Counting<P> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn spec(&self) -> qdelay_predict::BoundSpec {
+            self.inner.spec()
+        }
+        fn observe(&mut self, wait: f64) {
+            self.dirty = true;
+            self.inner.observe(wait);
+        }
+        fn refit(&mut self) {
+            assert!(std::mem::take(&mut self.dirty), "a refit that follows no change");
+            self.refits += 1;
+            self.inner.refit();
+        }
+        fn current_bound(&self) -> qdelay_predict::BoundOutcome {
+            self.dirty_reads.set(self.dirty_reads.get() + usize::from(self.dirty));
+            self.inner.current_bound()
+        }
+        fn record_outcome(&mut self, predicted: f64, actual: f64) {
+            self.dirty = true;
+            self.inner.record_outcome(predicted, actual);
+        }
+        fn finish_training(&mut self) {
+            self.dirty = false;
+            self.inner.finish_training();
+        }
+        fn history_len(&self) -> usize {
+            self.inner.history_len()
+        }
+    }
+
+    /// `(refits owed, epochs elapsed)` for `trace` under `config`: a refit
+    /// at each epoch (each arrival, at `epoch_secs = 0`) that a start
+    /// precedes since the last refit or `finish_training`, and one before
+    /// the samples that trail the last epoch, if a start precedes them.
+    fn owed_refits(trace: &Trace, config: &HarnessConfig) -> (usize, usize) {
+        let training = (trace.len() as f64 * config.training_fraction).ceil() as usize;
+        let (mut owed, mut epochs, mut arrivals) = (0, 0, 0);
+        let mut changed = training > 0;
+        let mut settle = |changed: &mut bool| owed += usize::from(std::mem::take(changed));
+        let mut epoch = trace.jobs()[0].submit as f64 + config.epoch_secs;
+        let mut last_epoch = f64::NEG_INFINITY;
+        for ev in merged_events(trace) {
+            while config.epoch_secs > 0.0 && epoch <= ev.time() {
+                settle(&mut changed);
+                (last_epoch, epoch) = (epoch, epoch + config.epoch_secs);
+                epochs += 1;
+            }
+            match ev {
+                Event::Start(..) => changed = true,
+                Event::Arrival(..) => {
+                    if config.epoch_secs == 0.0 {
+                        settle(&mut changed);
+                    }
+                    arrivals += 1;
+                    if arrivals == training + 1 {
+                        changed = false;
+                    }
+                }
+            }
+        }
+        if let Some(w) = config.sample {
+            let mut first_trailing = w.start;
+            while first_trailing as f64 <= last_epoch {
+                first_trailing += w.step;
+            }
+            if first_trailing <= w.end {
+                settle(&mut changed);
+            }
+        }
+        (owed, epochs)
+    }
+
+    /// Bursty arrivals and heavy-tailed waits: some epochs see many starts,
+    /// many see none.
+    fn bursty_trace() -> Trace {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |modulus: u64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % modulus
+        };
+        let mut submit = 10_000;
+        let mut t = Trace::new("m", "q");
+        for _ in 0..3_000 {
+            submit += if next(10) == 0 { next(20_000) } else { next(120) };
+            let wait = (next(1_000) * next(1_000)) as f64 / 40.0;
+            t.push(JobRecord { submit, wait_secs: wait, procs: 1, run_secs: 1.0 });
+        }
+        t
+    }
+
+    #[test]
+    fn a_refit_runs_only_after_a_start() {
+        let trace = bursty_trace();
+        let (first, last) = trace.span().unwrap();
+        let window = SampleWindow { start: first + 5_000, end: last + 50_000, step: 1_700 };
+        for config in [
+            HarnessConfig::default(),
+            HarnessConfig { epoch_secs: 0.0, ..HarnessConfig::default() },
+            HarnessConfig { sample: Some(window), ..HarnessConfig::default() },
+            HarnessConfig { epoch_secs: 0.0, sample: Some(window), ..HarnessConfig::default() },
+            HarnessConfig { training_fraction: 0.0, ..HarnessConfig::default() },
+        ] {
+            let mut p = Counting {
+                inner: Bmbp::with_defaults(),
+                dirty: true,
+                refits: 0,
+                dirty_reads: Default::default(),
+            };
+            let res = run(&trace, &mut p, &config);
+            let (owed, epochs) = owed_refits(&trace, &config);
+            assert_eq!(p.refits, owed, "{config:?}");
+            if config.epoch_secs > 0.0 {
+                assert!(owed < epochs / 2, "{owed} refits over {epochs} epochs");
+            } else {
+                // Every question is answered after a refit on every start.
+                assert_eq!(p.dirty_reads.get(), 0);
+            }
+            // Sampling still happens at every step of the window.
+            if let Some(w) = config.sample {
+                let times: Vec<u64> = res.samples.iter().map(|s| s.time).collect();
+                let steps: Vec<u64> = (w.start..=w.end).step_by(w.step as usize).collect();
+                assert_eq!(times, steps);
+                assert!(res.samples.last().unwrap().bound.is_some());
+            }
+        }
     }
 
     #[test]

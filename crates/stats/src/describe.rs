@@ -56,21 +56,34 @@ pub fn population_variance(data: &[f64]) -> Option<f64> {
 /// Empirical quantile with linear interpolation (Hyndman-Fan type 7,
 /// the default of R and NumPy).
 ///
-/// Sorts a copy of the data; for repeated queries over the same sample use
-/// [`quantile_sorted`] on pre-sorted data.
+/// Selects on a copy of the data (expected linear time) and returns
+/// [`quantile_sorted`] of the sorted data, bit for bit; for repeated
+/// queries over the same sample use [`quantile_sorted`] on pre-sorted data.
 ///
 /// Returns `None` for an empty sample.
 ///
 /// # Panics
 ///
-/// Panics if `q` is outside `[0, 1]`.
+/// Panics if `q` is outside `[0, 1]` or `data` holds a NaN.
 pub fn quantile(data: &[f64], q: f64) -> Option<f64> {
     if data.is_empty() {
         return None;
     }
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    quantile_sorted(&sorted, q)
+    assert!((0.0..=1.0).contains(&q), "quantile q must be in [0,1], got {q}");
+    if data.len() == 1 {
+        return Some(data[0]);
+    }
+    let (lo, hi, frac) = type7_position(data.len(), q);
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in quantile input");
+    let mut copy = data.to_vec();
+    let (_, &mut at_lo, above) = copy.select_nth_unstable_by(lo, cmp);
+    // `hi` is `lo` or `lo + 1`; the latter is the least value above `lo`.
+    let at_hi = if hi == lo {
+        at_lo
+    } else {
+        *above.iter().min_by(|a, b| cmp(a, b)).expect("hi < n")
+    };
+    Some(at_lo + (at_hi - at_lo) * frac)
 }
 
 /// Empirical quantile (type 7) over data that is already sorted ascending.
@@ -89,11 +102,16 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     if n == 1 {
         return Some(sorted[0]);
     }
+    let (lo, hi, frac) = type7_position(n, q);
+    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+}
+
+/// Where the type-7 `q` quantile of `n >= 2` sorted values lies: the order
+/// statistics below and above it, and the weight of the upper one.
+fn type7_position(n: usize, q: f64) -> (usize, usize, f64) {
     let h = q * (n - 1) as f64;
     let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    let frac = h - lo as f64;
-    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    (lo, h.ceil() as usize, h - lo as f64)
 }
 
 /// Median (0.5 quantile, type 7).
@@ -192,6 +210,40 @@ mod tests {
         assert!((quantile(&d, 0.95).unwrap() - 9.55).abs() < 1e-12);
         assert_eq!(quantile(&d, 0.0), Some(1.0));
         assert_eq!(quantile(&d, 1.0), Some(10.0));
+    }
+
+    /// Selection against the sort it replaces, bit for bit: n = 1 and 2,
+    /// odd and even n, runs of duplicates, and zeros of both signs.
+    #[test]
+    fn quantile_equals_quantile_sorted_bit_for_bit() {
+        let samples: [&[f64]; 8] = [
+            &[4.5],
+            &[3.0, -1.0],
+            &[0.0, 0.0],
+            &[9.0, 1.0, 5.0, 3.0, 7.0],
+            &[2.0, 8.0, 2.0, 6.0, 2.0, 0.0],
+            &[0.0, -0.0, 0.0, 1e-300, 0.0, -0.0, 7.5],
+            &[5.0; 9],
+            &[1.0, 1.0, 3.0, 3.0, 3.0, 2.0, 2.0, 0.0, 0.0, 1e9],
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut random = Vec::new();
+        for _ in 0..301 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            random.push((state % 17) as f64 * 0.25);
+        }
+        let qs = [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0, 1.0 / 3.0];
+        for data in samples.iter().copied().chain([&random[..], &random[..300]]) {
+            let mut sorted = data.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for q in qs {
+                let want = quantile_sorted(&sorted, q).map(f64::to_bits);
+                let got = quantile(data, q).map(f64::to_bits);
+                assert_eq!(got, want, "q {q} over {data:?}");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub mod procrange;
 pub mod swf;
 pub mod synth;
 
+use std::sync::OnceLock;
 
 pub use procrange::ProcRange;
 
@@ -71,11 +72,22 @@ impl JobRecord {
 /// assert_eq!(t.len(), 2);
 /// assert_eq!(t.waits(), vec![30.0, 5.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     machine: String,
     queue: String,
     jobs: Vec<JobRecord>,
+    /// [`Trace::start_order`], computed on first use and dropped by every
+    /// change to `jobs`.
+    start_order: OnceLock<Box<[u32]>>,
+}
+
+/// Two traces are equal when their names and records are; whether either
+/// has computed its start order does not matter.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.machine == other.machine && self.queue == other.queue && self.jobs == other.jobs
+    }
 }
 
 impl Trace {
@@ -85,6 +97,15 @@ impl Trace {
             machine: machine.into(),
             queue: queue.into(),
             jobs: Vec::new(),
+            start_order: OnceLock::new(),
+        }
+    }
+
+    /// A trace of the same machine/queue pair holding `jobs`.
+    fn with_jobs(&self, jobs: Vec<JobRecord>) -> Trace {
+        Trace {
+            jobs,
+            ..Trace::new(self.machine.clone(), self.queue.clone())
         }
     }
 
@@ -103,6 +124,7 @@ impl Trace {
     /// Records may be appended out of order; call [`Trace::sort_by_submit`]
     /// before replaying if so.
     pub fn push(&mut self, job: JobRecord) {
+        self.start_order.take();
         self.jobs.push(job);
     }
 
@@ -128,7 +150,28 @@ impl Trace {
 
     /// Sorts the records by submission time (stable).
     pub fn sort_by_submit(&mut self) {
+        self.start_order.take();
         self.jobs.sort_by_key(|j| j.submit);
+    }
+
+    /// The job indices in the order the jobs leave the queue: by
+    /// [`JobRecord::start_time`], ties by index. Sorted once, on first
+    /// use, and kept until the records next change, so every replay of a
+    /// trace walks one order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a start time is NaN or the trace holds more than
+    /// `u32::MAX` jobs.
+    pub fn start_order(&self) -> &[u32] {
+        self.start_order.get_or_init(|| {
+            let n = u32::try_from(self.jobs.len()).expect("at most u32::MAX jobs");
+            let mut starts: Vec<(f64, u32)> =
+                self.jobs.iter().zip(0..n).map(|(j, i)| (j.start_time(), i)).collect();
+            assert!(starts.iter().all(|(t, _)| !t.is_nan()), "finite event times");
+            starts.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            starts.into_iter().map(|(_, i)| i).collect()
+        })
     }
 
     /// All wait times, in stored order.
@@ -145,16 +188,13 @@ impl Trace {
 
     /// A sub-trace containing only the jobs in the given processor range.
     pub fn filter_procs(&self, range: ProcRange) -> Trace {
-        Trace {
-            machine: self.machine.clone(),
-            queue: self.queue.clone(),
-            jobs: self
-                .jobs
+        self.with_jobs(
+            self.jobs
                 .iter()
                 .copied()
                 .filter(|j| j.proc_range() == range)
                 .collect(),
-        }
+        )
     }
 
     /// `(first, last)` submission timestamps, if non-empty.
@@ -166,16 +206,13 @@ impl Trace {
 
     /// A sub-trace of the jobs *submitted* in `[from, until)`.
     pub fn window(&self, from: u64, until: u64) -> Trace {
-        Trace {
-            machine: self.machine.clone(),
-            queue: self.queue.clone(),
-            jobs: self
-                .jobs
+        self.with_jobs(
+            self.jobs
                 .iter()
                 .copied()
                 .filter(|j| j.submit >= from && j.submit < until)
                 .collect(),
-        }
+        )
     }
 
     /// Splits the trace at a fraction of its job count: `(head, tail)` with
@@ -191,12 +228,8 @@ impl Trace {
             "fraction must be in [0,1], got {fraction}"
         );
         let cut = (self.jobs.len() as f64 * fraction).ceil() as usize;
-        let mk = |jobs: &[JobRecord]| Trace {
-            machine: self.machine.clone(),
-            queue: self.queue.clone(),
-            jobs: jobs.to_vec(),
-        };
-        (mk(&self.jobs[..cut]), mk(&self.jobs[cut..]))
+        let (head, tail) = self.jobs.split_at(cut);
+        (self.with_jobs(head.to_vec()), self.with_jobs(tail.to_vec()))
     }
 
     /// Parses the paper's native parsed-log format: one job per line,
@@ -271,6 +304,7 @@ impl Trace {
 
 impl Extend<JobRecord> for Trace {
     fn extend<T: IntoIterator<Item = JobRecord>>(&mut self, iter: T) {
+        self.start_order.take();
         self.jobs.extend(iter);
     }
 }
@@ -440,6 +474,103 @@ mod tests {
     #[should_panic(expected = "fraction must be in [0,1]")]
     fn split_rejects_bad_fraction() {
         Trace::new("m", "q").split_at_fraction(1.5);
+    }
+
+    /// A trace whose start times tie often: small integer submits and
+    /// waits, a zero wait among them.
+    fn tied_starts() -> Trace {
+        let mut t = Trace::new("m", "q");
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..500u64 {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            t.push(JobRecord {
+                submit: i / 3,
+                wait_secs: ((state >> 33) % 5) as f64,
+                procs: 1,
+                run_secs: 1.0,
+            });
+        }
+        t
+    }
+
+    fn sorted_starts(t: &Trace) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..t.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            let start = |i: u32| t.jobs()[i as usize].start_time();
+            start(a).total_cmp(&start(b)).then(a.cmp(&b))
+        });
+        order
+    }
+
+    #[test]
+    fn start_order_is_the_start_then_index_sort() {
+        let t = tied_starts();
+        let order = t.start_order();
+        assert_eq!(order, sorted_starts(&t));
+        let ties = order
+            .windows(2)
+            .filter(|w| t.jobs()[w[0] as usize].start_time() == t.jobs()[w[1] as usize].start_time())
+            .count();
+        assert!(ties > 100, "the trace must tie often ({ties} ties)");
+        assert!(std::ptr::eq(order, t.start_order()), "computed once");
+        assert!(Trace::new("m", "q").start_order().is_empty());
+    }
+
+    #[test]
+    fn every_change_drops_the_start_order() {
+        let job = |submit, wait_secs| JobRecord { submit, wait_secs, procs: 1, run_secs: 1.0 };
+        let mut t = Trace::new("m", "q");
+        t.push(job(10, 5.0));
+        assert_eq!(t.start_order(), [0]);
+        t.push(job(11, 0.0));
+        assert_eq!(t.start_order(), [1, 0]);
+        t.extend([job(0, 1.0)]);
+        assert_eq!(t.start_order(), [2, 1, 0]);
+        t.sort_by_submit();
+        assert_eq!(t.start_order(), [0, 2, 1]);
+        assert_eq!(t.start_order(), sorted_starts(&t));
+    }
+
+    #[test]
+    fn clone_and_equality_ignore_the_start_order() {
+        let cold = tied_starts();
+        let warm = tied_starts();
+        warm.start_order();
+        assert_eq!(cold, warm);
+        let copy = warm.clone();
+        assert_eq!(copy, cold);
+        assert_eq!(copy.start_order(), cold.start_order());
+        let mut longer = warm.clone();
+        longer.push(JobRecord { submit: 1_000, wait_secs: 0.0, procs: 1, run_secs: 1.0 });
+        assert_ne!(longer, warm);
+        assert_eq!(longer.start_order(), sorted_starts(&longer));
+    }
+
+    #[test]
+    fn threads_reading_first_at_once_share_one_order() {
+        let t = tied_starts();
+        let barrier = std::sync::Barrier::new(2);
+        let orders: Vec<Vec<u32>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        t.start_order().to_vec()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(orders[0], orders[1]);
+        assert_eq!(orders[0], sorted_starts(&t));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite event times")]
+    fn start_order_rejects_a_nan_start() {
+        let mut t = Trace::new("m", "q");
+        t.push(JobRecord { submit: 1, wait_secs: f64::NAN, procs: 1, run_secs: 1.0 });
+        t.start_order();
     }
 
     #[test]
