@@ -65,7 +65,7 @@ fn main() {
 
     for trace in &traces {
         // 1. Epoch length.
-        for (label, epoch) in [("epoch=300s (paper)", 300.0), ("epoch=0s (per-job)", 0.0)] {
+        for (label, epoch) in [("epoch=300s (paper)", 300), ("epoch=0s (per-job)", 0)] {
             let cfg = HarnessConfig {
                 epoch_secs: epoch,
                 ..base_harness

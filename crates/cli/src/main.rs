@@ -171,6 +171,8 @@ fn print_usage() {
          Snapshots: a --snapshot-path file and a journal directory's\n\
          snapshot.json hold framed binary partition records; 'qdelay\n\
          snapshot export FILE' prints one as the JSON snapshot document.\n\n\
+         Evaluation: --epoch is the whole number of seconds between\n\
+         refits (default 300, the paper's; 0 refits before every arrival).\n\n\
          Any command also accepts --telemetry <path.json>: on success the\n\
          internal counters/gauges/latency histograms are exported there as\n\
          JSON and summarized on stderr.\n\n\
@@ -232,7 +234,11 @@ fn parse_flags(command: &str, args: &[String]) -> Result<(Vec<String>, Flags), S
         match flag {
             "--quantile" => flags.quantile = num(ANY)?,
             "--confidence" => flags.confidence = num(ANY)?,
-            "--epoch" => flags.epoch = num(ANY)?,
+            "--epoch" => {
+                let text = value("a value")?;
+                let bad = || format!("{flag} takes whole seconds, got '{text}'");
+                flags.epoch = text.parse().map_err(|_| bad())?;
+            }
             "--training" => flags.training = num(ANY)?,
             "--seed" => flags.seed = num(ANY)? as u64,
             "--days" => flags.days = num(ANY)? as u32,
@@ -275,7 +281,7 @@ fn parse_flags(command: &str, args: &[String]) -> Result<(Vec<String>, Flags), S
 struct Flags {
     quantile: f64,
     confidence: f64,
-    epoch: f64,
+    epoch: u64,
     training: f64,
     seed: u64,
     days: u32,
@@ -310,7 +316,7 @@ impl Default for Flags {
         Self {
             quantile: 0.95,
             confidence: 0.95,
-            epoch: 300.0,
+            epoch: 300,
             training: 0.10,
             seed: 42,
             days: 30,
@@ -875,7 +881,7 @@ mod tests {
         assert_eq!(pos, vec!["trace.txt"]);
         assert_eq!(flags.quantile, 0.95);
         assert_eq!(flags.confidence, 0.95);
-        assert_eq!(flags.epoch, 300.0);
+        assert_eq!(flags.epoch, 300);
         assert!(!flags.lower);
     }
 
@@ -897,6 +903,12 @@ mod tests {
         assert!(parse_flags("predict", &strs(&["--quantile"])).is_err());
         assert!(parse_flags("predict", &strs(&["--quantile", "nan"])).is_err());
         assert!(parse_flags("generate", &strs(&["--seed", "not-a-number"])).is_err());
+        let (_, flags) = parse_flags("evaluate", &strs(&["--epoch", "60"])).unwrap();
+        assert_eq!(flags.epoch, 60);
+        for bad in ["1.5", "300.0", "-5", "junk"] {
+            let err = parse_flags("evaluate", &strs(&["--epoch", bad])).err().unwrap();
+            assert_eq!(err, format!("--epoch takes whole seconds, got '{bad}'"));
+        }
     }
 
     #[test]

@@ -78,13 +78,15 @@ pub trait QuantilePredictor {
     /// Recomputes the served prediction from the current history (the
     /// paper's periodic "refit" epoch).
     ///
-    /// A refit is a pure function of the state the other mutators leave:
-    /// one with no [`observe`], [`record_outcome`] or [`finish_training`]
-    /// since the previous refit leaves [`current_bound`] and all later
-    /// behaviour unchanged. The replay harness relies on this to skip the
-    /// epochs in which no job started. Every implementation here meets it:
-    /// a repeated refit is a same-`n` memo hit, so it leaves no index or
-    /// K-factor memo behind either.
+    /// The bound a refit computes depends only on the sequence of
+    /// [`observe`], [`record_outcome`] and [`finish_training`] calls so
+    /// far, not on which earlier refits ran: a refit may be repeated,
+    /// skipped or deferred without changing any bound a later refit
+    /// serves. The replay harness relies on this to skip the epochs in
+    /// which no job started, and the refits whose bound no arrival or
+    /// sample reads. Every implementation here meets it: the baselines
+    /// recompute from their history, and BMBP's index memo and the
+    /// log-normal K′ memo are pure functions of `n`.
     ///
     /// [`observe`]: QuantilePredictor::observe
     /// [`record_outcome`]: QuantilePredictor::record_outcome
@@ -169,24 +171,22 @@ mod tests {
         assert!(predictors[2].current_bound().value().is_some());
     }
 
-    /// The contract on [`QuantilePredictor::refit`]: a seeded random
-    /// schedule of observes, outcomes (with bursts of misses, so trimming
-    /// predictors trim), `finish_training` calls and refits, applied to two
-    /// twins of which one refits 0–2 extra times after every refit and
-    /// `finish_training` — before the next change. Both must serve the same
-    /// bound, bit for bit, after every step.
-    fn assert_extra_refits_change_nothing<P: QuantilePredictor>(make: impl Fn() -> P) -> P {
+    /// A seeded random schedule of observes, outcomes (with bursts of
+    /// misses, so trimming predictors trim), `finish_training` calls and
+    /// refits, applied alike to two twins; `after` sees them after every
+    /// step, with whether it refit (or called `finish_training`). An
+    /// outcome's `predicted` is the first twin's bound. Returns the first
+    /// twin.
+    fn drive_twins<P: QuantilePredictor>(
+        make: impl Fn() -> P,
+        mut after: impl FnMut(&mut [P; 2], bool, u64),
+    ) -> P {
         use qdelay_rng::{Rng, StdRng};
-        let bits = |p: &P| match p.current_bound() {
-            BoundOutcome::Bound(v) => Ok(v.to_bits()),
-            BoundOutcome::InsufficientHistory { needed } => Err(needed),
-        };
-        let (mut plain, mut eager) = (make(), make());
+        let mut twins = [make(), make()];
         for seed in 1..=4u64 {
             let mut ops = StdRng::seed_from_u64(seed);
-            let mut extra = StdRng::seed_from_u64(!seed);
             let (mut level, mut missing) = (100.0f64, false);
-            for step in 0..2_500 {
+            for _ in 0..2_500 {
                 if ops.gen_bool(0.01) {
                     level = 10.0 + 5_000.0 * ops.gen_f64();
                 }
@@ -194,57 +194,92 @@ mod tests {
                     missing = !missing;
                 }
                 let roll = ops.gen_f64();
-                let refit = roll >= 0.85;
                 if roll < 0.55 {
                     let wait = (level * -ops.gen_f64_open().ln()).floor();
-                    plain.observe(wait);
-                    eager.observe(wait);
+                    twins.iter_mut().for_each(|p| p.observe(wait));
                 } else if roll < 0.85 {
-                    let predicted = plain.current_bound().value().unwrap_or(level);
+                    let predicted = twins[0].current_bound().value().unwrap_or(level);
                     let actual = if missing {
                         predicted * 2.0 + 1.0
                     } else {
                         level * ops.gen_f64()
                     };
-                    plain.record_outcome(predicted, actual);
-                    eager.record_outcome(predicted, actual);
+                    twins.iter_mut().for_each(|p| p.record_outcome(predicted, actual));
                 } else if roll < 0.98 {
-                    plain.refit();
-                    eager.refit();
+                    twins.iter_mut().for_each(|p| p.refit());
                 } else {
-                    plain.finish_training();
-                    eager.finish_training();
+                    twins.iter_mut().for_each(|p| p.finish_training());
                 }
-                for _ in 0..if refit { extra.gen_range(0..3) } else { 0 } {
-                    eager.refit();
-                }
-                assert_eq!(bits(&plain), bits(&eager), "{} seed {seed} step {step}", plain.name());
-                assert_eq!(plain.history_len(), eager.history_len());
+                after(&mut twins, roll >= 0.85, seed);
+                assert_eq!(twins[0].history_len(), twins[1].history_len());
             }
         }
-        plain
+        let [first, _] = twins;
+        first
+    }
+
+    fn bound_bits<P: QuantilePredictor>(p: &P) -> Result<u64, usize> {
+        match p.current_bound() {
+            BoundOutcome::Bound(v) => Ok(v.to_bits()),
+            BoundOutcome::InsufficientHistory { needed } => Err(needed),
+        }
+    }
+
+    /// The contract on [`QuantilePredictor::refit`], repeated refits: of two
+    /// twins, one refits 0–2 extra times after every refit and
+    /// `finish_training` — before the next change. Both must serve the same
+    /// bound, bit for bit, after every step.
+    fn assert_extra_refits_change_nothing<P: QuantilePredictor>(make: impl Fn() -> P) -> P {
+        use qdelay_rng::{Rng, StdRng};
+        let mut extra = StdRng::seed_from_u64(!0);
+        drive_twins(make, |[plain, eager], refit, seed| {
+            for _ in 0..if refit { extra.gen_range(0..3) } else { 0 } {
+                eager.refit();
+            }
+            assert_eq!(bound_bits(plain), bound_bits(eager), "{} seed {seed}", plain.name());
+        })
+    }
+
+    /// The contract on [`QuantilePredictor::refit`], skipped refits: of two
+    /// twins, one refits after every step, the other only at the schedule's
+    /// random refits and `finish_training` calls. At each of those, the
+    /// second must serve the first's bound, bit for bit.
+    fn assert_skipped_refits_change_nothing<P: QuantilePredictor>(make: impl Fn() -> P) -> P {
+        drive_twins(make, |[eager, lazy], refit, seed| {
+            eager.refit();
+            if refit {
+                assert_eq!(bound_bits(lazy), bound_bits(eager), "{} seed {seed}", eager.name());
+            }
+        })
+    }
+
+    /// Runs `$check` over every predictor in this crate — `Bmbp` with its
+    /// `Auto` and `Exact` bound methods, both log-normal configurations and
+    /// the two baselines — and checks that the trimming ones trimmed.
+    macro_rules! for_every_predictor {
+        ($check:ident) => {{
+            use bmbp::{Bmbp, BmbpConfig};
+            use lognormal::{LogNormalConfig, LogNormalPredictor};
+            for method in [BoundMethod::Auto, BoundMethod::Exact] {
+                let p = $check(|| Bmbp::new(BmbpConfig { method, ..BmbpConfig::default() }));
+                assert!(p.trims() > 0, "the schedule must exercise {method:?} trims");
+            }
+            $check(|| LogNormalPredictor::new(LogNormalConfig::no_trim()));
+            let p = $check(|| LogNormalPredictor::new(LogNormalConfig::trim()));
+            assert!(p.trims() > 0, "the schedule must exercise log-normal trims");
+            $check(baseline::MaxObservedPredictor::new);
+            $check(|| baseline::EmpiricalQuantilePredictor::new(BoundSpec::paper_default()));
+        }};
     }
 
     #[test]
     fn an_extra_refit_changes_nothing() {
-        use bmbp::{Bmbp, BmbpConfig};
-        use lognormal::{LogNormalConfig, LogNormalPredictor};
-        for method in [BoundMethod::Auto, BoundMethod::Exact] {
-            let p = assert_extra_refits_change_nothing(|| {
-                Bmbp::new(BmbpConfig {
-                    method,
-                    ..BmbpConfig::default()
-                })
-            });
-            assert!(p.trims() > 0, "the schedule must exercise {method:?} trims");
-        }
-        assert_extra_refits_change_nothing(|| LogNormalPredictor::new(LogNormalConfig::no_trim()));
-        let p = assert_extra_refits_change_nothing(|| LogNormalPredictor::new(LogNormalConfig::trim()));
-        assert!(p.trims() > 0, "the schedule must exercise log-normal trims");
-        assert_extra_refits_change_nothing(baseline::MaxObservedPredictor::new);
-        assert_extra_refits_change_nothing(|| {
-            baseline::EmpiricalQuantilePredictor::new(BoundSpec::paper_default())
-        });
+        for_every_predictor!(assert_extra_refits_change_nothing);
+    }
+
+    #[test]
+    fn a_skipped_refit_changes_nothing() {
+        for_every_predictor!(assert_skipped_refits_change_nothing);
     }
 
     #[test]

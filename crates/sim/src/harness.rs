@@ -7,17 +7,19 @@
 //!    success/failure is fed back for change-point detection;
 //! 2. **job arrival** — the currently served prediction is recorded for the
 //!    arriving job and the job joins the pending queue;
-//! 3. **epoch** — every `epoch_secs` of virtual time the predictor refits
-//!    and the served prediction is refreshed.
+//! 3. **epoch** — every `epoch_secs` whole seconds of virtual time the
+//!    predictor refits and the served prediction is refreshed.
 //!
 //! With `epoch_secs = 0` the predictor refits before every arrival — the
 //! paper's "likely unrealizable" per-job-update deployment, kept as an
 //! ablation (§5.1 reports its effect is minimal).
 //!
-//! A refit that no start has preceded since the last one is skipped: it
-//! would serve the same bound (the contract on
-//! [`QuantilePredictor::refit`]). Most epochs are such: on the Table 1
-//! catalog about one epoch in six has a start since the last refit.
+//! An epoch refits only if a job started since the last refit and someone
+//! reads the bound it computes: the next arrival, if it comes before the
+//! next epoch, or a sample at or before this epoch.
+//! Otherwise the refit is left to a later epoch, which computes from the
+//! later state the bound a reader would be served anyway (the contract on
+//! [`QuantilePredictor::refit`]).
 
 use qdelay_predict::QuantilePredictor;
 use qdelay_telemetry::{time_scope, Counter, LatencyHistogram, Span};
@@ -37,8 +39,9 @@ static JOBS_REPLAYED: Counter = Counter::new("sim.jobs_replayed");
 /// Result-phase arrivals that were actually served a bound.
 static PREDICTIONS_SERVED: Counter = Counter::new("sim.predictions_served");
 /// Epochs elapsed (excludes the per-arrival refits of `epoch_secs = 0`).
-/// An epoch refits only if the predictor changed since its last refit, so
-/// this counts epochs, not refits.
+/// An epoch refits only if the predictor changed since its last refit and
+/// the bound is read before the next epoch, so this counts epochs, not
+/// refits.
 static EPOCHS: Counter = Counter::new("sim.epochs");
 /// Wall-clock of whole replay runs (jobs/sec = jobs_replayed / replay_ns).
 static REPLAY_NS: LatencyHistogram = LatencyHistogram::new("sim.replay_ns");
@@ -59,11 +62,12 @@ fn refit_histogram(name: &str) -> &'static LatencyHistogram {
 /// Harness configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HarnessConfig {
-    /// Seconds of virtual time between refit epochs (paper: 300). Zero
-    /// means "refit before every arrival". Either way a refit runs only if
-    /// a job started since the last one: otherwise the bound it would serve
-    /// is the one already served.
-    pub epoch_secs: f64,
+    /// Whole seconds of virtual time between refit epochs (paper: 300).
+    /// Zero means "refit before every arrival". Either way a refit runs
+    /// only if a job started since the last one, and an epoch's refit only
+    /// if the next arrival comes before the next epoch or a sample falls at
+    /// or before this epoch: no one else reads the bound it computes.
+    pub epoch_secs: u64,
     /// Leading fraction of jobs used for training (paper: 0.10).
     pub training_fraction: f64,
     /// Optional bound-sampling window for time-series figures.
@@ -74,7 +78,7 @@ impl Default for HarnessConfig {
     /// The paper's settings: 300-second epochs, 10% training, no sampling.
     fn default() -> Self {
         Self {
-            epoch_secs: 300.0,
+            epoch_secs: 300,
             training_fraction: 0.10,
             sample: None,
         }
@@ -89,7 +93,7 @@ pub struct SampleWindow {
     pub start: u64,
     /// Last sample time (inclusive, UNIX seconds).
     pub end: u64,
-    /// Sampling step, seconds.
+    /// Sampling step, seconds (positive).
     pub step: u64,
 }
 
@@ -170,8 +174,8 @@ impl Event {
 
 /// Every job's arrival and start, in sweep order. Arrivals are already in
 /// order (the caller asserts it) and starts walk the trace's cached
-/// [`Trace::start_order`] (ties by job index; it asserts no start time is
-/// NaN); the two are merged on the fly.
+/// [`Trace::start_order`] (ties by job index; it asserts every start time
+/// is finite); the two are merged on the fly.
 fn merged_events(trace: &Trace) -> impl Iterator<Item = Event> + '_ {
     let jobs = trace.jobs();
     let mut starts = trace
@@ -197,8 +201,9 @@ fn merged_events(trace: &Trace) -> impl Iterator<Item = Event> + '_ {
 ///
 /// # Panics
 ///
-/// Panics if `config.training_fraction` is not in `[0, 1)` or the trace is
-/// not sorted by submission time.
+/// Panics if `config.training_fraction` is not in `[0, 1)`, a sample
+/// window's step is zero, the trace is not sorted by submission time or a
+/// start time is not finite.
 pub fn run(
     trace: &Trace,
     predictor: &mut dyn QuantilePredictor,
@@ -207,6 +212,10 @@ pub fn run(
     assert!(
         (0.0..1.0).contains(&config.training_fraction),
         "training_fraction must be in [0,1)"
+    );
+    assert!(
+        config.sample.is_none_or(|w| w.step > 0),
+        "sample step must be positive"
     );
     assert!(
         trace.jobs().windows(2).all(|w| w[0].submit <= w[1].submit),
@@ -220,21 +229,19 @@ pub fn run(
     time_scope!(&REPLAY_NS);
     JOBS_REPLAYED.add(n as u64);
 
-    let mut records = Vec::with_capacity(n - training_jobs);
+    let mut records: Vec<PredictionRecord> = Vec::with_capacity(n - training_jobs);
     let mut samples = Vec::new();
-    // The prediction served to each job, by index (None = none served or
-    // training job).
-    let mut served: Vec<Option<f64>> = vec![None; n];
-    let mut next_epoch = if config.epoch_secs > 0.0 {
-        jobs.first().map(|j| j.submit as f64 + config.epoch_secs)
-    } else {
-        None
+    // Epochs are the whole seconds `first submit + k·epoch_secs`, k ≥ 1.
+    let step = config.epoch_secs;
+    let mut next_epoch = match jobs.first() {
+        Some(first) if step > 0 => first.submit.checked_add(step),
+        _ => None,
     };
-    let mut next_sample = config.sample.map(|w| w.start);
+    let mut next_sample = config.sample.filter(|w| w.start <= w.end).map(|w| w.start);
     let mut arrivals_seen = 0usize;
     // Global-counter traffic is batched in locals and flushed once per run:
-    // the event loop passes a few epochs per job, and even one relaxed
-    // `fetch_add` per event is measurable against a ~40 ns incremental refit.
+    // even one relaxed `fetch_add` per event is measurable against a
+    // ~40 ns incremental refit.
     let mut refit_tick: u32 = 0;
     let mut epochs: u64 = 0;
     let mut predictions_served: u64 = 0;
@@ -242,9 +249,9 @@ pub fn run(
     // every start, cleared by every refit and by `finish_training`, which
     // must leave the bound as current as a refit would (its contract on
     // `QuantilePredictor`). A refit while it is clear would serve the same
-    // bound (the contract on `QuantilePredictor::refit`), so it is skipped.
-    // It starts set because a predictor may be handed over with history it
-    // has not refit on.
+    // bound, and one whose bound nobody reads may wait for a later epoch
+    // (the contract on `QuantilePredictor::refit`). It starts set because a
+    // predictor may be handed over with history it has not refit on.
     let mut stale = true;
     let mut trained = training_jobs == 0;
     if trained {
@@ -254,28 +261,44 @@ pub fn run(
 
     for ev in merged_events(trace) {
         let now = ev.time();
-        // Fire any epochs due before this event.
-        if let Some(epoch) = next_epoch {
-            let mut epoch = epoch;
-            while epoch <= now {
+        if let Some((due, last)) = next_epoch.and_then(|epoch| due_epochs(epoch, step, now)) {
+            epochs += due;
+            next_epoch = last.checked_add(step);
+            // The bound refit at `last` is read by the next arrival if it
+            // comes before the next epoch, and by any sample at or before
+            // `last`. The epochs before `last` fire with no event between
+            // them.
+            let arrival_reads = jobs
+                .get(arrivals_seen)
+                .is_some_and(|j| next_epoch.is_none_or(|e| j.submit < e));
+            if arrival_reads || next_sample.is_some_and(|t| t <= last) {
                 refit_if_stale(predictor, &mut stale, refit_ns, &mut refit_tick);
-                epochs += 1;
-                record_samples(&mut next_sample, &config.sample, epoch, predictor, &mut samples);
-                epoch += config.epoch_secs;
             }
-            next_epoch = Some(epoch);
+            record_samples(
+                &mut next_sample,
+                &config.sample,
+                last,
+                predictor,
+                &mut samples,
+            );
         }
         match ev {
             Event::Start(_, idx) => {
                 let actual = jobs[idx].wait_secs;
                 predictor.observe(actual);
-                if let Some(predicted) = served[idx] {
+                // The bound served to job `idx` is its record's; a job that
+                // starts before it arrives (a zero wait) has none yet.
+                let served = idx
+                    .checked_sub(training_jobs)
+                    .and_then(|k| records.get(k))
+                    .and_then(|r| r.predicted);
+                if let Some(predicted) = served {
                     predictor.record_outcome(predicted, actual);
                 }
                 stale = true;
             }
             Event::Arrival(_, idx) => {
-                if config.epoch_secs == 0.0 {
+                if step == 0 {
                     refit_if_stale(predictor, &mut stale, refit_ns, &mut refit_tick);
                 }
                 arrivals_seen += 1;
@@ -289,7 +312,6 @@ pub fn run(
                     if predicted.is_some() {
                         predictions_served += 1;
                     }
-                    served[idx] = predicted;
                     records.push(PredictionRecord {
                         submit: jobs[idx].submit,
                         predicted,
@@ -301,18 +323,15 @@ pub fn run(
         }
     }
     // Flush trailing samples after the last event.
-    if let Some(w) = config.sample {
-        while let Some(t) = next_sample {
-            if t > w.end {
-                break;
-            }
-            refit_if_stale(predictor, &mut stale, refit_ns, &mut refit_tick);
-            samples.push(BoundSample {
-                time: t,
-                bound: predictor.current_bound().value(),
-            });
-            next_sample = Some(t + w.step);
-        }
+    if next_sample.is_some() {
+        refit_if_stale(predictor, &mut stale, refit_ns, &mut refit_tick);
+        record_samples(
+            &mut next_sample,
+            &config.sample,
+            u64::MAX,
+            predictor,
+            &mut samples,
+        );
     }
     EPOCHS.add(epochs);
     PREDICTIONS_SERVED.add(predictions_served);
@@ -341,23 +360,32 @@ fn refit_if_stale(
     }
 }
 
+/// `(count, last)` of the epochs due at an event at `now`, the next being
+/// `epoch` and the rest `step` apart: those at or before `now`, which are
+/// whole seconds, so those at or before its floor. `None` if none is due.
+fn due_epochs(epoch: u64, step: u64, now: f64) -> Option<(u64, u64)> {
+    // `as` floors a finite non-negative time and saturates a larger one.
+    let floor = now as u64;
+    let due = floor.checked_sub(epoch)? / step + 1;
+    Some((due, epoch + (due - 1) * step))
+}
+
+/// Samples the served bound at every sample time up to `until`, leaving
+/// `next_sample` at the first one after it (`None` past the window's end).
 fn record_samples(
     next_sample: &mut Option<u64>,
     window: &Option<SampleWindow>,
-    epoch_time: f64,
+    until: u64,
     predictor: &dyn QuantilePredictor,
     samples: &mut Vec<BoundSample>,
 ) {
     let Some(w) = window else { return };
-    while let Some(t) = *next_sample {
-        if t > w.end || (t as f64) > epoch_time {
-            break;
-        }
+    while let Some(t) = next_sample.filter(|&t| t <= until) {
         samples.push(BoundSample {
             time: t,
             bound: predictor.current_bound().value(),
         });
-        *next_sample = Some(t + w.step);
+        *next_sample = t.checked_add(w.step).filter(|&t| t <= w.end);
     }
 }
 
@@ -410,7 +438,7 @@ mod tests {
             &trace,
             &mut p,
             &HarnessConfig {
-                epoch_secs: 0.0, // refit continuously; isolation is the point
+                epoch_secs: 0, // refit continuously; isolation is the point
                 training_fraction: 0.1,
                 sample: None,
             },
@@ -436,7 +464,7 @@ mod tests {
             &trace,
             &mut p,
             &HarnessConfig {
-                epoch_secs: 0.0,
+                epoch_secs: 0,
                 training_fraction: 0.1,
                 sample: None,
             },
@@ -454,7 +482,7 @@ mod tests {
             &trace,
             &mut p,
             &HarnessConfig {
-                epoch_secs: 1e9,
+                epoch_secs: 1_000_000_000,
                 training_fraction: 0.1,
                 sample: None,
             },
@@ -493,7 +521,7 @@ mod tests {
         let trace = uniform_trace(500, 300, 42.0);
         let mut p = MaxObservedPredictor::new();
         let cfg = HarnessConfig {
-            epoch_secs: 300.0,
+            epoch_secs: 300,
             training_fraction: 0.1,
             sample: Some(SampleWindow {
                 start: 1000,
@@ -531,10 +559,25 @@ mod tests {
         run(&trace, &mut p, &HarnessConfig::default());
     }
 
-    /// The merge against what it replaced: every event pushed (arrival
-    /// before start, per job) and stable-sorted by time, a start ranking
-    /// first at equal times. Small integer gaps and waits make ties of every
-    /// kind — start/start, start/arrival, a zero wait — common.
+    /// What the merge replaced: every event pushed (arrival before start,
+    /// per job) and stable-sorted by time, a start ranking first at equal
+    /// times.
+    fn sorted_events(trace: &Trace) -> Vec<Event> {
+        let mut sorted = Vec::new();
+        for (i, j) in trace.jobs().iter().enumerate() {
+            sorted.push(Event::Arrival(j.submit as f64, i));
+            sorted.push(Event::Start(j.start_time(), i));
+        }
+        sorted.sort_by(|a, b| {
+            let is_arrival = |e: &Event| matches!(e, Event::Arrival(..));
+            a.time().total_cmp(&b.time()).then(is_arrival(a).cmp(&is_arrival(b)))
+        });
+        sorted
+    }
+
+    /// The merge against what it replaced. Small integer gaps and waits
+    /// make ties of every kind — start/start, start/arrival, a zero wait —
+    /// common.
     #[test]
     fn merged_events_match_a_stable_sort_of_all_events() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -548,16 +591,7 @@ mod tests {
             submit += next(3);
             t.push(JobRecord { submit, wait_secs: next(6) as f64, procs: 1, run_secs: 1.0 });
         }
-        let mut sorted = Vec::new();
-        for (i, j) in t.jobs().iter().enumerate() {
-            sorted.push(Event::Arrival(j.submit as f64, i));
-            sorted.push(Event::Start(j.start_time(), i));
-        }
-        sorted.sort_by(|a, b| {
-            let is_arrival = |e: &Event| matches!(e, Event::Arrival(..));
-            a.time().total_cmp(&b.time()).then(is_arrival(a).cmp(&is_arrival(b)))
-        });
-        assert_eq!(merged_events(&t).collect::<Vec<_>>(), sorted);
+        assert_eq!(merged_events(&t).collect::<Vec<_>>(), sorted_events(&t));
     }
 
     /// Counts the refits `run` asks for, and checks each is owed: the
@@ -604,50 +638,60 @@ mod tests {
         }
     }
 
-    /// `(refits owed, epochs elapsed)` for `trace` under `config`: a refit
-    /// at each epoch (each arrival, at `epoch_secs = 0`) that a start
-    /// precedes since the last refit or `finish_training`, and one before
-    /// the samples that trail the last epoch, if a start precedes them.
+    /// Every sample time of `config`'s window, if it has one.
+    fn sample_times(config: &HarnessConfig) -> impl Iterator<Item = u64> {
+        let window = config.sample.into_iter();
+        window.flat_map(|w| (w.start..=w.end).step_by(w.step as usize))
+    }
+
+    /// `(refits owed, epochs elapsed)` for `trace` under `config`, walking
+    /// the epochs one at a time in floating point. A refit is owed while a
+    /// start precedes it since the last refit or `finish_training`: at an
+    /// epoch, if the next arrival comes before the next epoch or a sample
+    /// falls at or before this one; at each arrival, at `epoch_secs = 0`;
+    /// and before the samples that trail the last event.
     fn owed_refits(trace: &Trace, config: &HarnessConfig) -> (usize, usize) {
+        let jobs = trace.jobs();
         let training = (trace.len() as f64 * config.training_fraction).ceil() as usize;
+        let step = config.epoch_secs as f64;
         let (mut owed, mut epochs, mut arrivals) = (0, 0, 0);
         let mut changed = training > 0;
         let mut settle = |changed: &mut bool| owed += usize::from(std::mem::take(changed));
-        let mut epoch = trace.jobs()[0].submit as f64 + config.epoch_secs;
-        let mut last_epoch = f64::NEG_INFINITY;
+        let mut samples = sample_times(config).peekable();
+        let mut epoch = jobs[0].submit as f64 + step;
         for ev in merged_events(trace) {
-            while config.epoch_secs > 0.0 && epoch <= ev.time() {
-                settle(&mut changed);
-                (last_epoch, epoch) = (epoch, epoch + config.epoch_secs);
+            while step > 0.0 && epoch <= ev.time() {
+                let arrival_reads =
+                    jobs.get(arrivals).is_some_and(|j| (j.submit as f64) < epoch + step);
+                if arrival_reads || samples.peek().is_some_and(|&t| t as f64 <= epoch) {
+                    settle(&mut changed);
+                }
+                while samples.next_if(|&t| t as f64 <= epoch).is_some() {}
+                epoch += step;
                 epochs += 1;
             }
             match ev {
                 Event::Start(..) => changed = true,
                 Event::Arrival(..) => {
-                    if config.epoch_secs == 0.0 {
+                    if step == 0.0 {
                         settle(&mut changed);
                     }
                     arrivals += 1;
-                    if arrivals == training + 1 {
+                    if training > 0 && arrivals == training + 1 {
                         changed = false;
                     }
                 }
             }
         }
-        if let Some(w) = config.sample {
-            let mut first_trailing = w.start;
-            while first_trailing as f64 <= last_epoch {
-                first_trailing += w.step;
-            }
-            if first_trailing <= w.end {
-                settle(&mut changed);
-            }
+        if samples.peek().is_some() {
+            settle(&mut changed);
         }
         (owed, epochs)
     }
 
     /// Bursty arrivals and heavy-tailed waits: some epochs see many starts,
-    /// many see none.
+    /// many see none. Job 0 and a job in the result phase wait zero (so
+    /// each starts before it arrives), and a job arrives on an epoch.
     fn bursty_trace() -> Trace {
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = |modulus: u64| {
@@ -656,26 +700,111 @@ mod tests {
         };
         let mut submit = 10_000;
         let mut t = Trace::new("m", "q");
-        for _ in 0..3_000 {
+        for i in 0..3_000 {
             submit += if next(10) == 0 { next(20_000) } else { next(120) };
-            let wait = (next(1_000) * next(1_000)) as f64 / 40.0;
+            if i == 2_000 {
+                submit += 300 - (submit - 10_000) % 300;
+            }
+            let wait = if i % 2_000 == 0 { 0.0 } else { (next(1_000) * next(1_000)) as f64 / 40.0 };
             t.push(JobRecord { submit, wait_secs: wait, procs: 1, run_secs: 1.0 });
         }
         t
     }
 
+    /// The replay as it was written before epochs were counted and refits
+    /// skipped: the events of [`sorted_events`], a float walk over the
+    /// epochs with a refit at each, a refit before every arrival at
+    /// `epoch_secs = 0`, and each job's served bound kept by index.
+    fn reference_run(
+        trace: &Trace,
+        p: &mut dyn QuantilePredictor,
+        config: &HarnessConfig,
+    ) -> HarnessResult {
+        let jobs = trace.jobs();
+        let training = (jobs.len() as f64 * config.training_fraction).ceil() as usize;
+        let mut sample_times = sample_times(config).peekable();
+        let (mut records, mut samples) = (Vec::new(), Vec::new());
+        let mut served = vec![None; jobs.len()];
+        let mut epoch = jobs[0].submit as f64 + config.epoch_secs as f64;
+        let mut arrivals = 0;
+        if training == 0 {
+            p.finish_training();
+        }
+        for ev in sorted_events(trace) {
+            while config.epoch_secs > 0 && epoch <= ev.time() {
+                p.refit();
+                while let Some(time) = sample_times.next_if(|&t| t as f64 <= epoch) {
+                    samples.push(BoundSample { time, bound: p.current_bound().value() });
+                }
+                epoch += config.epoch_secs as f64;
+            }
+            match ev {
+                Event::Start(_, i) => {
+                    p.observe(jobs[i].wait_secs);
+                    if let Some(predicted) = served[i] {
+                        p.record_outcome(predicted, jobs[i].wait_secs);
+                    }
+                }
+                Event::Arrival(_, i) => {
+                    if config.epoch_secs == 0 {
+                        p.refit();
+                    }
+                    arrivals += 1;
+                    if training > 0 && arrivals == training + 1 {
+                        p.finish_training();
+                    }
+                    if i >= training {
+                        served[i] = p.current_bound().value();
+                        let (submit, predicted) = (jobs[i].submit, served[i]);
+                        let (actual, procs) = (jobs[i].wait_secs, jobs[i].procs);
+                        records.push(PredictionRecord { submit, predicted, actual, procs });
+                    }
+                }
+            }
+        }
+        p.refit();
+        for time in sample_times {
+            samples.push(BoundSample { time, bound: p.current_bound().value() });
+        }
+        HarnessResult {
+            machine: trace.machine().to_string(),
+            queue: trace.queue().to_string(),
+            predictor: p.name().to_string(),
+            training_jobs: training,
+            records,
+            samples,
+        }
+    }
+
+    /// The configurations the refit tests sweep: epoch 300 and 0, with and
+    /// without a sample window, and no training phase.
+    fn refit_configs(trace: &Trace) -> [HarnessConfig; 5] {
+        let (first, last) = trace.span().unwrap();
+        let window = SampleWindow { start: first + 5_000, end: last + 50_000, step: 1_700 };
+        [
+            HarnessConfig::default(),
+            HarnessConfig { epoch_secs: 0, ..HarnessConfig::default() },
+            HarnessConfig { sample: Some(window), ..HarnessConfig::default() },
+            HarnessConfig { epoch_secs: 0, sample: Some(window), ..HarnessConfig::default() },
+            HarnessConfig { training_fraction: 0.0, ..HarnessConfig::default() },
+        ]
+    }
+
+    #[test]
+    fn bursty_trace_has_the_edge_cases() {
+        let trace = bursty_trace();
+        let jobs = trace.jobs();
+        let on_epoch = |t: f64| t.fract() == 0.0 && (t as u64 - jobs[0].submit).is_multiple_of(300);
+        assert_eq!(jobs[0].wait_secs, 0.0);
+        assert!(jobs[300..].iter().any(|j| j.wait_secs == 0.0));
+        assert!(jobs.iter().any(|j| on_epoch(j.submit as f64)));
+        assert!(jobs.iter().any(|j| j.wait_secs > 0.0 && on_epoch(j.start_time())));
+    }
+
     #[test]
     fn a_refit_runs_only_after_a_start() {
         let trace = bursty_trace();
-        let (first, last) = trace.span().unwrap();
-        let window = SampleWindow { start: first + 5_000, end: last + 50_000, step: 1_700 };
-        for config in [
-            HarnessConfig::default(),
-            HarnessConfig { epoch_secs: 0.0, ..HarnessConfig::default() },
-            HarnessConfig { sample: Some(window), ..HarnessConfig::default() },
-            HarnessConfig { epoch_secs: 0.0, sample: Some(window), ..HarnessConfig::default() },
-            HarnessConfig { training_fraction: 0.0, ..HarnessConfig::default() },
-        ] {
+        for config in refit_configs(&trace) {
             let mut p = Counting {
                 inner: Bmbp::with_defaults(),
                 dirty: true,
@@ -685,20 +814,97 @@ mod tests {
             let res = run(&trace, &mut p, &config);
             let (owed, epochs) = owed_refits(&trace, &config);
             assert_eq!(p.refits, owed, "{config:?}");
-            if config.epoch_secs > 0.0 {
+            if config.epoch_secs > 0 {
                 assert!(owed < epochs / 2, "{owed} refits over {epochs} epochs");
             } else {
                 // Every question is answered after a refit on every start.
                 assert_eq!(p.dirty_reads.get(), 0);
             }
             // Sampling still happens at every step of the window.
-            if let Some(w) = config.sample {
+            if config.sample.is_some() {
                 let times: Vec<u64> = res.samples.iter().map(|s| s.time).collect();
-                let steps: Vec<u64> = (w.start..=w.end).step_by(w.step as usize).collect();
-                assert_eq!(times, steps);
+                assert_eq!(times, sample_times(&config).collect::<Vec<_>>());
                 assert!(res.samples.last().unwrap().bound.is_some());
             }
         }
+    }
+
+    /// Served bounds and samples are those of a replay that refits at every
+    /// epoch, bit for bit, for every predictor. A wrong bound fed back at a
+    /// start shows too: the trimming predictors trim on it.
+    #[test]
+    fn skipped_refits_serve_the_reference_bounds() {
+        use qdelay_predict::baseline::EmpiricalQuantilePredictor;
+        use qdelay_predict::lognormal::{LogNormalConfig, LogNormalPredictor};
+        use qdelay_predict::BoundSpec;
+        let trace = bursty_trace();
+        let makers: [fn() -> Box<dyn QuantilePredictor>; 5] = [
+            || Box::new(Bmbp::with_defaults()),
+            || Box::new(LogNormalPredictor::new(LogNormalConfig::no_trim())),
+            || Box::new(LogNormalPredictor::new(LogNormalConfig::trim())),
+            || Box::new(MaxObservedPredictor::new()),
+            || Box::new(EmpiricalQuantilePredictor::new(BoundSpec::paper_default())),
+        ];
+        let bits = |res: &HarnessResult| {
+            let records = res.records.iter().map(|r| (r.submit, r.predicted.map(f64::to_bits)));
+            let samples = res.samples.iter().map(|s| (s.time, s.bound.map(f64::to_bits)));
+            (records.collect::<Vec<_>>(), samples.collect::<Vec<_>>())
+        };
+        for config in refit_configs(&trace) {
+            for make in makers {
+                let (mut p, mut q) = (make(), make());
+                let got = run(&trace, p.as_mut(), &config);
+                let want = reference_run(&trace, q.as_mut(), &config);
+                assert_eq!(bits(&got), bits(&want), "{} {config:?}", got.predictor);
+                assert_eq!(got.records.len(), trace.len() - got.training_jobs);
+            }
+        }
+    }
+
+    #[test]
+    fn due_epochs_match_a_float_walk() {
+        let trace = bursty_trace();
+        for step in [1, 7, 300, 86_400] {
+            let first = trace.jobs()[0].submit;
+            let (mut walked, mut next) = (first as f64 + step as f64, Some(first + step));
+            for ev in merged_events(&trace) {
+                let mut due = 0;
+                while walked <= ev.time() {
+                    walked += step as f64;
+                    due += 1;
+                }
+                match next.and_then(|epoch| due_epochs(epoch, step, ev.time())) {
+                    Some((count, last)) => {
+                        let want = (due, walked - step as f64);
+                        assert_eq!((count, last as f64), want, "{ev:?} step {step}");
+                        next = Some(last + step);
+                    }
+                    None => assert_eq!(due, 0, "{ev:?} step {step}"),
+                }
+                assert_eq!(next.map(|e| e as f64), Some(walked));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sample step must be positive")]
+    fn a_zero_sample_step_is_rejected() {
+        let config = HarnessConfig {
+            sample: Some(SampleWindow { start: 1000, end: 2000, step: 0 }),
+            ..HarnessConfig::default()
+        };
+        run(&uniform_trace(20, 60, 5.0), &mut MaxObservedPredictor::new(), &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite event times")]
+    fn an_infinite_wait_is_rejected() {
+        let mut trace = Trace::new("m", "q");
+        for i in 0..20 {
+            let wait_secs = if i == 7 { f64::INFINITY } else { 5.0 };
+            trace.push(JobRecord { submit: 1000 + i * 60, wait_secs, procs: 1, run_secs: 100.0 });
+        }
+        run(&trace, &mut MaxObservedPredictor::new(), &HarnessConfig::default());
     }
 
     #[test]

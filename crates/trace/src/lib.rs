@@ -161,14 +161,14 @@ impl Trace {
     ///
     /// # Panics
     ///
-    /// Panics if a start time is NaN or the trace holds more than
+    /// Panics if a start time is not finite or the trace holds more than
     /// `u32::MAX` jobs.
     pub fn start_order(&self) -> &[u32] {
         self.start_order.get_or_init(|| {
             let n = u32::try_from(self.jobs.len()).expect("at most u32::MAX jobs");
             let mut starts: Vec<(f64, u32)> =
                 self.jobs.iter().zip(0..n).map(|(j, i)| (j.start_time(), i)).collect();
-            assert!(starts.iter().all(|(t, _)| !t.is_nan()), "finite event times");
+            assert!(starts.iter().all(|(t, _)| t.is_finite()), "finite event times");
             starts.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             starts.into_iter().map(|(_, i)| i).collect()
         })

@@ -92,7 +92,7 @@ fn trimming_helps_lognormal_on_shifting_trace() {
 fn epoch_length_has_minimal_effect() {
     let p = scaled_profile("sdsc", "express", 4_000);
     let trace = synth::generate(&p, &SynthSettings::with_seed(31));
-    let frac = |epoch: f64| {
+    let frac = |epoch: u64| {
         let mut bmbp = Bmbp::with_defaults();
         let cfg = HarnessConfig {
             epoch_secs: epoch,
@@ -100,8 +100,8 @@ fn epoch_length_has_minimal_effect() {
         };
         harness::run(&trace, &mut bmbp, &cfg).metrics().correct_fraction
     };
-    let f300 = frac(300.0);
-    let f0 = frac(0.0);
+    let f300 = frac(300);
+    let f0 = frac(0);
     assert!(
         (f300 - f0).abs() < 0.02,
         "epoch effect too large: 300s={f300}, 0s={f0}"
