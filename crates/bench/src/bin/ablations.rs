@@ -2,10 +2,8 @@
 //!
 //! 1. **Refit epoch**: 300 s versus 0 s (refit on every arrival). §5.1
 //!    claims "the effect on the results was minimal".
-//! 2. **Bound method**: exact binomial inversion versus the appendix's CLT
-//!    approximation.
-//! 3. **Trimming**: BMBP with change-point trimming on versus off.
-//! 4. **Miss-threshold sensitivity**: forcing the consecutive-miss
+//! 2. **Trimming**: BMBP with change-point trimming on versus off.
+//! 3. **Miss-threshold sensitivity**: forcing the consecutive-miss
 //!    threshold to 2/3/5/8 instead of the Monte-Carlo calibration.
 //!
 //! Usage: `cargo run --release -p qdelay-bench --bin ablations [seed]`
@@ -13,7 +11,6 @@
 use qdelay_bench::suite::SuiteConfig;
 use qdelay_bench::table;
 use qdelay_predict::bmbp::{Bmbp, BmbpConfig};
-use qdelay_predict::BoundMethod;
 use qdelay_sim::harness::{self, HarnessConfig};
 use qdelay_sim::EvalMetrics;
 use qdelay_trace::catalog;
@@ -72,24 +69,13 @@ fn main() {
             };
             push(label, trace, run_bmbp(trace, BmbpConfig::default(), &cfg));
         }
-        // 2. Bound method.
-        for (label, method) in [
-            ("bound=exact", BoundMethod::Exact),
-            ("bound=approx", BoundMethod::Approx),
-        ] {
-            let cfg = BmbpConfig {
-                method,
-                ..BmbpConfig::default()
-            };
-            push(label, trace, run_bmbp(trace, cfg, &base_harness));
-        }
-        // 3. Trimming.
+        // 2. Trimming.
         let cfg = BmbpConfig {
             trimming: false,
             ..BmbpConfig::default()
         };
         push("trimming=off", trace, run_bmbp(trace, cfg, &base_harness));
-        // 4. Threshold override.
+        // 3. Threshold override.
         for t in [2usize, 3, 5, 8] {
             let cfg = BmbpConfig {
                 threshold_override: Some(t),
@@ -101,7 +87,6 @@ fn main() {
     print!("{}", table::render(&header, &rows, 2));
     println!("\nExpected shape:");
     println!("  * epoch 0 vs 300 s: near-identical (paper section 5.1);");
-    println!("  * exact vs approx: identical to within one order statistic;");
     println!("  * trimming off: lower correctness on the nonstationary lanl/short;");
     println!("  * tiny thresholds trim too eagerly (looser bounds), huge ones adapt late.");
 }

@@ -210,6 +210,21 @@ fn at_least(flag: &str, text: &str, min: f64) -> Result<f64, String> {
     }
 }
 
+/// `text` as a whole number of at least `min` that fits `T`. A fraction,
+/// a sign, an exponent or an overflow is an error naming the flag, never a
+/// truncation or a saturation.
+fn whole<T: TryFrom<u64>>(flag: &str, text: &str, min: u64) -> Result<T, String> {
+    let out_of_range = || format!("{flag} is out of range, got '{text}'");
+    let v = text.parse::<u64>().map_err(|e| match e.kind() {
+        std::num::IntErrorKind::PosOverflow => out_of_range(),
+        _ => format!("{flag} takes a whole number, got '{text}'"),
+    })?;
+    if v < min {
+        return Err(format!("{flag} must be at least {min}"));
+    }
+    T::try_from(v).map_err(|_| out_of_range())
+}
+
 /// Pulls `--flag value` out of `command`'s argument list; returns the
 /// remaining positionals. A flag the command does not read
 /// ([`accepted_flags`]) is an error naming both — never a positional, and
@@ -231,6 +246,11 @@ fn parse_flags(command: &str, args: &[String]) -> Result<(Vec<String>, Flags), S
         let mut value =
             |what: &str| args.next().cloned().ok_or_else(|| format!("{flag} needs {what}"));
         let mut num = |min: f64| at_least(flag, &value("a value")?, min);
+        macro_rules! int {
+            ($min:expr) => {
+                whole(flag, &value("a value")?, $min)?
+            };
+        }
         match flag {
             "--quantile" => flags.quantile = num(ANY)?,
             "--confidence" => flags.confidence = num(ANY)?,
@@ -240,9 +260,9 @@ fn parse_flags(command: &str, args: &[String]) -> Result<(Vec<String>, Flags), S
                 flags.epoch = text.parse().map_err(|_| bad())?;
             }
             "--training" => flags.training = num(ANY)?,
-            "--seed" => flags.seed = num(ANY)? as u64,
-            "--days" => flags.days = num(ANY)? as u32,
-            "--procs" => flags.procs = num(ANY)? as u32,
+            "--seed" => flags.seed = int!(0),
+            "--days" => flags.days = int!(0),
+            "--procs" => flags.procs = int!(0),
             "--lower" => flags.lower = true,
             "--watch" => flags.watch = true,
             "--policy" => flags.policy = value("a value")?,
@@ -259,15 +279,15 @@ fn parse_flags(command: &str, args: &[String]) -> Result<(Vec<String>, Flags), S
                 let spec = value("always | never | interval[:ms]")?;
                 flags.fsync = Some(qdelay_serve::durability::FsyncPolicy::parse(&spec)?);
             }
-            "--segment-bytes" => flags.segment_bytes = Some(num(1.0)? as u64),
-            "--compact-bytes" => flags.compact_bytes = Some(num(1.0)? as u64),
-            "--shards" => flags.shards = num(1.0)? as usize,
-            "--max-resident" => flags.max_resident = Some(num(0.0)? as usize),
-            "--slow-request-us" => flags.slow_request_us = Some(num(0.0)? as u64),
-            "--flight-recorder-depth" => flags.flight_recorder_depth = Some(num(1.0)? as usize),
-            "--metrics-interval" => flags.metrics_interval_ms = Some(num(1.0)? as u64),
-            "--interval-ms" => flags.interval_ms = num(1.0)? as u64,
-            "--samples" => flags.samples = num(0.0)? as u64,
+            "--segment-bytes" => flags.segment_bytes = Some(int!(1)),
+            "--compact-bytes" => flags.compact_bytes = Some(int!(1)),
+            "--shards" => flags.shards = int!(1),
+            "--max-resident" => flags.max_resident = Some(int!(0)),
+            "--slow-request-us" => flags.slow_request_us = Some(int!(0)),
+            "--flight-recorder-depth" => flags.flight_recorder_depth = Some(int!(1)),
+            "--metrics-interval" => flags.metrics_interval_ms = Some(int!(1)),
+            "--interval-ms" => flags.interval_ms = int!(1),
+            "--samples" => flags.samples = int!(0),
             "--budget" => match num(0.0)? {
                 b if b.is_finite() => flags.budget = Some(b),
                 _ => return Err("--budget must be a finite number of wait-seconds".into()),
@@ -912,6 +932,24 @@ mod tests {
     }
 
     #[test]
+    fn integer_flags_take_whole_numbers_only() {
+        for (command, flag, text, want) in [
+            ("generate", "--seed", "7.9", "--seed takes a whole number, got '7.9'"),
+            ("simulate", "--days", "-3", "--days takes a whole number, got '-3'"),
+            ("serve", "--shards", "1.5", "--shards takes a whole number, got '1.5'"),
+            ("serve", "--segment-bytes", "1e30", "--segment-bytes takes a whole number, got '1e30'"),
+            ("serve", "--shards", "0", "--shards must be at least 1"),
+            ("simulate", "--procs", "4294967296", "--procs is out of range, got '4294967296'"),
+            ("generate", "--seed", "18446744073709551616", "--seed is out of range, got '18446744073709551616'"),
+        ] {
+            let err = parse_flags(command, &strs(&[flag, text])).err().expect("must fail");
+            assert_eq!(err, want);
+        }
+        let (_, flags) = parse_flags("simulate", &strs(&["--seed", "18446744073709551615", "--days", "3"])).unwrap();
+        assert_eq!((flags.seed, flags.days), (u64::MAX, 3));
+    }
+
+    #[test]
     fn unknown_flags_are_named_errors() {
         // A typo, the removed reservation cap, and a real flag of another
         // command all fail loudly, naming the command and the flag, instead
@@ -1439,7 +1477,7 @@ mod tests {
         // The evaluate run above must have left predictor telemetry behind.
         let counters = json.get("counters").unwrap();
         assert!(
-            ["hit", "table", "miss"]
+            ["hit", "carry_forward", "miss"]
                 .iter()
                 .any(|c| counters.get(&format!("predict.bound_index.{c}")).is_some()),
             "expected bound-index counters in {written}"

@@ -35,7 +35,7 @@ static BMBP_TRIMMED_LEN: Gauge = Gauge::new("predict.bmbp.trimmed_len");
 /// use qdelay_predict::bmbp::BmbpConfig;
 /// use qdelay_predict::bound::BoundSpec;
 ///
-/// // Paper defaults: 95/95, auto method, trimming on.
+/// // Paper defaults: 95/95, trimming on.
 /// let cfg = BmbpConfig::default();
 /// assert_eq!(cfg.spec, BoundSpec::paper_default());
 /// assert!(cfg.trimming);
@@ -44,8 +44,6 @@ static BMBP_TRIMMED_LEN: Gauge = Gauge::new("predict.bmbp.trimmed_len");
 pub struct BmbpConfig {
     /// Target quantile and confidence level.
     pub spec: BoundSpec,
-    /// Exact binomial inversion, CLT approximation, or automatic switch.
-    pub method: BoundMethod,
     /// Whether to trim history on detected change points (paper §4.1);
     /// disabling this gives the "no adaptation" ablation.
     pub trimming: bool,
@@ -60,7 +58,6 @@ impl Default for BmbpConfig {
     fn default() -> Self {
         Self {
             spec: BoundSpec::paper_default(),
-            method: BoundMethod::Auto,
             trimming: true,
             threshold_override: None,
             max_history: None,
@@ -111,7 +108,7 @@ impl Bmbp {
             .threshold_override
             .unwrap_or_else(|| ThresholdTable::default_table().threshold_for(0.0));
         let needed = config.spec.min_history_upper();
-        let index_cache = BoundIndexCache::new(config.spec, config.method);
+        let index_cache = BoundIndexCache::new(config.spec, BoundMethod::Exact);
         Self {
             config,
             history,
@@ -156,7 +153,7 @@ impl Bmbp {
     /// Reads the order statistic straight off the history's rank index —
     /// no sorted copy is materialized.
     pub fn upper_bound_for(&self, spec: BoundSpec) -> BoundOutcome {
-        match bound::upper_index(self.history.len(), spec, self.config.method) {
+        match bound::upper_index(self.history.len(), spec, BoundMethod::Exact) {
             Some(k) => BoundOutcome::Bound(
                 self.history
                     .order_statistic(k)
@@ -170,7 +167,7 @@ impl Bmbp {
 
     /// Ad-hoc **lower** bound query against the current history.
     pub fn lower_bound_for(&self, spec: BoundSpec) -> BoundOutcome {
-        match bound::lower_index(self.history.len(), spec, self.config.method) {
+        match bound::lower_index(self.history.len(), spec) {
             Some(k) => BoundOutcome::Bound(
                 self.history
                     .order_statistic(k)
@@ -213,7 +210,6 @@ impl Bmbp {
         BmbpState {
             quantile: self.config.spec.quantile(),
             confidence: self.config.spec.confidence(),
-            method: self.config.method,
             trimming: self.config.trimming,
             threshold_override: self.config.threshold_override,
             max_history: self.config.max_history,
@@ -252,7 +248,6 @@ impl Bmbp {
         check_waits(waits)?;
         let mut p = Self::new(BmbpConfig {
             spec,
-            method: state.method,
             trimming: state.trimming,
             threshold_override: state.threshold_override,
             max_history: state.max_history,
@@ -271,9 +266,9 @@ impl Bmbp {
 
     fn recompute(&mut self) {
         let _span = Span::enter_sampled(&BMBP_REFIT_NS, &mut self.refit_tick, 63);
-        // Index from the per-n memo (O(1): a table read, the closed form or
-        // a carry-forward step), value from the rank index (O(√n)
-        // selection) — the refit never touches every stored observation.
+        // Index from the per-n memo (O(1) per step of n since the last
+        // refit), value from the rank index (O(√n) selection) — the refit
+        // never touches every stored observation.
         self.cached = match self.index_cache.upper_index(self.history.len()) {
             Some(k) => BoundOutcome::Bound(
                 self.history

@@ -5,22 +5,22 @@
 //! them below the population quantile `X_q` is `Binomial(n, q)`, so an order
 //! statistic with a suitable index is an upper (or lower) confidence bound
 //! for `X_q` — with *no* distributional assumptions.
+//!
+//! Every index is the exact inversion of the binomial CDF, at every `n`.
+//! The appendix suggests a CLT shortcut for large `n`, but it lands one
+//! rank low often enough (the 95/95 upper index at `n = 202` reaches
+//! confidence 0.941) to break the promise of confidence *at least* `C`, so
+//! it is not used. [`BoundIndexCache`] makes the exact index cheap by
+//! carrying it from one `n` to the next with the CDF recurrence.
 
 use qdelay_stats::binomial::Binomial;
-use qdelay_stats::normal::std_normal_quantile;
 use qdelay_telemetry::Counter;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 
 /// Refits that reused the index cached for the current `n` outright.
 static BOUND_INDEX_HIT: Counter = Counter::new("predict.bound_index.hit");
-/// Refits that read a new `n`'s index from the process-wide `Auto` table.
-static BOUND_INDEX_TABLE: Counter = Counter::new("predict.bound_index.table");
-/// Refits that advanced a cached exact index by the O(1)-per-step walk.
+/// Refits that carried a cached index forward by the O(1)-per-step walk.
 static BOUND_INDEX_CARRY: Counter = Counter::new("predict.bound_index.carry_forward");
-/// Refits served by the O(1) CLT closed form (large-`n` region of `Auto`).
-static BOUND_INDEX_APPROX: Counter = Counter::new("predict.bound_index.approx");
-/// Refits that paid a fresh `O(log n)` exact binomial-CDF inversion.
+/// Refits that paid a fresh `O(log n)`-CDF-evaluation inversion.
 static BOUND_INDEX_MISS: Counter = Counter::new("predict.bound_index.miss");
 
 /// The target of a bound computation: which quantile, at what confidence.
@@ -102,40 +102,17 @@ impl Default for BoundSpec {
     }
 }
 
-/// How the order-statistic index is computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Names a bound method, but every method serves the exact index: nothing
+/// branches on it. It survives only as the parameter of [`upper_index`]
+/// and [`BoundIndexCache::new`], because the benchmark's layer probes
+/// (`benchmark/src/layers.rs`) call both with it, and that crate changes
+/// only with a revision of the benchmark. It goes with those call sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundMethod {
-    /// Exact binomial CDF inversion below [`BoundMethod::AUTO_THRESHOLD`]
-    /// expected successes/failures, CLT approximation above — the paper's
-    /// appendix strategy.
-    #[default]
+    /// The exact index.
     Auto,
-    /// Always invert the exact binomial CDF.
+    /// The exact index.
     Exact,
-    /// Always use the normal approximation
-    /// `k = ceil(n q + z_C sqrt(n q (1-q)))` (requires the approximation to
-    /// be in range; falls back to exact at tiny `n`).
-    Approx,
-}
-
-impl BoundMethod {
-    /// Expected-count threshold above which `Auto` switches to the CLT
-    /// approximation (the appendix suggests 10).
-    pub const AUTO_THRESHOLD: f64 = 10.0;
-
-    /// Whether this method answers size `n` for quantile `q` with the CLT
-    /// closed form. `Auto`'s exact region is a prefix in `n`: both expected
-    /// counts grow with `n`.
-    fn resolves_to_approx(self, n: usize, q: f64) -> bool {
-        match self {
-            Self::Exact => false,
-            Self::Approx => true,
-            Self::Auto => {
-                let nf = n as f64;
-                nf * q >= Self::AUTO_THRESHOLD && nf * (1.0 - q) >= Self::AUTO_THRESHOLD
-            }
-        }
-    }
 }
 
 /// Result of asking for a bound from a finite sample.
@@ -162,11 +139,11 @@ impl BoundOutcome {
 }
 
 /// 1-indexed order-statistic index for an **upper** confidence bound on the
-/// `q` quantile, or `None` if `n` is too small.
+/// `q` quantile, or `None` below [`BoundSpec::min_history_upper`].
 ///
 /// The index is the smallest `k` with `P[Bin(n, q) <= k-1] >= C`; then the
 /// `k`-th smallest observation bounds `X_q` from above with confidence `C`
-/// (paper appendix, equation 3).
+/// (paper appendix, equation 3). The method is ignored ([`BoundMethod`]).
 ///
 /// # Examples
 ///
@@ -175,73 +152,22 @@ impl BoundOutcome {
 /// let spec = BoundSpec::paper_default();
 /// // The appendix's worked example: n = 1000, q = 0.9, C = 0.95 -> k = 916.
 /// let spec2 = BoundSpec::new(0.9, 0.95)?;
-/// assert_eq!(upper_index(1000, spec2, BoundMethod::Approx), Some(916));
+/// assert_eq!(upper_index(1000, spec2, BoundMethod::Exact), Some(916));
 /// assert_eq!(upper_index(58, spec, BoundMethod::Exact), None);
 /// assert_eq!(upper_index(59, spec, BoundMethod::Exact), Some(59));
 /// # Ok::<(), qdelay_predict::PredictError>(())
 /// ```
-pub fn upper_index(n: usize, spec: BoundSpec, method: BoundMethod) -> Option<usize> {
-    if n == 0 {
-        return None;
-    }
-    let q = spec.quantile();
-    let k = if method.resolves_to_approx(n, q) {
-        let nf = n as f64;
-        let z = std_normal_quantile(spec.confidence());
-        let raw = (nf * q + z * (nf * q * (1.0 - q)).sqrt()).ceil();
-        if raw < 1.0 {
-            1
-        } else {
-            raw as usize
-        }
-    } else {
-        let b = Binomial::new(n as u64, q).expect("validated quantile");
-        b.quantile(spec.confidence()) as usize + 1
-    };
-    if k > n {
-        None
-    } else {
-        Some(k)
-    }
+pub fn upper_index(n: usize, spec: BoundSpec, _method: BoundMethod) -> Option<usize> {
+    Side::Upper.fresh_index(n, spec)
 }
 
 /// 1-indexed order-statistic index for a **lower** confidence bound on the
-/// `q` quantile, or `None` if `n` is too small.
+/// `q` quantile, or `None` below [`BoundSpec::min_history_lower`].
 ///
 /// The index is the largest `k` with `P[Bin(n, q) >= k] >= C`, i.e. the
 /// largest `k` with `P[Bin(n, q) <= k-1] <= 1 - C`.
-pub fn lower_index(n: usize, spec: BoundSpec, method: BoundMethod) -> Option<usize> {
-    if n == 0 {
-        return None;
-    }
-    let q = spec.quantile();
-    if method.resolves_to_approx(n, q) {
-        let nf = n as f64;
-        let z = std_normal_quantile(spec.confidence());
-        let raw = (nf * q - z * (nf * q * (1.0 - q)).sqrt()).floor();
-        if raw < 1.0 {
-            None
-        } else {
-            Some(raw as usize)
-        }
-    } else {
-        let b = Binomial::new(n as u64, q).expect("validated quantile");
-        // Largest k-1 with cdf(k-1) <= 1 - C.
-        let target = 1.0 - spec.confidence();
-        if b.cdf(0) > target {
-            return None; // even k = 1 fails
-        }
-        // quantile(target) is the smallest m with cdf(m) >= target; walk to
-        // the largest m with cdf(m) <= target.
-        let mut m = b.quantile(target);
-        if b.cdf(m) > target {
-            if m == 0 {
-                return None;
-            }
-            m -= 1;
-        }
-        Some(m as usize + 1)
-    }
+pub fn lower_index(n: usize, spec: BoundSpec) -> Option<usize> {
+    Side::Lower.fresh_index(n, spec)
 }
 
 /// Upper confidence bound on the `q` quantile from a sorted sample.
@@ -249,9 +175,9 @@ pub fn lower_index(n: usize, spec: BoundSpec, method: BoundMethod) -> Option<usi
 /// # Panics
 ///
 /// Panics (in debug builds) if `sorted` is not ascending.
-pub fn upper_bound(sorted: &[f64], spec: BoundSpec, method: BoundMethod) -> BoundOutcome {
+pub fn upper_bound(sorted: &[f64], spec: BoundSpec) -> BoundOutcome {
     debug_assert!(is_sorted(sorted), "input must be sorted ascending");
-    match upper_index(sorted.len(), spec, method) {
+    match upper_index(sorted.len(), spec, BoundMethod::Exact) {
         Some(k) => BoundOutcome::Bound(sorted[k - 1]),
         None => BoundOutcome::InsufficientHistory {
             needed: spec.min_history_upper(),
@@ -264,9 +190,9 @@ pub fn upper_bound(sorted: &[f64], spec: BoundSpec, method: BoundMethod) -> Boun
 /// # Panics
 ///
 /// Panics (in debug builds) if `sorted` is not ascending.
-pub fn lower_bound(sorted: &[f64], spec: BoundSpec, method: BoundMethod) -> BoundOutcome {
+pub fn lower_bound(sorted: &[f64], spec: BoundSpec) -> BoundOutcome {
     debug_assert!(is_sorted(sorted), "input must be sorted ascending");
-    match lower_index(sorted.len(), spec, method) {
+    match lower_index(sorted.len(), spec) {
         Some(k) => BoundOutcome::Bound(sorted[k - 1]),
         None => BoundOutcome::InsufficientHistory {
             needed: spec.min_history_lower(),
@@ -278,17 +204,193 @@ fn is_sorted(xs: &[f64]) -> bool {
     xs.windows(2).all(|w| w[0] <= w[1])
 }
 
-/// Memoized bound-index lookups for a fixed `(spec, method)` pair.
+/// The two indices. Each is read off `j`, the smallest count whose
+/// `P[Bin(n, q) <= j]` has reached the side's level: the upper index is
+/// `j + 1`, the lower is `j`. As `n` grows by one, `j` grows by 0 or 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// `P[Bin(n, q) <= j] >= C`.
+    Upper,
+    /// `P[Bin(n, q) <= j] > 1 - C`.
+    Lower,
+}
+
+impl Side {
+    fn level(self, spec: BoundSpec) -> f64 {
+        match self {
+            Self::Upper => spec.confidence,
+            Self::Lower => 1.0 - spec.confidence,
+        }
+    }
+
+    fn reached(self, cdf: f64, level: f64) -> bool {
+        match self {
+            Self::Upper => cdf >= level,
+            Self::Lower => cdf > level,
+        }
+    }
+
+    /// Sizes below this have no index: the `needed` that
+    /// [`BoundOutcome::InsufficientHistory`] reports.
+    fn min_n(self, spec: BoundSpec) -> usize {
+        match self {
+            Self::Upper => spec.min_history_upper(),
+            Self::Lower => spec.min_history_lower(),
+        }
+    }
+
+    /// The index `j` names at a size `n` that has one. The clamp matters
+    /// only where rounding splits the tie `1 - q^n = C` (or
+    /// `1 - (1-q)^n = C`) between the closed-form minimum and the CDF.
+    fn index(self, n: usize, j: u64) -> usize {
+        match self {
+            Self::Upper => (j as usize + 1).min(n),
+            Self::Lower => (j as usize).max(1),
+        }
+    }
+
+    /// `j` at size `n`, by a fresh inversion of the binomial CDF.
+    fn fresh_j(self, b: &Binomial, level: f64) -> u64 {
+        // The smallest `m` with `P[Bin(n, q) <= m] >= level`.
+        let m = b.quantile(level);
+        match self {
+            Self::Upper => m,
+            Self::Lower => m + u64::from(b.cdf(m) <= level),
+        }
+    }
+
+    fn fresh_index(self, n: usize, spec: BoundSpec) -> Option<usize> {
+        if n < self.min_n(spec) {
+            return None;
+        }
+        let b = Binomial::new(n as u64, spec.quantile).expect("validated quantile");
+        Some(self.index(n, self.fresh_j(&b, self.level(spec))))
+    }
+}
+
+/// Beyond this gap the cache recomputes instead of walking. A step costs
+/// ~12 ns and a fresh inversion 0.7–10 µs for `n` from 200 to 10⁵ (95/95,
+/// one core of a 2-vCPU x86 box), so 128 steps cost what an inversion
+/// does near `n = 1,000`. Refit gaps are short: in the seed-1 catalog
+/// replay, 3 of ~554k exceed 16.
+const CARRY_FORWARD_LIMIT: usize = 128;
+
+/// A walk whose carried CDF lands this close to the level decides with
+/// [`Binomial::cdf`] instead, so its decision is the inversion's. The
+/// carried value drifts from the CDF's by far less (it is resynced from
+/// the CDF at least every [`RESYNC_STEPS`] steps).
+const GUARD: f64 = 1e-9;
+
+/// Steps after which a walk resyncs its CDF and mass from [`Binomial`].
+const RESYNC_STEPS: u32 = 1024;
+
+/// One side's index carried forward in `n`: `j` with `P[Bin(n, q) <= j]`
+/// and `P[Bin(n, q) = j]` at the size it was last asked for.
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    j: u64,
+    cdf: f64,
+    pmf: f64,
+    since_sync: u32,
+}
+
+impl Walk {
+    /// `j`'s CDF and mass at size `n`, from [`Binomial`].
+    fn synced(b: &Binomial, j: u64) -> Self {
+        Self {
+            j,
+            cdf: b.cdf(j),
+            pmf: b.pmf(j),
+            since_sync: 0,
+        }
+    }
+
+    /// Moves the walk from size `n - 1` to `n`. With `F = P[Bin(n-1, q) <=
+    /// j]` and `f = P[Bin(n-1, q) = j]`:
+    /// `P[Bin(n, q) <= j] = F - q·f`,
+    /// `P[Bin(n, q) = j] = f·n/(n - j)·(1 - q)` and
+    /// `P[Bin(n, q) = j + 1] = P[Bin(n, q) = j]·(n - j)/(j + 1)·q/(1 - q)`.
+    fn step(&mut self, n: u64, side: Side, level: f64, q: f64) {
+        let j = self.j;
+        let mut cdf = self.cdf - q * self.pmf;
+        let mut pmf = self.pmf * n as f64 / (n - j) as f64 * (1.0 - q);
+        let near = (cdf - level).abs() < GUARD;
+        let exact = || Binomial::new(n, q).expect("validated quantile");
+        if near {
+            cdf = exact().cdf(j);
+        }
+        if !side.reached(cdf, level) {
+            pmf *= (n - j) as f64 / (j + 1) as f64 * (q / (1.0 - q));
+            cdf += pmf;
+            self.j += 1;
+        }
+        self.since_sync += 1;
+        if near || self.since_sync == RESYNC_STEPS {
+            *self = Self::synced(&exact(), self.j);
+        } else {
+            (self.cdf, self.pmf) = (cdf, pmf);
+        }
+    }
+}
+
+/// One side's memo: the last size asked at or above the minimum, and the
+/// walk there.
+#[derive(Debug, Clone)]
+struct Memo {
+    side: Side,
+    min_n: usize,
+    last: Option<(usize, Walk)>,
+}
+
+impl Memo {
+    fn new(side: Side, spec: BoundSpec) -> Self {
+        Self {
+            side,
+            min_n: side.min_n(spec),
+            last: None,
+        }
+    }
+
+    fn index(&mut self, n: usize, spec: BoundSpec) -> Option<usize> {
+        if n < self.min_n {
+            return None;
+        }
+        let (side, level, q) = (self.side, self.side.level(spec), spec.quantile);
+        let walk = match self.last {
+            Some((m, walk)) if m == n => {
+                BOUND_INDEX_HIT.incr();
+                return Some(side.index(n, walk.j));
+            }
+            Some((m, mut walk)) if m < n && n - m <= CARRY_FORWARD_LIMIT => {
+                BOUND_INDEX_CARRY.incr();
+                for size in m + 1..=n {
+                    walk.step(size as u64, side, level, q);
+                }
+                walk
+            }
+            // Empty, shrunk (a trim) or too far behind.
+            _ => {
+                BOUND_INDEX_MISS.incr();
+                let b = Binomial::new(n as u64, q).expect("validated quantile");
+                Walk::synced(&b, side.fresh_j(&b, level))
+            }
+        };
+        self.last = Some((n, walk));
+        Some(side.index(n, walk.j))
+    }
+}
+
+/// Memoized bound-index lookups for a fixed spec.
 ///
-/// Predictors ask for the same index on every refit, but `n` only changes
-/// when an observation arrives or the history is trimmed. The cache
-/// recomputes only when `n` changes. Under `Auto` the exact region is a
-/// finite prefix (`n < 200` for 95/95), so a new `n` there is read from a
-/// table built once per process per `(q, C)` by the exact inversion, and
-/// above it the closed form is O(1). `Exact`, whose region is unbounded,
-/// exploits the monotonicity of the index in `n` — `k(n) <= k(n+1) <= k(n)
-/// + 1` — to *carry forward* the index with one O(1) binomial CDF check per
-/// intervening `n`, instead of a fresh `O(log n)`-CDF-evaluation inversion.
+/// Predictors ask for the index on every refit, but `n` only changes when
+/// an observation arrives or the history is trimmed. Below the minimum
+/// history the index is `None` with no CDF call. Otherwise the cache keeps
+/// `j`, `P[Bin(n, q) <= j]` and `P[Bin(n, q) = j]` for the last `n`, and
+/// carries them to a larger `n` by the binomial recurrence: the index rises
+/// by 0 or 1 per step, and one carried CDF value decides which (the walk is
+/// guarded and resynced so that every decision is the exact inversion's).
+/// A smaller `n` (a change-point trim), an empty cache (a new or restored
+/// predictor) or a gap past [`CARRY_FORWARD_LIMIT`] pays a fresh inversion.
 ///
 /// # Examples
 ///
@@ -303,90 +405,18 @@ fn is_sorted(xs: &[f64]) -> bool {
 #[derive(Debug, Clone)]
 pub struct BoundIndexCache {
     spec: BoundSpec,
-    method: BoundMethod,
-    /// The process's table for `spec` under `Auto`; empty for the other
-    /// methods and for regions too long to tabulate.
-    table: AutoTable,
-    upper: Option<(usize, Option<usize>)>,
-    lower: Option<(usize, Option<usize>)>,
-}
-
-/// Beyond this gap the carry-forward walk costs more than a fresh binary
-/// inversion, so the cache recomputes from scratch.
-const CARRY_FORWARD_LIMIT: usize = 64;
-
-/// Longest `Auto` exact region that is tabulated. Only a quantile within
-/// `10 / 4096` of 0 or 1 has a longer one; it keeps the carry-forward walk.
-const TABLE_MAX_LEN: usize = 4096;
-
-/// The process's `Auto` exact-region tables, keyed by `(q.to_bits(),
-/// C.to_bits())`; empty where the region is too long to tabulate. Tables
-/// live as long as the process.
-static SHARED_TABLES: OnceLock<Mutex<HashMap<(u64, u64), AutoTable>>> = OnceLock::new();
-
-/// `table[n] == upper_index(n, spec, Auto)` over `Auto`'s exact region.
-type AutoTable = &'static [Option<usize>];
-
-/// The process's `Auto` exact-region table for `spec`, built by the first
-/// cache that asks.
-fn auto_table(spec: BoundSpec) -> AutoTable {
-    let key = (spec.quantile().to_bits(), spec.confidence().to_bits());
-    let shared = SHARED_TABLES.get_or_init(Default::default);
-    let found = shared
-        .lock()
-        .expect("bound-index registry poisoned")
-        .get(&key)
-        .copied();
-    if let Some(table) = found {
-        return table;
-    }
-    // Built outside the lock: a racing cache builds the identical table and
-    // the entry API keeps the first winner.
-    let table = build_auto_table(spec);
-    shared
-        .lock()
-        .expect("bound-index registry poisoned")
-        .entry(key)
-        .or_insert_with(|| table.leak())
-}
-
-/// `upper_index(n, spec, Exact)` for every `n` below the first size `Auto`
-/// answers in closed form, or nothing if that is beyond [`TABLE_MAX_LEN`].
-fn build_auto_table(spec: BoundSpec) -> Vec<Option<usize>> {
-    let q = spec.quantile();
-    let guess = BoundMethod::AUTO_THRESHOLD / q.min(1.0 - q);
-    if guess >= TABLE_MAX_LEN as f64 {
-        return Vec::new();
-    }
-    let approx = |n: usize| BoundMethod::Auto.resolves_to_approx(n, q);
-    let mut region = guess as usize;
-    while !approx(region) {
-        region += 1;
-    }
-    while region > 0 && approx(region - 1) {
-        region -= 1;
-    }
-    (0..region)
-        .map(|n| upper_index(n, spec, BoundMethod::Exact))
-        .collect()
+    upper: Memo,
+    lower: Memo,
 }
 
 impl BoundIndexCache {
-    /// Creates an empty cache for a spec/method pair. An `Auto` cache
-    /// adopts the process's table for `spec`, building it (one exact
-    /// inversion per size of the region, ~0.15 ms for 95/95) if it is the
-    /// first to ask.
-    pub fn new(spec: BoundSpec, method: BoundMethod) -> Self {
+    /// Creates an empty cache for a spec. The method is ignored
+    /// ([`BoundMethod`]).
+    pub fn new(spec: BoundSpec, _method: BoundMethod) -> Self {
         Self {
             spec,
-            method,
-            table: if method == BoundMethod::Auto {
-                auto_table(spec)
-            } else {
-                &[]
-            },
-            upper: None,
-            lower: None,
+            upper: Memo::new(Side::Upper, spec),
+            lower: Memo::new(Side::Lower, spec),
         }
     }
 
@@ -395,83 +425,24 @@ impl BoundIndexCache {
         self.spec
     }
 
-    /// The method this cache serves.
-    pub fn method(&self) -> BoundMethod {
-        self.method
-    }
-
-    /// Whether `method` resolves to the CLT approximation at this `n`.
-    fn resolves_to_approx(&self, n: usize) -> bool {
-        self.method.resolves_to_approx(n, self.spec.quantile())
-    }
-
     /// Cached [`upper_index`] for sample size `n`.
     pub fn upper_index(&mut self, n: usize) -> Option<usize> {
-        if let Some((cached_n, k)) = self.upper {
-            if cached_n == n {
-                BOUND_INDEX_HIT.incr();
-                return k;
-            }
-        }
-        let k = self.fresh_or_carried_upper(n);
-        debug_assert_eq!(k, upper_index(n, self.spec, self.method));
-        self.upper = Some((n, k));
+        let k = self.upper.index(n, self.spec);
+        debug_assert_eq!(k, upper_index(n, self.spec, BoundMethod::Exact), "n = {n}");
         k
     }
 
-    fn fresh_or_carried_upper(&self, n: usize) -> Option<usize> {
-        // The approximation is a closed form — O(1), nothing to carry.
-        // The Auto exact region is a prefix of n (expected counts grow with
-        // n), so `prev_n < n` both resolving to exact means every
-        // intervening size did too, and the step walk below is valid.
-        if self.resolves_to_approx(n) {
-            BOUND_INDEX_APPROX.incr();
-            return upper_index(n, self.spec, self.method);
-        }
-        if let Some(&k) = self.table.get(n) {
-            BOUND_INDEX_TABLE.incr();
-            return k;
-        }
-        if let Some((prev_n, Some(mut k))) = self.upper {
-            if prev_n < n
-                && n - prev_n <= CARRY_FORWARD_LIMIT
-                && !self.resolves_to_approx(prev_n)
-            {
-                BOUND_INDEX_CARRY.incr();
-                let q = self.spec.quantile();
-                let c = self.spec.confidence();
-                for m in prev_n + 1..=n {
-                    // k(m) is k(m-1) or k(m-1) + 1; one CDF check decides.
-                    let b = Binomial::new(m as u64, q).expect("validated quantile");
-                    if b.cdf((k - 1) as u64) < c {
-                        k += 1;
-                    }
-                }
-                return if k > n { None } else { Some(k) };
-            }
-        }
-        BOUND_INDEX_MISS.incr();
-        upper_index(n, self.spec, self.method)
-    }
-
-    /// Cached [`lower_index`] for sample size `n` (memoized on `n`; the
-    /// lower index is off the refit hot path, so no carry-forward).
+    /// Cached [`lower_index`] for sample size `n`.
     pub fn lower_index(&mut self, n: usize) -> Option<usize> {
-        if let Some((cached_n, k)) = self.lower {
-            if cached_n == n {
-                return k;
-            }
-        }
-        let k = lower_index(n, self.spec, self.method);
-        self.lower = Some((n, k));
+        let k = self.lower.index(n, self.spec);
+        debug_assert_eq!(k, lower_index(n, self.spec), "n = {n}");
         k
     }
 
     /// Drops all cached entries (e.g. after reconfiguring the predictor).
-    /// The process-wide `Auto` table stays: it depends on the spec alone.
     pub fn invalidate(&mut self) {
-        self.upper = None;
-        self.lower = None;
+        self.upper.last = None;
+        self.lower.last = None;
     }
 }
 
@@ -500,13 +471,13 @@ mod tests {
 
     #[test]
     fn appendix_worked_example() {
-        // n = 1000, q = 0.9, C = 0.95: sample .9 quantile is x_(900), move up
-        // 1.645*sqrt(1000*.9*.1) ~ 15.6 -> x_(916).
+        // n = 1000, q = 0.9, C = 0.95: the appendix moves up from x_(900)
+        // by 1.645*sqrt(1000*.9*.1) ~ 15.6 to x_(916), which here is the
+        // exact index.
         let spec = BoundSpec::new(0.9, 0.95).unwrap();
-        assert_eq!(upper_index(1000, spec, BoundMethod::Approx), Some(916));
-        // Exact differs from the CLT by at most 1 order statistic here.
-        let exact = upper_index(1000, spec, BoundMethod::Exact).unwrap();
-        assert!((exact as i64 - 916).unsigned_abs() <= 1, "exact = {exact}");
+        let b = Binomial::new(1000, 0.9).unwrap();
+        assert!(b.cdf(914) < 0.95 && b.cdf(915) >= 0.95);
+        assert_eq!(upper_index(1000, spec, BoundMethod::Exact), Some(916));
     }
 
     #[test]
@@ -524,7 +495,7 @@ mod tests {
     fn lower_index_is_maximal() {
         let spec = BoundSpec::new(0.25, 0.95).unwrap();
         for n in [11usize, 20, 100, 500] {
-            let k = lower_index(n, spec, BoundMethod::Exact).unwrap();
+            let k = lower_index(n, spec).unwrap();
             let b = Binomial::new(n as u64, 0.25).unwrap();
             // P[Bin >= k] >= C  <=>  cdf(k-1) <= 1-C
             assert!(b.cdf((k - 1) as u64) <= 0.05000000001);
@@ -537,7 +508,7 @@ mod tests {
     fn insufficient_history_reports_requirement() {
         let spec = BoundSpec::paper_default();
         let sample: Vec<f64> = (0..58).map(|i| i as f64).collect();
-        match upper_bound(&sample, spec, BoundMethod::Exact) {
+        match upper_bound(&sample, spec) {
             BoundOutcome::InsufficientHistory { needed } => assert_eq!(needed, 59),
             BoundOutcome::Bound(_) => panic!("expected insufficient history"),
         }
@@ -548,38 +519,7 @@ mod tests {
         // With n = 59 the 95/95 upper bound is the sample maximum.
         let spec = BoundSpec::paper_default();
         let sample: Vec<f64> = (0..59).map(|i| i as f64).collect();
-        assert_eq!(
-            upper_bound(&sample, spec, BoundMethod::Exact),
-            BoundOutcome::Bound(58.0)
-        );
-    }
-
-    #[test]
-    fn approx_and_exact_agree_at_scale() {
-        let spec = BoundSpec::paper_default();
-        for n in [500usize, 5_000, 50_000, 350_000] {
-            let e = upper_index(n, spec, BoundMethod::Exact).unwrap();
-            let a = upper_index(n, spec, BoundMethod::Approx).unwrap();
-            assert!(
-                (e as i64 - a as i64).unsigned_abs() <= 2,
-                "n={n}: exact {e} vs approx {a}"
-            );
-        }
-    }
-
-    #[test]
-    fn auto_picks_exact_for_small_samples() {
-        // n = 100, q = .95: n(1-q) = 5 < 10, so Auto must use the exact path.
-        let spec = BoundSpec::paper_default();
-        assert_eq!(
-            upper_index(100, spec, BoundMethod::Auto),
-            upper_index(100, spec, BoundMethod::Exact)
-        );
-        // Large n: Auto follows the approximation.
-        assert_eq!(
-            upper_index(100_000, spec, BoundMethod::Auto),
-            upper_index(100_000, spec, BoundMethod::Approx)
-        );
+        assert_eq!(upper_bound(&sample, spec), BoundOutcome::Bound(58.0));
     }
 
     #[test]
@@ -588,9 +528,7 @@ mod tests {
         let mut prev = f64::NEG_INFINITY;
         for c in [0.5, 0.8, 0.9, 0.95, 0.99] {
             let spec = BoundSpec::new(0.9, c).unwrap();
-            let v = upper_bound(&sample, spec, BoundMethod::Exact)
-                .value()
-                .unwrap();
+            let v = upper_bound(&sample, spec).value().unwrap();
             assert!(v >= prev, "bound must grow with confidence");
             prev = v;
         }
@@ -602,9 +540,7 @@ mod tests {
         let mut prev = f64::NEG_INFINITY;
         for q in [0.5, 0.75, 0.9, 0.95] {
             let spec = BoundSpec::new(q, 0.9).unwrap();
-            let v = upper_bound(&sample, spec, BoundMethod::Exact)
-                .value()
-                .unwrap();
+            let v = upper_bound(&sample, spec).value().unwrap();
             assert!(v >= prev, "bound must grow with quantile");
             prev = v;
         }
@@ -614,8 +550,8 @@ mod tests {
     fn lower_bound_below_upper_bound() {
         let sample: Vec<f64> = (0..300).map(|i| (i as f64) * 2.0).collect();
         let spec = BoundSpec::new(0.5, 0.95).unwrap();
-        let lo = lower_bound(&sample, spec, BoundMethod::Exact).value().unwrap();
-        let hi = upper_bound(&sample, spec, BoundMethod::Exact).value().unwrap();
+        let lo = lower_bound(&sample, spec).value().unwrap();
+        let hi = upper_bound(&sample, spec).value().unwrap();
         assert!(lo < hi);
         // Both straddle the sample median.
         let med = qdelay_stats::describe::quantile(&sample, 0.5).unwrap();
@@ -625,8 +561,8 @@ mod tests {
     #[test]
     fn empty_sample_yields_insufficient() {
         let spec = BoundSpec::paper_default();
-        assert!(upper_bound(&[], spec, BoundMethod::Auto).value().is_none());
-        assert!(lower_bound(&[], spec, BoundMethod::Auto).value().is_none());
+        assert!(upper_bound(&[], spec).value().is_none());
+        assert!(lower_bound(&[], spec).value().is_none());
     }
 
     #[test]
@@ -634,19 +570,13 @@ mod tests {
         // n walking 0 -> 200 crosses min_history_upper() = 59 for 95/95:
         // the cache must flip from None to Some exactly where the direct
         // computation does.
-        for method in [BoundMethod::Exact, BoundMethod::Auto, BoundMethod::Approx] {
-            let spec = BoundSpec::paper_default();
-            let mut cache = BoundIndexCache::new(spec, method);
-            for n in 0..200 {
-                assert_eq!(
-                    cache.upper_index(n),
-                    upper_index(n, spec, method),
-                    "n = {n}, method = {method:?}"
-                );
-            }
-            assert_eq!(cache.upper_index(58), upper_index(58, spec, method));
-            assert_eq!(cache.upper_index(59), upper_index(59, spec, method));
+        let spec = BoundSpec::paper_default();
+        let mut cache = BoundIndexCache::new(spec, BoundMethod::Auto);
+        for n in 0..200 {
+            assert_eq!(cache.upper_index(n), upper_index(n, spec, BoundMethod::Exact), "n = {n}");
         }
+        assert_eq!(cache.upper_index(58), None);
+        assert_eq!(cache.upper_index(59), Some(59));
     }
 
     #[test]
@@ -655,76 +585,26 @@ mod tests {
         // recompute rather than carry a stale large-n index.
         let spec = BoundSpec::paper_default();
         let mut cache = BoundIndexCache::new(spec, BoundMethod::Auto);
-        assert_eq!(cache.upper_index(5000), upper_index(5000, spec, BoundMethod::Auto));
+        assert_eq!(cache.upper_index(5000), upper_index(5000, spec, BoundMethod::Exact));
         assert_eq!(cache.upper_index(59), Some(59));
         // Regrow one observation at a time (the post-trim refit pattern).
         for n in 60..200 {
-            assert_eq!(cache.upper_index(n), upper_index(n, spec, BoundMethod::Auto));
-        }
-    }
-
-    #[test]
-    fn auto_table_matches_direct_across_and_beyond_its_region() {
-        for (q, c, region) in [(0.95, 0.95, 200usize), (0.5, 0.9, 20), (0.99, 0.9, 1000)] {
-            let spec = BoundSpec::new(q, c).unwrap();
-            let direct = |n: usize| upper_index(n, spec, BoundMethod::Auto);
-            let mut cache = BoundIndexCache::new(spec, BoundMethod::Auto);
-            assert_eq!(cache.table.len(), region, "q = {q}");
-            assert!(!BoundMethod::Auto.resolves_to_approx(region - 1, q));
-            assert!(BoundMethod::Auto.resolves_to_approx(region, q));
-            for n in 0..=2 * region {
-                assert_eq!(cache.upper_index(n), direct(n), "q = {q}, n = {n}");
-            }
-            // Dropping the memo keeps the table; walk back down.
-            cache.invalidate();
-            for n in (0..=2 * region).rev() {
-                assert_eq!(cache.upper_index(n), direct(n), "q = {q}, n = {n} after invalidate");
-            }
-            // A change-point trim snaps n back to 59, then it regrows.
-            assert_eq!(cache.upper_index(5000), direct(5000));
-            for n in 59..=(2 * region).max(100) {
-                assert_eq!(cache.upper_index(n), direct(n), "q = {q}, n = {n} after trim");
-            }
-        }
-    }
-
-    #[test]
-    fn only_auto_caches_hold_a_table() {
-        let spec = BoundSpec::paper_default();
-        assert!(BoundIndexCache::new(spec, BoundMethod::Exact).table.is_empty());
-        assert!(BoundIndexCache::new(spec, BoundMethod::Approx).table.is_empty());
-        // A region past the tabulation limit keeps the carry-forward walk.
-        let extreme = BoundSpec::new(0.9999, 0.95).unwrap();
-        let mut cache = BoundIndexCache::new(extreme, BoundMethod::Auto);
-        assert!(cache.table.is_empty());
-        for n in [59usize, 60, 100, 30_000, 29_990] {
-            assert_eq!(cache.upper_index(n), upper_index(n, extreme, BoundMethod::Auto), "n = {n}");
+            assert_eq!(cache.upper_index(n), upper_index(n, spec, BoundMethod::Exact));
         }
     }
 
     #[test]
     fn cache_carry_forward_spans_gaps() {
         // Jumps smaller and larger than the carry-forward limit, repeated
-        // queries at the same n, and non-monotone n sequences.
-        let spec = BoundSpec::new(0.9, 0.95).unwrap();
-        let mut cache = BoundIndexCache::new(spec, BoundMethod::Exact);
-        for n in [30usize, 31, 40, 90, 90, 500, 501, 499, 1000, 64, 65] {
-            assert_eq!(cache.upper_index(n), upper_index(n, spec, BoundMethod::Exact), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn cache_exact_and_approx_agree_at_large_n() {
-        let spec = BoundSpec::paper_default();
-        let mut exact = BoundIndexCache::new(spec, BoundMethod::Exact);
-        let mut approx = BoundIndexCache::new(spec, BoundMethod::Approx);
-        for n in [10_000usize, 10_001, 10_002, 100_000, 350_000] {
-            let e = exact.upper_index(n).unwrap();
-            let a = approx.upper_index(n).unwrap();
-            assert!(
-                (e as i64 - a as i64).unsigned_abs() <= 2,
-                "n = {n}: exact {e} vs approx {a}"
-            );
+        // queries at the same n, non-monotone n sequences, and a quantile
+        // whose minimum history is long.
+        for (q, c) in [(0.9, 0.95), (0.9999, 0.95)] {
+            let spec = BoundSpec::new(q, c).unwrap();
+            let mut cache = BoundIndexCache::new(spec, BoundMethod::Exact);
+            for n in [30usize, 31, 40, 90, 90, 500, 501, 499, 1000, 64, 65, 29_990, 30_000] {
+                assert_eq!(cache.upper_index(n), upper_index(n, spec, BoundMethod::Exact), "n = {n}");
+                assert_eq!(cache.lower_index(n), lower_index(n, spec), "n = {n}");
+            }
         }
     }
 
@@ -733,9 +613,28 @@ mod tests {
         let spec = BoundSpec::new(0.25, 0.95).unwrap();
         let mut cache = BoundIndexCache::new(spec, BoundMethod::Exact);
         for n in [0usize, 5, 11, 11, 12, 100, 50, 500] {
-            assert_eq!(cache.lower_index(n), lower_index(n, spec, BoundMethod::Exact), "n = {n}");
+            assert_eq!(cache.lower_index(n), lower_index(n, spec), "n = {n}");
         }
         cache.invalidate();
-        assert_eq!(cache.lower_index(100), lower_index(100, spec, BoundMethod::Exact));
+        assert_eq!(cache.lower_index(100), lower_index(100, spec));
+    }
+
+    /// The served index is the exact inversion at every `n` up to 10⁵, and
+    /// every [`CARRY_FORWARD_LIMIT`]-th `n` up to 4·10⁵ (the walk still
+    /// steps through each), for the paper's spec, Table 8's three other
+    /// quantiles and 95/99, on both sides. Every step that has an index
+    /// is a carry, so this is the walk against the inversion.
+    #[test]
+    fn the_walk_serves_the_exact_index_everywhere() {
+        for (q, c) in [(0.95, 0.95), (0.5, 0.95), (0.75, 0.95), (0.05, 0.95), (0.95, 0.99)] {
+            let spec = BoundSpec::new(q, c).unwrap();
+            let mut cache = BoundIndexCache::new(spec, BoundMethod::Auto);
+            let sizes = (0..=100_000).chain((100_000..=400_000).step_by(CARRY_FORWARD_LIMIT));
+            for n in sizes {
+                let what = format!("q = {q}, C = {c}, n = {n}");
+                assert_eq!(cache.upper_index(n), upper_index(n, spec, BoundMethod::Exact), "{what}");
+                assert_eq!(cache.lower_index(n), lower_index(n, spec), "{what}");
+            }
+        }
     }
 }

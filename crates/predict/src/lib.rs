@@ -43,7 +43,7 @@ pub mod lognormal;
 pub mod rank_index;
 pub mod state;
 
-pub use bound::{BoundMethod, BoundOutcome, BoundSpec};
+pub use bound::{BoundOutcome, BoundSpec};
 
 /// A queue-delay bound predictor, as exercised by the paper's trace-driven
 /// evaluation (§5.1).
@@ -253,17 +253,14 @@ mod tests {
         })
     }
 
-    /// Runs `$check` over every predictor in this crate — `Bmbp` with its
-    /// `Auto` and `Exact` bound methods, both log-normal configurations and
-    /// the two baselines — and checks that the trimming ones trimmed.
+    /// Runs `$check` over every predictor in this crate — `Bmbp`, both
+    /// log-normal configurations and the two baselines — and checks that
+    /// the trimming ones trimmed.
     macro_rules! for_every_predictor {
         ($check:ident) => {{
-            use bmbp::{Bmbp, BmbpConfig};
             use lognormal::{LogNormalConfig, LogNormalPredictor};
-            for method in [BoundMethod::Auto, BoundMethod::Exact] {
-                let p = $check(|| Bmbp::new(BmbpConfig { method, ..BmbpConfig::default() }));
-                assert!(p.trims() > 0, "the schedule must exercise {method:?} trims");
-            }
+            let p = $check(bmbp::Bmbp::with_defaults);
+            assert!(p.trims() > 0, "the schedule must exercise BMBP trims");
             $check(|| LogNormalPredictor::new(LogNormalConfig::no_trim()));
             let p = $check(|| LogNormalPredictor::new(LogNormalConfig::trim()));
             assert!(p.trims() > 0, "the schedule must exercise log-normal trims");

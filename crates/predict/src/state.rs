@@ -32,7 +32,6 @@
 //! both encodings — the snapshot document and the binary spill record — of
 //! every partition's pair of predictors and their one shared history).
 
-use crate::bound::BoundMethod;
 use crate::PredictError;
 
 /// Run state of a [`crate::changepoint::RareEventDetector`].
@@ -53,8 +52,6 @@ pub struct BmbpState {
     pub quantile: f64,
     /// Confidence level `C`.
     pub confidence: f64,
-    /// Index computation method.
-    pub method: BoundMethod,
     /// Whether change-point trimming is enabled.
     pub trimming: bool,
     /// Configured threshold override, if any.

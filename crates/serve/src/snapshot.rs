@@ -68,7 +68,8 @@
 //! u32 len | site bytes   | u32 len | queue bytes            (UTF-8)
 //! u64 seq
 //! bmbp:      f64 quantile | f64 confidence | u8 method (0 auto, 1 exact,
-//!            2 approx) | u8 trimming | opt threshold_override
+//!            2 approx; written 0, all served exactly) | u8 trimming
+//!            | opt threshold_override
 //!            | opt max_history | detector | u64 trims | u8 calibrated
 //! lognormal: f64 quantile | f64 confidence | u8 trimming
 //!            | opt threshold_override | detector | u64 trims
@@ -106,7 +107,6 @@ use crate::proto::text;
 use crate::registry::PartitionKey;
 use qdelay_journal::frame::{self, Check, Reader};
 use qdelay_json::Json;
-use qdelay_predict::bound::BoundMethod;
 use qdelay_predict::state::{BmbpState, DetectorState, LogNormalState, MomentsState};
 use qdelay_trace::ProcRange;
 use std::collections::HashSet;
@@ -204,13 +204,11 @@ pub fn proc_range_from_label(label: &str) -> Option<ProcRange> {
     ProcRange::ALL.into_iter().find(|r| r.label() == label)
 }
 
-/// The bound methods, by their record tag (the index) and document name.
-const METHOD_TAGS: [BoundMethod; 3] = [BoundMethod::Auto, BoundMethod::Exact, BoundMethod::Approx];
+/// The bound-method names a partition may carry, by record tag (the
+/// index). Every method serves the exact index, so a reader checks the tag
+/// and drops it, and a writer always writes the first, `auto`, which keeps
+/// the bytes of an export, a spill, a journal and a replica stream stable.
 const METHOD_NAMES: [&str; 3] = ["auto", "exact", "approx"];
-
-fn method_tag(method: BoundMethod) -> usize {
-    METHOD_TAGS.iter().position(|m| *m == method).expect("METHOD_TAGS lists every method")
-}
 
 fn obj(members: Vec<(&str, Json)>) -> Json {
     Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -245,7 +243,7 @@ pub fn encode_partition(p: &PartitionSnapshot) -> Json {
             obj(vec![
                 ("quantile", Json::Num(b.quantile)),
                 ("confidence", Json::Num(b.confidence)),
-                ("method", Json::Str(METHOD_NAMES[method_tag(b.method)].into())),
+                ("method", Json::Str(METHOD_NAMES[0].into())),
                 ("trimming", Json::Bool(b.trimming)),
                 ("threshold_override", opt_num(b.threshold_override)),
                 ("max_history", opt_num(b.max_history)),
@@ -345,11 +343,12 @@ fn get_detector(v: &Json) -> Result<DetectorState, String> {
 
 fn get_bmbp(v: &Json) -> Result<BmbpState, String> {
     let name = get_str(v, "method")?;
-    let tag = METHOD_NAMES.iter().position(|n| *n == name);
+    if !METHOD_NAMES.contains(&name) {
+        return Err(format!("unknown bound method '{name}'"));
+    }
     Ok(BmbpState {
         quantile: get_f64(v, "quantile")?,
         confidence: get_f64(v, "confidence")?,
-        method: METHOD_TAGS[tag.ok_or_else(|| format!("unknown bound method '{name}'"))?],
         trimming: get_bool(v, "trimming")?,
         threshold_override: get_opt_usize(v, "threshold_override")?,
         max_history: get_opt_usize(v, "max_history")?,
@@ -451,7 +450,7 @@ pub fn encode_record(p: &PartitionSnapshot, out: &mut Vec<u8>) {
     let b = &p.bmbp;
     put_u64(out, b.quantile.to_bits());
     put_u64(out, b.confidence.to_bits());
-    out.push(method_tag(b.method) as u8);
+    out.push(0); // the method tag: `METHOD_NAMES`
     out.push(u8::from(b.trimming));
     put_opt(out, b.threshold_override);
     put_opt(out, b.max_history);
@@ -570,10 +569,11 @@ pub fn decode_record(payload: &[u8]) -> Result<PartitionSnapshot, String> {
     let site = text(r, "site")?;
     let queue = text(r, "queue")?;
     let seq = r.u64("seq")?;
+    let (quantile, confidence) = (f64_field(r, "bmbp quantile")?, f64_field(r, "bmbp confidence")?);
+    tagged(r, &METHOD_NAMES, "bound method")?;
     let bmbp = BmbpState {
-        quantile: f64_field(r, "bmbp quantile")?,
-        confidence: f64_field(r, "bmbp confidence")?,
-        method: tagged(r, &METHOD_TAGS, "bound method")?,
+        quantile,
+        confidence,
         trimming: flag(r, "bmbp trimming")?,
         threshold_override: opt(r, "bmbp threshold_override")?,
         max_history: opt(r, "bmbp max_history")?,
@@ -1014,14 +1014,15 @@ mod tests {
     }
 
     #[test]
-    fn method_names_round_trip() {
-        let mut snap = sample_partitions().remove(0);
-        for method in METHOD_TAGS {
-            snap.bmbp.method = method;
-            let text = encode_partition(&snap).to_string_compact();
-            assert_eq!(decode_partition(&Json::parse(&text).unwrap()).unwrap(), snap);
+    fn every_method_name_reads_and_auto_is_written() {
+        let snap = sample_partitions().remove(0);
+        let text = encode_partition(&snap).to_string_compact();
+        assert!(text.contains("\"method\":\"auto\""), "{text}");
+        for name in METHOD_NAMES {
+            let named = text.replace("\"auto\"", &format!("\"{name}\""));
+            assert_eq!(decode_partition(&Json::parse(&named).unwrap()).unwrap(), snap, "{name}");
         }
-        let text = encode_partition(&snap).to_string_compact().replace("\"approx\"", "\"clt\"");
+        let text = text.replace("\"auto\"", "\"clt\"");
         let err = decode_partition(&Json::parse(&text).unwrap()).unwrap_err();
         assert!(err.contains("unknown bound method 'clt'"), "{err}");
     }
@@ -1124,7 +1125,6 @@ mod tests {
             bmbp: BmbpState {
                 quantile: unit(rng),
                 confidence: unit(rng),
-                method: METHOD_TAGS[rng.gen_range(0..3)],
                 trimming: rng.gen_bool(0.5),
                 threshold_override: opt(rng),
                 max_history: opt(rng),
@@ -1171,7 +1171,6 @@ mod tests {
         // Both codecs must carry every field: a field added to one and not
         // the other shows up as a difference here.
         let mut rng = StdRng::seed_from_u64(0x5EC0);
-        let mut methods = [false; 3];
         // Shorter history: empty, as long as the longer, strictly between;
         // and which predictor holds the longer one.
         let mut shapes = [false; 3];
@@ -1183,7 +1182,6 @@ mod tests {
                 _ => rng.gen_range(1..200),
             };
             let snap = random_snapshot(&mut rng, waits);
-            methods[method_tag(snap.bmbp.method)] = true;
             let shorter = snap.bmbp_retained.min(snap.lognormal_retained);
             if waits > 0 {
                 shapes[if shorter == 0 { 0 } else if shorter == waits { 1 } else { 2 }] = true;
@@ -1200,7 +1198,6 @@ mod tests {
             };
             assert_eq!(wait_bits(&binary), wait_bits(&snap), "case {case}: wait bits");
         }
-        assert_eq!(methods, [true; 3], "every bound method must have been drawn");
         assert_eq!((shapes, longer), ([true; 3], [true; 2]), "every history shape drawn");
     }
 
@@ -1249,6 +1246,30 @@ mod tests {
         }
     }
 
+    /// A record tagged with any method loads, and its partition serves the
+    /// exact order statistic.
+    #[test]
+    fn every_method_tag_loads_and_serves_the_exact_bound() {
+        use qdelay_predict::bound::{upper_index, BoundMethod, BoundSpec};
+        let mut p = Partition::new();
+        for i in 0..300u64 {
+            p.observe((i * 7_919 % 1_000) as f64, None, None);
+        }
+        let snap = p.to_snapshot(&PartitionKey::for_request("ds", "normal", 2));
+        let mut sorted = snap.waits.clone();
+        sorted.sort_by(f64::total_cmp);
+        let k = upper_index(300, BoundSpec::paper_default(), BoundMethod::Exact).unwrap();
+        let method_at = 2 + 4 + snap.site.len() + 4 + snap.queue.len() + 8 + 16;
+        for tag in 0..3 {
+            let mut record = record_of(&snap);
+            record[method_at] = tag;
+            let decoded = decode_record(&record).expect("every method tag loads");
+            assert_eq!(decoded, snap, "tag {tag}");
+            let served = Partition::from_snapshot(&decoded).unwrap().predict().bmbp;
+            assert_eq!(served, Some(sorted[k - 1]), "tag {tag}");
+        }
+    }
+
     #[test]
     fn hostile_record_fields_are_rejected() {
         const SENTINEL: f64 = 12_345.678;
@@ -1280,7 +1301,7 @@ mod tests {
         assert!(patched(0, &[RECORD_VERSION + 1]).unwrap_err().contains("version"));
         assert!(patched(1, &[4]).unwrap_err().contains("proc range tag"));
         let method_at = 2 + 4 + snap.site.len() + 4 + snap.queue.len() + 8 + 16;
-        assert_eq!(usize::from(good[method_at]), method_tag(snap.bmbp.method), "the layout");
+        assert_eq!(good[method_at], 0, "the layout");
         assert!(patched(method_at, &[3]).unwrap_err().contains("bound method tag"));
         // The flag after it (trimming) admits only 0 and 1.
         assert!(patched(method_at + 1, &[2]).unwrap_err().contains("0 or 1"));

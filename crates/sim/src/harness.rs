@@ -265,12 +265,14 @@ pub fn run(
             epochs += due;
             next_epoch = last.checked_add(step);
             // The bound refit at `last` is read by the next arrival if it
-            // comes before the next epoch, and by any sample at or before
-            // `last`. The epochs before `last` fire with no event between
-            // them.
-            let arrival_reads = jobs
-                .get(arrivals_seen)
-                .is_some_and(|j| next_epoch.is_none_or(|e| j.submit < e));
+            // comes before the next epoch and is served (a training arrival
+            // is not, and the one that ends training refits in
+            // `finish_training`), and by any sample at or before `last`.
+            // The epochs before `last` fire with no event between them.
+            let arrival_reads = trained
+                && jobs
+                    .get(arrivals_seen)
+                    .is_some_and(|j| next_epoch.is_none_or(|e| j.submit < e));
             if arrival_reads || next_sample.is_some_and(|t| t <= last) {
                 refit_if_stale(predictor, &mut stale, refit_ns, &mut refit_tick);
             }
@@ -647,9 +649,10 @@ mod tests {
     /// `(refits owed, epochs elapsed)` for `trace` under `config`, walking
     /// the epochs one at a time in floating point. A refit is owed while a
     /// start precedes it since the last refit or `finish_training`: at an
-    /// epoch, if the next arrival comes before the next epoch or a sample
-    /// falls at or before this one; at each arrival, at `epoch_secs = 0`;
-    /// and before the samples that trail the last event.
+    /// epoch, if the next arrival comes before the next epoch and is served
+    /// after training ended, or a sample falls at or before this one; at
+    /// each arrival, at `epoch_secs = 0`; and before the samples that trail
+    /// the last event.
     fn owed_refits(trace: &Trace, config: &HarnessConfig) -> (usize, usize) {
         let jobs = trace.jobs();
         let training = (trace.len() as f64 * config.training_fraction).ceil() as usize;
@@ -661,8 +664,9 @@ mod tests {
         let mut epoch = jobs[0].submit as f64 + step;
         for ev in merged_events(trace) {
             while step > 0.0 && epoch <= ev.time() {
-                let arrival_reads =
-                    jobs.get(arrivals).is_some_and(|j| (j.submit as f64) < epoch + step);
+                let trained = training == 0 || arrivals > training;
+                let arrival_reads = trained
+                    && jobs.get(arrivals).is_some_and(|j| (j.submit as f64) < epoch + step);
                 if arrival_reads || samples.peek().is_some_and(|&t| t as f64 <= epoch) {
                     settle(&mut changed);
                 }

@@ -1,7 +1,7 @@
 //! End-to-end integration: synthetic catalog traces through the full
 //! evaluation pipeline, checking the paper's headline claims in miniature.
 
-use qdelay::predict::bmbp::{Bmbp, BmbpConfig};
+use qdelay::predict::bmbp::Bmbp;
 use qdelay::predict::lognormal::{LogNormalConfig, LogNormalPredictor};
 use qdelay::sim::harness::{self, HarnessConfig};
 use qdelay::trace::catalog;
@@ -105,29 +105,6 @@ fn epoch_length_has_minimal_effect() {
     assert!(
         (f300 - f0).abs() < 0.02,
         "epoch effect too large: 300s={f300}, 0s={f0}"
-    );
-}
-
-/// Exact and approximate bound indices agree end to end.
-#[test]
-fn bound_method_ablation_is_tiny() {
-    use qdelay::predict::BoundMethod;
-    let p = scaled_profile("nersc", "premium", 4_000);
-    let trace = synth::generate(&p, &SynthSettings::with_seed(37));
-    let frac = |method| {
-        let mut bmbp = Bmbp::new(BmbpConfig {
-            method,
-            ..BmbpConfig::default()
-        });
-        harness::run(&trace, &mut bmbp, &HarnessConfig::default())
-            .metrics()
-            .correct_fraction
-    };
-    let exact = frac(BoundMethod::Exact);
-    let approx = frac(BoundMethod::Approx);
-    assert!(
-        (exact - approx).abs() < 0.01,
-        "exact {exact} vs approx {approx}"
     );
 }
 

@@ -1,7 +1,9 @@
 //! Property-style tests over the workspace's core invariants, driven by
 //! deterministic pseudo-random sweeps (`qdelay-rng` with fixed seeds).
 
-use qdelay::predict::bound::{lower_index, upper_bound, upper_index, BoundMethod, BoundSpec};
+use qdelay::predict::bound::{
+    lower_index, upper_bound, upper_index, BoundIndexCache, BoundMethod, BoundSpec,
+};
 use qdelay::predict::history::HistoryBuffer;
 use qdelay::predict::rank_index::RankIndex;
 use qdelay::stats::binomial::Binomial;
@@ -41,7 +43,7 @@ fn lower_le_upper() {
         let q = 0.2 + 0.6 * rng.gen_f64();
         let spec = BoundSpec::new(q, 0.9).unwrap();
         if let (Some(lo), Some(hi)) = (
-            lower_index(n, spec, BoundMethod::Exact),
+            lower_index(n, spec),
             upper_index(n, spec, BoundMethod::Exact),
         ) {
             assert!(lo <= hi, "lo {lo} > hi {hi} at n={n}, q={q}");
@@ -66,6 +68,54 @@ fn exact_index_is_defining_minimum() {
     }
 }
 
+/// The smallest `j` in `[0, n]` whose `P[Bin(n, q) <= j]` has `reached`
+/// the level, by bisection over `Binomial::cdf` (`j = n` always has).
+fn first_reaching(b: &Binomial, reached: impl Fn(f64) -> bool) -> u64 {
+    let (mut lo, mut hi) = (0, b.n());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reached(b.cdf(mid)) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// The cache serves a fresh exact inversion on random paths of `n` — steps
+/// of 0 to 300 (past the carry-forward limit), shrinks and invalidations —
+/// for random `q` and `C` in [0.01, 0.99], as the CLI's `--quantile` and
+/// `--confidence` may ask. There is no index exactly below the minimum
+/// history the spec reports.
+#[test]
+fn cached_indices_are_fresh_inversions_on_random_paths() {
+    let mut rng = StdRng::seed_from_u64(0x1DE5);
+    for _ in 0..40 {
+        let (q, c) = (0.01 + 0.98 * rng.gen_f64(), 0.01 + 0.98 * rng.gen_f64());
+        let spec = BoundSpec::new(q, c).unwrap();
+        let mut cache = BoundIndexCache::new(spec, BoundMethod::Auto);
+        let mut n = 0usize;
+        for _ in 0..120 {
+            match rng.gen_range(0..10) {
+                0 => n = rng.gen_range(0..n + 1),
+                1 => cache.invalidate(),
+                _ => n += rng.gen_range(0..301),
+            }
+            let b = Binomial::new(n.max(1) as u64, q).unwrap();
+            let upper = (n >= spec.min_history_upper())
+                .then(|| (first_reaching(&b, |f| f >= c) as usize + 1).min(n));
+            let lower = (n >= spec.min_history_lower())
+                .then(|| (first_reaching(&b, |f| f > 1.0 - c) as usize).max(1));
+            let what = format!("q = {q}, C = {c}, n = {n}");
+            assert_eq!(cache.upper_index(n), upper, "{what}");
+            assert_eq!(cache.lower_index(n), lower, "{what}");
+            assert_eq!(upper_index(n, spec, BoundMethod::Exact), upper, "{what}");
+            assert_eq!(lower_index(n, spec), lower, "{what}");
+        }
+    }
+}
+
 /// The bound is an actual element of the sample and weakly increases with
 /// the requested quantile.
 #[test]
@@ -78,7 +128,7 @@ fn bound_is_sample_element() {
         let mut prev = f64::NEG_INFINITY;
         for q in [0.5, 0.75, 0.9, 0.95] {
             let spec = BoundSpec::new(q, 0.95).unwrap();
-            if let Some(v) = upper_bound(&xs, spec, BoundMethod::Exact).value() {
+            if let Some(v) = upper_bound(&xs, spec).value() {
                 assert!(
                     xs.binary_search_by(|x| x.partial_cmp(&v).unwrap()).is_ok(),
                     "bound {v} not a sample element"

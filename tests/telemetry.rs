@@ -143,16 +143,15 @@ fn harness_run_snapshot_reports_cache_and_latency_surfaces() {
     let snap = telemetry::snapshot();
     let hits = snap.counter("predict.bound_index.hit").unwrap_or(0) - hit0;
     let carries = snap.counter("predict.bound_index.carry_forward").unwrap_or(0) - carry0;
-    let approx0 = before.counter("predict.bound_index.approx").unwrap_or(0);
-    let approx = snap.counter("predict.bound_index.approx").unwrap_or(0) - approx0;
     let misses = snap.counter("predict.bound_index.miss").unwrap_or(0) - miss0;
-    assert!(hits + carries > 0, "refit loop must exercise the index cache");
-    // The incremental engine's whole point: O(1) refit paths (cached index,
-    // carried-forward index, closed-form CLT approx) dominate fresh O(log n)
-    // exact binomial-CDF inversions by a wide margin on a long replay.
+    // A stationary replay grows n between refits and never trims, so the
+    // index is carried forward, and fresh O(log n) inversions are rare:
+    // one when n first reaches the minimum history, and one per gap past
+    // the carry-forward limit.
+    assert!(carries > 0, "refit loop must carry the index forward");
     assert!(
-        (hits + carries + approx) > 10 * misses.max(1),
-        "cache hit rate too low: {hits} hits + {carries} carries + {approx} approx vs {misses} exact misses"
+        hits + carries > 10 * misses.max(1),
+        "cache hit rate too low: {hits} hits + {carries} carries vs {misses} fresh inversions"
     );
     let khits = snap.counter("predict.lognormal.kfactor.hit").unwrap_or(0) - khit0;
     let kmisses = snap.counter("predict.lognormal.kfactor.miss").unwrap_or(0) - kmiss0;
