@@ -14,13 +14,14 @@
 //! carrying it from one `n` to the next with the CDF recurrence.
 
 use qdelay_stats::binomial::Binomial;
+use qdelay_stats::normal::std_normal_quantile;
 use qdelay_telemetry::Counter;
 
 /// Refits that reused the index cached for the current `n` outright.
 static BOUND_INDEX_HIT: Counter = Counter::new("predict.bound_index.hit");
 /// Refits that carried a cached index forward by the O(1)-per-step walk.
 static BOUND_INDEX_CARRY: Counter = Counter::new("predict.bound_index.carry_forward");
-/// Refits that paid a fresh `O(log n)`-CDF-evaluation inversion.
+/// Refits that paid a fresh inversion (one CDF evaluation and a few steps).
 static BOUND_INDEX_MISS: Counter = Counter::new("predict.bound_index.miss");
 
 /// The target of a bound computation: which quantile, at what confidence.
@@ -249,31 +250,96 @@ impl Side {
         }
     }
 
-    /// `j` at size `n`, by a fresh inversion of the binomial CDF.
-    fn fresh_j(self, b: &Binomial, level: f64) -> u64 {
-        // The smallest `m` with `P[Bin(n, q) <= m] >= level`.
-        let m = b.quantile(level);
-        match self {
-            Self::Upper => m,
-            Self::Lower => m + u64::from(b.cdf(m) <= level),
+    /// The level's standard normal quantile, which places the CLT guess
+    /// a fresh inversion starts from. The lower level `1 - C` rounds to 1
+    /// for `C` below 2⁻⁵³, where any start far to the right serves.
+    fn z(self, spec: BoundSpec) -> f64 {
+        let level = self.level(spec);
+        if level < 1.0 {
+            std_normal_quantile(level)
+        } else {
+            8.0
         }
+    }
+
+    /// `j` at size `n` by a fresh inversion of the binomial CDF, with its
+    /// CDF and mass there. It starts at the CLT guess `nq + z·sqrt(nq(1-q))`
+    /// (a few ranks from `j` at most), takes one CDF and one mass there and
+    /// steps `j` by the mass ratio, so it pays one [`Binomial::cdf`] where a
+    /// bisection pays several. A carried CDF within [`GUARD`] of the level
+    /// decides with [`Binomial::cdf`] instead, as the walk's does.
+    fn fresh_walk(self, n: u64, q: f64, level: f64, z: f64) -> Walk {
+        let b = Binomial::new(n, q).expect("validated quantile");
+        let nf = n as f64;
+        let guess = (nf * q + z * (nf * q * (1.0 - q)).sqrt()).round().clamp(0.0, nf) as u64;
+        let mut walk = Walk::synced(&b, guess);
+        if !(walk.pmf > 0.0) {
+            // The guess's mass underflowed, so no ratio can step from it.
+            return Walk::synced(&b, self.bisect(&b, level));
+        }
+        let reached = |j: u64, cdf: &mut f64| {
+            if (*cdf - level).abs() < GUARD {
+                *cdf = b.cdf(j);
+            }
+            self.reached(*cdf, level)
+        };
+        let odds = q / (1.0 - q);
+        if reached(walk.j, &mut walk.cdf) {
+            // Down while `j - 1` reaches the level too.
+            while walk.j > 0 {
+                let mut below = walk.cdf - walk.pmf;
+                if !reached(walk.j - 1, &mut below) {
+                    break;
+                }
+                walk.pmf *= walk.j as f64 / (n - walk.j + 1) as f64 / odds;
+                walk.j -= 1;
+                walk.cdf = below;
+            }
+        } else {
+            // Up until `j` reaches it; `P[Bin(n, q) <= n] = 1` always does.
+            while walk.j < n {
+                walk.pmf *= (n - walk.j) as f64 / (walk.j + 1) as f64 * odds;
+                walk.j += 1;
+                walk.cdf += walk.pmf;
+                if reached(walk.j, &mut walk.cdf) {
+                    break;
+                }
+            }
+        }
+        walk
+    }
+
+    /// The smallest `j` in `[0, n]` whose `P[Bin(n, q) <= j]` reaches
+    /// `level` (`n` if none does), by bisection on [`Binomial::cdf`]: the
+    /// inversion by definition, at ~log n CDF evaluations.
+    fn bisect(self, b: &Binomial, level: f64) -> u64 {
+        let (mut lo, mut hi) = (0, b.n());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.reached(b.cdf(mid), level) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
     }
 
     fn fresh_index(self, n: usize, spec: BoundSpec) -> Option<usize> {
         if n < self.min_n(spec) {
             return None;
         }
-        let b = Binomial::new(n as u64, spec.quantile).expect("validated quantile");
-        Some(self.index(n, self.fresh_j(&b, self.level(spec))))
+        let walk = self.fresh_walk(n as u64, spec.quantile, self.level(spec), self.z(spec));
+        Some(self.index(n, walk.j))
     }
 }
 
 /// Beyond this gap the cache recomputes instead of walking. A step costs
-/// ~12 ns and a fresh inversion 0.7–10 µs for `n` from 200 to 10⁵ (95/95,
-/// one core of a 2-vCPU x86 box), so 128 steps cost what an inversion
-/// does near `n = 1,000`. Refit gaps are short: in the seed-1 catalog
-/// replay, 3 of ~554k exceed 16.
-const CARRY_FORWARD_LIMIT: usize = 128;
+/// ~20 ns and a fresh inversion 0.5–2.1 µs for `n` from 200 to 10⁵ (95/95,
+/// one core of a 2-vCPU x86 box), so 64 steps cost what an inversion does
+/// near `n = 10⁴`. Refit gaps are short: in the seed-1 catalog replay, 3
+/// of ~554k exceed 16.
+const CARRY_FORWARD_LIMIT: usize = 64;
 
 /// A walk whose carried CDF lands this close to the level decides with
 /// [`Binomial::cdf`] instead, so its decision is the inversion's. The
@@ -339,6 +405,8 @@ impl Walk {
 struct Memo {
     side: Side,
     min_n: usize,
+    /// [`Side::z`], resolved once per spec.
+    z: f64,
     last: Option<(usize, Walk)>,
 }
 
@@ -347,6 +415,7 @@ impl Memo {
         Self {
             side,
             min_n: side.min_n(spec),
+            z: side.z(spec),
             last: None,
         }
     }
@@ -371,8 +440,7 @@ impl Memo {
             // Empty, shrunk (a trim) or too far behind.
             _ => {
                 BOUND_INDEX_MISS.incr();
-                let b = Binomial::new(n as u64, q).expect("validated quantile");
-                Walk::synced(&b, side.fresh_j(&b, level))
+                side.fresh_walk(n as u64, q, level, self.z)
             }
         };
         self.last = Some((n, walk));
@@ -617,6 +685,49 @@ mod tests {
         }
         cache.invalidate();
         assert_eq!(cache.lower_index(100), lower_index(100, spec));
+    }
+
+    fn bisection_oracle(side: Side, n: u64, q: f64, level: f64) -> u64 {
+        side.bisect(&Binomial::new(n, q).unwrap(), level)
+    }
+
+    /// The fresh inversion (CLT guess, one CDF, mass-ratio steps) lands on
+    /// the bisection's `j` at every `n` up to 10⁵, on both sides, at the
+    /// exhaustive test's specs, and carries that `j`'s CDF and mass to
+    /// within `Binomial::cdf`'s own rounding (~1e-12 here).
+    #[test]
+    fn the_fresh_inversion_is_the_bisection() {
+        for (q, c) in [(0.95, 0.95), (0.5, 0.95), (0.75, 0.95), (0.05, 0.95), (0.95, 0.99)] {
+            let spec = BoundSpec::new(q, c).unwrap();
+            for side in [Side::Upper, Side::Lower] {
+                let (level, z) = (side.level(spec), side.z(spec));
+                for n in 1..=100_000u64 {
+                    let walk = side.fresh_walk(n, q, level, z);
+                    let what = format!("{side:?}, q = {q}, C = {c}, n = {n}");
+                    assert_eq!(walk.j, bisection_oracle(side, n, q, level), "{what}");
+                    let b = Binomial::new(n, q).unwrap();
+                    // Far inside the guard band: the walk's decisions
+                    // from here on stay the CDF's.
+                    assert!((walk.cdf - b.cdf(walk.j)).abs() < 1e-10, "{what}");
+                    assert!((walk.pmf - b.pmf(walk.j)).abs() < 1e-10, "{what}");
+                }
+            }
+        }
+    }
+
+    /// A confidence so small that the lower level `1 - C` rounds to 1
+    /// starts the inversion without a normal quantile, and no `j` reaches
+    /// that level: both inversions end at `n`.
+    #[test]
+    fn a_lower_level_of_one_inverts_to_n() {
+        let spec = BoundSpec::new(0.3, 1e-300).unwrap();
+        assert_eq!(Side::Lower.level(spec), 1.0);
+        let z = Side::Lower.z(spec);
+        for n in [1u64, 2, 10, 59, 500] {
+            let walk = Side::Lower.fresh_walk(n, 0.3, 1.0, z);
+            assert_eq!(walk.j, n, "n = {n}");
+            assert_eq!(bisection_oracle(Side::Lower, n, 0.3, 1.0), n, "n = {n}");
+        }
     }
 
     /// The served index is the exact inversion at every `n` up to 10⁵, and

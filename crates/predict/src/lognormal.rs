@@ -25,7 +25,7 @@ use crate::state::{check_waits, DetectorState, LogNormalState, MomentsState};
 use crate::{PredictError, QuantilePredictor};
 use qdelay_stats::tolerance::KFactorCache;
 use qdelay_stats::DistributionError;
-use qdelay_telemetry::{time_scope, Counter, LatencyHistogram, Span};
+use qdelay_telemetry::{Counter, LatencyHistogram, Span};
 use std::collections::VecDeque;
 
 /// Wall-clock cost of log-normal refits (moments read + K lookup), sampled
@@ -44,7 +44,10 @@ static KFACTOR_MISS: Counter = Counter::new("predict.lognormal.kfactor.miss");
 /// counts 1 however many predictors or refits replay (pinned in
 /// `tests/kfactor_prefill.rs`).
 static KFACTOR_ROOTFIND: Counter = Counter::new("predict.lognormal.kfactor.rootfind");
-/// Wall-clock cost of K-factor lookups that missed the per-`n` memo.
+/// Wall-clock cost of K-factor lookups that missed the per-`n` memo, timed
+/// only on refits whose `predict.lognormal.refit_ns` span is sampled: the
+/// lookup is ~8 ns, so two clock reads on every miss would cost more than
+/// it does.
 static KFACTOR_NS: LatencyHistogram = LatencyHistogram::new("predict.lognormal.kfactor_ns");
 
 /// Configuration for [`LogNormalPredictor`].
@@ -308,7 +311,7 @@ impl LogNormalPredictor {
     }
 
     fn recompute(&mut self) {
-        let _span = Span::enter_sampled(&LOGN_REFIT_NS, &mut self.refit_tick, 63);
+        let span = Span::enter_sampled(&LOGN_REFIT_NS, &mut self.refit_tick, 63);
         let n = self.history.len();
         debug_assert_eq!(self.moments.n, n, "moments must track history");
         if n < MIN_FIT {
@@ -325,14 +328,15 @@ impl LogNormalPredictor {
             self.cached = BoundOutcome::Bound(m.exp() - 1.0);
             return;
         }
-        let k = self.k_factor_memoized(n);
+        let k = self.k_factor_memoized(n, span.is_some());
         self.cached = BoundOutcome::Bound((m + k * s).exp() - 1.0);
     }
 
     /// K-factor for sample size `n`, memoized on the last `(n, k)` pair
     /// (the spec is fixed, so `n` alone keys the memo). Misses fall through
-    /// to the [`KFactorCache`], timing the lookup.
-    fn k_factor_memoized(&mut self, n: usize) -> f64 {
+    /// to the [`KFactorCache`], timing the lookup when `timed` (the refit's
+    /// own span is sampled).
+    fn k_factor_memoized(&mut self, n: usize, timed: bool) -> f64 {
         if let Some((last_n, last_k)) = self.klast {
             if last_n == n {
                 KFACTOR_HIT.incr();
@@ -341,7 +345,7 @@ impl LogNormalPredictor {
         }
         KFACTOR_MISS.incr();
         let k = {
-            time_scope!(&KFACTOR_NS);
+            let _lookup = timed.then(|| Span::enter(&KFACTOR_NS));
             k_factor_counted(&mut self.kcache, n).expect("n >= 2 and spec validated")
         };
         self.klast = Some((n, k));

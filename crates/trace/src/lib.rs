@@ -101,6 +101,32 @@ impl Trace {
         }
     }
 
+    /// A trace for a machine/queue pair holding `jobs`, sorted by
+    /// submission time (stable). The records are kept in the vector given,
+    /// so one built at its final length is never copied or regrown.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qdelay_trace::{JobRecord, Trace};
+    ///
+    /// let job = |submit| JobRecord { submit, wait_secs: 1.0, procs: 1, run_secs: 60.0 };
+    /// let t = Trace::from_jobs("datastar", "normal", vec![job(200), job(100)]);
+    /// assert_eq!(t.span(), Some((100, 200)));
+    /// ```
+    pub fn from_jobs(
+        machine: impl Into<String>,
+        queue: impl Into<String>,
+        jobs: Vec<JobRecord>,
+    ) -> Self {
+        let mut trace = Self {
+            jobs,
+            ..Self::new(machine, queue)
+        };
+        trace.sort_by_submit();
+        trace
+    }
+
     /// A trace of the same machine/queue pair holding `jobs`.
     fn with_jobs(&self, jobs: Vec<JobRecord>) -> Trace {
         Trace {
@@ -148,10 +174,14 @@ impl Trace {
         self.jobs.iter()
     }
 
-    /// Sorts the records by submission time (stable).
+    /// Sorts the records by submission time (stable). Records already in
+    /// order are left as they are: a stable sort could not move them, and
+    /// it would allocate scratch the size of the trace to find that out.
     pub fn sort_by_submit(&mut self) {
-        self.start_order.take();
-        self.jobs.sort_by_key(|j| j.submit);
+        if !self.jobs.is_sorted_by_key(|j| j.submit) {
+            self.start_order.take();
+            self.jobs.sort_by_key(|j| j.submit);
+        }
     }
 
     /// The job indices in the order the jobs leave the queue: by

@@ -204,9 +204,8 @@ fn mix_seed(master: u64, profile: &QueueProfile) -> u64 {
 pub fn generate(profile: &QueueProfile, settings: &SynthSettings) -> Trace {
     let n = profile.job_count as usize;
     let mut rng = StdRng::seed_from_u64(mix_seed(settings.seed, profile));
-    let mut trace = Trace::new(profile.machine, profile.queue);
     if n == 0 {
-        return trace;
+        return Trace::new(profile.machine, profile.queue);
     }
 
     let submits = arrival_times(profile, settings, &mut rng, n);
@@ -216,17 +215,18 @@ pub fn generate(profile: &QueueProfile, settings: &SynthSettings) -> Trace {
     let waits = wait_series(profile, settings, &mut rng, n, &procs);
     let runtime_dist = Normal::new(8.2f64, 1.0).expect("valid normal"); // ln-space, median ~1 h
 
-    for i in 0..n {
-        let run_secs = runtime_dist.sample(&mut rng).exp().clamp(1.0, 7.0 * 86_400.0);
-        trace.push(JobRecord {
+    // One allocation at the final length. The submits are already in
+    // order (`arrival_times` is non-decreasing), so `from_jobs` sorts
+    // nothing.
+    let jobs = (0..n)
+        .map(|i| JobRecord {
             submit: submits[i],
             wait_secs: waits[i],
             procs: procs[i],
-            run_secs,
-        });
-    }
-    trace.sort_by_submit();
-    trace
+            run_secs: runtime_dist.sample(&mut rng).exp().clamp(1.0, 7.0 * 86_400.0),
+        })
+        .collect();
+    Trace::from_jobs(profile.machine, profile.queue, jobs)
 }
 
 /// Generates traces for a whole catalog with one master seed, in catalog
@@ -264,7 +264,9 @@ pub fn generate_catalog(profiles: &[QueueProfile], settings: &SynthSettings) -> 
 }
 
 /// Submission times: renewal process with diurnal and weekly rate
-/// modulation, rescaled to cover the profile's span exactly.
+/// modulation, rescaled to cover the profile's span exactly. Non-decreasing:
+/// the raw times only grow, and the rescale and the cast to whole seconds
+/// are monotone.
 fn arrival_times(
     profile: &QueueProfile,
     settings: &SynthSettings,
@@ -551,6 +553,36 @@ mod tests {
                 };
                 assert!(bits(got) == bits(&want), "{} differs at seed {seed}", p.key());
             }
+        }
+    }
+
+    /// What lets `generate` skip the sort: every Table 1 queue's
+    /// submits come out in order.
+    #[test]
+    fn arrival_times_are_non_decreasing() {
+        for seed in [1, 2, 42] {
+            let settings = SynthSettings::with_seed(seed);
+            for p in catalog::queue_table_catalog() {
+                let mut rng = StdRng::seed_from_u64(mix_seed(seed, &p));
+                let submits = arrival_times(&p, &settings, &mut rng, p.job_count as usize);
+                assert!(
+                    submits.windows(2).all(|w| w[0] <= w[1]),
+                    "{} at seed {seed}",
+                    p.key()
+                );
+            }
+        }
+    }
+
+    /// Each catalog trace is its own stable sort by submit, so the sort
+    /// `generate` no longer runs would have changed nothing.
+    #[test]
+    fn catalog_traces_equal_their_stable_sort() {
+        let profiles = catalog::paper_catalog();
+        for trace in generate_catalog(&profiles, &SynthSettings::with_seed(1)) {
+            let mut sorted = trace.jobs().to_vec();
+            sorted.sort_by_key(|j| j.submit);
+            assert!(trace.jobs() == sorted.as_slice(), "{}/{}", trace.machine(), trace.queue());
         }
     }
 
