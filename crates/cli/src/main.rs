@@ -20,6 +20,7 @@
 //! qdelay promote [--connect ADDR]
 //! qdelay snapshot export <file>
 //! qdelay catalog
+//! qdelay paper <exhibit|all> [--seed N]
 //! ```
 //!
 //! `--connect` takes a comma-separated failover list (primary plus
@@ -36,16 +37,19 @@
 //! Trace files use the native format (`submit_unix wait_secs [procs [run]]`,
 //! `#` comments) or SWF (auto-detected via a `;` header or 18-field rows).
 
+mod paper;
+
 use qdelay_predict::bmbp::Bmbp;
-use qdelay_predict::lognormal::{LogNormalConfig, LogNormalPredictor};
 use qdelay_predict::{BoundSpec, QuantilePredictor};
 use qdelay_sim::harness::{self, HarnessConfig};
+use qdelay_sim::paper::MethodKind;
 use qdelay_trace::{catalog, swf, synth, Trace};
 use std::io::Write;
 use std::process::ExitCode;
 
 /// Writes bulk output to stdout, exiting quietly when the reader closed the
-/// pipe (`qdelay generate ... | head` must not panic).
+/// pipe (`qdelay generate ... | head` and `qdelay paper ... | head` must not
+/// panic).
 fn emit(text: &str) {
     let mut out = std::io::stdout().lock();
     if let Err(e) = out.write_all(text.as_bytes()) {
@@ -79,6 +83,7 @@ fn main() -> ExitCode {
         Some("promote") => cmd_promote(&args[1..]),
         Some("snapshot") => cmd_snapshot(&args[1..]),
         Some("catalog") => cmd_catalog(&args[1..]),
+        Some("paper") => cmd_paper(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
@@ -151,7 +156,8 @@ fn print_usage() {
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 [--connect ADDR[,ADDR...]] [--confidence C]\n\
          \x20 qdelay promote [--connect ADDR]\n\
          \x20 qdelay snapshot export <file>\n\
-         \x20 qdelay catalog\n\n\
+         \x20 qdelay catalog\n\
+         \x20 qdelay paper <exhibit|all> [--seed N]\n\n\
          Serving (Linux only): --shards N means N shards and N I/O threads;\n\
          a connection belongs to one thread, which executes its requests\n\
          itself under the owning shard's lock. --listen takes JSON lines,\n\
@@ -173,6 +179,10 @@ fn print_usage() {
          snapshot export FILE' prints one as the JSON snapshot document.\n\n\
          Evaluation: --epoch is the whole number of seconds between\n\
          refits (default 300, the paper's; 0 refits before every arrival).\n\n\
+         Exhibits: 'qdelay paper' regenerates table1, tables34, tables567,\n\
+         table8, figure1, figure2, ablations (or all of them) at --seed\n\
+         (default 42), writing results_tables34.json, results_tables567.json,\n\
+         figure1.csv and figure2.csv into the working directory.\n\n\
          Any command also accepts --telemetry <path.json>: on success the\n\
          internal counters/gauges/latency histograms are exported there as\n\
          JSON and summarized on stderr.\n\n\
@@ -197,6 +207,7 @@ fn accepted_flags(command: &str) -> &'static [&'static str] {
         "stats" => &["--connect", "--watch", "--interval-ms", "--samples"],
         "admit" => &["--site", "--queue", "--procs", "--budget", "--confidence", "--connect"],
         "promote" => &["--connect"],
+        "paper" => &["--seed"],
         _ => &[],
     }
 }
@@ -442,13 +453,8 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
         "{:<18} {:>8} {:>9} {:>13}",
         "method", "jobs", "correct", "median ratio"
     );
-    let mut predictors: Vec<Box<dyn QuantilePredictor>> = vec![
-        Box::new(Bmbp::with_defaults()),
-        Box::new(LogNormalPredictor::new(LogNormalConfig::no_trim())),
-        Box::new(LogNormalPredictor::new(LogNormalConfig::trim())),
-    ];
-    for p in &mut predictors {
-        let res = harness::run(&trace, p.as_mut(), &cfg);
+    for method in MethodKind::ALL {
+        let res = harness::run(&trace, method.make().as_mut(), &cfg);
         let m = res.metrics();
         println!(
             "{:<18} {:>8} {:>8.3}{} {:>13.2e}",
@@ -887,6 +893,28 @@ fn cmd_catalog(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Prints one of the paper's exhibits, or all of them in order, at
+/// `--seed`; their artifacts land in the working directory.
+fn cmd_paper(args: &[String]) -> Result<(), String> {
+    let (pos, flags) = parse_flags("paper", args)?;
+    let names = || format!("{} or all", paper::EXHIBITS.map(|(name, _)| name).join(", "));
+    let [wanted] = pos.as_slice() else {
+        return Err(format!("paper needs one exhibit: {}", names()));
+    };
+    let chosen: Vec<paper::Exhibit> = paper::EXHIBITS
+        .into_iter()
+        .filter(|(name, _)| wanted == "all" || wanted == name)
+        .map(|(_, exhibit)| exhibit)
+        .collect();
+    if chosen.is_empty() {
+        return Err(format!("unknown exhibit '{wanted}' (one of {})", names()));
+    }
+    for exhibit in chosen {
+        emit(&exhibit(flags.seed, std::path::Path::new("."))?);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -941,6 +969,9 @@ mod tests {
             ("serve", "--shards", "0", "--shards must be at least 1"),
             ("simulate", "--procs", "4294967296", "--procs is out of range, got '4294967296'"),
             ("generate", "--seed", "18446744073709551616", "--seed is out of range, got '18446744073709551616'"),
+            ("paper", "--seed", "7.9", "--seed takes a whole number, got '7.9'"),
+            ("paper", "--seed", "-1", "--seed takes a whole number, got '-1'"),
+            ("paper", "--seed", "banana", "--seed takes a whole number, got 'banana'"),
         ] {
             let err = parse_flags(command, &strs(&[flag, text])).err().expect("must fail");
             assert_eq!(err, want);
@@ -962,6 +993,7 @@ mod tests {
             ("predict", &["t.txt", "--shards", "8"]),
             ("catalog", &["--seed", "7"]),
             ("stats", &["--budget", "60"]),
+            ("paper", &["table8", "--days", "1"]),
         ] {
             let err = parse_flags(command, &strs(args)).err().expect("unknown flag must fail");
             let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
@@ -977,8 +1009,19 @@ mod tests {
         let err = cmd_catalog(&strs(&["--seed", "7"])).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
         assert!(cmd_catalog(&strs(&["extra"])).is_err());
+        // An exhibit name the paper command does not know, or none, is an
+        // error listing the ones it does.
+        let valid = "table1, tables34, tables567, table8, figure1, figure2, ablations or all";
+        let err = cmd_paper(&strs(&["table9", "--seed", "7"])).unwrap_err();
+        assert_eq!(err, format!("unknown exhibit 'table9' (one of {valid})"));
+        for args in [&[][..], &["table1", "table8"]] {
+            let err = cmd_paper(&strs(args)).unwrap_err();
+            assert_eq!(err, format!("paper needs one exhibit: {valid}"));
+        }
+        let err = cmd_paper(&strs(&["table8", "--seed", "banana"])).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
         // Every flag a command lists is one the parser reads.
-        for command in ["predict", "evaluate", "generate", "simulate", "serve", "stats", "admit", "promote"] {
+        for command in ["predict", "evaluate", "generate", "simulate", "serve", "stats", "admit", "promote", "paper"] {
             for flag in accepted_flags(command) {
                 let args = strs(&[flag, "1"]);
                 let err = parse_flags(command, &args).err().unwrap_or_default();

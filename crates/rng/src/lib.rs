@@ -8,7 +8,7 @@
 //! * [`StdRng`] — a xoshiro256++ generator seeded through SplitMix64, the
 //!   workspace's single source of randomness. Everything downstream of a
 //!   seed is bit-for-bit deterministic across platforms and thread counts,
-//!   which the per-cell seeding scheme of the bench suite depends on.
+//!   which the per-cell seeding scheme of `qdelay_sim::paper` depends on.
 //! * [`Rng`] — the operations generators are written against (`next_u64`,
 //!   uniform `f64`, ranges), so samplers stay generic over the engine.
 //! * [`Distribution`] and the samplers [`Normal`], [`StandardNormal`],

@@ -17,11 +17,15 @@
 //!
 //! The crate also provides the derived measurements the paper reports:
 //! correctness fractions and median prediction ratios ([`metrics`]),
-//! bound time series for Figures 1-2 (sampling in [`harness`]), and
-//! multi-quantile snapshot panels for Table 8 ([`snapshots`]).
+//! bound time series for Figures 1-2 (sampling in [`harness`]),
+//! multi-quantile snapshot panels for Table 8 ([`snapshots`]), and what the
+//! exhibits share: the catalog-wide three-method evaluation behind Tables
+//! 3-7, its JSON artifacts and the plain-text tables ([`paper`]; the CLI's
+//! `qdelay paper` prints each exhibit).
 
 pub mod harness;
 pub mod metrics;
+pub mod paper;
 pub mod snapshots;
 
 pub use harness::{HarnessConfig, HarnessResult, PredictionRecord, SampleWindow};

@@ -119,10 +119,10 @@ pub(crate) fn summarize_counts(counts: &[u64; BUCKET_COUNT]) -> HistogramSummary
 ///
 /// This type is always functional, independent of the crate's `enabled`
 /// feature — it is the per-thread shard used by parallel workers (e.g. the
-/// bench suite's worker pool) to record contention-free and then flush once
-/// into a shared `LatencyHistogram` via `merge_from`. When telemetry is
-/// disabled the flush is a no-op but local recording still works, so code
-/// that *reads back* its own local histogram keeps behaving.
+/// worker pool of `qdelay_sim::paper`) to record contention-free and then
+/// flush once into a shared `LatencyHistogram` via `merge_from`. When
+/// telemetry is disabled the flush is a no-op but local recording still
+/// works, so code that *reads back* its own local histogram keeps behaving.
 #[derive(Clone)]
 pub struct LocalHistogram {
     buckets: [u32; BUCKET_COUNT],

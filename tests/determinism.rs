@@ -3,7 +3,7 @@
 //! and results land in per-profile slots, so thread scheduling cannot leak
 //! into the output.
 
-use qdelay_bench::suite::{self, SuiteConfig};
+use qdelay::sim::paper::{self, SuiteConfig};
 use qdelay_trace::catalog;
 use qdelay_trace::synth::SynthSettings;
 
@@ -23,13 +23,13 @@ fn suite_results_independent_of_worker_count() {
         ..SuiteConfig::default()
     };
 
-    let serial = suite::evaluate_catalog_with_workers(&profiles, &config, 1);
-    let parallel = suite::evaluate_catalog_with_workers(&profiles, &config, 4);
-    let oversubscribed = suite::evaluate_catalog_with_workers(&profiles, &config, 16);
+    let serial = paper::evaluate_catalog_with_workers(&profiles, &config, 1);
+    let parallel = paper::evaluate_catalog_with_workers(&profiles, &config, 4);
+    let oversubscribed = paper::evaluate_catalog_with_workers(&profiles, &config, 16);
 
-    let serial_json = suite::runs_to_json(&serial).to_string_pretty();
-    let parallel_json = suite::runs_to_json(&parallel).to_string_pretty();
-    let oversub_json = suite::runs_to_json(&oversubscribed).to_string_pretty();
+    let serial_json = paper::runs_to_json(&serial).to_string_pretty();
+    let parallel_json = paper::runs_to_json(&parallel).to_string_pretty();
+    let oversub_json = paper::runs_to_json(&oversubscribed).to_string_pretty();
 
     assert_eq!(serial, parallel, "worker count changed results");
     assert_eq!(
@@ -41,10 +41,10 @@ fn suite_results_independent_of_worker_count() {
         "serialized results not byte-identical (1 vs 16 workers)"
     );
     // And a re-run from scratch is reproducible too.
-    let rerun = suite::evaluate_catalog_with_workers(&profiles, &config, 4);
+    let rerun = paper::evaluate_catalog_with_workers(&profiles, &config, 4);
     assert_eq!(
         serial_json,
-        suite::runs_to_json(&rerun).to_string_pretty(),
+        paper::runs_to_json(&rerun).to_string_pretty(),
         "re-run with identical config diverged"
     );
 }

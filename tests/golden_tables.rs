@@ -6,7 +6,7 @@
 //! numbers — so any behavioral drift in the predictors, the synthesizer,
 //! or the harness shows up as a diff against the goldens.
 
-use qdelay_bench::suite::{self, MethodKind, QueueRun, SuiteConfig};
+use qdelay::sim::paper::{self, MethodKind, QueueRun, SuiteConfig};
 use qdelay_json::Json;
 use qdelay_trace::catalog;
 use qdelay_trace::synth::SynthSettings;
@@ -15,10 +15,10 @@ fn load_runs(path: &str) -> Vec<QueueRun> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("missing golden artifact {path}: {e}"));
     let json = Json::parse(&text).unwrap_or_else(|e| panic!("bad JSON in {path}: {e}"));
-    suite::runs_from_json(&json).unwrap_or_else(|e| panic!("bad schema in {path}: {e}"))
+    paper::runs_from_json(&json).unwrap_or_else(|e| panic!("bad schema in {path}: {e}"))
 }
 
-/// The artifacts were generated with the bins' default seed.
+/// The artifacts were generated at `qdelay paper`'s default seed.
 fn golden_config() -> SuiteConfig {
     SuiteConfig {
         synth: SynthSettings::with_seed(42),
@@ -107,7 +107,7 @@ fn miniature_replay_reproduces_golden_rows() {
     let config = golden_config();
     for (machine, queue) in [("paragon", "q256s"), ("datastar", "TGhigh")] {
         let profile = catalog::find(machine, queue).expect("catalog row");
-        let replayed = suite::evaluate_profile(&profile, &config, &suite::standard_methods());
+        let replayed = paper::evaluate_profile(&profile, &config);
         assert_eq!(replayed.len(), 3);
         for run in &replayed {
             let pin = golden
@@ -140,7 +140,7 @@ fn artifacts_round_trip_byte_identical() {
     for path in ["results_tables34.json", "results_tables567.json"] {
         let text = std::fs::read_to_string(path).expect("artifact exists");
         let runs = load_runs(path);
-        let reserialized = suite::runs_to_json(&runs).to_string_pretty();
+        let reserialized = paper::runs_to_json(&runs).to_string_pretty();
         assert_eq!(
             text.trim_end(),
             reserialized.trim_end(),
