@@ -41,11 +41,6 @@ impl Cluster {
         self.free
     }
 
-    /// Number of running jobs.
-    pub fn running_count(&self) -> usize {
-        self.running.len()
-    }
-
     /// Whether a job of `procs` processors can start right now.
     pub fn fits(&self, procs: u32) -> bool {
         procs <= self.free
@@ -135,11 +130,12 @@ mod tests {
         assert!(!c.fits(41));
         c.allocate(2, 40, 2000);
         assert_eq!(c.free(), 0);
-        c.release(1);
+        assert_eq!(c.release(1), (1000, 60));
         assert_eq!(c.free(), 60);
+        assert_eq!(c.running_jobs().collect::<Vec<_>>(), [(2, 2000, 40)]);
         c.release(2);
         assert_eq!(c.free(), 100);
-        assert_eq!(c.running_count(), 0);
+        assert_eq!(c.running_jobs().count(), 0);
     }
 
     #[test]

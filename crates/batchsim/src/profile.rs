@@ -152,11 +152,6 @@ impl AvailabilityProfile {
         self.reservations.get(&id).copied()
     }
 
-    /// Number of reservations currently held.
-    pub fn reservation_count(&self) -> usize {
-        self.reservations.len()
-    }
-
     /// Ids of jobs whose reservation start is at or before `now`.
     pub fn reservations_due(&self, now: u64) -> Vec<u64> {
         self.res_starts

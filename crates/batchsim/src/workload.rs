@@ -7,7 +7,7 @@
 //! schedulers see estimates, not truths).
 
 use crate::{MachineConfig, SimJob};
-use qdelay_trace::synth::ProcMix;
+use qdelay_trace::synth::{self, ProcMix};
 use qdelay_rng::{Distribution, Exp1, Normal, Rng, StdRng};
 
 /// Workload parameters.
@@ -90,13 +90,9 @@ pub fn generate(config: &WorkloadConfig, machine: &MachineConfig) -> Vec<SimJob>
     let mut t = 0.0f64;
     for id in 0..total_jobs as u64 {
         // Rate-modulated renewal arrivals.
-        let hour = (t / 3600.0) % 24.0;
-        let day = ((t / 86_400.0) as u64) % 7;
-        let diurnal =
-            1.0 + config.diurnal_amplitude * ((hour - 14.0) / 24.0 * std::f64::consts::TAU).cos();
-        let weekly = if day >= 5 { config.weekend_factor } else { 1.0 };
+        let rate = synth::arrival_rate(t, config.diurnal_amplitude, config.weekend_factor);
         let e: f64 = Exp1.sample(&mut rng);
-        t += base_gap * e / (diurnal * weekly).max(0.05);
+        t += base_gap * e / rate;
 
         // Queue by weight.
         let mut pick: f64 = rng.gen_f64() * wsum;

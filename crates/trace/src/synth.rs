@@ -263,6 +263,34 @@ pub fn generate_catalog(profiles: &[QueueProfile], settings: &SynthSettings) -> 
     made.into_iter().map(|(_, trace)| trace).collect()
 }
 
+/// The arrival-rate multiplier at `t` seconds into a trace: busy
+/// mid-afternoon, quiet weekends (days 5 and 6), never below 0.05. Shared by
+/// this generator and batchsim's workload, so that both modulate their
+/// renewal arrivals alike.
+pub fn arrival_rate(t: f64, diurnal_amplitude: f64, weekend_factor: f64) -> f64 {
+    let hour = hour_of_day(t / 3600.0);
+    let day = ((t / 86_400.0) as u64) % 7;
+    let diurnal = 1.0 + diurnal_amplitude * ((hour - 14.0) / 24.0 * std::f64::consts::TAU).cos();
+    let weekly = if day >= 5 { weekend_factor } else { 1.0 };
+    (diurnal * weekly).max(0.05)
+}
+
+/// `hours % 24.0` for `0 <= hours < 2^49`, bit for bit, without libm's
+/// `fmod`, which returns the representable `hours - 24n` for
+/// `n = floor(hours / 24)`.
+///
+/// `floor(fl(hours / 24))` is `n`. A quotient below an integer `m` lies at
+/// least `ulp(hours) / 24` below it, which is 2/3 or 4/3 of `ulp(m)` (24 is
+/// three times a power of two), while rounding onto `m` needs it to lie
+/// less than `ulp(m) / 2` below; and rounding never carries a quotient at
+/// or above `n` below it. `24n` is an integer no larger than `hours`, which
+/// is below 2^49, so the product is exact, and `hours - 24n` is exact too:
+/// it is `hours` itself when `n` is 0, and otherwise `24n` lies within a
+/// factor of two of `hours` (Sterbenz).
+fn hour_of_day(hours: f64) -> f64 {
+    hours - 24.0 * (hours / 24.0).floor()
+}
+
 /// Submission times: renewal process with diurnal and weekly rate
 /// modulation, rescaled to cover the profile's span exactly. Non-decreasing:
 /// the raw times only grow, and the rescale and the cast to whole seconds
@@ -278,14 +306,7 @@ fn arrival_times(
     let mut t = 0.0f64;
     let mut raw = Vec::with_capacity(n);
     for _ in 0..n {
-        // Local rate multiplier: busy mid-afternoon, quiet weekends.
-        let hour = (t / 3600.0) % 24.0;
-        let day = ((t / 86_400.0) as u64) % 7;
-        let diurnal = 1.0
-            + settings.diurnal_amplitude
-                * ((hour - 14.0) / 24.0 * std::f64::consts::TAU).cos();
-        let weekly = if day >= 5 { settings.weekend_factor } else { 1.0 };
-        let rate = (diurnal * weekly).max(0.05);
+        let rate = arrival_rate(t, settings.diurnal_amplitude, settings.weekend_factor);
         let e: f64 = Exp1.sample(rng);
         t += base_gap * e / rate;
         raw.push(t);
@@ -364,9 +385,8 @@ fn wait_series(
             // preserving the serial dependence of the series; the factor
             // 2*Phi(-e/sigma) has mean 1, so the marginal probability stays
             // `instant_start_weight`.
-            let light_queue =
-                2.0 * qdelay_stats::normal::std_normal_cdf(-e / sigma_within.max(1e-9));
-            if rng.gen_f64() < settings.instant_start_weight * light_queue {
+            let u = rng.gen_f64();
+            if instant_start(u, settings.instant_start_weight, -e / sigma_within.max(1e-9)) {
                 wait = rng.gen_f64() * 15.0;
             } else if rng.gen_f64() < settings.tail_weight {
                 // Cap the multiplier: one freak sample must not dominate a
@@ -409,6 +429,50 @@ fn wait_series(
         *wv = wv.round().max(0.0);
     }
     waits
+}
+
+/// `u < w * (2.0 * std_normal_cdf(x))` for a uniform draw `u >= 0`, bit
+/// for bit, mostly without the erfc series behind `std_normal_cdf`.
+///
+/// `2Φ(x)` is `erfc(-x/√2)`, which lies in `[0, 2]`, so no draw at or above
+/// `2w + δ` is below the threshold (for a negative `w`, no draw at all).
+/// Below that cut, [`erfc_approx`] places the draw unless it lies within `δ`
+/// of `w·erfc_approx`: the fit's relative error is below 1.2e-7, so
+/// `w·erfc_approx` is within 2.4e-7·|w|, plus a few ulps of rounding on
+/// either side, of the threshold the exact expression computes, which is
+/// inside `δ = 1e-6·max(1, |w|)` for every `w`. A draw in that band, or a
+/// NaN anywhere, falls through to the exact expression.
+fn instant_start(u: f64, w: f64, x: f64) -> bool {
+    let band = 1e-6 * w.abs().max(1.0);
+    if u >= 2.0 * w + band {
+        return false;
+    }
+    let approx = w * erfc_approx(-x / std::f64::consts::SQRT_2);
+    if (u - approx).abs() > band {
+        return u < approx;
+    }
+    u < w * (2.0 * qdelay_stats::normal::std_normal_cdf(x))
+}
+
+/// `erfc(z)` to a relative error below 1.2e-7 everywhere: the Chebyshev
+/// fit `erfcc` of Press et al., *Numerical Recipes* (2nd ed., §6.2).
+fn erfc_approx(z: f64) -> f64 {
+    let a = z.abs();
+    let t = 1.0 / (1.0 + 0.5 * a);
+    let poly = -1.265_512_23
+        + t * (1.000_023_68
+            + t * (0.374_091_96
+                + t * (0.096_784_18
+                    + t * (-0.186_288_06
+                        + t * (0.278_868_07
+                            + t * (-1.135_203_98
+                                + t * (1.488_515_87 + t * (-0.822_152_23 + t * 0.170_872_77))))))));
+    let tail = t * (-a * a + poly).exp();
+    if z >= 0.0 {
+        tail
+    } else {
+        2.0 - tail
+    }
 }
 
 #[cfg(test)]
@@ -583,6 +647,76 @@ mod tests {
             let mut sorted = trace.jobs().to_vec();
             sorted.sort_by_key(|j| j.submit);
             assert!(trace.jobs() == sorted.as_slice(), "{}/{}", trace.machine(), trace.queue());
+        }
+    }
+
+    /// `v` moved `k` ulps up (or down, for negative `k`).
+    fn ulps(v: f64, k: i32) -> f64 {
+        (0..k.abs()).fold(v, |v, _| if k > 0 { v.next_up() } else { v.next_down() })
+    }
+
+    /// The shortcut decides every draw as the expression it replaced does:
+    /// at the exact threshold and a few ulps around it, around the edges of
+    /// the band where the exact expression takes over, and around the
+    /// `2w + band` cut, over `x` from -40 (the threshold underflows to 0) to
+    /// 40 (erfc rounds to 2, so the threshold is exactly `2w`).
+    #[test]
+    fn instant_start_equals_the_exact_expression() {
+        use qdelay_stats::normal::std_normal_cdf;
+        let mut at_two = 0;
+        for w in [0.0, 0.22, 0.7, 1.0, 3.0] {
+            let band = 1e-6 * f64::max(w, 1.0);
+            for i in -10_240..=10_240 {
+                let x = f64::from(i) / 256.0;
+                let exact = w * (2.0 * std_normal_cdf(x));
+                at_two += usize::from(exact == 2.0 * w && w > 0.0);
+                let approx = w * erfc_approx(-x / std::f64::consts::SQRT_2);
+                let mut draws = vec![0.0, 2.0 * w + band];
+                for centre in [exact, approx - band, approx + band, 2.0 * w + band] {
+                    draws.extend((-4..=4).map(|k| ulps(centre, k)));
+                }
+                for f in [0.5, 1.0, 2.0] {
+                    draws.extend([exact - f * band, exact + f * band]);
+                }
+                for u in draws {
+                    assert_eq!(
+                        instant_start(u, w, x),
+                        u < exact,
+                        "u {u:e}, w {w}, x {x}: threshold {exact:e}, approximation {approx:e}"
+                    );
+                }
+            }
+        }
+        assert!(at_two > 0, "the grid reaches the 2w threshold");
+    }
+
+    /// The remainder is `fmod`'s, bit for bit: at multiples of 24 and a few
+    /// ulps either side of them up to 2^40 (where a quotient that rounded
+    /// onto the integer above would make it negative), and at a million
+    /// random points spread over every binade below 2^40.
+    #[test]
+    fn hour_of_day_equals_fmod() {
+        let same = |x: f64| {
+            assert_eq!(hour_of_day(x).to_bits(), (x % 24.0).to_bits(), "hours {x:e}");
+        };
+        let mut rng = StdRng::seed_from_u64(24);
+        let max_multiple = (1u64 << 40) / 24;
+        let multiples = (0..10_000u64)
+            .chain((0..40).flat_map(|b| [(1u64 << b) - 1, 1 << b, (1 << b) + 1]))
+            .chain((0..10_000).map(|_| rng.next_u64() % max_multiple))
+            .filter(|&m| m <= max_multiple);
+        for m in multiples {
+            let x = 24.0 * m as f64;
+            for k in -4..=4 {
+                let v = ulps(x, k);
+                if v >= 0.0 {
+                    same(v);
+                }
+            }
+        }
+        for _ in 0..1_000_000 {
+            let binade = rng.gen_range(0..42) as i32 - 1;
+            same(rng.gen_f64() * 2f64.powi(binade));
         }
     }
 
