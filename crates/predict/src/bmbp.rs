@@ -14,10 +14,11 @@
 
 use crate::bound::{self, BoundIndexCache, BoundMethod, BoundOutcome, BoundSpec};
 use crate::changepoint::{calibrate_threshold, RareEventDetector, ThresholdTable};
-use crate::history::HistoryBuffer;
+use crate::history::{newest, push_retaining, retain_newest, SortedHistory};
 use crate::state::{check_waits, BmbpState, DetectorState};
 use crate::{PredictError, QuantilePredictor};
 use qdelay_telemetry::{Counter, Gauge, LatencyHistogram, Span};
+use std::collections::VecDeque;
 
 /// Wall-clock cost of BMBP refits (index lookup + order-statistic read),
 /// sampled one refit in 64.
@@ -65,26 +66,20 @@ impl Default for BmbpConfig {
     }
 }
 
-/// The BMBP predictor.
+/// BMBP without its arrival log: the sorted view of the retained waits,
+/// the change-point detector and the served bound.
 ///
-/// # Examples
-///
-/// ```
-/// use qdelay_predict::bmbp::Bmbp;
-/// use qdelay_predict::QuantilePredictor;
-///
-/// let mut p = Bmbp::with_defaults();
-/// for i in 0..100 {
-///     p.observe(10.0 + (i % 17) as f64);
-/// }
-/// p.refit();
-/// let bound = p.current_bound().value().expect("100 obs > 59 minimum");
-/// assert!(bound <= 26.0 && bound >= 10.0);
-/// ```
+/// The retained waits are the newest [`len`](Self::len) of an arrival log
+/// the caller owns and passes to every method that must read them in
+/// arrival order (an observe at the cap, a trim, calibration). [`Bmbp`]
+/// owns one log for one model; a serve partition shares one log between a
+/// model and a [`crate::lognormal::LogNormalModel`]. Either way the caller
+/// appends each observed wait to its log *after* [`observe`](Self::observe)
+/// and drops the waits no model retains any longer.
 #[derive(Debug, Clone)]
-pub struct Bmbp {
+pub struct BmbpModel {
     config: BmbpConfig,
-    history: HistoryBuffer,
+    history: SortedHistory,
     detector: RareEventDetector,
     index_cache: BoundIndexCache,
     cached: BoundOutcome,
@@ -95,12 +90,12 @@ pub struct Bmbp {
     refit_tick: u32,
 }
 
-impl Bmbp {
-    /// Creates a predictor from a configuration.
+impl BmbpModel {
+    /// Creates a model from a configuration.
     pub fn new(config: BmbpConfig) -> Self {
         let history = match config.max_history {
-            Some(cap) => HistoryBuffer::with_max_len(cap),
-            None => HistoryBuffer::new(),
+            Some(cap) => SortedHistory::with_max_len(cap),
+            None => SortedHistory::new(),
         };
         // Until training calibration runs, use the i.i.d. bucket of the
         // default table (or the override).
@@ -121,7 +116,7 @@ impl Bmbp {
         }
     }
 
-    /// Creates a predictor with the paper's default configuration (95/95,
+    /// Creates a model with the paper's default configuration (95/95,
     /// trimming enabled).
     pub fn with_defaults() -> Self {
         Self::new(BmbpConfig::default())
@@ -132,9 +127,16 @@ impl Bmbp {
         &self.config
     }
 
-    /// The stored history.
-    pub fn history(&self) -> &HistoryBuffer {
-        &self.history
+    /// Number of retained waits: the newest this many of the log are this
+    /// model's history.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.history.len()
+    }
+
+    /// Whether no wait is retained.
+    pub fn is_empty(&self) -> bool {
+        self.history.is_empty()
     }
 
     /// Number of change-point trims performed so far.
@@ -142,70 +144,7 @@ impl Bmbp {
         self.trims
     }
 
-    /// The consecutive-miss threshold currently in force.
-    pub fn miss_threshold(&self) -> usize {
-        self.detector.threshold()
-    }
-
-    /// Ad-hoc **upper** bound query against the current history for an
-    /// arbitrary spec (used e.g. for the paper's Table 8 quantile panels).
-    ///
-    /// Reads the order statistic straight off the history's rank index —
-    /// no sorted copy is materialized.
-    pub fn upper_bound_for(&self, spec: BoundSpec) -> BoundOutcome {
-        match bound::upper_index(self.history.len(), spec, BoundMethod::Exact) {
-            Some(k) => BoundOutcome::Bound(
-                self.history
-                    .order_statistic(k)
-                    .expect("index in [1, n] by construction"),
-            ),
-            None => BoundOutcome::InsufficientHistory {
-                needed: spec.min_history_upper(),
-            },
-        }
-    }
-
-    /// Ad-hoc **lower** bound query against the current history.
-    pub fn lower_bound_for(&self, spec: BoundSpec) -> BoundOutcome {
-        match bound::lower_index(self.history.len(), spec) {
-            Some(k) => BoundOutcome::Bound(
-                self.history
-                    .order_statistic(k)
-                    .expect("index in [1, n] by construction"),
-            ),
-            None => BoundOutcome::InsufficientHistory {
-                needed: spec.min_history_lower(),
-            },
-        }
-    }
-
-    /// Two-sided confidence interval for the `quantile` at overall level
-    /// `confidence` (paper §3 notes the method extends to "two-sided
-    /// confidence intervals, at any desired level of confidence").
-    ///
-    /// The confidence budget is split evenly: each side is a one-sided
-    /// bound at `(1 + confidence) / 2`, so the pair covers the quantile
-    /// with probability at least `confidence` by a union bound.
-    ///
-    /// Returns `None` if the history is too short for either side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantile` or `confidence` are outside `(0, 1)`.
-    pub fn interval_for(&self, quantile: f64, confidence: f64) -> Option<(f64, f64)> {
-        assert!(
-            quantile > 0.0 && quantile < 1.0 && confidence > 0.0 && confidence < 1.0,
-            "quantile and confidence must be in (0,1)"
-        );
-        let side = (1.0 + confidence) / 2.0;
-        let spec = BoundSpec::new(quantile, side).expect("side level in (0,1)");
-        let lo = self.lower_bound_for(spec).value()?;
-        let hi = self.upper_bound_for(spec).value()?;
-        Some((lo, hi))
-    }
-
-    /// Exports the plain serializable core of this predictor, history
-    /// aside (see [`crate::state`]; the history is [`Bmbp::history`]).
+    /// See [`Bmbp::state`].
     pub fn state(&self) -> BmbpState {
         BmbpState {
             quantile: self.config.spec.quantile(),
@@ -223,12 +162,9 @@ impl Bmbp {
         }
     }
 
-    /// Reconstructs a predictor from exported state and its retained
-    /// `waits` (arrival order, oldest first — [`HistoryBuffer::iter`] of the
-    /// exporter's [`Bmbp::history`]). The history is bulk-loaded (one sort,
-    /// [`HistoryBuffer::load`]), the bound-index cache rebuilt, and the
-    /// served bound refit, so the result continues bit-for-bit where the
-    /// exporter stopped.
+    /// Reconstructs a model from exported state and its retained `waits`
+    /// (arrival order, oldest first); see [`Bmbp::from_state`]. The caller's
+    /// log must end with `waits`.
     ///
     /// # Errors
     ///
@@ -264,6 +200,62 @@ impl Bmbp {
         Ok(p)
     }
 
+    /// Accounts for `wait`, which the caller appends to `log` next. At
+    /// `max_history` the oldest retained wait, read from `log`, leaves the
+    /// sorted view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wait` is negative or not finite.
+    pub fn observe(&mut self, log: &VecDeque<f64>, wait: f64) {
+        self.history.push(log, wait);
+    }
+
+    /// Recomputes the served bound; see [`QuantilePredictor::refit`].
+    pub fn refit(&mut self) {
+        self.recompute();
+    }
+
+    /// The bound currently served.
+    pub fn current_bound(&self) -> BoundOutcome {
+        self.cached
+    }
+
+    /// Feedback for a served bound; see
+    /// [`QuantilePredictor::record_outcome`]. A change-point trim keeps the
+    /// newest waits of `log`, which holds this model's history as its
+    /// suffix.
+    pub fn record_outcome(&mut self, log: &VecDeque<f64>, predicted: f64, actual: f64) {
+        let miss = actual > predicted;
+        if !miss {
+            self.detector.record_hit();
+            return;
+        }
+        if self.detector.record_miss() && self.config.trimming {
+            // Change point: keep only the shortest history from which a
+            // statistically meaningful bound can still be drawn (59 for the
+            // paper's 95/95 spec).
+            self.history
+                .trim_to_recent(log, self.config.spec.min_history_upper());
+            self.trims += 1;
+            BMBP_TRIMS.incr();
+            BMBP_TRIMMED_LEN.set(self.history.len() as u64);
+            self.recompute();
+        }
+    }
+
+    /// Calibrates the miss threshold on the retained waits of `log`; see
+    /// [`QuantilePredictor::finish_training`].
+    pub fn finish_training(&mut self, log: &VecDeque<f64>) {
+        if self.config.threshold_override.is_none() {
+            let waits: Vec<f64> = newest(log, self.len()).collect();
+            let threshold = calibrate_threshold(&waits, ThresholdTable::default_table());
+            self.detector.set_threshold(threshold);
+        }
+        self.calibrated = true;
+        self.recompute();
+    }
+
     fn recompute(&mut self) {
         let _span = Span::enter_sampled(&BMBP_REFIT_NS, &mut self.refit_tick, 63);
         // Index from the per-n memo (O(1) per step of n since the last
@@ -282,58 +274,181 @@ impl Bmbp {
     }
 }
 
+/// The BMBP predictor: a [`BmbpModel`] and the arrival log it reads.
+///
+/// # Examples
+///
+/// ```
+/// use qdelay_predict::bmbp::Bmbp;
+/// use qdelay_predict::QuantilePredictor;
+///
+/// let mut p = Bmbp::with_defaults();
+/// for i in 0..100 {
+///     p.observe(10.0 + (i % 17) as f64);
+/// }
+/// p.refit();
+/// let bound = p.current_bound().value().expect("100 obs > 59 minimum");
+/// assert!(bound <= 26.0 && bound >= 10.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Bmbp {
+    model: BmbpModel,
+    /// The retained waits in arrival order, oldest first.
+    log: VecDeque<f64>,
+}
+
+impl Bmbp {
+    /// Creates a predictor from a configuration.
+    pub fn new(config: BmbpConfig) -> Self {
+        Self { model: BmbpModel::new(config), log: VecDeque::new() }
+    }
+
+    /// Creates a predictor with the paper's default configuration (95/95,
+    /// trimming enabled).
+    pub fn with_defaults() -> Self {
+        Self::new(BmbpConfig::default())
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &BmbpConfig {
+        self.model.config()
+    }
+
+    /// The sorted view of the retained waits.
+    pub fn history(&self) -> &SortedHistory {
+        &self.model.history
+    }
+
+    /// The retained waits in arrival order, oldest first.
+    pub fn waits(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.log.iter().copied()
+    }
+
+    /// Number of change-point trims performed so far.
+    pub fn trims(&self) -> usize {
+        self.model.trims()
+    }
+
+    /// The consecutive-miss threshold currently in force.
+    pub fn miss_threshold(&self) -> usize {
+        self.model.detector.threshold()
+    }
+
+    /// Ad-hoc **upper** bound query against the current history for an
+    /// arbitrary spec (used e.g. for the paper's Table 8 quantile panels).
+    ///
+    /// Reads the order statistic straight off the history's rank index —
+    /// no sorted copy is materialized.
+    pub fn upper_bound_for(&self, spec: BoundSpec) -> BoundOutcome {
+        let history = &self.model.history;
+        match bound::upper_index(history.len(), spec, BoundMethod::Exact) {
+            Some(k) => BoundOutcome::Bound(
+                history
+                    .order_statistic(k)
+                    .expect("index in [1, n] by construction"),
+            ),
+            None => BoundOutcome::InsufficientHistory {
+                needed: spec.min_history_upper(),
+            },
+        }
+    }
+
+    /// Ad-hoc **lower** bound query against the current history.
+    pub fn lower_bound_for(&self, spec: BoundSpec) -> BoundOutcome {
+        let history = &self.model.history;
+        match bound::lower_index(history.len(), spec) {
+            Some(k) => BoundOutcome::Bound(
+                history
+                    .order_statistic(k)
+                    .expect("index in [1, n] by construction"),
+            ),
+            None => BoundOutcome::InsufficientHistory {
+                needed: spec.min_history_lower(),
+            },
+        }
+    }
+
+    /// Two-sided confidence interval for the `quantile` at overall level
+    /// `confidence` (paper §3 notes the method extends to "two-sided
+    /// confidence intervals, at any desired level of confidence").
+    ///
+    /// The confidence budget is split evenly: each side is a one-sided
+    /// bound at `(1 + confidence) / 2`, so the pair covers the quantile
+    /// with probability at least `confidence` by a union bound.
+    ///
+    /// Returns `None` if the history is too short for either side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quantile` or `confidence` are outside `(0, 1)`.
+    pub fn interval_for(&self, quantile: f64, confidence: f64) -> Option<(f64, f64)> {
+        assert!(
+            quantile > 0.0 && quantile < 1.0 && confidence > 0.0 && confidence < 1.0,
+            "quantile and confidence must be in (0,1)"
+        );
+        let side = (1.0 + confidence) / 2.0;
+        let spec = BoundSpec::new(quantile, side).expect("side level in (0,1)");
+        let lo = self.lower_bound_for(spec).value()?;
+        let hi = self.upper_bound_for(spec).value()?;
+        Some((lo, hi))
+    }
+
+    /// Exports the plain serializable core of this predictor, history
+    /// aside (see [`crate::state`]; the history is [`Bmbp::waits`]).
+    pub fn state(&self) -> BmbpState {
+        self.model.state()
+    }
+
+    /// Reconstructs a predictor from exported state and its retained
+    /// `waits` (arrival order, oldest first — the exporter's
+    /// [`Bmbp::waits`]). The sorted view is bulk-loaded (one sort,
+    /// [`SortedHistory::load`]), the bound-index cache rebuilt, and the
+    /// served bound refit, so the result continues bit-for-bit where the
+    /// exporter stopped.
+    ///
+    /// # Errors
+    ///
+    /// Rejects states with invalid specs, detectors, waits, or more waits
+    /// than `max_history` admits.
+    pub fn from_state(state: &BmbpState, waits: &[f64]) -> Result<Self, PredictError> {
+        let model = BmbpModel::from_state(state, waits)?;
+        Ok(Self { model, log: waits.iter().copied().collect() })
+    }
+}
+
 impl QuantilePredictor for Bmbp {
     fn name(&self) -> &str {
         "bmbp"
     }
 
     fn spec(&self) -> BoundSpec {
-        self.config.spec
+        self.model.config.spec
     }
 
     fn observe(&mut self, wait: f64) {
-        self.history.push(wait);
+        self.model.observe(&self.log, wait);
+        push_retaining(&mut self.log, wait, self.model.len());
     }
 
     fn refit(&mut self) {
-        self.recompute();
+        self.model.refit();
     }
 
     fn current_bound(&self) -> BoundOutcome {
-        self.cached
+        self.model.current_bound()
     }
 
     fn record_outcome(&mut self, predicted: f64, actual: f64) {
-        let miss = actual > predicted;
-        if !miss {
-            self.detector.record_hit();
-            return;
-        }
-        if self.detector.record_miss() && self.config.trimming {
-            // Change point: keep only the shortest history from which a
-            // statistically meaningful bound can still be drawn (59 for the
-            // paper's 95/95 spec).
-            self.history
-                .trim_to_recent(self.config.spec.min_history_upper());
-            self.trims += 1;
-            BMBP_TRIMS.incr();
-            BMBP_TRIMMED_LEN.set(self.history.len() as u64);
-            self.recompute();
-        }
+        self.model.record_outcome(&self.log, predicted, actual);
+        retain_newest(&mut self.log, self.model.len());
     }
 
     fn finish_training(&mut self) {
-        if self.config.threshold_override.is_none() {
-            let waits = self.history.to_arrival_vec();
-            let threshold = calibrate_threshold(&waits, ThresholdTable::default_table());
-            self.detector.set_threshold(threshold);
-        }
-        self.calibrated = true;
-        self.recompute();
+        self.model.finish_training(&self.log);
     }
 
     fn history_len(&self) -> usize {
-        self.history.len()
+        self.model.len()
     }
 }
 

@@ -2,49 +2,72 @@
 //!
 //! Predictors keep the observed waits in arrival order (so that trimming
 //! can discard the *oldest* measurements, per the paper's change-point
-//! response) and simultaneously in a sorted order-statistic index (so that
-//! the order statistics at the heart of BMBP are cheap at prediction time).
+//! response) and, for BMBP, in a sorted order-statistic index (so that the
+//! order statistics at the heart of BMBP are cheap at prediction time).
+//!
+//! The two views are stored apart. The arrival order is a plain
+//! `VecDeque<f64>` **log** owned by whoever holds the predictor; a
+//! predictor retains the newest `len` waits of it and is handed the log
+//! whenever it must read them (a trim, a capacity eviction, calibration).
+//! That is what lets a serve partition keep one log for both of its
+//! predictors — their histories are suffixes of one arrival stream — while
+//! a standalone predictor, and [`HistoryBuffer`], own a log each.
 
 use crate::rank_index::RankIndex;
 use std::collections::VecDeque;
 
-/// A dual-view buffer of wait-time observations: arrival order plus a
-/// sorted multiset.
+/// The newest `n` waits of `log`, oldest first.
 ///
-/// The sorted view is a [`RankIndex`] — a chunked sorted list — so inserts
-/// and capacity evictions cost `O(log n)` block lookup plus a bounded
-/// memmove, and the `k`-th order statistic costs `O(√n)`, instead of the
-/// `O(n)` memmove per insert of a flat sorted `Vec`. Trimming to the most
-/// recent `k` observations rebuilds the index in `O(k log k)`, which is fine
+/// # Panics
+///
+/// Panics if `log` holds fewer than `n` waits.
+pub(crate) fn newest(log: &VecDeque<f64>, n: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+    log.range(log.len() - n..).copied()
+}
+
+/// Drops the oldest waits of `log` until at most `keep` remain.
+#[inline]
+pub(crate) fn retain_newest(log: &mut VecDeque<f64>, keep: usize) {
+    let excess = log.len().saturating_sub(keep);
+    if excess > 0 {
+        log.drain(..excess);
+    }
+}
+
+/// Appends `wait` to `log`, first dropping the oldest waits so that `log`
+/// ends at most `keep` long — dropping before pushing, so a log at its
+/// length never grows its buffer to take one more.
+#[inline]
+pub fn push_retaining(log: &mut VecDeque<f64>, wait: f64, keep: usize) {
+    retain_newest(log, keep.saturating_sub(1));
+    log.push_back(wait);
+}
+
+/// The sorted view of the newest [`len`](Self::len) waits of an arrival
+/// log held elsewhere, with an optional cap on that length.
+///
+/// The view is a [`RankIndex`] — a chunked sorted list — so inserts and
+/// capacity evictions cost `O(log n)` block lookup plus a bounded memmove,
+/// and the `k`-th order statistic costs `O(√n)`, instead of the `O(n)`
+/// memmove per insert of a flat sorted `Vec`. Trimming to the most recent
+/// `k` observations rebuilds the index in `O(k log k)`, which is fine
 /// because change points are rare.
 ///
-/// # Examples
-///
-/// ```
-/// use qdelay_predict::history::HistoryBuffer;
-/// let mut h = HistoryBuffer::new();
-/// for w in [30.0, 5.0, 120.0] {
-///     h.push(w);
-/// }
-/// assert_eq!(h.len(), 3);
-/// assert_eq!(h.sorted_vec(), vec![5.0, 30.0, 120.0]);
-/// assert_eq!(h.order_statistic(1), Some(5.0));
-/// assert_eq!(h.newest(), Some(120.0));
-/// ```
+/// Every method that must know *which* waits are the oldest takes the log:
+/// its newest `len()` waits are this history, in arrival order.
 #[derive(Debug, Clone, Default)]
-pub struct HistoryBuffer {
-    arrival: VecDeque<f64>,
+pub struct SortedHistory {
     sorted: RankIndex,
     max_len: Option<usize>,
 }
 
-impl HistoryBuffer {
-    /// Creates an empty, unbounded buffer.
+impl SortedHistory {
+    /// Creates an empty, unbounded history.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a buffer that retains at most `max_len` most recent
+    /// Creates a history that retains at most `max_len` most recent
     /// observations, evicting the oldest on overflow.
     ///
     /// # Panics
@@ -52,21 +75,17 @@ impl HistoryBuffer {
     /// Panics if `max_len` is zero.
     pub fn with_max_len(max_len: usize) -> Self {
         assert!(max_len > 0, "max_len must be positive");
-        Self {
-            arrival: VecDeque::new(),
-            sorted: RankIndex::new(),
-            max_len: Some(max_len),
-        }
+        Self { sorted: RankIndex::new(), max_len: Some(max_len) }
     }
 
-    /// Number of stored observations.
+    /// Number of retained observations.
     pub fn len(&self) -> usize {
-        self.arrival.len()
+        self.sorted.len()
     }
 
-    /// Whether the buffer holds no observations.
+    /// Whether the history holds no observations.
     pub fn is_empty(&self) -> bool {
-        self.arrival.is_empty()
+        self.sorted.is_empty()
     }
 
     /// The retention limit, if any.
@@ -74,38 +93,35 @@ impl HistoryBuffer {
         self.max_len
     }
 
-    /// Appends a wait-time observation. Returns the observation evicted to
-    /// respect `max_len`, if any — incremental accumulators layered on top
-    /// of the buffer (e.g. running log-moments) subtract it on the spot.
+    /// Accounts for `wait`, which the caller appends to `log` next (`log`
+    /// does not hold it yet). Returns the observation evicted to respect
+    /// `max_len`, if any — the oldest retained wait, read from `log`; the
+    /// caller's log should then drop it too.
     ///
     /// # Panics
     ///
     /// Panics if `wait` is negative or not finite — queue waits are
     /// non-negative by construction, so such a value indicates a caller bug.
-    pub fn push(&mut self, wait: f64) -> Option<f64> {
+    pub fn push(&mut self, log: &VecDeque<f64>, wait: f64) -> Option<f64> {
         assert!(
             wait.is_finite() && wait >= 0.0,
             "wait must be finite and non-negative, got {wait}"
         );
         let mut evicted = None;
-        if let Some(cap) = self.max_len {
-            if self.arrival.len() == cap {
-                let old = self.arrival.pop_front().expect("non-empty at cap");
-                let removed = self.sorted.remove_one(old);
-                debug_assert!(removed, "evicted value must exist in sorted view");
-                evicted = Some(old);
-            }
+        if self.max_len == Some(self.len()) {
+            let old = log[log.len() - self.len()];
+            let removed = self.sorted.remove_one(old);
+            debug_assert!(removed, "evicted value must exist in sorted view");
+            evicted = Some(old);
         }
-        self.arrival.push_back(wait);
         self.sorted.insert(wait);
         evicted
     }
 
     /// Replaces the contents with `waits` (arrival order, oldest first) in
-    /// bulk: the deque is filled and the sorted view built by one sort
-    /// ([`RankIndex::rebuild`]) instead of `waits.len()` single inserts.
-    /// Both views end up exactly as pushing each wait in turn would leave
-    /// them.
+    /// bulk: one sort ([`RankIndex::rebuild`]) instead of `waits.len()`
+    /// single inserts, leaving the view exactly as pushing each wait in
+    /// turn would.
     ///
     /// # Panics
     ///
@@ -122,26 +138,21 @@ impl HistoryBuffer {
             waits.len(),
             self.max_len
         );
-        self.arrival.clear();
-        self.arrival.extend(waits);
         self.sorted.rebuild(waits.iter().copied());
     }
 
-    /// Discards all but the most recent `keep` observations.
+    /// Discards all but the most recent `keep` observations, which are the
+    /// newest `keep` of `log`.
     ///
     /// Keeping more than the current length is a no-op.
-    pub fn trim_to_recent(&mut self, keep: usize) {
-        if keep >= self.arrival.len() {
-            return;
+    pub fn trim_to_recent(&mut self, log: &VecDeque<f64>, keep: usize) {
+        if keep < self.len() {
+            self.sorted.rebuild(newest(log, keep));
         }
-        let drop = self.arrival.len() - keep;
-        self.arrival.drain(..drop);
-        self.sorted.rebuild(self.arrival.iter().copied());
     }
 
     /// Removes every observation.
     pub fn clear(&mut self) {
-        self.arrival.clear();
         self.sorted.clear();
     }
 
@@ -151,7 +162,7 @@ impl HistoryBuffer {
     }
 
     /// Copies the observations into an ascending `Vec` — `O(n)`; prefer
-    /// [`HistoryBuffer::order_statistic`] for point queries.
+    /// [`SortedHistory::order_statistic`] for point queries.
     pub fn sorted_vec(&self) -> Vec<f64> {
         self.sorted.to_vec()
     }
@@ -159,16 +170,6 @@ impl HistoryBuffer {
     /// Iterates the observations in ascending order.
     pub fn sorted_iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.sorted.iter()
-    }
-
-    /// The observations in arrival order, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.arrival.iter().copied()
-    }
-
-    /// The most recently observed wait.
-    pub fn newest(&self) -> Option<f64> {
-        self.arrival.back().copied()
     }
 
     /// The `k`-th order statistic, 1-indexed (so `order_statistic(1)` is the
@@ -205,6 +206,142 @@ impl HistoryBuffer {
         let xlo = self.sorted.select(lo)?;
         let xhi = self.sorted.select(hi)?;
         Some(xlo + (xhi - xlo) * frac)
+    }
+}
+
+/// A dual-view buffer of wait-time observations: a [`SortedHistory`] plus
+/// the arrival log it reads, owned together.
+///
+/// # Examples
+///
+/// ```
+/// use qdelay_predict::history::HistoryBuffer;
+/// let mut h = HistoryBuffer::new();
+/// for w in [30.0, 5.0, 120.0] {
+///     h.push(w);
+/// }
+/// assert_eq!(h.len(), 3);
+/// assert_eq!(h.sorted_vec(), vec![5.0, 30.0, 120.0]);
+/// assert_eq!(h.order_statistic(1), Some(5.0));
+/// assert_eq!(h.newest(), Some(120.0));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct HistoryBuffer {
+    arrival: VecDeque<f64>,
+    sorted: SortedHistory,
+}
+
+impl HistoryBuffer {
+    /// Creates an empty, unbounded buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Creates a buffer that retains at most `max_len` most recent
+    /// observations, evicting the oldest on overflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_len` is zero.
+    pub fn with_max_len(max_len: usize) -> Self {
+        Self { arrival: VecDeque::new(), sorted: SortedHistory::with_max_len(max_len) }
+    }
+
+    /// Number of stored observations.
+    pub fn len(&self) -> usize {
+        self.arrival.len()
+    }
+
+    /// Whether the buffer holds no observations.
+    pub fn is_empty(&self) -> bool {
+        self.arrival.is_empty()
+    }
+
+    /// The retention limit, if any.
+    pub fn max_len(&self) -> Option<usize> {
+        self.sorted.max_len()
+    }
+
+    /// Appends a wait-time observation. Returns the observation evicted to
+    /// respect `max_len`, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wait` is negative or not finite.
+    pub fn push(&mut self, wait: f64) -> Option<f64> {
+        let evicted = self.sorted.push(&self.arrival, wait);
+        push_retaining(&mut self.arrival, wait, self.sorted.len());
+        evicted
+    }
+
+    /// Replaces the contents with `waits` (arrival order, oldest first) in
+    /// bulk ([`SortedHistory::load`]). Both views end up exactly as pushing
+    /// each wait in turn would leave them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any wait is negative or not finite, or if `waits` is
+    /// longer than `max_len` admits.
+    pub fn load(&mut self, waits: &[f64]) {
+        self.sorted.load(waits);
+        self.arrival.clear();
+        self.arrival.extend(waits);
+    }
+
+    /// Discards all but the most recent `keep` observations.
+    ///
+    /// Keeping more than the current length is a no-op.
+    pub fn trim_to_recent(&mut self, keep: usize) {
+        self.sorted.trim_to_recent(&self.arrival, keep);
+        retain_newest(&mut self.arrival, self.sorted.len());
+    }
+
+    /// Removes every observation.
+    pub fn clear(&mut self) {
+        self.arrival.clear();
+        self.sorted.clear();
+    }
+
+    /// The underlying order-statistic index.
+    pub fn rank_index(&self) -> &RankIndex {
+        self.sorted.rank_index()
+    }
+
+    /// Copies the observations into an ascending `Vec` — `O(n)`; prefer
+    /// [`HistoryBuffer::order_statistic`] for point queries.
+    pub fn sorted_vec(&self) -> Vec<f64> {
+        self.sorted.sorted_vec()
+    }
+
+    /// Iterates the observations in ascending order.
+    pub fn sorted_iter(&self) -> impl Iterator<Item = f64> + '_ {
+        self.sorted.sorted_iter()
+    }
+
+    /// The observations in arrival order, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        self.arrival.iter().copied()
+    }
+
+    /// The most recently observed wait.
+    pub fn newest(&self) -> Option<f64> {
+        self.arrival.back().copied()
+    }
+
+    /// The `k`-th order statistic, 1-indexed; see
+    /// [`SortedHistory::order_statistic`].
+    pub fn order_statistic(&self, k: usize) -> Option<f64> {
+        self.sorted.order_statistic(k)
+    }
+
+    /// The type-7 empirical `q` quantile; see
+    /// [`SortedHistory::empirical_quantile`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 1]`.
+    pub fn empirical_quantile(&self, q: f64) -> Option<f64> {
+        self.sorted.empirical_quantile(q)
     }
 
     /// Copies the arrival-order contents into a `Vec` (oldest first).

@@ -16,7 +16,8 @@
 //! * [`bound`] — the underlying quantile-bound inference, usable directly;
 //! * [`changepoint`] — the consecutive-miss rare-event detector and its
 //!   Monte Carlo calibration;
-//! * [`history`] — the dual arrival-order/sorted wait store.
+//! * [`history`] — the arrival log helpers, BMBP's sorted view of a log's
+//!   newest waits, and the dual arrival-order/sorted wait store.
 //!
 //! # Quickstart
 //!

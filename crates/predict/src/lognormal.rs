@@ -16,11 +16,13 @@
 //! is shifted back by `- 1` on output.
 //!
 //! The fit reads only the running log-moments, never an order statistic,
-//! so the history is an arrival-order deque alone — kept for trimming,
-//! calibration and state export — with no sorted view to maintain.
+//! so the model keeps no copy of the history at all: the waits live in an
+//! arrival-order log its owner keeps (for trimming, calibration and state
+//! export), with no sorted view to maintain.
 
 use crate::bound::{BoundOutcome, BoundSpec};
 use crate::changepoint::{calibrate_threshold, RareEventDetector, ThresholdTable};
+use crate::history::{newest, push_retaining, retain_newest};
 use crate::state::{check_waits, DetectorState, LogNormalState, MomentsState};
 use crate::{PredictError, QuantilePredictor};
 use qdelay_stats::tolerance::KFactorCache;
@@ -146,32 +148,24 @@ impl LogMoments {
     }
 }
 
-/// Log-normal MLE predictor with tolerance-bound quantile estimates.
+/// The log-normal method without its arrival log: the running
+/// log-moments of the retained waits, the change-point detector and the
+/// served bound.
 ///
-/// # Examples
-///
-/// ```
-/// use qdelay_predict::lognormal::{LogNormalConfig, LogNormalPredictor};
-/// use qdelay_predict::QuantilePredictor;
-///
-/// let mut p = LogNormalPredictor::new(LogNormalConfig::no_trim());
-/// for i in 1..200u32 {
-///     p.observe(f64::from(i % 40) * 10.0);
-/// }
-/// p.refit();
-/// assert!(p.current_bound().value().is_some());
-/// ```
+/// The retained waits are the newest [`len`](Self::len) of an arrival log
+/// the caller owns (see [`crate::bmbp::BmbpModel`], whose log a serve
+/// partition shares); only a trim and calibration read it.
 #[derive(Debug, Clone)]
-pub struct LogNormalPredictor {
+pub struct LogNormalModel {
     config: LogNormalConfig,
-    /// The retained waits in arrival order, oldest first.
-    history: VecDeque<f64>,
     detector: RareEventDetector,
     kcache: KFactorCache,
     /// Last `(n, k)` pair served: the spec `(q, C)` is fixed per predictor,
     /// so the K-factor is a pure function of `n` — epoch refits that arrive
     /// with unchanged history skip even the `KFactorCache` lookup.
     klast: Option<(usize, f64)>,
+    /// The moments of the retained waits; their count is the history's
+    /// length.
     moments: LogMoments,
     cached: BoundOutcome,
     trims: usize,
@@ -182,22 +176,8 @@ pub struct LogNormalPredictor {
 /// Minimum history for a log-normal fit (mean and sd need two points).
 const MIN_FIT: usize = 2;
 
-impl LogNormalPredictor {
-    /// Forces the process-wide exact K-factor table for `config`'s spec to
-    /// exist, so the first refit of a predictor with that spec never pays
-    /// it on a latency-sensitive thread. Near-free for the paper's 95/95
-    /// spec, whose table is compiled in; any other spec pays ~100
-    /// warm-started noncentral-t root-finds on the first call in a process
-    /// and a registry lookup on every later one.
-    pub fn prewarm_k_factors(config: &LogNormalConfig) {
-        if let Ok(mut cache) =
-            KFactorCache::new(config.spec.quantile(), config.spec.confidence())
-        {
-            let _ = k_factor_counted(&mut cache, 2);
-        }
-    }
-
-    /// Creates a predictor from a configuration.
+impl LogNormalModel {
+    /// Creates a model from a configuration.
     ///
     /// # Panics
     ///
@@ -211,7 +191,6 @@ impl LogNormalPredictor {
             .expect("BoundSpec guarantees open-interval parameters");
         Self {
             config,
-            history: VecDeque::new(),
             detector: RareEventDetector::new(threshold),
             kcache,
             klast: None,
@@ -227,16 +206,24 @@ impl LogNormalPredictor {
         &self.config
     }
 
+    /// Number of retained waits: the newest this many of the log are this
+    /// model's history.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.moments.n
+    }
+
+    /// Whether no wait is retained.
+    pub fn is_empty(&self) -> bool {
+        self.moments.n == 0
+    }
+
     /// Number of change-point trims performed so far.
     pub fn trims(&self) -> usize {
         self.trims
     }
 
-    /// Exports the plain serializable core of this predictor, history
-    /// aside (see [`crate::state`]; the history is [`Self::waits`]). The
-    /// Kahan accumulators are exported verbatim: rebuilding them from the
-    /// waits could differ in the last ulp, and the served bound is a
-    /// function of their exact bits.
+    /// See [`LogNormalPredictor::state`].
     pub fn state(&self) -> LogNormalState {
         LogNormalState {
             quantile: self.config.spec.quantile(),
@@ -258,17 +245,9 @@ impl LogNormalPredictor {
         }
     }
 
-    /// The retained waits in arrival order, oldest first.
-    pub fn waits(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
-        self.history.iter().copied()
-    }
-
-    /// Reconstructs a predictor from exported state and its retained
-    /// `waits` (arrival order, oldest first — the exporter's
-    /// [`Self::waits`]) and refits. The K-factor cache and per-`n` memo
-    /// are regenerated (they are pure functions of `(n, q, C)`); the moment
-    /// accumulators are restored bit-for-bit so the continuation is
-    /// byte-identical.
+    /// Reconstructs a model from exported state and its retained `waits`
+    /// (arrival order, oldest first); see [`LogNormalPredictor::from_state`].
+    /// The caller's log must end with `waits`.
     ///
     /// # Errors
     ///
@@ -292,7 +271,6 @@ impl LogNormalPredictor {
             trimming: state.trimming,
             threshold_override: state.threshold_override,
         });
-        p.history.extend(waits);
         p.moments = LogMoments {
             n: waits.len(),
             sum: m.sum,
@@ -310,10 +288,71 @@ impl LogNormalPredictor {
         Ok(p)
     }
 
+    /// Accounts for `wait`, which the caller appends to its log next.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wait` is negative or not finite — the contract of
+    /// [`crate::history::SortedHistory::push`], which BMBP's history keeps.
+    pub fn observe(&mut self, wait: f64) {
+        assert!(
+            wait.is_finite() && wait >= 0.0,
+            "wait must be finite and non-negative, got {wait}"
+        );
+        self.moments.add_wait(wait);
+    }
+
+    /// Recomputes the served bound; see [`QuantilePredictor::refit`].
+    pub fn refit(&mut self) {
+        self.recompute();
+    }
+
+    /// The bound currently served.
+    pub fn current_bound(&self) -> BoundOutcome {
+        self.cached
+    }
+
+    /// Feedback for a served bound; see
+    /// [`QuantilePredictor::record_outcome`]. A change-point trim rebuilds
+    /// the moments from the newest waits of `log`, which holds this
+    /// model's history as its suffix.
+    pub fn record_outcome(&mut self, log: &VecDeque<f64>, predicted: f64, actual: f64) {
+        if !self.config.trimming {
+            return;
+        }
+        let miss = actual > predicted;
+        if !miss {
+            self.detector.record_hit();
+            return;
+        }
+        if self.detector.record_miss() {
+            // Same response as BMBP: keep the shortest meaningful suffix.
+            // Use BMBP's minimum so the two trimmed methods see comparable
+            // history lengths (this is what the paper's "same history
+            // trimming scheme employed by BMBP" means). The moments are
+            // rebuilt even when nothing is dropped.
+            let keep = self.config.spec.min_history_upper().min(self.len());
+            self.moments.rebuild(newest(log, keep));
+            self.trims += 1;
+            LOGN_TRIMS.incr();
+            self.recompute();
+        }
+    }
+
+    /// Calibrates the miss threshold on the retained waits of `log`; see
+    /// [`QuantilePredictor::finish_training`].
+    pub fn finish_training(&mut self, log: &VecDeque<f64>) {
+        if self.config.trimming && self.config.threshold_override.is_none() {
+            let waits: Vec<f64> = newest(log, self.len()).collect();
+            let threshold = calibrate_threshold(&waits, ThresholdTable::default_table());
+            self.detector.set_threshold(threshold);
+        }
+        self.recompute();
+    }
+
     fn recompute(&mut self) {
         let span = Span::enter_sampled(&LOGN_REFIT_NS, &mut self.refit_tick, 63);
-        let n = self.history.len();
-        debug_assert_eq!(self.moments.n, n, "moments must track history");
+        let n = self.moments.n;
         if n < MIN_FIT {
             self.cached = BoundOutcome::InsufficientHistory { needed: MIN_FIT };
             return;
@@ -353,6 +392,95 @@ impl LogNormalPredictor {
     }
 }
 
+/// Log-normal MLE predictor with tolerance-bound quantile estimates: a
+/// [`LogNormalModel`] and the arrival log it reads.
+///
+/// # Examples
+///
+/// ```
+/// use qdelay_predict::lognormal::{LogNormalConfig, LogNormalPredictor};
+/// use qdelay_predict::QuantilePredictor;
+///
+/// let mut p = LogNormalPredictor::new(LogNormalConfig::no_trim());
+/// for i in 1..200u32 {
+///     p.observe(f64::from(i % 40) * 10.0);
+/// }
+/// p.refit();
+/// assert!(p.current_bound().value().is_some());
+/// ```
+#[derive(Debug, Clone)]
+pub struct LogNormalPredictor {
+    model: LogNormalModel,
+    /// The retained waits in arrival order, oldest first.
+    log: VecDeque<f64>,
+}
+
+impl LogNormalPredictor {
+    /// Forces the process-wide exact K-factor table for `config`'s spec to
+    /// exist, so the first refit of a predictor with that spec never pays
+    /// it on a latency-sensitive thread. Near-free for the paper's 95/95
+    /// spec, whose table is compiled in; any other spec pays ~100
+    /// warm-started noncentral-t root-finds on the first call in a process
+    /// and a registry lookup on every later one.
+    pub fn prewarm_k_factors(config: &LogNormalConfig) {
+        if let Ok(mut cache) =
+            KFactorCache::new(config.spec.quantile(), config.spec.confidence())
+        {
+            let _ = k_factor_counted(&mut cache, 2);
+        }
+    }
+
+    /// Creates a predictor from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Never panics for specs produced by [`BoundSpec::new`]; the K-factor
+    /// cache construction re-validates the same invariants.
+    pub fn new(config: LogNormalConfig) -> Self {
+        Self { model: LogNormalModel::new(config), log: VecDeque::new() }
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &LogNormalConfig {
+        self.model.config()
+    }
+
+    /// Number of change-point trims performed so far.
+    pub fn trims(&self) -> usize {
+        self.model.trims()
+    }
+
+    /// Exports the plain serializable core of this predictor, history
+    /// aside (see [`crate::state`]; the history is [`Self::waits`]). The
+    /// Kahan accumulators are exported verbatim: rebuilding them from the
+    /// waits could differ in the last ulp, and the served bound is a
+    /// function of their exact bits.
+    pub fn state(&self) -> LogNormalState {
+        self.model.state()
+    }
+
+    /// The retained waits in arrival order, oldest first.
+    pub fn waits(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.log.iter().copied()
+    }
+
+    /// Reconstructs a predictor from exported state and its retained
+    /// `waits` (arrival order, oldest first — the exporter's
+    /// [`Self::waits`]) and refits. The K-factor cache and per-`n` memo
+    /// are regenerated (they are pure functions of `(n, q, C)`); the moment
+    /// accumulators are restored bit-for-bit so the continuation is
+    /// byte-identical.
+    ///
+    /// # Errors
+    ///
+    /// Rejects states with invalid specs, detectors, waits, or non-finite
+    /// accumulators.
+    pub fn from_state(state: &LogNormalState, waits: &[f64]) -> Result<Self, PredictError> {
+        let model = LogNormalModel::from_state(state, waits)?;
+        Ok(Self { model, log: waits.iter().copied().collect() })
+    }
+}
+
 /// `cache.k_factor(n)`, counting the exact table in
 /// `predict.lognormal.kfactor.rootfind` if this lookup is the one that
 /// computed it.
@@ -367,7 +495,7 @@ fn k_factor_counted(cache: &mut KFactorCache, n: usize) -> Result<f64, Distribut
 
 impl QuantilePredictor for LogNormalPredictor {
     fn name(&self) -> &str {
-        if self.config.trimming {
+        if self.model.config.trimming {
             "lognormal-trim"
         } else {
             "lognormal-notrim"
@@ -375,65 +503,36 @@ impl QuantilePredictor for LogNormalPredictor {
     }
 
     fn spec(&self) -> BoundSpec {
-        self.config.spec
+        self.model.config.spec
     }
 
     /// # Panics
     ///
-    /// Panics if `wait` is negative or not finite — the contract of
-    /// [`crate::history::HistoryBuffer::push`], which BMBP's history keeps.
+    /// Panics if `wait` is negative or not finite.
     fn observe(&mut self, wait: f64) {
-        assert!(
-            wait.is_finite() && wait >= 0.0,
-            "wait must be finite and non-negative, got {wait}"
-        );
-        self.history.push_back(wait);
-        self.moments.add_wait(wait);
+        self.model.observe(wait);
+        push_retaining(&mut self.log, wait, self.model.len());
     }
 
     fn refit(&mut self) {
-        self.recompute();
+        self.model.refit();
     }
 
     fn current_bound(&self) -> BoundOutcome {
-        self.cached
+        self.model.current_bound()
     }
 
     fn record_outcome(&mut self, predicted: f64, actual: f64) {
-        if !self.config.trimming {
-            return;
-        }
-        let miss = actual > predicted;
-        if !miss {
-            self.detector.record_hit();
-            return;
-        }
-        if self.detector.record_miss() {
-            // Same response as BMBP: keep the shortest meaningful suffix.
-            // Use BMBP's minimum so the two trimmed methods see comparable
-            // history lengths (this is what the paper's "same history
-            // trimming scheme employed by BMBP" means).
-            let keep = self.config.spec.min_history_upper();
-            let excess = self.history.len().saturating_sub(keep);
-            self.history.drain(..excess);
-            self.moments.rebuild(self.history.iter().copied());
-            self.trims += 1;
-            LOGN_TRIMS.incr();
-            self.recompute();
-        }
+        self.model.record_outcome(&self.log, predicted, actual);
+        retain_newest(&mut self.log, self.model.len());
     }
 
     fn finish_training(&mut self) {
-        if self.config.trimming && self.config.threshold_override.is_none() {
-            let waits = self.history.make_contiguous();
-            let threshold = calibrate_threshold(waits, ThresholdTable::default_table());
-            self.detector.set_threshold(threshold);
-        }
-        self.recompute();
+        self.model.finish_training(&self.log);
     }
 
     fn history_len(&self) -> usize {
-        self.history.len()
+        self.model.len()
     }
 }
 
@@ -607,7 +706,7 @@ mod tests {
         }
         p.refit();
         let first = p.current_bound();
-        assert_eq!(p.klast.map(|(n, _)| n), Some(150));
+        assert_eq!(p.model.klast.map(|(n, _)| n), Some(150));
         let hits_before = KFACTOR_HIT.value();
         // Same n: the refit must serve the memoized K and give the same
         // bound (counters are global and monotone, so >= is the safe check
@@ -618,7 +717,7 @@ mod tests {
         // Growing n invalidates the memo by key.
         p.observe(7.0);
         p.refit();
-        assert_eq!(p.klast.map(|(n, _)| n), Some(151));
+        assert_eq!(p.model.klast.map(|(n, _)| n), Some(151));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! size, giving `O(log n + √n)` insert and remove (binary search to find the
 //! block, memmove within one block only) and `O(√n)` selection of the k-th
 //! smallest element — versus the `O(n)` memmove per insert of a single
-//! sorted `Vec`. It exists to back
-//! [`HistoryBuffer`](crate::history::HistoryBuffer), whose per-job cost
+//! sorted `Vec`. It exists to back BMBP's
+//! [`SortedHistory`](crate::history::SortedHistory), whose per-job cost
 //! dominates million-job trace replays.
 //!
-//! Values must not be NaN (enforced by debug assertions); `HistoryBuffer`
+//! Values must not be NaN (enforced by debug assertions); `SortedHistory`
 //! validates before inserting.
 //!
 //! # Examples

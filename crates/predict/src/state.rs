@@ -15,7 +15,9 @@
 //! with the retained waits, by the matching `from_state` constructors. The
 //! history travels separately because both predictors of a partition see
 //! every wait and drop only the oldest ones: their two histories are
-//! suffixes of one arrival sequence, which a container stores once. Two
+//! suffixes of one arrival sequence, which a container stores once — on
+//! disk, and in memory too, where the log-less [`crate::bmbp::BmbpModel`]
+//! and [`crate::lognormal::LogNormalModel`] read one shared log. Two
 //! guarantees make it a *warm restart* rather than a best-effort import:
 //!
 //! * **Byte-identical continuation** — a restored predictor fed the same
@@ -174,7 +176,7 @@ mod tests {
     }
 
     fn bmbp_waits(p: &Bmbp) -> Vec<f64> {
-        p.history().iter().collect()
+        p.waits().collect()
     }
 
     fn lognormal_waits(p: &LogNormalPredictor) -> Vec<f64> {

@@ -1,12 +1,12 @@
 //! Partition hibernation: a capacity-managed registry for millions of
 //! partitions.
 //!
-//! The serve registry holds every partition's full `HistoryBuffer`
-//! resident forever; at millions of `(site, queue, proc-range)`
-//! partitions, memory — not CPU — is the wall. Because the predictor
-//! state surface round-trips bit-identically (PR 4), a cold partition
-//! can page out losslessly: [`PartitionStore`] keeps each shard's
-//! partitions under a resident cap by serializing least-recently-touched
+//! The serve registry holds every partition's full history (its arrival
+//! log and BMBP's sorted view of it) resident forever; at millions of
+//! `(site, queue, proc-range)` partitions, memory — not CPU — is the
+//! wall. Because the predictor state surface round-trips bit-identically,
+//! a cold partition can page out losslessly: [`PartitionStore`] keeps each
+//! shard's partitions under a resident cap by serializing least-recently-touched
 //! partitions into a per-shard append-only **spill file** and lazily
 //! restoring them when they are next *written* (an observe, a replicated
 //! record). What pages out is the history, not the answer: the index entry
@@ -671,6 +671,12 @@ impl PartitionStore {
     pub fn total_observations(&self) -> u64 {
         self.resident.values().map(|e| e.partition.seq()).sum::<u64>()
             + self.hibernated.values().map(|s| s.seq).sum::<u64>()
+    }
+
+    /// Waits held in memory across resident partitions (the sum of their
+    /// log lengths) — what the store's resident set grows with.
+    pub fn resident_waits(&self) -> u64 {
+        self.resident.values().map(|e| e.partition.stored_waits() as u64).sum()
     }
 }
 

@@ -1,19 +1,22 @@
 //! Partition keys, per-partition predictor state, and the shard map.
 //!
 //! A **partition** is the unit of predictor state: one `(site, queue,
-//! proc-range)` triple owning an independent [`Bmbp`] and
-//! [`LogNormalPredictor`] pair. Partitions are assigned to shards by a
-//! stable FNV-1a hash of the key, so the same key always lands on the same
-//! shard within a run — one shard lock ([`crate::server`]) covers every
-//! predictor a request can touch, and whoever holds it mutates them
-//! single-threaded — while the snapshot format stays flat and
-//! shard-count-independent (a restart may use a different `--shards`).
+//! proc-range)` triple owning a BMBP and a log-normal predictor
+//! ([`BmbpModel`], [`LogNormalModel`]) and the one arrival log both read.
+//! Partitions are assigned to shards by a stable FNV-1a hash of the key,
+//! so the same key always lands on the same shard within a run — one
+//! shard lock ([`crate::server`]) covers every predictor a request can
+//! touch, and whoever holds it mutates them single-threaded — while the
+//! snapshot format stays flat and shard-count-independent (a restart may
+//! use a different `--shards`).
 
 use crate::snapshot::PartitionSnapshot;
-use qdelay_predict::bmbp::Bmbp;
-use qdelay_predict::lognormal::{LogNormalConfig, LogNormalPredictor};
-use qdelay_predict::{PredictError, QuantilePredictor};
+use qdelay_predict::bmbp::BmbpModel;
+use qdelay_predict::history::push_retaining;
+use qdelay_predict::lognormal::{LogNormalConfig, LogNormalModel};
+use qdelay_predict::PredictError;
 use qdelay_trace::ProcRange;
+use std::collections::VecDeque;
 
 /// Identifies one partition: a queue at a site, restricted to a processor
 /// bucket (the paper's Tables 5-7 per-size split).
@@ -69,7 +72,15 @@ impl PartitionKey {
     }
 }
 
-/// One partition's predictor pair plus its observation cursor.
+/// One partition's predictor pair, the arrival log they share, and its
+/// observation cursor.
+///
+/// Both predictors see every wait and drop only their oldest, so their
+/// histories are suffixes of one arrival stream: the partition keeps that
+/// stream once, as a log of the newest max(n_bmbp, n_lognormal) waits —
+/// exactly the `waits` of its [`PartitionSnapshot`] — and each predictor
+/// keeps only what it derives from its suffix (BMBP its sorted view, the
+/// log-normal its running moments).
 ///
 /// `seq` counts observations applied to this partition; every `observe`
 /// acknowledgement returns the sequence number it became, which is what
@@ -83,8 +94,10 @@ impl PartitionKey {
 /// back-to-back observes cost no refit at all.
 #[derive(Debug)]
 pub struct Partition {
-    bmbp: Bmbp,
-    lognormal: LogNormalPredictor,
+    bmbp: BmbpModel,
+    lognormal: LogNormalModel,
+    /// The newest `max(bmbp.len(), lognormal.len())` waits, oldest first.
+    log: VecDeque<f64>,
     seq: u64,
     dirty: bool,
 }
@@ -120,8 +133,9 @@ impl Partition {
     /// with trimming; log-normal Trim variant).
     pub fn new() -> Self {
         Self {
-            bmbp: Bmbp::with_defaults(),
-            lognormal: LogNormalPredictor::new(LogNormalConfig::trim()),
+            bmbp: BmbpModel::with_defaults(),
+            lognormal: LogNormalModel::new(LogNormalConfig::trim()),
+            log: VecDeque::new(),
             seq: 0,
             dirty: false,
         }
@@ -139,6 +153,11 @@ impl Partition {
 
     /// Applies one observation (optionally with outcome feedback for either
     /// predictor) and returns the sequence number it became.
+    ///
+    /// Feedback comes first, so a trim sees the log without the new wait;
+    /// then both predictors take the wait (BMBP's `max_history` eviction
+    /// reads its oldest wait from the log); then the log drops the waits
+    /// neither predictor retains any longer and takes the new one.
     pub fn observe(
         &mut self,
         wait: f64,
@@ -146,13 +165,14 @@ impl Partition {
         predicted_lognormal: Option<f64>,
     ) -> u64 {
         if let Some(p) = predicted_bmbp {
-            self.bmbp.record_outcome(p, wait);
+            self.bmbp.record_outcome(&self.log, p, wait);
         }
         if let Some(p) = predicted_lognormal {
-            self.lognormal.record_outcome(p, wait);
+            self.lognormal.record_outcome(&self.log, p, wait);
         }
-        self.bmbp.observe(wait);
+        self.bmbp.observe(&self.log, wait);
         self.lognormal.observe(wait);
+        push_retaining(&mut self.log, wait, self.bmbp.len().max(self.lognormal.len()));
         self.dirty = true;
         self.seq += 1;
         self.seq
@@ -170,7 +190,7 @@ impl Partition {
             self.dirty = false;
         }
         Prediction {
-            n: self.bmbp.history_len(),
+            n: self.bmbp.len(),
             seq: self.seq,
             bmbp: self.bmbp.current_bound().value(),
             lognormal: self.lognormal.current_bound().value(),
@@ -182,40 +202,39 @@ impl Partition {
         self.seq
     }
 
-    /// Exports this partition's serializable core. Both predictors saw
-    /// every wait and dropped only the oldest, so the longer history holds
-    /// the shorter as its suffix and is stored once for both.
+    /// Waits held in memory: the length of the shared log.
+    pub fn stored_waits(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Exports this partition's serializable core: the log is the stored
+    /// history, and each predictor's retained count names its suffix.
     pub fn to_snapshot(&self, key: &PartitionKey) -> PartitionSnapshot {
-        let (bmbp, lognormal) = (self.bmbp.history(), &self.lognormal);
-        let (bmbp_retained, lognormal_retained) = (bmbp.len(), lognormal.waits().len());
-        let waits: Vec<f64> = if bmbp_retained >= lognormal_retained {
-            bmbp.iter().collect()
-        } else {
-            lognormal.waits().collect()
-        };
-        let snap = PartitionSnapshot {
+        PartitionSnapshot {
             site: key.site.clone(),
             queue: key.queue.clone(),
             range: key.range,
             seq: self.seq,
             bmbp: self.bmbp.state(),
-            lognormal: lognormal.state(),
-            waits,
-            bmbp_retained,
-            lognormal_retained,
-        };
-        let (b, l) = snap.histories();
-        debug_assert!(b.iter().copied().eq(bmbp.iter()) && l.iter().copied().eq(lognormal.waits()));
-        snap
+            lognormal: self.lognormal.state(),
+            waits: self.log.iter().copied().collect(),
+            bmbp_retained: self.bmbp.len(),
+            lognormal_retained: self.lognormal.len(),
+        }
     }
 
     /// Restores a partition from a snapshot. Both predictors refit on load
-    /// (`from_state` does), so the partition starts clean, not dirty.
+    /// (`from_state` does), so the partition starts clean, not dirty. The
+    /// log keeps the longer of the two histories [`PartitionSnapshot::histories`]
+    /// reads, so a hand-built entry's waits that neither predictor retains
+    /// are not kept.
     pub fn from_snapshot(snap: &PartitionSnapshot) -> Result<Self, PredictError> {
         let (bmbp, lognormal) = snap.histories();
+        let kept = bmbp.len().max(lognormal.len());
         Ok(Self {
-            bmbp: Bmbp::from_state(&snap.bmbp, bmbp)?,
-            lognormal: LogNormalPredictor::from_state(&snap.lognormal, lognormal)?,
+            bmbp: BmbpModel::from_state(&snap.bmbp, bmbp)?,
+            lognormal: LogNormalModel::from_state(&snap.lognormal, lognormal)?,
+            log: snap.waits[snap.waits.len() - kept..].iter().copied().collect(),
             seq: snap.seq,
             dirty: false,
         })

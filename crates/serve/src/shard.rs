@@ -382,14 +382,21 @@ pub(crate) fn persist(
 /// Builds the `stats` reply fields (minus the time-varying telemetry and
 /// uptime sections) from every shard's registry totals, read one shard
 /// lock at a time, each settled first: the sums, then each shard's own.
-/// `resident` is `partitions - hibernated`; spill bytes count a spill
-/// file's live frames plus garbage.
+/// `resident` is `partitions - hibernated`; `resident_waits` sums the
+/// resident partitions' arrival logs; spill bytes count a spill file's live
+/// frames plus garbage.
 pub(crate) fn stats_payload(shards: &[Mutex<Shard>]) -> Vec<(String, Json)> {
-    const TOTALS: [&str; 5] =
-        ["partitions", "observations", "resident", "hibernated", "spill_disk_bytes"];
-    const PER_SHARD: [&str; 5] =
-        ["partitions", "observations", "resident", "hibernated", "spill_bytes"];
-    let counts: Vec<[u64; 5]> = shards
+    const TOTALS: [&str; 6] = [
+        "partitions",
+        "observations",
+        "resident",
+        "resident_waits",
+        "hibernated",
+        "spill_disk_bytes",
+    ];
+    const PER_SHARD: [&str; 6] =
+        ["partitions", "observations", "resident", "resident_waits", "hibernated", "spill_bytes"];
+    let counts: Vec<[u64; 6]> = shards
         .iter()
         .map(|shard| {
             let mut shard = lock(shard);
@@ -399,6 +406,7 @@ pub(crate) fn stats_payload(shards: &[Mutex<Shard>]) -> Vec<(String, Json)> {
                 store.partition_count() as u64,
                 store.total_observations(),
                 store.resident_count() as u64,
+                store.resident_waits(),
                 store.hibernated_count() as u64,
                 store.spill_disk_bytes(),
             ]

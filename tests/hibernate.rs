@@ -523,15 +523,23 @@ fn questions_create_no_partitions_on_either_wire() {
     let snap = fresh_dir("ask-only-snapshots").join("holdings.snap");
     let holdings = |c: &mut Client| -> (Vec<Option<f64>>, Vec<u8>) {
         let stats = c.stats().unwrap();
-        let totals = ["partitions", "observations", "resident", "hibernated", "spill_disk_bytes"]
-            .iter()
-            .map(|name| stats.get(name).and_then(Json::as_f64))
-            .collect();
+        let totals = [
+            "partitions",
+            "observations",
+            "resident",
+            "hibernated",
+            "spill_disk_bytes",
+            "resident_waits",
+        ]
+        .iter()
+        .map(|name| stats.get(name).and_then(Json::as_f64))
+        .collect();
         (totals, snapshot_file(c, &snap))
     };
     let before = holdings(&mut json);
     assert_eq!(before.0[..4], [Some(3.0), Some(210.0), Some(1.0), Some(2.0)]);
     assert!(before.0[4] > Some(0.0), "cap 1 of 3: the boot spilled two partitions");
+    assert_eq!(before.0[5], Some(70.0), "the one resident partition holds its 70 waits");
 
     let fresh_defer = qdelay_predict::admission::decide(None, None, 0, 600.0);
     assert!(matches!(fresh_defer, Decision::Defer { .. }));

@@ -131,7 +131,8 @@ fn trace_dump_covers_both_protocols() {
 }
 
 /// The enriched `stats` reply: crate version, uptime, and per-shard
-/// registry totals, identical in shape across both protocols. (The
+/// registry totals (observations and the waits resident partitions hold),
+/// identical in shape across both protocols. (The
 /// per-shard `queue_depth` this test is named after left with the shard
 /// queues; its absence is pinned here.)
 #[test]
@@ -163,6 +164,14 @@ fn stats_reports_version_uptime_and_queue_depth() {
             .map(|shard| shard.get("observations").and_then(Json::as_f64).expect("observations"))
             .sum();
         assert_eq!(observed, 1.0, "per-shard totals add up to the one observe");
+        // The waits resident partitions hold in memory, read the same way:
+        // the one observed wait, in its partition's log.
+        let held: f64 = shards
+            .iter()
+            .map(|shard| shard.get("resident_waits").and_then(Json::as_f64).expect("resident_waits"))
+            .sum();
+        assert_eq!(held, 1.0, "per-shard resident waits add up to the one stored wait");
+        assert_eq!(stats.get("resident_waits").and_then(Json::as_f64), Some(1.0));
         for shard in &shards {
             assert!(shard.get("queue_depth").is_none(), "there is no shard queue to report");
         }
