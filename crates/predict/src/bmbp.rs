@@ -314,11 +314,6 @@ impl Bmbp {
         self.model.config()
     }
 
-    /// The sorted view of the retained waits.
-    pub fn history(&self) -> &SortedHistory {
-        &self.model.history
-    }
-
     /// The retained waits in arrival order, oldest first.
     pub fn waits(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
         self.log.iter().copied()
@@ -366,31 +361,6 @@ impl Bmbp {
                 needed: spec.min_history_lower(),
             },
         }
-    }
-
-    /// Two-sided confidence interval for the `quantile` at overall level
-    /// `confidence` (paper §3 notes the method extends to "two-sided
-    /// confidence intervals, at any desired level of confidence").
-    ///
-    /// The confidence budget is split evenly: each side is a one-sided
-    /// bound at `(1 + confidence) / 2`, so the pair covers the quantile
-    /// with probability at least `confidence` by a union bound.
-    ///
-    /// Returns `None` if the history is too short for either side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantile` or `confidence` are outside `(0, 1)`.
-    pub fn interval_for(&self, quantile: f64, confidence: f64) -> Option<(f64, f64)> {
-        assert!(
-            quantile > 0.0 && quantile < 1.0 && confidence > 0.0 && confidence < 1.0,
-            "quantile and confidence must be in (0,1)"
-        );
-        let side = (1.0 + confidence) / 2.0;
-        let spec = BoundSpec::new(quantile, side).expect("side level in (0,1)");
-        let lo = self.lower_bound_for(spec).value()?;
-        let hi = self.upper_bound_for(spec).value()?;
-        Some((lo, hi))
     }
 
     /// Exports the plain serializable core of this predictor, history
@@ -577,35 +547,6 @@ mod tests {
         let hi = p.upper_bound_for(spec95).value().unwrap();
         assert!(lo < 250.0, "lower bound on .25 quantile sits below it");
         assert!(hi > 950.0, "upper bound on .95 quantile sits above it");
-    }
-
-    #[test]
-    fn two_sided_interval_straddles_quantile() {
-        let mut p = Bmbp::with_defaults();
-        for w in ramp(2000) {
-            p.observe(w);
-        }
-        let (lo, hi) = p.interval_for(0.5, 0.95).expect("plenty of history");
-        // Sample median of 0..2000 is ~1000.
-        assert!(lo < 1000.0 && 1000.0 < hi, "interval ({lo}, {hi})");
-        // A wider confidence level gives a wider interval.
-        let (lo99, hi99) = p.interval_for(0.5, 0.99).unwrap();
-        assert!(lo99 <= lo && hi99 >= hi);
-    }
-
-    #[test]
-    fn two_sided_interval_needs_history() {
-        let mut p = Bmbp::with_defaults();
-        for w in ramp(20) {
-            p.observe(w);
-        }
-        assert_eq!(p.interval_for(0.95, 0.95), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be in (0,1)")]
-    fn two_sided_interval_validates() {
-        Bmbp::with_defaults().interval_for(1.0, 0.95);
     }
 
     #[test]

@@ -186,21 +186,6 @@ pub fn upper_bound(sorted: &[f64], spec: BoundSpec) -> BoundOutcome {
     }
 }
 
-/// Lower confidence bound on the `q` quantile from a sorted sample.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if `sorted` is not ascending.
-pub fn lower_bound(sorted: &[f64], spec: BoundSpec) -> BoundOutcome {
-    debug_assert!(is_sorted(sorted), "input must be sorted ascending");
-    match lower_index(sorted.len(), spec) {
-        Some(k) => BoundOutcome::Bound(sorted[k - 1]),
-        None => BoundOutcome::InsufficientHistory {
-            needed: spec.min_history_lower(),
-        },
-    }
-}
-
 fn is_sorted(xs: &[f64]) -> bool {
     xs.windows(2).all(|w| w[0] <= w[1])
 }
@@ -458,7 +443,7 @@ impl Memo {
 /// by 0 or 1 per step, and one carried CDF value decides which (the walk is
 /// guarded and resynced so that every decision is the exact inversion's).
 /// A smaller `n` (a change-point trim), an empty cache (a new or restored
-/// predictor) or a gap past [`CARRY_FORWARD_LIMIT`] pays a fresh inversion.
+/// predictor) or a gap past `CARRY_FORWARD_LIMIT` pays a fresh inversion.
 ///
 /// # Examples
 ///
@@ -618,7 +603,7 @@ mod tests {
     fn lower_bound_below_upper_bound() {
         let sample: Vec<f64> = (0..300).map(|i| (i as f64) * 2.0).collect();
         let spec = BoundSpec::new(0.5, 0.95).unwrap();
-        let lo = lower_bound(&sample, spec).value().unwrap();
+        let lo = sample[lower_index(sample.len(), spec).unwrap() - 1];
         let hi = upper_bound(&sample, spec).value().unwrap();
         assert!(lo < hi);
         // Both straddle the sample median.
@@ -630,7 +615,7 @@ mod tests {
     fn empty_sample_yields_insufficient() {
         let spec = BoundSpec::paper_default();
         assert!(upper_bound(&[], spec).value().is_none());
-        assert!(lower_bound(&[], spec).value().is_none());
+        assert_eq!(lower_index(0, spec), None);
     }
 
     #[test]

@@ -11,7 +11,12 @@
 //! whenever it must read them (a trim, a capacity eviction, calibration).
 //! That is what lets a serve partition keep one log for both of its
 //! predictors — their histories are suffixes of one arrival stream — while
-//! a standalone predictor, and [`HistoryBuffer`], own a log each.
+//! a standalone predictor owns one.
+//!
+//! A caller drives a [`SortedHistory`] and its log together: it calls
+//! [`SortedHistory::push`] with the log as it stands, then
+//! [`push_retaining`] the same wait with the history's new length, so the
+//! log drops exactly the wait the history evicted.
 
 use crate::rank_index::RankIndex;
 use std::collections::VecDeque;
@@ -88,11 +93,6 @@ impl SortedHistory {
         self.sorted.is_empty()
     }
 
-    /// The retention limit, if any.
-    pub fn max_len(&self) -> Option<usize> {
-        self.max_len
-    }
-
     /// Accounts for `wait`, which the caller appends to `log` next (`log`
     /// does not hold it yet). Returns the observation evicted to respect
     /// `max_len`, if any — the oldest retained wait, read from `log`; the
@@ -167,11 +167,6 @@ impl SortedHistory {
         self.sorted.to_vec()
     }
 
-    /// Iterates the observations in ascending order.
-    pub fn sorted_iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.sorted.iter()
-    }
-
     /// The `k`-th order statistic, 1-indexed (so `order_statistic(1)` is the
     /// minimum). `O(√n)`.
     ///
@@ -182,188 +177,6 @@ impl SortedHistory {
         }
         self.sorted.select(k - 1)
     }
-
-    /// The type-7 empirical `q` quantile (matching
-    /// `qdelay_stats::describe::quantile`), via two order statistics —
-    /// `O(√n)` instead of materializing the sorted sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn empirical_quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile q must be in [0,1], got {q}");
-        let n = self.len();
-        if n == 0 {
-            return None;
-        }
-        if n == 1 {
-            return self.sorted.select(0);
-        }
-        let h = q * (n - 1) as f64;
-        let lo = h.floor() as usize;
-        let hi = h.ceil() as usize;
-        let frac = h - lo as f64;
-        let xlo = self.sorted.select(lo)?;
-        let xhi = self.sorted.select(hi)?;
-        Some(xlo + (xhi - xlo) * frac)
-    }
-}
-
-/// A dual-view buffer of wait-time observations: a [`SortedHistory`] plus
-/// the arrival log it reads, owned together.
-///
-/// # Examples
-///
-/// ```
-/// use qdelay_predict::history::HistoryBuffer;
-/// let mut h = HistoryBuffer::new();
-/// for w in [30.0, 5.0, 120.0] {
-///     h.push(w);
-/// }
-/// assert_eq!(h.len(), 3);
-/// assert_eq!(h.sorted_vec(), vec![5.0, 30.0, 120.0]);
-/// assert_eq!(h.order_statistic(1), Some(5.0));
-/// assert_eq!(h.newest(), Some(120.0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct HistoryBuffer {
-    arrival: VecDeque<f64>,
-    sorted: SortedHistory,
-}
-
-impl HistoryBuffer {
-    /// Creates an empty, unbounded buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a buffer that retains at most `max_len` most recent
-    /// observations, evicting the oldest on overflow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_len` is zero.
-    pub fn with_max_len(max_len: usize) -> Self {
-        Self { arrival: VecDeque::new(), sorted: SortedHistory::with_max_len(max_len) }
-    }
-
-    /// Number of stored observations.
-    pub fn len(&self) -> usize {
-        self.arrival.len()
-    }
-
-    /// Whether the buffer holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.arrival.is_empty()
-    }
-
-    /// The retention limit, if any.
-    pub fn max_len(&self) -> Option<usize> {
-        self.sorted.max_len()
-    }
-
-    /// Appends a wait-time observation. Returns the observation evicted to
-    /// respect `max_len`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wait` is negative or not finite.
-    pub fn push(&mut self, wait: f64) -> Option<f64> {
-        let evicted = self.sorted.push(&self.arrival, wait);
-        push_retaining(&mut self.arrival, wait, self.sorted.len());
-        evicted
-    }
-
-    /// Replaces the contents with `waits` (arrival order, oldest first) in
-    /// bulk ([`SortedHistory::load`]). Both views end up exactly as pushing
-    /// each wait in turn would leave them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any wait is negative or not finite, or if `waits` is
-    /// longer than `max_len` admits.
-    pub fn load(&mut self, waits: &[f64]) {
-        self.sorted.load(waits);
-        self.arrival.clear();
-        self.arrival.extend(waits);
-    }
-
-    /// Discards all but the most recent `keep` observations.
-    ///
-    /// Keeping more than the current length is a no-op.
-    pub fn trim_to_recent(&mut self, keep: usize) {
-        self.sorted.trim_to_recent(&self.arrival, keep);
-        retain_newest(&mut self.arrival, self.sorted.len());
-    }
-
-    /// Removes every observation.
-    pub fn clear(&mut self) {
-        self.arrival.clear();
-        self.sorted.clear();
-    }
-
-    /// The underlying order-statistic index.
-    pub fn rank_index(&self) -> &RankIndex {
-        self.sorted.rank_index()
-    }
-
-    /// Copies the observations into an ascending `Vec` — `O(n)`; prefer
-    /// [`HistoryBuffer::order_statistic`] for point queries.
-    pub fn sorted_vec(&self) -> Vec<f64> {
-        self.sorted.sorted_vec()
-    }
-
-    /// Iterates the observations in ascending order.
-    pub fn sorted_iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.sorted.sorted_iter()
-    }
-
-    /// The observations in arrival order, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.arrival.iter().copied()
-    }
-
-    /// The most recently observed wait.
-    pub fn newest(&self) -> Option<f64> {
-        self.arrival.back().copied()
-    }
-
-    /// The `k`-th order statistic, 1-indexed; see
-    /// [`SortedHistory::order_statistic`].
-    pub fn order_statistic(&self, k: usize) -> Option<f64> {
-        self.sorted.order_statistic(k)
-    }
-
-    /// The type-7 empirical `q` quantile; see
-    /// [`SortedHistory::empirical_quantile`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn empirical_quantile(&self, q: f64) -> Option<f64> {
-        self.sorted.empirical_quantile(q)
-    }
-
-    /// Copies the arrival-order contents into a `Vec` (oldest first).
-    pub fn to_arrival_vec(&self) -> Vec<f64> {
-        self.arrival.iter().copied().collect()
-    }
-}
-
-impl Extend<f64> for HistoryBuffer {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for w in iter {
-            self.push(w);
-        }
-    }
-}
-
-impl FromIterator<f64> for HistoryBuffer {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut buf = Self::new();
-        buf.extend(iter);
-        buf
-    }
 }
 
 #[cfg(test)]
@@ -372,9 +185,10 @@ mod tests {
 
     #[test]
     fn sorted_view_tracks_inserts() {
-        let mut h = HistoryBuffer::new();
+        let (mut h, mut log) = (SortedHistory::new(), VecDeque::new());
         for w in [5.0, 1.0, 3.0, 3.0, 9.0, 0.0] {
-            h.push(w);
+            h.push(&log, w);
+            push_retaining(&mut log, w, h.len());
         }
         assert_eq!(h.sorted_vec(), vec![0.0, 1.0, 3.0, 3.0, 5.0, 9.0]);
         assert_eq!(h.len(), 6);
@@ -386,23 +200,30 @@ mod tests {
 
     #[test]
     fn arrival_order_preserved() {
-        let h: HistoryBuffer = [5.0, 1.0, 3.0].into_iter().collect();
-        let arrivals: Vec<f64> = h.iter().collect();
-        assert_eq!(arrivals, vec![5.0, 1.0, 3.0]);
-        assert_eq!(h.newest(), Some(3.0));
+        let (mut h, mut log) = (SortedHistory::new(), VecDeque::new());
+        for w in [5.0, 1.0, 3.0] {
+            h.push(&log, w);
+            push_retaining(&mut log, w, h.len());
+        }
+        assert_eq!(newest(&log, h.len()).collect::<Vec<_>>(), vec![5.0, 1.0, 3.0]);
+        assert_eq!(log.back(), Some(&3.0));
     }
 
     #[test]
     fn trim_keeps_most_recent() {
-        let mut h: HistoryBuffer = (0..100).map(|i| i as f64).collect();
-        h.trim_to_recent(10);
+        let (mut h, mut log) = (SortedHistory::new(), VecDeque::new());
+        for w in (0..100).map(f64::from) {
+            h.push(&log, w);
+            push_retaining(&mut log, w, h.len());
+        }
+        h.trim_to_recent(&log, 10);
+        retain_newest(&mut log, h.len());
         assert_eq!(h.len(), 10);
-        let arrivals: Vec<f64> = h.iter().collect();
-        assert_eq!(arrivals[0], 90.0);
+        assert_eq!(log[0], 90.0);
         assert_eq!(h.sorted_vec()[0], 90.0);
         assert_eq!(h.sorted_vec()[9], 99.0);
         // Trimming to more than len is a no-op.
-        h.trim_to_recent(1000);
+        h.trim_to_recent(&log, 1000);
         assert_eq!(h.len(), 10);
     }
 
@@ -416,86 +237,81 @@ mod tests {
                 _ => (i.wrapping_mul(2_654_435_761) % 500) as f64,
             })
             .collect();
-        let pushed: HistoryBuffer = waits.iter().copied().collect();
-        let mut loaded = HistoryBuffer::with_max_len(3000);
-        loaded.push(9.0); // load replaces, it does not append
+        let (mut pushed, mut log) = (SortedHistory::new(), VecDeque::new());
+        for &w in &waits {
+            pushed.push(&log, w);
+            push_retaining(&mut log, w, pushed.len());
+        }
+        let mut loaded = SortedHistory::with_max_len(3000);
+        loaded.push(&VecDeque::new(), 9.0); // load replaces, it does not append
         loaded.load(&waits);
         loaded.rank_index().check_invariants();
-        let bits = |it: &mut dyn Iterator<Item = f64>| it.map(f64::to_bits).collect::<Vec<_>>();
-        assert_eq!(bits(&mut loaded.iter()), bits(&mut pushed.iter()));
-        assert_eq!(bits(&mut loaded.sorted_iter()), bits(&mut pushed.sorted_iter()));
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(loaded.sorted_vec()), bits(pushed.sorted_vec()));
     }
 
     #[test]
     #[should_panic(expected = "exceed max_len")]
     fn load_respects_max_len() {
-        HistoryBuffer::with_max_len(2).load(&[1.0, 2.0, 3.0]);
+        SortedHistory::with_max_len(2).load(&[1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn capacity_evicts_oldest() {
-        let mut h = HistoryBuffer::with_max_len(3);
-        assert_eq!(h.push(10.0), None);
-        assert_eq!(h.push(20.0), None);
-        assert_eq!(h.push(30.0), None);
-        assert_eq!(h.push(40.0), Some(10.0));
+        let (mut h, mut log) = (SortedHistory::with_max_len(3), VecDeque::new());
+        for (w, evicted) in [(10.0, None), (20.0, None), (30.0, None), (40.0, Some(10.0))] {
+            assert_eq!(h.push(&log, w), evicted, "push {w}");
+            push_retaining(&mut log, w, h.len());
+        }
         assert_eq!(h.len(), 3);
-        let arrivals: Vec<f64> = h.iter().collect();
-        assert_eq!(arrivals, vec![20.0, 30.0, 40.0]);
+        assert_eq!(log, [20.0, 30.0, 40.0]);
         assert_eq!(h.sorted_vec(), vec![20.0, 30.0, 40.0]);
     }
 
     #[test]
     fn capacity_eviction_with_duplicates() {
-        let mut h = HistoryBuffer::with_max_len(2);
-        h.push(7.0);
-        h.push(7.0);
-        assert_eq!(h.push(7.0), Some(7.0));
+        let (mut h, mut log) = (SortedHistory::with_max_len(2), VecDeque::new());
+        for w in [7.0, 7.0] {
+            h.push(&log, w);
+            push_retaining(&mut log, w, h.len());
+        }
+        assert_eq!(h.push(&log, 7.0), Some(7.0));
         assert_eq!(h.sorted_vec(), vec![7.0, 7.0]);
     }
 
     #[test]
     #[should_panic(expected = "finite and non-negative")]
     fn rejects_negative_wait() {
-        HistoryBuffer::new().push(-1.0);
+        SortedHistory::new().push(&VecDeque::new(), -1.0);
     }
 
     #[test]
     #[should_panic(expected = "finite and non-negative")]
     fn rejects_nan_wait() {
-        HistoryBuffer::new().push(f64::NAN);
+        SortedHistory::new().push(&VecDeque::new(), f64::NAN);
     }
 
     #[test]
-    fn clear_empties_both_views() {
-        let mut h: HistoryBuffer = [1.0, 2.0].into_iter().collect();
+    fn clear_empties_the_sorted_view() {
+        let (mut h, mut log) = (SortedHistory::new(), VecDeque::new());
+        for w in [1.0, 2.0] {
+            h.push(&log, w);
+            push_retaining(&mut log, w, h.len());
+        }
         h.clear();
         assert!(h.is_empty());
         assert!(h.sorted_vec().is_empty());
-        assert_eq!(h.newest(), None);
-    }
-
-    #[test]
-    fn empirical_quantile_matches_describe() {
-        let mut h = HistoryBuffer::new();
-        for i in 0..100 {
-            h.push(((i * 37) % 100) as f64);
-        }
-        let sorted = h.sorted_vec();
-        for q in [0.0, 0.25, 0.5, 0.95, 1.0] {
-            let fast = h.empirical_quantile(q).unwrap();
-            let slow = qdelay_stats::describe::quantile_sorted(&sorted, q).unwrap();
-            assert_eq!(fast, slow, "q = {q}");
-        }
-        assert_eq!(HistoryBuffer::new().empirical_quantile(0.5), None);
+        assert_eq!(h.order_statistic(1), None);
     }
 
     #[test]
     fn large_history_order_statistics_stay_consistent() {
         // Cross the RankIndex block-split threshold several times.
-        let mut h = HistoryBuffer::new();
+        let (mut h, mut log) = (SortedHistory::new(), VecDeque::new());
         for i in 0..5000u64 {
-            h.push((i.wrapping_mul(2_654_435_761) % 100_000) as f64);
+            let w = (i.wrapping_mul(2_654_435_761) % 100_000) as f64;
+            h.push(&log, w);
+            push_retaining(&mut log, w, h.len());
         }
         h.rank_index().check_invariants();
         let sorted = h.sorted_vec();

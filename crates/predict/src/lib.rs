@@ -9,15 +9,13 @@
 //!   adaptive change-point history trimming;
 //! * [`lognormal::LogNormalPredictor`] — the parametric comparator (§4.2),
 //!   with and without BMBP's trimming strategy;
-//! * [`baseline`] — deliberately naive predictors that anchor the
-//!   evaluation metrics;
 //! * [`admission`] — bound-vs-budget admit/reject/defer decisions (the
 //!   closed loop: predictions driving resource management);
 //! * [`bound`] — the underlying quantile-bound inference, usable directly;
 //! * [`changepoint`] — the consecutive-miss rare-event detector and its
 //!   Monte Carlo calibration;
-//! * [`history`] — the arrival log helpers, BMBP's sorted view of a log's
-//!   newest waits, and the dual arrival-order/sorted wait store.
+//! * [`history`] — the arrival log helpers and BMBP's sorted view of a
+//!   log's newest waits.
 //!
 //! # Quickstart
 //!
@@ -35,7 +33,6 @@
 //! ```
 
 pub mod admission;
-pub mod baseline;
 pub mod bmbp;
 pub mod bound;
 pub mod changepoint;
@@ -85,9 +82,8 @@ pub trait QuantilePredictor {
     /// skipped or deferred without changing any bound a later refit
     /// serves. The replay harness relies on this to skip the epochs in
     /// which no job started, and the refits whose bound no arrival or
-    /// sample reads. Every implementation here meets it: the baselines
-    /// recompute from their history, and BMBP's index memo and the
-    /// log-normal K′ memo are pure functions of `n`.
+    /// sample reads. Every implementation here meets it: BMBP's index memo
+    /// and the log-normal K′ memo are pure functions of `n`.
     ///
     /// [`observe`]: QuantilePredictor::observe
     /// [`record_outcome`]: QuantilePredictor::record_outcome
@@ -160,7 +156,7 @@ mod tests {
             Box::new(lognormal::LogNormalPredictor::new(
                 lognormal::LogNormalConfig::no_trim(),
             )),
-            Box::new(baseline::MaxObservedPredictor::new()),
+            Box::new(lognormal::LogNormalPredictor::new(lognormal::LogNormalConfig::trim())),
         ];
         for p in &mut predictors {
             for i in 0..100 {
@@ -169,7 +165,7 @@ mod tests {
             p.finish_training();
         }
         assert_eq!(predictors[0].name(), "bmbp");
-        assert!(predictors[2].current_bound().value().is_some());
+        assert!(predictors.iter().all(|p| p.current_bound().value().is_some()));
     }
 
     /// A seeded random schedule of observes, outcomes (with bursts of
@@ -254,9 +250,9 @@ mod tests {
         })
     }
 
-    /// Runs `$check` over every predictor in this crate — `Bmbp`, both
-    /// log-normal configurations and the two baselines — and checks that
-    /// the trimming ones trimmed.
+    /// Runs `$check` over every predictor in this crate — `Bmbp` and both
+    /// log-normal configurations — and checks that the trimming ones
+    /// trimmed.
     macro_rules! for_every_predictor {
         ($check:ident) => {{
             use lognormal::{LogNormalConfig, LogNormalPredictor};
@@ -265,8 +261,6 @@ mod tests {
             $check(|| LogNormalPredictor::new(LogNormalConfig::no_trim()));
             let p = $check(|| LogNormalPredictor::new(LogNormalConfig::trim()));
             assert!(p.trims() > 0, "the schedule must exercise log-normal trims");
-            $check(baseline::MaxObservedPredictor::new);
-            $check(|| baseline::EmpiricalQuantilePredictor::new(BoundSpec::paper_default()));
         }};
     }
 

@@ -394,9 +394,33 @@ fn record_samples(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdelay_predict::baseline::MaxObservedPredictor;
     use qdelay_predict::bmbp::Bmbp;
+    use qdelay_predict::{BoundOutcome, BoundSpec};
     use qdelay_trace::JobRecord;
+
+    /// Serves the largest wait seen as of its last refit: a bound from the
+    /// first wait on, where BMBP needs 59.
+    #[derive(Default)]
+    struct MaxSoFar {
+        max: Option<f64>,
+        served: Option<f64>,
+        seen: usize,
+    }
+
+    impl QuantilePredictor for MaxSoFar {
+        fn name(&self) -> &str { "max-so-far" }
+        fn spec(&self) -> BoundSpec { BoundSpec::paper_default() }
+        fn observe(&mut self, wait: f64) {
+            self.max = Some(self.max.map_or(wait, |m| m.max(wait)));
+            self.seen += 1;
+        }
+        fn refit(&mut self) { self.served = self.max; }
+        fn current_bound(&self) -> BoundOutcome {
+            self.served.map_or(BoundOutcome::InsufficientHistory { needed: 1 }, BoundOutcome::Bound)
+        }
+        fn record_outcome(&mut self, _predicted: f64, _actual: f64) {}
+        fn history_len(&self) -> usize { self.seen }
+    }
 
     /// A trace with constant inter-arrival gap and fixed waits.
     fn uniform_trace(n: usize, gap: u64, wait: f64) -> Trace {
@@ -415,7 +439,7 @@ mod tests {
     #[test]
     fn training_jobs_not_recorded() {
         let trace = uniform_trace(100, 60, 5.0);
-        let mut p = MaxObservedPredictor::new();
+        let mut p = MaxSoFar::default();
         let res = run(&trace, &mut p, &HarnessConfig::default());
         assert_eq!(res.training_jobs, 10);
         assert_eq!(res.records.len(), 90);
@@ -425,7 +449,7 @@ mod tests {
     fn predictor_only_sees_started_jobs() {
         // Waits of 10 000 s with arrivals every 60 s: when job i arrives,
         // jobs arriving in the last 10 000 s are still pending, so the
-        // max-observed predictor must lag behind.
+        // max-so-far predictor must lag behind.
         let mut trace = Trace::new("m", "q");
         for i in 0..50u64 {
             trace.push(JobRecord {
@@ -435,7 +459,7 @@ mod tests {
                 run_secs: 1.0,
             });
         }
-        let mut p = MaxObservedPredictor::new();
+        let mut p = MaxSoFar::default();
         let res = run(
             &trace,
             &mut p,
@@ -461,7 +485,7 @@ mod tests {
     #[test]
     fn epoch_zero_refits_continuously() {
         let trace = uniform_trace(200, 3600, 7.0); // gaps far over waits
-        let mut p = MaxObservedPredictor::new();
+        let mut p = MaxSoFar::default();
         let res = run(
             &trace,
             &mut p,
@@ -479,7 +503,7 @@ mod tests {
     fn stale_predictions_between_epochs() {
         // One very long epoch: predictions never refresh after training.
         let trace = uniform_trace(100, 60, 3.0);
-        let mut p = MaxObservedPredictor::new();
+        let mut p = MaxSoFar::default();
         let res = run(
             &trace,
             &mut p,
@@ -521,7 +545,7 @@ mod tests {
     #[test]
     fn sampling_window_produces_series() {
         let trace = uniform_trace(500, 300, 42.0);
-        let mut p = MaxObservedPredictor::new();
+        let mut p = MaxSoFar::default();
         let cfg = HarnessConfig {
             epoch_secs: 300,
             training_fraction: 0.1,
@@ -557,7 +581,7 @@ mod tests {
             procs: 1,
             run_secs: 1.0,
         });
-        let mut p = MaxObservedPredictor::new();
+        let mut p = MaxSoFar::default();
         run(&trace, &mut p, &HarnessConfig::default());
     }
 
@@ -838,16 +862,13 @@ mod tests {
     /// start shows too: the trimming predictors trim on it.
     #[test]
     fn skipped_refits_serve_the_reference_bounds() {
-        use qdelay_predict::baseline::EmpiricalQuantilePredictor;
         use qdelay_predict::lognormal::{LogNormalConfig, LogNormalPredictor};
-        use qdelay_predict::BoundSpec;
         let trace = bursty_trace();
-        let makers: [fn() -> Box<dyn QuantilePredictor>; 5] = [
+        let makers: [fn() -> Box<dyn QuantilePredictor>; 4] = [
             || Box::new(Bmbp::with_defaults()),
             || Box::new(LogNormalPredictor::new(LogNormalConfig::no_trim())),
             || Box::new(LogNormalPredictor::new(LogNormalConfig::trim())),
-            || Box::new(MaxObservedPredictor::new()),
-            || Box::new(EmpiricalQuantilePredictor::new(BoundSpec::paper_default())),
+            || Box::new(MaxSoFar::default()),
         ];
         let bits = |res: &HarnessResult| {
             let records = res.records.iter().map(|r| (r.submit, r.predicted.map(f64::to_bits)));
@@ -897,7 +918,7 @@ mod tests {
             sample: Some(SampleWindow { start: 1000, end: 2000, step: 0 }),
             ..HarnessConfig::default()
         };
-        run(&uniform_trace(20, 60, 5.0), &mut MaxObservedPredictor::new(), &config);
+        run(&uniform_trace(20, 60, 5.0), &mut MaxSoFar::default(), &config);
     }
 
     #[test]
@@ -908,13 +929,13 @@ mod tests {
             let wait_secs = if i == 7 { f64::INFINITY } else { 5.0 };
             trace.push(JobRecord { submit: 1000 + i * 60, wait_secs, procs: 1, run_secs: 100.0 });
         }
-        run(&trace, &mut MaxObservedPredictor::new(), &HarnessConfig::default());
+        run(&trace, &mut MaxSoFar::default(), &HarnessConfig::default());
     }
 
     #[test]
     fn empty_trace_yields_empty_result() {
         let trace = Trace::new("m", "q");
-        let mut p = MaxObservedPredictor::new();
+        let mut p = MaxSoFar::default();
         let res = run(&trace, &mut p, &HarnessConfig::default());
         assert!(res.records.is_empty());
         assert_eq!(res.training_jobs, 0);

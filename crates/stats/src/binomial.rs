@@ -48,11 +48,6 @@ impl Binomial {
         self.n
     }
 
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Probability mass function `P[X = k]`.
     pub fn pmf(&self, k: u64) -> f64 {
         if k > self.n {
@@ -152,16 +147,6 @@ impl Binomial {
         }
         lo
     }
-
-    /// Mean `n * p`.
-    pub fn mean(&self) -> f64 {
-        self.n as f64 * self.p
-    }
-
-    /// Variance `n * p * (1 - p)`.
-    pub fn variance(&self) -> f64 {
-        self.n as f64 * self.p * (1.0 - self.p)
-    }
 }
 
 #[cfg(test)]
@@ -247,12 +232,5 @@ mod tests {
         assert!(Binomial::new(10, -0.1).is_err());
         assert!(Binomial::new(10, 1.1).is_err());
         assert!(Binomial::new(10, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn moments() {
-        let b = Binomial::new(50, 0.2).unwrap();
-        assert!((b.mean() - 10.0).abs() < 1e-12);
-        assert!((b.variance() - 8.0).abs() < 1e-12);
     }
 }

@@ -41,18 +41,6 @@ pub fn sample_std(data: &[f64]) -> Option<f64> {
     sample_variance(data).map(f64::sqrt)
 }
 
-/// Population variance (divide by `n`), the MLE for a normal sample.
-///
-/// Returns `None` for an empty sample.
-pub fn population_variance(data: &[f64]) -> Option<f64> {
-    if data.is_empty() {
-        return None;
-    }
-    let m = mean(data)?;
-    let ss: f64 = data.iter().map(|&x| (x - m) * (x - m)).sum();
-    Some(ss / data.len() as f64)
-}
-
 /// Empirical quantile with linear interpolation (Hyndman-Fan type 7,
 /// the default of R and NumPy).
 ///
@@ -171,12 +159,6 @@ impl Summary {
             max,
         })
     }
-
-    /// Whether the sample "looks heavy-tailed" by the paper's §5.2 criterion:
-    /// median well below mean and large dispersion relative to the mean.
-    pub fn is_heavy_tailed(&self) -> bool {
-        self.median < self.mean && self.std_dev > self.mean
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +169,6 @@ mod tests {
     fn mean_and_variance_basic() {
         let d = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&d), Some(5.0));
-        assert!((population_variance(&d).unwrap() - 4.0).abs() < 1e-12);
         assert!((sample_variance(&d).unwrap() - 32.0 / 7.0).abs() < 1e-12);
     }
 
@@ -197,7 +178,6 @@ mod tests {
         assert_eq!(sample_variance(&[1.0]), None);
         assert_eq!(quantile(&[], 0.5), None);
         assert_eq!(quantile(&[7.0], 0.9), Some(7.0));
-        assert_eq!(population_variance(&[3.0]), Some(0.0));
     }
 
     #[test]
@@ -256,18 +236,6 @@ mod tests {
     #[should_panic(expected = "must be in [0,1]")]
     fn quantile_rejects_out_of_range() {
         quantile(&[1.0, 2.0], 1.5);
-    }
-
-    #[test]
-    fn summary_heavy_tail_detection() {
-        // Shaped like a Table 1 row: median << mean, std > mean.
-        let mut d = vec![1.0f64; 90];
-        d.extend(vec![100_000.0; 10]);
-        let s = Summary::from_sample(&d).unwrap();
-        assert!(s.is_heavy_tailed());
-        // A tight symmetric sample is not heavy-tailed.
-        let s2 = Summary::from_sample(&[9.0, 10.0, 11.0, 10.0, 9.5, 10.5]).unwrap();
-        assert!(!s2.is_heavy_tailed());
     }
 
     #[test]

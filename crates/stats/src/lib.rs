@@ -7,14 +7,17 @@
 //!
 //! The crate provides:
 //!
-//! * [`special`] — log-gamma, error functions, regularized incomplete beta
-//!   and gamma functions;
-//! * [`normal`], [`binomial`], [`lognormal`], [`noncentral_t`] — the four
-//!   distributions the paper's methods rest on;
+//! * [`special`] — log-gamma, the complementary error function and the
+//!   regularized incomplete beta function;
+//! * [`binomial`] — the binomial CDF behind BMBP's order-statistic index
+//!   (§4.1 and the Appendix);
+//! * [`normal`], [`noncentral_t`] — the standard normal and noncentral-t
+//!   distributions behind the log-normal comparator's K′ (§4.2);
 //! * [`tolerance`] — one-sided normal tolerance factors (the "K'
 //!   distribution" of Guttman's Table 4.6, computed exactly);
-//! * [`describe`], [`autocorr`] — descriptive statistics and lag-1
-//!   autocorrelation;
+//! * [`autocorr`] — the lag-1 autocorrelation that calibrates the
+//!   change-point detector (§4.1, "Nonstationarity");
+//! * [`describe`] — descriptive statistics for traces and reports;
 //! * [`roots`] — Brent root finding used by quantile inversions.
 //!
 //! # Example: the 95/95 order-statistic index
@@ -32,14 +35,11 @@
 
 pub mod autocorr;
 pub mod binomial;
-pub mod chi_square;
 pub mod describe;
-pub mod lognormal;
 pub mod noncentral_t;
 pub mod normal;
 pub mod roots;
 pub mod special;
-pub mod student_t;
 pub mod tolerance;
 
 /// Error produced by distribution constructors and inference routines.

@@ -1,8 +1,7 @@
 //! The normal (Gaussian) distribution.
 //!
 //! Provides the standard-normal CDF/quantile pair used throughout the
-//! predictors (`z*` critical values, CLT approximations to the binomial) and
-//! a parameterized [`Normal`] distribution type.
+//! predictors (`z*` critical values, CLT approximations to the binomial).
 
 use crate::special::erfc;
 
@@ -20,16 +19,6 @@ use crate::special::erfc;
 /// ```
 pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-/// Standard normal survival function `1 - Phi(x)`, precise in the right tail.
-pub fn std_normal_sf(x: f64) -> f64 {
-    0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Standard normal probability density function.
-pub fn std_normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
 }
 
 /// Standard normal quantile function (inverse CDF) `Phi^{-1}(p)`.
@@ -103,68 +92,6 @@ pub fn std_normal_quantile(p: f64) -> f64 {
     x - u / (1.0 + x * u / 2.0)
 }
 
-/// A normal distribution with location `mu` and scale `sigma`.
-///
-/// # Examples
-///
-/// ```
-/// use qdelay_stats::normal::Normal;
-/// let n = Normal::new(10.0, 2.0)?;
-/// assert!((n.cdf(10.0) - 0.5).abs() < 1e-14);
-/// # Ok::<(), qdelay_stats::DistributionError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::DistributionError`] if `sigma <= 0` or either
-    /// parameter is not finite.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self, crate::DistributionError> {
-        if !mu.is_finite() || !sigma.is_finite() || sigma <= 0.0 {
-            return Err(crate::DistributionError::invalid_param(format!(
-                "normal requires finite mu and sigma > 0, got mu={mu}, sigma={sigma}"
-            )));
-        }
-        Ok(Self { mu, sigma })
-    }
-
-    /// The location parameter.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// The scale parameter.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Cumulative distribution function at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        std_normal_cdf((x - self.mu) / self.sigma)
-    }
-
-    /// Probability density function at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        std_normal_pdf((x - self.mu) / self.sigma) / self.sigma
-    }
-
-    /// Quantile function (inverse CDF).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `(0, 1)`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        self.mu + self.sigma * std_normal_quantile(p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,9 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn sf_tail_precision() {
-        // 1 - Phi(8) = 6.22096057427178e-16 (mpmath)
-        let s = std_normal_sf(8.0);
+    fn left_tail_precision() {
+        // Phi(-8) = 1 - Phi(8) = 6.22096057427178e-16 (mpmath)
+        let s = std_normal_cdf(-8.0);
         assert!((s - 6.220_960_574_271_78e-16).abs() / 6.2e-16 < 1e-8);
     }
 
@@ -221,38 +148,5 @@ mod tests {
     fn critical_values() {
         // The z* values the paper's appendix uses.
         assert!((std_normal_quantile(0.95) - 1.644_853_626_951_472_7).abs() < 1e-10);
-    }
-
-    #[test]
-    fn normal_struct_roundtrip() {
-        let n = Normal::new(100.0, 15.0).unwrap();
-        for i in 1..20 {
-            let p = i as f64 / 20.0;
-            let x = n.quantile(p);
-            assert!((n.cdf(x) - p).abs() < 1e-11);
-        }
-    }
-
-    #[test]
-    fn normal_rejects_bad_params() {
-        assert!(Normal::new(0.0, 0.0).is_err());
-        assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
-        assert!(Normal::new(0.0, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn pdf_integrates_to_cdf() {
-        // Trapezoid integration of pdf matches cdf difference.
-        let n = Normal::new(3.0, 2.0).unwrap();
-        let (a, b) = (1.0, 6.0);
-        let steps = 20_000;
-        let h = (b - a) / steps as f64;
-        let mut acc = 0.0;
-        for i in 0..steps {
-            let x0 = a + i as f64 * h;
-            acc += 0.5 * (n.pdf(x0) + n.pdf(x0 + h)) * h;
-        }
-        assert!((acc - (n.cdf(b) - n.cdf(a))).abs() < 1e-8);
     }
 }

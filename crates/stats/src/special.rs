@@ -1,10 +1,10 @@
 //! Special functions underpinning the distribution layer.
 //!
 //! Everything here is implemented from scratch in pure Rust: the log-gamma
-//! function (Lanczos approximation), the error function pair
-//! [`erf`]/[`erfc`], and the regularized incomplete beta and gamma
-//! functions. These are the only primitives the rest of the crate needs to
-//! evaluate normal, binomial, chi-square, and (non-central) t probabilities.
+//! function (Lanczos approximation) and [`ln_choose`] on top of it, the
+//! complementary error function [`erfc`], and the regularized incomplete
+//! beta function [`inc_beta`]. These are the only primitives the rest of the
+//! crate needs to evaluate normal, binomial and noncentral-t probabilities.
 //!
 //! Accuracy targets are stated per function and verified in the unit tests
 //! against high-precision reference values.
@@ -57,34 +57,13 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// The error function `erf(x) = 2/sqrt(pi) * Integral[exp(-t^2), {t, 0, x}]`.
+/// The complementary error function
+/// `erfc(x) = 1 - erf(x) = 2/sqrt(pi) * Integral[exp(-t^2), {t, x, inf}]`.
 ///
-/// Implemented via a Maclaurin series for small arguments and the Lentz
-/// continued fraction for [`erfc`] on large arguments; absolute error is
-/// below `1e-14` everywhere.
-///
-/// # Examples
-///
-/// ```
-/// assert!((qdelay_stats::special::erf(0.0)).abs() < 1e-15);
-/// assert!((qdelay_stats::special::erf(1e9) - 1.0).abs() < 1e-15);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    if x < 0.0 {
-        return -erf(-x);
-    }
-    if x < 2.0 {
-        erf_series(x)
-    } else {
-        1.0 - erfc_cf(x)
-    }
-}
-
-/// The complementary error function `erfc(x) = 1 - erf(x)`.
-///
-/// Unlike computing `1.0 - erf(x)` directly, this retains full relative
-/// precision in the far right tail (e.g. `erfc(10) ~ 2.1e-45`), which the
-/// normal distribution's survival function relies on.
+/// A Maclaurin series for `erf` below `x = 2` and the Lentz continued
+/// fraction from `x = 2` on; the latter retains full relative precision in
+/// the far right tail (e.g. `erfc(10) ~ 2.1e-45`), which the normal CDF's
+/// left tail relies on.
 ///
 /// # Examples
 ///
@@ -247,99 +226,6 @@ fn beta_cf(x: f64, a: f64, b: f64) -> f64 {
     h
 }
 
-/// Regularized lower incomplete gamma function `P(a, x)`.
-///
-/// Series expansion for `x < a + 1`, continued fraction for the complement
-/// otherwise.
-///
-/// # Panics
-///
-/// Panics if `a <= 0` or `x < 0`.
-///
-/// # Examples
-///
-/// ```
-/// // P(1, x) = 1 - exp(-x): the exponential CDF.
-/// let v = qdelay_stats::special::inc_gamma_lower(1.0, 2.0);
-/// assert!((v - (1.0 - (-2.0f64).exp())).abs() < 1e-14);
-/// ```
-pub fn inc_gamma_lower(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "inc_gamma_lower: a must be positive");
-    assert!(x >= 0.0, "inc_gamma_lower: x must be non-negative");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_series(a, x)
-    } else {
-        1.0 - gamma_cf(a, x)
-    }
-}
-
-/// Regularized upper incomplete gamma function `Q(a, x) = 1 - P(a, x)`.
-///
-/// # Panics
-///
-/// Panics if `a <= 0` or `x < 0`.
-pub fn inc_gamma_upper(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "inc_gamma_upper: a must be positive");
-    assert!(x >= 0.0, "inc_gamma_upper: x must be non-negative");
-    if x == 0.0 {
-        return 1.0;
-    }
-    if x < a + 1.0 {
-        1.0 - gamma_series(a, x)
-    } else {
-        gamma_cf(a, x)
-    }
-}
-
-/// Series representation for P(a, x), x < a + 1.
-fn gamma_series(a: f64, x: f64) -> f64 {
-    let ln_front = a * x.ln() - x - ln_gamma(a);
-    let mut ap = a;
-    let mut sum = 1.0 / a;
-    let mut del = sum;
-    for _ in 0..1000 {
-        ap += 1.0;
-        del *= x / ap;
-        sum += del;
-        if del.abs() < sum.abs() * 1e-16 {
-            break;
-        }
-    }
-    (sum.ln() + ln_front).exp()
-}
-
-/// Continued fraction for Q(a, x), x >= a + 1 (modified Lentz).
-fn gamma_cf(a: f64, x: f64) -> f64 {
-    const FPMIN: f64 = 1e-300;
-    let ln_front = a * x.ln() - x - ln_gamma(a);
-    let mut b = x + 1.0 - a;
-    let mut c = 1.0 / FPMIN;
-    let mut d = 1.0 / b;
-    let mut h = d;
-    for i in 1..1000 {
-        let an = -(i as f64) * (i as f64 - a);
-        b += 2.0;
-        d = an * d + b;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = b + an / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < 1e-16 {
-            break;
-        }
-    }
-    (ln_front + h.ln()).exp()
-}
-
 /// Natural log of the binomial coefficient `C(n, k)`.
 ///
 /// # Panics
@@ -399,14 +285,15 @@ mod tests {
     }
 
     #[test]
-    fn erf_reference_values() {
-        // Reference values from Abramowitz & Stegun / mpmath.
-        close(erf(0.0), 0.0, 1e-15);
-        close(erf(0.5), 0.520_499_877_813_046_5, 1e-13);
-        close(erf(1.0), 0.842_700_792_949_714_9, 1e-13);
-        close(erf(2.0), 0.995_322_265_018_952_7, 1e-13);
-        close(erf(3.0), 0.999_977_909_503_001_4, 1e-13);
-        close(erf(-1.0), -0.842_700_792_949_714_9, 1e-13);
+    fn erfc_reference_values() {
+        // erfc(x) = 1 - erf(x), erf from Abramowitz & Stegun / mpmath:
+        // the series below x = 2, the continued fraction from x = 2 on.
+        close(erfc(0.0), 1.0, 1e-15);
+        close(erfc(0.5), 1.0 - 0.520_499_877_813_046_5, 1e-13);
+        close(erfc(1.0), 1.0 - 0.842_700_792_949_714_9, 1e-13);
+        close(erfc(2.0), 1.0 - 0.995_322_265_018_952_7, 1e-13);
+        close(erfc(3.0), 1.0 - 0.999_977_909_503_001_4, 1e-13);
+        close(erfc(-1.0), 1.0 + 0.842_700_792_949_714_9, 1e-13);
     }
 
     #[test]
@@ -415,21 +302,16 @@ mod tests {
         close(erfc(5.0), 1.537_459_794_428_034_8e-12, 1e-10);
         // erfc(10) = 2.0884875837625447e-45
         close(erfc(10.0), 2.088_487_583_762_544_7e-45, 1e-9);
-        // erfc and erf are complementary in the easy region.
-        for i in 0..40 {
-            let x = i as f64 * 0.1;
-            close(erf(x) + erfc(x), 1.0, 1e-14);
-        }
     }
 
     #[test]
-    fn erf_is_odd_and_monotone() {
-        let mut prev = -2.0;
+    fn erfc_reflects_and_decreases() {
+        let mut prev = 3.0;
         for i in -30..=30 {
             let x = i as f64 * 0.2;
-            let e = erf(x);
-            close(erf(-x), -e, 1e-14);
-            assert!(e >= prev, "erf must be nondecreasing");
+            let e = erfc(x);
+            close(erfc(-x), 2.0 - e, 1e-14);
+            assert!(e <= prev, "erfc must be nonincreasing");
             prev = e;
         }
     }
@@ -468,24 +350,6 @@ mod tests {
                 .sum();
             let via_beta = inc_beta(1.0 - p, (n - k) as f64, k as f64 + 1.0);
             close(via_beta, direct, 1e-11);
-        }
-    }
-
-    #[test]
-    fn inc_gamma_exponential_identity() {
-        for i in 0..30 {
-            let x = i as f64 * 0.3;
-            close(inc_gamma_lower(1.0, x), 1.0 - (-x).exp(), 1e-13);
-            close(inc_gamma_upper(1.0, x), (-x).exp(), 1e-13);
-        }
-    }
-
-    #[test]
-    fn inc_gamma_complementarity() {
-        for &a in &[0.5, 1.0, 2.3, 10.0, 100.0] {
-            for &x in &[0.1, 1.0, 5.0, 50.0, 150.0] {
-                close(inc_gamma_lower(a, x) + inc_gamma_upper(a, x), 1.0, 1e-12);
-            }
         }
     }
 

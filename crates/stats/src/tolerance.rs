@@ -377,8 +377,9 @@ impl KFactorCache {
     /// `[2, exact_limit]` at once: predictors walk `n` upward a few samples
     /// at a time, so every size in the range is needed eventually. For the
     /// served 95/95 spec at the default limit that range is the committed
-    /// table, read from a `static`. Any other spec is computed by
-    /// [`exact_walk`] and published in a process-wide registry keyed by
+    /// table, read from a `static`. Any other spec is computed by one
+    /// warm-started walk of [`one_sided_k_factor`]'s root-find over the
+    /// range and published in a process-wide registry keyed by
     /// `(q, C, exact_limit)`; every other cache with the same spec adopts
     /// it instead of recomputing, so per-partition predictors cost O(1) to
     /// warm no matter how many partitions a process holds. Past the exact

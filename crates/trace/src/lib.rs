@@ -245,23 +245,6 @@ impl Trace {
         )
     }
 
-    /// Splits the trace at a fraction of its job count: `(head, tail)` with
-    /// `head` holding the first `ceil(fraction * len)` jobs — the shape of
-    /// the paper's training/result phases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    pub fn split_at_fraction(&self, fraction: f64) -> (Trace, Trace) {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must be in [0,1], got {fraction}"
-        );
-        let cut = (self.jobs.len() as f64 * fraction).ceil() as usize;
-        let (head, tail) = self.jobs.split_at(cut);
-        (self.with_jobs(head.to_vec()), self.with_jobs(tail.to_vec()))
-    }
-
     /// Parses the paper's native parsed-log format: one job per line,
     /// whitespace-separated `submit_unix_ts wait_secs [procs [run_secs]]`;
     /// `#` starts a comment.
@@ -484,26 +467,6 @@ mod tests {
         assert_eq!(w.jobs()[1].submit, 300);
         assert!(t.window(500, 600).is_empty());
         assert_eq!(w.machine(), "m");
-    }
-
-    #[test]
-    fn split_at_fraction_partitions() {
-        let t = Trace::parse_native("m", "q", "1 1\n2 2\n3 3\n4 4\n5 5\n").unwrap();
-        let (head, tail) = t.split_at_fraction(0.10);
-        assert_eq!(head.len(), 1); // ceil(0.5)
-        assert_eq!(tail.len(), 4);
-        let (all, none) = t.split_at_fraction(1.0);
-        assert_eq!(all.len(), 5);
-        assert!(none.is_empty());
-        let (none2, all2) = t.split_at_fraction(0.0);
-        assert!(none2.is_empty());
-        assert_eq!(all2.len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction must be in [0,1]")]
-    fn split_rejects_bad_fraction() {
-        Trace::new("m", "q").split_at_fraction(1.5);
     }
 
     /// A trace whose start times tie often: small integer submits and

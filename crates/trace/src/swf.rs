@@ -9,8 +9,8 @@
 use crate::{JobRecord, Trace, TraceError};
 use std::collections::BTreeMap;
 
-/// One SWF record (the subset of fields the evaluation needs, plus enough
-/// context to re-serialize).
+/// One SWF record: the subset of fields the evaluation reads, plus the job
+/// id and status.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwfJob {
     /// Field 1: job id.
@@ -150,20 +150,6 @@ pub fn parse_swf(text: &str) -> Result<SwfLog, TraceError> {
     Ok(SwfLog { jobs })
 }
 
-/// Serializes records back to SWF lines (fields the parser does not model
-/// are written as `-1`).
-pub fn to_swf(log: &SwfLog) -> String {
-    let mut out = String::new();
-    out.push_str("; generated by qdelay-trace\n");
-    for j in log.jobs() {
-        out.push_str(&format!(
-            "{} {} {} {} {} -1 -1 {} -1 -1 {} -1 -1 -1 {} -1 -1 -1\n",
-            j.job_id, j.submit, j.wait, j.run, j.procs_alloc, j.procs_req, j.status, j.queue
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,14 +183,6 @@ mod tests {
         assert_eq!(log.jobs()[0].effective_procs(), 4);
         // Job 4 has procs_req = -1, falls back to allocated 1.
         assert_eq!(log.jobs()[3].effective_procs(), 1);
-    }
-
-    #[test]
-    fn roundtrip_through_writer() {
-        let log = parse_swf(SAMPLE).unwrap();
-        let text = to_swf(&log);
-        let back = parse_swf(&text).unwrap();
-        assert_eq!(log, back);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! This crate is a facade over the workspace:
 //!
-//! * [`predict`] — BMBP, the log-normal comparator, baselines
+//! * [`predict`] — BMBP and the log-normal comparator
 //!   (`qdelay-predict`);
 //! * [`stats`] — the from-scratch statistical substrate (`qdelay-stats`);
 //! * [`trace`] — trace model, SWF parsing, the paper's Table 1 catalog and

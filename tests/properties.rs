@@ -4,10 +4,11 @@
 use qdelay::predict::bound::{
     lower_index, upper_bound, upper_index, BoundIndexCache, BoundMethod, BoundSpec,
 };
-use qdelay::predict::history::HistoryBuffer;
+use qdelay::predict::history::{push_retaining, SortedHistory};
 use qdelay::predict::rank_index::RankIndex;
 use qdelay::stats::binomial::Binomial;
 use qdelay_rng::{Rng, StdRng};
+use std::collections::VecDeque;
 
 /// The upper-bound order statistic index is always in [1, n] when it
 /// exists, and is monotone in confidence.
@@ -140,21 +141,24 @@ fn bound_is_sample_element() {
     }
 }
 
-/// HistoryBuffer's sorted view is always a permutation of its arrival view,
-/// sorted.
+/// A `SortedHistory`'s view is always the retained suffix of its arrival
+/// log, sorted.
 #[test]
 fn history_views_agree() {
     let mut rng = StdRng::seed_from_u64(0xFACE);
     for _ in 0..60 {
         let cap = rng.gen_range(1..64);
         let ops = rng.gen_range(1..200);
-        let mut h = HistoryBuffer::with_max_len(cap);
+        let (mut h, mut log) = (SortedHistory::with_max_len(cap), VecDeque::new());
         for _ in 0..ops {
-            h.push(rng.gen_f64() * 1e9);
+            let w = rng.gen_f64() * 1e9;
+            h.push(&log, w);
+            push_retaining(&mut log, w, h.len());
             if rng.gen_bool(0.1) {
-                h.trim_to_recent(cap / 2 + 1);
+                h.trim_to_recent(&log, cap / 2 + 1);
+                log.drain(..log.len() - h.len());
             }
-            let mut arrivals: Vec<f64> = h.iter().collect();
+            let mut arrivals: Vec<f64> = log.iter().copied().collect();
             arrivals.sort_by(|a, b| a.partial_cmp(b).unwrap());
             assert_eq!(arrivals, h.sorted_vec());
             assert!(h.len() <= cap);
@@ -185,7 +189,7 @@ mod rank_index_differential {
     use super::*;
 
     /// The naive oracle: a flat sorted Vec with O(n) operations, mirroring
-    /// the pre-RankIndex HistoryBuffer implementation.
+    /// the sorted view as it was before `RankIndex`.
     #[derive(Default)]
     struct Oracle {
         sorted: Vec<f64>,
@@ -257,32 +261,36 @@ mod rank_index_differential {
         }
     }
 
-    /// The same differential at the HistoryBuffer level: push with capacity
-    /// eviction, trim_to_recent, clear, and k-th selection against a naive
+    /// The same differential at the `SortedHistory` level, driven with its
+    /// log as `Bmbp` drives them: push with capacity eviction,
+    /// trim_to_recent, clear, and k-th selection against a naive
     /// arrival-list oracle.
     #[test]
     fn history_buffer_matches_naive_oracle() {
         for seed in 0..6u64 {
             let mut rng = StdRng::seed_from_u64(0xACE ^ seed);
             let cap = rng.gen_range(5..300);
-            let mut h = HistoryBuffer::with_max_len(cap);
+            let (mut h, mut log) = (SortedHistory::with_max_len(cap), VecDeque::new());
             let mut arrivals: Vec<f64> = Vec::new();
             for step in 0..3000 {
                 match rng.gen_range(0..12) {
                     0 => {
                         let keep = rng.gen_range(1..cap + 1);
-                        h.trim_to_recent(keep);
+                        h.trim_to_recent(&log, keep);
+                        log.drain(..log.len() - h.len());
                         if keep < arrivals.len() {
                             arrivals.drain(..arrivals.len() - keep);
                         }
                     }
                     1 if rng.gen_bool(0.05) => {
                         h.clear();
+                        log.clear();
                         arrivals.clear();
                     }
                     _ => {
                         let w = (rng.gen_f64() * 1e4).floor();
-                        let evicted = h.push(w);
+                        let evicted = h.push(&log, w);
+                        push_retaining(&mut log, w, h.len());
                         arrivals.push(w);
                         let expect_evicted = if arrivals.len() > cap {
                             Some(arrivals.remove(0))
@@ -293,7 +301,7 @@ mod rank_index_differential {
                     }
                 }
                 assert_eq!(h.len(), arrivals.len());
-                assert_eq!(h.to_arrival_vec(), arrivals);
+                assert_eq!(log, arrivals);
                 let mut sorted = arrivals.clone();
                 sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 if step % 59 == 0 {
@@ -521,40 +529,6 @@ mod admission_props {
         assert!(admitted, "the ladder crosses the bound, so the tail must admit");
         c.shutdown().unwrap();
         server.join().unwrap();
-    }
-}
-
-mod lognormal_props {
-    use qdelay::stats::lognormal::LogNormal;
-    use qdelay_rng::{Rng, StdRng};
-
-    /// MLE fit recovers parameters from exact quantile samples.
-    #[test]
-    fn mle_recovery() {
-        let mut rng = StdRng::seed_from_u64(0x109);
-        for _ in 0..40 {
-            let mu = -2.0 + 8.0 * rng.gen_f64();
-            let sigma = 0.3 + 2.2 * rng.gen_f64();
-            let truth = LogNormal::new(mu, sigma).unwrap();
-            let sample: Vec<f64> = (1..400).map(|i| truth.quantile(i as f64 / 400.0)).collect();
-            let fit = LogNormal::fit_mle(&sample).unwrap();
-            assert!((fit.mu() - mu).abs() < 0.1, "mu {} vs {}", fit.mu(), mu);
-            assert!((fit.sigma() - sigma).abs() < 0.15);
-        }
-    }
-
-    /// CDF and quantile are inverse everywhere.
-    #[test]
-    fn cdf_quantile_inverse() {
-        let mut rng = StdRng::seed_from_u64(0x1D2);
-        for _ in 0..200 {
-            let mu = -2.0 + 8.0 * rng.gen_f64();
-            let sigma = 0.1 + 2.9 * rng.gen_f64();
-            let p = 0.01 + 0.98 * rng.gen_f64();
-            let d = LogNormal::new(mu, sigma).unwrap();
-            let x = d.quantile(p);
-            assert!((d.cdf(x) - p).abs() < 1e-9, "p = {p}");
-        }
     }
 }
 
